@@ -90,22 +90,32 @@ def draw_channel(rng: np.random.Generator, users: int, n_paths: int,
 
 
 def propagate_samples(samples: np.ndarray, taps, samples_per_chip: int,
-                      out_len: int | None = None) -> np.ndarray:
+                      out_len: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of gain- and phase-weighted delayed copies of a sample array,
     zero outside the input's support.  out_len defaults to the full support
-    (input length plus the largest delay); a larger out_len zero-pads."""
+    (input length plus the largest delay); a larger out_len zero-pads.
+
+    With out given, the copies are added into it in place (out_len is then
+    its length) and out is returned, so a caller can sum many users' signals
+    into one buffer without a temporary per user.
+    """
     if samples_per_chip < 1:
         raise ValueError(f"samples_per_chip must be >= 1, got {samples_per_chip}")
     taps = list(taps)
     max_shift = max((tap.delay_chips for tap in taps), default=0) * samples_per_chip
+    if out is not None:
+        out_len = out.size
     if out_len is None:
         out_len = samples.size + max_shift
     elif out_len < samples.size + max_shift:
         raise ValueError(f"out_len {out_len} cannot hold the {max_shift}-sample delayed copies")
-    out = np.zeros(out_len, dtype=np.complex128)
+    if out is None:
+        out = np.zeros(out_len, dtype=np.complex128)
+    scratch = np.empty(samples.size, dtype=np.complex128)
     for tap in taps:
         shift = tap.delay_chips * samples_per_chip
-        out[shift:shift + samples.size] += (tap.gain * np.exp(1j * tap.phase)) * samples
+        np.multiply(samples, tap.gain * np.exp(1j * tap.phase), out=scratch)
+        out[shift:shift + samples.size] += scratch
     return out
 
 

@@ -24,7 +24,7 @@ _LINK_FLOAT = {"symbol_duration", "power"}
 _SCEN_INT = {"paths", "min_errors", "min_bits", "min_blocks", "max_bits",
              "symbols_per_block", "blocks_per_wave", "master_seed"}
 _SCEN_FLOAT = {"decay_db", "ibo_db"}
-_SCEN_BOOL = {"fading", "noise_enabled", "allow_small_min_errors", "ber_erfc_sqrt"}
+_SCEN_BOOL = {"fading", "noise_enabled", "allow_small_min_errors"}
 _SCEN_STR = {"name", "hpa_mode"}
 _SALEH_FLOAT = {"alpha_am", "beta_am", "alpha_pm", "beta_pm"}
 _SALEH_BOOL = {"ampm_quadratic"}

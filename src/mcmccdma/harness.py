@@ -15,7 +15,10 @@ shifting the operating SNR.
 
 from __future__ import annotations
 
+import ctypes
+import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 
@@ -27,7 +30,7 @@ from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_wal
 from .hpa import (OperatingPoint, SalehParams, apply_hpa, apply_predistorter,
                   operating_point_for_power)
 from .receiver import estimate_interference_variances, recover_bits
-from .txchain import BasebandFrame, LinkConfig, slot_signatures, walsh_chip_indices
+from .txchain import BasebandFrame, LinkConfig, modulate_user, modulation_table, slot_signatures
 
 HPA_MODES = ("bypass", "saleh", "saleh_pd")
 
@@ -62,7 +65,6 @@ class Scenario:
     blocks_per_wave: int = 16
     master_seed: int = 20260817
     allow_small_min_errors: bool = False
-    ber_erfc_sqrt: bool = True
 
     def __post_init__(self):
         if not self.name or any(c in self.name for c in ",\n\r"):
@@ -71,6 +73,11 @@ class Scenario:
             raise ValueError(f"hpa_mode must be one of {HPA_MODES}, got {self.hpa_mode!r}")
         if len(self.ebn0_grid) == 0:
             raise ValueError("ebn0_grid must not be empty")
+        if not all(math.isfinite(x) for x in self.ebn0_grid):
+            raise ValueError(f"ebn0_grid entries must be finite, got {self.ebn0_grid}")
+        for name in ("decay_db", "ibo_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.paths < 1:
             raise ValueError(f"paths must be >= 1, got {self.paths}")
         if self.decay_db < 0:
@@ -109,11 +116,8 @@ class _Runtime:
     scenario: Scenario
     walsh: WalshMatrix
     pn_chips: np.ndarray       # (users, pn_length) +-1
-    walsh_up: np.ndarray       # (substreams, samples_per_symbol) float
-    pn_up: np.ndarray          # (users, samples_per_symbol) float
-    carrier_table: np.ndarray  # (carriers, samples_per_symbol) complex
+    table: np.ndarray          # txchain.modulation_table, shared by every user
     signatures_user1: np.ndarray
-    amplitude: float
     op: OperatingPoint | None
     pd_scale: float | None
     eb: float
@@ -147,12 +151,7 @@ def _prepare(scenario: Scenario) -> _Runtime:
     pn_chips = np.stack([np.roll(pn.chips, k * stride) for k in range(cfg.users)])
 
     walsh = generate_walsh(cfg.walsh_order)
-    walsh_up = walsh.rows[: cfg.substreams, walsh_chip_indices(cfg)].astype(np.float64)
-    pn_up = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
-    n_samp = cfg.samples_per_symbol
-    i = np.arange(n_samp)
-    carrier_table = np.exp(2j * np.pi * cfg.walsh_order
-                           * np.arange(1, cfg.carriers + 1)[:, None] * i[None, :] / n_samp)
+    table = modulation_table(walsh, cfg)
     signatures_user1 = slot_signatures(walsh, pn_chips[0], cfg)
 
     mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
@@ -166,27 +165,12 @@ def _prepare(scenario: Scenario) -> _Runtime:
         pd_scale = float(np.sqrt(scenario.saleh.saturation_output_power
                                  / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
 
-    runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips, walsh_up=walsh_up,
-                       pn_up=pn_up, carrier_table=carrier_table,
-                       signatures_user1=signatures_user1,
-                       amplitude=float(np.sqrt(2.0 * cfg.power)), op=op, pd_scale=pd_scale,
+    runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips, table=table,
+                       signatures_user1=signatures_user1, op=op, pd_scale=pd_scale,
                        eb=0.0, phase_offset=0.0, warmup=1 if scenario.paths > 1 else 0,
                        pad_samples=(scenario.paths - 1) * cfg.oversampling)
     runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
-
-
-def _modulate_samples(runtime: _Runtime, symbols: np.ndarray, user_index: int) -> np.ndarray:
-    """Transmit samples for one user; same signal as txchain.modulate_user,
-    assembled per carrier to keep the inner products real-valued."""
-    cfg = runtime.scenario.config
-    n_slots = symbols.shape[0]
-    d = symbols.astype(np.float64, copy=False)
-    acc = np.zeros((n_slots, cfg.samples_per_symbol), dtype=np.complex128)
-    for m in range(cfg.carriers):
-        acc += (d[:, :, m] @ runtime.walsh_up) * runtime.carrier_table[m]
-    acc *= runtime.amplitude * runtime.pn_up[user_index]
-    return acc.reshape(-1)
 
 
 def _amplify(runtime: _Runtime, samples: np.ndarray) -> np.ndarray:
@@ -216,7 +200,8 @@ def _calibrate(runtime: _Runtime) -> tuple:
         return 2.0 * cfg.power * cfg.symbol_duration, 0.0
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
     symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)) - 1
-    linear = _modulate_samples(runtime, symbols, 0)
+    linear = modulate_user(symbols, runtime.walsh, runtime.pn_chips[0], cfg,
+                           table=runtime.table).samples
     tx = _amplify(runtime, linear)
     mean_power = float(np.mean(np.abs(tx) ** 2))
     static_gain = np.vdot(linear, tx) / np.vdot(linear, linear)
@@ -240,8 +225,9 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
     out_len = n_total * cfg.samples_per_symbol + runtime.pad_samples
     received = np.zeros(out_len, dtype=np.complex128)
     for k in range(cfg.users):
-        tx = _amplify(runtime, _modulate_samples(runtime, symbols[k], k))
-        received += propagate_samples(tx, channel.taps(k), cfg.oversampling, out_len)
+        tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg, table=runtime.table)
+        tx = _amplify(runtime, tx.samples)
+        propagate_samples(tx, channel.taps(k), cfg.oversampling, out=received)
 
     frame = BasebandFrame(received, cfg.sample_rate)
     if scenario.noise_enabled:
@@ -255,6 +241,63 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
                              signatures=runtime.signatures_user1,
                              skip_symbols=runtime.warmup, n_symbols=n_data)
     return decisions.errors, decisions.bits
+
+
+# Thread-count calls of the OpenBLAS builds numpy and scipy ship (64-bit
+# integer and plain interfaces), as (getter, setter) symbol names.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_calls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process; empty when there is none or /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return []
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                calls.append((get, set_))
+                break
+    return calls
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run the body with every loaded OpenBLAS at one thread, then restore
+    the caller's counts.
+
+    A block's GEMMs are small, so BLAS threads only add synchronization, and
+    under the fork pool they oversubscribe the cores.  The count is set in
+    the parent before the pool forks, which is what workers inherit; setting
+    OPENBLAS_NUM_THREADS in os.environ at that point has no effect, because
+    the library reads it only when it is loaded.
+    """
+    calls = _openblas_thread_calls()
+    saved = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(calls, saved):
+            set_(count)
 
 
 # Set in the parent before the pool forks so workers inherit the prepared
@@ -282,48 +325,49 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     point_seconds = []
 
     pool = None
-    try:
-        if workers > 1:
-            global _WORKER_RUNTIME
-            _WORKER_RUNTIME = runtime
-            pool = get_context("fork").Pool(workers)
+    with _single_threaded_blas():
+        try:
+            if workers > 1:
+                global _WORKER_RUNTIME
+                _WORKER_RUNTIME = runtime
+                pool = get_context("fork").Pool(workers)
 
-        for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
-            started = time.perf_counter()
-            errors = 0
-            bits = 0
-            blocks = 0
-            while True:
-                block_ids = range(blocks, blocks + scenario.blocks_per_wave)
-                if pool is None:
-                    results = [_simulate_block(runtime, point_index, b, float(ebn0_db))
-                               for b in block_ids]
-                else:
-                    results = pool.map(
-                        _worker_block,
-                        [(point_index, b, float(ebn0_db)) for b in block_ids])
-                for block_errors, block_bits in results:
-                    errors += block_errors
-                    bits += block_bits
-                blocks += scenario.blocks_per_wave
-                if bits >= scenario.max_bits:
-                    break
-                if (errors >= scenario.min_errors and bits >= scenario.min_bits
-                        and blocks >= scenario.min_blocks):
-                    break
-            censored = errors < scenario.min_errors
-            records.append(BerRecord(
-                scenario=scenario.name, ebn0_db=float(ebn0_db), users=cfg.users,
-                substreams=cfg.substreams, carriers=cfg.carriers, hpa_mode=scenario.hpa_mode,
-                ibo_db=None if scenario.hpa_mode == "bypass" else float(scenario.ibo_db),
-                bits=bits, errors=errors, ber=errors / bits, ci95=binomial_ci95(errors, bits),
-                source="monte-carlo", seed=scenario.master_seed, censored=censored))
-            point_seconds.append(time.perf_counter() - started)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-            _WORKER_RUNTIME = None
+            for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
+                started = time.perf_counter()
+                errors = 0
+                bits = 0
+                blocks = 0
+                while True:
+                    block_ids = range(blocks, blocks + scenario.blocks_per_wave)
+                    if pool is None:
+                        results = [_simulate_block(runtime, point_index, b, float(ebn0_db))
+                                   for b in block_ids]
+                    else:
+                        results = pool.map(
+                            _worker_block,
+                            [(point_index, b, float(ebn0_db)) for b in block_ids])
+                    for block_errors, block_bits in results:
+                        errors += block_errors
+                        bits += block_bits
+                    blocks += scenario.blocks_per_wave
+                    if bits >= scenario.max_bits:
+                        break
+                    if (errors >= scenario.min_errors and bits >= scenario.min_bits
+                            and blocks >= scenario.min_blocks):
+                        break
+                censored = errors < scenario.min_errors
+                records.append(BerRecord(
+                    scenario=scenario.name, ebn0_db=float(ebn0_db), users=cfg.users,
+                    substreams=cfg.substreams, carriers=cfg.carriers, hpa_mode=scenario.hpa_mode,
+                    ibo_db=None if scenario.hpa_mode == "bypass" else float(scenario.ibo_db),
+                    bits=bits, errors=errors, ber=errors / bits, ci95=binomial_ci95(errors, bits),
+                    source="monte-carlo", seed=scenario.master_seed, censored=censored))
+                point_seconds.append(time.perf_counter() - started)
+        finally:
+            if pool is not None:
+                pool.close()
+                pool.join()
+                _WORKER_RUNTIME = None
 
     return RunReport(scenario=scenario, records=records, point_seconds=point_seconds,
                      master_seed=scenario.master_seed, config_echo=scenario_echo(scenario))
@@ -342,9 +386,10 @@ def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbol
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 2]))
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
     noise = NoiseSpec(ebn0_db=float(point), enabled=scenario.noise_enabled)
-    variances = estimate_interference_variances(
-        cfg, runtime.walsh, list(runtime.pn_chips), channel, noise, runtime.eb, rng, n_symbols)
-    return variances
+    with _single_threaded_blas():
+        return estimate_interference_variances(
+            cfg, runtime.walsh, list(runtime.pn_chips), channel, noise, runtime.eb, rng,
+            n_symbols)
 
 
 def scenario_echo(scenario: Scenario) -> dict:
@@ -378,7 +423,6 @@ def scenario_echo(scenario: Scenario) -> dict:
         "blocks_per_wave": scenario.blocks_per_wave,
         "master_seed": scenario.master_seed,
         "allow_small_min_errors": scenario.allow_small_min_errors,
-        "ber_erfc_sqrt": scenario.ber_erfc_sqrt,
     }
     return {key: fmt(value) for key, value in echo.items()}
 

@@ -109,16 +109,40 @@ def operating_point_for_power(mean_power: float, ibo_db: float, params: SalehPar
     return OperatingPoint(ibo_db=float(ibo_db), input_scale=float(scale), saturation_input_power=p_sat)
 
 
+def _modulus_squared(x: np.ndarray) -> np.ndarray:
+    """|x|^2 per sample; one max reduction rejects NaN and infinite samples."""
+    p = x.real**2 + x.imag**2
+    if not np.isfinite(p.max(initial=0.0)):
+        raise ValueError("input modulus must be finite")
+    return p
+
+
+def _ampm_of_power(p: np.ndarray, params: SalehParams) -> np.ndarray:
+    """ampm at input modulus sqrt(p), without forming the modulus when the
+    phase curve is quadratic."""
+    numerator = params.alpha_pm * (p if params.ampm_quadratic else np.sqrt(p))
+    return numerator / (1.0 + params.beta_pm * p)
+
+
+def _rotate(x: np.ndarray, gain: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """x * gain * e^{j phase}, with the rotation built from cos and sin."""
+    rotation = np.empty(x.shape, dtype=np.complex128)
+    np.cos(phase, out=rotation.real)
+    np.sin(phase, out=rotation.imag)
+    np.multiply(rotation, gain, out=rotation)
+    rotation *= x
+    return rotation
+
+
 def apply_hpa(frame: BasebandFrame, params: SalehParams, op: OperatingPoint | None = None) -> BasebandFrame:
     """Per-sample nonlinearity: scale by the operating point, then map the
     modulus through amam and advance the phase by ampm."""
     x = frame.samples if op is None else op.input_scale * frame.samples
-    u = np.abs(x)
-    gain_num = params.alpha_am / (1.0 + params.beta_am * u**2)
+    p = _modulus_squared(x)
     # amam(u) e^{j arg x} = x * amam(u)/u; the modulus factors out so the
     # zero-input sample needs no special case.
-    out = x * gain_num * np.exp(1j * ampm(u, params))
-    return BasebandFrame(out, frame.sample_rate, frame.t0)
+    gain = params.alpha_am / (1.0 + params.beta_am * p)
+    return BasebandFrame(_rotate(x, gain, _ampm_of_power(p, params)), frame.sample_rate, frame.t0)
 
 
 def compute_obo(frame_out: BasebandFrame, params: SalehParams) -> float:
@@ -149,8 +173,15 @@ def pd_amplitude(g, params: SalehParams):
 def apply_predistorter(frame: BasebandFrame, params: SalehParams) -> BasebandFrame:
     """Map each sample (modulus g, phase t) to (pd_amplitude(g), t - ampm)
     so that the following amplifier restores modulus min(g, peak) at phase t."""
-    g = np.abs(frame.samples)
-    u = pd_amplitude(g, params)
-    phase = np.angle(frame.samples) - ampm(u, params)
-    out = u * np.exp(1j * phase)
-    return BasebandFrame(out, frame.sample_rate, frame.t0)
+    x = frame.samples
+    p = _modulus_squared(x)
+    # ratio = pd_amplitude(g)/g in pd_amplitude's rationalized form; it tends
+    # to 2/alpha_am as g -> 0, so the zero sample needs no special case.
+    sat2 = params.saturation_output_power
+    discriminant = np.maximum(params.alpha_am**2 - 4.0 * params.beta_am * np.minimum(p, sat2), 0.0)
+    ratio = 2.0 / (params.alpha_am + np.sqrt(discriminant))
+    over = p > sat2
+    if over.any():
+        ratio[over] *= np.sqrt(sat2 / p[over])
+    phase = -_ampm_of_power(ratio**2 * p, params)
+    return BasebandFrame(_rotate(x, ratio, phase), frame.sample_rate, frame.t0)

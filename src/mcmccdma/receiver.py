@@ -20,7 +20,8 @@ import numpy as np
 from .channel import (ChannelRealization, NoiseSpec, PathTap, add_awgn, apply_multipath,
                       propagate_samples)
 from .codes import WalshMatrix
-from .txchain import BasebandFrame, LinkConfig, modulate_user, slot_signatures
+from .txchain import (BasebandFrame, LinkConfig, modulate_user, modulation_table,
+                      slot_signatures)
 
 SOURCE_NAMES = ("desired", "multipath", "inter_substream", "inter_carrier", "multi_user", "noise")
 
@@ -157,7 +158,7 @@ def synthesize_source_frames(symbols_per_user: np.ndarray, walsh: WalshMatrix, p
     max_delay = max(tap.delay_chips for user_taps in channel.per_user for tap in user_taps)
     out_len = d.shape[1] * config.samples_per_symbol + max_delay * spc
 
-    sig1 = slot_signatures(walsh, pn_list[0], config)
+    table = modulation_table(walsh, config)
     d_wanted = np.zeros_like(d[0])
     d_wanted[:, 0, 0] = d[0, :, 0, 0]
     d_substreams = np.zeros_like(d[0])
@@ -165,22 +166,22 @@ def synthesize_source_frames(symbols_per_user: np.ndarray, walsh: WalshMatrix, p
     d_carriers = np.zeros_like(d[0])
     d_carriers[:, :, 1:] = d[0, :, :, 1:]
 
-    wanted_tx = modulate_user(d_wanted, walsh, pn_list[0], config, signatures=sig1)
+    wanted_tx = modulate_user(d_wanted, walsh, pn_list[0], config, table=table)
     sources = {
         "desired": apply_multipath(wanted_tx, taps1[:1], spc, out_len),
         "multipath": apply_multipath(wanted_tx, taps1[1:], spc, out_len),
         "inter_substream": apply_multipath(
-            modulate_user(d_substreams, walsh, pn_list[0], config, signatures=sig1),
+            modulate_user(d_substreams, walsh, pn_list[0], config, table=table),
             taps1, spc, out_len),
         "inter_carrier": apply_multipath(
-            modulate_user(d_carriers, walsh, pn_list[0], config, signatures=sig1),
+            modulate_user(d_carriers, walsh, pn_list[0], config, table=table),
             taps1, spc, out_len),
     }
 
     other = np.zeros(out_len, dtype=np.complex128)
     for k in range(1, config.users):
-        tx_k = modulate_user(d[k], walsh, pn_list[k], config)
-        other += propagate_samples(tx_k.samples, channel.taps(k), spc, out_len)
+        tx_k = modulate_user(d[k], walsh, pn_list[k], config, table=table)
+        propagate_samples(tx_k.samples, channel.taps(k), spc, out=other)
     sources["multi_user"] = BasebandFrame(other, config.sample_rate)
 
     zero = BasebandFrame(np.zeros(out_len, dtype=np.complex128), config.sample_rate)

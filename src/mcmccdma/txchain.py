@@ -11,6 +11,8 @@ All signals are complex envelopes; the real passband waveform is never built.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,13 @@ class LinkConfig:
     power: float = 1.0
 
     def __post_init__(self):
+        for name in ("users", "substreams", "carriers", "walsh_order", "pn_length", "oversampling"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("symbol_duration", "power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.users < 1:
             raise ValueError(f"users must be >= 1, got {self.users}")
         if self.substreams < 1:
@@ -178,23 +187,27 @@ def walsh_chip_indices(config: LinkConfig) -> np.ndarray:
     return (i * config.walsh_order) // config.samples_per_symbol
 
 
-def slot_signatures(walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:
-    """Unit-modulus signature waveform of every (substream, carrier) slot.
-
-    Returns shape (substreams, carriers, samples_per_symbol); entry (r, m)
-    is walsh_row_r (stretched) * pn chips (oversampled) * subcarrier m+1
-    exponential.  pn may be a PnSequence or a bare +-1 chip array (e.g. a
-    shifted per-user sequence).  The transmitter scales these by
-    sqrt(2*power) and the receiver correlates against their conjugates.
-    """
+def _pn_chips(pn, config: LinkConfig) -> np.ndarray:
     chips = pn.chips if isinstance(pn, PnSequence) else np.asarray(pn)
     if chips.size != config.pn_length:
         raise ValueError(f"PN length {chips.size} does not match config pn_length {config.pn_length}")
+    return chips
+
+
+def modulation_table(walsh: WalshMatrix, config: LinkConfig) -> np.ndarray:
+    """PN-free slot signatures, shared by every user.
+
+    Row r*carriers + m holds walsh_row_r (stretched) * subcarrier m+1
+    exponential over one symbol, stored as a real array of shape
+    (substreams*carriers, 2*samples_per_symbol) with real and imaginary
+    parts interleaved, so that symbols @ table is one real GEMM whose result
+    views as complex samples.  A user's slot signatures are these rows times
+    its oversampled PN chips.
+    """
     if walsh.order != config.walsh_order:
         raise ValueError(f"Walsh order {walsh.order} does not match config walsh_order {config.walsh_order}")
     n_samp = config.samples_per_symbol
     walsh_up = walsh.rows[: config.substreams, walsh_chip_indices(config)].astype(np.float64)
-    pn_up = np.repeat(chips, config.oversampling).astype(np.float64)
     i = np.arange(n_samp)
     # Sampled e^{j 2 pi f_m t} with f_m = m*walsh_order/T and t = i T/n_samp;
     # periodic over the symbol, so tiling symbols keeps the carrier phase
@@ -204,16 +217,33 @@ def slot_signatures(walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:
         2j * np.pi * config.walsh_order
         * np.arange(1, config.carriers + 1)[:, None] * i[None, :] / n_samp
     )
-    return walsh_up[:, None, :] * pn_up[None, None, :] * carriers[None, :, :]
+    table = np.multiply(walsh_up[:, None, :], carriers[None, :, :], order="C")
+    return table.reshape(config.substreams * config.carriers, n_samp).view(np.float64)
 
 
-def modulate_user(symbols, walsh: WalshMatrix, pn: PnSequence, config: LinkConfig,
-                  signatures: np.ndarray | None = None) -> BasebandFrame:
+def slot_signatures(walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:
+    """Unit-modulus signature waveform of every (substream, carrier) slot.
+
+    Returns shape (substreams, carriers, samples_per_symbol); entry (r, m)
+    is walsh_row_r (stretched) * pn chips (oversampled) * subcarrier m+1
+    exponential.  pn may be a PnSequence or a bare +-1 chip array (e.g. a
+    shifted per-user sequence).  The transmitter scales these by
+    sqrt(2*power) and the receiver correlates against their conjugates.
+    """
+    pn_up = np.repeat(_pn_chips(pn, config), config.oversampling).astype(np.float64)
+    table = modulation_table(walsh, config).view(np.complex128)
+    return (table * pn_up).reshape(config.substreams, config.carriers, config.samples_per_symbol)
+
+
+def modulate_user(symbols, walsh: WalshMatrix, pn, config: LinkConfig,
+                  table: np.ndarray | None = None) -> BasebandFrame:
     """Complex-envelope transmit frame for one user.
 
     symbols has shape (slots, substreams, carriers) with +-1 entries (or is a
-    UserSymbols).  Each slot becomes samples_per_symbol samples equal to
-    sqrt(2*power) * sum over slots of symbol * signature.
+    UserSymbols); pn is a PnSequence or the user's +-1 chip array.  Each slot
+    becomes samples_per_symbol samples equal to sqrt(2*power) * sum over
+    slots of symbol * signature.  table is modulation_table(walsh, config),
+    built here when not given; callers modulating many frames pass it in.
     """
     if isinstance(symbols, UserSymbols):
         symbols = symbols.symbols
@@ -222,10 +252,9 @@ def modulate_user(symbols, walsh: WalshMatrix, pn: PnSequence, config: LinkConfi
         raise ValueError(
             f"symbols must be (slots, {config.substreams}, {config.carriers}), got {d.shape}"
         )
-    if signatures is None:
-        signatures = slot_signatures(walsh, pn, config)
-    n_slots = d.shape[0]
-    n_samp = config.samples_per_symbol
-    flat_sig = signatures.reshape(config.substreams * config.carriers, n_samp)
-    samples = np.sqrt(2.0 * config.power) * (d.reshape(n_slots, -1) @ flat_sig)
+    scale = np.repeat(np.sqrt(2.0 * config.power) * _pn_chips(pn, config), config.oversampling)
+    if table is None:
+        table = modulation_table(walsh, config)
+    samples = (d.reshape(d.shape[0], -1) @ table).view(np.complex128)
+    samples *= scale
     return BasebandFrame(samples.reshape(-1), config.sample_rate)

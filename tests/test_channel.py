@@ -120,6 +120,25 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate_samples(x, taps, 4, out_len=8)
 
+    def test_out_accumulates_like_allocating_form(self):
+        rng = np.random.default_rng(6)
+        x1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        x2 = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+        taps1 = (PathTap(0.9, 0, 0.3), PathTap(0.4, 2, 1.1), PathTap(0.2, 3, 4.0))
+        taps2 = (PathTap(0.7, 1, 2.0), PathTap(0.5, 5, 0.6))
+        expected = (propagate_samples(x1, taps1, 4, out_len=80)
+                    + propagate_samples(x2, taps2, 4, out_len=80))
+        out = np.zeros(80, dtype=np.complex128)
+        assert propagate_samples(x1, taps1, 4, out=out) is out
+        propagate_samples(x2, taps2, 4, out=out)
+        assert np.abs(out - expected).max() < 1e-12
+
+    def test_out_too_short_rejected(self):
+        x = np.ones(8, dtype=np.complex128)
+        out = np.zeros(11, dtype=np.complex128)
+        with pytest.raises(ValueError, match="out_len 11"):
+            propagate_samples(x, (PathTap(1.0, 1, 0.0),), 4, out=out)
+
     def test_frame_wrapper(self):
         x = np.ones(8, dtype=np.complex128)
         frame = BasebandFrame(x.copy(), sample_rate=4.0)

@@ -7,6 +7,7 @@ import pytest
 
 from mcmccdma.analysis import BerRecord, binomial_ci95
 from mcmccdma.cli import main
+from mcmccdma import harness
 from mcmccdma.config import ConfigError, load_config, scenario_from_keys
 from mcmccdma.harness import (
     CSV_HEADER,
@@ -49,6 +50,16 @@ class TestScenarioValidation:
     def test_too_many_paths(self):
         with pytest.raises(ValueError):
             dataclasses.replace(TINY, paths=8)   # 8 chips delay = full symbol
+
+    @pytest.mark.parametrize("field, value", [
+        ("decay_db", float("nan")),
+        ("ibo_db", float("inf")),
+        ("ebn0_grid", (0.0, float("nan"))),
+        ("ebn0_grid", (float("-inf"),)),
+    ])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(TINY, **{field: value})
 
 
 class TestRunScenario:
@@ -106,6 +117,71 @@ class TestRunScenario:
         rep = run_scenario(sc)
         assert [r.ebn0_db for r in rep.records] == [0.0, 4.0]
         assert rep.records[0].ber > rep.records[1].ber
+
+
+def _csv_bytes(scenario, workers, path):
+    emit_csv(run_scenario(scenario, workers=workers), path)
+    return path.read_bytes()
+
+
+# Two waves of four blocks at one sweep point.
+_POOLED = dict(ebn0_grid=(4.0,), blocks_per_wave=4, max_bits=2 * 4 * 16 * 4)
+
+
+@pytest.mark.parametrize("scenario", [
+    dataclasses.replace(
+        TINY, name="tiny-saleh-pd", hpa_mode="saleh_pd", ibo_db=5.0,
+        config=LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4,
+                          pn_length=15, oversampling=4), **_POOLED),
+    dataclasses.replace(
+        TINY, name="tiny-3-path", paths=3, decay_db=3.0, fading=True,
+        config=LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4,
+                          pn_length=15, oversampling=4), **_POOLED),
+], ids=lambda sc: sc.name)
+def test_pooled_csv_bytes_match_serial(scenario, tmp_path):
+    serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
+    assert serial == _csv_bytes(scenario, 2, tmp_path / "pooled.csv")
+
+
+@pytest.fixture
+def blas_threads():
+    """Thread counts of the loaded OpenBLAS libraries, set to 2 for the test."""
+    calls = harness._openblas_thread_calls()
+    saved = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(2)
+    yield lambda: [get() for get, _ in calls]
+    for (_, set_), count in zip(calls, saved):
+        set_(count)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_run_single_threaded_and_count_restored(self, blas_threads, monkeypatch,
+                                                          workers):
+        before = blas_threads()
+        simulate = harness._simulate_block
+
+        def checked(*args):
+            # runs in the forked workers too, where a failure reaches pool.map
+            assert all(count == 1 for count in blas_threads())
+            return simulate(*args)
+
+        monkeypatch.setattr(harness, "_simulate_block", checked)
+        run_scenario(TINY, workers=workers)
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_count_restored_when_block_raises(self, blas_threads, monkeypatch, workers):
+        before = blas_threads()
+
+        def failing(*args):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(harness, "_simulate_block", failing)
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_scenario(TINY, workers=workers)
+        assert blas_threads() == before
 
 
 class TestCiCoverage:
@@ -315,6 +391,12 @@ class TestCli:
         cfg = _write_tiny_config(tmp_path, hyperdrive="on")
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_nonfinite_decay_is_config_error(self, tmp_path, capsys):
+        cfg = _write_tiny_config(tmp_path, decay_db="nan")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert "decay_db" in capsys.readouterr().err
 
     def test_unknown_preset_is_config_error(self):
         assert main(["simulate", "--preset", "fig99"]) == 1

@@ -203,3 +203,50 @@ def test_operating_point_property(ibo_db, mean_power):
     assert op.input_scale > 0
     back_off = P.saturation_input_power / (op.input_scale ** 2 * mean_power)
     assert 10 * np.log10(back_off) == pytest.approx(ibo_db, abs=1e-9)
+
+
+def _drive(max_modulus):
+    """Complex samples from 0 to max_modulus at scattered phases, zero included."""
+    rng = np.random.default_rng(21)
+    modulus = np.linspace(0.0, max_modulus, 2001)
+    return modulus * np.exp(1j * rng.uniform(-np.pi, np.pi, modulus.size))
+
+
+def _close(got, expected):
+    return np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+@pytest.mark.parametrize("ibo_db", [None, 3.0])
+def test_apply_hpa_matches_curve_formulas(quadratic, ibo_db):
+    params = SalehParams(ampm_quadratic=quadratic)
+    x = _drive(2.0 * params.saturation_input)
+    frame = BasebandFrame(x.copy(), 1.0)
+    op = None if ibo_db is None else set_operating_point(frame, ibo_db, params)
+    scaled = x if op is None else op.input_scale * x
+    u = np.abs(scaled)
+    expected = amam(u, params) * np.exp(1j * (np.angle(scaled) + ampm(u, params)))
+    assert _close(apply_hpa(frame, params, op).samples, expected)
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_apply_predistorter_matches_curve_formulas(quadratic):
+    params = SalehParams(ampm_quadratic=quadratic)
+    x = _drive(1.5 * params.saturation_output)      # the top third clamps
+    u = pd_amplitude(np.abs(x), params)
+    expected = u * np.exp(1j * (np.angle(x) - ampm(u, params)))
+    assert _close(apply_predistorter(BasebandFrame(x.copy(), 1.0), params).samples, expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                 complex(np.nan, 0.0)])
+@pytest.mark.parametrize("stage", ["hpa", "predistorter"])
+def test_frame_kernels_reject_nonfinite_samples(bad, stage):
+    x = np.full(16, 0.3 + 0.1j)
+    x[7] = bad
+    frame = BasebandFrame(x, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        if stage == "hpa":
+            apply_hpa(frame, P)
+        else:
+            apply_predistorter(frame, P)

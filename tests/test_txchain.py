@@ -10,6 +10,7 @@ from mcmccdma.txchain import (
     LinkConfig,
     UserSymbols,
     modulate_user,
+    modulation_table,
     multicode_spread,
     parallel_to_serial,
     serial_to_parallel,
@@ -43,6 +44,11 @@ class TestLinkConfig:
         dict(symbol_duration=-1.0),
         dict(walsh_order=64, pn_length=7, oversampling=4),     # 64 > 28
         dict(carriers=8, walsh_order=8, pn_length=7, oversampling=2),  # 64 > 14
+        dict(users=2.5),
+        dict(pn_length=7.0),
+        dict(oversampling=True),
+        dict(power=float("nan")),
+        dict(symbol_duration=float("inf")),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -197,3 +203,47 @@ class TestModulateUser:
         d = np.ones((7, 2, 2), dtype=np.int8)
         frame = modulate_user(d, generate_walsh(2), generate_msequence(4), cfg)
         assert len(frame) == 7 * cfg.samples_per_symbol
+
+
+def _loop_signatures(walsh, chips, cfg):
+    """Slot signatures built one (substream, carrier) pair at a time."""
+    n = cfg.samples_per_symbol
+    t = np.arange(n) * cfg.symbol_duration / n
+    pn_up = np.repeat(chips, cfg.oversampling)
+    walsh_up = walsh.rows[:, walsh_chip_indices(cfg)]
+    sig = np.empty((cfg.substreams, cfg.carriers, n), dtype=np.complex128)
+    for r in range(cfg.substreams):
+        for m in range(cfg.carriers):
+            tone = np.exp(2j * np.pi * subcarrier_frequency(m + 1, cfg) * t)
+            sig[r, m] = walsh_up[r] * pn_up * tone
+    return sig
+
+
+class TestModulationTable:
+    @pytest.mark.parametrize("degree, oversampling, aligned", [(6, 8, True), (5, 4, False)])
+    @pytest.mark.parametrize("carriers", [1, 8])
+    def test_shared_table_matches_signature_product(self, degree, oversampling, aligned,
+                                                    carriers):
+        cfg = LinkConfig(users=2, substreams=3, carriers=carriers, walsh_order=8,
+                         pn_length=2**degree - 1, oversampling=oversampling, power=0.7)
+        assert cfg.walsh_aligned == aligned
+        walsh = generate_walsh(8)
+        chips = np.roll(generate_msequence(degree).chips, 5)
+        sig = slot_signatures(walsh, chips, cfg)
+        assert np.abs(sig - _loop_signatures(walsh, chips, cfg)).max() < 1e-12
+
+        rng = np.random.default_rng(11)
+        d = rng.choice([-1, 1], size=(9, 3, carriers)).astype(np.int8)
+        n = cfg.samples_per_symbol
+        expected = np.sqrt(2 * cfg.power) * (d.reshape(9, -1) @ sig.reshape(-1, n))
+        table = modulation_table(walsh, cfg)
+        assert table.shape == (3 * carriers, 2 * n) and table.dtype == np.float64
+        for frame in (modulate_user(d, walsh, chips, cfg, table=table),
+                      modulate_user(d, walsh, chips, cfg)):
+            got = frame.samples.reshape(9, n)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_walsh_order_mismatch_rejected(self):
+        cfg = LinkConfig(substreams=2, walsh_order=2, pn_length=7)
+        with pytest.raises(ValueError, match="Walsh order"):
+            modulation_table(generate_walsh(4), cfg)
