@@ -61,7 +61,6 @@ from .hpa import (
 from .receiver import (
     SOURCE_NAMES,
     BitDecisions,
-    CorrelatorOutput,
     InterferenceVariances,
     correlate_slots,
     decompose_correlator_output,
@@ -72,11 +71,7 @@ from .receiver import (
 from .txchain import (
     BasebandFrame,
     LinkConfig,
-    UserSymbols,
     modulate_user,
-    multicode_spread,
-    parallel_to_serial,
-    serial_to_parallel,
     slot_signatures,
     subcarrier_frequency,
     walsh_chip_indices,
@@ -91,7 +86,6 @@ __all__ = [
     "CSV_HEADER",
     "ChannelRealization",
     "ConfigError",
-    "CorrelatorOutput",
     "InterferenceVariances",
     "LinkConfig",
     "NoiseSpec",
@@ -103,7 +97,6 @@ __all__ = [
     "SOURCE_NAMES",
     "SalehParams",
     "Scenario",
-    "UserSymbols",
     "WalshMatrix",
     "add_awgn",
     "amam",
@@ -126,9 +119,7 @@ __all__ = [
     "load_config",
     "measure_variances",
     "modulate_user",
-    "multicode_spread",
     "operating_point_for_power",
-    "parallel_to_serial",
     "parse_csv",
     "path_power_profile",
     "pd_amplitude",
@@ -140,7 +131,6 @@ __all__ = [
     "saleh_from_keys",
     "scenario_echo",
     "scenario_from_keys",
-    "serial_to_parallel",
     "set_operating_point",
     "slot_signatures",
     "subcarrier_frequency",

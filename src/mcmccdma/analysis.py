@@ -7,10 +7,6 @@ Rayleigh-faded reference gain turns gamma exponential, averaged by
 quadrature.  Variances follow the complex-power convention of
 `receiver.InterferenceVariances`, which makes gamma equal Eb/N0 in the
 noise-only case and reproduces the textbook BPSK curve.
-
-The erfc-of-gamma-without-radical variant (use_sqrt=False) is kept for
-fidelity experiments; it fails the BPSK sanity limit and is never the
-default.
 """
 
 from __future__ import annotations
@@ -31,15 +27,14 @@ def erfc(x):
     return float(out) if out.ndim == 0 else out
 
 
-def conditional_ber(gamma: float, use_sqrt: bool = True) -> float:
+def conditional_ber(gamma: float) -> float:
     """BER at a fixed post-correlator signal-to-interference ratio."""
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    argument = math.sqrt(gamma) if use_sqrt else gamma
-    return 0.5 * float(special.erfc(argument))
+    return 0.5 * float(special.erfc(math.sqrt(gamma)))
 
 
-def fading_averaged_ber(mean_gamma: float, use_sqrt: bool = True) -> float:
+def fading_averaged_ber(mean_gamma: float) -> float:
     """Average of conditional_ber over a Rayleigh-faded reference gain.
 
     A Rayleigh amplitude makes gamma exponentially distributed with the
@@ -51,7 +46,7 @@ def fading_averaged_ber(mean_gamma: float, use_sqrt: bool = True) -> float:
     if mean_gamma == 0:
         return 0.5
     value, _ = integrate.quad(
-        lambda x: conditional_ber(mean_gamma * x, use_sqrt) * math.exp(-x), 0.0, np.inf
+        lambda x: conditional_ber(mean_gamma * x) * math.exp(-x), 0.0, np.inf
     )
     return float(value)
 
@@ -99,7 +94,7 @@ class BerRecord:
 
 def theoretical_curve(variances, ebn0_grid, reference_ebn0_db: float, *,
                       signal_power: float | None = None, fading: bool = False,
-                      use_sqrt: bool = True, scenario: str = "theory",
+                      scenario: str = "theory",
                       users: int = 1, substreams: int = 1, carriers: int = 1,
                       hpa_mode: str = "bypass", ibo_db: float | None = None) -> list[BerRecord]:
     """BER curve predicted from measured correlator variances.
@@ -123,7 +118,7 @@ def theoretical_curve(variances, ebn0_grid, reference_ebn0_db: float, *,
             ber = 0.0
         else:
             gamma = s / total
-            ber = fading_averaged_ber(gamma, use_sqrt) if fading else conditional_ber(gamma, use_sqrt)
+            ber = fading_averaged_ber(gamma) if fading else conditional_ber(gamma)
         records.append(BerRecord(scenario=scenario, ebn0_db=float(point), users=users,
                                  substreams=substreams, carriers=carriers, hpa_mode=hpa_mode,
                                  ibo_db=ibo_db, bits=0, errors=0, ber=ber, ci95=0.0,

@@ -13,7 +13,7 @@ import numpy as np
 
 # Feedback exponents of a primitive polynomial over GF(2), one built-in
 # default per register length.  Entry d -> (d, t1, ...) encodes
-# x^d + x^t1 + ... + 1.  Longer registers need caller-supplied taps.
+# x^d + x^t1 + ... + 1.
 PRIMITIVE_TAPS = {
     2: (2, 1),
     3: (3, 1),
@@ -24,6 +24,8 @@ PRIMITIVE_TAPS = {
     8: (8, 4, 3, 2),
     9: (9, 4),
     10: (10, 3),
+    11: (11, 2),
+    12: (12, 6, 4, 1),
 }
 
 

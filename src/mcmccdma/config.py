@@ -1,7 +1,8 @@
 """Flat key=value configuration files.
 
-One key per line, `#` starts a comment, blank lines are ignored.  Every
-scenario field is addressable; `ebn0_grid` takes a comma-separated list.
+One key per line, `#` starts a comment, blank lines are ignored.  The keys
+are the leaf fields of `Scenario`, its `LinkConfig` and its `SalehParams`,
+each parsed by its declared type; `ebn0_grid` takes a comma-separated list.
 Values parsed here override the base scenario they are applied to, and the
 command line overrides both.
 """
@@ -10,29 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 
-from .harness import Scenario
+from .harness import Scenario, leaf_fields
 from .hpa import SalehParams
-from .txchain import LinkConfig
+from .txchain import LinkConfig, declared_type
 
 
 class ConfigError(ValueError):
     """Bad key, value or combination in a configuration source."""
-
-
-_LINK_INT = {"users", "substreams", "carriers", "walsh_order", "pn_length", "oversampling"}
-_LINK_FLOAT = {"symbol_duration", "power"}
-_SCEN_INT = {"paths", "min_errors", "min_bits", "min_blocks", "max_bits",
-             "symbols_per_block", "blocks_per_wave", "master_seed"}
-_SCEN_FLOAT = {"decay_db", "ibo_db"}
-_SCEN_BOOL = {"fading", "noise_enabled", "allow_small_min_errors"}
-_SCEN_STR = {"name", "hpa_mode"}
-_SALEH_FLOAT = {"alpha_am", "beta_am", "alpha_pm", "beta_pm"}
-_SALEH_BOOL = {"ampm_quadratic"}
-
-KNOWN_KEYS = (_LINK_INT | _LINK_FLOAT | _SCEN_INT | _SCEN_FLOAT | _SCEN_BOOL | _SCEN_STR
-              | _SALEH_FLOAT | _SALEH_BOOL | {"ebn0_grid"})
-
-SALEH_KEYS = _SALEH_FLOAT | _SALEH_BOOL
 
 
 def load_config(path) -> dict:
@@ -80,54 +65,46 @@ def _parse_grid(key, text) -> tuple:
     return tuple(_parse_float(key, item) for item in items)
 
 
-def saleh_from_keys(keys: dict, base: SalehParams | None = None) -> SalehParams:
-    """Amplifier parameters from config keys; unknown keys are rejected."""
-    fields = dataclasses.asdict(base if base is not None else SalehParams())
+# Value parser of each declared leaf-field type.
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool,
+            "str": lambda key, text: text, "tuple": _parse_grid}
+
+
+def _replace_leaves(instance, values: dict):
+    """instance rebuilt with the named leaf fields set to values, nested
+    dataclass fields rebuilt the same way."""
+    changes = {}
+    for f in dataclasses.fields(instance):
+        value = getattr(instance, f.name)
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = _replace_leaves(value, values)
+        elif f.name in values:
+            changes[f.name] = values[f.name]
+    return dataclasses.replace(instance, **changes)
+
+
+def _from_keys(base, keys: dict, kind: str):
+    """base with every key parsed by its leaf field's declared type; a key
+    that names no leaf field is rejected."""
+    leaves = {f.name: declared_type(f) for f, _ in leaf_fields(base)}
+    values = {}
     for key, raw in keys.items():
-        if key in _SALEH_FLOAT:
-            fields[key] = _parse_float(key, raw)
-        elif key in _SALEH_BOOL:
-            fields[key] = _parse_bool(key, raw)
-        else:
-            raise ConfigError(f"unknown amplifier parameter key {key!r}")
+        if key not in leaves:
+            raise ConfigError(f"unknown {kind} key {key!r}")
+        values[key] = _PARSERS[leaves[key]](key, raw)
     try:
-        return SalehParams(**fields)
+        return _replace_leaves(base, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def saleh_from_keys(keys: dict, base: SalehParams | None = None) -> SalehParams:
+    """Amplifier parameters from config keys; unknown keys are rejected."""
+    return _from_keys(base if base is not None else SalehParams(), keys, "amplifier parameter")
 
 
 def scenario_from_keys(keys: dict, base: Scenario | None = None) -> Scenario:
     """Build (or override) a scenario from parsed config keys."""
     if base is None:
         base = Scenario(name="custom", config=LinkConfig())
-    link = dataclasses.asdict(base.config)
-    saleh = dataclasses.asdict(base.saleh)
-    scen = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)
-            if f.name not in ("config", "saleh")}
-
-    for key, raw in keys.items():
-        if key in _LINK_INT:
-            link[key] = _parse_int(key, raw)
-        elif key in _LINK_FLOAT:
-            link[key] = _parse_float(key, raw)
-        elif key in _SCEN_INT:
-            scen[key] = _parse_int(key, raw)
-        elif key in _SCEN_FLOAT:
-            scen[key] = _parse_float(key, raw)
-        elif key in _SCEN_BOOL:
-            scen[key] = _parse_bool(key, raw)
-        elif key in _SCEN_STR:
-            scen[key] = raw
-        elif key in _SALEH_FLOAT:
-            saleh[key] = _parse_float(key, raw)
-        elif key in _SALEH_BOOL:
-            saleh[key] = _parse_bool(key, raw)
-        elif key == "ebn0_grid":
-            scen["ebn0_grid"] = _parse_grid(key, raw)
-        else:
-            raise ConfigError(f"unknown configuration key {key!r}")
-
-    try:
-        return Scenario(config=LinkConfig(**link), saleh=SalehParams(**saleh), **scen)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _from_keys(base, keys, "configuration")

@@ -19,24 +19,21 @@ import ctypes
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from multiprocessing import get_context
 
 import numpy as np
 
 from .analysis import BerRecord, binomial_ci95
 from .channel import NoiseSpec, add_awgn, draw_channel, propagate_samples
-from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
+from .codes import WalshMatrix, generate_msequence, generate_walsh
 from .hpa import (OperatingPoint, SalehParams, apply_hpa, apply_predistorter,
                   operating_point_for_power)
 from .receiver import estimate_interference_variances, recover_bits
-from .txchain import BasebandFrame, LinkConfig, modulate_user, modulation_table, slot_signatures
+from .txchain import (BasebandFrame, LinkConfig, check_field_types, declared_type, modulate_user,
+                      modulation_table, slot_signatures)
 
 HPA_MODES = ("bypass", "saleh", "saleh_pd")
-
-# Feedback taps for the longer shift registers the presets use; degrees up
-# to 10 are covered by the built-in table in `codes`.
-EXTENDED_TAPS = {11: (11, 2), 12: (12, 6, 4, 1)}
 
 CSV_HEADER = "scenario,ebn0_db,k,r,m,hpa_mode,ibo_db,bits,errors,ber,ci95,source,seed"
 
@@ -67,6 +64,7 @@ class Scenario:
     allow_small_min_errors: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.name or any(c in self.name for c in ",\n\r"):
             raise ValueError(f"scenario name must be nonempty and comma-free, got {self.name!r}")
         if self.hpa_mode not in HPA_MODES:
@@ -75,9 +73,6 @@ class Scenario:
             raise ValueError("ebn0_grid must not be empty")
         if not all(math.isfinite(x) for x in self.ebn0_grid):
             raise ValueError(f"ebn0_grid entries must be finite, got {self.ebn0_grid}")
-        for name in ("decay_db", "ibo_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.paths < 1:
             raise ValueError(f"paths must be >= 1, got {self.paths}")
         if self.decay_db < 0:
@@ -105,8 +100,6 @@ class RunReport:
     scenario: Scenario
     records: list
     point_seconds: list
-    master_seed: int
-    config_echo: dict
 
 
 @dataclass
@@ -126,15 +119,6 @@ class _Runtime:
     pad_samples: int
 
 
-def _resolve_taps(degree: int):
-    taps = PRIMITIVE_TAPS.get(degree) or EXTENDED_TAPS.get(degree)
-    if taps is None:
-        raise ValueError(f"no feedback taps known for register length {degree}; "
-                         f"built-in coverage is degrees {sorted(PRIMITIVE_TAPS)} "
-                         f"plus {sorted(EXTENDED_TAPS)}")
-    return taps
-
-
 def _prepare(scenario: Scenario) -> _Runtime:
     cfg = scenario.config
     degree = cfg.pn_length.bit_length()
@@ -143,7 +127,7 @@ def _prepare(scenario: Scenario) -> _Runtime:
     if cfg.users > cfg.pn_length:
         raise ValueError(f"{cfg.users} users cannot get distinct shifts of a "
                          f"{cfg.pn_length}-chip sequence")
-    pn = generate_msequence(degree, _resolve_taps(degree))
+    pn = generate_msequence(degree)
     stride = max(1, cfg.pn_length // cfg.users)
     if cfg.users > 1 and scenario.paths - 1 >= stride:
         raise ValueError(f"path delays up to {scenario.paths - 1} chips alias the "
@@ -369,8 +353,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
                 pool.join()
                 _WORKER_RUNTIME = None
 
-    return RunReport(scenario=scenario, records=records, point_seconds=point_seconds,
-                     master_seed=scenario.master_seed, config_echo=scenario_echo(scenario))
+    return RunReport(scenario=scenario, records=records, point_seconds=point_seconds)
 
 
 def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbols: int = 2000):
@@ -392,39 +375,33 @@ def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbol
             n_symbols)
 
 
+def leaf_fields(instance):
+    """(field, value) for every leaf field of a dataclass instance, in
+    declaration order, walking into nested dataclass fields such as
+    Scenario.config and Scenario.saleh.  The leaf names of a Scenario are the
+    config-file keys, so they must be unique across the nested classes."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if is_dataclass(value):
+            yield from leaf_fields(value)
+        else:
+            yield f, value
+
+
+def _echo_value(kind: str, value) -> str:
+    if kind == "bool":
+        return "true" if value else "false"
+    if kind == "float":
+        return repr(float(value))
+    if kind == "tuple":
+        return ",".join(repr(float(x)) for x in value)
+    return str(value)
+
+
 def scenario_echo(scenario: Scenario) -> dict:
-    """Flat key=value view of a scenario, matching the config-file keys."""
-    cfg = scenario.config
-    saleh = scenario.saleh
-
-    def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    echo = {
-        "name": scenario.name,
-        "users": cfg.users, "substreams": cfg.substreams, "carriers": cfg.carriers,
-        "walsh_order": cfg.walsh_order, "pn_length": cfg.pn_length,
-        "symbol_duration": cfg.symbol_duration, "oversampling": cfg.oversampling,
-        "power": cfg.power,
-        "paths": scenario.paths, "decay_db": scenario.decay_db, "fading": scenario.fading,
-        "hpa_mode": scenario.hpa_mode, "ibo_db": scenario.ibo_db,
-        "alpha_am": saleh.alpha_am, "beta_am": saleh.beta_am,
-        "alpha_pm": saleh.alpha_pm, "beta_pm": saleh.beta_pm,
-        "ampm_quadratic": saleh.ampm_quadratic,
-        "ebn0_grid": ",".join(repr(float(x)) for x in scenario.ebn0_grid),
-        "noise_enabled": scenario.noise_enabled,
-        "min_errors": scenario.min_errors, "min_bits": scenario.min_bits,
-        "min_blocks": scenario.min_blocks, "max_bits": scenario.max_bits,
-        "symbols_per_block": scenario.symbols_per_block,
-        "blocks_per_wave": scenario.blocks_per_wave,
-        "master_seed": scenario.master_seed,
-        "allow_small_min_errors": scenario.allow_small_min_errors,
-    }
-    return {key: fmt(value) for key, value in echo.items()}
+    """Flat key=value view of a scenario, one entry per config-file key,
+    in a form the config reader parses back to the same scenario."""
+    return {f.name: _echo_value(declared_type(f), value) for f, value in leaf_fields(scenario)}
 
 
 def preset(name: str, master_seed: int | None = None) -> list:
@@ -437,17 +414,9 @@ def preset(name: str, master_seed: int | None = None) -> list:
     linearization: tube amplifier at 7 and 9 dB back-off against the
     predistorted chain.  Aliases fig5..fig8 name the same families.
     """
-    canonical = {"fig5": "system-comparison", "fig6": "user-sweep",
-                 "fig7": "carrier-sweep", "fig8": "linearization"}
-    key = canonical.get(name, name)
-    builders = {"system-comparison": _preset_system_comparison,
-                "user-sweep": _preset_user_sweep,
-                "carrier-sweep": _preset_carrier_sweep,
-                "linearization": _preset_linearization}
-    if key not in builders:
-        raise ValueError(f"unknown preset {name!r}; choose from "
-                         f"{sorted(builders) + sorted(canonical)}")
-    scenarios = builders[key]()
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
+    scenarios = PRESETS[name]()
     if master_seed is not None:
         scenarios = [replace(s, master_seed=master_seed) for s in scenarios]
     return scenarios
@@ -517,6 +486,15 @@ def _preset_linearization() -> list:
         Scenario(name="amplifier-ibo-9db", config=base, hpa_mode="saleh", ibo_db=9.0, **stop),
         Scenario(name="amplifier-linearized", config=base, hpa_mode="saleh_pd", ibo_db=7.0, **stop),
     ]
+
+
+# Every name preset() accepts, mapped to its family's builder.
+PRESETS = {
+    "fig5": _preset_system_comparison, "system-comparison": _preset_system_comparison,
+    "fig6": _preset_user_sweep, "user-sweep": _preset_user_sweep,
+    "fig7": _preset_carrier_sweep, "carrier-sweep": _preset_carrier_sweep,
+    "fig8": _preset_linearization, "linearization": _preset_linearization,
+}
 
 
 def _iter_records(reports):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txchain import BasebandFrame
+from .txchain import BasebandFrame, check_field_types
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class SalehParams:
     """Amplitude and phase coefficient pairs of the memoryless tube model.
 
     Defaults are the classical fitted values (2.1587, 1.1517, 4.0033, 9.1040);
-    all four must be strictly positive.
+    all four must be finite and strictly positive.
     """
 
     alpha_am: float = 2.1587
@@ -31,6 +31,7 @@ class SalehParams:
     ampm_quadratic: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("alpha_am", "beta_am", "alpha_pm", "beta_pm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")

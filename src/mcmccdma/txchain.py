@@ -11,13 +11,33 @@ All signals are complex envelopes; the real passband waveform is never built.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import PnSequence, WalshMatrix
+
+
+def declared_type(f: dataclasses.Field) -> str:
+    """A dataclass field's declared type by name ("int", "float", ...),
+    whether or not its module postpones the evaluation of annotations."""
+    return getattr(f.type, "__name__", f.type)
+
+
+def check_field_types(instance) -> None:
+    """Construction check shared by LinkConfig, Scenario and SalehParams:
+    every int-typed field holds an integral value that is not a bool, and
+    every float-typed field a finite one."""
+    for f in dataclasses.fields(instance):
+        value = getattr(instance, f.name)
+        kind = declared_type(f)
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if kind == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -39,13 +59,7 @@ class LinkConfig:
     power: float = 1.0
 
     def __post_init__(self):
-        for name in ("users", "substreams", "carriers", "walsh_order", "pn_length", "oversampling"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("symbol_duration", "power"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_field_types(self)
         if self.users < 1:
             raise ValueError(f"users must be >= 1, got {self.users}")
         if self.substreams < 1:

@@ -86,11 +86,6 @@ class TestConditionalBer:
         p = np.array([conditional_ber(x) for x in g])
         assert (np.diff(p) < 0).all()
 
-    def test_no_sqrt_variant(self):
-        # erfc argument taken as-is when the caller already folded the root
-        assert conditional_ber(2.0, use_sqrt=False) == pytest.approx(
-            0.5 * math.erfc(2.0), rel=1e-12)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             conditional_ber(-0.5)

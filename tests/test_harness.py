@@ -13,12 +13,14 @@ from mcmccdma.harness import (
     CSV_HEADER,
     Scenario,
     emit_csv,
+    leaf_fields,
     measure_variances,
     parse_csv,
     preset,
     run_scenario,
     scenario_echo,
 )
+from mcmccdma.hpa import SalehParams
 from mcmccdma.txchain import LinkConfig
 
 TINY = Scenario(
@@ -60,6 +62,15 @@ class TestScenarioValidation:
     def test_nonfinite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(TINY, **{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "paths", "min_errors", "min_bits", "min_blocks", "max_bits",
+        "symbols_per_block", "blocks_per_wave", "master_seed",
+    ])
+    @pytest.mark.parametrize("as_type", [float, bool])
+    def test_non_integer_count_rejected(self, field, as_type):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            dataclasses.replace(TINY, **{field: as_type(getattr(TINY, field))})
 
 
 class TestRunScenario:
@@ -304,10 +315,19 @@ class TestConfigFiles:
         assert sc.min_errors == 150
 
     def test_echo_round_trip(self):
-        sc = preset("fig8")[0]
-        echoed = scenario_echo(sc)
-        rebuilt = scenario_from_keys(echoed)
-        assert rebuilt == sc
+        for family in ("system-comparison", "user-sweep", "carrier-sweep", "linearization"):
+            for sc in preset(family):
+                echoed = scenario_echo(sc)
+                rebuilt = scenario_from_keys(echoed)
+                assert rebuilt == sc, sc.name
+                assert scenario_echo(rebuilt) == echoed, sc.name
+
+    def test_leaf_names_unique_across_classes(self):
+        # flat config keys need every leaf name to occur once
+        names = [f.name for f, _ in leaf_fields(TINY)]
+        assert len(names) == len(set(names)) == 29
+        assert set(names) == {f.name for cls in (LinkConfig, Scenario, SalehParams)
+                              for f in dataclasses.fields(cls)} - {"config", "saleh"}
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -448,6 +468,20 @@ class TestCli:
         rows = out.read_text().splitlines()[1:]
         levels = np.array([float(r.split(",")[0]) for r in rows])
         assert levels[-1] == pytest.approx(1.5)   # 1.5 / sqrt(beta_am)
+
+    def test_characterize_hpa_nonfinite_param(self, tmp_path, capsys):
+        params = tmp_path / "amp.cfg"
+        params.write_text("alpha_am = nan\n")
+        assert main(["characterize-hpa", "--params", str(params),
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        assert "error: alpha_am must be finite" in capsys.readouterr().err
+
+    def test_nonfinite_saleh_param_is_config_error(self, tmp_path, capsys):
+        cfg = _write_tiny_config(tmp_path, hpa_mode="saleh", alpha_am="inf")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: alpha_am must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_characterize_hpa_unknown_key(self, tmp_path):
         params = tmp_path / "amp.cfg"

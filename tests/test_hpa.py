@@ -75,6 +75,12 @@ class TestSalehCurves:
         with pytest.raises(ValueError):
             SalehParams(beta_pm=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["alpha_am", "beta_am", "alpha_pm", "beta_pm"])
+    def test_nonfinite_coefficient_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            SalehParams(**{name: value})
+
 
 class TestOperatingPoint:
     def test_scale_from_ibo(self):
