@@ -137,10 +137,30 @@ def add_awgn(frame: BasebandFrame, noise: NoiseSpec, eb_measured: float,
     """
     if not noise.enabled:
         return frame
-    if eb_measured <= 0:
-        raise ValueError(f"energy per bit must be positive, got {eb_measured}")
-    n0 = eb_measured / 10.0 ** (noise.ebn0_db / 10.0)
-    sigma = np.sqrt(0.5 * n0 * frame.sample_rate)
+    sigma = np.sqrt(0.5 * _noise_density(noise, eb_measured) * frame.sample_rate)
     w = rng.standard_normal((frame.samples.size, 2))
     return BasebandFrame(frame.samples + sigma * (w[:, 0] + 1j * w[:, 1]),
                          frame.sample_rate, frame.t0)
+
+
+def correlator_noise(noise: NoiseSpec, eb_measured: float, window_rate: float,
+                     factor: np.ndarray, n_windows: int, rng: np.random.Generator) -> np.ndarray:
+    """What add_awgn's noise leaves in a bank of correlators, drawn directly.
+
+    The correlators average N = sample_rate / window_rate samples each
+    against unit-modulus signatures sig_t, so their outputs in one window
+    are complex Gaussian with covariance n0 * window_rate * G, where
+    G[t, u] = (1/N) sum_i conj(sig_t[i]) sig_u[i] is the signatures' Gram
+    matrix and factor @ factor^H = G.  Returns (n_windows, len(factor))
+    draws, independent between windows.
+    """
+    sigma = np.sqrt(0.5 * _noise_density(noise, eb_measured) * window_rate)
+    w = rng.standard_normal((n_windows, factor.shape[0], 2))
+    return sigma * ((w[..., 0] + 1j * w[..., 1]) @ factor.T)
+
+
+def _noise_density(noise: NoiseSpec, eb_measured: float) -> float:
+    """One-sided noise density n0 for the requested Eb/N0."""
+    if eb_measured <= 0:
+        raise ValueError(f"energy per bit must be positive, got {eb_measured}")
+    return eb_measured / 10.0 ** (noise.ebn0_db / 10.0)

@@ -94,7 +94,10 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("simulate needs --config and/or --preset")
 
     if seed is not None:
-        scenarios = [dataclasses.replace(s, master_seed=seed) for s in scenarios]
+        try:
+            scenarios = [dataclasses.replace(s, master_seed=seed) for s in scenarios]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     if args.decompose:
         for s in scenarios:

@@ -7,10 +7,28 @@ waves.  Error and bit counts are integer sums over a wave, so the emitted
 records (and CSV bytes) are identical for any worker count and any
 execution order.
 
+Two producers of user 1's correlator outputs share the block loop; the
+channel and symbol draws, the decisions and the error count are common.
+
+- The linear chain (hpa_mode "bypass") computes the outputs straight from
+  the symbols.  The correlator is linear in every user's symbols, so per
+  scenario it tabulates the partial cross-correlations between each user's
+  delayed slot signatures and user 1's
+  (receiver.partial_correlation_tables), and each block is one small
+  product per user.  The noise is drawn per correlator output, with the
+  covariance white sample noise would leave there.
+- The amplifier modes ("saleh", "saleh_pd") build the sampled waveform:
+  every user is modulated and amplified, the paths are summed, white noise
+  is added per sample, and the frame is correlated, because the tube acts on
+  each user's summed waveform.
+
+Noiseless, the two agree to round-off on the linear chain; the tests hold
+the correlation-domain outputs to the sample chain there.
+
 Noise calibration: the energy per information bit is taken from the actual
 transmitted (post-amplifier) waveform, once per scenario, so that back-off
 settings change the signal the noise is matched to rather than silently
-shifting the operating SNR.
+shifting the operating SNR.  The linear chain has it in closed form.
 """
 
 from __future__ import annotations
@@ -25,11 +43,12 @@ from multiprocessing import get_context
 import numpy as np
 
 from .analysis import BerRecord, binomial_ci95
-from .channel import NoiseSpec, add_awgn, draw_channel, propagate_samples
-from .codes import WalshMatrix, generate_msequence, generate_walsh
+from .channel import NoiseSpec, add_awgn, correlator_noise, draw_channel, propagate_samples
+from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
 from .hpa import (OperatingPoint, SalehParams, apply_hpa, apply_predistorter,
                   operating_point_for_power)
-from .receiver import estimate_interference_variances, recover_bits
+from .receiver import (correlate_slots, decide_slots, estimate_interference_variances,
+                       partial_correlation_tables)
 from .txchain import (BasebandFrame, LinkConfig, check_field_types, declared_type, modulate_user,
                       modulation_table, slot_signatures)
 
@@ -88,9 +107,27 @@ class Scenario:
             raise ValueError("symbols_per_block and blocks_per_wave must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.paths > self.config.pn_length:
+        cfg = self.config
+        if self.paths > cfg.pn_length:
             raise ValueError(f"{self.paths} chip-spaced paths do not fit one symbol "
-                             f"of {self.config.pn_length} chips")
+                             f"of {cfg.pn_length} chips")
+        degree = cfg.pn_length.bit_length()
+        if (1 << degree) - 1 != cfg.pn_length or degree not in PRIMITIVE_TAPS:
+            lengths = ", ".join(str((1 << d) - 1) for d in sorted(PRIMITIVE_TAPS))
+            raise ValueError(f"pn_length must be an m-sequence length ({lengths}), "
+                             f"got {cfg.pn_length}")
+        if cfg.users > cfg.pn_length:
+            raise ValueError(f"{cfg.users} users cannot get distinct shifts of a "
+                             f"{cfg.pn_length}-chip sequence")
+        stride = _shift_spacing(cfg)
+        if cfg.users > 1 and self.paths - 1 >= stride:
+            raise ValueError(f"path delays up to {self.paths - 1} chips alias the "
+                             f"{stride}-chip PN shift spacing between users")
+
+
+def _shift_spacing(cfg: LinkConfig) -> int:
+    """Chips between the cyclic PN shifts of consecutive users."""
+    return max(1, cfg.pn_length // cfg.users)
 
 
 @dataclass
@@ -104,63 +141,71 @@ class RunReport:
 
 @dataclass
 class _Runtime:
-    """Precomputed per-scenario tables shared by every block."""
+    """Precomputed per-scenario tables shared by every block.
+
+    The linear chain fills correlation and noise_factor; the amplifier modes
+    fill the sample-chain fields below them."""
 
     scenario: Scenario
     walsh: WalshMatrix
     pn_chips: np.ndarray       # (users, pn_length) +-1
-    table: np.ndarray          # txchain.modulation_table, shared by every user
-    signatures_user1: np.ndarray
-    op: OperatingPoint | None
-    pd_scale: float | None
-    eb: float
-    phase_offset: float
     warmup: int
-    pad_samples: int
+    eb: float = 0.0
+    # receiver.partial_correlation_tables, and a factor F of the correlator
+    # noise covariance: F F^H = Gram matrix of user 1's slot signatures.
+    correlation: np.ndarray | None = None
+    noise_factor: np.ndarray | None = None
+    table: np.ndarray | None = None   # txchain.modulation_table, shared by every user
+    signatures_user1: np.ndarray | None = None
+    pad_samples: int = 0
+    op: OperatingPoint | None = None
+    pd_scale: float | None = None
+    phase_offset: float = 0.0
+
+
+def _user_codes(cfg: LinkConfig) -> tuple:
+    """The Walsh set and every user's cyclically shifted PN chips, shape
+    (users, pn_length), user 1 first."""
+    pn = generate_msequence(cfg.pn_length.bit_length())
+    stride = _shift_spacing(cfg)
+    pn_chips = np.stack([np.roll(pn.chips, k * stride) for k in range(cfg.users)])
+    return generate_walsh(cfg.walsh_order), pn_chips
 
 
 def _prepare(scenario: Scenario) -> _Runtime:
     cfg = scenario.config
-    degree = cfg.pn_length.bit_length()
-    if (1 << degree) - 1 != cfg.pn_length:
-        raise ValueError(f"pn_length must be 2**d - 1 for some register length d, got {cfg.pn_length}")
-    if cfg.users > cfg.pn_length:
-        raise ValueError(f"{cfg.users} users cannot get distinct shifts of a "
-                         f"{cfg.pn_length}-chip sequence")
-    pn = generate_msequence(degree)
-    stride = max(1, cfg.pn_length // cfg.users)
-    if cfg.users > 1 and scenario.paths - 1 >= stride:
-        raise ValueError(f"path delays up to {scenario.paths - 1} chips alias the "
-                         f"{stride}-chip PN shift spacing between users")
-    pn_chips = np.stack([np.roll(pn.chips, k * stride) for k in range(cfg.users)])
+    walsh, pn_chips = _user_codes(cfg)
+    runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
+                       warmup=1 if scenario.paths > 1 else 0)
+    if scenario.hpa_mode == "bypass":
+        # Small products, for which OpenBLAS threads cost far more than they
+        # save: on a 2-core VM a 64x64 Cholesky took 60 ms threaded and
+        # 0.2 ms on one thread.
+        with _single_threaded_blas():
+            runtime.correlation = partial_correlation_tables(pn_chips, walsh, cfg, scenario.paths)
+            # User 1's current-window table at zero delay is its Gram matrix
+            # transposed: G[s, t] = (1/N) sum_i sig_1[s, i] conj(sig_1[t, i]).
+            runtime.noise_factor = np.linalg.cholesky(runtime.correlation[0, 0, :, 0].T)
+        runtime.eb = _linear_eb(cfg)
+        return runtime
 
-    walsh = generate_walsh(cfg.walsh_order)
-    table = modulation_table(walsh, cfg)
-    signatures_user1 = slot_signatures(walsh, pn_chips[0], cfg)
-
+    runtime.table = modulation_table(walsh, cfg)
+    runtime.signatures_user1 = slot_signatures(walsh, pn_chips[0], cfg)
+    runtime.pad_samples = (scenario.paths - 1) * cfg.oversampling
     mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
-    op = None
-    pd_scale = None
     if scenario.hpa_mode == "saleh":
-        op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
-    elif scenario.hpa_mode == "saleh_pd":
+        runtime.op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
+    else:
         # Output-referred back-off: the predistorter expects desired output
         # moduli, so the back-off is set against the saturated output power.
-        pd_scale = float(np.sqrt(scenario.saleh.saturation_output_power
-                                 / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
-
-    runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips, table=table,
-                       signatures_user1=signatures_user1, op=op, pd_scale=pd_scale,
-                       eb=0.0, phase_offset=0.0, warmup=1 if scenario.paths > 1 else 0,
-                       pad_samples=(scenario.paths - 1) * cfg.oversampling)
+        runtime.pd_scale = float(np.sqrt(scenario.saleh.saturation_output_power
+                                         / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
     runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
 
 
 def _amplify(runtime: _Runtime, samples: np.ndarray) -> np.ndarray:
     scenario = runtime.scenario
-    if scenario.hpa_mode == "bypass":
-        return samples
     rate = scenario.config.sample_rate
     if scenario.hpa_mode == "saleh":
         return apply_hpa(BasebandFrame(samples, rate), scenario.saleh, runtime.op).samples
@@ -169,19 +214,15 @@ def _amplify(runtime: _Runtime, samples: np.ndarray) -> np.ndarray:
 
 
 def _calibrate(runtime: _Runtime) -> tuple:
-    """Per-scenario waveform calibration: (energy per information bit,
-    mean carrier rotation of the amplifier).
-
-    The linear chain has the exact closed form 2 * power * symbol_duration
-    and no rotation.  Amplifier modes measure both from one long fixed-seed
-    frame: the phase-transfer curve rotates the whole constellation by the
-    mean shift at the operating drive level, and a coherent receiver tracks
-    that rotation as part of its carrier reference, so it is folded into the
-    reference path phase rather than left as a pointing error."""
+    """Amplifier-mode waveform calibration: (energy per information bit,
+    mean carrier rotation of the amplifier), both measured from one long
+    fixed-seed frame.  The phase-transfer curve rotates the whole
+    constellation by the mean shift at the operating drive level, and a
+    coherent receiver tracks that rotation as part of its carrier reference,
+    so it is folded into the reference path phase rather than left as a
+    pointing error."""
     scenario = runtime.scenario
     cfg = scenario.config
-    if scenario.hpa_mode == "bypass":
-        return 2.0 * cfg.power * cfg.symbol_duration, 0.0
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
     symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)) - 1
     linear = modulate_user(symbols, runtime.walsh, runtime.pn_chips[0], cfg,
@@ -190,6 +231,11 @@ def _calibrate(runtime: _Runtime) -> tuple:
     mean_power = float(np.mean(np.abs(tx) ** 2))
     static_gain = np.vdot(linear, tx) / np.vdot(linear, linear)
     return mean_power * cfg.symbol_duration / cfg.bits_per_symbol, float(np.angle(static_gain))
+
+
+def _linear_eb(cfg: LinkConfig) -> float:
+    """Energy per information bit of the linear chain, in closed form."""
+    return 2.0 * cfg.power * cfg.symbol_duration
 
 
 def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_db: float):
@@ -201,12 +247,26 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
         np.random.SeedSequence([scenario.master_seed, 0, point_index, block_index]))
 
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
-    n_data = scenario.symbols_per_block
-    n_total = n_data + runtime.warmup
+    n_total = scenario.symbols_per_block + runtime.warmup
     symbols = (2 * rng.integers(0, 2, size=(cfg.users, n_total, cfg.substreams, cfg.carriers)) - 1
                ).astype(np.int8)
 
-    out_len = n_total * cfg.samples_per_symbol + runtime.pad_samples
+    outputs = _sample_outputs if runtime.correlation is None else _correlation_outputs
+    z = outputs(runtime, channel, symbols, ebn0_db, rng)
+    decisions = decide_slots(z[runtime.warmup:], reference=symbols[0, runtime.warmup:])
+    return decisions.errors, decisions.bits
+
+
+def _sample_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """User 1's correlator outputs, shape (symbols, substreams, carriers),
+    from the sampled waveform: every user modulated and amplified, the
+    paths summed, white noise added per sample, then correlated.  The
+    amplifier modes need this chain, since the tube acts on each user's
+    summed waveform."""
+    scenario = runtime.scenario
+    cfg = scenario.config
+    out_len = symbols.shape[1] * cfg.samples_per_symbol + runtime.pad_samples
     received = np.zeros(out_len, dtype=np.complex128)
     for k in range(cfg.users):
         tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg, table=runtime.table)
@@ -216,15 +276,50 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
     frame = BasebandFrame(received, cfg.sample_rate)
     if scenario.noise_enabled:
         frame = add_awgn(frame, NoiseSpec(ebn0_db=ebn0_db, enabled=True), runtime.eb, rng)
+    ref = channel.taps(0)[0]
+    return correlate_slots(frame, runtime.signatures_user1, cfg,
+                           reference_phase=ref.phase + runtime.phase_offset,
+                           start_sample=ref.delay_chips * cfg.oversampling)
 
-    ref_tap = channel.taps(0)[0]
-    if runtime.phase_offset != 0.0:
-        ref_tap = replace(ref_tap, phase=ref_tap.phase + runtime.phase_offset)
-    decisions = recover_bits(frame, 1, runtime.walsh, runtime.pn_chips[0], cfg,
-                             ref_tap, reference=symbols[0, runtime.warmup:],
-                             signatures=runtime.signatures_user1,
-                             skip_symbols=runtime.warmup, n_symbols=n_data)
-    return decisions.errors, decisions.bits
+
+def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """User 1's correlator outputs on the linear chain, straight from the
+    symbols: z[n] = sqrt(2 power) e^{-j phase_ref} sum_k sum_l h_kl
+    (d_k[n] @ C[k, 0, :, l] + d_k[n-1] @ C[k, 1, :, l]) plus correlated
+    noise, with C the runtime's partial cross-correlation tables.
+    Noiseless, these are the outputs of the sample chain (modulate,
+    propagate, correlate) up to round-off; the noise is drawn per
+    correlator output instead of per sample, with the covariance the sample
+    noise would give."""
+    scenario = runtime.scenario
+    cfg = scenario.config
+    tables = runtime.correlation
+    users, windows, slots, n_paths, _ = tables.shape
+    n_total = symbols.shape[1]
+    # Per user, row n holds its symbols of window n and then, with several
+    # paths, those of window n - 1 (zero before the first window).
+    stacked = np.zeros((users, n_total, windows, slots))
+    current = symbols.reshape(users, n_total, slots)
+    stacked[:, :, 0] = current
+    if windows == 2:
+        stacked[:, 1:, 1] = current[:, :-1]
+    # Every user's unweighted outputs on every path, one real GEMM per user.
+    per_path = np.matmul(stacked.reshape(users, n_total, windows * slots),
+                         tables.reshape(users, windows * slots, -1).view(np.float64))
+    per_path = per_path.view(np.complex128).reshape(users, n_total, n_paths, slots)
+    taps = np.array([[(tap.gain, tap.phase) for tap in user_taps]
+                     for user_taps in channel.per_user])
+    gains = taps[..., 0] * np.exp(1j * taps[..., 1])
+    z = (per_path.transpose(1, 3, 0, 2).reshape(n_total * slots, -1) @ gains.reshape(-1)
+         ).reshape(n_total, slots)
+    ref = channel.taps(0)[0]
+    z *= np.sqrt(2.0 * cfg.power) * np.exp(-1j * ref.phase)
+    if scenario.noise_enabled:
+        z += correlator_noise(NoiseSpec(ebn0_db=ebn0_db, enabled=True), runtime.eb,
+                              cfg.sample_rate / cfg.samples_per_symbol, runtime.noise_factor,
+                              n_total, rng)
+    return z.reshape(n_total, cfg.substreams, cfg.carriers)
 
 
 # Thread-count calls of the OpenBLAS builds numpy and scipy ship (64-bit
@@ -363,16 +458,15 @@ def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbol
     if scenario.hpa_mode != "bypass":
         raise ValueError("interference decomposition needs the linear chain; "
                          f"hpa_mode={scenario.hpa_mode!r} breaks superposition")
-    runtime = _prepare(scenario)
     cfg = scenario.config
+    walsh, pn_chips = _user_codes(cfg)
     point = scenario.ebn0_grid[0] if ebn0_db is None else ebn0_db
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 2]))
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
     noise = NoiseSpec(ebn0_db=float(point), enabled=scenario.noise_enabled)
     with _single_threaded_blas():
         return estimate_interference_variances(
-            cfg, runtime.walsh, list(runtime.pn_chips), channel, noise, runtime.eb, rng,
-            n_symbols)
+            cfg, walsh, list(pn_chips), channel, noise, _linear_eb(cfg), rng, n_symbols)
 
 
 def leaf_fields(instance):

@@ -1,5 +1,7 @@
 """Correlator receiver: coherent subcarrier demodulation, despreading and
-bit decisions, plus the interference-decomposition diagnostics.
+bit decisions, the partial cross-correlation tables through which the
+linear chain is simulated without samples, and the interference-
+decomposition diagnostics.
 
 The receiver is locked to the reference (first) path of the wanted user:
 it knows that path's delay and phase, counter-rotates the phase, projects
@@ -21,7 +23,7 @@ from .channel import (ChannelRealization, NoiseSpec, PathTap, add_awgn, apply_mu
                       propagate_samples)
 from .codes import WalshMatrix
 from .txchain import (BasebandFrame, LinkConfig, modulate_user, modulation_table,
-                      slot_signatures)
+                      slot_signatures, walsh_chip_indices)
 
 SOURCE_NAMES = ("desired", "multipath", "inter_substream", "inter_carrier", "multi_user", "noise")
 
@@ -101,6 +103,23 @@ def correlate_slots(frame: BasebandFrame, signatures: np.ndarray, config: LinkCo
     return z.reshape(n_sym, config.substreams, config.carriers)
 
 
+def decide_slots(z: np.ndarray, user: int = 1,
+                 reference: np.ndarray | None = None) -> BitDecisions:
+    """Sign decisions on the real part of correlator outputs z, shape
+    (slots, substreams, carriers).  reference, when given, is the
+    transmitted symbol array of the same shape and enables error counting."""
+    if z.shape[0] == 0:
+        raise ValueError("no symbol windows left after skipping")
+    decisions = np.where(z.real >= 0.0, 1, -1).astype(np.int8)
+    errors = None
+    if reference is not None:
+        reference = np.asarray(reference)
+        if reference.shape != decisions.shape:
+            raise ValueError(f"reference shape {reference.shape} != decisions shape {decisions.shape}")
+        errors = int(np.count_nonzero(decisions != reference))
+    return BitDecisions(user=user, decisions=decisions, bits=int(decisions.size), errors=errors)
+
+
 def recover_bits(frame: BasebandFrame, user: int, walsh: WalshMatrix, pn, config: LinkConfig,
                  channel_ref: PathTap, reference: np.ndarray | None = None,
                  signatures: np.ndarray | None = None, skip_symbols: int = 0,
@@ -120,17 +139,81 @@ def recover_bits(frame: BasebandFrame, user: int, walsh: WalshMatrix, pn, config
     z = correlate_slots(frame, signatures, config, reference_phase=channel_ref.phase,
                         start_sample=start)
     stop = None if n_symbols is None else skip_symbols + n_symbols
-    z = z[skip_symbols:stop]
-    if z.shape[0] == 0:
-        raise ValueError("no symbol windows left after skipping")
-    decisions = np.where(z.real >= 0.0, 1, -1).astype(np.int8)
-    errors = None
-    if reference is not None:
-        reference = np.asarray(reference)
-        if reference.shape != decisions.shape:
-            raise ValueError(f"reference shape {reference.shape} != decisions shape {decisions.shape}")
-        errors = int(np.count_nonzero(decisions != reference))
-    return BitDecisions(user=user, decisions=decisions, bits=int(decisions.size), errors=errors)
+    return decide_slots(z[skip_symbols:stop], user, reference)
+
+
+def partial_correlation_tables(pn_chips: np.ndarray, walsh: WalshMatrix, config: LinkConfig,
+                               n_paths: int) -> np.ndarray:
+    """Aperiodic partial cross-correlations between every user's delayed
+    slot signatures and user 1's, for the chip-spaced path delays
+    D = l * oversampling, l < n_paths.
+
+    pn_chips holds the users' +-1 chip sequences, shape (users, pn_length),
+    user 1 first.  Returns complex tables of shape
+    (users, windows, S, n_paths, S) with S = substreams * carriers in the
+    slot order of slot_signatures:
+
+        [k, 0, s, l, t] = (1/N) sum_{D <= i < N} sig_k[s, i - D] conj(sig_1[t, i])
+        [k, 1, s, l, t] = (1/N) sum_{0 <= i < D} sig_k[s, N - D + i] conj(sig_1[t, i])
+
+    with N = samples_per_symbol.  Window 0 is what user k's current symbol
+    puts into user 1's correlator t on path l, window 1 what its previous
+    symbol leaks in; window 1 exists only when n_paths > 1.  This is the
+    correlation-domain form of the linear chain (Pursley, IEEE Trans.
+    Commun. 25(8), 1977): via path l, user k adds
+    sqrt(2 power) h_kl (d_k[n] @ table[k, 0, :, l] + d_k[n-1] @ table[k, 1, :, l])
+    to user 1's correlator outputs of symbol n.  The layout makes user k's
+    contribution on every path one product of its (d_k[n], d_k[n-1]) with
+    table[k] viewed as a (windows * S, n_paths * S) matrix.
+
+    The signatures are never built.  With a = Walsh chip of sample i - D and
+    b = Walsh chip of sample i, each entry factors as
+    e^{-j 2 pi W (m+1) D / N} sum_{(a,b)} w_r(a) w_r'(b) H[k, (a,b), m - m'],
+    where H sums pn_k(i - D) pn_1(i) e^{j 2 pi W (m - m') i / N} over the
+    samples of one (a, b) pair.  Both chip indices are nondecreasing within
+    a window, so each pair covers runs of consecutive samples, and H is one
+    small real GEMM per run.
+    """
+    n_samp = config.samples_per_symbol
+    order, n_sub, n_car = config.walsh_order, config.substreams, config.carriers
+    users = pn_chips.shape[0]
+    slots = n_sub * n_car
+    chip = walsh_chip_indices(config)
+    pn_up = np.repeat(np.asarray(pn_chips, dtype=np.float64), config.oversampling, axis=1)
+    i = np.arange(n_samp)
+    # e^{j 2 pi W delta i / N} for delta = m - m' in -(M-1)..M-1, as a real
+    # array with re/im interleaved so every H is a real GEMM.
+    deltas = np.arange(-(n_car - 1), n_car)
+    rotations = np.exp(2j * np.pi * order * np.outer(i, deltas) / n_samp).view(np.float64)
+    delta_index = np.arange(n_car)[:, None] - np.arange(n_car)[None, :] + n_car - 1
+    rows = walsh.rows[:n_sub].astype(np.float64)
+    windows = 2 if n_paths > 1 else 1
+    tables = np.empty((users, windows, n_sub, n_car, n_paths, n_sub, n_car), dtype=np.complex128)
+    products = np.empty_like(pn_up)
+    for path in range(n_paths):
+        delay = path * config.oversampling
+        # pn_k((i - D) mod N) pn_1(i)
+        products[:, delay:] = pn_up[:, :n_samp - delay]
+        products[:, :delay] = pn_up[:, n_samp - delay:]
+        products *= pn_up[0]
+        chip_delayed = np.roll(chip, delay)
+        # A new run starts wherever the window or either chip index changes.
+        key = (i >= delay) * order * order + chip_delayed * order + chip
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1, [n_samp]))
+        starts = bounds[:-1]
+        # per run: H[k, delta], and w_r(a) w_r'(b) as a row over (r, r')
+        h = np.stack([(products[:, lo:hi] @ rotations[lo:hi]).reshape(-1)
+                      for lo, hi in zip(starts, bounds[1:])])
+        pairs = np.einsum("rp,qp->prq", rows[:, chip_delayed[starts]], rows[:, chip[starts]]
+                          ).reshape(starts.size, -1)
+        phase = np.exp(-2j * np.pi * order * np.arange(1, n_car + 1) * delay / n_samp) / n_samp
+        for window, runs in enumerate((starts >= delay, starts < delay)[:windows]):
+            x = pairs[runs].T @ h[runs]
+            # (r, r', k, delta) -> (r, r', k, m, m') -> (k, r, m, r', m')
+            y = x.view(np.complex128).reshape(n_sub, n_sub, users, -1)[..., delta_index]
+            y *= phase[:, None]
+            tables[:, window, :, :, path] = y.transpose(2, 0, 3, 1, 4)
+    return tables.reshape(users, windows, slots, n_paths, slots)
 
 
 def synthesize_source_frames(symbols_per_user: np.ndarray, walsh: WalshMatrix, pn_list,

@@ -11,6 +11,7 @@ from mcmccdma.channel import (
     PathTap,
     add_awgn,
     apply_multipath,
+    correlator_noise,
     draw_channel,
     path_power_profile,
     propagate_samples,
@@ -178,6 +179,22 @@ class TestAwgn:
         out = add_awgn(frame, NoiseSpec(ebn0_db=0.0, enabled=False), 1.0,
                        np.random.default_rng(0))
         assert np.array_equal(out.samples, x)
+
+    def test_correlator_noise_covariance(self):
+        # outputs carry n0 * window_rate * factor @ factor^H, circular
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        gram = a @ a.conj().T / 3 + np.eye(3)
+        factor = np.linalg.cholesky(gram)
+        eb, ebn0_db, window_rate = 2.0, 4.0, 0.5
+        z = correlator_noise(NoiseSpec(ebn0_db=ebn0_db), eb, window_rate, factor,
+                             200_000, rng)
+        assert z.shape == (200_000, 3)
+        expected = eb / 10 ** (ebn0_db / 10) * window_rate * gram
+        measured = z.T @ z.conj() / z.shape[0]
+        assert np.abs(measured - expected).max() < 0.02 * np.abs(expected).max()
+        pseudo = z.T @ z / z.shape[0]
+        assert np.abs(pseudo).max() < 0.02 * np.abs(expected).max()
 
     def test_deterministic_given_rng(self):
         frame = BasebandFrame(np.zeros(64, dtype=np.complex128), 1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcmccdma.analysis import BerRecord, binomial_ci95
+from mcmccdma.channel import propagate_samples
 from mcmccdma.cli import main
 from mcmccdma import harness
 from mcmccdma.config import ConfigError, load_config, scenario_from_keys
@@ -21,7 +22,8 @@ from mcmccdma.harness import (
     scenario_echo,
 )
 from mcmccdma.hpa import SalehParams
-from mcmccdma.txchain import LinkConfig
+from mcmccdma.receiver import correlate_slots
+from mcmccdma.txchain import BasebandFrame, LinkConfig, modulate_user, slot_signatures
 
 TINY = Scenario(
     name="tiny",
@@ -62,6 +64,23 @@ class TestScenarioValidation:
     def test_nonfinite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(TINY, **{field: value})
+
+    @pytest.mark.parametrize("pn_length", [8, 6, 8191])
+    def test_pn_length_needs_known_msequence(self, pn_length):
+        # 8191 = 2**13 - 1 has no built-in feedback taps
+        with pytest.raises(ValueError, match="pn_length must be an m-sequence length"):
+            dataclasses.replace(TINY, config=LinkConfig(pn_length=pn_length))
+
+    def test_more_users_than_pn_shifts(self):
+        with pytest.raises(ValueError, match="distinct shifts"):
+            dataclasses.replace(TINY, config=LinkConfig(users=8, pn_length=7))
+
+    def test_paths_alias_user_shift_spacing(self):
+        # 3 users on 7 chips are 2 chips apart, so 3 paths reach the next user
+        cfg = LinkConfig(users=3, substreams=2, carriers=2, walsh_order=4, pn_length=7)
+        assert dataclasses.replace(TINY, config=cfg, paths=2).paths == 2
+        with pytest.raises(ValueError, match="PN shift spacing"):
+            dataclasses.replace(TINY, config=cfg, paths=3)
 
     @pytest.mark.parametrize("field", [
         "paths", "min_errors", "min_bits", "min_blocks", "max_bits",
@@ -128,6 +147,72 @@ class TestRunScenario:
         rep = run_scenario(sc)
         assert [r.ebn0_db for r in rep.records] == [0.0, 4.0]
         assert rep.records[0].ber > rep.records[1].ber
+
+
+def _preset_scenario(family, name):
+    return next(s for s in preset(family) if s.name == name)
+
+
+# A non-aligned Walsh grid (4 does not divide 21 samples) with two paths.
+_TINY_UNALIGNED = dataclasses.replace(
+    TINY, name="tiny-unaligned", paths=2, decay_db=2.0, fading=True,
+    config=LinkConfig(users=3, substreams=2, carriers=3, walsh_order=4,
+                      pn_length=7, oversampling=3))
+
+
+class TestCorrelationEngine:
+    @pytest.mark.parametrize("scenario", [
+        _preset_scenario("user-sweep", "users-50"),
+        _preset_scenario("system-comparison", "multicode-only"),     # 8 paths
+        _preset_scenario("carrier-sweep", "carriers-2"),             # 3 paths, 2 carriers
+        _preset_scenario("system-comparison", "multicarrier-only"),  # walsh_order 1
+        _TINY_UNALIGNED,
+    ], ids=lambda sc: sc.name)
+    def test_noiseless_outputs_match_sample_chain(self, scenario, monkeypatch):
+        scenario = dataclasses.replace(scenario, noise_enabled=False)
+        runtime = harness._prepare(scenario)
+        produce = harness._correlation_outputs
+        seen = {}
+
+        def recorded(runtime, channel, symbols, ebn0_db, rng):
+            seen.update(channel=channel, symbols=symbols)
+            seen["z"] = produce(runtime, channel, symbols, ebn0_db, rng)
+            return seen["z"]
+
+        monkeypatch.setattr(harness, "_correlation_outputs", recorded)
+        harness._simulate_block(runtime, 0, 3, 8.0)
+
+        # The sample-level chain on the same channel and symbols.
+        cfg = scenario.config
+        channel, symbols = seen["channel"], seen["symbols"]
+        received = np.zeros(symbols.shape[1] * cfg.samples_per_symbol
+                            + (scenario.paths - 1) * cfg.oversampling, dtype=np.complex128)
+        for k in range(cfg.users):
+            tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg)
+            propagate_samples(tx.samples, channel.taps(k), cfg.oversampling, out=received)
+        own = slot_signatures(runtime.walsh, runtime.pn_chips[0], cfg)
+        reference = correlate_slots(BasebandFrame(received, cfg.sample_rate), own, cfg,
+                                    reference_phase=channel.taps(0)[0].phase)
+        assert seen["z"].shape == reference.shape
+        assert np.abs(seen["z"] - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("config", [
+        LinkConfig(users=2, substreams=4, carriers=2, walsh_order=4, pn_length=7),
+        _TINY_UNALIGNED.config,
+    ], ids=["aligned", "unaligned"])
+    def test_noise_factor_reproduces_signature_gram(self, config):
+        runtime = harness._prepare(dataclasses.replace(TINY, config=config))
+        own = slot_signatures(runtime.walsh, runtime.pn_chips[0], config)
+        own = own.reshape(-1, config.samples_per_symbol)
+        gram = own.conj() @ own.T / config.samples_per_symbol
+        factor = runtime.noise_factor
+        assert np.array_equal(factor, np.tril(factor))
+        assert np.abs(factor @ factor.conj().T - gram).max() <= 1e-12
+        assert np.allclose(gram, np.eye(len(gram)), atol=1e-12) == config.walsh_aligned
+
+    def test_amplifier_modes_keep_the_sample_chain(self):
+        runtime = harness._prepare(dataclasses.replace(TINY, hpa_mode="saleh"))
+        assert runtime.correlation is None and runtime.signatures_user1 is not None
 
 
 def _csv_bytes(scenario, workers, path):
@@ -417,6 +502,25 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "decay_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pn_length", ["8", "8191"])
+    def test_bad_pn_length_is_config_error(self, tmp_path, capsys, pn_length):
+        cfg = _write_tiny_config(tmp_path, pn_length=pn_length)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: pn_length must be an m-sequence length" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_tiny_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "-1"]) == 1
+        assert "error: master_seed must be nonnegative" in capsys.readouterr().err
+        monkeypatch.setenv("SIM_SEED", "-1")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: master_seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_is_config_error(self):
         assert main(["simulate", "--preset", "fig99"]) == 1

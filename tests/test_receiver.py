@@ -10,10 +10,11 @@ from mcmccdma.receiver import (
     correlate_slots,
     decompose_correlator_output,
     estimate_interference_variances,
+    partial_correlation_tables,
     recover_bits,
     synthesize_source_frames,
 )
-from mcmccdma.txchain import BasebandFrame, LinkConfig, modulate_user
+from mcmccdma.txchain import BasebandFrame, LinkConfig, modulate_user, slot_signatures
 
 REF_TAP = PathTap(1.0, 0, 0.0)
 REF_CHANNEL = ChannelRealization(per_user=((REF_TAP,),), n_paths=1)
@@ -112,6 +113,52 @@ class TestCorrelatorIdentity:
         short = BasebandFrame(np.zeros(5, dtype=np.complex128), cfg.sample_rate)
         with pytest.raises(ValueError):
             correlate_slots(short, sig, cfg)
+
+
+def _slice_tables(pn_chips, walsh, cfg, n_paths):
+    """partial_correlation_tables from the signature waveforms themselves:
+    one slice product per user, path and window."""
+    n = cfg.samples_per_symbol
+    own = slot_signatures(walsh, pn_chips[0], cfg).reshape(-1, n)
+    slots = own.shape[0]
+    windows = 2 if n_paths > 1 else 1
+    out = np.zeros((len(pn_chips), windows, slots, n_paths, slots), dtype=np.complex128)
+    for k, pn in enumerate(pn_chips):
+        sig = slot_signatures(walsh, pn, cfg).reshape(-1, n)
+        for path in range(n_paths):
+            d = path * cfg.oversampling
+            out[k, 0, :, path] = sig[:, :n - d] @ own[:, d:].conj().T / n
+            if windows == 2:
+                out[k, 1, :, path] = sig[:, n - d:] @ own[:, :d].conj().T / n
+    return out
+
+
+class TestPartialCorrelationTables:
+    @pytest.mark.parametrize("users, r, m, na, degree, oversampling, paths", [
+        (1, 1, 1, 1, 3, 4, 1),      # one slot, one path
+        (2, 4, 2, 4, 3, 4, 3),      # aligned Walsh grid: 4 divides 28
+        (3, 2, 3, 4, 3, 3, 2),      # 4 does not divide 21
+        (4, 8, 2, 8, 5, 4, 7),      # 8 does not divide 124, several paths
+        (1, 4, 2, 4, 4, 2, 12),     # delays spanning several Walsh chips
+    ])
+    def test_matches_slice_products(self, users, r, m, na, degree, oversampling, paths):
+        cfg = LinkConfig(users=users, substreams=r, carriers=m, walsh_order=na,
+                         pn_length=2 ** degree - 1, oversampling=oversampling)
+        walsh = generate_walsh(na)
+        base = generate_msequence(degree).chips
+        stride = max(1, base.size // users)
+        pn_chips = np.stack([np.roll(base, k * stride) for k in range(users)])
+        tables = partial_correlation_tables(pn_chips, walsh, cfg, paths)
+        reference = _slice_tables(pn_chips, walsh, cfg, paths)
+        assert tables.shape == reference.shape
+        assert np.abs(tables - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_aligned_own_table_is_identity(self):
+        # orthonormal slots: user 1's own zero-delay table is the identity
+        cfg, walsh, pn = _make(4, 2, 4, 3)
+        assert cfg.walsh_aligned
+        tables = partial_correlation_tables(pn.chips[None, :], walsh, cfg, 1)
+        assert np.allclose(tables[0, 0, :, 0], np.eye(8), atol=1e-12)
 
 
 def _source_setup(users=1, paths=1, fading=False, seed=0, n_symbols=8,
