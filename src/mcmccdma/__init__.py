@@ -21,7 +21,6 @@ from .channel import (
     NoiseSpec,
     PathTap,
     add_awgn,
-    apply_multipath,
     draw_channel,
     path_power_profile,
     propagate_samples,
@@ -40,6 +39,7 @@ from .harness import (
     RunReport,
     Scenario,
     emit_csv,
+    estimate_interference_variances,
     measure_variances,
     parse_csv,
     preset,
@@ -63,10 +63,7 @@ from .receiver import (
     BitDecisions,
     InterferenceVariances,
     correlate_slots,
-    decompose_correlator_output,
-    estimate_interference_variances,
     recover_bits,
-    synthesize_source_frames,
 )
 from .txchain import (
     BasebandFrame,
@@ -102,13 +99,11 @@ __all__ = [
     "amam",
     "ampm",
     "apply_hpa",
-    "apply_multipath",
     "apply_predistorter",
     "binomial_ci95",
     "compute_obo",
     "conditional_ber",
     "correlate_slots",
-    "decompose_correlator_output",
     "draw_channel",
     "emit_csv",
     "erfc",
@@ -134,7 +129,6 @@ __all__ = [
     "set_operating_point",
     "slot_signatures",
     "subcarrier_frequency",
-    "synthesize_source_frames",
     "theoretical_curve",
     "walsh_chip_indices",
 ]

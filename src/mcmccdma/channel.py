@@ -33,13 +33,28 @@ class PathTap:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-user tap lists drawn from one fading realization."""
+    """One fading realization: gains and phases of every user's paths, both
+    shape (users, paths).  Path l of every user has a delay of l chips."""
 
-    per_user: tuple[tuple[PathTap, ...], ...]
-    n_paths: int
+    gains: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.gains) != 2 or np.shape(self.gains) != np.shape(self.phases):
+            raise ValueError(f"gains and phases must be one (users, paths) shape, got "
+                             f"{np.shape(self.gains)} and {np.shape(self.phases)}")
+        if not np.all(np.isfinite(self.gains)) or np.any(self.gains < 0):
+            raise ValueError(f"gains must be finite and nonnegative, got {self.gains}")
+
+    @property
+    def n_paths(self) -> int:
+        return self.gains.shape[1]
 
     def taps(self, user_index: int) -> tuple[PathTap, ...]:
-        return self.per_user[user_index]
+        """One user's paths as PathTap values, for the sample chain."""
+        return tuple(PathTap(gain=float(gain), delay_chips=l, phase=float(phase))
+                     for l, (gain, phase) in enumerate(zip(self.gains[user_index],
+                                                           self.phases[user_index])))
 
 
 @dataclass(frozen=True)
@@ -79,14 +94,7 @@ def draw_channel(rng: np.random.Generator, users: int, n_paths: int,
     else:
         gains = np.broadcast_to(np.sqrt(profile), (users, n_paths)).copy()
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(users, n_paths))
-    per_user = tuple(
-        tuple(
-            PathTap(gain=float(gains[k, l]), delay_chips=l, phase=float(phases[k, l]))
-            for l in range(n_paths)
-        )
-        for k in range(users)
-    )
-    return ChannelRealization(per_user=per_user, n_paths=n_paths)
+    return ChannelRealization(gains=gains, phases=phases)
 
 
 def propagate_samples(samples: np.ndarray, taps, samples_per_chip: int,
@@ -117,14 +125,6 @@ def propagate_samples(samples: np.ndarray, taps, samples_per_chip: int,
         np.multiply(samples, tap.gain * np.exp(1j * tap.phase), out=scratch)
         out[shift:shift + samples.size] += scratch
     return out
-
-
-def apply_multipath(frame: BasebandFrame, taps, samples_per_chip: int,
-                    out_len: int | None = None) -> BasebandFrame:
-    """Frame-level propagate_samples: linear in the input, output long enough
-    to hold every delayed copy."""
-    out = propagate_samples(frame.samples, taps, samples_per_chip, out_len)
-    return BasebandFrame(out, frame.sample_rate, frame.t0)
 
 
 def add_awgn(frame: BasebandFrame, noise: NoiseSpec, eb_measured: float,

@@ -15,8 +15,11 @@ channel and symbol draws, the decisions and the error count are common.
   scenario it tabulates the partial cross-correlations between each user's
   delayed slot signatures and user 1's
   (receiver.partial_correlation_tables), and each block is one small
-  product per user.  The noise is drawn per correlator output, with the
-  covariance white sample noise would leave there.
+  product per user (receiver.correlate_tables).  The noise is drawn per
+  correlator output, with the covariance white sample noise would leave
+  there.  The interference decomposition (measure_variances) reads the
+  same tables: each source is a subset of the terms of that sum, and its
+  noise is drawn per correlator output too.
 - The amplifier modes ("saleh", "saleh_pd") build the sampled waveform:
   every user is modulated and amplified, the paths are summed, white noise
   is added per sample, and the frame is correlated, because the tube acts on
@@ -47,8 +50,8 @@ from .channel import NoiseSpec, add_awgn, correlator_noise, draw_channel, propag
 from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
 from .hpa import (OperatingPoint, SalehParams, apply_hpa, apply_predistorter,
                   operating_point_for_power)
-from .receiver import (correlate_slots, decide_slots, estimate_interference_variances,
-                       partial_correlation_tables)
+from .receiver import (SOURCE_NAMES, InterferenceVariances, correlate_slots, correlate_tables,
+                       decide_slots, partial_correlation_tables)
 from .txchain import (BasebandFrame, LinkConfig, check_field_types, declared_type, modulate_user,
                       modulation_table, slot_signatures)
 
@@ -247,14 +250,18 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
         np.random.SeedSequence([scenario.master_seed, 0, point_index, block_index]))
 
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
-    n_total = scenario.symbols_per_block + runtime.warmup
-    symbols = (2 * rng.integers(0, 2, size=(cfg.users, n_total, cfg.substreams, cfg.carriers)) - 1
-               ).astype(np.int8)
+    symbols = _draw_symbols(rng, cfg, scenario.symbols_per_block + runtime.warmup)
 
     outputs = _sample_outputs if runtime.correlation is None else _correlation_outputs
     z = outputs(runtime, channel, symbols, ebn0_db, rng)
     decisions = decide_slots(z[runtime.warmup:], reference=symbols[0, runtime.warmup:])
     return decisions.errors, decisions.bits
+
+
+def _draw_symbols(rng: np.random.Generator, cfg: LinkConfig, n_total: int) -> np.ndarray:
+    """Every user's +-1 symbols, shape (users, n_total, substreams, carriers)."""
+    return (2 * rng.integers(0, 2, size=(cfg.users, n_total, cfg.substreams, cfg.carriers)) - 1
+            ).astype(np.int8)
 
 
 def _sample_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
@@ -287,39 +294,79 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_d
     """User 1's correlator outputs on the linear chain, straight from the
     symbols: z[n] = sqrt(2 power) e^{-j phase_ref} sum_k sum_l h_kl
     (d_k[n] @ C[k, 0, :, l] + d_k[n-1] @ C[k, 1, :, l]) plus correlated
-    noise, with C the runtime's partial cross-correlation tables.
-    Noiseless, these are the outputs of the sample chain (modulate,
-    propagate, correlate) up to round-off; the noise is drawn per
-    correlator output instead of per sample, with the covariance the sample
-    noise would give."""
-    scenario = runtime.scenario
-    cfg = scenario.config
-    tables = runtime.correlation
-    users, windows, slots, n_paths, _ = tables.shape
+    noise, with C the runtime's partial cross-correlation tables
+    (receiver.correlate_tables).  Noiseless, these are the outputs of the
+    sample chain (modulate, propagate, correlate) up to round-off; the noise
+    is drawn per correlator output instead of per sample, with the
+    covariance the sample noise would give."""
+    cfg = runtime.scenario.config
     n_total = symbols.shape[1]
-    # Per user, row n holds its symbols of window n and then, with several
-    # paths, those of window n - 1 (zero before the first window).
-    stacked = np.zeros((users, n_total, windows, slots))
-    current = symbols.reshape(users, n_total, slots)
-    stacked[:, :, 0] = current
-    if windows == 2:
-        stacked[:, 1:, 1] = current[:, :-1]
-    # Every user's unweighted outputs on every path, one real GEMM per user.
-    per_path = np.matmul(stacked.reshape(users, n_total, windows * slots),
-                         tables.reshape(users, windows * slots, -1).view(np.float64))
-    per_path = per_path.view(np.complex128).reshape(users, n_total, n_paths, slots)
-    taps = np.array([[(tap.gain, tap.phase) for tap in user_taps]
-                     for user_taps in channel.per_user])
-    gains = taps[..., 0] * np.exp(1j * taps[..., 1])
-    z = (per_path.transpose(1, 3, 0, 2).reshape(n_total * slots, -1) @ gains.reshape(-1)
-         ).reshape(n_total, slots)
-    ref = channel.taps(0)[0]
-    z *= np.sqrt(2.0 * cfg.power) * np.exp(-1j * ref.phase)
-    if scenario.noise_enabled:
-        z += correlator_noise(NoiseSpec(ebn0_db=ebn0_db, enabled=True), runtime.eb,
-                              cfg.sample_rate / cfg.samples_per_symbol, runtime.noise_factor,
-                              n_total, rng)
+    z = correlate_tables(runtime.correlation, symbols, _path_gains(channel))
+    z *= _output_scale(cfg, channel)
+    if runtime.scenario.noise_enabled:
+        z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
     return z.reshape(n_total, cfg.substreams, cfg.carriers)
+
+
+def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
+                    rng: np.random.Generator) -> dict:
+    """User 1's slot (1, 1) correlator output of _correlation_outputs, split
+    by origin: one (symbols,) array per receiver.SOURCE_NAMES entry, each a
+    subset of the terms of the same sum at target slot 0.
+
+    desired is user 1's slot (1, 1) on path 0 and multipath the same symbols
+    on the later paths; inter_substream is user 1's other substreams on
+    carrier 1 and inter_carrier its other carriers, both on every path;
+    multi_user is every other user.  The noise is drawn per output with
+    slot (1, 1)'s variance (user 1's Gram entry), and is zero with the noise
+    off.  The six sum to the noiseless slot-0 output plus that noise."""
+    scale = _output_scale(runtime.scenario.config, channel)
+    gains = _path_gains(channel)
+    own, others = runtime.correlation[:1, ..., :1], runtime.correlation[1:, ..., :1]
+    d = symbols[:1]
+    wanted, substreams, carriers = (np.zeros_like(d) for _ in range(3))
+    wanted[..., 0, 0] = d[..., 0, 0]
+    substreams[..., 1:, 0] = d[..., 1:, 0]
+    carriers[..., 1:] = d[..., 1:]
+    first, later = gains[:1].copy(), gains[:1].copy()
+    first[:, 1:] = 0
+    later[:, 0] = 0
+
+    def term(tables, kept, path_gains):
+        return scale * correlate_tables(tables, kept, path_gains)[:, 0]
+
+    sources = {
+        "desired": term(own, wanted, first),
+        "multipath": term(own, wanted, later),
+        "inter_substream": term(own, substreams, gains[:1]),
+        "inter_carrier": term(own, carriers, gains[:1]),
+        "multi_user": term(others, symbols[1:], gains[1:]),
+    }
+    n_total = symbols.shape[1]
+    if runtime.scenario.noise_enabled:
+        sources["noise"] = _correlator_noise(runtime, ebn0_db, runtime.noise_factor[:1, :1],
+                                             n_total, rng)[:, 0]
+    else:
+        sources["noise"] = np.zeros(n_total, dtype=np.complex128)
+    return sources
+
+
+def _path_gains(channel) -> np.ndarray:
+    """Complex gains h_kl of every user's paths, shape (users, paths)."""
+    return channel.gains * np.exp(1j * channel.phases)
+
+
+def _output_scale(cfg: LinkConfig, channel) -> complex:
+    """sqrt(2 power) e^{-j phase_ref}: the branch amplitude and the counter-
+    rotation of user 1's reference path."""
+    return np.sqrt(2.0 * cfg.power) * np.exp(-1j * channel.phases[0, 0])
+
+
+def _correlator_noise(runtime: _Runtime, ebn0_db: float, factor: np.ndarray, n_total: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    cfg = runtime.scenario.config
+    return correlator_noise(NoiseSpec(ebn0_db=ebn0_db, enabled=True), runtime.eb,
+                            cfg.sample_rate / cfg.samples_per_symbol, factor, n_total, rng)
 
 
 # Thread-count calls of the OpenBLAS builds numpy and scipy ship (64-bit
@@ -451,22 +498,48 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     return RunReport(scenario=scenario, records=records, point_seconds=point_seconds)
 
 
+def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
+                                    rng: np.random.Generator, n_symbols: int,
+                                    chunk: int = 256) -> InterferenceVariances:
+    """Sample variances of the decomposed correlator components
+    (_source_outputs) over n_symbols random-data symbols on one fixed
+    channel realization of a linear-chain runtime.
+
+    Symbols and noise are drawn chunk by chunk.  With several paths each
+    chunk is preceded by one uncounted warmup symbol, so that the missing
+    previous symbol at its start does not bias the estimates.
+    """
+    if n_symbols < 2:
+        raise ValueError(f"need at least 2 symbols for a sample variance, got {n_symbols}")
+    cfg = runtime.scenario.config
+    collected = {name: [] for name in SOURCE_NAMES}
+    for start in range(0, n_symbols, chunk):
+        symbols = _draw_symbols(rng, cfg, min(chunk, n_symbols - start) + runtime.warmup)
+        for name, z in _source_outputs(runtime, channel, symbols, ebn0_db, rng).items():
+            collected[name].append(z[runtime.warmup:])
+
+    z_by_name = {name: np.concatenate(parts) for name, parts in collected.items()}
+    variances = {name: float(np.var(z_by_name[name], ddof=1)) for name in SOURCE_NAMES[1:]}
+    return InterferenceVariances(
+        desired_power=float(np.mean(np.abs(z_by_name["desired"]) ** 2)),
+        n_symbols=n_symbols, **variances)
+
+
 def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbols: int = 2000):
-    """Interference-variance diagnostic for one scenario at one sweep point.
+    """Interference-variance diagnostic for one scenario at one sweep point,
+    on one channel drawn from SeedSequence([master_seed, 2]).
 
     Only the linear chain supports the source split; amplifier modes raise."""
     if scenario.hpa_mode != "bypass":
         raise ValueError("interference decomposition needs the linear chain; "
                          f"hpa_mode={scenario.hpa_mode!r} breaks superposition")
+    runtime = _prepare(scenario)
     cfg = scenario.config
-    walsh, pn_chips = _user_codes(cfg)
     point = scenario.ebn0_grid[0] if ebn0_db is None else ebn0_db
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 2]))
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
-    noise = NoiseSpec(ebn0_db=float(point), enabled=scenario.noise_enabled)
     with _single_threaded_blas():
-        return estimate_interference_variances(
-            cfg, walsh, list(pn_chips), channel, noise, _linear_eb(cfg), rng, n_symbols)
+        return estimate_interference_variances(runtime, channel, float(point), rng, n_symbols)
 
 
 def leaf_fields(instance):

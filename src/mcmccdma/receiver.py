@@ -1,7 +1,12 @@
 """Correlator receiver: coherent subcarrier demodulation, despreading and
-bit decisions, the partial cross-correlation tables through which the
-linear chain is simulated without samples, and the interference-
-decomposition diagnostics.
+bit decisions, the partial cross-correlation tables and their product
+through which the linear chain is simulated without samples, and the
+record of the interference decomposition.
+
+The BER engine and the interference decomposition share that one
+correlation-domain model (correlate_tables): the decomposition evaluates
+the same sum over subsets of its terms, one per source, and draws its noise
+per correlator output as the BER engine does.
 
 The receiver is locked to the reference (first) path of the wanted user:
 it knows that path's delay and phase, counter-rotates the phase, projects
@@ -19,34 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelRealization, NoiseSpec, PathTap, add_awgn, apply_multipath,
-                      propagate_samples)
+from .channel import PathTap
 from .codes import WalshMatrix
-from .txchain import (BasebandFrame, LinkConfig, modulate_user, modulation_table,
-                      slot_signatures, walsh_chip_indices)
+from .txchain import BasebandFrame, LinkConfig, slot_signatures, walsh_chip_indices
 
 SOURCE_NAMES = ("desired", "multipath", "inter_substream", "inter_carrier", "multi_user", "noise")
-
-
-@dataclass(frozen=True)
-class CorrelatorOutput:
-    """One slot's correlation split by signal origin.
-
-    components holds complex correlations keyed by SOURCE_NAMES; their sum
-    reproduces z_total up to floating round-off (the chain is linear).
-    Indices are 1-based to match the slot naming used elsewhere.
-    """
-
-    user: int
-    substream: int
-    carrier: int
-    symbol: int
-    z_total: complex
-    components: dict[str, complex]
-
-    @property
-    def interference_total(self) -> complex:
-        return sum(v for k, v in self.components.items() if k != "desired")
 
 
 @dataclass(frozen=True)
@@ -216,139 +198,31 @@ def partial_correlation_tables(pn_chips: np.ndarray, walsh: WalshMatrix, config:
     return tables.reshape(users, windows, slots, n_paths, slots)
 
 
-def synthesize_source_frames(symbols_per_user: np.ndarray, walsh: WalshMatrix, pn_list,
-                             config: LinkConfig, channel: ChannelRealization,
-                             noise: NoiseSpec, eb: float, rng: np.random.Generator,
-                             hpa_mode: str = "bypass") -> dict[str, BasebandFrame]:
-    """Received-signal contributions, kept separate by origin relative to
-    user 1's slot (substream 1, carrier 1).
+def correlate_tables(tables: np.ndarray, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Noiseless correlator outputs straight from the symbols, through
+    partial_correlation_tables:
 
-    Only defined for the linear chain: a nonlinearity acts on the summed
-    waveform and breaks the superposition this split relies on.  Delayed
-    copies of user 1's other substreams and carriers are attributed to
-    those classes, not to the multipath term; the multipath term is the
-    wanted slot itself arriving on the non-reference paths.
+        z[n, t] = sum_k sum_l gains[k, l] (d_k[n] @ tables[k, 0, :, l, t]
+                                            + d_k[n-1] @ tables[k, 1, :, l, t])
+
+    with d_k[-1] = 0.  symbols is (users, n, ...) with S slots per symbol,
+    gains the complex path gains (users, paths), and tables any slice of
+    the full tables over users (with symbols and gains sliced alike) or
+    over the target slots t.  Returns (n, targets); the caller applies the
+    amplitude sqrt(2 power) and the reference-path phase.
     """
-    if hpa_mode != "bypass":
-        raise ValueError(
-            f"source decomposition is only defined for the linear chain, not hpa_mode={hpa_mode!r}"
-        )
-    d = np.asarray(symbols_per_user)
-    if d.ndim != 4 or d.shape[0] != config.users:
-        raise ValueError(f"symbols must be (users, slots, substreams, carriers), got {d.shape}")
-    spc = config.oversampling
-    taps1 = channel.taps(0)
-    max_delay = max(tap.delay_chips for user_taps in channel.per_user for tap in user_taps)
-    out_len = d.shape[1] * config.samples_per_symbol + max_delay * spc
-
-    table = modulation_table(walsh, config)
-    d_wanted = np.zeros_like(d[0])
-    d_wanted[:, 0, 0] = d[0, :, 0, 0]
-    d_substreams = np.zeros_like(d[0])
-    d_substreams[:, 1:, 0] = d[0, :, 1:, 0]
-    d_carriers = np.zeros_like(d[0])
-    d_carriers[:, :, 1:] = d[0, :, :, 1:]
-
-    wanted_tx = modulate_user(d_wanted, walsh, pn_list[0], config, table=table)
-    sources = {
-        "desired": apply_multipath(wanted_tx, taps1[:1], spc, out_len),
-        "multipath": apply_multipath(wanted_tx, taps1[1:], spc, out_len),
-        "inter_substream": apply_multipath(
-            modulate_user(d_substreams, walsh, pn_list[0], config, table=table),
-            taps1, spc, out_len),
-        "inter_carrier": apply_multipath(
-            modulate_user(d_carriers, walsh, pn_list[0], config, table=table),
-            taps1, spc, out_len),
-    }
-
-    other = np.zeros(out_len, dtype=np.complex128)
-    for k in range(1, config.users):
-        tx_k = modulate_user(d[k], walsh, pn_list[k], config, table=table)
-        propagate_samples(tx_k.samples, channel.taps(k), spc, out=other)
-    sources["multi_user"] = BasebandFrame(other, config.sample_rate)
-
-    zero = BasebandFrame(np.zeros(out_len, dtype=np.complex128), config.sample_rate)
-    sources["noise"] = add_awgn(zero, noise, eb, rng) if noise.enabled else zero
-    return sources
-
-
-def decompose_correlator_output(sources: dict[str, BasebandFrame], walsh: WalshMatrix, pn_user1,
-                                config: LinkConfig, channel_ref: PathTap,
-                                symbol: int | None = None):
-    """Correlate each source frame separately at user 1's first slot.
-
-    Returns a list of CorrelatorOutput (or a single one when `symbol` is
-    given).  The per-symbol identity z_total = sum(components) is asserted
-    here; it holds because the correlator is linear.
-    """
-    signatures = slot_signatures(walsh, pn_user1, config)
-    start = channel_ref.delay_chips * config.oversampling
-    per_source = {}
-    total_samples = None
-    for name in SOURCE_NAMES:
-        frame = sources[name]
-        per_source[name] = correlate_slots(frame, signatures, config,
-                                           reference_phase=channel_ref.phase,
-                                           start_sample=start)[:, 0, 0]
-        total_samples = frame.samples if total_samples is None else total_samples + frame.samples
-    z_total = correlate_slots(BasebandFrame(total_samples, config.sample_rate), signatures, config,
-                              reference_phase=channel_ref.phase, start_sample=start)[:, 0, 0]
-
-    outputs = []
-    for n in range(z_total.size):
-        components = {name: complex(per_source[name][n]) for name in SOURCE_NAMES}
-        total = complex(z_total[n])
-        residual = abs(total - sum(components.values()))
-        if residual > 1e-8 * max(abs(total), 1e-30):
-            raise AssertionError(
-                f"correlator linearity violated at symbol {n}: residual {residual:.3e}"
-            )
-        outputs.append(CorrelatorOutput(user=1, substream=1, carrier=1, symbol=n,
-                                        z_total=total, components=components))
-    if symbol is not None:
-        return outputs[symbol]
-    return outputs
-
-
-def estimate_interference_variances(config: LinkConfig, walsh: WalshMatrix, pn_list,
-                                    channel: ChannelRealization, noise: NoiseSpec, eb: float,
-                                    rng: np.random.Generator, n_symbols: int,
-                                    chunk: int = 256) -> InterferenceVariances:
-    """Sample variances of the decomposed correlator components over
-    n_symbols random-data symbols on one fixed channel realization.
-
-    When any path delay is nonzero, each chunk is preceded by one uncounted
-    warmup symbol so edge transients do not bias the estimates.
-    """
-    if n_symbols < 2:
-        raise ValueError(f"need at least 2 symbols for a sample variance, got {n_symbols}")
-    max_delay = max(tap.delay_chips for user_taps in channel.per_user for tap in user_taps)
-    warmup = 1 if max_delay > 0 else 0
-
-    signatures = slot_signatures(walsh, pn_list[0], config)
-    ref = channel.taps(0)[0]
-    start = ref.delay_chips * config.oversampling
-    collected = {name: [] for name in SOURCE_NAMES}
-    remaining = n_symbols
-    while remaining > 0:
-        n_chunk = min(chunk, remaining)
-        symbols = rng.integers(0, 2, size=(config.users, n_chunk + warmup,
-                                           config.substreams, config.carriers))
-        symbols = (2 * symbols - 1).astype(np.int8)
-        sources = synthesize_source_frames(symbols, walsh, pn_list, config, channel, noise, eb, rng)
-        for name in SOURCE_NAMES:
-            z = correlate_slots(sources[name], signatures, config,
-                                reference_phase=ref.phase, start_sample=start)[:, 0, 0]
-            collected[name].append(z[warmup:])
-        remaining -= n_chunk
-
-    z_by_name = {name: np.concatenate(parts) for name, parts in collected.items()}
-    desired_power = float(np.mean(np.abs(z_by_name["desired"]) ** 2))
-    variances = {name: float(np.var(z_by_name[name], ddof=1)) for name in SOURCE_NAMES[1:]}
-    return InterferenceVariances(desired_power=desired_power,
-                                 multipath=variances["multipath"],
-                                 inter_substream=variances["inter_substream"],
-                                 inter_carrier=variances["inter_carrier"],
-                                 multi_user=variances["multi_user"],
-                                 noise=variances["noise"],
-                                 n_symbols=n_symbols)
+    users, windows, slots, n_paths, targets = tables.shape
+    n_total = symbols.shape[1]
+    # Per user, row n holds its symbols of window n and then, with several
+    # paths, those of window n - 1 (zero before the first window).
+    stacked = np.zeros((users, n_total, windows, slots))
+    current = symbols.reshape(users, n_total, slots)
+    stacked[:, :, 0] = current
+    if windows == 2:
+        stacked[:, 1:, 1] = current[:, :-1]
+    # Every user's unweighted outputs on every path, one real GEMM per user.
+    tables = np.ascontiguousarray(tables).reshape(users, windows * slots, n_paths * targets)
+    per_path = np.matmul(stacked.reshape(users, n_total, windows * slots), tables.view(np.float64))
+    per_path = per_path.view(np.complex128).reshape(users, n_total, n_paths, targets)
+    return (per_path.transpose(1, 3, 0, 2).reshape(n_total * targets, users * n_paths)
+            @ gains.reshape(-1)).reshape(n_total, targets)

@@ -13,11 +13,11 @@ import time
 import numpy as np
 
 from mcmccdma.analysis import conditional_ber, erfc, fading_averaged_ber
-from mcmccdma.channel import NoiseSpec, draw_channel
+from mcmccdma import harness
+from mcmccdma.channel import draw_channel
 from mcmccdma.codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
 from mcmccdma.harness import Scenario, emit_csv, preset, run_scenario
 from mcmccdma.hpa import (SalehParams, amam, ampm, apply_hpa, apply_predistorter)
-from mcmccdma.receiver import decompose_correlator_output, synthesize_source_frames
 from mcmccdma.txchain import BasebandFrame, LinkConfig
 
 
@@ -257,31 +257,26 @@ def test_rayleigh_averaging():
 def test_decomposition_identity():
     cfg = LinkConfig(users=3, substreams=2, carriers=2, walsh_order=4,
                      pn_length=15, oversampling=4)
-    walsh = generate_walsh(4)
-    base = generate_msequence(4, (4, 1))
-    pn_list = [np.roll(base.chips, 5 * k) for k in range(3)]
+    scenario = Scenario(name="split", config=cfg, paths=2, decay_db=3.0, fading=True)
+    noiseless = harness._prepare(dataclasses.replace(scenario, noise_enabled=False))
     rng = np.random.default_rng(424242)
     channel = draw_channel(rng, users=3, n_paths=2, decay_db=3.0, fading=True)
     symbols = (2 * rng.integers(0, 2, size=(3, 1000, 2, 2)) - 1).astype(np.int8)
-    sources = synthesize_source_frames(symbols, walsh, pn_list, cfg, channel,
-                                       NoiseSpec(ebn0_db=5.0), eb=2.0, rng=rng)
-    outputs = decompose_correlator_output(sources, walsh, pn_list[0], cfg,
-                                          channel.taps(0)[0])
-    worst = 0.0
-    for out in outputs:
-        residual = abs(out.z_total - sum(out.components.values()))
-        worst = max(worst, residual / max(abs(out.z_total), 1e-6))
+    sources = harness._source_outputs(harness._prepare(scenario), channel, symbols, 5.0, rng)
+    # The BER engine's slot (1, 1) output, with the split's noise draw.
+    z_total = harness._correlation_outputs(noiseless, channel, symbols, 5.0,
+                                           rng)[:, 0, 0] + sources["noise"]
+    residual = np.abs(z_total - sum(sources.values()))
+    worst = float(np.max(residual / np.maximum(np.abs(z_total), 1e-6)))
     assert worst <= 1e-10, f"split misses the total by {worst:.2e} relative"
 
-    cfg1 = dataclasses.replace(cfg, users=1)
+    lone_scenario = dataclasses.replace(scenario, config=dataclasses.replace(cfg, users=1),
+                                        paths=1, decay_db=0.0, fading=False,
+                                        noise_enabled=False)
     lone = draw_channel(rng, users=1, n_paths=1, decay_db=0.0, fading=False)
     symbols1 = (2 * rng.integers(0, 2, size=(1, 200, 2, 2)) - 1).astype(np.int8)
-    sources1 = synthesize_source_frames(symbols1, walsh, pn_list[:1], cfg1, lone,
-                                        NoiseSpec(enabled=False), eb=2.0, rng=rng)
-    outputs1 = decompose_correlator_output(sources1, walsh, pn_list[0], cfg1,
-                                           lone.taps(0)[0])
-    lone_ok = all(out.components["multipath"] == 0j
-                  and out.components["multi_user"] == 0j for out in outputs1)
+    sources1 = harness._source_outputs(harness._prepare(lone_scenario), lone, symbols1, 5.0, rng)
+    lone_ok = bool(np.all(sources1["multipath"] == 0j) and np.all(sources1["multi_user"] == 0j))
     _report("decomposition identity", lone_ok,
             f"six-way split matches the correlator total within {worst:.1e} "
             f"relative over 1000 symbols; single-user single-path run has "

@@ -10,7 +10,6 @@ from mcmccdma.channel import (
     NoiseSpec,
     PathTap,
     add_awgn,
-    apply_multipath,
     correlator_noise,
     draw_channel,
     path_power_profile,
@@ -42,6 +41,22 @@ class TestDrawChannel:
             taps = ch.taps(k)
             assert [t.delay_chips for t in taps] == [0, 1, 2, 3]
             assert all(0.0 <= t.phase < 2 * np.pi for t in taps)
+
+    def test_taps_read_the_arrays(self):
+        ch = draw_channel(np.random.default_rng(5), users=2, n_paths=3, decay_db=1.0, fading=True)
+        assert ch.gains.shape == ch.phases.shape == (2, 3)
+        for k in range(2):
+            assert ch.taps(k) == tuple(PathTap(float(g), l, float(p)) for l, (g, p)
+                                       in enumerate(zip(ch.gains[k], ch.phases[k])))
+
+    @pytest.mark.parametrize("gains", [[[1.0, -0.1]], [[1.0, np.nan]], [[1.0, np.inf]]])
+    def test_realization_rejects_bad_gains(self, gains):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ChannelRealization(gains=np.array(gains), phases=np.zeros((1, 2)))
+
+    def test_realization_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            ChannelRealization(gains=np.ones((2, 3)), phases=np.zeros((3, 2)))
 
     def test_deterministic_given_seed(self):
         a = draw_channel(np.random.default_rng(42), 2, 3, 1.0, True)
@@ -139,14 +154,6 @@ class TestPropagation:
         out = np.zeros(11, dtype=np.complex128)
         with pytest.raises(ValueError, match="out_len 11"):
             propagate_samples(x, (PathTap(1.0, 1, 0.0),), 4, out=out)
-
-    def test_frame_wrapper(self):
-        x = np.ones(8, dtype=np.complex128)
-        frame = BasebandFrame(x.copy(), sample_rate=4.0)
-        ch = ChannelRealization(per_user=((PathTap(2.0, 0, 0.0),),), n_paths=1)
-        out = apply_multipath(frame, ch.taps(0), samples_per_chip=4)
-        assert np.allclose(out.samples, 2.0 * x)
-        assert out.sample_rate == 4.0
 
 
 class TestAwgn:

@@ -160,6 +160,39 @@ _TINY_UNALIGNED = dataclasses.replace(
                       pn_length=7, oversampling=3))
 
 
+def _sample_chain(runtime, symbols, taps, reference_phase):
+    """User 1's correlator outputs from the sampled waveform: every user's
+    symbols modulated, sent through its taps (taps[k], possibly none),
+    summed and correlated against user 1's signatures, noise off."""
+    cfg = runtime.scenario.config
+    received = np.zeros(symbols.shape[1] * cfg.samples_per_symbol
+                        + (runtime.scenario.paths - 1) * cfg.oversampling, dtype=np.complex128)
+    for k in range(cfg.users):
+        tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg)
+        propagate_samples(tx.samples, taps[k], cfg.oversampling, out=received)
+    own = slot_signatures(runtime.walsh, runtime.pn_chips[0], cfg)
+    return correlate_slots(BasebandFrame(received, cfg.sample_rate), own, cfg,
+                           reference_phase=reference_phase)
+
+
+def _recorded_block(scenario, monkeypatch):
+    """The runtime, channel, symbols and correlation-domain outputs of one
+    noiseless block of a linear scenario."""
+    scenario = dataclasses.replace(scenario, noise_enabled=False)
+    runtime = harness._prepare(scenario)
+    produce = harness._correlation_outputs
+    seen = {}
+
+    def recorded(runtime, channel, symbols, ebn0_db, rng):
+        seen.update(channel=channel, symbols=symbols)
+        seen["z"] = produce(runtime, channel, symbols, ebn0_db, rng)
+        return seen["z"]
+
+    monkeypatch.setattr(harness, "_correlation_outputs", recorded)
+    harness._simulate_block(runtime, 0, 3, 8.0)
+    return runtime, seen["channel"], seen["symbols"], seen["z"]
+
+
 class TestCorrelationEngine:
     @pytest.mark.parametrize("scenario", [
         _preset_scenario("user-sweep", "users-50"),
@@ -169,32 +202,45 @@ class TestCorrelationEngine:
         _TINY_UNALIGNED,
     ], ids=lambda sc: sc.name)
     def test_noiseless_outputs_match_sample_chain(self, scenario, monkeypatch):
-        scenario = dataclasses.replace(scenario, noise_enabled=False)
-        runtime = harness._prepare(scenario)
-        produce = harness._correlation_outputs
-        seen = {}
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+        taps = [channel.taps(k) for k in range(scenario.config.users)]
+        reference = _sample_chain(runtime, symbols, taps, channel.phases[0, 0])
+        assert z.shape == reference.shape
+        assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
 
-        def recorded(runtime, channel, symbols, ebn0_db, rng):
-            seen.update(channel=channel, symbols=symbols)
-            seen["z"] = produce(runtime, channel, symbols, ebn0_db, rng)
-            return seen["z"]
-
-        monkeypatch.setattr(harness, "_correlation_outputs", recorded)
-        harness._simulate_block(runtime, 0, 3, 8.0)
-
-        # The sample-level chain on the same channel and symbols.
-        cfg = scenario.config
-        channel, symbols = seen["channel"], seen["symbols"]
-        received = np.zeros(symbols.shape[1] * cfg.samples_per_symbol
-                            + (scenario.paths - 1) * cfg.oversampling, dtype=np.complex128)
-        for k in range(cfg.users):
-            tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg)
-            propagate_samples(tx.samples, channel.taps(k), cfg.oversampling, out=received)
-        own = slot_signatures(runtime.walsh, runtime.pn_chips[0], cfg)
-        reference = correlate_slots(BasebandFrame(received, cfg.sample_rate), own, cfg,
-                                    reference_phase=channel.taps(0)[0].phase)
-        assert seen["z"].shape == reference.shape
-        assert np.abs(seen["z"] - reference).max() <= 1e-12 * np.abs(reference).max()
+    @pytest.mark.parametrize("scenario", [
+        _TINY_UNALIGNED,
+        _preset_scenario("carrier-sweep", "carriers-2"),
+        _preset_scenario("system-comparison", "multicode-only"),
+    ], ids=lambda sc: sc.name)
+    def test_sources_match_sample_chain(self, scenario, monkeypatch):
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+        sources = harness._source_outputs(runtime, channel, symbols, 8.0, rng=None)
+        # Each source through the sample chain, on its own symbols and taps.
+        users = scenario.config.users
+        own = channel.taps(0)
+        wanted, substreams, carriers = (np.zeros_like(symbols) for _ in range(3))
+        wanted[0, :, 0, 0] = symbols[0, :, 0, 0]
+        substreams[0, :, 1:, 0] = symbols[0, :, 1:, 0]
+        carriers[0, :, :, 1:] = symbols[0, :, :, 1:]
+        others = symbols.copy()
+        others[0] = 0
+        user1 = [own] + [()] * (users - 1)
+        oracle = {
+            "desired": (wanted, [own[:1]] + [()] * (users - 1)),
+            "multipath": (wanted, [own[1:]] + [()] * (users - 1)),
+            "inter_substream": (substreams, user1),
+            "inter_carrier": (carriers, user1),
+            "multi_user": (others, [()] + [channel.taps(k) for k in range(1, users)]),
+        }
+        for name, (masked, taps) in oracle.items():
+            reference = _sample_chain(runtime, masked, taps, channel.phases[0, 0])[:, 0, 0]
+            assert sources[name].shape == reference.shape
+            assert np.abs(sources[name] - reference).max() <= 1e-12 * np.abs(reference).max(), name
+        assert np.array_equal(sources["noise"], np.zeros(symbols.shape[1]))
+        # noise off, the six sum to the BER engine's slot (1, 1) output
+        total = sum(sources.values())
+        assert np.abs(total - z[:, 0, 0]).max() <= 1e-12 * np.abs(z[:, 0, 0]).max()
 
     @pytest.mark.parametrize("config", [
         LinkConfig(users=2, substreams=4, carriers=2, walsh_order=4, pn_length=7),
@@ -607,6 +653,16 @@ class TestMeasureVariances:
         assert var.total == pytest.approx(
             var.multipath + var.inter_substream + var.inter_carrier
             + var.multi_user + var.noise, rel=1e-12)
+
+    def test_same_seed_same_fields(self):
+        sc = dataclasses.replace(
+            TINY, config=LinkConfig(users=3, substreams=2, carriers=2, walsh_order=4,
+                                    pn_length=15, oversampling=4),
+            paths=2, fading=True)
+        first, second = (measure_variances(sc, n_symbols=300) for _ in range(2))
+        assert first == second
+        assert first != measure_variances(dataclasses.replace(sc, master_seed=sc.master_seed + 1),
+                                          n_symbols=300)
 
     def test_nonlinear_rejected(self):
         sc = dataclasses.replace(TINY, hpa_mode="saleh")

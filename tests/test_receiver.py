@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from mcmccdma.channel import ChannelRealization, NoiseSpec, PathTap, draw_channel
+from mcmccdma import harness
+from mcmccdma.channel import ChannelRealization, PathTap, draw_channel
 from mcmccdma.codes import generate_msequence, generate_walsh
+from mcmccdma.harness import Scenario, estimate_interference_variances, measure_variances
 from mcmccdma.receiver import (
     SOURCE_NAMES,
     correlate_slots,
-    decompose_correlator_output,
-    estimate_interference_variances,
     partial_correlation_tables,
     recover_bits,
-    synthesize_source_frames,
 )
 from mcmccdma.txchain import BasebandFrame, LinkConfig, modulate_user, slot_signatures
 
 REF_TAP = PathTap(1.0, 0, 0.0)
-REF_CHANNEL = ChannelRealization(per_user=((REF_TAP,),), n_paths=1)
+REF_CHANNEL = ChannelRealization(gains=np.ones((1, 1)), phases=np.zeros((1, 1)))
 
 LOOPBACK_CONFIGS = [
     # (substreams, carriers, walsh_order, pn degree)
@@ -161,85 +160,66 @@ class TestPartialCorrelationTables:
         assert np.allclose(tables[0, 0, :, 0], np.eye(8), atol=1e-12)
 
 
+def _linear_runtime(cfg, paths=1, fading=False, noise_enabled=False):
+    """The harness's per-scenario tables for a linear-chain link."""
+    return harness._prepare(Scenario(name="sources", config=cfg, paths=paths, fading=fading,
+                                     noise_enabled=noise_enabled))
+
+
 def _source_setup(users=1, paths=1, fading=False, seed=0, n_symbols=8,
                   noise_enabled=False, r=2, m=2, na=4, degree=4):
     cfg = LinkConfig(users=users, substreams=r, carriers=m, walsh_order=na,
                      pn_length=2 ** degree - 1, oversampling=4)
-    walsh = generate_walsh(na)
-    base = generate_msequence(degree)
-    stride = max(1, base.length // users)
-    pn_list = [np.roll(base.chips, k * stride) for k in range(users)]
+    runtime = _linear_runtime(cfg, paths, fading, noise_enabled)
     rng = np.random.default_rng(seed)
     channel = draw_channel(rng, users, paths, 0.0, fading)
-    noise = NoiseSpec(ebn0_db=6.0, enabled=noise_enabled)
     symbols = rng.choice([-1, 1], size=(users, n_symbols, r, m)).astype(np.int8)
-    frames = synthesize_source_frames(symbols, walsh, pn_list, cfg, channel,
-                                      noise, eb=2.0, rng=rng)
-    return cfg, walsh, pn_list, channel, symbols, frames
+    sources = harness._source_outputs(runtime, channel, symbols, 6.0, rng)
+    return runtime, channel, symbols, sources
 
 
 class TestDecomposition:
     def test_aligned_single_user_all_zero_interference(self):
-        cfg, walsh, pn_list, channel, symbols, frames = _source_setup()
-        out = decompose_correlator_output(frames, walsh, pn_list[0], cfg,
-                                          channel.taps(0)[0], symbol=3)
-        amp = np.sqrt(2 * cfg.power)
-        assert out.components["desired"].real == pytest.approx(
-            amp * symbols[0, 3, 0, 0], rel=1e-10)
-        assert abs(out.components["inter_substream"]) < 1e-10 * amp
-        assert abs(out.components["inter_carrier"]) < 1e-10 * amp
-        assert out.components["multipath"] == 0j
-        assert out.components["multi_user"] == 0j
-        assert out.components["noise"] == 0j
+        runtime, channel, symbols, sources = _source_setup()
+        amp = np.sqrt(2 * runtime.scenario.config.power)
+        assert sources["desired"][3].real == pytest.approx(amp * symbols[0, 3, 0, 0], rel=1e-10)
+        assert abs(sources["inter_substream"][3]) < 1e-10 * amp
+        assert abs(sources["inter_carrier"][3]) < 1e-10 * amp
+        assert sources["multipath"][3] == 0j
+        assert sources["multi_user"][3] == 0j
+        assert sources["noise"][3] == 0j
 
     def test_identity_every_symbol(self):
-        cfg, walsh, pn_list, channel, symbols, frames = _source_setup(
+        # The six sources sum to the BER engine's slot (1, 1) output: its
+        # noiseless part plus the split's own noise draw.
+        runtime, channel, symbols, sources = _source_setup(
             users=3, paths=2, fading=True, noise_enabled=True, seed=5)
-        outs = decompose_correlator_output(frames, walsh, pn_list[0], cfg,
-                                           channel.taps(0)[0])
-        assert len(outs) > 0
-        for out in outs:
-            total = sum(out.components[name] for name in SOURCE_NAMES)
-            assert abs(out.z_total - total) <= 1e-10 * max(abs(out.z_total), 1e-30)
-
-    def test_interference_total(self):
-        cfg, walsh, pn_list, channel, symbols, frames = _source_setup(
-            users=2, paths=2, fading=True, noise_enabled=True, seed=6)
-        out = decompose_correlator_output(frames, walsh, pn_list[0], cfg,
-                                          channel.taps(0)[0], symbol=2)
-        itot = out.interference_total
-        manual = sum(out.components[n] for n in SOURCE_NAMES if n != "desired")
-        assert itot == pytest.approx(manual)
+        noiseless = _linear_runtime(runtime.scenario.config, paths=2, fading=True)
+        z_total = harness._correlation_outputs(noiseless, channel, symbols, 6.0,
+                                               rng=None)[:, 0, 0] + sources["noise"]
+        assert tuple(sources) == SOURCE_NAMES
+        assert np.abs(sources["noise"]).min() > 0.0
+        total = sum(sources[name] for name in SOURCE_NAMES)
+        assert total.shape == z_total.shape == (8,)
+        assert np.all(np.abs(z_total - total) <= 1e-10 * np.maximum(np.abs(z_total), 1e-30))
 
     def test_multipath_and_mui_appear(self):
-        cfg, walsh, pn_list, channel, symbols, frames = _source_setup(
-            users=4, paths=3, fading=True, seed=7, n_symbols=6)
-        outs = decompose_correlator_output(frames, walsh, pn_list[0], cfg,
-                                           channel.taps(0)[0])
-        mp = max(abs(o.components["multipath"]) for o in outs)
-        mu = max(abs(o.components["multi_user"]) for o in outs)
-        assert mp > 0.0
-        assert mu > 0.0
+        *_, sources = _source_setup(users=4, paths=3, fading=True, seed=7, n_symbols=6)
+        assert np.abs(sources["multipath"]).max() > 0.0
+        assert np.abs(sources["multi_user"]).max() > 0.0
 
     def test_nonlinear_mode_rejected(self):
-        cfg, walsh, pn_list, channel, symbols, _ = _source_setup()
-        rng = np.random.default_rng(0)
+        cfg = LinkConfig(users=1, substreams=2, carriers=2, walsh_order=4, pn_length=15)
         with pytest.raises(ValueError, match="linear"):
-            synthesize_source_frames(symbols, walsh, pn_list, cfg, channel,
-                                     NoiseSpec(enabled=False), eb=2.0, rng=rng,
-                                     hpa_mode="saleh")
+            measure_variances(Scenario(name="tube", config=cfg, hpa_mode="saleh"))
 
 
 class TestVarianceEstimates:
     def test_single_user_clean_channel_zero(self):
         cfg = LinkConfig(users=1, substreams=2, carriers=2, walsh_order=4,
                          pn_length=15, oversampling=4)
-        walsh = generate_walsh(4)
-        pn_list = [generate_msequence(4).chips]
-        channel = ChannelRealization(per_user=((REF_TAP,),), n_paths=1)
         var = estimate_interference_variances(
-            cfg, walsh, pn_list, channel, NoiseSpec(enabled=False), eb=2.0,
-            rng=np.random.default_rng(0), n_symbols=200)
+            _linear_runtime(cfg), REF_CHANNEL, 0.0, rng=np.random.default_rng(0), n_symbols=200)
         assert var.desired_power == pytest.approx(2.0, rel=1e-10)
         for name in ("multipath", "inter_substream", "inter_carrier",
                      "multi_user", "noise"):
@@ -249,13 +229,11 @@ class TestVarianceEstimates:
         # complex correlator noise variance: N0/T per complex sample average
         cfg = LinkConfig(users=1, substreams=1, carriers=1, walsh_order=1,
                          pn_length=31, oversampling=4)
-        walsh = generate_walsh(1)
-        pn_list = [generate_msequence(5).chips]
-        channel = ChannelRealization(per_user=((REF_TAP,),), n_paths=1)
+        runtime = _linear_runtime(cfg, noise_enabled=True)
         eb, ebn0_db = 2.0, 5.0
+        assert runtime.eb == eb
         var = estimate_interference_variances(
-            cfg, walsh, pn_list, channel, NoiseSpec(ebn0_db=ebn0_db), eb=eb,
-            rng=np.random.default_rng(123), n_symbols=20_000)
+            runtime, REF_CHANNEL, ebn0_db, rng=np.random.default_rng(123), n_symbols=20_000)
         n0 = eb / 10 ** (ebn0_db / 10)
         expected = n0 / cfg.symbol_duration
         assert var.noise == pytest.approx(expected, rel=0.05)
@@ -264,33 +242,26 @@ class TestVarianceEstimates:
         def mui(users, seed):
             cfg = LinkConfig(users=users, substreams=2, carriers=2,
                              walsh_order=4, pn_length=63, oversampling=4)
-            walsh = generate_walsh(4)
-            base = generate_msequence(6)
-            stride = max(1, 63 // users)
-            pn_list = [np.roll(base.chips, k * stride) for k in range(users)]
             rng = np.random.default_rng(seed)
             channel = draw_channel(rng, users, 1, 0.0, True)
-            var = estimate_interference_variances(
-                cfg, walsh, pn_list, channel, NoiseSpec(enabled=False), eb=2.0,
-                rng=rng, n_symbols=400)
+            var = estimate_interference_variances(_linear_runtime(cfg), channel, 0.0,
+                                                  rng=rng, n_symbols=400)
             return var.multi_user
 
         wins = sum(mui(20, s) > mui(10, s) for s in range(10))
         assert wins >= 8
 
     def test_total_is_sum(self):
-        cfg, walsh, pn_list, channel, symbols, frames = _source_setup(
-            users=2, paths=2, fading=True, noise_enabled=True, seed=9)
-        var = estimate_interference_variances(
-            cfg, walsh, pn_list, channel, NoiseSpec(ebn0_db=6.0), eb=2.0,
-            rng=np.random.default_rng(2), n_symbols=300)
+        runtime, channel, *_ = _source_setup(users=2, paths=2, fading=True,
+                                             noise_enabled=True, seed=9)
+        var = estimate_interference_variances(runtime, channel, 6.0,
+                                              rng=np.random.default_rng(2), n_symbols=300)
         parts = (var.multipath + var.inter_substream + var.inter_carrier
                  + var.multi_user + var.noise)
         assert var.total == pytest.approx(parts, rel=1e-12)
 
     def test_too_few_symbols_rejected(self):
-        cfg, walsh, pn_list, channel, *_ = _source_setup()
+        runtime, channel, *_ = _source_setup()
         with pytest.raises(ValueError):
-            estimate_interference_variances(
-                cfg, walsh, pn_list, channel, NoiseSpec(), eb=2.0,
-                rng=np.random.default_rng(0), n_symbols=1)
+            estimate_interference_variances(runtime, channel, 6.0,
+                                            rng=np.random.default_rng(0), n_symbols=1)
