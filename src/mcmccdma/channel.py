@@ -139,7 +139,9 @@ def add_awgn(frame: BasebandFrame, noise: NoiseSpec, eb_measured: float,
         return frame
     sigma = np.sqrt(0.5 * _noise_density(noise, eb_measured) * frame.sample_rate)
     w = rng.standard_normal((frame.samples.size, 2))
-    return BasebandFrame(frame.samples + sigma * (w[:, 0] + 1j * w[:, 1]),
+    w *= sigma
+    # Each row of w is one sample's (real, imaginary) pair.
+    return BasebandFrame(frame.samples + w.view(np.complex128)[:, 0],
                          frame.sample_rate, frame.t0)
 
 

@@ -20,10 +20,15 @@ channel and symbol draws, the decisions and the error count are common.
   there.  The interference decomposition (measure_variances) reads the
   same tables: each source is a subset of the terms of that sum, and its
   noise is drawn per correlator output too.
-- The amplifier modes ("saleh", "saleh_pd") build the sampled waveform:
-  every user is modulated and amplified, the paths are summed, white noise
-  is added per sample, and the frame is correlated, because the tube acts on
-  each user's summed waveform.
+- The amplifier modes ("saleh", "saleh_pd") build the sampled waveform,
+  because the tube acts on each user's summed waveform: every user is
+  modulated and amplified, the paths are summed, white noise is added per
+  sample, and the frame is correlated.  The waveform is built in tiles of
+  every user's symbol rows over a slab of sample positions, so no
+  user-length array is ever formed.  "saleh" runs the tube
+  (hpa.amplify_samples) on each tile; "saleh_pd" runs the predistorted tube
+  in its closed form, the envelope limiter hpa.limit_envelope, which
+  matches apply_predistorter followed by apply_hpa to round-off.
 
 Noiseless, the two agree to round-off on the linear chain; the tests hold
 the correlation-domain outputs to the sample chain there.
@@ -46,13 +51,13 @@ from multiprocessing import get_context
 import numpy as np
 
 from .analysis import BerRecord, binomial_ci95
-from .channel import NoiseSpec, add_awgn, correlator_noise, draw_channel, propagate_samples
+from .channel import NoiseSpec, add_awgn, correlator_noise, draw_channel
 from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
-from .hpa import (OperatingPoint, SalehParams, apply_hpa, apply_predistorter,
+from .hpa import (OperatingPoint, SalehParams, amplify_samples, limit_envelope,
                   operating_point_for_power)
 from .receiver import (SOURCE_NAMES, InterferenceVariances, correlate_slots, correlate_tables,
                        decide_slots, partial_correlation_tables)
-from .txchain import (BasebandFrame, LinkConfig, check_field_types, declared_type, modulate_user,
+from .txchain import (BasebandFrame, LinkConfig, check_field_types, declared_type,
                       modulation_table, slot_signatures)
 
 HPA_MODES = ("bypass", "saleh", "saleh_pd")
@@ -60,6 +65,12 @@ HPA_MODES = ("bypass", "saleh", "saleh_pd")
 CSV_HEADER = "scenario,ebn0_db,k,r,m,hpa_mode,ibo_db,bits,errors,ber,ci95,source,seed"
 
 _CALIBRATION_SYMBOLS = 256
+
+# Samples per symbol row in one tile of the amplifier chain.  A tile holds
+# every user's symbols of a block over this many samples, so it stays
+# cache-sized (about 2.6 MB for 20 users x 32 symbols); the per-tile
+# overhead is a few small calls.
+_SLAB_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -159,8 +170,8 @@ class _Runtime:
     correlation: np.ndarray | None = None
     noise_factor: np.ndarray | None = None
     table: np.ndarray | None = None   # txchain.modulation_table, shared by every user
+    pn_samples: np.ndarray | None = None   # pn_chips oversampled, (users, samples_per_symbol)
     signatures_user1: np.ndarray | None = None
-    pad_samples: int = 0
     op: OperatingPoint | None = None
     pd_scale: float | None = None
     phase_offset: float = 0.0
@@ -193,8 +204,8 @@ def _prepare(scenario: Scenario) -> _Runtime:
         return runtime
 
     runtime.table = modulation_table(walsh, cfg)
+    runtime.pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
     runtime.signatures_user1 = slot_signatures(walsh, pn_chips[0], cfg)
-    runtime.pad_samples = (scenario.paths - 1) * cfg.oversampling
     mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
     if scenario.hpa_mode == "saleh":
         runtime.op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
@@ -203,17 +214,39 @@ def _prepare(scenario: Scenario) -> _Runtime:
         # moduli, so the back-off is set against the saturated output power.
         runtime.pd_scale = float(np.sqrt(scenario.saleh.saturation_output_power
                                          / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
-    runtime.eb, runtime.phase_offset = _calibrate(runtime)
+    # The calibration's tile products are small too.
+    with _single_threaded_blas():
+        runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
 
 
-def _amplify(runtime: _Runtime, samples: np.ndarray) -> np.ndarray:
+def _amplified_tiles(runtime: _Runtime, symbols: np.ndarray):
+    """The amplifier chain one column slab at a time.
+
+    symbols holds rows of (substreams, carriers) symbols, shape
+    (..., substreams, carriers).  For each slab of _SLAB_SAMPLES sample
+    positions within the symbol this yields (first position, linear tile,
+    amplified tile): the tiles are complex, (rows, slab), the linear one
+    sqrt(2 power) times one real GEMM of the rows against the slab of the
+    shared modulation table.  Both are PN-free.  The tube and the
+    predistorter act on |x|^2 alone, so for +-1 chips
+    A(pn x) = pn A(x) holds bit for bit and the caller applies each user's
+    chips after the amplifier.
+    """
     scenario = runtime.scenario
-    rate = scenario.config.sample_rate
-    if scenario.hpa_mode == "saleh":
-        return apply_hpa(BasebandFrame(samples, rate), scenario.saleh, runtime.op).samples
-    scaled = BasebandFrame(runtime.pd_scale * samples, rate)
-    return apply_hpa(apply_predistorter(scaled, scenario.saleh), scenario.saleh).samples
+    cfg = scenario.config
+    rows = symbols.reshape(-1, cfg.bits_per_symbol).astype(np.float64)
+    amplitude = np.sqrt(2.0 * cfg.power)
+    for start in range(0, cfg.samples_per_symbol, _SLAB_SAMPLES):
+        stop = min(start + _SLAB_SAMPLES, cfg.samples_per_symbol)
+        linear = rows @ runtime.table[:, 2 * start:2 * stop]
+        linear *= amplitude
+        linear = linear.view(np.complex128)
+        if scenario.hpa_mode == "saleh":
+            tx = amplify_samples(linear, scenario.saleh, runtime.op)
+        else:
+            tx = limit_envelope(runtime.pd_scale * linear, scenario.saleh)
+        yield start, linear, tx
 
 
 def _calibrate(runtime: _Runtime) -> tuple:
@@ -223,17 +256,19 @@ def _calibrate(runtime: _Runtime) -> tuple:
     constellation by the mean shift at the operating drive level, and a
     coherent receiver tracks that rotation as part of its carrier reference,
     so it is folded into the reference path phase rather than left as a
-    pointing error."""
+    pointing error.  The frame is user 1's, whose chips change neither
+    measure, so it is taken PN-free."""
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
     symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)) - 1
-    linear = modulate_user(symbols, runtime.walsh, runtime.pn_chips[0], cfg,
-                           table=runtime.table).samples
-    tx = _amplify(runtime, linear)
-    mean_power = float(np.mean(np.abs(tx) ** 2))
-    static_gain = np.vdot(linear, tx) / np.vdot(linear, linear)
-    return mean_power * cfg.symbol_duration / cfg.bits_per_symbol, float(np.angle(static_gain))
+    energy = 0.0
+    cross = 0.0
+    for _, linear, tx in _amplified_tiles(runtime, symbols):
+        energy += np.vdot(tx, tx).real
+        cross += np.vdot(linear, tx)
+    mean_power = energy / (_CALIBRATION_SYMBOLS * cfg.samples_per_symbol)
+    return mean_power * cfg.symbol_duration / cfg.bits_per_symbol, float(np.angle(cross))
 
 
 def _linear_eb(cfg: LinkConfig) -> float:
@@ -271,22 +306,35 @@ def _sample_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     paths summed, white noise added per sample, then correlated.  The
     amplifier modes need this chain, since the tube acts on each user's
     summed waveform."""
-    scenario = runtime.scenario
-    cfg = scenario.config
-    out_len = symbols.shape[1] * cfg.samples_per_symbol + runtime.pad_samples
-    received = np.zeros(out_len, dtype=np.complex128)
-    for k in range(cfg.users):
-        tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg, table=runtime.table)
-        tx = _amplify(runtime, tx.samples)
-        propagate_samples(tx, channel.taps(k), cfg.oversampling, out=received)
-
-    frame = BasebandFrame(received, cfg.sample_rate)
-    if scenario.noise_enabled:
+    cfg = runtime.scenario.config
+    frame = BasebandFrame(_received_samples(runtime, channel, symbols), cfg.sample_rate)
+    if runtime.scenario.noise_enabled:
         frame = add_awgn(frame, NoiseSpec(ebn0_db=ebn0_db, enabled=True), runtime.eb, rng)
-    ref = channel.taps(0)[0]
     return correlate_slots(frame, runtime.signatures_user1, cfg,
-                           reference_phase=ref.phase + runtime.phase_offset,
-                           start_sample=ref.delay_chips * cfg.oversampling)
+                           reference_phase=channel.phases[0, 0] + runtime.phase_offset)
+
+
+def _received_samples(runtime: _Runtime, channel, symbols: np.ndarray) -> np.ndarray:
+    """The noiseless received frame: every user's amplified waveform, built
+    tile by tile over all users' symbols at once (_amplified_tiles), times
+    its chips and each path's gain, added into (symbols, samples) views of
+    the frame shifted by the path delays.  Users are added in ascending
+    order, as a user-by-user chain adds them, so a one-path frame has the
+    same bits as that chain's."""
+    cfg = runtime.scenario.config
+    users, n_total = symbols.shape[:2]
+    length = n_total * cfg.samples_per_symbol
+    shifts = [l * cfg.oversampling for l in range(runtime.scenario.paths)]
+    received = np.zeros(length + shifts[-1], dtype=np.complex128)
+    delayed = [received[shift:shift + length].reshape(n_total, -1) for shift in shifts]
+    gains = _path_gains(channel)
+    for start, _, tx in _amplified_tiles(runtime, symbols):
+        stop = start + tx.shape[1]
+        tx = tx.reshape(users, n_total, stop - start)
+        for k in range(users):
+            for frame, gain in zip(delayed, gains[k]):
+                frame[:, start:stop] += tx[k] * (runtime.pn_samples[k, start:stop] * gain)
+    return received
 
 
 def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,

@@ -5,6 +5,16 @@ The amplitude transfer is amam(u) = a1*u/(1 + b1*u^2) and the phase shift is
 ampm(u) = a2*u/(1 + b2*u^2) radians; the classical quadratic-numerator phase
 variant a2*u^2/(1 + b2*u^2) is available behind the ampm_quadratic switch.
 Saturation is the amam peak: input modulus 1/sqrt(b1), output a1/(2*sqrt(b1)).
+
+The predistorter inverts amam up to the peak and cancels ampm, so the
+predistorted tube, apply_hpa(apply_predistorter(x)), is in exact arithmetic
+the ideal envelope limiter x * min(1, A_sat/|x|) with A_sat the peak output:
+it passes every modulus below A_sat and every phase unchanged.  That limiter
+is also the p -> infinity limit of Rapp's solid-state amplifier model.  The
+frame functions (apply_hpa, apply_predistorter) are the reference that
+characterize-hpa and the tests use; the Monte Carlo engine runs the array
+kernels on its tiles: amplify_samples (the arithmetic of apply_hpa) in
+"saleh" mode and the closed-form limit_envelope in "saleh_pd" mode.
 """
 
 from __future__ import annotations
@@ -135,15 +145,35 @@ def _rotate(x: np.ndarray, gain: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return rotation
 
 
-def apply_hpa(frame: BasebandFrame, params: SalehParams, op: OperatingPoint | None = None) -> BasebandFrame:
-    """Per-sample nonlinearity: scale by the operating point, then map the
-    modulus through amam and advance the phase by ampm."""
-    x = frame.samples if op is None else op.input_scale * frame.samples
+def amplify_samples(samples: np.ndarray, params: SalehParams,
+                    op: OperatingPoint | None = None) -> np.ndarray:
+    """The tube on a bare complex sample array of any shape: scale by the
+    operating point, then map the modulus through amam and advance the phase
+    by ampm."""
+    x = samples if op is None else op.input_scale * samples
     p = _modulus_squared(x)
     # amam(u) e^{j arg x} = x * amam(u)/u; the modulus factors out so the
     # zero-input sample needs no special case.
     gain = params.alpha_am / (1.0 + params.beta_am * p)
-    return BasebandFrame(_rotate(x, gain, _ampm_of_power(p, params)), frame.sample_rate, frame.t0)
+    return _rotate(x, gain, _ampm_of_power(p, params))
+
+
+def apply_hpa(frame: BasebandFrame, params: SalehParams, op: OperatingPoint | None = None) -> BasebandFrame:
+    """Per-sample nonlinearity on a frame (amplify_samples)."""
+    return BasebandFrame(amplify_samples(frame.samples, params, op), frame.sample_rate, frame.t0)
+
+
+def limit_envelope(samples: np.ndarray, params: SalehParams) -> np.ndarray:
+    """The predistorted tube in closed form (see the module docstring):
+    x * min(1, A_sat/|x|) per sample of a complex array of any shape, with
+    A_sat the tube's peak output.  It agrees with
+    apply_hpa(apply_predistorter(x)) to a few 1e-16 relative."""
+    sat2 = params.saturation_output_power
+    gain = _modulus_squared(samples)
+    np.maximum(gain, sat2, out=gain)
+    np.divide(sat2, gain, out=gain)
+    np.sqrt(gain, out=gain)
+    return samples * gain
 
 
 def compute_obo(frame_out: BasebandFrame, params: SalehParams) -> float:

@@ -1,6 +1,7 @@
 """Monte Carlo harness, CSV emission, presets, config files, CLI."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mcmccdma.harness import (
     run_scenario,
     scenario_echo,
 )
-from mcmccdma.hpa import SalehParams
+from mcmccdma.hpa import SalehParams, apply_hpa, apply_predistorter
 from mcmccdma.receiver import correlate_slots
 from mcmccdma.txchain import BasebandFrame, LinkConfig, modulate_user, slot_signatures
 
@@ -160,27 +161,30 @@ _TINY_UNALIGNED = dataclasses.replace(
                       pn_length=7, oversampling=3))
 
 
-def _sample_chain(runtime, symbols, taps, reference_phase):
+def _sample_chain(runtime, symbols, taps, reference_phase, amplify=None):
     """User 1's correlator outputs from the sampled waveform: every user's
-    symbols modulated, sent through its taps (taps[k], possibly none),
-    summed and correlated against user 1's signatures, noise off."""
+    symbols modulated, amplified when amplify is given, sent through its
+    taps (taps[k], possibly none), summed and correlated against user 1's
+    signatures, noise off."""
     cfg = runtime.scenario.config
     received = np.zeros(symbols.shape[1] * cfg.samples_per_symbol
                         + (runtime.scenario.paths - 1) * cfg.oversampling, dtype=np.complex128)
     for k in range(cfg.users):
-        tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg)
-        propagate_samples(tx.samples, taps[k], cfg.oversampling, out=received)
+        tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg).samples
+        propagate_samples(tx if amplify is None else amplify(tx), taps[k], cfg.oversampling,
+                          out=received)
     own = slot_signatures(runtime.walsh, runtime.pn_chips[0], cfg)
     return correlate_slots(BasebandFrame(received, cfg.sample_rate), own, cfg,
                            reference_phase=reference_phase)
 
 
-def _recorded_block(scenario, monkeypatch):
-    """The runtime, channel, symbols and correlation-domain outputs of one
-    noiseless block of a linear scenario."""
+def _recorded_block(scenario, monkeypatch, producer="_correlation_outputs"):
+    """The runtime, channel, symbols and correlator outputs of one noiseless
+    block, from the linear chain's engine or, with producer
+    "_sample_outputs", the amplifier chain's."""
     scenario = dataclasses.replace(scenario, noise_enabled=False)
     runtime = harness._prepare(scenario)
-    produce = harness._correlation_outputs
+    produce = getattr(harness, producer)
     seen = {}
 
     def recorded(runtime, channel, symbols, ebn0_db, rng):
@@ -188,7 +192,7 @@ def _recorded_block(scenario, monkeypatch):
         seen["z"] = produce(runtime, channel, symbols, ebn0_db, rng)
         return seen["z"]
 
-    monkeypatch.setattr(harness, "_correlation_outputs", recorded)
+    monkeypatch.setattr(harness, producer, recorded)
     harness._simulate_block(runtime, 0, 3, 8.0)
     return runtime, seen["channel"], seen["symbols"], seen["z"]
 
@@ -259,6 +263,84 @@ class TestCorrelationEngine:
     def test_amplifier_modes_keep_the_sample_chain(self):
         runtime = harness._prepare(dataclasses.replace(TINY, hpa_mode="saleh"))
         assert runtime.correlation is None and runtime.signatures_user1 is not None
+
+
+def _reference_amplifier(runtime):
+    """The amplifier of a runtime's scenario as the frame kernels apply it:
+    the tube at the operating point, or the predistorter then the tube."""
+    scenario = runtime.scenario
+
+    def amplify(samples):
+        if scenario.hpa_mode == "saleh":
+            return apply_hpa(BasebandFrame(samples, 1.0), scenario.saleh, runtime.op).samples
+        frame = BasebandFrame(runtime.pd_scale * samples, 1.0)
+        return apply_hpa(apply_predistorter(frame, scenario.saleh), scenario.saleh).samples
+
+    return amplify
+
+
+def _reference_calibration(runtime):
+    """(Eb, phase offset) from user 1's whole calibration frame through the
+    reference amplifier."""
+    scenario = runtime.scenario
+    cfg = scenario.config
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
+    symbols = 2 * rng.integers(0, 2, size=(harness._CALIBRATION_SYMBOLS, cfg.substreams,
+                                           cfg.carriers)) - 1
+    linear = modulate_user(symbols, runtime.walsh, runtime.pn_chips[0], cfg).samples
+    tx = _reference_amplifier(runtime)(linear)
+    eb = np.mean(np.abs(tx) ** 2) * cfg.symbol_duration / cfg.bits_per_symbol
+    return eb, np.angle(np.vdot(linear, tx) / np.vdot(linear, linear))
+
+
+# 508 samples per symbol: one full 256-sample tile and one short one.
+_AMPLIFIER_BASE = dataclasses.replace(
+    TINY, config=LinkConfig(users=3, substreams=2, carriers=2, walsh_order=4, pn_length=127))
+
+
+class TestAmplifierEngine:
+    @pytest.mark.parametrize("scenario, slab", [
+        (dataclasses.replace(_AMPLIFIER_BASE, name="ibo-7db", hpa_mode="saleh", ibo_db=7.0), 256),
+        (dataclasses.replace(_AMPLIFIER_BASE, name="ibo-9db", hpa_mode="saleh", ibo_db=9.0), 256),
+        (dataclasses.replace(_AMPLIFIER_BASE, name="linearized", hpa_mode="saleh_pd"), 256),
+        # two paths (a warmup symbol and a padded frame) on a non-aligned
+        # grid, in 8-sample tiles that do not divide the 21-sample symbol
+        (dataclasses.replace(_TINY_UNALIGNED, name="unaligned-saleh", hpa_mode="saleh",
+                             ibo_db=3.0), 8),
+        (dataclasses.replace(_TINY_UNALIGNED, name="unaligned-linearized",
+                             hpa_mode="saleh_pd", ibo_db=1.0), 8),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_noiseless_outputs_match_per_user_chain(self, scenario, slab, monkeypatch):
+        monkeypatch.setattr(harness, "_SLAB_SAMPLES", slab)
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch, "_sample_outputs")
+        eb, phase_offset = _reference_calibration(runtime)
+        assert abs(runtime.eb - eb) <= 1e-12 * eb
+        assert abs(runtime.phase_offset - phase_offset) <= 1e-12
+        taps = [channel.taps(k) for k in range(scenario.config.users)]
+        reference = _sample_chain(runtime, symbols, taps, channel.phases[0, 0] + phase_offset,
+                                  amplify=_reference_amplifier(runtime))
+        assert z.shape == reference.shape
+        assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("hpa_mode", ["saleh", "saleh_pd"])
+    def test_block_allocates_tiles_not_user_waveforms(self, hpa_mode):
+        """Peak traced allocation of one amplifier block against the bytes of
+        its received frame.  Here a tile is a quarter of the frame, and the
+        block peaks at three frames, in the noise; amplifying one user's
+        whole waveform at a time took six to seven."""
+        scenario = dataclasses.replace(
+            TINY, name="guard", hpa_mode=hpa_mode, symbols_per_block=8,
+            config=LinkConfig(users=4, substreams=2, carriers=2, walsh_order=2, pn_length=1023))
+        runtime = harness._prepare(scenario)
+        frame_bytes = scenario.symbols_per_block * scenario.config.samples_per_symbol * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            harness._simulate_block(runtime, 0, 0, 8.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * frame_bytes
 
 
 def _csv_bytes(scenario, workers, path):

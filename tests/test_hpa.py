@@ -13,6 +13,7 @@ from mcmccdma.hpa import (
     apply_hpa,
     apply_predistorter,
     compute_obo,
+    limit_envelope,
     operating_point_for_power,
     pd_amplitude,
     set_operating_point,
@@ -244,9 +245,28 @@ def test_apply_predistorter_matches_curve_formulas(quadratic):
     assert _close(apply_predistorter(BasebandFrame(x.copy(), 1.0), params).samples, expected)
 
 
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_limiter_is_the_predistorted_tube(quadratic):
+    params = SalehParams(ampm_quadratic=quadratic)
+    sat = params.saturation_output
+    # moduli at 0, below, exactly at and above the peak output, each at
+    # scattered phases
+    modulus = np.concatenate([[0.0, sat, sat], np.linspace(0.0, 0.999 * sat, 497),
+                              np.linspace(1.001 * sat, 4.0 * sat, 500)])
+    rng = np.random.default_rng(5)
+    x = modulus * np.exp(1j * rng.uniform(-np.pi, np.pi, modulus.size))
+    reference = apply_hpa(apply_predistorter(BasebandFrame(x.copy(), 1.0), params), params).samples
+    got = limit_envelope(x, params)
+    assert got[0] == 0.0
+    assert np.all(np.abs(got - reference) <= 1e-12 * np.abs(reference))
+    assert np.abs(got).max() <= sat * (1.0 + 1e-15)
+    # a tile keeps its shape
+    assert np.array_equal(limit_envelope(x.reshape(20, -1), params), got.reshape(20, -1))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
                                  complex(np.nan, 0.0)])
-@pytest.mark.parametrize("stage", ["hpa", "predistorter"])
+@pytest.mark.parametrize("stage", ["hpa", "predistorter", "limiter"])
 def test_frame_kernels_reject_nonfinite_samples(bad, stage):
     x = np.full(16, 0.3 + 0.1j)
     x[7] = bad
@@ -254,5 +274,7 @@ def test_frame_kernels_reject_nonfinite_samples(bad, stage):
     with pytest.raises(ValueError, match="finite"):
         if stage == "hpa":
             apply_hpa(frame, P)
-        else:
+        elif stage == "predistorter":
             apply_predistorter(frame, P)
+        else:
+            limit_envelope(x.reshape(4, 4), P)
