@@ -7,31 +7,39 @@ waves.  Error and bit counts are integer sums over a wave, so the emitted
 records (and CSV bytes) are identical for any worker count and any
 execution order.
 
-Two producers of user 1's correlator outputs share the block loop; the
-channel and symbol draws, the decisions and the error count are common.
+Three producers of user 1's correlator outputs share the block loop, one
+per hpa_mode; the channel and symbol draws, the decisions and the error
+count are common.
 
-- The linear chain (hpa_mode "bypass") computes the outputs straight from
-  the symbols.  The correlator is linear in every user's symbols, so per
-  scenario it tabulates the partial cross-correlations between each user's
-  delayed slot signatures and user 1's
+- The linear chain ("bypass", _correlation_outputs) computes the outputs
+  straight from the symbols.  The correlator is linear in every user's
+  symbols, so per scenario it tabulates the partial cross-correlations
+  between each user's delayed slot signatures and user 1's
   (receiver.partial_correlation_tables), and each block is one small
   product per user (receiver.correlate_tables).  The noise is drawn per
   correlator output, with the covariance white sample noise would leave
   there.  The interference decomposition (measure_variances) reads the
   same tables: each source is a subset of the terms of that sum, and its
   noise is drawn per correlator output too.
-- The amplifier modes ("saleh", "saleh_pd") build the sampled waveform,
-  because the tube acts on each user's summed waveform: every user is
-  modulated and amplified, the paths are summed, white noise is added per
-  sample, and the frame is correlated.  The waveform is built in tiles of
-  every user's symbol rows over a slab of sample positions, so no
-  user-length array is ever formed.  "saleh" runs the tube
-  (hpa.amplify_samples) on each tile; "saleh_pd" runs the predistorted tube
-  in its closed form, the envelope limiter hpa.limit_envelope, which
-  matches apply_predistorter followed by apply_hpa to round-off.
+- The tube ("saleh", _sample_outputs) builds the sampled waveform, because
+  the tube acts on each user's summed waveform: every user is modulated
+  and amplified (hpa.amplify_samples), the paths are summed, white noise
+  is added per sample, and the frame is correlated.  The waveform is built
+  in tiles of every user's symbol rows over a slab of sample positions
+  (_linear_tiles), so no user-length array is ever formed.
+- The predistorted tube ("saleh_pd", _limiter_outputs) is in exact
+  arithmetic the envelope limiter x min(1, A_sat/|x|) (see hpa), which is
+  the identity up to A_sat.  So its outputs are the linear chain's, from
+  the same tables, times the predistorter's input scale, plus a correction
+  from the samples above A_sat alone, which are under 1% at working
+  back-offs: one modulus pass over the same tiles finds them, and what the
+  limiter takes off them (hpa.envelope_excess) is correlated against user
+  1's signatures.  No received frame is built, and the noise is drawn per
+  correlator output as on the linear chain.
 
-Noiseless, the two agree to round-off on the linear chain; the tests hold
-the correlation-domain outputs to the sample chain there.
+Noiseless, every producer agrees with the sample-level reference chain
+(modulate_user, the frame amplifier kernels, propagate_samples,
+correlate_slots) to round-off, which the tests hold to 1e-12.
 
 Noise calibration: the energy per information bit is taken from the actual
 transmitted (post-amplifier) waveform, once per scenario, so that back-off
@@ -53,12 +61,12 @@ import numpy as np
 from .analysis import BerRecord, binomial_ci95
 from .channel import NoiseSpec, add_awgn, correlator_noise, draw_channel
 from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
-from .hpa import (OperatingPoint, SalehParams, amplify_samples, limit_envelope,
+from .hpa import (OperatingPoint, SalehParams, amplify_samples, envelope_excess,
                   operating_point_for_power)
-from .receiver import (SOURCE_NAMES, InterferenceVariances, correlate_slots, correlate_tables,
+from .receiver import (SOURCE_NAMES, InterferenceVariances, correlate_tables, correlate_windows,
                        decide_slots, partial_correlation_tables)
 from .txchain import (BasebandFrame, LinkConfig, check_field_types, declared_type,
-                      modulation_table, slot_signatures)
+                      subcarrier_exponentials, walsh_chip_indices)
 
 HPA_MODES = ("bypass", "saleh", "saleh_pd")
 
@@ -157,8 +165,11 @@ class RunReport:
 class _Runtime:
     """Precomputed per-scenario tables shared by every block.
 
-    The linear chain fills correlation and noise_factor; the amplifier modes
-    fill the sample-chain fields below them."""
+    The modes whose outputs come from the tables ("bypass" and "saleh_pd")
+    fill correlation and noise_factor; the amplifier modes ("saleh" and
+    "saleh_pd") fill the waveform fields below them, from which
+    _linear_tiles forms every user's PN-free waveform and against which
+    sampled frames are correlated."""
 
     scenario: Scenario
     walsh: WalshMatrix
@@ -169,8 +180,11 @@ class _Runtime:
     # noise covariance: F F^H = Gram matrix of user 1's slot signatures.
     correlation: np.ndarray | None = None
     noise_factor: np.ndarray | None = None
-    table: np.ndarray | None = None   # txchain.modulation_table, shared by every user
-    pn_samples: np.ndarray | None = None   # pn_chips oversampled, (users, samples_per_symbol)
+    carriers: np.ndarray | None = None      # txchain.subcarrier_exponentials, (carriers, samples)
+    walsh_chips: np.ndarray | None = None   # txchain.walsh_chip_indices, (samples,)
+    pn_samples: np.ndarray | None = None    # pn_chips oversampled, (users, samples_per_symbol)
+    # User 1's correlator matrix: its conjugated slot signatures as
+    # C-contiguous columns, shape (samples_per_symbol, substreams * carriers).
     signatures_user1: np.ndarray | None = None
     op: OperatingPoint | None = None
     pd_scale: float | None = None
@@ -191,62 +205,94 @@ def _prepare(scenario: Scenario) -> _Runtime:
     walsh, pn_chips = _user_codes(cfg)
     runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
                        warmup=1 if scenario.paths > 1 else 0)
-    if scenario.hpa_mode == "bypass":
-        # Small products, for which OpenBLAS threads cost far more than they
-        # save: on a 2-core VM a 64x64 Cholesky took 60 ms threaded and
-        # 0.2 ms on one thread.
-        with _single_threaded_blas():
+    # Small products, for which OpenBLAS threads cost far more than they
+    # save: on a 2-core VM a 64x64 Cholesky took 60 ms threaded and 0.2 ms
+    # on one thread.  The calibration's tile products are small too.
+    with _single_threaded_blas():
+        if scenario.hpa_mode != "saleh":
             runtime.correlation = partial_correlation_tables(pn_chips, walsh, cfg, scenario.paths)
             # User 1's current-window table at zero delay is its Gram matrix
             # transposed: G[s, t] = (1/N) sum_i sig_1[s, i] conj(sig_1[t, i]).
             runtime.noise_factor = np.linalg.cholesky(runtime.correlation[0, 0, :, 0].T)
-        runtime.eb = _linear_eb(cfg)
-        return runtime
+        if scenario.hpa_mode == "bypass":
+            runtime.eb = _linear_eb(cfg)
+            return runtime
 
-    runtime.table = modulation_table(walsh, cfg)
-    runtime.pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
-    runtime.signatures_user1 = slot_signatures(walsh, pn_chips[0], cfg)
-    mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
-    if scenario.hpa_mode == "saleh":
-        runtime.op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
-    else:
-        # Output-referred back-off: the predistorter expects desired output
-        # moduli, so the back-off is set against the saturated output power.
-        runtime.pd_scale = float(np.sqrt(scenario.saleh.saturation_output_power
-                                         / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
-    # The calibration's tile products are small too.
-    with _single_threaded_blas():
+        runtime.carriers = subcarrier_exponentials(cfg)
+        runtime.walsh_chips = walsh_chip_indices(cfg)
+        runtime.pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
+        # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
+        spread = walsh.rows[:cfg.substreams, runtime.walsh_chips].T * runtime.pn_samples[0, :, None]
+        runtime.signatures_user1 = (spread[:, :, None] * runtime.carriers.conj().T[:, None, :]
+                                    ).reshape(cfg.samples_per_symbol, -1)
+        mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
+        if scenario.hpa_mode == "saleh":
+            runtime.op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
+        else:
+            # Output-referred back-off: the predistorter expects desired
+            # output moduli, so the back-off is set against the saturated
+            # output power.
+            runtime.pd_scale = float(np.sqrt(scenario.saleh.saturation_output_power
+                                             / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
         runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
 
 
-def _amplified_tiles(runtime: _Runtime, symbols: np.ndarray):
-    """The amplifier chain one column slab at a time.
+def _linear_tiles(runtime: _Runtime, symbols: np.ndarray):
+    """Every symbol row's PN-free linear waveform, one slab of sample
+    positions at a time.
 
     symbols holds rows of (substreams, carriers) symbols, shape
-    (..., substreams, carriers).  For each slab of _SLAB_SAMPLES sample
-    positions within the symbol this yields (first position, linear tile,
-    amplified tile): the tiles are complex, (rows, slab), the linear one
-    sqrt(2 power) times one real GEMM of the rows against the slab of the
-    shared modulation table.  Both are PN-free.  The tube and the
-    predistorter act on |x|^2 alone, so for +-1 chips
+    (..., substreams, carriers).  For each slab of _SLAB_SAMPLES positions
+    within the symbol this yields (first position, tile), the tile complex,
+    (rows, slab): row n is sqrt(2 power) sum_(r, m) d[n, r, m] w_r(chip i)
+    E_m(i), the shared modulation table (txchain.modulation_table) applied
+    to the row.  It is formed factored: during Walsh chip c the row is
+    sum_m b[c, n, m] E_m(i) with b = sqrt(2 power) d W over the Walsh rows,
+    taken once per call, so each Walsh-chip segment of a slab is one real
+    GEMM of b[c] (rows, carriers) against the carrier exponentials with
+    re/im interleaved.
+
+    The tube and the predistorter act on |x|^2 alone, so for +-1 chips
     A(pn x) = pn A(x) holds bit for bit and the caller applies each user's
     chips after the amplifier.
     """
-    scenario = runtime.scenario
-    cfg = scenario.config
-    rows = symbols.reshape(-1, cfg.bits_per_symbol).astype(np.float64)
-    amplitude = np.sqrt(2.0 * cfg.power)
-    for start in range(0, cfg.samples_per_symbol, _SLAB_SAMPLES):
-        stop = min(start + _SLAB_SAMPLES, cfg.samples_per_symbol)
-        linear = rows @ runtime.table[:, 2 * start:2 * stop]
-        linear *= amplitude
-        linear = linear.view(np.complex128)
-        if scenario.hpa_mode == "saleh":
-            tx = amplify_samples(linear, scenario.saleh, runtime.op)
-        else:
-            tx = limit_envelope(runtime.pd_scale * linear, scenario.saleh)
-        yield start, linear, tx
+    cfg = runtime.scenario.config
+    n_samp, n_sub, n_car = cfg.samples_per_symbol, cfg.substreams, cfg.carriers
+    # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
+    d = symbols.reshape(-1, n_sub, n_car).transpose(0, 2, 1).reshape(-1, n_sub)
+    b = d.astype(np.float64) @ runtime.walsh.rows[:n_sub].astype(np.float64)
+    b *= np.sqrt(2.0 * cfg.power)
+    b = np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
+    carriers = runtime.carriers.view(np.float64)
+    chips = runtime.walsh_chips
+    chip_stops = np.searchsorted(chips, np.arange(cfg.walsh_order), side="right")
+    for start in range(0, n_samp, _SLAB_SAMPLES):
+        stop = min(start + _SLAB_SAMPLES, n_samp)
+        tile = np.empty((b.shape[1], 2 * (stop - start)))
+        lo = start
+        while lo < stop:
+            chip = chips[lo]
+            hi = min(chip_stops[chip], stop)
+            np.matmul(b[chip], carriers[:, 2 * lo:2 * hi],
+                      out=tile[:, 2 * (lo - start):2 * (hi - start)])
+            lo = hi
+        yield start, tile.view(np.complex128)
+
+
+def _clipped(runtime: _Runtime, linear: np.ndarray) -> tuple:
+    """The samples of a linear tile (_linear_tiles) that the predistorted
+    tube clips, as (flat indices into the tile, the tube's output there
+    minus pd_scale times the sample, from hpa.envelope_excess).  The tube
+    clips where pd_scale^2 |x|^2 exceeds its peak output power."""
+    squares = np.square(linear.view(np.float64))
+    power = squares[:, 0::2] + squares[:, 1::2]
+    clip_power = runtime.scenario.saleh.saturation_output_power / runtime.pd_scale**2
+    # NaN compares false, so a NaN sample is taken as clipped and
+    # envelope_excess rejects it.
+    hits = np.flatnonzero(~(power <= clip_power))
+    return hits, envelope_excess(runtime.pd_scale * linear.reshape(-1)[hits],
+                                 runtime.scenario.saleh)
 
 
 def _calibrate(runtime: _Runtime) -> tuple:
@@ -264,7 +310,13 @@ def _calibrate(runtime: _Runtime) -> tuple:
     symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)) - 1
     energy = 0.0
     cross = 0.0
-    for _, linear, tx in _amplified_tiles(runtime, symbols):
+    for _, linear in _linear_tiles(runtime, symbols):
+        if scenario.hpa_mode == "saleh":
+            tx = amplify_samples(linear, scenario.saleh, runtime.op)
+        else:
+            tx = runtime.pd_scale * linear
+            hits, excess = _clipped(runtime, linear)
+            tx.reshape(-1)[hits] += excess
         energy += np.vdot(tx, tx).real
         cross += np.vdot(linear, tx)
     mean_power = energy / (_CALIBRATION_SYMBOLS * cfg.samples_per_symbol)
@@ -287,8 +339,12 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
     symbols = _draw_symbols(rng, cfg, scenario.symbols_per_block + runtime.warmup)
 
-    outputs = _sample_outputs if runtime.correlation is None else _correlation_outputs
-    z = outputs(runtime, channel, symbols, ebn0_db, rng)
+    if scenario.hpa_mode == "bypass":
+        z = _correlation_outputs(runtime, channel, symbols, ebn0_db, rng)
+    elif scenario.hpa_mode == "saleh":
+        z = _sample_outputs(runtime, channel, symbols, ebn0_db, rng)
+    else:
+        z = _limiter_outputs(runtime, channel, symbols, ebn0_db, rng)
     decisions = decide_slots(z[runtime.warmup:], reference=symbols[0, runtime.warmup:])
     return decisions.errors, decisions.bits
 
@@ -303,38 +359,99 @@ def _sample_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
                     rng: np.random.Generator) -> np.ndarray:
     """User 1's correlator outputs, shape (symbols, substreams, carriers),
     from the sampled waveform: every user modulated and amplified, the
-    paths summed, white noise added per sample, then correlated.  The
-    amplifier modes need this chain, since the tube acts on each user's
-    summed waveform."""
+    paths summed, white noise added per sample, then correlated.  The tube
+    ("saleh") needs this chain, since it acts on each user's summed
+    waveform."""
     cfg = runtime.scenario.config
+    n_total = symbols.shape[1]
     frame = BasebandFrame(_received_samples(runtime, channel, symbols), cfg.sample_rate)
     if runtime.scenario.noise_enabled:
         frame = add_awgn(frame, NoiseSpec(ebn0_db=ebn0_db, enabled=True), runtime.eb, rng)
-    return correlate_slots(frame, runtime.signatures_user1, cfg,
-                           reference_phase=channel.phases[0, 0] + runtime.phase_offset)
+    windows = frame.samples[:n_total * cfg.samples_per_symbol].reshape(n_total, -1)
+    z = correlate_windows(windows, runtime.signatures_user1,
+                          channel.phases[0, 0] + runtime.phase_offset)
+    return z.reshape(n_total, cfg.substreams, cfg.carriers)
 
 
 def _received_samples(runtime: _Runtime, channel, symbols: np.ndarray) -> np.ndarray:
-    """The noiseless received frame: every user's amplified waveform, built
-    tile by tile over all users' symbols at once (_amplified_tiles), times
-    its chips and each path's gain, added into (symbols, samples) views of
-    the frame shifted by the path delays.  Users are added in ascending
-    order, as a user-by-user chain adds them, so a one-path frame has the
-    same bits as that chain's."""
-    cfg = runtime.scenario.config
+    """The noiseless received frame through the tube: every user's
+    amplified waveform, built tile by tile over all users' symbols at once
+    (_linear_tiles), times its chips and each path's gain, added into
+    (symbols, samples) views of the frame shifted by the path delays.
+    Users are added in ascending order, as a user-by-user chain adds them."""
+    scenario = runtime.scenario
+    cfg = scenario.config
     users, n_total = symbols.shape[:2]
     length = n_total * cfg.samples_per_symbol
-    shifts = [l * cfg.oversampling for l in range(runtime.scenario.paths)]
+    shifts = [l * cfg.oversampling for l in range(scenario.paths)]
     received = np.zeros(length + shifts[-1], dtype=np.complex128)
     delayed = [received[shift:shift + length].reshape(n_total, -1) for shift in shifts]
     gains = _path_gains(channel)
-    for start, _, tx in _amplified_tiles(runtime, symbols):
+    for start, linear in _linear_tiles(runtime, symbols):
+        tx = amplify_samples(linear, scenario.saleh, runtime.op)
         stop = start + tx.shape[1]
         tx = tx.reshape(users, n_total, stop - start)
         for k in range(users):
             for frame, gain in zip(delayed, gains[k]):
                 frame[:, start:stop] += tx[k] * (runtime.pn_samples[k, start:stop] * gain)
     return received
+
+
+def _limiter_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """User 1's correlator outputs through the predistorted tube, the
+    envelope limiter, without building the received frame.
+
+    Up to A_sat the limiter passes its input unchanged, so a block's
+    outputs are the linear chain's (receiver.correlate_tables) times
+    pd_scale, plus the correlation of what the limiter takes off the
+    samples above A_sat, which are few at working back-offs (under 1% at
+    7 dB).  Those come from _excess_windows.  The noise is drawn per
+    correlator output, as on the linear chain.  Noiseless, the outputs are
+    the sample chain's up to round-off."""
+    cfg = runtime.scenario.config
+    n_total = symbols.shape[1]
+    gains = _path_gains(channel)
+    z = correlate_tables(runtime.correlation, symbols, gains)
+    z *= runtime.pd_scale * np.sqrt(2.0 * cfg.power)
+    excess = _excess_windows(runtime, symbols, gains)
+    if excess is not None:
+        z += correlate_windows(excess, runtime.signatures_user1)
+    z *= np.exp(-1j * (channel.phases[0, 0] + runtime.phase_offset))
+    if runtime.scenario.noise_enabled:
+        z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
+    return z.reshape(n_total, cfg.substreams, cfg.carriers)
+
+
+def _excess_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
+    """What the limiter takes off a block's waveform, as received, cut into
+    the (symbols, samples_per_symbol) correlator windows; None when no
+    sample clips.
+
+    One modulus pass over the PN-free tiles (_clipped) finds the clipped
+    samples; each one's excess, times its user's chip, is added on every
+    path l at l chips' delay with gain h_kl.  The part that falls past the
+    last window is dropped, as the correlator drops it."""
+    cfg = runtime.scenario.config
+    n_total = symbols.shape[1]
+    n_samp = cfg.samples_per_symbol
+    length = n_total * n_samp
+    delays = range(0, runtime.scenario.paths * cfg.oversampling, cfg.oversampling)
+    received = None
+    for start, linear in _linear_tiles(runtime, symbols):
+        hits, excess = _clipped(runtime, linear)
+        if hits.size == 0:
+            continue
+        if received is None:
+            received = np.zeros(length + delays[-1], dtype=np.complex128)
+        row, column = np.divmod(hits, linear.shape[1])
+        column += start
+        user = row // n_total
+        excess *= runtime.pn_samples[user, column]
+        position = (row % n_total) * n_samp + column
+        for delay, gain in zip(delays, gains[user].T):
+            np.add.at(received, position + delay, excess * gain)
+    return None if received is None else received[:length].reshape(n_total, n_samp)
 
 
 def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
@@ -517,9 +634,11 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
                         results = [_simulate_block(runtime, point_index, b, float(ebn0_db))
                                    for b in block_ids]
                     else:
+                        # One contiguous range of the wave per worker.
                         results = pool.map(
                             _worker_block,
-                            [(point_index, b, float(ebn0_db)) for b in block_ids])
+                            [(point_index, b, float(ebn0_db)) for b in block_ids],
+                            chunksize=math.ceil(scenario.blocks_per_wave / workers))
                     for block_errors, block_bits in results:
                         errors += block_errors
                         bits += block_bits

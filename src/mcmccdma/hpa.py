@@ -13,8 +13,11 @@ it passes every modulus below A_sat and every phase unchanged.  That limiter
 is also the p -> infinity limit of Rapp's solid-state amplifier model.  The
 frame functions (apply_hpa, apply_predistorter) are the reference that
 characterize-hpa and the tests use; the Monte Carlo engine runs the array
-kernels on its tiles: amplify_samples (the arithmetic of apply_hpa) in
-"saleh" mode and the closed-form limit_envelope in "saleh_pd" mode.
+kernels.  In "saleh" mode it runs amplify_samples (the arithmetic of
+apply_hpa) on its waveform tiles.  In "saleh_pd" mode the limiter is the
+identity up to A_sat, so the engine takes the linear chain's outputs and
+calls envelope_excess, limit_envelope(x) - x, on the samples above A_sat
+only.
 """
 
 from __future__ import annotations
@@ -163,16 +166,31 @@ def apply_hpa(frame: BasebandFrame, params: SalehParams, op: OperatingPoint | No
     return BasebandFrame(amplify_samples(frame.samples, params, op), frame.sample_rate, frame.t0)
 
 
-def limit_envelope(samples: np.ndarray, params: SalehParams) -> np.ndarray:
-    """The predistorted tube in closed form (see the module docstring):
-    x * min(1, A_sat/|x|) per sample of a complex array of any shape, with
-    A_sat the tube's peak output.  It agrees with
-    apply_hpa(apply_predistorter(x)) to a few 1e-16 relative."""
+def _limiter_gain(samples: np.ndarray, params: SalehParams) -> np.ndarray:
+    """min(1, A_sat/|x|) per sample, as sqrt(sat^2/max(|x|^2, sat^2))."""
     sat2 = params.saturation_output_power
     gain = _modulus_squared(samples)
     np.maximum(gain, sat2, out=gain)
     np.divide(sat2, gain, out=gain)
     np.sqrt(gain, out=gain)
+    return gain
+
+
+def limit_envelope(samples: np.ndarray, params: SalehParams) -> np.ndarray:
+    """The predistorted tube in closed form (see the module docstring):
+    x * min(1, A_sat/|x|) per sample of a complex array of any shape, with
+    A_sat the tube's peak output.  It agrees with
+    apply_hpa(apply_predistorter(x)) to a few 1e-16 relative."""
+    return samples * _limiter_gain(samples, params)
+
+
+def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
+    """What the limiter takes off each sample, limit_envelope(x) - x, as
+    x * (min(1, A_sat/|x|) - 1): zero at and below A_sat.  The engine calls
+    it on the few samples above A_sat only.  NaN and infinite samples raise
+    ValueError, as in every kernel here."""
+    gain = _limiter_gain(samples, params)
+    gain -= 1.0
     return samples * gain
 
 

@@ -78,11 +78,21 @@ def correlate_slots(frame: BasebandFrame, signatures: np.ndarray, config: LinkCo
     if n_sym == 0:
         raise ValueError("frame shorter than one symbol window")
     y = y[: n_sym * n_samp].reshape(n_sym, n_samp)
-    flat = signatures.reshape(-1, n_samp)
-    z = (y @ flat.conj().T) / n_samp
+    correlator = signatures.reshape(-1, n_samp).conj().T
+    return correlate_windows(y, correlator, reference_phase).reshape(
+        n_sym, config.substreams, config.carriers)
+
+
+def correlate_windows(windows: np.ndarray, correlator: np.ndarray,
+                      reference_phase: float = 0.0) -> np.ndarray:
+    """The arithmetic of correlate_slots on received samples already cut
+    into symbol windows, shape (n_symbols, samples_per_symbol), against a
+    correlator matrix of shape (samples_per_symbol, slots): the conjugated
+    slot signatures, one column per slot.  Returns (n_symbols, slots)."""
+    z = (windows @ correlator) / windows.shape[1]
     if reference_phase != 0.0:
         z = z * np.exp(-1j * reference_phase)
-    return z.reshape(n_sym, config.substreams, config.carriers)
+    return z
 
 
 def decide_slots(z: np.ndarray, user: int = 1,

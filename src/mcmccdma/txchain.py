@@ -220,19 +220,25 @@ def modulation_table(walsh: WalshMatrix, config: LinkConfig) -> np.ndarray:
     """
     if walsh.order != config.walsh_order:
         raise ValueError(f"Walsh order {walsh.order} does not match config walsh_order {config.walsh_order}")
-    n_samp = config.samples_per_symbol
     walsh_up = walsh.rows[: config.substreams, walsh_chip_indices(config)].astype(np.float64)
+    carriers = subcarrier_exponentials(config)
+    table = np.multiply(walsh_up[:, None, :], carriers[None, :, :], order="C")
+    return table.reshape(config.substreams * config.carriers, -1).view(np.float64)
+
+
+def subcarrier_exponentials(config: LinkConfig) -> np.ndarray:
+    """Every subcarrier's complex exponential over one symbol, shape
+    (carriers, samples_per_symbol): row m is e^{j 2 pi f_{m+1} t}."""
+    n_samp = config.samples_per_symbol
     i = np.arange(n_samp)
     # Sampled e^{j 2 pi f_m t} with f_m = m*walsh_order/T and t = i T/n_samp;
     # periodic over the symbol, so tiling symbols keeps the carrier phase
     # continuous.  See subcarrier_frequency for why the spacing carries the
     # walsh_order factor.
-    carriers = np.exp(
+    return np.exp(
         2j * np.pi * config.walsh_order
         * np.arange(1, config.carriers + 1)[:, None] * i[None, :] / n_samp
     )
-    table = np.multiply(walsh_up[:, None, :], carriers[None, :, :], order="C")
-    return table.reshape(config.substreams * config.carriers, n_samp).view(np.float64)
 
 
 def slot_signatures(walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:

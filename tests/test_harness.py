@@ -181,7 +181,8 @@ def _sample_chain(runtime, symbols, taps, reference_phase, amplify=None):
 def _recorded_block(scenario, monkeypatch, producer="_correlation_outputs"):
     """The runtime, channel, symbols and correlator outputs of one noiseless
     block, from the linear chain's engine or, with producer
-    "_sample_outputs", the amplifier chain's."""
+    "_sample_outputs" or "_limiter_outputs", the tube's or the predistorted
+    tube's."""
     scenario = dataclasses.replace(scenario, noise_enabled=False)
     runtime = harness._prepare(scenario)
     produce = getattr(harness, producer)
@@ -297,6 +298,15 @@ def _reference_calibration(runtime):
 _AMPLIFIER_BASE = dataclasses.replace(
     TINY, config=LinkConfig(users=3, substreams=2, carriers=2, walsh_order=4, pn_length=127))
 
+# Which block producer each amplifier mode runs.
+_PRODUCERS = {"saleh": "_sample_outputs", "saleh_pd": "_limiter_outputs"}
+
+# Bounds on the share of a predistorted block's transmitted samples above
+# the limiter's A_sat, per case below.  Four slots peak 6 dB over their mean
+# power, so "linearized" clips none at 7 dB.
+_CLIPPED_SHARE = {"linearized": (0.0, 0.0), "unaligned-linearized": (0.1, 0.5),
+                  "unclipped-linearized": (0.0, 0.0), "clipped-linearized": (0.5, 1.0)}
+
 
 class TestAmplifierEngine:
     @pytest.mark.parametrize("scenario, slab", [
@@ -309,10 +319,29 @@ class TestAmplifierEngine:
                              ibo_db=3.0), 8),
         (dataclasses.replace(_TINY_UNALIGNED, name="unaligned-linearized",
                              hpa_mode="saleh_pd", ibo_db=1.0), 8),
+        # the limiter's two extremes: no sample clipped, most clipped
+        (dataclasses.replace(_TINY_UNALIGNED, name="unclipped-linearized",
+                             hpa_mode="saleh_pd", ibo_db=30.0), 8),
+        (dataclasses.replace(_AMPLIFIER_BASE, name="clipped-linearized", hpa_mode="saleh_pd",
+                             paths=2, ibo_db=-4.0), 256),
+        # Walsh chips 1-2 samples long (16 chips over 21 samples), so most
+        # segments of an 8-sample tile are a single sample
+        (dataclasses.replace(_TINY_UNALIGNED, name="short-chips-saleh", hpa_mode="saleh",
+                             ibo_db=3.0, config=LinkConfig(users=3, substreams=5, carriers=1,
+                                                           walsh_order=16, pn_length=7,
+                                                           oversampling=3)), 8),
     ], ids=lambda v: getattr(v, "name", str(v)))
     def test_noiseless_outputs_match_per_user_chain(self, scenario, slab, monkeypatch):
         monkeypatch.setattr(harness, "_SLAB_SAMPLES", slab)
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch, "_sample_outputs")
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch,
+                                                       _PRODUCERS[scenario.hpa_mode])
+        if scenario.hpa_mode == "saleh_pd":
+            linear = np.concatenate([
+                modulate_user(d, runtime.walsh, pn, scenario.config).samples
+                for d, pn in zip(symbols, runtime.pn_chips)])
+            share = np.mean(np.abs(runtime.pd_scale * linear) > scenario.saleh.saturation_output)
+            low, high = _CLIPPED_SHARE[scenario.name]
+            assert low <= share <= high
         eb, phase_offset = _reference_calibration(runtime)
         assert abs(runtime.eb - eb) <= 1e-12 * eb
         assert abs(runtime.phase_offset - phase_offset) <= 1e-12
@@ -325,9 +354,11 @@ class TestAmplifierEngine:
     @pytest.mark.parametrize("hpa_mode", ["saleh", "saleh_pd"])
     def test_block_allocates_tiles_not_user_waveforms(self, hpa_mode):
         """Peak traced allocation of one amplifier block against the bytes of
-        its received frame.  Here a tile is a quarter of the frame, and the
-        block peaks at three frames, in the noise; amplifying one user's
-        whole waveform at a time took six to seven."""
+        its received frame.  Here a tile is a quarter of the frame.  The
+        tube's block peaks at three frames, in the noise; amplifying one
+        user's whole waveform at a time took six to seven.  The predistorted
+        tube's block builds no frame when nothing clips, as here, and peaks
+        at two thirds of one in its tiles."""
         scenario = dataclasses.replace(
             TINY, name="guard", hpa_mode=hpa_mode, symbols_per_block=8,
             config=LinkConfig(users=4, substreams=2, carriers=2, walsh_order=2, pn_length=1023))
@@ -340,7 +371,44 @@ class TestAmplifierEngine:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * frame_bytes
+        assert peak <= {"saleh": 4, "saleh_pd": 1}[hpa_mode] * frame_bytes
+
+    def test_limiter_block_draws_noise_per_correlator_output(self, monkeypatch):
+        """The predistorted tube's noise is one correlator_noise draw through
+        the runtime's Gram factor, added to the noiseless outputs; no
+        sample noise is drawn."""
+        scenario = dataclasses.replace(_TINY_UNALIGNED, name="noisy", hpa_mode="saleh_pd",
+                                       ibo_db=1.0)
+        draws = []
+        correlator_noise = harness.correlator_noise
+
+        def recorded(noise, eb, window_rate, factor, n_windows, rng):
+            draws.append((factor, n_windows, eb, noise.ebn0_db))
+            draws.append(correlator_noise(noise, eb, window_rate, factor, n_windows, rng))
+            return draws[-1]
+
+        def sample_noise(*args):
+            raise AssertionError("add_awgn called on the predistorted tube's block")
+
+        monkeypatch.setattr(harness, "correlator_noise", recorded)
+        monkeypatch.setattr(harness, "add_awgn", sample_noise)
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch, "_limiter_outputs")
+        assert draws == []          # noise off, nothing drawn
+        noisy = harness._prepare(scenario)
+        z_noisy = harness._limiter_outputs(noisy, channel, symbols, 8.0, np.random.default_rng(3))
+        (factor, n_windows, eb, ebn0_db), noise = draws
+        assert factor is noisy.noise_factor and eb == noisy.eb == runtime.eb and ebn0_db == 8.0
+        assert n_windows == symbols.shape[1]
+        difference = (z_noisy - z).reshape(n_windows, -1)
+        assert np.abs(difference - noise).max() <= 1e-12 * np.abs(z).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_limiter_block_rejects_nonfinite_tiles(self, bad):
+        runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="bad",
+                                                       hpa_mode="saleh_pd"))
+        runtime.carriers[1, 300] = bad     # poisons every row's tile at that sample
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            harness._simulate_block(runtime, 0, 0, 8.0)
 
 
 def _csv_bytes(scenario, workers, path):
