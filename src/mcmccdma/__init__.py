@@ -18,8 +18,6 @@ from .analysis import (
 )
 from .channel import (
     ChannelRealization,
-    NoiseSpec,
-    PathTap,
     add_awgn,
     draw_channel,
     path_power_profile,
@@ -56,14 +54,11 @@ from .hpa import (
     compute_obo,
     operating_point_for_power,
     pd_amplitude,
-    set_operating_point,
 )
 from .receiver import (
     SOURCE_NAMES,
-    BitDecisions,
     InterferenceVariances,
     correlate_slots,
-    recover_bits,
 )
 from .txchain import (
     BasebandFrame,
@@ -79,16 +74,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BasebandFrame",
     "BerRecord",
-    "BitDecisions",
     "CSV_HEADER",
     "ChannelRealization",
     "ConfigError",
     "InterferenceVariances",
     "LinkConfig",
-    "NoiseSpec",
     "OperatingPoint",
     "PRIMITIVE_TAPS",
-    "PathTap",
     "PnSequence",
     "RunReport",
     "SOURCE_NAMES",
@@ -121,12 +113,10 @@ __all__ = [
     "periodic_correlation",
     "preset",
     "propagate_samples",
-    "recover_bits",
     "run_scenario",
     "saleh_from_keys",
     "scenario_echo",
     "scenario_from_keys",
-    "set_operating_point",
     "slot_signatures",
     "subcarrier_frequency",
     "theoretical_curve",

@@ -5,6 +5,10 @@ Rayleigh (or fixed, when fading is disabled) gains on an exponential
 power-delay profile normalized to unit total mean-square gain, and uniform
 phases.  Noise is calibrated against the measured transmitted energy per
 information bit, so back-off comparisons are not conflated with SNR loss.
+
+Everything here works on plain arrays: propagate_samples takes one user's
+complex path gains, path l delayed by l chips as in ChannelRealization, and
+add_awgn and correlator_noise take the Eb/N0 in dB and the energy per bit.
 """
 
 from __future__ import annotations
@@ -12,23 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .txchain import BasebandFrame
-
-
-@dataclass(frozen=True)
-class PathTap:
-    """One propagation path: linear gain, delay in PN chips, phase in radians."""
-
-    gain: float
-    delay_chips: int
-    phase: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.gain) or self.gain < 0:
-            raise ValueError(f"gain must be finite and nonnegative, got {self.gain}")
-        if self.delay_chips < 0:
-            raise ValueError(f"delay must be nonnegative, got {self.delay_chips}")
 
 
 @dataclass(frozen=True)
@@ -49,24 +36,6 @@ class ChannelRealization:
     @property
     def n_paths(self) -> int:
         return self.gains.shape[1]
-
-    def taps(self, user_index: int) -> tuple[PathTap, ...]:
-        """One user's paths as PathTap values, for the sample chain."""
-        return tuple(PathTap(gain=float(gain), delay_chips=l, phase=float(phase))
-                     for l, (gain, phase) in enumerate(zip(self.gains[user_index],
-                                                           self.phases[user_index])))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Energy-per-bit over noise-density target; disabled means no noise at all."""
-
-    ebn0_db: float = 0.0
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.enabled and not np.isfinite(self.ebn0_db):
-            raise ValueError("ebn0_db must be finite when noise is enabled")
 
 
 def path_power_profile(n_paths: int, decay_db: float) -> np.ndarray:
@@ -97,11 +66,12 @@ def draw_channel(rng: np.random.Generator, users: int, n_paths: int,
     return ChannelRealization(gains=gains, phases=phases)
 
 
-def propagate_samples(samples: np.ndarray, taps, samples_per_chip: int,
+def propagate_samples(samples: np.ndarray, gains, samples_per_chip: int,
                       out_len: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum of gain- and phase-weighted delayed copies of a sample array,
-    zero outside the input's support.  out_len defaults to the full support
-    (input length plus the largest delay); a larger out_len zero-pads.
+    """Sum of delayed copies of a sample array, copy l weighted by the
+    complex path gain gains[l] and delayed by l chips, zero outside the
+    input's support.  out_len defaults to the full support (input length
+    plus the largest delay); a larger out_len zero-pads.
 
     With out given, the copies are added into it in place (out_len is then
     its length) and out is returned, so a caller can sum many users' signals
@@ -109,8 +79,8 @@ def propagate_samples(samples: np.ndarray, taps, samples_per_chip: int,
     """
     if samples_per_chip < 1:
         raise ValueError(f"samples_per_chip must be >= 1, got {samples_per_chip}")
-    taps = list(taps)
-    max_shift = max((tap.delay_chips for tap in taps), default=0) * samples_per_chip
+    gains = np.asarray(gains)
+    max_shift = max(gains.size - 1, 0) * samples_per_chip
     if out is not None:
         out_len = out.size
     if out_len is None:
@@ -120,33 +90,31 @@ def propagate_samples(samples: np.ndarray, taps, samples_per_chip: int,
     if out is None:
         out = np.zeros(out_len, dtype=np.complex128)
     scratch = np.empty(samples.size, dtype=np.complex128)
-    for tap in taps:
-        shift = tap.delay_chips * samples_per_chip
-        np.multiply(samples, tap.gain * np.exp(1j * tap.phase), out=scratch)
+    for path, gain in enumerate(gains):
+        shift = path * samples_per_chip
+        np.multiply(samples, gain, out=scratch)
         out[shift:shift + samples.size] += scratch
     return out
 
 
-def add_awgn(frame: BasebandFrame, noise: NoiseSpec, eb_measured: float,
-             rng: np.random.Generator) -> BasebandFrame:
-    """Add complex white Gaussian noise sized for the requested Eb/N0.
+def add_awgn(samples: np.ndarray, sample_rate: float, ebn0_db: float, eb: float,
+             rng: np.random.Generator) -> np.ndarray:
+    """The samples plus complex white Gaussian noise sized for the requested
+    Eb/N0, as a new array.
 
-    eb_measured is the transmitted energy per information bit; the noise
-    density follows as n0 = eb / 10^(ebn0_db/10) and each real component
-    gets variance (n0/2) * sample_rate.
+    eb is the transmitted energy per information bit; the noise density
+    follows as n0 = eb / 10^(ebn0_db/10) and each real component gets
+    variance (n0/2) * sample_rate.
     """
-    if not noise.enabled:
-        return frame
-    sigma = np.sqrt(0.5 * _noise_density(noise, eb_measured) * frame.sample_rate)
-    w = rng.standard_normal((frame.samples.size, 2))
+    sigma = np.sqrt(0.5 * _noise_density(ebn0_db, eb) * sample_rate)
+    w = rng.standard_normal((samples.size, 2))
     w *= sigma
     # Each row of w is one sample's (real, imaginary) pair.
-    return BasebandFrame(frame.samples + w.view(np.complex128)[:, 0],
-                         frame.sample_rate, frame.t0)
+    return samples + w.view(np.complex128)[:, 0]
 
 
-def correlator_noise(noise: NoiseSpec, eb_measured: float, window_rate: float,
-                     factor: np.ndarray, n_windows: int, rng: np.random.Generator) -> np.ndarray:
+def correlator_noise(ebn0_db: float, eb: float, window_rate: float, factor: np.ndarray,
+                     n_windows: int, rng: np.random.Generator) -> np.ndarray:
     """What add_awgn's noise leaves in a bank of correlators, drawn directly.
 
     The correlators average N = sample_rate / window_rate samples each
@@ -156,13 +124,15 @@ def correlator_noise(noise: NoiseSpec, eb_measured: float, window_rate: float,
     matrix and factor @ factor^H = G.  Returns (n_windows, len(factor))
     draws, independent between windows.
     """
-    sigma = np.sqrt(0.5 * _noise_density(noise, eb_measured) * window_rate)
+    sigma = np.sqrt(0.5 * _noise_density(ebn0_db, eb) * window_rate)
     w = rng.standard_normal((n_windows, factor.shape[0], 2))
     return sigma * ((w[..., 0] + 1j * w[..., 1]) @ factor.T)
 
 
-def _noise_density(noise: NoiseSpec, eb_measured: float) -> float:
+def _noise_density(ebn0_db: float, eb: float) -> float:
     """One-sided noise density n0 for the requested Eb/N0."""
-    if eb_measured <= 0:
-        raise ValueError(f"energy per bit must be positive, got {eb_measured}")
-    return eb_measured / 10.0 ** (noise.ebn0_db / 10.0)
+    if not np.isfinite(ebn0_db):
+        raise ValueError(f"ebn0_db must be finite, got {ebn0_db}")
+    if eb <= 0:
+        raise ValueError(f"energy per bit must be positive, got {eb}")
+    return eb / 10.0 ** (ebn0_db / 10.0)

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -59,14 +60,14 @@ from multiprocessing import get_context
 import numpy as np
 
 from .analysis import BerRecord, binomial_ci95
-from .channel import NoiseSpec, add_awgn, correlator_noise, draw_channel
+from .channel import add_awgn, correlator_noise, draw_channel
 from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
 from .hpa import (OperatingPoint, SalehParams, amplify_samples, envelope_excess,
                   operating_point_for_power)
 from .receiver import (SOURCE_NAMES, InterferenceVariances, correlate_tables, correlate_windows,
                        decide_slots, partial_correlation_tables)
-from .txchain import (BasebandFrame, LinkConfig, check_field_types, declared_type,
-                      subcarrier_exponentials, walsh_chip_indices)
+from .txchain import (LinkConfig, check_field_types, declared_type, subcarrier_exponentials,
+                      walsh_chip_indices)
 
 HPA_MODES = ("bypass", "saleh", "saleh_pd")
 
@@ -345,8 +346,7 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
         z = _sample_outputs(runtime, channel, symbols, ebn0_db, rng)
     else:
         z = _limiter_outputs(runtime, channel, symbols, ebn0_db, rng)
-    decisions = decide_slots(z[runtime.warmup:], reference=symbols[0, runtime.warmup:])
-    return decisions.errors, decisions.bits
+    return decide_slots(z[runtime.warmup:], symbols[0, runtime.warmup:])
 
 
 def _draw_symbols(rng: np.random.Generator, cfg: LinkConfig, n_total: int) -> np.ndarray:
@@ -364,10 +364,10 @@ def _sample_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     waveform."""
     cfg = runtime.scenario.config
     n_total = symbols.shape[1]
-    frame = BasebandFrame(_received_samples(runtime, channel, symbols), cfg.sample_rate)
+    received = _received_samples(runtime, channel, symbols)
     if runtime.scenario.noise_enabled:
-        frame = add_awgn(frame, NoiseSpec(ebn0_db=ebn0_db, enabled=True), runtime.eb, rng)
-    windows = frame.samples[:n_total * cfg.samples_per_symbol].reshape(n_total, -1)
+        received = add_awgn(received, cfg.sample_rate, ebn0_db, runtime.eb, rng)
+    windows = received[:n_total * cfg.samples_per_symbol].reshape(n_total, -1)
     z = correlate_windows(windows, runtime.signatures_user1,
                           channel.phases[0, 0] + runtime.phase_offset)
     return z.reshape(n_total, cfg.substreams, cfg.carriers)
@@ -530,8 +530,8 @@ def _output_scale(cfg: LinkConfig, channel) -> complex:
 def _correlator_noise(runtime: _Runtime, ebn0_db: float, factor: np.ndarray, n_total: int,
                       rng: np.random.Generator) -> np.ndarray:
     cfg = runtime.scenario.config
-    return correlator_noise(NoiseSpec(ebn0_db=ebn0_db, enabled=True), runtime.eb,
-                            cfg.sample_rate / cfg.samples_per_symbol, factor, n_total, rng)
+    return correlator_noise(ebn0_db, runtime.eb, cfg.sample_rate / cfg.samples_per_symbol,
+                            factor, n_total, rng)
 
 
 # Thread-count calls of the OpenBLAS builds numpy and scipy ship (64-bit
@@ -607,11 +607,13 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     Stops a point once the wave totals reach min_errors (and any configured
     min_bits / min_blocks floors), or flags the record censored when
     max_bits runs out first.  Identical (scenario, master_seed) give
-    identical records at any worker count.
+    identical records at any worker count; workers must be an integer
+    >= 1, and above 1 each wave's blocks run on a fork pool.
     """
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     runtime = _prepare(scenario)
     cfg = scenario.config
-    bits_per_block = scenario.symbols_per_block * cfg.bits_per_symbol
     records = []
     point_seconds = []
 

@@ -16,8 +16,8 @@ characterize-hpa and the tests use; the Monte Carlo engine runs the array
 kernels.  In "saleh" mode it runs amplify_samples (the arithmetic of
 apply_hpa) on its waveform tiles.  In "saleh_pd" mode the limiter is the
 identity up to A_sat, so the engine takes the linear chain's outputs and
-calls envelope_excess, limit_envelope(x) - x, on the samples above A_sat
-only.
+calls envelope_excess, what the limiter takes off a sample, on the samples
+above A_sat only.
 """
 
 from __future__ import annotations
@@ -105,17 +105,9 @@ def ampm(u, params: SalehParams):
     return float(out) if out.ndim == 0 else out
 
 
-def set_operating_point(frame: BasebandFrame, ibo_db: float, params: SalehParams) -> OperatingPoint:
-    """Input scale that places the frame's measured mean power ibo_db below
-    the saturating input power."""
-    mean_power = frame.mean_power
-    if mean_power <= 0:
-        raise ValueError("cannot set an operating point on a zero-power frame")
-    return operating_point_for_power(mean_power, ibo_db, params)
-
-
 def operating_point_for_power(mean_power: float, ibo_db: float, params: SalehParams) -> OperatingPoint:
-    """Same as set_operating_point but from a known average input power."""
+    """Input scale that places a drive of average input power mean_power
+    ibo_db below the saturating input power."""
     if mean_power <= 0:
         raise ValueError(f"mean input power must be positive, got {mean_power}")
     p_sat = params.saturation_input_power
@@ -163,43 +155,31 @@ def amplify_samples(samples: np.ndarray, params: SalehParams,
 
 def apply_hpa(frame: BasebandFrame, params: SalehParams, op: OperatingPoint | None = None) -> BasebandFrame:
     """Per-sample nonlinearity on a frame (amplify_samples)."""
-    return BasebandFrame(amplify_samples(frame.samples, params, op), frame.sample_rate, frame.t0)
+    return BasebandFrame(amplify_samples(frame.samples, params, op), frame.sample_rate)
 
 
-def _limiter_gain(samples: np.ndarray, params: SalehParams) -> np.ndarray:
-    """min(1, A_sat/|x|) per sample, as sqrt(sat^2/max(|x|^2, sat^2))."""
+def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
+    """What the predistorted tube, the limiter x * min(1, A_sat/|x|) (see
+    the module docstring), takes off each sample of a complex array of any
+    shape: x * (min(1, A_sat/|x|) - 1), zero at and below A_sat.  The
+    engine calls it on the few samples above A_sat only.  NaN and infinite
+    samples raise ValueError, as in every kernel here."""
     sat2 = params.saturation_output_power
+    # min(1, A_sat/|x|) as sqrt(sat^2/max(|x|^2, sat^2))
     gain = _modulus_squared(samples)
     np.maximum(gain, sat2, out=gain)
     np.divide(sat2, gain, out=gain)
     np.sqrt(gain, out=gain)
-    return gain
-
-
-def limit_envelope(samples: np.ndarray, params: SalehParams) -> np.ndarray:
-    """The predistorted tube in closed form (see the module docstring):
-    x * min(1, A_sat/|x|) per sample of a complex array of any shape, with
-    A_sat the tube's peak output.  It agrees with
-    apply_hpa(apply_predistorter(x)) to a few 1e-16 relative."""
-    return samples * _limiter_gain(samples, params)
-
-
-def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
-    """What the limiter takes off each sample, limit_envelope(x) - x, as
-    x * (min(1, A_sat/|x|) - 1): zero at and below A_sat.  The engine calls
-    it on the few samples above A_sat only.  NaN and infinite samples raise
-    ValueError, as in every kernel here."""
-    gain = _limiter_gain(samples, params)
     gain -= 1.0
     return samples * gain
 
 
-def compute_obo(frame_out: BasebandFrame, params: SalehParams) -> float:
+def compute_obo(samples: np.ndarray, params: SalehParams) -> float:
     """Output back-off: dB ratio of the saturated output power to the
-    frame's measured mean output power."""
-    mean_power = frame_out.mean_power
+    measured mean power of the amplifier's output samples."""
+    mean_power = float(np.mean(np.abs(samples) ** 2))
     if mean_power <= 0:
-        raise ValueError("cannot compute output back-off of a zero-power frame")
+        raise ValueError("cannot compute output back-off of zero-power samples")
     return float(10.0 * np.log10(params.saturation_output_power / mean_power))
 
 
@@ -233,4 +213,4 @@ def apply_predistorter(frame: BasebandFrame, params: SalehParams) -> BasebandFra
     if over.any():
         ratio[over] *= np.sqrt(sat2 / p[over])
     phase = -_ampm_of_power(ratio**2 * p, params)
-    return BasebandFrame(_rotate(x, ratio, phase), frame.sample_rate, frame.t0)
+    return BasebandFrame(_rotate(x, ratio, phase), frame.sample_rate)

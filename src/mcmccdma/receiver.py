@@ -15,7 +15,10 @@ sign of the real part.  Later paths, other substreams, other carriers and
 other users all land in the correlator as interference.
 
 Correlations are normalized by the samples per symbol, so a clean slot
-correlates to sqrt(2*power) * path_gain * symbol.
+correlates to sqrt(2*power) * path_gain * symbol.  The sample-level
+functions take plain arrays: correlate_slots a received sample array whose
+first window starts at the reference path's delay, decide_slots the
+correlator outputs and the transmitted symbols.
 """
 
 from __future__ import annotations
@@ -24,21 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathTap
 from .codes import WalshMatrix
-from .txchain import BasebandFrame, LinkConfig, slot_signatures, walsh_chip_indices
+from .txchain import LinkConfig, walsh_chip_indices
 
 SOURCE_NAMES = ("desired", "multipath", "inter_substream", "inter_carrier", "multi_user", "noise")
-
-
-@dataclass(frozen=True)
-class BitDecisions:
-    """Recovered +-1 decisions per (symbol, substream, carrier) for one user."""
-
-    user: int
-    decisions: np.ndarray
-    bits: int
-    errors: int | None = None
 
 
 @dataclass(frozen=True)
@@ -64,20 +56,19 @@ class InterferenceVariances:
         return self.multipath + self.inter_substream + self.inter_carrier + self.multi_user + self.noise
 
 
-def correlate_slots(frame: BasebandFrame, signatures: np.ndarray, config: LinkConfig,
-                    reference_phase: float = 0.0, start_sample: int = 0) -> np.ndarray:
+def correlate_slots(samples: np.ndarray, signatures: np.ndarray, config: LinkConfig,
+                    reference_phase: float = 0.0) -> np.ndarray:
     """Normalized per-symbol correlations against every slot signature.
 
     Returns (n_symbols, substreams, carriers) complex values
-    (1/S) * sum_i y[i] conj(sig[i]) * e^{-j reference_phase}, taking symbol
-    windows from start_sample onward.
+    (1/S) * sum_i y[i] conj(sig[i]) * e^{-j reference_phase} over the whole
+    symbol windows of the sample array y; a partial last window is dropped.
     """
     n_samp = config.samples_per_symbol
-    y = frame.samples[start_sample:]
-    n_sym = y.size // n_samp
+    n_sym = samples.size // n_samp
     if n_sym == 0:
-        raise ValueError("frame shorter than one symbol window")
-    y = y[: n_sym * n_samp].reshape(n_sym, n_samp)
+        raise ValueError("sample array shorter than one symbol window")
+    y = samples[: n_sym * n_samp].reshape(n_sym, n_samp)
     correlator = signatures.reshape(-1, n_samp).conj().T
     return correlate_windows(y, correlator, reference_phase).reshape(
         n_sym, config.substreams, config.carriers)
@@ -95,43 +86,15 @@ def correlate_windows(windows: np.ndarray, correlator: np.ndarray,
     return z
 
 
-def decide_slots(z: np.ndarray, user: int = 1,
-                 reference: np.ndarray | None = None) -> BitDecisions:
+def decide_slots(z: np.ndarray, reference: np.ndarray) -> tuple:
     """Sign decisions on the real part of correlator outputs z, shape
-    (slots, substreams, carriers).  reference, when given, is the
-    transmitted symbol array of the same shape and enables error counting."""
-    if z.shape[0] == 0:
-        raise ValueError("no symbol windows left after skipping")
+    (symbols, substreams, carriers), against the transmitted +-1 symbols of
+    the same shape.  Returns (errors, bits)."""
+    reference = np.asarray(reference)
+    if reference.shape != z.shape:
+        raise ValueError(f"reference shape {reference.shape} != outputs shape {z.shape}")
     decisions = np.where(z.real >= 0.0, 1, -1).astype(np.int8)
-    errors = None
-    if reference is not None:
-        reference = np.asarray(reference)
-        if reference.shape != decisions.shape:
-            raise ValueError(f"reference shape {reference.shape} != decisions shape {decisions.shape}")
-        errors = int(np.count_nonzero(decisions != reference))
-    return BitDecisions(user=user, decisions=decisions, bits=int(decisions.size), errors=errors)
-
-
-def recover_bits(frame: BasebandFrame, user: int, walsh: WalshMatrix, pn, config: LinkConfig,
-                 channel_ref: PathTap, reference: np.ndarray | None = None,
-                 signatures: np.ndarray | None = None, skip_symbols: int = 0,
-                 n_symbols: int | None = None) -> BitDecisions:
-    """Demodulate one user's bits, synchronized to its reference path.
-
-    pn is that user's own (shifted) sequence.  reference, when given, is the
-    transmitted (slots, substreams, carriers) symbol array for the counted
-    windows and enables error counting.  skip_symbols drops leading (e.g.
-    warmup) windows; n_symbols caps how many are kept after that.
-    """
-    if channel_ref is None:
-        raise ValueError("receiver needs the reference path tap (delay and phase) to synchronize")
-    if signatures is None:
-        signatures = slot_signatures(walsh, pn, config)
-    start = channel_ref.delay_chips * config.oversampling
-    z = correlate_slots(frame, signatures, config, reference_phase=channel_ref.phase,
-                        start_sample=start)
-    stop = None if n_symbols is None else skip_symbols + n_symbols
-    return decide_slots(z[skip_symbols:stop], user, reference)
+    return int(np.count_nonzero(decisions != reference)), int(decisions.size)
 
 
 def partial_correlation_tables(pn_chips: np.ndarray, walsh: WalshMatrix, config: LinkConfig,

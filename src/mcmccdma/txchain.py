@@ -7,6 +7,9 @@ The Walsh chips of the multicode layer are stretched across the same window
 on a floor-indexed grid, so Walsh and PN chip clocks co-terminate at every
 symbol boundary even when the Walsh order does not divide the sample count.
 All signals are complex envelopes; the real passband waveform is never built.
+modulate_user returns one user's transmitted samples as a plain complex
+array; BasebandFrame pairs samples with their rate for the frame kernels of
+the amplifier model.
 """
 
 from __future__ import annotations
@@ -111,37 +114,15 @@ class LinkConfig:
         return self.samples_per_symbol % self.walsh_order == 0
 
 
-@dataclass(frozen=True)
-class UserSymbols:
-    """BPSK symbols for one user, indexed (symbol slot, substream, carrier)."""
-
-    user: int
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        if self.symbols.ndim != 3:
-            raise ValueError(f"symbols must be (slots, substreams, carriers), got {self.symbols.shape}")
-        if not np.isin(self.symbols, (-1, 1)).all():
-            raise ValueError("symbols must be +-1")
-
-
 @dataclass
 class BasebandFrame:
     """Complex-envelope sample stream with an explicit sample rate."""
 
     samples: np.ndarray
     sample_rate: float
-    t0: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
-
-    @property
-    def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
 
 
 def serial_to_parallel(bits, lanes: int) -> np.ndarray:
@@ -159,20 +140,6 @@ def parallel_to_serial(matrix) -> np.ndarray:
     """Inverse of serial_to_parallel."""
     matrix = np.asarray(matrix)
     return matrix.T.reshape(-1)
-
-
-def multicode_spread(substream_symbols, walsh: WalshMatrix) -> np.ndarray:
-    """Sum of code-weighted symbols: chip n is sum_r d_r * row_r[n].
-
-    Returns the multi-level super-stream for one symbol slot; integer valued,
-    magnitude at most R with parity equal to R's.
-    """
-    d = np.asarray(substream_symbols, dtype=np.int64)
-    if d.ndim != 1:
-        raise ValueError(f"substream symbols must be a vector, got shape {d.shape}")
-    if d.size > walsh.order:
-        raise ValueError(f"{d.size} substreams exceed the Walsh order {walsh.order}")
-    return d @ walsh.rows[: d.size].astype(np.int64)
 
 
 def subcarrier_frequency(m: int, config: LinkConfig) -> float:
@@ -255,26 +222,20 @@ def slot_signatures(walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:
     return (table * pn_up).reshape(config.substreams, config.carriers, config.samples_per_symbol)
 
 
-def modulate_user(symbols, walsh: WalshMatrix, pn, config: LinkConfig,
-                  table: np.ndarray | None = None) -> BasebandFrame:
-    """Complex-envelope transmit frame for one user.
+def modulate_user(symbols, walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:
+    """Complex-envelope transmit samples of one user, as one array.
 
-    symbols has shape (slots, substreams, carriers) with +-1 entries (or is a
-    UserSymbols); pn is a PnSequence or the user's +-1 chip array.  Each slot
-    becomes samples_per_symbol samples equal to sqrt(2*power) * sum over
-    slots of symbol * signature.  table is modulation_table(walsh, config),
-    built here when not given; callers modulating many frames pass it in.
+    symbols has shape (slots, substreams, carriers) with +-1 entries; pn is
+    a PnSequence or the user's +-1 chip array.  Each slot becomes
+    samples_per_symbol samples equal to sqrt(2*power) * sum over slots of
+    symbol * signature.
     """
-    if isinstance(symbols, UserSymbols):
-        symbols = symbols.symbols
     d = np.asarray(symbols, dtype=np.float64)
     if d.ndim != 3 or d.shape[1] != config.substreams or d.shape[2] != config.carriers:
         raise ValueError(
             f"symbols must be (slots, {config.substreams}, {config.carriers}), got {d.shape}"
         )
     scale = np.repeat(np.sqrt(2.0 * config.power) * _pn_chips(pn, config), config.oversampling)
-    if table is None:
-        table = modulation_table(walsh, config)
-    samples = (d.reshape(d.shape[0], -1) @ table).view(np.complex128)
+    samples = (d.reshape(d.shape[0], -1) @ modulation_table(walsh, config)).view(np.complex128)
     samples *= scale
-    return BasebandFrame(samples.reshape(-1), config.sample_rate)
+    return samples.reshape(-1)

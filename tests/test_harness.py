@@ -109,6 +109,16 @@ class TestRunScenario:
         par = run_scenario(TINY, workers=4)
         assert seq.records == par.records
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, 2.0])
+    def test_bad_workers_rejected_before_any_work(self, workers, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work started before the worker count was checked")
+
+        monkeypatch.setattr(harness, "_prepare", forbidden)
+        monkeypatch.setattr(harness, "get_context", forbidden)
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            run_scenario(TINY, workers=workers)
+
     def test_record_contents(self):
         rep = run_scenario(TINY)
         assert len(rep.records) == 1
@@ -161,21 +171,20 @@ _TINY_UNALIGNED = dataclasses.replace(
                       pn_length=7, oversampling=3))
 
 
-def _sample_chain(runtime, symbols, taps, reference_phase, amplify=None):
+def _sample_chain(runtime, symbols, gains, reference_phase, amplify=None):
     """User 1's correlator outputs from the sampled waveform: every user's
     symbols modulated, amplified when amplify is given, sent through its
-    taps (taps[k], possibly none), summed and correlated against user 1's
-    signatures, noise off."""
+    complex path gains (gains[k], zero where a path is dropped), summed and
+    correlated against user 1's signatures, noise off."""
     cfg = runtime.scenario.config
     received = np.zeros(symbols.shape[1] * cfg.samples_per_symbol
                         + (runtime.scenario.paths - 1) * cfg.oversampling, dtype=np.complex128)
     for k in range(cfg.users):
-        tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg).samples
-        propagate_samples(tx if amplify is None else amplify(tx), taps[k], cfg.oversampling,
+        tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg)
+        propagate_samples(tx if amplify is None else amplify(tx), gains[k], cfg.oversampling,
                           out=received)
     own = slot_signatures(runtime.walsh, runtime.pn_chips[0], cfg)
-    return correlate_slots(BasebandFrame(received, cfg.sample_rate), own, cfg,
-                           reference_phase=reference_phase)
+    return correlate_slots(received, own, cfg, reference_phase=reference_phase)
 
 
 def _recorded_block(scenario, monkeypatch, producer="_correlation_outputs"):
@@ -208,8 +217,8 @@ class TestCorrelationEngine:
     ], ids=lambda sc: sc.name)
     def test_noiseless_outputs_match_sample_chain(self, scenario, monkeypatch):
         runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
-        taps = [channel.taps(k) for k in range(scenario.config.users)]
-        reference = _sample_chain(runtime, symbols, taps, channel.phases[0, 0])
+        reference = _sample_chain(runtime, symbols, harness._path_gains(channel),
+                                  channel.phases[0, 0])
         assert z.shape == reference.shape
         assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -221,25 +230,29 @@ class TestCorrelationEngine:
     def test_sources_match_sample_chain(self, scenario, monkeypatch):
         runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
         sources = harness._source_outputs(runtime, channel, symbols, 8.0, rng=None)
-        # Each source through the sample chain, on its own symbols and taps.
-        users = scenario.config.users
-        own = channel.taps(0)
+        # Each source through the sample chain, on its own symbols and path
+        # gains, zero where the source drops a path or a user.
+        gains = harness._path_gains(channel)
         wanted, substreams, carriers = (np.zeros_like(symbols) for _ in range(3))
         wanted[0, :, 0, 0] = symbols[0, :, 0, 0]
         substreams[0, :, 1:, 0] = symbols[0, :, 1:, 0]
         carriers[0, :, :, 1:] = symbols[0, :, :, 1:]
         others = symbols.copy()
         others[0] = 0
-        user1 = [own] + [()] * (users - 1)
+        user1, first, later, other_users = (np.zeros_like(gains) for _ in range(4))
+        user1[0] = gains[0]
+        first[0, 0] = gains[0, 0]
+        later[0, 1:] = gains[0, 1:]
+        other_users[1:] = gains[1:]
         oracle = {
-            "desired": (wanted, [own[:1]] + [()] * (users - 1)),
-            "multipath": (wanted, [own[1:]] + [()] * (users - 1)),
+            "desired": (wanted, first),
+            "multipath": (wanted, later),
             "inter_substream": (substreams, user1),
             "inter_carrier": (carriers, user1),
-            "multi_user": (others, [()] + [channel.taps(k) for k in range(1, users)]),
+            "multi_user": (others, other_users),
         }
-        for name, (masked, taps) in oracle.items():
-            reference = _sample_chain(runtime, masked, taps, channel.phases[0, 0])[:, 0, 0]
+        for name, (masked, kept) in oracle.items():
+            reference = _sample_chain(runtime, masked, kept, channel.phases[0, 0])[:, 0, 0]
             assert sources[name].shape == reference.shape
             assert np.abs(sources[name] - reference).max() <= 1e-12 * np.abs(reference).max(), name
         assert np.array_equal(sources["noise"], np.zeros(symbols.shape[1]))
@@ -288,7 +301,7 @@ def _reference_calibration(runtime):
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
     symbols = 2 * rng.integers(0, 2, size=(harness._CALIBRATION_SYMBOLS, cfg.substreams,
                                            cfg.carriers)) - 1
-    linear = modulate_user(symbols, runtime.walsh, runtime.pn_chips[0], cfg).samples
+    linear = modulate_user(symbols, runtime.walsh, runtime.pn_chips[0], cfg)
     tx = _reference_amplifier(runtime)(linear)
     eb = np.mean(np.abs(tx) ** 2) * cfg.symbol_duration / cfg.bits_per_symbol
     return eb, np.angle(np.vdot(linear, tx) / np.vdot(linear, linear))
@@ -337,7 +350,7 @@ class TestAmplifierEngine:
                                                        _PRODUCERS[scenario.hpa_mode])
         if scenario.hpa_mode == "saleh_pd":
             linear = np.concatenate([
-                modulate_user(d, runtime.walsh, pn, scenario.config).samples
+                modulate_user(d, runtime.walsh, pn, scenario.config)
                 for d, pn in zip(symbols, runtime.pn_chips)])
             share = np.mean(np.abs(runtime.pd_scale * linear) > scenario.saleh.saturation_output)
             low, high = _CLIPPED_SHARE[scenario.name]
@@ -345,8 +358,8 @@ class TestAmplifierEngine:
         eb, phase_offset = _reference_calibration(runtime)
         assert abs(runtime.eb - eb) <= 1e-12 * eb
         assert abs(runtime.phase_offset - phase_offset) <= 1e-12
-        taps = [channel.taps(k) for k in range(scenario.config.users)]
-        reference = _sample_chain(runtime, symbols, taps, channel.phases[0, 0] + phase_offset,
+        reference = _sample_chain(runtime, symbols, harness._path_gains(channel),
+                                  channel.phases[0, 0] + phase_offset,
                                   amplify=_reference_amplifier(runtime))
         assert z.shape == reference.shape
         assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -382,9 +395,9 @@ class TestAmplifierEngine:
         draws = []
         correlator_noise = harness.correlator_noise
 
-        def recorded(noise, eb, window_rate, factor, n_windows, rng):
-            draws.append((factor, n_windows, eb, noise.ebn0_db))
-            draws.append(correlator_noise(noise, eb, window_rate, factor, n_windows, rng))
+        def recorded(ebn0_db, eb, window_rate, factor, n_windows, rng):
+            draws.append((factor, n_windows, eb, ebn0_db))
+            draws.append(correlator_noise(ebn0_db, eb, window_rate, factor, n_windows, rng))
             return draws[-1]
 
         def sample_noise(*args):

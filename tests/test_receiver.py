@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from mcmccdma import harness
-from mcmccdma.channel import ChannelRealization, PathTap, draw_channel
+from mcmccdma.channel import ChannelRealization, draw_channel, propagate_samples
 from mcmccdma.codes import generate_msequence, generate_walsh
 from mcmccdma.harness import Scenario, estimate_interference_variances, measure_variances
 from mcmccdma.receiver import (
     SOURCE_NAMES,
     correlate_slots,
+    decide_slots,
     partial_correlation_tables,
-    recover_bits,
 )
-from mcmccdma.txchain import BasebandFrame, LinkConfig, modulate_user, slot_signatures
+from mcmccdma.txchain import LinkConfig, modulate_user, slot_signatures
 
-REF_TAP = PathTap(1.0, 0, 0.0)
 REF_CHANNEL = ChannelRealization(gains=np.ones((1, 1)), phases=np.zeros((1, 1)))
 
 LOOPBACK_CONFIGS = [
@@ -33,52 +32,37 @@ def _make(r, m, na, degree, **kw):
 
 
 class TestLoopback:
+    """A user's own frame through its own correlators decides every symbol
+    right: the (substream, carrier) slots separate exactly."""
+
     @pytest.mark.parametrize("r,m,na,degree", LOOPBACK_CONFIGS)
     def test_noiseless_exact(self, r, m, na, degree):
         cfg, walsh, pn = _make(r, m, na, degree)
         rng = np.random.default_rng(degree)
         d = rng.choice([-1, 1], size=(50, r, m)).astype(np.int8)
-        frame = modulate_user(d, walsh, pn, cfg)
-        dec = recover_bits(frame, 0, walsh, pn, cfg, REF_TAP, reference=d)
-        assert dec.errors == 0
-        assert dec.bits == 50 * r * m
+        z = correlate_slots(modulate_user(d, walsh, pn, cfg), slot_signatures(walsh, pn, cfg), cfg)
+        assert decide_slots(z, d) == (0, 50 * r * m)
 
     def test_rotation_invariance(self):
         cfg, walsh, pn = _make(2, 2, 4, 4)
         rng = np.random.default_rng(1)
         d = rng.choice([-1, 1], size=(20, 2, 2)).astype(np.int8)
-        frame = modulate_user(d, walsh, pn, cfg)
-        rot = BasebandFrame(frame.samples * np.exp(1j * np.pi / 3), frame.sample_rate)
-        tap = PathTap(1.0, 0, np.pi / 3)
-        dec = recover_bits(rot, 0, walsh, pn, cfg, tap, reference=d)
-        assert dec.errors == 0
+        rotated = modulate_user(d, walsh, pn, cfg) * np.exp(1j * np.pi / 3)
+        z = correlate_slots(rotated, slot_signatures(walsh, pn, cfg), cfg,
+                            reference_phase=np.pi / 3)
+        assert decide_slots(z, d) == (0, d.size)
 
     def test_delayed_reference_path(self):
         cfg, walsh, pn = _make(2, 2, 4, 4)
         rng = np.random.default_rng(2)
         d = rng.choice([-1, 1], size=(10, 2, 2)).astype(np.int8)
-        frame = modulate_user(d, walsh, pn, cfg)
-        tap = PathTap(0.7, 3, 1.2)
-        shifted = np.zeros(len(frame) + 3 * cfg.oversampling, dtype=np.complex128)
-        shifted[3 * cfg.oversampling:] = 0.7 * np.exp(1.2j) * frame.samples
-        dec = recover_bits(BasebandFrame(shifted, frame.sample_rate), 0, walsh, pn,
-                           cfg, tap, reference=d)
-        assert dec.errors == 0
-
-    def test_missing_sync_rejected(self):
-        cfg, walsh, pn = _make(1, 1, 1, 3)
-        frame = modulate_user(np.ones((2, 1, 1), dtype=np.int8), walsh, pn, cfg)
-        with pytest.raises(ValueError, match="reference path"):
-            recover_bits(frame, 0, walsh, pn, cfg, None)
-
-    def test_skip_and_count_windows(self):
-        cfg, walsh, pn = _make(1, 1, 1, 3)
-        d = np.ones((6, 1, 1), dtype=np.int8)
-        frame = modulate_user(d, walsh, pn, cfg)
-        dec = recover_bits(frame, 0, walsh, pn, cfg, REF_TAP,
-                           reference=d[2:5], skip_symbols=2, n_symbols=3)
-        assert dec.bits == 3
-        assert dec.errors == 0
+        # the only path is three chips late, with gain 0.7 at phase 1.2
+        gains = np.zeros(4, dtype=np.complex128)
+        gains[3] = 0.7 * np.exp(1.2j)
+        received = propagate_samples(modulate_user(d, walsh, pn, cfg), gains, cfg.oversampling)
+        z = correlate_slots(received[3 * cfg.oversampling:], slot_signatures(walsh, pn, cfg),
+                            cfg, reference_phase=1.2)
+        assert decide_slots(z, d) == (0, d.size)
 
 
 class TestCorrelatorIdentity:
@@ -87,8 +71,7 @@ class TestCorrelatorIdentity:
         from mcmccdma.txchain import slot_signatures
         rng = np.random.default_rng(3)
         d = rng.choice([-1, 1], size=(12, 2, 2)).astype(np.int8)
-        frame = modulate_user(d, walsh, pn, cfg)
-        z = correlate_slots(frame, slot_signatures(walsh, pn, cfg), cfg)
+        z = correlate_slots(modulate_user(d, walsh, pn, cfg), slot_signatures(walsh, pn, cfg), cfg)
         assert np.allclose(z.real, np.sqrt(2 * cfg.power) * d, atol=1e-10)
         assert np.abs(z.imag).max() < 1e-10
 
@@ -99,19 +82,15 @@ class TestCorrelatorIdentity:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(cfg.samples_per_symbol) * (1 + 0.5j)
         y = rng.standard_normal(cfg.samples_per_symbol) * (0.3 - 1j)
-        fx = BasebandFrame(x.copy(), cfg.sample_rate)
-        fy = BasebandFrame(y.copy(), cfg.sample_rate)
-        fxy = BasebandFrame(x + y, cfg.sample_rate)
-        zsum = correlate_slots(fx, sig, cfg) + correlate_slots(fy, sig, cfg)
-        assert np.abs(correlate_slots(fxy, sig, cfg) - zsum).max() < 1e-12
+        zsum = correlate_slots(x, sig, cfg) + correlate_slots(y, sig, cfg)
+        assert np.abs(correlate_slots(x + y, sig, cfg) - zsum).max() < 1e-12
 
     def test_too_short_frame(self):
         cfg, walsh, pn = _make(1, 1, 1, 3)
         from mcmccdma.txchain import slot_signatures
         sig = slot_signatures(walsh, pn, cfg)
-        short = BasebandFrame(np.zeros(5, dtype=np.complex128), cfg.sample_rate)
         with pytest.raises(ValueError):
-            correlate_slots(short, sig, cfg)
+            correlate_slots(np.zeros(5, dtype=np.complex128), sig, cfg)
 
 
 def _slice_tables(pn_chips, walsh, cfg, n_paths):
@@ -259,6 +238,15 @@ class TestVarianceEstimates:
         parts = (var.multipath + var.inter_substream + var.inter_carrier
                  + var.multi_user + var.noise)
         assert var.total == pytest.approx(parts, rel=1e-12)
+
+    @pytest.mark.parametrize("ebn0_db", [np.nan, np.inf])
+    def test_nonfinite_ebn0_needs_noise_off(self, ebn0_db):
+        cfg = LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4, pn_length=15)
+        with pytest.raises(ValueError, match="ebn0_db must be finite"):
+            measure_variances(Scenario(name="noisy", config=cfg), ebn0_db, n_symbols=16)
+        var = measure_variances(Scenario(name="quiet", config=cfg, noise_enabled=False),
+                                ebn0_db, n_symbols=16)
+        assert var.noise == 0.0
 
     def test_too_few_symbols_rejected(self):
         runtime, channel, *_ = _source_setup()

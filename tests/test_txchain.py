@@ -1,4 +1,4 @@
-"""Transmit chain: splitting, spreading, modulation, frame bookkeeping."""
+"""Transmit chain: splitting, subcarriers, the Walsh grid, modulation."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from mcmccdma.codes import generate_msequence, generate_walsh
 from mcmccdma.txchain import (
     LinkConfig,
-    UserSymbols,
     modulate_user,
     modulation_table,
-    multicode_spread,
     parallel_to_serial,
     serial_to_parallel,
     slot_signatures,
@@ -75,35 +73,6 @@ class TestSerialParallel:
         assert (parallel_to_serial(serial_to_parallel(bits, lanes)) == bits).all()
 
 
-class TestMulticodeSpread:
-    def test_two_substreams(self):
-        w = generate_walsh(2)
-        chips = multicode_spread(np.array([1, -1]), w)
-        assert (chips == [0, 2]).all()
-
-    def test_single_substream_is_code_row(self):
-        w = generate_walsh(4)
-        assert (multicode_spread(np.array([1]), w) == w.row(0)).all()
-
-    def test_all_ones_order8(self):
-        w = generate_walsh(8)
-        chips = multicode_spread(np.ones(8, dtype=int), w)
-        assert (chips == [8, 0, 0, 0, 0, 0, 0, 0]).all()
-
-    def test_parity_and_bound(self):
-        w = generate_walsh(8)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d = rng.choice([-1, 1], size=5)
-            chips = multicode_spread(d, w)
-            assert np.abs(chips).max() <= 5
-            assert ((chips - 5) % 2 == 0).all()
-
-    def test_too_many_substreams(self):
-        with pytest.raises(ValueError):
-            multicode_spread(np.ones(3), generate_walsh(2))
-
-
 class TestSubcarriers:
     def test_frequencies_and_spacing(self):
         cfg = LinkConfig(carriers=4, walsh_order=8, substreams=8,
@@ -160,12 +129,12 @@ class TestModulateUser:
         walsh = generate_walsh(1)
         flat_pn = PnSequence(degree=3, taps=(3, 1), chips=np.ones(7, dtype=np.int8))
         d = np.ones((1, 1, 1), dtype=np.int8)
-        frame = modulate_user(d, walsh, flat_pn, cfg)
+        samples = modulate_user(d, walsh, flat_pn, cfg)
         n = cfg.samples_per_symbol
         i = np.arange(n)
         expected = np.sqrt(2 * cfg.power) * np.exp(
             2j * np.pi * subcarrier_frequency(1, cfg) * i * cfg.symbol_duration / n)
-        assert np.allclose(frame.samples, expected, atol=1e-12)
+        assert np.allclose(samples, expected, atol=1e-12)
 
     def test_mean_power(self):
         cfg = LinkConfig(substreams=4, carriers=4, walsh_order=4,
@@ -174,9 +143,9 @@ class TestModulateUser:
         pn = generate_msequence(6)
         rng = np.random.default_rng(5)
         d = rng.choice([-1, 1], size=(40, 4, 4)).astype(np.int8)
-        frame = modulate_user(d, walsh, pn, cfg)
+        samples = modulate_user(d, walsh, pn, cfg)
         expected = 2 * cfg.power * cfg.substreams * cfg.carriers
-        assert frame.mean_power == pytest.approx(expected, rel=1e-2)
+        assert np.mean(np.abs(samples) ** 2) == pytest.approx(expected, rel=1e-2)
 
     def test_slot_signatures_orthonormal_when_aligned(self):
         cfg = LinkConfig(substreams=4, carriers=4, walsh_order=4,
@@ -187,22 +156,12 @@ class TestModulateUser:
         gram = (sig @ sig.conj().T) / sig.shape[1]
         assert np.abs(gram - np.eye(16)).max() < 1e-10
 
-    def test_accepts_usersymbols_wrapper(self):
-        cfg = LinkConfig(substreams=2, carriers=1, walsh_order=2,
-                         pn_length=7, oversampling=4)
-        walsh = generate_walsh(2)
-        pn = generate_msequence(3)
-        d = np.ones((3, 2, 1), dtype=np.int8)
-        a = modulate_user(UserSymbols(user=0, symbols=d), walsh, pn, cfg)
-        b = modulate_user(d, walsh, pn, cfg)
-        assert np.array_equal(a.samples, b.samples)
-
     def test_frame_length(self):
         cfg = LinkConfig(substreams=2, carriers=2, walsh_order=2,
                          pn_length=15, oversampling=4)
         d = np.ones((7, 2, 2), dtype=np.int8)
-        frame = modulate_user(d, generate_walsh(2), generate_msequence(4), cfg)
-        assert len(frame) == 7 * cfg.samples_per_symbol
+        samples = modulate_user(d, generate_walsh(2), generate_msequence(4), cfg)
+        assert samples.shape == (7 * cfg.samples_per_symbol,)
 
 
 def _loop_signatures(walsh, chips, cfg):
@@ -238,10 +197,8 @@ class TestModulationTable:
         expected = np.sqrt(2 * cfg.power) * (d.reshape(9, -1) @ sig.reshape(-1, n))
         table = modulation_table(walsh, cfg)
         assert table.shape == (3 * carriers, 2 * n) and table.dtype == np.float64
-        for frame in (modulate_user(d, walsh, chips, cfg, table=table),
-                      modulate_user(d, walsh, chips, cfg)):
-            got = frame.samples.reshape(9, n)
-            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        got = modulate_user(d, walsh, chips, cfg).reshape(9, n)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_walsh_order_mismatch_rejected(self):
         cfg = LinkConfig(substreams=2, walsh_order=2, pn_length=7)
