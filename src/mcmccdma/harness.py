@@ -32,10 +32,16 @@ count are common.
   the identity up to A_sat.  So its outputs are the linear chain's, from
   the same tables, times the predistorter's input scale, plus a correction
   from the samples above A_sat alone, which are under 1% at working
-  back-offs: one modulus pass over the same tiles finds them, and what the
-  limiter takes off them (hpa.envelope_excess) is correlated against user
-  1's signatures.  No received frame is built, and the noise is drawn per
-  correlator output as on the linear chain.
+  back-offs.  An envelope bound on each symbol row during each Walsh chip
+  (_peak_power_bound) rules out most rows before any sample is formed;
+  one modulus pass over the tiles of the rest finds the clipped samples
+  (_clip_candidate_tiles), and what the limiter takes off them
+  (hpa.envelope_excess) is correlated against user 1's signatures.  No
+  received frame is built, and the noise is drawn per correlator output as
+  on the linear chain.
+
+Both amplifier modes correlate sampled windows through user 1's
+signatures with the Walsh chips factored out (receiver.correlate_factored).
 
 Noiseless, every producer agrees with the sample-level reference chain
 (modulate_user, the frame amplifier kernels, propagate_samples,
@@ -64,7 +70,7 @@ from .channel import add_awgn, correlator_noise, draw_channel
 from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
 from .hpa import (OperatingPoint, SalehParams, amplify_samples, envelope_excess,
                   operating_point_for_power)
-from .receiver import (SOURCE_NAMES, InterferenceVariances, correlate_tables, correlate_windows,
+from .receiver import (SOURCE_NAMES, InterferenceVariances, correlate_factored, correlate_tables,
                        decide_slots, partial_correlation_tables)
 from .txchain import (LinkConfig, check_field_types, declared_type, subcarrier_exponentials,
                       walsh_chip_indices)
@@ -126,6 +132,12 @@ class Scenario:
             )
         if self.min_errors < 1:
             raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
+        # min_bits above max_bits is allowed: max_bits is the cap.
+        for name in ("min_bits", "min_blocks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.max_bits < 1:
+            raise ValueError(f"max_bits must be >= 1, got {self.max_bits}")
         if self.symbols_per_block < 1 or self.blocks_per_wave < 1:
             raise ValueError("symbols_per_block and blocks_per_wave must be >= 1")
         if self.master_seed < 0:
@@ -169,8 +181,9 @@ class _Runtime:
     The modes whose outputs come from the tables ("bypass" and "saleh_pd")
     fill correlation and noise_factor; the amplifier modes ("saleh" and
     "saleh_pd") fill the waveform fields below them, from which
-    _linear_tiles forms every user's PN-free waveform and against which
-    sampled frames are correlated."""
+    _linear_tiles and _clip_candidate_tiles form every user's PN-free
+    waveform, and carrier_correlator, against which sampled windows are
+    correlated."""
 
     scenario: Scenario
     walsh: WalshMatrix
@@ -184,9 +197,10 @@ class _Runtime:
     carriers: np.ndarray | None = None      # txchain.subcarrier_exponentials, (carriers, samples)
     walsh_chips: np.ndarray | None = None   # txchain.walsh_chip_indices, (samples,)
     pn_samples: np.ndarray | None = None    # pn_chips oversampled, (users, samples_per_symbol)
-    # User 1's correlator matrix: its conjugated slot signatures as
-    # C-contiguous columns, shape (samples_per_symbol, substreams * carriers).
-    signatures_user1: np.ndarray | None = None
+    # User 1's correlator with the Walsh chips factored out: its chips times
+    # the conjugated carrier exponentials, C-contiguous, shape
+    # (samples_per_symbol, carriers); see receiver.correlate_factored.
+    carrier_correlator: np.ndarray | None = None
     op: OperatingPoint | None = None
     pd_scale: float | None = None
     phase_offset: float = 0.0
@@ -223,9 +237,8 @@ def _prepare(scenario: Scenario) -> _Runtime:
         runtime.walsh_chips = walsh_chip_indices(cfg)
         runtime.pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
         # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
-        spread = walsh.rows[:cfg.substreams, runtime.walsh_chips].T * runtime.pn_samples[0, :, None]
-        runtime.signatures_user1 = (spread[:, :, None] * runtime.carriers.conj().T[:, None, :]
-                                    ).reshape(cfg.samples_per_symbol, -1)
+        runtime.carrier_correlator = np.ascontiguousarray(
+            runtime.pn_samples[0, :, None] * runtime.carriers.conj().T)
         mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
         if scenario.hpa_mode == "saleh":
             runtime.op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
@@ -239,6 +252,31 @@ def _prepare(scenario: Scenario) -> _Runtime:
     return runtime
 
 
+def _carrier_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
+    """b[c, n, m] = sqrt(2 power) sum_r d[n, r, m] w_r(c): symbol row n's
+    real coefficient on carrier m during Walsh chip c, shape (walsh_order,
+    rows, carriers).  symbols holds rows of (substreams, carriers) symbols,
+    shape (..., substreams, carriers)."""
+    cfg = runtime.scenario.config
+    n_sub, n_car = cfg.substreams, cfg.carriers
+    # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
+    d = symbols.reshape(-1, n_sub, n_car).transpose(0, 2, 1).reshape(-1, n_sub)
+    b = d.astype(np.float64) @ runtime.walsh.rows[:n_sub].astype(np.float64)
+    b *= np.sqrt(2.0 * cfg.power)
+    return np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
+
+
+def _chip_runs(chips: np.ndarray, start: int, stop: int):
+    """(first, stop, chip) for each run of one Walsh chip in sample
+    positions start..stop-1, given each position's nondecreasing chip index."""
+    lo = start
+    while lo < stop:
+        chip = chips[lo]
+        hi = min(int(np.searchsorted(chips, chip, side="right")), stop)
+        yield lo, hi, chip
+        lo = hi
+
+
 def _linear_tiles(runtime: _Runtime, symbols: np.ndarray):
     """Every symbol row's PN-free linear waveform, one slab of sample
     positions at a time.
@@ -249,43 +287,73 @@ def _linear_tiles(runtime: _Runtime, symbols: np.ndarray):
     (rows, slab): row n is sqrt(2 power) sum_(r, m) d[n, r, m] w_r(chip i)
     E_m(i), the shared modulation table (txchain.modulation_table) applied
     to the row.  It is formed factored: during Walsh chip c the row is
-    sum_m b[c, n, m] E_m(i) with b = sqrt(2 power) d W over the Walsh rows,
-    taken once per call, so each Walsh-chip segment of a slab is one real
-    GEMM of b[c] (rows, carriers) against the carrier exponentials with
-    re/im interleaved.
+    sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each Walsh-chip
+    segment of a slab is one real GEMM of b[c] (rows, carriers) against the
+    carrier exponentials with re/im interleaved.
 
     The tube and the predistorter act on |x|^2 alone, so for +-1 chips
     A(pn x) = pn A(x) holds bit for bit and the caller applies each user's
     chips after the amplifier.
     """
-    cfg = runtime.scenario.config
-    n_samp, n_sub, n_car = cfg.samples_per_symbol, cfg.substreams, cfg.carriers
-    # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
-    d = symbols.reshape(-1, n_sub, n_car).transpose(0, 2, 1).reshape(-1, n_sub)
-    b = d.astype(np.float64) @ runtime.walsh.rows[:n_sub].astype(np.float64)
-    b *= np.sqrt(2.0 * cfg.power)
-    b = np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
+    n_samp = runtime.scenario.config.samples_per_symbol
+    b = _carrier_coefficients(runtime, symbols)
     carriers = runtime.carriers.view(np.float64)
-    chips = runtime.walsh_chips
-    chip_stops = np.searchsorted(chips, np.arange(cfg.walsh_order), side="right")
     for start in range(0, n_samp, _SLAB_SAMPLES):
         stop = min(start + _SLAB_SAMPLES, n_samp)
         tile = np.empty((b.shape[1], 2 * (stop - start)))
-        lo = start
-        while lo < stop:
-            chip = chips[lo]
-            hi = min(chip_stops[chip], stop)
+        for lo, hi, chip in _chip_runs(runtime.walsh_chips, start, stop):
             np.matmul(b[chip], carriers[:, 2 * lo:2 * hi],
                       out=tile[:, 2 * (lo - start):2 * (hi - start)])
-            lo = hi
         yield start, tile.view(np.complex128)
 
 
+def _peak_power_bound(b: np.ndarray) -> np.ndarray:
+    """An upper bound on |sum_m b[..., m] e^{j (m+1) theta}|^2 over every
+    angle theta, for real coefficients b: the power is
+    rho_0 + 2 sum_{k>=1} rho_k cos(k theta) with rho_k = sum_m b_m b_{m+k},
+    so it is at most rho_0 + 2 sum_k |rho_k| (Tellambura, Electron. Lett.
+    33(19), 1997).  Shape b.shape[:-1]."""
+    bound = np.einsum("...m,...m->...", b, b)
+    for k in range(1, b.shape[-1]):
+        bound += 2.0 * np.abs(np.einsum("...m,...m->...", b[..., :-k], b[..., k:]))
+    return bound
+
+
+def _clip_candidate_tiles(runtime: _Runtime, symbols: np.ndarray):
+    """The tiles of _linear_tiles cut down to the (Walsh chip, symbol row)
+    pairs that the predistorted tube can clip.
+
+    During Walsh chip c row n is sum_m b[c, n, m] E_m(i) with E_m(i) =
+    e^{j (m+1) 2 pi W i / N}, so its power never exceeds
+    _peak_power_bound(b[c, n]), and a pair whose bound is below the clip
+    power has no sample to clip.  The margin of 1e-12 keeps exact ties,
+    and anything the round-off of a tile could lift over the clip power, in
+    the search.  The other pairs are formed by the product of _linear_tiles
+    restricted to their rows, one run of one Walsh chip within a slab at a
+    time, and yielded as (rows, first position, tile): the tile complex,
+    (rows.size, run length), its row j being symbol row rows[j]."""
+    cfg = runtime.scenario.config
+    b = _carrier_coefficients(runtime, symbols)
+    clip_power = runtime.scenario.saleh.saturation_output_power / runtime.pd_scale**2
+    # NaN compares false, so a NaN bound keeps its pair in the search.
+    searched = ~(_peak_power_bound(b) < clip_power * (1.0 - 1e-12))
+    candidates = [np.flatnonzero(rows) for rows in searched]
+    coefficients = [b[chip, rows] for chip, rows in enumerate(candidates)]
+    carriers = runtime.carriers.view(np.float64)
+    for start in range(0, cfg.samples_per_symbol, _SLAB_SAMPLES):
+        stop = min(start + _SLAB_SAMPLES, cfg.samples_per_symbol)
+        for lo, hi, chip in _chip_runs(runtime.walsh_chips, start, stop):
+            if candidates[chip].size:
+                tile = coefficients[chip] @ carriers[:, 2 * lo:2 * hi]
+                yield candidates[chip], lo, tile.view(np.complex128)
+
+
 def _clipped(runtime: _Runtime, linear: np.ndarray) -> tuple:
-    """The samples of a linear tile (_linear_tiles) that the predistorted
-    tube clips, as (flat indices into the tile, the tube's output there
-    minus pd_scale times the sample, from hpa.envelope_excess).  The tube
-    clips where pd_scale^2 |x|^2 exceeds its peak output power."""
+    """The samples of a linear tile (_linear_tiles, _clip_candidate_tiles)
+    that the predistorted tube clips, as (flat indices into the tile, the
+    tube's output there minus pd_scale times the sample, from
+    hpa.envelope_excess).  The tube clips where pd_scale^2 |x|^2 exceeds
+    its peak output power."""
     squares = np.square(linear.view(np.float64))
     power = squares[:, 0::2] + squares[:, 1::2]
     clip_power = runtime.scenario.saleh.saturation_output_power / runtime.pd_scale**2
@@ -368,8 +436,9 @@ def _sample_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     if runtime.scenario.noise_enabled:
         received = add_awgn(received, cfg.sample_rate, ebn0_db, runtime.eb, rng)
     windows = received[:n_total * cfg.samples_per_symbol].reshape(n_total, -1)
-    z = correlate_windows(windows, runtime.signatures_user1,
-                          channel.phases[0, 0] + runtime.phase_offset)
+    z = correlate_factored(windows, runtime.carrier_correlator,
+                           runtime.walsh.rows[:cfg.substreams], runtime.walsh_chips,
+                           channel.phases[0, 0] + runtime.phase_offset)
     return z.reshape(n_total, cfg.substreams, cfg.carriers)
 
 
@@ -416,7 +485,8 @@ def _limiter_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: f
     z *= runtime.pd_scale * np.sqrt(2.0 * cfg.power)
     excess = _excess_windows(runtime, symbols, gains)
     if excess is not None:
-        z += correlate_windows(excess, runtime.signatures_user1)
+        z += correlate_factored(excess, runtime.carrier_correlator,
+                                runtime.walsh.rows[:cfg.substreams], runtime.walsh_chips)
     z *= np.exp(-1j * (channel.phases[0, 0] + runtime.phase_offset))
     if runtime.scenario.noise_enabled:
         z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
@@ -428,23 +498,26 @@ def _excess_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
     the (symbols, samples_per_symbol) correlator windows; None when no
     sample clips.
 
-    One modulus pass over the PN-free tiles (_clipped) finds the clipped
-    samples; each one's excess, times its user's chip, is added on every
-    path l at l chips' delay with gain h_kl.  The part that falls past the
-    last window is dropped, as the correlator drops it."""
+    A modulus pass (_clipped) over the PN-free tiles of the (Walsh chip,
+    symbol row) pairs that can clip (_clip_candidate_tiles) finds the
+    clipped samples; each one's excess, times its user's chip, is added on
+    every path l at l chips' delay with gain h_kl, one tile at a time.  The
+    part that falls past the last window is dropped, as the correlator
+    drops it."""
     cfg = runtime.scenario.config
     n_total = symbols.shape[1]
     n_samp = cfg.samples_per_symbol
     length = n_total * n_samp
     delays = range(0, runtime.scenario.paths * cfg.oversampling, cfg.oversampling)
     received = None
-    for start, linear in _linear_tiles(runtime, symbols):
+    for rows, start, linear in _clip_candidate_tiles(runtime, symbols):
         hits, excess = _clipped(runtime, linear)
         if hits.size == 0:
             continue
         if received is None:
             received = np.zeros(length + delays[-1], dtype=np.complex128)
         row, column = np.divmod(hits, linear.shape[1])
+        row = rows[row]
         column += start
         user = row // n_total
         excess *= runtime.pn_samples[user, column]

@@ -18,7 +18,9 @@ Correlations are normalized by the samples per symbol, so a clean slot
 correlates to sqrt(2*power) * path_gain * symbol.  The sample-level
 functions take plain arrays: correlate_slots a received sample array whose
 first window starts at the reference path's delay, decide_slots the
-correlator outputs and the transmitted symbols.
+correlator outputs and the transmitted symbols.  correlate_factored is the
+same correlation with each signature's Walsh chips factored out, which the
+amplifier chains use on their sampled windows.
 """
 
 from __future__ import annotations
@@ -69,20 +71,44 @@ def correlate_slots(samples: np.ndarray, signatures: np.ndarray, config: LinkCon
     if n_sym == 0:
         raise ValueError("sample array shorter than one symbol window")
     y = samples[: n_sym * n_samp].reshape(n_sym, n_samp)
-    correlator = signatures.reshape(-1, n_samp).conj().T
-    return correlate_windows(y, correlator, reference_phase).reshape(
-        n_sym, config.substreams, config.carriers)
-
-
-def correlate_windows(windows: np.ndarray, correlator: np.ndarray,
-                      reference_phase: float = 0.0) -> np.ndarray:
-    """The arithmetic of correlate_slots on received samples already cut
-    into symbol windows, shape (n_symbols, samples_per_symbol), against a
-    correlator matrix of shape (samples_per_symbol, slots): the conjugated
-    slot signatures, one column per slot.  Returns (n_symbols, slots)."""
-    z = (windows @ correlator) / windows.shape[1]
+    z = (y @ signatures.reshape(-1, n_samp).conj().T) / n_samp
     if reference_phase != 0.0:
         z = z * np.exp(-1j * reference_phase)
+    return z.reshape(n_sym, config.substreams, config.carriers)
+
+
+def correlate_factored(windows: np.ndarray, correlator: np.ndarray, walsh_rows: np.ndarray,
+                       chips: np.ndarray, reference_phase: float = 0.0) -> np.ndarray:
+    """The correlations of correlate_slots on received samples already cut
+    into symbol windows, shape (n_symbols, samples_per_symbol), against
+    slot signatures that factor as w_r(chip i) g_m(i), with the Walsh chips
+    taken out of the product.
+
+    correlator holds conj(g_m(i)), shape (samples_per_symbol, carriers):
+    for a user's signatures (txchain.slot_signatures) its chips times the
+    conjugated carrier exponentials.  walsh_rows holds the +-1 rows w_r,
+    shape (substreams, walsh_order), and chips the nondecreasing Walsh chip
+    index of each sample (txchain.walsh_chip_indices).  Then
+
+        z[n, (r, m)] = (1/N) sum_c w_r(c) sum_{i in chip c} y[n, i] conj(g_m(i)),
+
+    one GEMM per Walsh chip against `carriers` columns instead of one
+    against substreams * carriers, and a real Walsh combine.  Returns
+    (n_symbols, substreams * carriers) in slot order r * carriers + m.
+    """
+    n_sym, n_samp = windows.shape
+    order, n_car = walsh_rows.shape[1], correlator.shape[1]
+    per_chip = np.empty((order, n_sym, n_car), dtype=np.complex128)
+    lo = 0
+    for chip, hi in enumerate(np.searchsorted(chips, np.arange(order), side="right")):
+        np.matmul(windows[:, lo:hi], correlator[lo:hi], out=per_chip[chip])
+        lo = hi
+    # (substreams, order) @ (order, n_sym * carriers), re/im interleaved
+    z = np.asarray(walsh_rows, dtype=np.float64) @ per_chip.view(np.float64).reshape(order, -1)
+    z = z.view(np.complex128).reshape(-1, n_sym, n_car).transpose(1, 0, 2).reshape(n_sym, -1)
+    z /= n_samp
+    if reference_phase != 0.0:
+        z *= np.exp(-1j * reference_phase)
     return z
 
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmccdma.analysis import BerRecord, binomial_ci95
 from mcmccdma.channel import propagate_samples
@@ -82,6 +84,20 @@ class TestScenarioValidation:
         assert dataclasses.replace(TINY, config=cfg, paths=2).paths == 2
         with pytest.raises(ValueError, match="PN shift spacing"):
             dataclasses.replace(TINY, config=cfg, paths=3)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_bits", 0, "max_bits must be >= 1"),
+        ("max_bits", -64, "max_bits must be >= 1"),
+        ("min_bits", -1, "min_bits must be nonnegative"),
+        ("min_blocks", -1, "min_blocks must be nonnegative"),
+    ])
+    def test_unusable_stopping_budget_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(TINY, **{field: value})
+
+    def test_min_bits_may_exceed_the_max_bits_cap(self):
+        sc = dataclasses.replace(TINY, min_bits=131_072, max_bits=4096)
+        assert (sc.min_bits, sc.max_bits) == (131_072, 4096)
 
     @pytest.mark.parametrize("field", [
         "paths", "min_errors", "min_bits", "min_blocks", "max_bits",
@@ -276,7 +292,7 @@ class TestCorrelationEngine:
 
     def test_amplifier_modes_keep_the_sample_chain(self):
         runtime = harness._prepare(dataclasses.replace(TINY, hpa_mode="saleh"))
-        assert runtime.correlation is None and runtime.signatures_user1 is not None
+        assert runtime.correlation is None and runtime.carrier_correlator is not None
 
 
 def _reference_amplifier(runtime):
@@ -364,16 +380,24 @@ class TestAmplifierEngine:
         assert z.shape == reference.shape
         assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    @pytest.mark.parametrize("hpa_mode", ["saleh", "saleh_pd"])
-    def test_block_allocates_tiles_not_user_waveforms(self, hpa_mode):
+    @pytest.mark.parametrize("hpa_mode, ibo_db, frames", [
+        pytest.param("saleh", 7.0, 4, id="saleh"),
+        pytest.param("saleh_pd", 7.0, 1, id="saleh_pd"),
+        pytest.param("saleh_pd", -4.0, 4, id="saleh_pd-clipping"),
+    ])
+    def test_block_allocates_tiles_not_user_waveforms(self, hpa_mode, ibo_db, frames):
         """Peak traced allocation of one amplifier block against the bytes of
         its received frame.  Here a tile is a quarter of the frame.  The
         tube's block peaks at three frames, in the noise; amplifying one
-        user's whole waveform at a time took six to seven.  The predistorted
-        tube's block builds no frame when nothing clips, as here, and peaks
-        at two thirds of one in its tiles."""
+        user's whole waveform at a time took six to seven.  At 7 dB the
+        predistorted tube's envelope bound rules out every row, so its block
+        forms neither a tile nor a frame (0.02 frames; 0.67 when every tile
+        was searched).  At -4 dB most samples clip, and the block peaks at
+        3.3 frames because the clipped excess is added into the frame tile by
+        tile; collecting the whole block's clipped samples first would take
+        several times that."""
         scenario = dataclasses.replace(
-            TINY, name="guard", hpa_mode=hpa_mode, symbols_per_block=8,
+            TINY, name="guard", hpa_mode=hpa_mode, ibo_db=ibo_db, symbols_per_block=8,
             config=LinkConfig(users=4, substreams=2, carriers=2, walsh_order=2, pn_length=1023))
         runtime = harness._prepare(scenario)
         frame_bytes = scenario.symbols_per_block * scenario.config.samples_per_symbol * 16
@@ -384,7 +408,26 @@ class TestAmplifierEngine:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= {"saleh": 4, "saleh_pd": 1}[hpa_mode] * frame_bytes
+        assert peak <= frames * frame_bytes
+
+    def test_unclippable_block_forms_no_tile(self, monkeypatch):
+        """At 30 dB the envelope bound rules out every (Walsh chip, symbol
+        row) pair, so a predistorted block searches no tile; the calibration,
+        which takes every tile, still does."""
+        calls = []
+        clipped = harness._clipped
+
+        def counted(runtime, linear):
+            calls.append(linear.shape)
+            return clipped(runtime, linear)
+
+        monkeypatch.setattr(harness, "_clipped", counted)
+        runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="unclipped",
+                                                       hpa_mode="saleh_pd", ibo_db=30.0))
+        assert calls
+        calls.clear()
+        harness._simulate_block(runtime, 0, 0, 8.0)
+        assert calls == []
 
     def test_limiter_block_draws_noise_per_correlator_output(self, monkeypatch):
         """The predistorted tube's noise is one correlator_noise draw through
@@ -417,11 +460,74 @@ class TestAmplifierEngine:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_limiter_block_rejects_nonfinite_tiles(self, bad):
+        # at 1 dB some rows can clip in the poisoned sample's Walsh chip, so
+        # their tile is formed and searched
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="bad",
-                                                       hpa_mode="saleh_pd"))
-        runtime.carriers[1, 300] = bad     # poisons every row's tile at that sample
+                                                       hpa_mode="saleh_pd", ibo_db=1.0))
+        runtime.carriers[1, 300] = bad     # poisons every searched row's tile at that sample
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
             harness._simulate_block(runtime, 0, 0, 8.0)
+
+
+# Grids for the clip search: aligned, non-aligned, one Walsh chip per
+# symbol, one carrier, and Walsh chips 1-2 samples long.
+_BOUND_CONFIGS = {
+    "aligned": _AMPLIFIER_BASE.config,
+    "unaligned": _TINY_UNALIGNED.config,
+    "walsh-order-1": LinkConfig(users=3, substreams=1, carriers=4, walsh_order=1, pn_length=7,
+                                oversampling=3),
+    "carriers-1": LinkConfig(users=3, substreams=4, carriers=1, walsh_order=4, pn_length=7,
+                             oversampling=3),
+    "short-chips": LinkConfig(users=3, substreams=5, carriers=1, walsh_order=16, pn_length=7,
+                              oversampling=3),
+}
+
+
+def _clip_search(runtime, tiles):
+    """The clipped samples of tiles given as (rows, first position, tile):
+    their indices row * samples_per_symbol + position in ascending order,
+    and the excess at each."""
+    n_samp = runtime.scenario.config.samples_per_symbol
+    indices, excesses = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.complex128)]
+    for rows, start, linear in tiles:
+        hits, excess = harness._clipped(runtime, linear)
+        row, column = np.divmod(hits, linear.shape[1])
+        indices.append(rows[row] * n_samp + start + column)
+        excesses.append(excess)
+    index = np.concatenate(indices)
+    order = np.argsort(index)
+    return index[order], np.concatenate(excesses)[order]
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_CONFIGS))
+@given(seed=st.integers(0, 2**32 - 1), ibo_db=st.sampled_from([-4.0, 1.0, 4.0, 7.0]))
+@settings(max_examples=20, deadline=None)
+def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
+    """The envelope bound of a (Walsh chip, symbol row) pair holds at every
+    sample of the full tiles, no pair under the clip power holds a clipped
+    sample, and the search over the remaining pairs clips exactly the
+    samples that the search over every tile does."""
+    cfg = _BOUND_CONFIGS[name]
+    runtime = harness._prepare(dataclasses.replace(TINY, name="bound", hpa_mode="saleh_pd",
+                                                   ibo_db=ibo_db, config=cfg))
+    symbols = harness._draw_symbols(np.random.default_rng(seed), cfg, 5)
+    n_rows = cfg.users * symbols.shape[1]
+    bound = harness._peak_power_bound(harness._carrier_coefficients(runtime, symbols))
+    clip_power = runtime.scenario.saleh.saturation_output_power / runtime.pd_scale**2
+
+    full = []
+    for start, linear in harness._linear_tiles(runtime, symbols):
+        chips = runtime.walsh_chips[start:start + linear.shape[1]]
+        assert (np.abs(linear) ** 2 <= bound[chips].T * (1.0 + 1e-12)).all()
+        full.append((np.arange(n_rows), start, linear))
+    index, excess = _clip_search(runtime, full)
+    row, position = np.divmod(index, cfg.samples_per_symbol)
+    assert (bound[runtime.walsh_chips[position], row] >= clip_power).all()
+
+    searched, searched_excess = _clip_search(runtime,
+                                             harness._clip_candidate_tiles(runtime, symbols))
+    assert np.array_equal(searched, index)
+    assert np.abs(searched_excess - excess).max(initial=0.0) <= 1e-12 * clip_power**0.5
 
 
 def _csv_bytes(scenario, workers, path):
@@ -729,6 +835,15 @@ class TestCli:
         monkeypatch.setenv("SIM_SEED", "-1")
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert "error: master_seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("max_bits", "0"), ("min_bits", "-1"),
+                                            ("min_blocks", "-1")])
+    def test_unusable_stopping_budget_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = _write_tiny_config(tmp_path, **{key: value})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_preset_is_config_error(self):

@@ -9,11 +9,13 @@ from mcmccdma.codes import generate_msequence, generate_walsh
 from mcmccdma.harness import Scenario, estimate_interference_variances, measure_variances
 from mcmccdma.receiver import (
     SOURCE_NAMES,
+    correlate_factored,
     correlate_slots,
     decide_slots,
     partial_correlation_tables,
 )
-from mcmccdma.txchain import LinkConfig, modulate_user, slot_signatures
+from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures,
+                              subcarrier_exponentials, walsh_chip_indices)
 
 REF_CHANNEL = ChannelRealization(gains=np.ones((1, 1)), phases=np.zeros((1, 1)))
 
@@ -91,6 +93,24 @@ class TestCorrelatorIdentity:
         sig = slot_signatures(walsh, pn, cfg)
         with pytest.raises(ValueError):
             correlate_slots(np.zeros(5, dtype=np.complex128), sig, cfg)
+
+
+@pytest.mark.parametrize("r,m,na,degree", LOOPBACK_CONFIGS + [(5, 1, 16, 3)])
+def test_factored_correlator_matches_signature_product(r, m, na, degree):
+    """correlate_factored, with the Walsh chips taken out of the signatures,
+    gives correlate_slots' outputs on arbitrary received windows (the last
+    case has Walsh chips 1-2 samples long)."""
+    cfg, walsh, pn = _make(r, m, na, degree)
+    rng = np.random.default_rng(degree)
+    n = 5 * cfg.samples_per_symbol
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = correlate_slots(samples, slot_signatures(walsh, pn, cfg), cfg, reference_phase=0.7)
+    chips = np.repeat(pn.chips, cfg.oversampling)
+    correlator = chips[:, None] * subcarrier_exponentials(cfg).conj().T
+    z = correlate_factored(samples.reshape(5, -1), correlator, walsh.rows[:r],
+                           walsh_chip_indices(cfg), reference_phase=0.7)
+    assert z.shape == (5, r * m)
+    assert np.abs(z - expected.reshape(5, -1)).max() <= 1e-12 * np.abs(expected).max()
 
 
 def _slice_tables(pn_chips, walsh, cfg, n_paths):
