@@ -29,6 +29,22 @@ QUICK_GRID = (4.0, 8.0, 12.0)
 THEORY_REFERENCE_DB = 8.0
 
 
+def theory_overlay(scenario) -> list:
+    """The scenario's BER predicted from its interference variances,
+    measured at THEORY_REFERENCE_DB on one channel draw.  Under fading the
+    Rayleigh average starts from the desired power at the reference path's
+    mean gain, so the draw's own gain is divided out of it."""
+    variances = measure_variances(scenario, ebn0_db=THEORY_REFERENCE_DB)
+    signal_power = None
+    if scenario.fading:
+        signal_power = variances.desired_power / variances.reference_gain
+    return theoretical_curve(
+        variances, scenario.ebn0_grid, THEORY_REFERENCE_DB, signal_power=signal_power,
+        fading=scenario.fading, scenario=scenario.name + "-theory",
+        users=scenario.config.users, substreams=scenario.config.substreams,
+        carriers=scenario.config.carriers)
+
+
 def run_family(family: str, out_dir: pathlib.Path, seed, workers: int,
                quick: bool, theory: bool) -> pathlib.Path:
     rows = []
@@ -42,12 +58,7 @@ def run_family(family: str, out_dir: pathlib.Path, seed, workers: int,
         print(f"  {scenario.name}: {len(report.records)} points, {total_bits} bits "
               f"({time.perf_counter() - started:.0f} s)")
         if theory and scenario.hpa_mode == "bypass":
-            variances = measure_variances(scenario, ebn0_db=THEORY_REFERENCE_DB)
-            rows.append(theoretical_curve(
-                variances, scenario.ebn0_grid, THEORY_REFERENCE_DB,
-                fading=scenario.fading, scenario=scenario.name + "-theory",
-                users=scenario.config.users, substreams=scenario.config.substreams,
-                carriers=scenario.config.carriers))
+            rows.append(theory_overlay(scenario))
     out_path = out_dir / f"{family}.csv"
     emit_csv(rows, out_path)
     print(f"  wrote {out_path}")

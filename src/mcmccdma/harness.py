@@ -7,43 +7,44 @@ waves.  Error and bit counts are integer sums over a wave, so the emitted
 records (and CSV bytes) are identical for any worker count and any
 execution order.
 
-Three producers of user 1's correlator outputs share the block loop, one
-per hpa_mode; the channel and symbol draws, the decisions and the error
-count are common.
+One producer (_correlation_outputs) forms user 1's correlator outputs in
+every hpa_mode; the channel and symbol draws, the decisions and the error
+count around it are common too.  A block's outputs are
 
-- The linear chain ("bypass", _correlation_outputs) computes the outputs
-  straight from the symbols.  The correlator is linear in every user's
-  symbols, so per scenario it tabulates the partial cross-correlations
-  between each user's delayed slot signatures and user 1's
-  (receiver.partial_correlation_tables), and each block is one small
-  product per user (receiver.correlate_tables).  The noise is drawn per
-  correlator output, with the covariance white sample noise would leave
-  there.  The interference decomposition (measure_variances) reads the
-  same tables: each source is a subset of the terms of that sum, and its
-  noise is drawn per correlator output too.
-- The tube ("saleh", _sample_outputs) builds the sampled waveform, because
-  the tube acts on each user's summed waveform: every user is modulated
-  and amplified (hpa.amplify_samples), the paths are summed, white noise
-  is added per sample, and the frame is correlated.  The waveform is built
-  in tiles of every user's symbol rows over a slab of sample positions
-  (_linear_tiles), so no user-length array is ever formed.
-- The predistorted tube ("saleh_pd", _limiter_outputs) is in exact
-  arithmetic the envelope limiter x min(1, A_sat/|x|) (see hpa), which is
-  the identity up to A_sat.  So its outputs are the linear chain's, from
-  the same tables, times the predistorter's input scale, plus a correction
-  from the samples above A_sat alone, which are under 1% at working
-  back-offs.  An envelope bound on each symbol row during each Walsh chip
-  (_peak_power_bound) rules out most rows before any sample is formed;
-  one modulus pass over the tiles of the rest finds the clipped samples
-  (_clip_candidate_tiles), and what the limiter takes off them
-  (hpa.envelope_excess) is correlated against user 1's signatures.  No
-  received frame is built, and the noise is drawn per correlator output as
-  on the linear chain.
+    z = g sqrt(2 power) e^{-j theta} T + W + noise,
 
-Both amplifier modes correlate sampled windows through user 1's
-signatures with the Walsh chips factored out (receiver.correlate_factored).
+theta being user 1's reference-path phase plus the amplifier's mean
+rotation (none without an amplifier).
 
-Noiseless, every producer agrees with the sample-level reference chain
+- T is the linear chain's correlation, straight from the symbols.  The
+  correlator is linear in every user's symbols, so per scenario it
+  tabulates the partial cross-correlations between each user's delayed
+  slot signatures and user 1's (receiver.partial_correlation_tables), and
+  each block is one small product per user (receiver.correlate_tables).
+  The interference decomposition (measure_variances) reads the same
+  tables: each source is a subset of the terms of that sum.
+- W correlates sampled windows of what the amplifier adds to g times the
+  linear waveform, against user 1's signatures with the Walsh chips
+  factored out (receiver.correlate_factored).  The windows are formed from
+  tiles of every user's PN-free symbol rows over a run of sample positions
+  (_clip_candidate_tiles), so no user-length array is ever formed.
+  - "bypass": g = 1 and there are no windows.
+  - "saleh": the tube acts on each user's summed waveform, so g = 0 and
+    the windows hold the whole received frame (_received_windows): every
+    user modulated and amplified (hpa.amplify_samples), the paths summed.
+  - "saleh_pd": the predistorted tube is in exact arithmetic the envelope
+    limiter x min(1, A_sat/|x|) (see hpa), the identity up to A_sat.  So g
+    is the predistorter's input scale, and the windows hold what the
+    limiter takes off the samples above A_sat (_excess_windows), under 1%
+    of them at working back-offs.  An envelope bound on each symbol row
+    during each Walsh chip (_peak_power_bound) rules out most rows before
+    any sample is formed; one modulus pass over the tiles of the rest
+    finds the clipped samples (hpa.envelope_excess).
+- The noise is drawn per correlator output (channel.correlator_noise),
+  with the covariance white sample noise would leave there: a factor of
+  user 1's Gram matrix, from the same tables.
+
+Noiseless, the outputs agree with the sample-level reference chain
 (modulate_user, the frame amplifier kernels, propagate_samples,
 correlate_slots) to round-off, which the tests hold to 1e-12.
 
@@ -59,6 +60,7 @@ import ctypes
 import math
 import numbers
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from multiprocessing import get_context
@@ -66,7 +68,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .analysis import BerRecord, binomial_ci95
-from .channel import add_awgn, correlator_noise, draw_channel
+from .channel import correlator_noise, draw_channel, path_power_profile
 from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
 from .hpa import (OperatingPoint, SalehParams, amplify_samples, envelope_excess,
                   operating_point_for_power)
@@ -86,6 +88,11 @@ _CALIBRATION_SYMBOLS = 256
 # cache-sized (about 2.6 MB for 20 users x 32 symbols); the per-tile
 # overhead is a few small calls.
 _SLAB_SAMPLES = 256
+
+# Bound on the magnitude of Eb/N0 and back-off values in dB.  Within it
+# 10^(x/10) and the noise and drive levels formed from it stay normal
+# doubles; 4000 dB overflows the conversion and -4000 dB underflows it to 0.
+_DB_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,10 @@ class Scenario:
             raise ValueError("ebn0_grid must not be empty")
         if not all(math.isfinite(x) for x in self.ebn0_grid):
             raise ValueError(f"ebn0_grid entries must be finite, got {self.ebn0_grid}")
+        for name, values in (("ebn0_grid", self.ebn0_grid), ("ibo_db", (self.ibo_db,))):
+            if not all(abs(x) <= _DB_LIMIT for x in values):
+                raise ValueError(f"{name} must lie within +-{_DB_LIMIT:g} dB, "
+                                 f"got {getattr(self, name)}")
         if self.paths < 1:
             raise ValueError(f"paths must be >= 1, got {self.paths}")
         if self.decay_db < 0:
@@ -178,22 +189,30 @@ class RunReport:
 class _Runtime:
     """Precomputed per-scenario tables shared by every block.
 
-    The modes whose outputs come from the tables ("bypass" and "saleh_pd")
-    fill correlation and noise_factor; the amplifier modes ("saleh" and
-    "saleh_pd") fill the waveform fields below them, from which
-    _linear_tiles and _clip_candidate_tiles form every user's PN-free
-    waveform, and carrier_correlator, against which sampled windows are
-    correlated."""
+    The fields down to phase_offset serve every mode, and are all that
+    _correlation_outputs needs without an amplifier: the tables of its
+    linear term, its noise factor, the energy per bit the noise is matched
+    to, the linear term's gain g, and the amplifier's mean rotation.  The
+    amplifier modes ("saleh" and "saleh_pd") also fill the fields below
+    them: the waveform fields from which _clip_candidate_tiles forms every
+    user's PN-free waveform, carrier_correlator, against which sampled
+    windows are correlated, and windows, the function that forms a block's
+    windows."""
 
     scenario: Scenario
     walsh: WalshMatrix
     pn_chips: np.ndarray       # (users, pn_length) +-1
     warmup: int
-    eb: float = 0.0
     # receiver.partial_correlation_tables, and a factor F of the correlator
     # noise covariance: F F^H = Gram matrix of user 1's slot signatures.
-    correlation: np.ndarray | None = None
-    noise_factor: np.ndarray | None = None
+    correlation: np.ndarray
+    noise_factor: np.ndarray
+    eb: float = 0.0
+    # g: 1 without an amplifier, the predistorter's input scale before the
+    # limiter ("saleh_pd"), 0 for the tube, whose windows carry the whole
+    # amplified signal ("saleh").
+    linear_gain: float = 1.0
+    phase_offset: float = 0.0
     carriers: np.ndarray | None = None      # txchain.subcarrier_exponentials, (carriers, samples)
     walsh_chips: np.ndarray | None = None   # txchain.walsh_chip_indices, (samples,)
     pn_samples: np.ndarray | None = None    # pn_chips oversampled, (users, samples_per_symbol)
@@ -202,8 +221,9 @@ class _Runtime:
     # (samples_per_symbol, carriers); see receiver.correlate_factored.
     carrier_correlator: np.ndarray | None = None
     op: OperatingPoint | None = None
-    pd_scale: float | None = None
-    phase_offset: float = 0.0
+    # _received_windows or _excess_windows: (runtime, symbols, path gains)
+    # -> the block's (symbols, samples_per_symbol) windows, or None.
+    windows: Callable | None = None
 
 
 def _user_codes(cfg: LinkConfig) -> tuple:
@@ -218,17 +238,16 @@ def _user_codes(cfg: LinkConfig) -> tuple:
 def _prepare(scenario: Scenario) -> _Runtime:
     cfg = scenario.config
     walsh, pn_chips = _user_codes(cfg)
-    runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
-                       warmup=1 if scenario.paths > 1 else 0)
     # Small products, for which OpenBLAS threads cost far more than they
     # save: on a 2-core VM a 64x64 Cholesky took 60 ms threaded and 0.2 ms
     # on one thread.  The calibration's tile products are small too.
     with _single_threaded_blas():
-        if scenario.hpa_mode != "saleh":
-            runtime.correlation = partial_correlation_tables(pn_chips, walsh, cfg, scenario.paths)
-            # User 1's current-window table at zero delay is its Gram matrix
-            # transposed: G[s, t] = (1/N) sum_i sig_1[s, i] conj(sig_1[t, i]).
-            runtime.noise_factor = np.linalg.cholesky(runtime.correlation[0, 0, :, 0].T)
+        correlation = partial_correlation_tables(pn_chips, walsh, cfg, scenario.paths)
+        # User 1's current-window table at zero delay is its Gram matrix
+        # transposed: G[s, t] = (1/N) sum_i sig_1[s, i] conj(sig_1[t, i]).
+        runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
+                           warmup=1 if scenario.paths > 1 else 0, correlation=correlation,
+                           noise_factor=np.linalg.cholesky(correlation[0, 0, :, 0].T))
         if scenario.hpa_mode == "bypass":
             runtime.eb = _linear_eb(cfg)
             return runtime
@@ -242,12 +261,14 @@ def _prepare(scenario: Scenario) -> _Runtime:
         mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
         if scenario.hpa_mode == "saleh":
             runtime.op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
+            runtime.linear_gain, runtime.windows = 0.0, _received_windows
         else:
             # Output-referred back-off: the predistorter expects desired
             # output moduli, so the back-off is set against the saturated
             # output power.
-            runtime.pd_scale = float(np.sqrt(scenario.saleh.saturation_output_power
-                                             / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
+            runtime.linear_gain = float(np.sqrt(scenario.saleh.saturation_output_power
+                                                / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
+            runtime.windows = _excess_windows
         runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
 
@@ -277,36 +298,6 @@ def _chip_runs(chips: np.ndarray, start: int, stop: int):
         lo = hi
 
 
-def _linear_tiles(runtime: _Runtime, symbols: np.ndarray):
-    """Every symbol row's PN-free linear waveform, one slab of sample
-    positions at a time.
-
-    symbols holds rows of (substreams, carriers) symbols, shape
-    (..., substreams, carriers).  For each slab of _SLAB_SAMPLES positions
-    within the symbol this yields (first position, tile), the tile complex,
-    (rows, slab): row n is sqrt(2 power) sum_(r, m) d[n, r, m] w_r(chip i)
-    E_m(i), the shared modulation table (txchain.modulation_table) applied
-    to the row.  It is formed factored: during Walsh chip c the row is
-    sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each Walsh-chip
-    segment of a slab is one real GEMM of b[c] (rows, carriers) against the
-    carrier exponentials with re/im interleaved.
-
-    The tube and the predistorter act on |x|^2 alone, so for +-1 chips
-    A(pn x) = pn A(x) holds bit for bit and the caller applies each user's
-    chips after the amplifier.
-    """
-    n_samp = runtime.scenario.config.samples_per_symbol
-    b = _carrier_coefficients(runtime, symbols)
-    carriers = runtime.carriers.view(np.float64)
-    for start in range(0, n_samp, _SLAB_SAMPLES):
-        stop = min(start + _SLAB_SAMPLES, n_samp)
-        tile = np.empty((b.shape[1], 2 * (stop - start)))
-        for lo, hi, chip in _chip_runs(runtime.walsh_chips, start, stop):
-            np.matmul(b[chip], carriers[:, 2 * lo:2 * hi],
-                      out=tile[:, 2 * (lo - start):2 * (hi - start)])
-        yield start, tile.view(np.complex128)
-
-
 def _peak_power_bound(b: np.ndarray) -> np.ndarray:
     """An upper bound on |sum_m b[..., m] e^{j (m+1) theta}|^2 over every
     angle theta, for real coefficients b: the power is
@@ -319,25 +310,38 @@ def _peak_power_bound(b: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _clip_candidate_tiles(runtime: _Runtime, symbols: np.ndarray):
-    """The tiles of _linear_tiles cut down to the (Walsh chip, symbol row)
-    pairs that the predistorted tube can clip.
+def _clip_candidate_tiles(runtime: _Runtime, symbols: np.ndarray, clip_power: float | None = None):
+    """Every symbol row's PN-free linear waveform in tiles, cut down, given
+    a clip power, to the (Walsh chip, symbol row) pairs that can reach it.
 
-    During Walsh chip c row n is sum_m b[c, n, m] E_m(i) with E_m(i) =
-    e^{j (m+1) 2 pi W i / N}, so its power never exceeds
-    _peak_power_bound(b[c, n]), and a pair whose bound is below the clip
-    power has no sample to clip.  The margin of 1e-12 keeps exact ties,
-    and anything the round-off of a tile could lift over the clip power, in
-    the search.  The other pairs are formed by the product of _linear_tiles
-    restricted to their rows, one run of one Walsh chip within a slab at a
-    time, and yielded as (rows, first position, tile): the tile complex,
-    (rows.size, run length), its row j being symbol row rows[j]."""
+    symbols holds rows of (substreams, carriers) symbols, shape (...,
+    substreams, carriers).  Row n is sqrt(2 power) sum_(r, m) d[n, r, m]
+    w_r(chip i) E_m(i), the shared modulation table
+    (txchain.modulation_table) applied to the row, with E_m(i) =
+    e^{j (m+1) 2 pi W i / N}.  It is formed factored: during Walsh chip c
+    the row is sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each
+    run of one Walsh chip within a slab of _SLAB_SAMPLES positions is one
+    real GEMM of b[c] against the carrier exponentials with re/im
+    interleaved.  Each run is yielded as (rows, first position, tile): the
+    tile complex, (rows.size, run length), its row j being symbol row
+    rows[j]; rows holds every row without a clip power.
+
+    The power of row n in chip c never exceeds _peak_power_bound(b[c, n]),
+    so a pair whose bound is below the clip power has no sample to clip and
+    is left out.  The margin of 1e-12 keeps exact ties, and anything the
+    round-off of a tile could lift over the clip power, in the search.
+
+    The tube and the predistorter act on |x|^2 alone, so for +-1 chips
+    A(pn x) = pn A(x) holds bit for bit and the caller applies each user's
+    chips after the amplifier."""
     cfg = runtime.scenario.config
     b = _carrier_coefficients(runtime, symbols)
-    clip_power = runtime.scenario.saleh.saturation_output_power / runtime.pd_scale**2
-    # NaN compares false, so a NaN bound keeps its pair in the search.
-    searched = ~(_peak_power_bound(b) < clip_power * (1.0 - 1e-12))
-    candidates = [np.flatnonzero(rows) for rows in searched]
+    if clip_power is None:
+        candidates = [np.arange(b.shape[1])] * cfg.walsh_order
+    else:
+        # NaN compares false, so a NaN bound keeps its pair in the search.
+        searched = ~(_peak_power_bound(b) < clip_power * (1.0 - 1e-12))
+        candidates = [np.flatnonzero(rows) for rows in searched]
     coefficients = [b[chip, rows] for chip, rows in enumerate(candidates)]
     carriers = runtime.carriers.view(np.float64)
     for start in range(0, cfg.samples_per_symbol, _SLAB_SAMPLES):
@@ -348,19 +352,23 @@ def _clip_candidate_tiles(runtime: _Runtime, symbols: np.ndarray):
                 yield candidates[chip], lo, tile.view(np.complex128)
 
 
+def _clip_power(runtime: _Runtime) -> float:
+    """The linear waveform's power above which the predistorted tube clips:
+    where linear_gain^2 |x|^2 exceeds the tube's peak output power."""
+    return runtime.scenario.saleh.saturation_output_power / runtime.linear_gain**2
+
+
 def _clipped(runtime: _Runtime, linear: np.ndarray) -> tuple:
-    """The samples of a linear tile (_linear_tiles, _clip_candidate_tiles)
-    that the predistorted tube clips, as (flat indices into the tile, the
-    tube's output there minus pd_scale times the sample, from
-    hpa.envelope_excess).  The tube clips where pd_scale^2 |x|^2 exceeds
-    its peak output power."""
+    """The samples of a linear tile (_clip_candidate_tiles) that the
+    predistorted tube clips, as (flat indices into the tile, the tube's
+    output there minus linear_gain times the sample, from
+    hpa.envelope_excess)."""
     squares = np.square(linear.view(np.float64))
     power = squares[:, 0::2] + squares[:, 1::2]
-    clip_power = runtime.scenario.saleh.saturation_output_power / runtime.pd_scale**2
     # NaN compares false, so a NaN sample is taken as clipped and
     # envelope_excess rejects it.
-    hits = np.flatnonzero(~(power <= clip_power))
-    return hits, envelope_excess(runtime.pd_scale * linear.reshape(-1)[hits],
+    hits = np.flatnonzero(~(power <= _clip_power(runtime)))
+    return hits, envelope_excess(runtime.linear_gain * linear.reshape(-1)[hits],
                                  runtime.scenario.saleh)
 
 
@@ -379,11 +387,11 @@ def _calibrate(runtime: _Runtime) -> tuple:
     symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)) - 1
     energy = 0.0
     cross = 0.0
-    for _, linear in _linear_tiles(runtime, symbols):
+    for _, _, linear in _clip_candidate_tiles(runtime, symbols):
         if scenario.hpa_mode == "saleh":
             tx = amplify_samples(linear, scenario.saleh, runtime.op)
         else:
-            tx = runtime.pd_scale * linear
+            tx = runtime.linear_gain * linear
             hits, excess = _clipped(runtime, linear)
             tx.reshape(-1)[hits] += excess
         energy += np.vdot(tx, tx).real
@@ -407,13 +415,7 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
 
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
     symbols = _draw_symbols(rng, cfg, scenario.symbols_per_block + runtime.warmup)
-
-    if scenario.hpa_mode == "bypass":
-        z = _correlation_outputs(runtime, channel, symbols, ebn0_db, rng)
-    elif scenario.hpa_mode == "saleh":
-        z = _sample_outputs(runtime, channel, symbols, ebn0_db, rng)
-    else:
-        z = _limiter_outputs(runtime, channel, symbols, ebn0_db, rng)
+    z = _correlation_outputs(runtime, channel, symbols, ebn0_db, rng)
     return decide_slots(z[runtime.warmup:], symbols[0, runtime.warmup:])
 
 
@@ -423,31 +425,47 @@ def _draw_symbols(rng: np.random.Generator, cfg: LinkConfig, n_total: int) -> np
             ).astype(np.int8)
 
 
-def _sample_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
-                    rng: np.random.Generator) -> np.ndarray:
+def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
+                         rng: np.random.Generator) -> np.ndarray:
     """User 1's correlator outputs, shape (symbols, substreams, carriers),
-    from the sampled waveform: every user modulated and amplified, the
-    paths summed, white noise added per sample, then correlated.  The tube
-    ("saleh") needs this chain, since it acts on each user's summed
-    waveform."""
+    in every hpa_mode:
+
+        z = g sqrt(2 power) e^{-j theta} T + W + noise.
+
+    T[n] = sum_k sum_l h_kl (d_k[n] @ C[k, 0, :, l] + d_k[n-1] @ C[k, 1, :, l])
+    is the linear chain's correlation, C being the runtime's partial
+    cross-correlation tables (receiver.correlate_tables), and g the
+    runtime's linear_gain.  W correlates the amplifier's sampled windows
+    (runtime.windows; none without an amplifier) against user 1's
+    signatures (receiver.correlate_factored).  theta is user 1's
+    reference-path phase plus the amplifier's mean rotation.  The noise is
+    drawn per correlator output, with the covariance white sample noise
+    would give there.  Noiseless, the outputs are those of the sample chain
+    (modulate, amplify, propagate, correlate) up to round-off."""
     cfg = runtime.scenario.config
     n_total = symbols.shape[1]
-    received = _received_samples(runtime, channel, symbols)
+    gains = _path_gains(channel)
+    theta = channel.phases[0, 0] + runtime.phase_offset
+    z = correlate_tables(runtime.correlation, symbols, gains)
+    z *= runtime.linear_gain * np.sqrt(2.0 * cfg.power) * np.exp(-1j * theta)
+    windows = None if runtime.windows is None else runtime.windows(runtime, symbols, gains)
+    if windows is not None:
+        z += correlate_factored(windows, runtime.carrier_correlator,
+                                runtime.walsh.rows[:cfg.substreams], runtime.walsh_chips, theta)
     if runtime.scenario.noise_enabled:
-        received = add_awgn(received, cfg.sample_rate, ebn0_db, runtime.eb, rng)
-    windows = received[:n_total * cfg.samples_per_symbol].reshape(n_total, -1)
-    z = correlate_factored(windows, runtime.carrier_correlator,
-                           runtime.walsh.rows[:cfg.substreams], runtime.walsh_chips,
-                           channel.phases[0, 0] + runtime.phase_offset)
+        z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
     return z.reshape(n_total, cfg.substreams, cfg.carriers)
 
 
-def _received_samples(runtime: _Runtime, channel, symbols: np.ndarray) -> np.ndarray:
-    """The noiseless received frame through the tube: every user's
+def _received_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The noiseless received frame through the tube, cut into the
+    (symbols, samples_per_symbol) correlator windows: every user's
     amplified waveform, built tile by tile over all users' symbols at once
-    (_linear_tiles), times its chips and each path's gain, added into
-    (symbols, samples) views of the frame shifted by the path delays.
-    Users are added in ascending order, as a user-by-user chain adds them."""
+    (_clip_candidate_tiles), times its chips and each path's gain h_kl,
+    added into (symbols, samples) views of the frame shifted by the path
+    delays.  Users are added in ascending order, as a user-by-user chain
+    adds them.  The part that falls past the last window is dropped, as
+    the correlator drops it."""
     scenario = runtime.scenario
     cfg = scenario.config
     users, n_total = symbols.shape[:2]
@@ -455,42 +473,14 @@ def _received_samples(runtime: _Runtime, channel, symbols: np.ndarray) -> np.nda
     shifts = [l * cfg.oversampling for l in range(scenario.paths)]
     received = np.zeros(length + shifts[-1], dtype=np.complex128)
     delayed = [received[shift:shift + length].reshape(n_total, -1) for shift in shifts]
-    gains = _path_gains(channel)
-    for start, linear in _linear_tiles(runtime, symbols):
+    for _, start, linear in _clip_candidate_tiles(runtime, symbols):
         tx = amplify_samples(linear, scenario.saleh, runtime.op)
         stop = start + tx.shape[1]
         tx = tx.reshape(users, n_total, stop - start)
         for k in range(users):
             for frame, gain in zip(delayed, gains[k]):
                 frame[:, start:stop] += tx[k] * (runtime.pn_samples[k, start:stop] * gain)
-    return received
-
-
-def _limiter_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """User 1's correlator outputs through the predistorted tube, the
-    envelope limiter, without building the received frame.
-
-    Up to A_sat the limiter passes its input unchanged, so a block's
-    outputs are the linear chain's (receiver.correlate_tables) times
-    pd_scale, plus the correlation of what the limiter takes off the
-    samples above A_sat, which are few at working back-offs (under 1% at
-    7 dB).  Those come from _excess_windows.  The noise is drawn per
-    correlator output, as on the linear chain.  Noiseless, the outputs are
-    the sample chain's up to round-off."""
-    cfg = runtime.scenario.config
-    n_total = symbols.shape[1]
-    gains = _path_gains(channel)
-    z = correlate_tables(runtime.correlation, symbols, gains)
-    z *= runtime.pd_scale * np.sqrt(2.0 * cfg.power)
-    excess = _excess_windows(runtime, symbols, gains)
-    if excess is not None:
-        z += correlate_factored(excess, runtime.carrier_correlator,
-                                runtime.walsh.rows[:cfg.substreams], runtime.walsh_chips)
-    z *= np.exp(-1j * (channel.phases[0, 0] + runtime.phase_offset))
-    if runtime.scenario.noise_enabled:
-        z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
-    return z.reshape(n_total, cfg.substreams, cfg.carriers)
+    return delayed[0]
 
 
 def _excess_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
@@ -510,7 +500,7 @@ def _excess_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
     length = n_total * n_samp
     delays = range(0, runtime.scenario.paths * cfg.oversampling, cfg.oversampling)
     received = None
-    for rows, start, linear in _clip_candidate_tiles(runtime, symbols):
+    for rows, start, linear in _clip_candidate_tiles(runtime, symbols, _clip_power(runtime)):
         hits, excess = _clipped(runtime, linear)
         if hits.size == 0:
             continue
@@ -527,25 +517,6 @@ def _excess_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
     return None if received is None else received[:length].reshape(n_total, n_samp)
 
 
-def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """User 1's correlator outputs on the linear chain, straight from the
-    symbols: z[n] = sqrt(2 power) e^{-j phase_ref} sum_k sum_l h_kl
-    (d_k[n] @ C[k, 0, :, l] + d_k[n-1] @ C[k, 1, :, l]) plus correlated
-    noise, with C the runtime's partial cross-correlation tables
-    (receiver.correlate_tables).  Noiseless, these are the outputs of the
-    sample chain (modulate, propagate, correlate) up to round-off; the noise
-    is drawn per correlator output instead of per sample, with the
-    covariance the sample noise would give."""
-    cfg = runtime.scenario.config
-    n_total = symbols.shape[1]
-    z = correlate_tables(runtime.correlation, symbols, _path_gains(channel))
-    z *= _output_scale(cfg, channel)
-    if runtime.scenario.noise_enabled:
-        z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
-    return z.reshape(n_total, cfg.substreams, cfg.carriers)
-
-
 def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
                     rng: np.random.Generator) -> dict:
     """User 1's slot (1, 1) correlator output of _correlation_outputs, split
@@ -558,7 +529,7 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     multi_user is every other user.  The noise is drawn per output with
     slot (1, 1)'s variance (user 1's Gram entry), and is zero with the noise
     off.  The six sum to the noiseless slot-0 output plus that noise."""
-    scale = _output_scale(runtime.scenario.config, channel)
+    scale = np.sqrt(2.0 * runtime.scenario.config.power) * np.exp(-1j * channel.phases[0, 0])
     gains = _path_gains(channel)
     own, others = runtime.correlation[:1, ..., :1], runtime.correlation[1:, ..., :1]
     d = symbols[:1]
@@ -592,12 +563,6 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
 def _path_gains(channel) -> np.ndarray:
     """Complex gains h_kl of every user's paths, shape (users, paths)."""
     return channel.gains * np.exp(1j * channel.phases)
-
-
-def _output_scale(cfg: LinkConfig, channel) -> complex:
-    """sqrt(2 power) e^{-j phase_ref}: the branch amplitude and the counter-
-    rotation of user 1's reference path."""
-    return np.sqrt(2.0 * cfg.power) * np.exp(-1j * channel.phases[0, 0])
 
 
 def _correlator_noise(runtime: _Runtime, ebn0_db: float, factor: np.ndarray, n_total: int,
@@ -762,9 +727,12 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
 
     z_by_name = {name: np.concatenate(parts) for name, parts in collected.items()}
     variances = {name: float(np.var(z_by_name[name], ddof=1)) for name in SOURCE_NAMES[1:]}
+    scenario = runtime.scenario
+    mean_gain = path_power_profile(scenario.paths, scenario.decay_db)[0]
     return InterferenceVariances(
         desired_power=float(np.mean(np.abs(z_by_name["desired"]) ** 2)),
-        n_symbols=n_symbols, **variances)
+        n_symbols=n_symbols, reference_gain=float(channel.gains[0, 0] ** 2 / mean_gain),
+        **variances)
 
 
 def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbols: int = 2000):

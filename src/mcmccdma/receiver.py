@@ -42,7 +42,10 @@ class InterferenceVariances:
 
     The variances are of the full complex outputs (twice the per-rail
     variance for circular components); the BER mapping in `analysis`
-    assumes this convention.
+    assumes this convention.  reference_gain is |h_11|^2 / E|h_11|^2, the
+    power gain of user 1's reference path on the channel draw they were
+    measured on relative to its mean: desired_power / reference_gain is the
+    desired power at the mean gain, which a Rayleigh average starts from.
     """
 
     desired_power: float
@@ -52,6 +55,7 @@ class InterferenceVariances:
     multi_user: float
     noise: float
     n_symbols: int
+    reference_gain: float = 1.0
 
     @property
     def total(self) -> float:

@@ -68,6 +68,29 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(TINY, **{field: value})
 
+    @pytest.mark.parametrize("hpa_mode, field, value", [
+        ("bypass", "ebn0_grid", (4000.0,)),
+        ("bypass", "ebn0_grid", (0.0, -4000.0)),
+        ("saleh", "ibo_db", 4000.0),
+        ("saleh", "ibo_db", -4000.0),
+        ("saleh_pd", "ibo_db", 4000.0),
+        ("saleh_pd", "ibo_db", -4000.0),
+    ])
+    def test_db_value_beyond_bound_rejected(self, hpa_mode, field, value):
+        # 10^(x/10) overflows at 4000 dB and underflows to 0 at -4000 dB
+        with pytest.raises(ValueError, match=rf"{field} must lie within \+-300 dB"):
+            dataclasses.replace(TINY, hpa_mode=hpa_mode, **{field: value})
+
+    @pytest.mark.parametrize("hpa_mode", harness.HPA_MODES)
+    def test_db_values_at_bound_run(self, hpa_mode):
+        for ibo_db in (-300.0, 300.0):
+            scenario = dataclasses.replace(TINY, hpa_mode=hpa_mode, ibo_db=ibo_db,
+                                           ebn0_grid=(-300.0, 300.0), blocks_per_wave=4,
+                                           max_bits=64)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                report = run_scenario(scenario)
+            assert [r.bits for r in report.records] == [64, 64]
+
     @pytest.mark.parametrize("pn_length", [8, 6, 8191])
     def test_pn_length_needs_known_msequence(self, pn_length):
         # 8191 = 2**13 - 1 has no built-in feedback taps
@@ -203,14 +226,12 @@ def _sample_chain(runtime, symbols, gains, reference_phase, amplify=None):
     return correlate_slots(received, own, cfg, reference_phase=reference_phase)
 
 
-def _recorded_block(scenario, monkeypatch, producer="_correlation_outputs"):
+def _recorded_block(scenario, monkeypatch):
     """The runtime, channel, symbols and correlator outputs of one noiseless
-    block, from the linear chain's engine or, with producer
-    "_sample_outputs" or "_limiter_outputs", the tube's or the predistorted
-    tube's."""
+    block of the scenario's engine."""
     scenario = dataclasses.replace(scenario, noise_enabled=False)
     runtime = harness._prepare(scenario)
-    produce = getattr(harness, producer)
+    produce = harness._correlation_outputs
     seen = {}
 
     def recorded(runtime, channel, symbols, ebn0_db, rng):
@@ -218,7 +239,7 @@ def _recorded_block(scenario, monkeypatch, producer="_correlation_outputs"):
         seen["z"] = produce(runtime, channel, symbols, ebn0_db, rng)
         return seen["z"]
 
-    monkeypatch.setattr(harness, producer, recorded)
+    monkeypatch.setattr(harness, "_correlation_outputs", recorded)
     harness._simulate_block(runtime, 0, 3, 8.0)
     return runtime, seen["channel"], seen["symbols"], seen["z"]
 
@@ -290,9 +311,15 @@ class TestCorrelationEngine:
         assert np.abs(factor @ factor.conj().T - gram).max() <= 1e-12
         assert np.allclose(gram, np.eye(len(gram)), atol=1e-12) == config.walsh_aligned
 
-    def test_amplifier_modes_keep_the_sample_chain(self):
-        runtime = harness._prepare(dataclasses.replace(TINY, hpa_mode="saleh"))
-        assert runtime.correlation is None and runtime.carrier_correlator is not None
+    def test_every_mode_has_tables_and_noise_factor(self):
+        linear = harness._prepare(_TINY_UNALIGNED)
+        for hpa_mode in harness.HPA_MODES:
+            runtime = harness._prepare(dataclasses.replace(_TINY_UNALIGNED, hpa_mode=hpa_mode))
+            assert np.array_equal(runtime.correlation, linear.correlation)
+            assert np.array_equal(runtime.noise_factor, linear.noise_factor)
+            assert (runtime.windows is None) == (hpa_mode == "bypass")
+        assert linear.linear_gain == 1.0
+        assert harness._prepare(dataclasses.replace(TINY, hpa_mode="saleh")).linear_gain == 0.0
 
 
 def _reference_amplifier(runtime):
@@ -303,7 +330,7 @@ def _reference_amplifier(runtime):
     def amplify(samples):
         if scenario.hpa_mode == "saleh":
             return apply_hpa(BasebandFrame(samples, 1.0), scenario.saleh, runtime.op).samples
-        frame = BasebandFrame(runtime.pd_scale * samples, 1.0)
+        frame = BasebandFrame(runtime.linear_gain * samples, 1.0)
         return apply_hpa(apply_predistorter(frame, scenario.saleh), scenario.saleh).samples
 
     return amplify
@@ -326,9 +353,6 @@ def _reference_calibration(runtime):
 # 508 samples per symbol: one full 256-sample tile and one short one.
 _AMPLIFIER_BASE = dataclasses.replace(
     TINY, config=LinkConfig(users=3, substreams=2, carriers=2, walsh_order=4, pn_length=127))
-
-# Which block producer each amplifier mode runs.
-_PRODUCERS = {"saleh": "_sample_outputs", "saleh_pd": "_limiter_outputs"}
 
 # Bounds on the share of a predistorted block's transmitted samples above
 # the limiter's A_sat, per case below.  Four slots peak 6 dB over their mean
@@ -362,13 +386,12 @@ class TestAmplifierEngine:
     ], ids=lambda v: getattr(v, "name", str(v)))
     def test_noiseless_outputs_match_per_user_chain(self, scenario, slab, monkeypatch):
         monkeypatch.setattr(harness, "_SLAB_SAMPLES", slab)
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch,
-                                                       _PRODUCERS[scenario.hpa_mode])
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
         if scenario.hpa_mode == "saleh_pd":
             linear = np.concatenate([
                 modulate_user(d, runtime.walsh, pn, scenario.config)
                 for d, pn in zip(symbols, runtime.pn_chips)])
-            share = np.mean(np.abs(runtime.pd_scale * linear) > scenario.saleh.saturation_output)
+            share = np.mean(np.abs(runtime.linear_gain * linear) > scenario.saleh.saturation_output)
             low, high = _CLIPPED_SHARE[scenario.name]
             assert low <= share <= high
         eb, phase_offset = _reference_calibration(runtime)
@@ -388,8 +411,8 @@ class TestAmplifierEngine:
     def test_block_allocates_tiles_not_user_waveforms(self, hpa_mode, ibo_db, frames):
         """Peak traced allocation of one amplifier block against the bytes of
         its received frame.  Here a tile is a quarter of the frame.  The
-        tube's block peaks at three frames, in the noise; amplifying one
-        user's whole waveform at a time took six to seven.  At 7 dB the
+        tube's block peaks at 2.7 frames; amplifying one user's whole
+        waveform at a time took six to seven.  At 7 dB the
         predistorted tube's envelope bound rules out every row, so its block
         forms neither a tile nor a frame (0.02 frames; 0.67 when every tile
         was searched).  At -4 dB most samples clip, and the block peaks at
@@ -429,32 +452,35 @@ class TestAmplifierEngine:
         harness._simulate_block(runtime, 0, 0, 8.0)
         assert calls == []
 
-    def test_limiter_block_draws_noise_per_correlator_output(self, monkeypatch):
-        """The predistorted tube's noise is one correlator_noise draw through
-        the runtime's Gram factor, added to the noiseless outputs; no
-        sample noise is drawn."""
-        scenario = dataclasses.replace(_TINY_UNALIGNED, name="noisy", hpa_mode="saleh_pd",
+    @pytest.mark.parametrize("hpa_mode", harness.HPA_MODES)
+    def test_block_draws_noise_per_correlator_output(self, hpa_mode, monkeypatch):
+        """Every mode's noise is one correlator_noise draw through the
+        runtime's Gram factor, added to the noiseless outputs; the block
+        draws no other noise from its generator."""
+        scenario = dataclasses.replace(_TINY_UNALIGNED, name="noisy", hpa_mode=hpa_mode,
                                        ibo_db=1.0)
         draws = []
         correlator_noise = harness.correlator_noise
+        produce = harness._correlation_outputs
 
         def recorded(ebn0_db, eb, window_rate, factor, n_windows, rng):
             draws.append((factor, n_windows, eb, ebn0_db))
             draws.append(correlator_noise(ebn0_db, eb, window_rate, factor, n_windows, rng))
             return draws[-1]
 
-        def sample_noise(*args):
-            raise AssertionError("add_awgn called on the predistorted tube's block")
-
         monkeypatch.setattr(harness, "correlator_noise", recorded)
-        monkeypatch.setattr(harness, "add_awgn", sample_noise)
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch, "_limiter_outputs")
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
         assert draws == []          # noise off, nothing drawn
         noisy = harness._prepare(scenario)
-        z_noisy = harness._limiter_outputs(noisy, channel, symbols, 8.0, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        z_noisy = produce(noisy, channel, symbols, 8.0, rng)
         (factor, n_windows, eb, ebn0_db), noise = draws
         assert factor is noisy.noise_factor and eb == noisy.eb == runtime.eb and ebn0_db == 8.0
         assert n_windows == symbols.shape[1]
+        # the generator is left where that one draw leaves a fresh one
+        alone = np.random.default_rng(3)
+        correlator_noise(ebn0_db, eb, 1.0, factor, n_windows, alone)
+        assert rng.bit_generator.state == alone.bit_generator.state
         difference = (z_noisy - z).reshape(n_windows, -1)
         assert np.abs(difference - noise).max() <= 1e-12 * np.abs(z).max()
 
@@ -513,19 +539,19 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     symbols = harness._draw_symbols(np.random.default_rng(seed), cfg, 5)
     n_rows = cfg.users * symbols.shape[1]
     bound = harness._peak_power_bound(harness._carrier_coefficients(runtime, symbols))
-    clip_power = runtime.scenario.saleh.saturation_output_power / runtime.pd_scale**2
+    clip_power = runtime.scenario.saleh.saturation_output_power / runtime.linear_gain**2
 
-    full = []
-    for start, linear in harness._linear_tiles(runtime, symbols):
+    full = list(harness._clip_candidate_tiles(runtime, symbols))
+    for rows, start, linear in full:
+        assert np.array_equal(rows, np.arange(n_rows))
         chips = runtime.walsh_chips[start:start + linear.shape[1]]
         assert (np.abs(linear) ** 2 <= bound[chips].T * (1.0 + 1e-12)).all()
-        full.append((np.arange(n_rows), start, linear))
     index, excess = _clip_search(runtime, full)
     row, position = np.divmod(index, cfg.samples_per_symbol)
     assert (bound[runtime.walsh_chips[position], row] >= clip_power).all()
 
-    searched, searched_excess = _clip_search(runtime,
-                                             harness._clip_candidate_tiles(runtime, symbols))
+    searched, searched_excess = _clip_search(
+        runtime, harness._clip_candidate_tiles(runtime, symbols, clip_power))
     assert np.array_equal(searched, index)
     assert np.abs(searched_excess - excess).max(initial=0.0) <= 1e-12 * clip_power**0.5
 
@@ -540,6 +566,10 @@ _POOLED = dict(ebn0_grid=(4.0,), blocks_per_wave=4, max_bits=2 * 4 * 16 * 4)
 
 
 @pytest.mark.parametrize("scenario", [
+    dataclasses.replace(
+        TINY, name="tiny-saleh", hpa_mode="saleh", ibo_db=5.0,
+        config=LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4,
+                          pn_length=15, oversampling=4), **_POOLED),
     dataclasses.replace(
         TINY, name="tiny-saleh-pd", hpa_mode="saleh_pd", ibo_db=5.0,
         config=LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4,
@@ -844,6 +874,15 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("ebn0_grid", "4000"), ("ebn0_grid", "0,-4000"),
+                                            ("ibo_db", "4000"), ("ibo_db", "-4000")])
+    def test_db_value_beyond_bound_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = _write_tiny_config(tmp_path, hpa_mode="saleh_pd", **{key: value})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {key} must lie within +-300 dB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_preset_is_config_error(self):
