@@ -3,8 +3,8 @@
 The post-correlator decision statistic is treated as a Gaussian: signal
 power S over total interference-plus-noise variance gives the ratio
 gamma = S / var_total, conditional BER 0.5*erfc(sqrt(gamma)), and a
-Rayleigh-faded reference gain turns gamma exponential, averaged by
-quadrature.  Variances follow the complex-power convention of
+Rayleigh-faded reference gain turns gamma exponential, averaged in closed
+form.  Variances follow the complex-power convention of
 `receiver.InterferenceVariances`, which makes gamma equal Eb/N0 in the
 noise-only case and reproduces the textbook BPSK curve.
 """
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 
 def erfc(x):
@@ -23,32 +22,29 @@ def erfc(x):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("erfc argument must be finite")
-    out = special.erfc(x)
+    out = np.vectorize(math.erfc, otypes=[np.float64])(x)
     return float(out) if out.ndim == 0 else out
 
 
 def conditional_ber(gamma: float) -> float:
     """BER at a fixed post-correlator signal-to-interference ratio."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    return 0.5 * float(special.erfc(math.sqrt(gamma)))
+    return 0.5 * math.erfc(math.sqrt(gamma))
 
 
 def fading_averaged_ber(mean_gamma: float) -> float:
     """Average of conditional_ber over a Rayleigh-faded reference gain.
 
     A Rayleigh amplitude makes gamma exponentially distributed with the
-    given mean; the expectation is integrated numerically (substituting
-    gamma = mean_gamma * x with x unit-exponential).
+    given mean, and the average is 0.5 (1 - sqrt(mean/(1 + mean)))
+    (Proakis, Digital Communications, sec. 14.3), here in the form
+    0.5 / (r (r + sqrt(mean))), r = sqrt(1 + mean), which does not cancel.
     """
-    if mean_gamma < 0:
+    if not mean_gamma >= 0:
         raise ValueError(f"mean gamma must be nonnegative, got {mean_gamma}")
-    if mean_gamma == 0:
-        return 0.5
-    value, _ = integrate.quad(
-        lambda x: conditional_ber(mean_gamma * x) * math.exp(-x), 0.0, np.inf
-    )
-    return float(value)
+    r = math.sqrt(1.0 + mean_gamma)
+    return 0.5 / (r * (r + math.sqrt(mean_gamma)))
 
 
 def binomial_ci95(errors: int, bits: int) -> float:

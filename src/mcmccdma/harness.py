@@ -66,6 +66,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from multiprocessing import get_context
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use: pay that here, not in the first block
 
 from .analysis import BerRecord, binomial_ci95
 from .channel import correlator_noise, draw_channel, path_power_profile
@@ -461,11 +462,11 @@ def _received_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray)
     """The noiseless received frame through the tube, cut into the
     (symbols, samples_per_symbol) correlator windows: every user's
     amplified waveform, built tile by tile over all users' symbols at once
-    (_clip_candidate_tiles), times its chips and each path's gain h_kl,
-    added into (symbols, samples) views of the frame shifted by the path
-    delays.  Users are added in ascending order, as a user-by-user chain
-    adds them.  The part that falls past the last window is dropped, as
-    the correlator drops it."""
+    (_clip_candidate_tiles), times its chips.  Per path l, the users' tiles
+    are summed with their gains h_kl in one product and added into a
+    (symbols, samples) view of the frame shifted by the path delay.  The
+    part that falls past the last window is dropped, as the correlator
+    drops it."""
     scenario = runtime.scenario
     cfg = scenario.config
     users, n_total = symbols.shape[:2]
@@ -476,10 +477,9 @@ def _received_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray)
     for _, start, linear in _clip_candidate_tiles(runtime, symbols):
         tx = amplify_samples(linear, scenario.saleh, runtime.op)
         stop = start + tx.shape[1]
-        tx = tx.reshape(users, n_total, stop - start)
-        for k in range(users):
-            for frame, gain in zip(delayed, gains[k]):
-                frame[:, start:stop] += tx[k] * (runtime.pn_samples[k, start:stop] * gain)
+        tx = tx.reshape(users, n_total, stop - start) * runtime.pn_samples[:, None, start:stop]
+        for frame, gain in zip(delayed, gains.T):
+            frame[:, start:stop] += np.tensordot(gain, tx, axes=1)
     return delayed[0]
 
 

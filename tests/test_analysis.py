@@ -90,12 +90,34 @@ class TestConditionalBer:
         with pytest.raises(ValueError):
             conditional_ber(-0.5)
 
+    @pytest.mark.parametrize("gamma", [-1.0, float("nan")])
+    def test_negative_and_nan_rejected(self, gamma):
+        with pytest.raises(ValueError):
+            conditional_ber(gamma)
+
+    def test_infinite_snr(self):
+        assert conditional_ber(float("inf")) == 0.0
+
 
 class TestFadingAverage:
     @pytest.mark.parametrize("mean_gamma", [0.1, 1.0, 10.0, 100.0])
     def test_rayleigh_closed_form(self, mean_gamma):
         closed = 0.5 * (1.0 - math.sqrt(mean_gamma / (1.0 + mean_gamma)))
-        assert fading_averaged_ber(mean_gamma) == pytest.approx(closed, abs=1e-6)
+        assert fading_averaged_ber(mean_gamma) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("mean_gamma", [1e4, 1e5, 1e6, 1e12])
+    def test_high_snr_asymptote(self, mean_gamma):
+        # the average falls as 1/(4 mean) (Proakis, sec. 14.3); the direct
+        # closed form cancels to no correct digit here
+        assert fading_averaged_ber(mean_gamma) == pytest.approx(0.25 / mean_gamma, rel=1e-3)
+
+    def test_infinite_snr(self):
+        assert fading_averaged_ber(float("inf")) == 0.0
+
+    @pytest.mark.parametrize("mean_gamma", [-1.0, float("nan")])
+    def test_negative_and_nan_rejected(self, mean_gamma):
+        with pytest.raises(ValueError):
+            fading_averaged_ber(mean_gamma)
 
     def test_zero_gamma(self):
         assert fading_averaged_ber(0.0) == 0.5

@@ -556,6 +556,57 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     assert np.abs(searched_excess - excess).max(initial=0.0) <= 1e-12 * clip_power**0.5
 
 
+@st.composite
+def _small_scenarios(draw):
+    """Small valid scenarios in every hpa_mode: pn 7-63, oversampling 2-5
+    and Walsh orders 1-8, so that many grids are not aligned, 1-4 carriers,
+    1-3 paths, fading on and off, back-off -4 to 12 dB.  Noise off."""
+    pn_length = draw(st.sampled_from([7, 15, 31, 63]))
+    oversampling = draw(st.integers(2, 5))
+    samples = pn_length * oversampling
+    walsh_order = draw(st.sampled_from([w for w in (1, 2, 4, 8) if w <= samples]))
+    carriers = draw(st.integers(1, min(4, samples // walsh_order)))
+    users = draw(st.integers(1, 3))
+    paths = draw(st.integers(1, 3 if users == 1 else min(3, pn_length // users)))
+    return Scenario(
+        name="random", paths=paths, decay_db=draw(st.sampled_from([0.0, 3.0])),
+        fading=draw(st.booleans()), hpa_mode=draw(st.sampled_from(harness.HPA_MODES)),
+        ibo_db=draw(st.floats(-4.0, 12.0)), noise_enabled=False, symbols_per_block=3,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        config=LinkConfig(users=users, substreams=draw(st.integers(1, walsh_order)),
+                          carriers=carriers, walsh_order=walsh_order, pn_length=pn_length,
+                          oversampling=oversampling))
+
+
+@given(scenario=_small_scenarios())
+@settings(max_examples=100, deadline=None)
+def test_random_block_matches_sample_chain(scenario):
+    """One noiseless block of the engine against the sample-level reference
+    chain, and an amplifier mode's calibration against the reference
+    amplifier on user 1's whole frame, both to 1e-12.  With a clip level the
+    clip search clips exactly the samples the search over every tile does."""
+    runtime = harness._prepare(scenario)
+    rng = np.random.default_rng(scenario.master_seed)
+    channel = harness.draw_channel(rng, scenario.config.users, scenario.paths,
+                                   scenario.decay_db, scenario.fading)
+    symbols = harness._draw_symbols(rng, scenario.config, 3 + runtime.warmup)
+    z = harness._correlation_outputs(runtime, channel, symbols, 8.0, rng)
+    amplify, phase_offset = None, 0.0
+    if scenario.hpa_mode != "bypass":
+        amplify = _reference_amplifier(runtime)
+        eb, phase_offset = _reference_calibration(runtime)
+        assert abs(runtime.eb - eb) <= 1e-12 * eb
+        assert abs(runtime.phase_offset - phase_offset) <= 1e-12
+    reference = _sample_chain(runtime, symbols, harness._path_gains(channel),
+                              channel.phases[0, 0] + phase_offset, amplify=amplify)
+    assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
+    if scenario.hpa_mode == "saleh_pd":
+        index, _ = _clip_search(runtime, harness._clip_candidate_tiles(runtime, symbols))
+        searched, _ = _clip_search(runtime, harness._clip_candidate_tiles(
+            runtime, symbols, harness._clip_power(runtime)))
+        assert np.array_equal(searched, index)
+
+
 def _csv_bytes(scenario, workers, path):
     emit_csv(run_scenario(scenario, workers=workers), path)
     return path.read_bytes()
@@ -584,10 +635,18 @@ def test_pooled_csv_bytes_match_serial(scenario, tmp_path):
     assert serial == _csv_bytes(scenario, 2, tmp_path / "pooled.csv")
 
 
+def _numpy_blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "").lower()
+
+
 @pytest.fixture
 def blas_threads():
-    """Thread counts of the loaded OpenBLAS libraries, set to 2 for the test."""
+    """Thread counts of the loaded OpenBLAS libraries, set to 2 for the test.
+    When numpy is built on OpenBLAS, its library must be among them, or the
+    tests below would check nothing."""
     calls = harness._openblas_thread_calls()
+    assert calls or not _numpy_blas_is_openblas()
     saved = [get() for get, _ in calls]
     for _, set_ in calls:
         set_(2)
