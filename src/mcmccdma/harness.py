@@ -23,23 +23,29 @@ rotation (none without an amplifier).
   each block is one small product per user (receiver.correlate_tables).
   The interference decomposition (measure_variances) reads the same
   tables: each source is a subset of the terms of that sum.
-- W correlates sampled windows of what the amplifier adds to g times the
-  linear waveform, against user 1's signatures with the Walsh chips
-  factored out (receiver.correlate_factored).  The windows are formed from
-  tiles of every user's PN-free symbol rows over a run of sample positions
-  (_clip_candidate_tiles), so no user-length array is ever formed.
-  - "bypass": g = 1 and there are no windows.
-  - "saleh": the tube acts on each user's summed waveform, so g = 0 and
-    the windows hold the whole received frame (_received_windows): every
-    user modulated and amplified (hpa.amplify_samples), the paths summed.
+- W correlates what the amplifier adds to g times the linear waveform
+  against user 1's signatures with the Walsh chips factored out: per-chip
+  sums (receiver.chip_correlations) and a Walsh combine
+  (receiver.combine_walsh_chips).
+  - "bypass": g = 1 and W = 0.
+  - "saleh": the tube acts on each user's summed waveform, so g = 0 and W
+    correlates the whole received frame (_tube_correlations): every user
+    modulated and amplified (hpa.amplify_samples) tile by tile over all
+    users' PN-free symbol rows (_waveform_tiles), the paths summed.
   - "saleh_pd": the predistorted tube is in exact arithmetic the envelope
     limiter x min(1, A_sat/|x|) (see hpa), the identity up to A_sat.  So g
-    is the predistorter's input scale, and the windows hold what the
-    limiter takes off the samples above A_sat (_excess_windows), under 1%
-    of them at working back-offs.  An envelope bound on each symbol row
-    during each Walsh chip (_peak_power_bound) rules out most rows before
-    any sample is formed; one modulus pass over the tiles of the rest
-    finds the clipped samples (hpa.envelope_excess).
+    is the predistorter's input scale, and W correlates what the limiter
+    takes off the samples above A_sat, under 1% of them at working
+    back-offs, with no window formed (_excess_correlations).  The search
+    runs over 16-sample cells inside each Walsh chip (_CellGrid): an
+    envelope bound on each symbol row over each Walsh chip
+    (_peak_power_bound) and then over each cell (_cell_power_bound) rule
+    out most cells before any sample is formed.  The kept cells are formed
+    a chunk at a time in one product (_formed_cells), and
+    hpa.envelope_excess gives what is clipped; about 80% of the formed
+    samples clip on amplifier-linearized.  The cells are correlated
+    directly, one small product per path, into per-(Walsh chip, window)
+    sums.
 - The noise is drawn per correlator output (channel.correlator_noise),
   with the covariance white sample noise would leave there: a factor of
   user 1's Gram matrix, from the same tables.
@@ -73,8 +79,8 @@ from .channel import correlator_noise, draw_channel, path_power_profile
 from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
 from .hpa import (OperatingPoint, SalehParams, amplify_samples, envelope_excess,
                   operating_point_for_power)
-from .receiver import (SOURCE_NAMES, InterferenceVariances, correlate_factored, correlate_tables,
-                       decide_slots, partial_correlation_tables)
+from .receiver import (SOURCE_NAMES, InterferenceVariances, chip_correlations, combine_walsh_chips,
+                       correlate_tables, decide_slots, partial_correlation_tables)
 from .txchain import (LinkConfig, check_field_types, declared_type, subcarrier_exponentials,
                       walsh_chip_indices)
 
@@ -84,11 +90,18 @@ CSV_HEADER = "scenario,ebn0_db,k,r,m,hpa_mode,ibo_db,bits,errors,ber,ci95,source
 
 _CALIBRATION_SYMBOLS = 256
 
-# Samples per symbol row in one tile of the amplifier chain.  A tile holds
+# Samples per symbol row in one tile of the tube's chain.  A tile holds
 # every user's symbols of a block over this many samples, so it stays
 # cache-sized (about 2.6 MB for 20 users x 32 symbols); the per-tile
 # overhead is a few small calls.
 _SLAB_SAMPLES = 256
+
+# Sample positions per cell of the limiter's clip search (_CellGrid), and
+# the number of kept (symbol row, cell) pairs formed and correlated at once,
+# which caps the search's working arrays at a few hundred kB whatever share
+# of the samples clips.
+_CELL_SAMPLES = 16
+_CELL_CHUNK = 1024
 
 # Bound on the magnitude of Eb/N0 and back-off values in dB.  Within it
 # 10^(x/10) and the noise and drive levels formed from it stay normal
@@ -186,6 +199,42 @@ class RunReport:
     point_seconds: list
 
 
+@dataclass(frozen=True)
+class _CellGrid:
+    """The cells of the limiter's clip search ("saleh_pd"): each Walsh chip
+    cut into runs of up to _CELL_SAMPLES consecutive sample positions, and
+    the tables through which a cell's samples are bounded, formed and
+    correlated without any other sample.
+
+    Cell q spans positions starts[q] .. starts[q] + lengths[q] - 1 and is
+    anchored at a = starts[q] + (S - 1)/2, S = _CELL_SAMPLES, whatever its
+    length; the samples of a row there are x(a + s) = sum_m b_m E_m(a) E_m(s)
+    for the offsets s = -(S - 1)/2 .. (S - 1)/2, of which the first lengths[q]
+    belong to the cell.  Chip c holds cells chip_cells[c] .. chip_cells[c+1] - 1.
+
+    A span of a cell delayed by a path lies in windows n and n + 1; at
+    span position j (the undelayed position plus the delay, below
+    samples_per_symbol + max delay + S) span_bins[j] is the window increment
+    times walsh_order plus the Walsh chip of j's sample, nondecreasing, and
+    bin_starts[v] the first j of bin v.  user_chips[k, i] holds user k's
+    chips at positions i .. i + S - 1, zero past the symbol, and
+    span_chips[j] user 1's at span positions j .. j + S - 1, periodic over
+    the symbol: read-only windows into one row each, so a cell's chips are
+    one row gather."""
+
+    starts: np.ndarray          # (cells,)
+    lengths: np.ndarray         # (cells,)
+    chip_cells: np.ndarray      # (walsh_order + 1,)
+    centres: np.ndarray         # E_m(a) at every anchor, (carriers, cells) complex
+    offsets: np.ndarray         # E_m(s), (carriers, S) complex
+    half_width: float           # (S - 1)/2 samples as carrier phase 2 pi W i / N
+    delay_phases: np.ndarray    # conj(E_m(D_l)) per path delay, (paths, carriers)
+    span_bins: np.ndarray
+    bin_starts: np.ndarray
+    user_chips: np.ndarray      # (users, samples_per_symbol, S)
+    span_chips: np.ndarray      # (samples_per_symbol + max delay, S)
+
+
 @dataclass
 class _Runtime:
     """Precomputed per-scenario tables shared by every block.
@@ -194,11 +243,13 @@ class _Runtime:
     _correlation_outputs needs without an amplifier: the tables of its
     linear term, its noise factor, the energy per bit the noise is matched
     to, the linear term's gain g, and the amplifier's mean rotation.  The
-    amplifier modes ("saleh" and "saleh_pd") also fill the fields below
-    them: the waveform fields from which _clip_candidate_tiles forms every
-    user's PN-free waveform, carrier_correlator, against which sampled
-    windows are correlated, and windows, the function that forms a block's
-    windows."""
+    amplifier modes ("saleh" and "saleh_pd") also fill walsh_chips and
+    amplified, the function that forms a block's W; the tube ("saleh") the
+    fields from which _waveform_tiles forms every user's PN-free waveform,
+    pn_samples and carrier_correlator, against which its received windows
+    are correlated; the limiter ("saleh_pd") the cell grid of its clip
+    search.  So a bypass runtime holds no sample table and a saleh_pd
+    runtime no carrier table."""
 
     scenario: Scenario
     walsh: WalshMatrix
@@ -210,21 +261,23 @@ class _Runtime:
     noise_factor: np.ndarray
     eb: float = 0.0
     # g: 1 without an amplifier, the predistorter's input scale before the
-    # limiter ("saleh_pd"), 0 for the tube, whose windows carry the whole
+    # limiter ("saleh_pd"), 0 for the tube, whose W carries the whole
     # amplified signal ("saleh").
     linear_gain: float = 1.0
     phase_offset: float = 0.0
-    carriers: np.ndarray | None = None      # txchain.subcarrier_exponentials, (carriers, samples)
     walsh_chips: np.ndarray | None = None   # txchain.walsh_chip_indices, (samples,)
+    # _tube_correlations or _excess_correlations: (runtime, symbols, path
+    # gains) -> W per (Walsh chip, window) before the Walsh combine, shape
+    # (walsh_order, symbols, carriers), or None when it is zero.
+    amplified: Callable | None = None
+    carriers: np.ndarray | None = None      # txchain.subcarrier_exponentials, (carriers, samples)
     pn_samples: np.ndarray | None = None    # pn_chips oversampled, (users, samples_per_symbol)
     # User 1's correlator with the Walsh chips factored out: its chips times
     # the conjugated carrier exponentials, C-contiguous, shape
-    # (samples_per_symbol, carriers); see receiver.correlate_factored.
+    # (samples_per_symbol, carriers); see receiver.chip_correlations.
     carrier_correlator: np.ndarray | None = None
     op: OperatingPoint | None = None
-    # _received_windows or _excess_windows: (runtime, symbols, path gains)
-    # -> the block's (symbols, samples_per_symbol) windows, or None.
-    windows: Callable | None = None
+    cells: _CellGrid | None = None
 
 
 def _user_codes(cfg: LinkConfig) -> tuple:
@@ -241,7 +294,7 @@ def _prepare(scenario: Scenario) -> _Runtime:
     walsh, pn_chips = _user_codes(cfg)
     # Small products, for which OpenBLAS threads cost far more than they
     # save: on a 2-core VM a 64x64 Cholesky took 60 ms threaded and 0.2 ms
-    # on one thread.  The calibration's tile products are small too.
+    # on one thread.  The calibration's products are small too.
     with _single_threaded_blas():
         correlation = partial_correlation_tables(pn_chips, walsh, cfg, scenario.paths)
         # User 1's current-window table at zero delay is its Gram matrix
@@ -253,23 +306,25 @@ def _prepare(scenario: Scenario) -> _Runtime:
             runtime.eb = _linear_eb(cfg)
             return runtime
 
-        runtime.carriers = subcarrier_exponentials(cfg)
         runtime.walsh_chips = walsh_chip_indices(cfg)
-        runtime.pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
-        # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
-        runtime.carrier_correlator = np.ascontiguousarray(
-            runtime.pn_samples[0, :, None] * runtime.carriers.conj().T)
+        pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
         mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
         if scenario.hpa_mode == "saleh":
+            runtime.carriers = subcarrier_exponentials(cfg)
+            runtime.pn_samples = pn_samples
+            # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
+            runtime.carrier_correlator = np.ascontiguousarray(
+                runtime.pn_samples[0, :, None] * runtime.carriers.conj().T)
             runtime.op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
-            runtime.linear_gain, runtime.windows = 0.0, _received_windows
+            runtime.linear_gain, runtime.amplified = 0.0, _tube_correlations
         else:
             # Output-referred back-off: the predistorter expects desired
             # output moduli, so the back-off is set against the saturated
             # output power.
             runtime.linear_gain = float(np.sqrt(scenario.saleh.saturation_output_power
                                                 / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
-            runtime.windows = _excess_windows
+            runtime.cells = _cell_grid(cfg, runtime.walsh_chips, pn_samples, scenario.paths)
+            runtime.amplified = _excess_correlations
         runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
 
@@ -278,7 +333,10 @@ def _carrier_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
     """b[c, n, m] = sqrt(2 power) sum_r d[n, r, m] w_r(c): symbol row n's
     real coefficient on carrier m during Walsh chip c, shape (walsh_order,
     rows, carriers).  symbols holds rows of (substreams, carriers) symbols,
-    shape (..., substreams, carriers)."""
+    shape (..., substreams, carriers).  Row n's PN-free linear waveform is
+    sum_m b[c, n, m] E_m(i) during chip c, with E_m(i) =
+    e^{j (m+1) 2 pi W i / N} (txchain.subcarrier_exponentials): the shared
+    modulation table (txchain.modulation_table) applied to the row."""
     cfg = runtime.scenario.config
     n_sub, n_car = cfg.substreams, cfg.carriers
     # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
@@ -286,6 +344,12 @@ def _carrier_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
     b = d.astype(np.float64) @ runtime.walsh.rows[:n_sub].astype(np.float64)
     b *= np.sqrt(2.0 * cfg.power)
     return np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
+
+
+def _chip_bounds(chips: np.ndarray, order: int) -> np.ndarray:
+    """The first sample position of each Walsh chip, then samples_per_symbol,
+    given each position's nondecreasing chip index."""
+    return np.searchsorted(chips, np.arange(order + 1))
 
 
 def _chip_runs(chips: np.ndarray, start: int, stop: int):
@@ -297,6 +361,53 @@ def _chip_runs(chips: np.ndarray, start: int, stop: int):
         hi = min(int(np.searchsorted(chips, chip, side="right")), stop)
         yield lo, hi, chip
         lo = hi
+
+
+def _waveform_tiles(runtime: _Runtime, symbols: np.ndarray):
+    """Every symbol row's PN-free linear waveform in tiles, for the tube.
+
+    symbols holds rows of (substreams, carriers) symbols, shape (...,
+    substreams, carriers).  During Walsh chip c row n is
+    sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each run of one
+    Walsh chip within a slab of _SLAB_SAMPLES positions is one real GEMM of
+    b[c] against the carrier exponentials with re/im interleaved.  Each run
+    is yielded as (first position, tile), the tile complex, (rows, run
+    length).
+
+    The tube acts on |x|^2 alone, so for +-1 chips A(pn x) = pn A(x) holds
+    bit for bit and the caller applies each user's chips after it."""
+    cfg = runtime.scenario.config
+    b = _carrier_coefficients(runtime, symbols)
+    carriers = runtime.carriers.view(np.float64)
+    for start in range(0, cfg.samples_per_symbol, _SLAB_SAMPLES):
+        stop = min(start + _SLAB_SAMPLES, cfg.samples_per_symbol)
+        for lo, hi, chip in _chip_runs(runtime.walsh_chips, start, stop):
+            yield lo, (b[chip] @ carriers[:, 2 * lo:2 * hi]).view(np.complex128)
+
+
+def _cell_grid(cfg: LinkConfig, chips: np.ndarray, pn_samples: np.ndarray,
+               paths: int) -> _CellGrid:
+    """The _CellGrid of a configuration, given each sample's Walsh chip
+    index and every user's oversampled chips (users, samples_per_symbol)."""
+    n_samp, order, size = cfg.samples_per_symbol, cfg.walsh_order, _CELL_SAMPLES
+    bounds = _chip_bounds(chips, order)
+    starts = np.concatenate([np.arange(lo, hi, size) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    lengths = np.minimum(starts + size, bounds[chips[starts] + 1]) - starts
+    step = 2.0 * np.pi * order / n_samp
+    harmonics = np.arange(1, cfg.carriers + 1)[:, None]
+    middle = (size - 1) / 2.0
+    span = np.arange(n_samp + (paths - 1) * cfg.oversampling + size - 1)
+    span_bins = span // n_samp * order + chips[span % n_samp]
+    padded = np.pad(pn_samples, ((0, 0), (0, size - 1)))
+    return _CellGrid(
+        starts=starts, lengths=lengths, chip_cells=np.searchsorted(starts, bounds),
+        centres=np.exp(1j * step * harmonics * (starts + middle)),
+        offsets=np.exp(1j * step * harmonics * (np.arange(size) - middle)),
+        half_width=middle * step,
+        delay_phases=np.exp(-1j * step * harmonics.T * cfg.oversampling * np.arange(paths)[:, None]),
+        span_bins=span_bins, bin_starts=np.searchsorted(span_bins, np.arange(span_bins[-1] + 1)),
+        user_chips=np.lib.stride_tricks.sliding_window_view(padded, size, axis=1),
+        span_chips=np.lib.stride_tricks.sliding_window_view(pn_samples[0, span % n_samp], size))
 
 
 def _peak_power_bound(b: np.ndarray) -> np.ndarray:
@@ -311,46 +422,31 @@ def _peak_power_bound(b: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _clip_candidate_tiles(runtime: _Runtime, symbols: np.ndarray, clip_power: float | None = None):
-    """Every symbol row's PN-free linear waveform in tiles, cut down, given
-    a clip power, to the (Walsh chip, symbol row) pairs that can reach it.
+def _cell_power_bound(grid: _CellGrid, b: np.ndarray, peak: np.ndarray, lo: int,
+                      hi: int) -> np.ndarray:
+    """An upper bound on the power of rows b (rows, carriers) of one Walsh
+    chip over each of the chip's cells lo..hi-1, shape (rows, hi - lo),
+    given each row's _peak_power_bound.
 
-    symbols holds rows of (substreams, carriers) symbols, shape (...,
-    substreams, carriers).  Row n is sqrt(2 power) sum_(r, m) d[n, r, m]
-    w_r(chip i) E_m(i), the shared modulation table
-    (txchain.modulation_table) applied to the row, with E_m(i) =
-    e^{j (m+1) 2 pi W i / N}.  It is formed factored: during Walsh chip c
-    the row is sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each
-    run of one Walsh chip within a slab of _SLAB_SAMPLES positions is one
-    real GEMM of b[c] against the carrier exponentials with re/im
-    interleaved.  Each run is yielded as (rows, first position, tile): the
-    tile complex, (rows.size, run length), its row j being symbol row
-    rows[j]; rows holds every row without a clip power.
+    The power P(phi) = |p(phi)|^2, p(phi) = sum_m b_m e^{j (m+1) phi}, is a
+    real trigonometric polynomial of degree M - 1 in the carrier phase, so
+    |P''| <= (M - 1)^2 max P <= (M - 1)^2 peak (Bernstein's inequality,
+    twice), and within t of the anchor phi_0
 
-    The power of row n in chip c never exceeds _peak_power_bound(b[c, n]),
-    so a pair whose bound is below the clip power has no sample to clip and
-    is left out.  The margin of 1e-12 keeps exact ties, and anything the
-    round-off of a tile could lift over the clip power, in the search.
+        P <= P(phi_0) + |P'(phi_0)| t + (M - 1)^2 peak t^2 / 2.
 
-    The tube and the predistorter act on |x|^2 alone, so for +-1 chips
-    A(pn x) = pn A(x) holds bit for bit and the caller applies each user's
-    chips after the amplifier."""
-    cfg = runtime.scenario.config
-    b = _carrier_coefficients(runtime, symbols)
-    if clip_power is None:
-        candidates = [np.arange(b.shape[1])] * cfg.walsh_order
-    else:
-        # NaN compares false, so a NaN bound keeps its pair in the search.
-        searched = ~(_peak_power_bound(b) < clip_power * (1.0 - 1e-12))
-        candidates = [np.flatnonzero(rows) for rows in searched]
-    coefficients = [b[chip, rows] for chip, rows in enumerate(candidates)]
-    carriers = runtime.carriers.view(np.float64)
-    for start in range(0, cfg.samples_per_symbol, _SLAB_SAMPLES):
-        stop = min(start + _SLAB_SAMPLES, cfg.samples_per_symbol)
-        for lo, hi, chip in _chip_runs(runtime.walsh_chips, start, stop):
-            if candidates[chip].size:
-                tile = coefficients[chip] @ carriers[:, 2 * lo:2 * hi]
-                yield candidates[chip], lo, tile.view(np.complex128)
+    p and p' = j sum_m (m+1) b_m e^{j (m+1) phi} at every anchor are one
+    real GEMM of the rows, and the rows times m+1, against the anchors'
+    exponentials; P' = 2 Re(conj(p) p')."""
+    rows, n_car = b.shape
+    stacked = np.concatenate((b, b * np.arange(1, n_car + 1)))
+    values = (stacked @ grid.centres.view(np.float64)[:, 2 * lo:2 * hi]).view(np.complex128)
+    p, q = values[:rows], values[rows:]
+    bound = np.square(p.real) + np.square(p.imag)
+    slope = p.imag * q.real - p.real * q.imag
+    bound += 2.0 * grid.half_width * np.abs(slope)
+    bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]
+    return bound
 
 
 def _clip_power(runtime: _Runtime) -> float:
@@ -359,18 +455,44 @@ def _clip_power(runtime: _Runtime) -> float:
     return runtime.scenario.saleh.saturation_output_power / runtime.linear_gain**2
 
 
-def _clipped(runtime: _Runtime, linear: np.ndarray) -> tuple:
-    """The samples of a linear tile (_clip_candidate_tiles) that the
-    predistorted tube clips, as (flat indices into the tile, the tube's
-    output there minus linear_gain times the sample, from
-    hpa.envelope_excess)."""
-    squares = np.square(linear.view(np.float64))
-    power = squares[:, 0::2] + squares[:, 1::2]
-    # NaN compares false, so a NaN sample is taken as clipped and
-    # envelope_excess rejects it.
-    hits = np.flatnonzero(~(power <= _clip_power(runtime)))
-    return hits, envelope_excess(runtime.linear_gain * linear.reshape(-1)[hits],
-                                 runtime.scenario.saleh)
+def _clipped_cells(runtime: _Runtime, b: np.ndarray):
+    """The (symbol row, cell) pairs of the limiter that can clip, as
+    (Walsh chip, rows, cells) chunks of up to _CELL_CHUNK pairs in one chip,
+    for _formed_cells.
+
+    b holds the rows' carrier coefficients (_carrier_coefficients).  A pair
+    is kept unless the row's envelope bound over its Walsh chip
+    (_peak_power_bound) or over the cell (_cell_power_bound) lies below the
+    clip power; the margin of 1e-12 keeps exact ties and anything round-off
+    could lift over it, and since NaN compares false a NaN bound keeps its
+    pair."""
+    grid = runtime.cells
+    threshold = _clip_power(runtime) * (1.0 - 1e-12)
+    peak = _peak_power_bound(b)
+    for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:])):
+        rows = np.flatnonzero(~(peak[chip] < threshold))
+        if rows.size == 0:
+            continue
+        row, cell = np.nonzero(~(_cell_power_bound(grid, b[chip, rows], peak[chip, rows], lo, hi)
+                                 < threshold))
+        row, cell = rows[row], cell + lo
+        for first in range(0, row.size, _CELL_CHUNK):
+            yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]
+
+
+def _formed_cells(runtime: _Runtime, b: np.ndarray, rows: np.ndarray, cells: np.ndarray) -> tuple:
+    """(driven, excess) of a chunk of _clipped_cells, b being the rows'
+    coefficients in its Walsh chip: each cell's PN-free samples times
+    linear_gain, g x, shape (chunk, S), formed in one product through
+    E_m(a + s) = E_m(a) E_m(s) (see _CellGrid), and what the limiter takes
+    off them (hpa.envelope_excess), exactly zero below A_sat and outside
+    the cell."""
+    grid = runtime.cells
+    driven = (runtime.linear_gain * b[rows] * grid.centres[:, cells].T) @ grid.offsets
+    excess = envelope_excess(driven, runtime.scenario.saleh)
+    short = np.flatnonzero(grid.lengths[cells] < _CELL_SAMPLES)
+    excess[short] *= np.arange(_CELL_SAMPLES) < grid.lengths[cells[short], None]
+    return driven, excess
 
 
 def _calibrate(runtime: _Runtime) -> tuple:
@@ -381,24 +503,43 @@ def _calibrate(runtime: _Runtime) -> tuple:
     coherent receiver tracks that rotation as part of its carrier reference,
     so it is folded into the reference path phase rather than left as a
     pointing error.  The frame is user 1's, whose chips change neither
-    measure, so it is taken PN-free."""
+    measure, so it is taken PN-free.
+
+    The tube's frame is formed tile by tile.  The limiter's is the linear
+    one, g x, but at its clipped samples, so no tile is formed: the linear
+    energy is sum_c b_c^T Re(G_c) b_c over the rows' coefficients b_c in
+    Walsh chip c, G_c the carriers' Gram matrix over the chip's samples,
+    and the clipped cells (_clipped_cells) add what the excess e changes,
+    |g x + e|^2 - |g x|^2.  The limiter keeps every phase, so its mean
+    rotation is zero."""
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
     symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)) - 1
-    energy = 0.0
-    cross = 0.0
-    for _, _, linear in _clip_candidate_tiles(runtime, symbols):
-        if scenario.hpa_mode == "saleh":
+    if scenario.hpa_mode == "saleh":
+        energy = 0.0
+        cross = 0.0
+        for _, linear in _waveform_tiles(runtime, symbols):
             tx = amplify_samples(linear, scenario.saleh, runtime.op)
-        else:
-            tx = runtime.linear_gain * linear
-            hits, excess = _clipped(runtime, linear)
-            tx.reshape(-1)[hits] += excess
-        energy += np.vdot(tx, tx).real
-        cross += np.vdot(linear, tx)
+            energy += np.vdot(tx, tx).real
+            cross += np.vdot(linear, tx)
+        rotation = float(np.angle(cross))
+    else:
+        g = runtime.linear_gain
+        b = _carrier_coefficients(runtime, symbols)
+        carriers = subcarrier_exponentials(cfg)
+        bounds = _chip_bounds(runtime.walsh_chips, cfg.walsh_order)
+        linear_energy = sum(
+            np.einsum("nm,mk,nk->", b[chip], (carriers[:, lo:hi] @ carriers[:, lo:hi].conj().T).real,
+                      b[chip])
+            for chip, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])))
+        energy = g * g * linear_energy
+        for chip, rows, cells in _clipped_cells(runtime, b):
+            driven, excess = _formed_cells(runtime, b[chip], rows, cells)
+            energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
+        rotation = 0.0
     mean_power = energy / (_CALIBRATION_SYMBOLS * cfg.samples_per_symbol)
-    return mean_power * cfg.symbol_duration / cfg.bits_per_symbol, float(np.angle(cross))
+    return mean_power * cfg.symbol_duration / cfg.bits_per_symbol, rotation
 
 
 def _linear_eb(cfg: LinkConfig) -> float:
@@ -436,34 +577,37 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_d
     T[n] = sum_k sum_l h_kl (d_k[n] @ C[k, 0, :, l] + d_k[n-1] @ C[k, 1, :, l])
     is the linear chain's correlation, C being the runtime's partial
     cross-correlation tables (receiver.correlate_tables), and g the
-    runtime's linear_gain.  W correlates the amplifier's sampled windows
-    (runtime.windows; none without an amplifier) against user 1's
-    signatures (receiver.correlate_factored).  theta is user 1's
-    reference-path phase plus the amplifier's mean rotation.  The noise is
-    drawn per correlator output, with the covariance white sample noise
-    would give there.  Noiseless, the outputs are those of the sample chain
-    (modulate, amplify, propagate, correlate) up to round-off."""
+    runtime's linear_gain.  W is what the amplifier adds to g times the
+    linear waveform, correlated against user 1's signatures per Walsh chip
+    (runtime.amplified; zero without an amplifier) and Walsh-combined
+    (receiver.combine_walsh_chips).  theta is user 1's reference-path phase
+    plus the amplifier's mean rotation.  The noise is drawn per correlator
+    output, with the covariance white sample noise would give there.
+    Noiseless, the outputs are those of the sample chain (modulate,
+    amplify, propagate, correlate) up to round-off."""
     cfg = runtime.scenario.config
     n_total = symbols.shape[1]
     gains = _path_gains(channel)
     theta = channel.phases[0, 0] + runtime.phase_offset
     z = correlate_tables(runtime.correlation, symbols, gains)
     z *= runtime.linear_gain * np.sqrt(2.0 * cfg.power) * np.exp(-1j * theta)
-    windows = None if runtime.windows is None else runtime.windows(runtime, symbols, gains)
-    if windows is not None:
-        z += correlate_factored(windows, runtime.carrier_correlator,
-                                runtime.walsh.rows[:cfg.substreams], runtime.walsh_chips, theta)
+    per_chip = None if runtime.amplified is None else runtime.amplified(runtime, symbols, gains)
+    if per_chip is not None:
+        z += combine_walsh_chips(per_chip, runtime.walsh.rows[:cfg.substreams],
+                                 cfg.samples_per_symbol, theta)
     if runtime.scenario.noise_enabled:
         z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
     return z.reshape(n_total, cfg.substreams, cfg.carriers)
 
 
-def _received_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """The noiseless received frame through the tube, cut into the
-    (symbols, samples_per_symbol) correlator windows: every user's
-    amplified waveform, built tile by tile over all users' symbols at once
-    (_clip_candidate_tiles), times its chips.  Per path l, the users' tiles
-    are summed with their gains h_kl in one product and added into a
+def _tube_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """W of a tube block per (Walsh chip, window): the noiseless received
+    frame through the tube, cut into the (symbols, samples_per_symbol)
+    correlator windows and correlated per Walsh chip
+    (receiver.chip_correlations).  The frame holds every user's amplified
+    waveform, built tile by tile over all users' symbols at once
+    (_waveform_tiles), times its chips.  Per path l, the users' tiles are
+    summed with their gains h_kl in one product and added into a
     (symbols, samples) view of the frame shifted by the path delay.  The
     part that falls past the last window is dropped, as the correlator
     drops it."""
@@ -474,47 +618,77 @@ def _received_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray)
     shifts = [l * cfg.oversampling for l in range(scenario.paths)]
     received = np.zeros(length + shifts[-1], dtype=np.complex128)
     delayed = [received[shift:shift + length].reshape(n_total, -1) for shift in shifts]
-    for _, start, linear in _clip_candidate_tiles(runtime, symbols):
+    for start, linear in _waveform_tiles(runtime, symbols):
         tx = amplify_samples(linear, scenario.saleh, runtime.op)
         stop = start + tx.shape[1]
         tx = tx.reshape(users, n_total, stop - start) * runtime.pn_samples[:, None, start:stop]
         for frame, gain in zip(delayed, gains.T):
             frame[:, start:stop] += np.tensordot(gain, tx, axes=1)
-    return delayed[0]
+    return chip_correlations(delayed[0], runtime.carrier_correlator, runtime.walsh_chips,
+                             cfg.walsh_order)
 
 
-def _excess_windows(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
-    """What the limiter takes off a block's waveform, as received, cut into
-    the (symbols, samples_per_symbol) correlator windows; None when no
-    sample clips.
-
-    A modulus pass (_clipped) over the PN-free tiles of the (Walsh chip,
-    symbol row) pairs that can clip (_clip_candidate_tiles) finds the
-    clipped samples; each one's excess, times its user's chip, is added on
-    every path l at l chips' delay with gain h_kl, one tile at a time.  The
-    part that falls past the last window is dropped, as the correlator
-    drops it."""
+def _excess_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
+    """W of a limiter block per (Walsh chip, window): what the limiter takes
+    off the samples of the cells that can clip (_clipped_cells), times each
+    user's chips, received on every path and correlated directly
+    (_add_cell_correlations), one chunk of cells at a time; None when no
+    cell can clip.  What falls past the last window is dropped, as the
+    correlator drops it."""
     cfg = runtime.scenario.config
     n_total = symbols.shape[1]
-    n_samp = cfg.samples_per_symbol
-    length = n_total * n_samp
-    delays = range(0, runtime.scenario.paths * cfg.oversampling, cfg.oversampling)
-    received = None
-    for rows, start, linear in _clip_candidate_tiles(runtime, symbols, _clip_power(runtime)):
-        hits, excess = _clipped(runtime, linear)
-        if hits.size == 0:
-            continue
-        if received is None:
-            received = np.zeros(length + delays[-1], dtype=np.complex128)
-        row, column = np.divmod(hits, linear.shape[1])
-        row = rows[row]
-        column += start
-        user = row // n_total
-        excess *= runtime.pn_samples[user, column]
-        position = (row % n_total) * n_samp + column
-        for delay, gain in zip(delays, gains[user].T):
-            np.add.at(received, position + delay, excess * gain)
-    return None if received is None else received[:length].reshape(n_total, n_samp)
+    b = _carrier_coefficients(runtime, symbols)
+    total = None
+    for chip, rows, cells in _clipped_cells(runtime, b):
+        if total is None:
+            total = np.zeros((cfg.walsh_order, n_total + 1, cfg.carriers), dtype=np.complex128)
+        _add_cell_correlations(total, runtime, rows, cells,
+                               _formed_cells(runtime, b[chip], rows, cells)[1], gains)
+    return None if total is None else total[:, :n_total]
+
+
+def _add_cell_correlations(total: np.ndarray, runtime: _Runtime, rows: np.ndarray,
+                           cells: np.ndarray, excess: np.ndarray, gains: np.ndarray) -> None:
+    """Add the correlations of one chunk of cells' excess (_formed_cells)
+    into total, the block's per-(Walsh chip, window) sums, shape
+    (walsh_order, symbols + 1, carriers).
+
+    A cell of user k on path l at delay D adds, to window n' and user 1's
+    Walsh chip c' of its delayed span,
+
+        h_kl conj(E_m(a) E_m(D)) sum_s e(s) pn_k(i_s) pn_1(i_s + D) conj(E_m(s)),
+
+    since the correlator's conj(E_m) at position a + D + s factors as its
+    sample does (_CellGrid).  The sums over s are one (cells, S) @ (S,
+    carriers) product per path; a span that crosses into the next Walsh
+    chip or window, which it can do once, is split there into two rows.
+    Rows are summed over runs of equal (chip, window) and added in."""
+    cfg = runtime.scenario.config
+    grid = runtime.cells
+    order, n_total = cfg.walsh_order, total.shape[1] - 1
+    offsets = np.arange(_CELL_SAMPLES)
+    conj_offsets = grid.offsets.conj().T
+    user, window = np.divmod(rows, n_total)
+    starts = grid.starts[cells]
+    ends = starts + grid.lengths[cells] - 1
+    excess *= grid.user_chips[user, starts]
+    anchors = grid.centres[:, cells].T.conj()
+    sums = total.reshape(-1, cfg.carriers)
+    for path, gain in enumerate(gains[user].T):
+        delay = path * cfg.oversampling
+        weights = excess * grid.span_chips[starts + delay]
+        first, last = grid.span_bins[starts + delay], grid.span_bins[ends + delay]
+        split = np.flatnonzero(first != last)
+        tail = weights[split] * (offsets >= (grid.bin_starts[last[split]]
+                                             - starts[split] - delay)[:, None])
+        weights[split] -= tail
+        out = np.concatenate((weights @ conj_offsets, tail @ conj_offsets))
+        factor = anchors * (gain[:, None] * grid.delay_phases[path])
+        out *= np.concatenate((factor, factor[split]))
+        bins = np.concatenate((first, last[split]))
+        key = bins % order * (n_total + 1) + np.concatenate((window, window[split])) + bins // order
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        np.add.at(sums, key[heads], np.add.reduceat(out, heads))
 
 
 def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,

@@ -16,8 +16,9 @@ characterize-hpa and the tests use; the Monte Carlo engine runs the array
 kernels.  In "saleh" mode it runs amplify_samples (the arithmetic of
 apply_hpa) on its waveform tiles.  In "saleh_pd" mode the limiter is the
 identity up to A_sat, so the engine takes the linear chain's outputs and
-calls envelope_excess, what the limiter takes off a sample, on the samples
-above A_sat only.
+calls envelope_excess, what the limiter takes off a sample, on the
+16-sample cells whose envelope bound reaches A_sat only; about 80% of the
+samples it is given clip on the linearization preset.
 """
 
 from __future__ import annotations
@@ -161,9 +162,10 @@ def apply_hpa(frame: BasebandFrame, params: SalehParams, op: OperatingPoint | No
 def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
     """What the predistorted tube, the limiter x * min(1, A_sat/|x|) (see
     the module docstring), takes off each sample of a complex array of any
-    shape: x * (min(1, A_sat/|x|) - 1), zero at and below A_sat.  The
-    engine calls it on the few samples above A_sat only.  NaN and infinite
-    samples raise ValueError, as in every kernel here."""
+    shape: x * (min(1, A_sat/|x|) - 1), exactly zero at and below A_sat.
+    The engine calls it on the few cells of samples that can exceed A_sat
+    only.  NaN and infinite samples raise ValueError, as in every kernel
+    here."""
     sat2 = params.saturation_output_power
     # min(1, A_sat/|x|) as sqrt(sat^2/max(|x|^2, sat^2))
     gain = _modulus_squared(samples)

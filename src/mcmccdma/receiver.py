@@ -18,9 +18,11 @@ Correlations are normalized by the samples per symbol, so a clean slot
 correlates to sqrt(2*power) * path_gain * symbol.  The sample-level
 functions take plain arrays: correlate_slots a received sample array whose
 first window starts at the reference path's delay, decide_slots the
-correlator outputs and the transmitted symbols.  correlate_factored is the
-same correlation with each signature's Walsh chips factored out, which the
-amplifier chains use on their sampled windows.
+correlator outputs and the transmitted symbols.  The amplifier chains
+compute the same correlation with each signature's Walsh chips factored
+out: per-chip sums, which the tube's chain forms from its sampled windows
+(chip_correlations) and the limiter's from its clipped cells, and a Walsh
+combine (combine_walsh_chips).
 """
 
 from __future__ import annotations
@@ -81,34 +83,44 @@ def correlate_slots(samples: np.ndarray, signatures: np.ndarray, config: LinkCon
     return z.reshape(n_sym, config.substreams, config.carriers)
 
 
-def correlate_factored(windows: np.ndarray, correlator: np.ndarray, walsh_rows: np.ndarray,
-                       chips: np.ndarray, reference_phase: float = 0.0) -> np.ndarray:
+def chip_correlations(windows: np.ndarray, correlator: np.ndarray, chips: np.ndarray,
+                      order: int) -> np.ndarray:
     """The correlations of correlate_slots on received samples already cut
-    into symbol windows, shape (n_symbols, samples_per_symbol), against
-    slot signatures that factor as w_r(chip i) g_m(i), with the Walsh chips
-    taken out of the product.
+    into symbol windows y, shape (n_symbols, samples_per_symbol), against
+    slot signatures that factor as w_r(chip i) g_m(i), per Walsh chip and
+    before the Walsh chips are applied (combine_walsh_chips):
 
-    correlator holds conj(g_m(i)), shape (samples_per_symbol, carriers):
-    for a user's signatures (txchain.slot_signatures) its chips times the
-    conjugated carrier exponentials.  walsh_rows holds the +-1 rows w_r,
-    shape (substreams, walsh_order), and chips the nondecreasing Walsh chip
-    index of each sample (txchain.walsh_chip_indices).  Then
+        per_chip[c, n, m] = sum_{i in chip c} y[n, i] conj(g_m(i)),
 
-        z[n, (r, m)] = (1/N) sum_c w_r(c) sum_{i in chip c} y[n, i] conj(g_m(i)),
-
-    one GEMM per Walsh chip against `carriers` columns instead of one
-    against substreams * carriers, and a real Walsh combine.  Returns
-    (n_symbols, substreams * carriers) in slot order r * carriers + m.
-    """
-    n_sym, n_samp = windows.shape
-    order, n_car = walsh_rows.shape[1], correlator.shape[1]
-    per_chip = np.empty((order, n_sym, n_car), dtype=np.complex128)
+    one GEMM per chip against `carriers` columns instead of one against
+    substreams * carriers.  correlator holds conj(g_m(i)), shape
+    (samples_per_symbol, carriers): for a user's signatures
+    (txchain.slot_signatures) its chips times the conjugated carrier
+    exponentials.  chips holds the nondecreasing Walsh chip index of each
+    sample (txchain.walsh_chip_indices).  Shape (order, n_symbols,
+    carriers)."""
+    per_chip = np.empty((order, windows.shape[0], correlator.shape[1]), dtype=np.complex128)
     lo = 0
     for chip, hi in enumerate(np.searchsorted(chips, np.arange(order), side="right")):
         np.matmul(windows[:, lo:hi], correlator[lo:hi], out=per_chip[chip])
         lo = hi
+    return per_chip
+
+
+def combine_walsh_chips(per_chip: np.ndarray, walsh_rows: np.ndarray, n_samp: int,
+                        reference_phase: float = 0.0) -> np.ndarray:
+    """The correlator outputs from per-chip sums (chip_correlations), shape
+    (walsh_order, n_symbols, carriers), given the +-1 Walsh rows w_r, shape
+    (substreams, walsh_order):
+
+        z[n, (r, m)] = (1/N) e^{-j reference_phase} sum_c w_r(c) per_chip[c, n, m],
+
+    a real Walsh combine.  Returns (n_symbols, substreams * carriers) in slot
+    order r * carriers + m."""
+    order, n_sym, n_car = per_chip.shape
     # (substreams, order) @ (order, n_sym * carriers), re/im interleaved
-    z = np.asarray(walsh_rows, dtype=np.float64) @ per_chip.view(np.float64).reshape(order, -1)
+    z = np.asarray(walsh_rows, dtype=np.float64) @ np.ascontiguousarray(per_chip).view(
+        np.float64).reshape(order, -1)
     z = z.view(np.complex128).reshape(-1, n_sym, n_car).transpose(1, 0, 2).reshape(n_sym, -1)
     z /= n_samp
     if reference_phase != 0.0:

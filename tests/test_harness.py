@@ -24,9 +24,10 @@ from mcmccdma.harness import (
     run_scenario,
     scenario_echo,
 )
-from mcmccdma.hpa import SalehParams, apply_hpa, apply_predistorter
+from mcmccdma.hpa import SalehParams, apply_hpa, apply_predistorter, envelope_excess
 from mcmccdma.receiver import correlate_slots
-from mcmccdma.txchain import BasebandFrame, LinkConfig, modulate_user, slot_signatures
+from mcmccdma.txchain import (BasebandFrame, LinkConfig, modulate_user, slot_signatures,
+                              subcarrier_exponentials)
 
 TINY = Scenario(
     name="tiny",
@@ -317,7 +318,10 @@ class TestCorrelationEngine:
             runtime = harness._prepare(dataclasses.replace(_TINY_UNALIGNED, hpa_mode=hpa_mode))
             assert np.array_equal(runtime.correlation, linear.correlation)
             assert np.array_equal(runtime.noise_factor, linear.noise_factor)
-            assert (runtime.windows is None) == (hpa_mode == "bypass")
+            assert (runtime.amplified is None) == (hpa_mode == "bypass")
+            # only the limiter builds the cell grid, and it forms no tile
+            assert (runtime.cells is None) == (hpa_mode != "saleh_pd")
+            assert (runtime.carriers is None) == (hpa_mode != "saleh")
         assert linear.linear_gain == 1.0
         assert harness._prepare(dataclasses.replace(TINY, hpa_mode="saleh")).linear_gain == 0.0
 
@@ -358,7 +362,17 @@ _AMPLIFIER_BASE = dataclasses.replace(
 # the limiter's A_sat, per case below.  Four slots peak 6 dB over their mean
 # power, so "linearized" clips none at 7 dB.
 _CLIPPED_SHARE = {"linearized": (0.0, 0.0), "unaligned-linearized": (0.1, 0.5),
-                  "unclipped-linearized": (0.0, 0.0), "clipped-linearized": (0.5, 1.0)}
+                  "unclipped-linearized": (0.0, 0.0), "clipped-linearized": (0.5, 1.0),
+                  "short-chips-linearized": (0.05, 0.5)}
+
+_UNALIGNED_LINEARIZED = dataclasses.replace(_TINY_UNALIGNED, name="unaligned-linearized",
+                                            hpa_mode="saleh_pd", ibo_db=1.0)
+_CLIPPED_LINEARIZED = dataclasses.replace(_AMPLIFIER_BASE, name="clipped-linearized",
+                                          hpa_mode="saleh_pd", paths=2, ibo_db=-4.0)
+
+# Walsh chips 1-2 samples long (16 chips over 21 samples).
+_SHORT_CHIPS = LinkConfig(users=3, substreams=5, carriers=1, walsh_order=16, pn_length=7,
+                          oversampling=3)
 
 
 class TestAmplifierEngine:
@@ -370,19 +384,20 @@ class TestAmplifierEngine:
         # grid, in 8-sample tiles that do not divide the 21-sample symbol
         (dataclasses.replace(_TINY_UNALIGNED, name="unaligned-saleh", hpa_mode="saleh",
                              ibo_db=3.0), 8),
-        (dataclasses.replace(_TINY_UNALIGNED, name="unaligned-linearized",
-                             hpa_mode="saleh_pd", ibo_db=1.0), 8),
+        (_UNALIGNED_LINEARIZED, 8),
         # the limiter's two extremes: no sample clipped, most clipped
         (dataclasses.replace(_TINY_UNALIGNED, name="unclipped-linearized",
                              hpa_mode="saleh_pd", ibo_db=30.0), 8),
-        (dataclasses.replace(_AMPLIFIER_BASE, name="clipped-linearized", hpa_mode="saleh_pd",
-                             paths=2, ibo_db=-4.0), 256),
-        # Walsh chips 1-2 samples long (16 chips over 21 samples), so most
-        # segments of an 8-sample tile are a single sample
+        (_CLIPPED_LINEARIZED, 256),
+        # Walsh chips 1-2 samples long, so most segments of an 8-sample tile
+        # are a single sample
         (dataclasses.replace(_TINY_UNALIGNED, name="short-chips-saleh", hpa_mode="saleh",
-                             ibo_db=3.0, config=LinkConfig(users=3, substreams=5, carriers=1,
-                                                           walsh_order=16, pn_length=7,
-                                                           oversampling=3)), 8),
+                             ibo_db=3.0, config=_SHORT_CHIPS), 8),
+        # path delays of 3 and 6 samples, beyond a Walsh chip, so the delayed
+        # span of a clipped cell falls into later chips and the next window
+        (dataclasses.replace(_TINY_UNALIGNED, name="short-chips-linearized",
+                             hpa_mode="saleh_pd", paths=3, ibo_db=3.0,
+                             config=dataclasses.replace(_SHORT_CHIPS, users=2)), 8),
     ], ids=lambda v: getattr(v, "name", str(v)))
     def test_noiseless_outputs_match_per_user_chain(self, scenario, slab, monkeypatch):
         monkeypatch.setattr(harness, "_SLAB_SAMPLES", slab)
@@ -411,14 +426,14 @@ class TestAmplifierEngine:
     def test_block_allocates_tiles_not_user_waveforms(self, hpa_mode, ibo_db, frames):
         """Peak traced allocation of one amplifier block against the bytes of
         its received frame.  Here a tile is a quarter of the frame.  The
-        tube's block peaks at 2.7 frames; amplifying one user's whole
-        waveform at a time took six to seven.  At 7 dB the
-        predistorted tube's envelope bound rules out every row, so its block
-        forms neither a tile nor a frame (0.02 frames; 0.67 when every tile
-        was searched).  At -4 dB most samples clip, and the block peaks at
-        3.3 frames because the clipped excess is added into the frame tile by
-        tile; collecting the whole block's clipped samples first would take
-        several times that."""
+        tube's block peaks at 2.65 frames; amplifying one user's whole
+        waveform at a time took six to seven.  The predistorted tube forms
+        no tile and no frame, only cells: at 7 dB its envelope bound rules
+        out every row, and the block peaks at 0.013 frames.  At -4 dB most
+        samples clip, and the block peaks at 1.78 frames, the working
+        arrays of one _CELL_CHUNK of 1024 cells (3.3 frames when the
+        clipped excess was added into a dense frame tile by tile; 6.1 with
+        chunks of 2048 cells)."""
         scenario = dataclasses.replace(
             TINY, name="guard", hpa_mode=hpa_mode, ibo_db=ibo_db, symbols_per_block=8,
             config=LinkConfig(users=4, substreams=2, carriers=2, walsh_order=2, pn_length=1023))
@@ -435,20 +450,23 @@ class TestAmplifierEngine:
 
     def test_unclippable_block_forms_no_tile(self, monkeypatch):
         """At 30 dB the envelope bound rules out every (Walsh chip, symbol
-        row) pair, so a predistorted block searches no tile; the calibration,
-        which takes every tile, still does."""
+        row) pair, so neither the calibration nor a predistorted block forms
+        a sample: no tile, and no cell for the limiter."""
         calls = []
-        clipped = harness._clipped
 
-        def counted(runtime, linear):
-            calls.append(linear.shape)
-            return clipped(runtime, linear)
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
 
-        monkeypatch.setattr(harness, "_clipped", counted)
+        monkeypatch.setattr(harness, "envelope_excess", counted("cell", harness.envelope_excess))
+        monkeypatch.setattr(harness, "_waveform_tiles", counted("tile", harness._waveform_tiles))
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="unclipped",
                                                        hpa_mode="saleh_pd", ibo_db=30.0))
-        assert calls
-        calls.clear()
+        assert calls == []
+        assert harness._excess_correlations(runtime, harness._draw_symbols(
+            np.random.default_rng(0), runtime.scenario.config, 16), np.ones((3, 1))) is None
         harness._simulate_block(runtime, 0, 0, 8.0)
         assert calls == []
 
@@ -484,13 +502,29 @@ class TestAmplifierEngine:
         difference = (z_noisy - z).reshape(n_windows, -1)
         assert np.abs(difference - noise).max() <= 1e-12 * np.abs(z).max()
 
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("scenario", [_CLIPPED_LINEARIZED, _UNALIGNED_LINEARIZED],
+                             ids=lambda sc: sc.name)
+    def test_cell_chunks_do_not_change_the_block(self, scenario, chunk, monkeypatch):
+        """Kept cells formed and correlated 1 or 3 at a time give the block
+        and the calibration of the default chunk, across every seam."""
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+        monkeypatch.setattr(harness, "_CELL_CHUNK", chunk)
+        rechunked = harness._correlation_outputs(runtime, channel, symbols, 8.0, None)
+        assert np.abs(rechunked - z).max() <= 1e-12 * np.abs(z).max()
+        eb, phase_offset = harness._calibrate(runtime)
+        assert abs(eb - runtime.eb) <= 1e-12 * eb
+        assert abs(phase_offset - runtime.phase_offset) <= 1e-12
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_limiter_block_rejects_nonfinite_tiles(self, bad):
-        # at 1 dB some rows can clip in the poisoned sample's Walsh chip, so
-        # their tile is formed and searched
+        # at 1 dB some rows can clip in the poisoned cell's Walsh chip; the
+        # cell's anchor exponential enters both its bound, which a NaN or
+        # inf cannot rule out, and every sample formed in it
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="bad",
                                                        hpa_mode="saleh_pd", ibo_db=1.0))
-        runtime.carriers[1, 300] = bad     # poisons every searched row's tile at that sample
+        cell = np.searchsorted(runtime.cells.starts, 300, side="right") - 1
+        runtime.cells.centres[1, cell] = bad
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
             harness._simulate_block(runtime, 0, 0, 8.0)
 
@@ -509,20 +543,53 @@ _BOUND_CONFIGS = {
 }
 
 
-def _clip_search(runtime, tiles):
-    """The clipped samples of tiles given as (rows, first position, tile):
-    their indices row * samples_per_symbol + position in ascending order,
-    and the excess at each."""
-    n_samp = runtime.scenario.config.samples_per_symbol
-    indices, excesses = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.complex128)]
-    for rows, start, linear in tiles:
-        hits, excess = harness._clipped(runtime, linear)
-        row, column = np.divmod(hits, linear.shape[1])
-        indices.append(rows[row] * n_samp + start + column)
-        excesses.append(excess)
-    index = np.concatenate(indices)
-    order = np.argsort(index)
-    return index[order], np.concatenate(excesses)[order]
+def _full_clip_search(runtime, symbols):
+    """The limiter's clip search over every sample: each symbol row's
+    PN-free linear waveform, sum_m b[c, n, m] E_m(i) during Walsh chip c as
+    the tube's tiles form it, shape (rows, samples_per_symbol), the indices
+    row * samples_per_symbol + position of its clipped samples in ascending
+    order, and the excess at each."""
+    cfg = runtime.scenario.config
+    b = harness._carrier_coefficients(runtime, symbols)
+    linear = np.einsum("inm,mi->ni", b[runtime.walsh_chips], subcarrier_exponentials(cfg))
+    power = np.square(linear.real) + np.square(linear.imag)
+    index = np.flatnonzero(power > harness._clip_power(runtime))
+    return linear, index, envelope_excess(runtime.linear_gain * linear.reshape(-1)[index],
+                                          runtime.scenario.saleh)
+
+
+def _check_cell_search(runtime, symbols):
+    """Hold the limiter's cell search (_clipped_cells, _formed_cells) to the
+    search over every sample (_full_clip_search): it forms each sample of a
+    kept cell as the full waveform has it (times linear_gain), to 1e-12, and
+    no sample twice; the samples it forms include every clipped sample, so
+    on the full waveform's values it clips exactly the samples the full
+    search does; and its excess is zero outside its cells and within
+    1e-12 A_sat of the full search's at every sample (zero where that clips
+    nothing)."""
+    cfg = runtime.scenario.config
+    grid = runtime.cells
+    linear, index, excess = _full_clip_search(runtime, symbols)
+    offsets = np.arange(harness._CELL_SAMPLES)
+    cell_excess = np.zeros(linear.size, dtype=np.complex128)
+    formed = [np.zeros(0, dtype=np.int64)]
+    b = harness._carrier_coefficients(runtime, symbols)
+    for chip, rows, cells in harness._clipped_cells(runtime, b):
+        driven, chunk_excess = harness._formed_cells(runtime, b[chip], rows, cells)
+        inside = offsets < grid.lengths[cells, None]
+        at = rows[:, None] * cfg.samples_per_symbol + grid.starts[cells, None] + offsets
+        assert not chunk_excess[~inside].any()
+        assert np.abs(driven[inside] / runtime.linear_gain - linear.reshape(-1)[at[inside]]).max() <= (
+            1e-12 * np.abs(linear).max())
+        cell_excess[at[inside]] = chunk_excess[inside]
+        formed.append(at[inside])
+    formed = np.concatenate(formed)
+    assert np.unique(formed).size == formed.size
+    assert np.array_equal(np.intersect1d(formed, index), index)
+    full_excess = np.zeros(linear.size, dtype=np.complex128)
+    full_excess[index] = excess
+    saturation = runtime.scenario.saleh.saturation_output
+    assert np.abs(cell_excess - full_excess).max() <= 1e-12 * saturation
 
 
 @pytest.mark.parametrize("name", sorted(_BOUND_CONFIGS))
@@ -530,30 +597,32 @@ def _clip_search(runtime, tiles):
 @settings(max_examples=20, deadline=None)
 def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     """The envelope bound of a (Walsh chip, symbol row) pair holds at every
-    sample of the full tiles, no pair under the clip power holds a clipped
-    sample, and the search over the remaining pairs clips exactly the
-    samples that the search over every tile does."""
+    sample of the row's full waveform, and no pair under the clip power
+    holds a clipped sample.  The bound of each cell (_cell_power_bound)
+    holds at every sample of the cell, and the cell search clips what the
+    search over every sample clips (_check_cell_search)."""
     cfg = _BOUND_CONFIGS[name]
     runtime = harness._prepare(dataclasses.replace(TINY, name="bound", hpa_mode="saleh_pd",
                                                    ibo_db=ibo_db, config=cfg))
+    grid = runtime.cells
     symbols = harness._draw_symbols(np.random.default_rng(seed), cfg, 5)
-    n_rows = cfg.users * symbols.shape[1]
-    bound = harness._peak_power_bound(harness._carrier_coefficients(runtime, symbols))
-    clip_power = runtime.scenario.saleh.saturation_output_power / runtime.linear_gain**2
+    b = harness._carrier_coefficients(runtime, symbols)
+    peak = harness._peak_power_bound(b)
+    clip_power = harness._clip_power(runtime)
 
-    full = list(harness._clip_candidate_tiles(runtime, symbols))
-    for rows, start, linear in full:
-        assert np.array_equal(rows, np.arange(n_rows))
-        chips = runtime.walsh_chips[start:start + linear.shape[1]]
-        assert (np.abs(linear) ** 2 <= bound[chips].T * (1.0 + 1e-12)).all()
-    index, excess = _clip_search(runtime, full)
+    linear, index, excess = _full_clip_search(runtime, symbols)
+    power = np.square(linear.real) + np.square(linear.imag)
+    assert (power <= peak[runtime.walsh_chips].T * (1.0 + 1e-12)).all()
     row, position = np.divmod(index, cfg.samples_per_symbol)
-    assert (bound[runtime.walsh_chips[position], row] >= clip_power).all()
+    assert (peak[runtime.walsh_chips[position], row] >= clip_power).all()
 
-    searched, searched_excess = _clip_search(
-        runtime, harness._clip_candidate_tiles(runtime, symbols, clip_power))
-    assert np.array_equal(searched, index)
-    assert np.abs(searched_excess - excess).max(initial=0.0) <= 1e-12 * clip_power**0.5
+    cell_bound = np.concatenate([
+        harness._cell_power_bound(grid, b[chip], peak[chip], lo, hi)
+        for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:]))], axis=1)
+    cell = np.searchsorted(grid.starts, np.arange(cfg.samples_per_symbol), side="right") - 1
+    assert (power <= cell_bound[:, cell] * (1.0 + 1e-12)).all()
+
+    _check_cell_search(runtime, symbols)
 
 
 @st.composite
@@ -583,8 +652,9 @@ def _small_scenarios(draw):
 def test_random_block_matches_sample_chain(scenario):
     """One noiseless block of the engine against the sample-level reference
     chain, and an amplifier mode's calibration against the reference
-    amplifier on user 1's whole frame, both to 1e-12.  With a clip level the
-    clip search clips exactly the samples the search over every tile does."""
+    amplifier on user 1's whole frame, both to 1e-12.  The limiter's cell
+    search clips what the search over every sample clips
+    (_check_cell_search)."""
     runtime = harness._prepare(scenario)
     rng = np.random.default_rng(scenario.master_seed)
     channel = harness.draw_channel(rng, scenario.config.users, scenario.paths,
@@ -601,10 +671,7 @@ def test_random_block_matches_sample_chain(scenario):
                               channel.phases[0, 0] + phase_offset, amplify=amplify)
     assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
     if scenario.hpa_mode == "saleh_pd":
-        index, _ = _clip_search(runtime, harness._clip_candidate_tiles(runtime, symbols))
-        searched, _ = _clip_search(runtime, harness._clip_candidate_tiles(
-            runtime, symbols, harness._clip_power(runtime)))
-        assert np.array_equal(searched, index)
+        _check_cell_search(runtime, symbols)
 
 
 def _csv_bytes(scenario, workers, path):

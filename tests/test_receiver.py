@@ -9,7 +9,8 @@ from mcmccdma.codes import generate_msequence, generate_walsh
 from mcmccdma.harness import Scenario, estimate_interference_variances, measure_variances
 from mcmccdma.receiver import (
     SOURCE_NAMES,
-    correlate_factored,
+    chip_correlations,
+    combine_walsh_chips,
     correlate_slots,
     decide_slots,
     partial_correlation_tables,
@@ -97,9 +98,9 @@ class TestCorrelatorIdentity:
 
 @pytest.mark.parametrize("r,m,na,degree", LOOPBACK_CONFIGS + [(5, 1, 16, 3)])
 def test_factored_correlator_matches_signature_product(r, m, na, degree):
-    """correlate_factored, with the Walsh chips taken out of the signatures,
-    gives correlate_slots' outputs on arbitrary received windows (the last
-    case has Walsh chips 1-2 samples long)."""
+    """chip_correlations then combine_walsh_chips, with the Walsh chips
+    taken out of the signatures, give correlate_slots' outputs on arbitrary
+    received windows (the last case has Walsh chips 1-2 samples long)."""
     cfg, walsh, pn = _make(r, m, na, degree)
     rng = np.random.default_rng(degree)
     n = 5 * cfg.samples_per_symbol
@@ -107,8 +108,9 @@ def test_factored_correlator_matches_signature_product(r, m, na, degree):
     expected = correlate_slots(samples, slot_signatures(walsh, pn, cfg), cfg, reference_phase=0.7)
     chips = np.repeat(pn.chips, cfg.oversampling)
     correlator = chips[:, None] * subcarrier_exponentials(cfg).conj().T
-    z = correlate_factored(samples.reshape(5, -1), correlator, walsh.rows[:r],
-                           walsh_chip_indices(cfg), reference_phase=0.7)
+    per_chip = chip_correlations(samples.reshape(5, -1), correlator, walsh_chip_indices(cfg),
+                                 walsh.order)
+    z = combine_walsh_chips(per_chip, walsh.rows[:r], cfg.samples_per_symbol, reference_phase=0.7)
     assert z.shape == (5, r * m)
     assert np.abs(z - expected.reshape(5, -1)).max() <= 1e-12 * np.abs(expected).max()
 
