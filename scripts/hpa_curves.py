@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from mcmccdma.cli import main as cli_main
-from mcmccdma.hpa import SalehParams, amam, compute_obo, operating_point_for_power
+from mcmccdma.hpa import SalehParams, amam, compute_obo, input_scale_for_power
 
 # Complex-normal surrogate for the many-branch multicode signal; fixed seed
 # so the printed OBO table is reproducible.
@@ -25,8 +25,8 @@ def measured_obo(params: SalehParams, ibo_db: float, mean_power: float) -> float
     rng = np.random.default_rng(np.random.SeedSequence(_DRIVE_SEED))
     x = rng.normal(size=_DRIVE_SAMPLES) + 1j * rng.normal(size=_DRIVE_SAMPLES)
     x *= np.sqrt(mean_power / 2.0)
-    op = operating_point_for_power(mean_power, ibo_db, params)
-    return compute_obo(amam(np.abs(op.input_scale * x), params), params)
+    scale = input_scale_for_power(mean_power, ibo_db, params)
+    return compute_obo(amam(np.abs(scale * x), params), params)
 
 
 def main(argv=None) -> int:

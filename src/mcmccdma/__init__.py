@@ -25,8 +25,6 @@ from .channel import (
 )
 from .codes import (
     PRIMITIVE_TAPS,
-    PnSequence,
-    WalshMatrix,
     generate_msequence,
     generate_walsh,
     periodic_correlation,
@@ -45,14 +43,13 @@ from .harness import (
     scenario_echo,
 )
 from .hpa import (
-    OperatingPoint,
     SalehParams,
     amam,
     ampm,
-    apply_hpa,
+    amplify_samples,
     apply_predistorter,
     compute_obo,
-    operating_point_for_power,
+    input_scale_for_power,
     pd_amplitude,
 )
 from .receiver import (
@@ -61,7 +58,6 @@ from .receiver import (
     correlate_slots,
 )
 from .txchain import (
-    BasebandFrame,
     LinkConfig,
     modulate_user,
     slot_signatures,
@@ -72,25 +68,21 @@ from .txchain import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasebandFrame",
     "BerRecord",
     "CSV_HEADER",
     "ChannelRealization",
     "ConfigError",
     "InterferenceVariances",
     "LinkConfig",
-    "OperatingPoint",
     "PRIMITIVE_TAPS",
-    "PnSequence",
     "RunReport",
     "SOURCE_NAMES",
     "SalehParams",
     "Scenario",
-    "WalshMatrix",
     "add_awgn",
     "amam",
     "ampm",
-    "apply_hpa",
+    "amplify_samples",
     "apply_predistorter",
     "binomial_ci95",
     "compute_obo",
@@ -103,10 +95,10 @@ __all__ = [
     "fading_averaged_ber",
     "generate_msequence",
     "generate_walsh",
+    "input_scale_for_power",
     "load_config",
     "measure_variances",
     "modulate_user",
-    "operating_point_for_power",
     "parse_csv",
     "path_power_profile",
     "pd_amplitude",

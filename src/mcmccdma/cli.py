@@ -21,9 +21,8 @@ import numpy as np
 
 from .config import ConfigError, load_config, saleh_from_keys, scenario_from_keys
 from .harness import PRESETS, emit_csv, measure_variances, preset, run_scenario
-from .hpa import amam, ampm, apply_hpa, apply_predistorter
+from .hpa import amam, ampm, amplify_samples, apply_predistorter
 from .receiver import SOURCE_NAMES
-from .txchain import BasebandFrame
 
 DECOMPOSITION_HEADER = "scenario,ebn0_db,component,value"
 HPA_CURVE_HEADER = ("level,amam_output,ampm_rad,predistorted_input,"
@@ -147,12 +146,11 @@ def _cmd_characterize(args) -> int:
     bare_out = amam(levels, params)
     bare_phase = ampm(levels, params)
 
-    frame = BasebandFrame(samples=levels.astype(np.complex128), sample_rate=1.0)
-    predistorted = apply_predistorter(frame, params)
-    pd_in = np.abs(predistorted.samples)
-    cascaded = apply_hpa(predistorted, params)
-    cascade_out = np.abs(cascaded.samples)
-    cascade_phase = np.angle(cascaded.samples)
+    predistorted = apply_predistorter(levels.astype(np.complex128), params)
+    pd_in = np.abs(predistorted)
+    cascaded = amplify_samples(predistorted, params)
+    cascade_out = np.abs(cascaded)
+    cascade_phase = np.angle(cascaded)
     cascade_phase[cascade_out == 0.0] = 0.0
 
     lines = [HPA_CURVE_HEADER]

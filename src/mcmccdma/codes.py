@@ -1,13 +1,13 @@
 """Spreading-code generation: Walsh-Hadamard sets and maximal-length PN sequences.
 
 Walsh rows separate the parallel substreams of one user; a cyclically
-shifted PN sequence separates users.  Both are +-1 chip sequences and all
-correlation arithmetic here is exact integer math.
+shifted PN sequence (np.roll) separates users.  Both are plain int8 +-1
+arrays: generate_walsh returns the (order, order) matrix whose rows are
+the codes, generate_msequence one period of chips.  All correlation
+arithmetic here is exact integer math.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,36 +29,9 @@ PRIMITIVE_TAPS = {
 }
 
 
-@dataclass(frozen=True)
-class WalshMatrix:
-    """Sylvester-ordered Hadamard matrix; the rows are the orthogonal codes."""
-
-    order: int
-    rows: np.ndarray
-
-    def row(self, index: int) -> np.ndarray:
-        return self.rows[index]
-
-
-@dataclass(frozen=True)
-class PnSequence:
-    """One period of a maximal-length sequence mapped to +-1 chips (0 -> +1, 1 -> -1)."""
-
-    degree: int
-    taps: tuple[int, ...]
-    chips: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return int(self.chips.size)
-
-    def shifted(self, shift: int) -> np.ndarray:
-        """Chips delayed cyclically by `shift` positions."""
-        return np.roll(self.chips, shift)
-
-
-def generate_walsh(order: int) -> WalshMatrix:
-    """Build the order x order Walsh-Hadamard matrix by Sylvester doubling.
+def generate_walsh(order: int) -> np.ndarray:
+    """The order x order Walsh-Hadamard matrix by Sylvester doubling, int8
+    +-1; its rows are the orthogonal codes.
 
     order must be a power of two.  Row 0 is all +1; distinct rows have zero
     dot product; every self dot product equals order.
@@ -68,11 +41,12 @@ def generate_walsh(order: int) -> WalshMatrix:
     rows = np.array([[1]], dtype=np.int8)
     while rows.shape[0] < order:
         rows = np.block([[rows, rows], [rows, -rows]]).astype(np.int8)
-    return WalshMatrix(order=order, rows=rows)
+    return rows
 
 
-def generate_msequence(degree: int, taps: tuple[int, ...] | None = None, seed: int = 1) -> PnSequence:
-    """One full period of a maximal-length sequence from a Fibonacci LFSR.
+def generate_msequence(degree: int, taps: tuple[int, ...] | None = None, seed: int = 1) -> np.ndarray:
+    """One full period of a maximal-length sequence from a Fibonacci LFSR,
+    as int8 +-1 chips (bit 0 -> +1, bit 1 -> -1).
 
     `taps` lists the exponents of the feedback polynomial's nonzero terms,
     constant term implied, e.g. (3, 1) for x^3 + x + 1; it must include
@@ -122,8 +96,7 @@ def generate_msequence(degree: int, taps: tuple[int, ...] | None = None, seed: i
     if state != seed:
         raise ValueError(f"taps {taps} are not primitive: no return to the seed state")
 
-    chips = np.where(bits == 0, 1, -1).astype(np.int8)
-    return PnSequence(degree=degree, taps=taps, chips=chips)
+    return np.where(bits == 0, 1, -1).astype(np.int8)
 
 
 def periodic_correlation(a, b, shift: int = 0) -> int:

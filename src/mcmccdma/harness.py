@@ -76,13 +76,12 @@ import numpy.random  # numpy 2 loads it on first use: pay that here, not in the 
 
 from .analysis import BerRecord, binomial_ci95
 from .channel import correlator_noise, draw_channel, path_power_profile
-from .codes import PRIMITIVE_TAPS, WalshMatrix, generate_msequence, generate_walsh
-from .hpa import (OperatingPoint, SalehParams, amplify_samples, envelope_excess,
-                  operating_point_for_power)
+from .codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
+from .hpa import SalehParams, amplify_samples, envelope_excess, input_scale_for_power
 from .receiver import (SOURCE_NAMES, InterferenceVariances, chip_correlations, combine_walsh_chips,
                        correlate_tables, decide_slots, partial_correlation_tables)
 from .txchain import (LinkConfig, check_field_types, declared_type, subcarrier_exponentials,
-                      walsh_chip_indices)
+                      substream_walsh_rows, walsh_chip_indices)
 
 HPA_MODES = ("bypass", "saleh", "saleh_pd")
 
@@ -252,7 +251,7 @@ class _Runtime:
     runtime no carrier table."""
 
     scenario: Scenario
-    walsh: WalshMatrix
+    walsh: np.ndarray          # the substreams' Walsh rows, float64 (substreams, walsh_order)
     pn_chips: np.ndarray       # (users, pn_length) +-1
     warmup: int
     # receiver.partial_correlation_tables, and a factor F of the correlator
@@ -276,17 +275,17 @@ class _Runtime:
     # the conjugated carrier exponentials, C-contiguous, shape
     # (samples_per_symbol, carriers); see receiver.chip_correlations.
     carrier_correlator: np.ndarray | None = None
-    op: OperatingPoint | None = None
+    input_scale: float = 0.0   # the tube's drive scale (hpa.input_scale_for_power)
     cells: _CellGrid | None = None
 
 
 def _user_codes(cfg: LinkConfig) -> tuple:
-    """The Walsh set and every user's cyclically shifted PN chips, shape
-    (users, pn_length), user 1 first."""
+    """The substreams' Walsh rows as float64 and every user's cyclically
+    shifted PN chips, shape (users, pn_length), user 1 first."""
     pn = generate_msequence(cfg.pn_length.bit_length())
     stride = _shift_spacing(cfg)
-    pn_chips = np.stack([np.roll(pn.chips, k * stride) for k in range(cfg.users)])
-    return generate_walsh(cfg.walsh_order), pn_chips
+    pn_chips = np.stack([np.roll(pn, k * stride) for k in range(cfg.users)])
+    return substream_walsh_rows(generate_walsh(cfg.walsh_order), cfg), pn_chips
 
 
 def _prepare(scenario: Scenario) -> _Runtime:
@@ -315,7 +314,8 @@ def _prepare(scenario: Scenario) -> _Runtime:
             # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
             runtime.carrier_correlator = np.ascontiguousarray(
                 runtime.pn_samples[0, :, None] * runtime.carriers.conj().T)
-            runtime.op = operating_point_for_power(mean_tx_power, scenario.ibo_db, scenario.saleh)
+            runtime.input_scale = input_scale_for_power(mean_tx_power, scenario.ibo_db,
+                                                        scenario.saleh)
             runtime.linear_gain, runtime.amplified = 0.0, _tube_correlations
         else:
             # Output-referred back-off: the predistorter expects desired
@@ -341,7 +341,7 @@ def _carrier_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
     n_sub, n_car = cfg.substreams, cfg.carriers
     # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
     d = symbols.reshape(-1, n_sub, n_car).transpose(0, 2, 1).reshape(-1, n_sub)
-    b = d.astype(np.float64) @ runtime.walsh.rows[:n_sub].astype(np.float64)
+    b = d.astype(np.float64) @ runtime.walsh
     b *= np.sqrt(2.0 * cfg.power)
     return np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
 
@@ -520,7 +520,7 @@ def _calibrate(runtime: _Runtime) -> tuple:
         energy = 0.0
         cross = 0.0
         for _, linear in _waveform_tiles(runtime, symbols):
-            tx = amplify_samples(linear, scenario.saleh, runtime.op)
+            tx = amplify_samples(runtime.input_scale * linear, scenario.saleh)
             energy += np.vdot(tx, tx).real
             cross += np.vdot(linear, tx)
         rotation = float(np.angle(cross))
@@ -593,8 +593,7 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_d
     z *= runtime.linear_gain * np.sqrt(2.0 * cfg.power) * np.exp(-1j * theta)
     per_chip = None if runtime.amplified is None else runtime.amplified(runtime, symbols, gains)
     if per_chip is not None:
-        z += combine_walsh_chips(per_chip, runtime.walsh.rows[:cfg.substreams],
-                                 cfg.samples_per_symbol, theta)
+        z += combine_walsh_chips(per_chip, runtime.walsh, cfg.samples_per_symbol, theta)
     if runtime.scenario.noise_enabled:
         z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
     return z.reshape(n_total, cfg.substreams, cfg.carriers)
@@ -619,7 +618,7 @@ def _tube_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray
     received = np.zeros(length + shifts[-1], dtype=np.complex128)
     delayed = [received[shift:shift + length].reshape(n_total, -1) for shift in shifts]
     for start, linear in _waveform_tiles(runtime, symbols):
-        tx = amplify_samples(linear, scenario.saleh, runtime.op)
+        tx = amplify_samples(runtime.input_scale * linear, scenario.saleh)
         stop = start + tx.shape[1]
         tx = tx.reshape(users, n_total, stop - start) * runtime.pn_samples[:, None, start:stop]
         for frame, gain in zip(delayed, gains.T):

@@ -6,28 +6,33 @@ ampm(u) = a2*u/(1 + b2*u^2) radians; the classical quadratic-numerator phase
 variant a2*u^2/(1 + b2*u^2) is available behind the ampm_quadratic switch.
 Saturation is the amam peak: input modulus 1/sqrt(b1), output a1/(2*sqrt(b1)).
 
-The predistorter inverts amam up to the peak and cancels ampm, so the
-predistorted tube, apply_hpa(apply_predistorter(x)), is in exact arithmetic
-the ideal envelope limiter x * min(1, A_sat/|x|) with A_sat the peak output:
-it passes every modulus below A_sat and every phase unchanged.  That limiter
-is also the p -> infinity limit of Rapp's solid-state amplifier model.  The
-frame functions (apply_hpa, apply_predistorter) are the reference that
-characterize-hpa and the tests use; the Monte Carlo engine runs the array
-kernels.  In "saleh" mode it runs amplify_samples (the arithmetic of
-apply_hpa) on its waveform tiles.  In "saleh_pd" mode the limiter is the
-identity up to A_sat, so the engine takes the linear chain's outputs and
-calls envelope_excess, what the limiter takes off a sample, on the
-16-sample cells whose envelope bound reaches A_sat only; about 80% of the
-samples it is given clip on the linearization preset.
+Every kernel takes and returns a bare complex sample array of any shape.
+The tube, amplify_samples, is driven at the input scale that
+input_scale_for_power sets for a back-off; the caller multiplies the
+samples by it.  The predistorter inverts amam up to the peak and cancels
+ampm, so the predistorted tube, amplify_samples(apply_predistorter(x)),
+is in exact arithmetic the ideal envelope limiter x * min(1, A_sat/|x|)
+with A_sat the peak output: it passes every modulus below A_sat and every
+phase unchanged.  That limiter is also the p -> infinity limit of Rapp's
+solid-state amplifier model.  apply_predistorter is the reference that
+characterize-hpa and the tests use.  In "saleh" mode the Monte Carlo
+engine runs amplify_samples on its waveform tiles.  In "saleh_pd" mode the
+limiter is the identity up to A_sat, so the engine takes the linear
+chain's outputs and calls envelope_excess, what the limiter takes off a
+sample, on the 16-sample cells whose envelope bound reaches A_sat only;
+about 80% of the samples it is given clip on the linearization preset.
+NaN and infinite samples raise ValueError in every kernel and in
+compute_obo.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .txchain import BasebandFrame, check_field_types
+from .txchain import check_field_types
 
 
 @dataclass(frozen=True)
@@ -69,19 +74,6 @@ class SalehParams:
         return self.saturation_output**2
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Input back-off in dB and the linear input scale realizing it."""
-
-    ibo_db: float
-    input_scale: float
-    saturation_input_power: float
-
-    def __post_init__(self):
-        if self.input_scale <= 0:
-            raise ValueError(f"input_scale must be positive, got {self.input_scale}")
-
-
 def _check_modulus(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if not np.isfinite(u).all():
@@ -106,14 +98,22 @@ def ampm(u, params: SalehParams):
     return float(out) if out.ndim == 0 else out
 
 
-def operating_point_for_power(mean_power: float, ibo_db: float, params: SalehParams) -> OperatingPoint:
+def input_scale_for_power(mean_power: float, ibo_db: float, params: SalehParams) -> float:
     """Input scale that places a drive of average input power mean_power
-    ibo_db below the saturating input power."""
-    if mean_power <= 0:
-        raise ValueError(f"mean input power must be positive, got {mean_power}")
-    p_sat = params.saturation_input_power
-    scale = np.sqrt(p_sat / (mean_power * 10.0 ** (ibo_db / 10.0)))
-    return OperatingPoint(ibo_db=float(ibo_db), input_scale=float(scale), saturation_input_power=p_sat)
+    ibo_db below the saturating input power.  ValueError unless mean_power
+    is finite and positive and the scale is finite and positive, which
+    rules out a NaN or infinite ibo_db too."""
+    mean_power, ibo_db = float(mean_power), float(ibo_db)
+    if not (math.isfinite(mean_power) and mean_power > 0):
+        raise ValueError(f"mean input power must be finite and positive, got {mean_power}")
+    try:
+        scale = math.sqrt(params.saturation_input_power / (mean_power * 10.0 ** (ibo_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"an input back-off of {ibo_db} dB at mean input power {mean_power} "
+                         "gives no finite positive input scale")
+    return scale
 
 
 def _modulus_squared(x: np.ndarray) -> np.ndarray:
@@ -141,22 +141,15 @@ def _rotate(x: np.ndarray, gain: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return rotation
 
 
-def amplify_samples(samples: np.ndarray, params: SalehParams,
-                    op: OperatingPoint | None = None) -> np.ndarray:
-    """The tube on a bare complex sample array of any shape: scale by the
-    operating point, then map the modulus through amam and advance the phase
-    by ampm."""
-    x = samples if op is None else op.input_scale * samples
-    p = _modulus_squared(x)
+def amplify_samples(samples: np.ndarray, params: SalehParams) -> np.ndarray:
+    """The tube on a complex sample array of any shape, already scaled to
+    its drive level (input_scale_for_power): map the modulus through amam
+    and advance the phase by ampm."""
+    p = _modulus_squared(samples)
     # amam(u) e^{j arg x} = x * amam(u)/u; the modulus factors out so the
     # zero-input sample needs no special case.
     gain = params.alpha_am / (1.0 + params.beta_am * p)
-    return _rotate(x, gain, _ampm_of_power(p, params))
-
-
-def apply_hpa(frame: BasebandFrame, params: SalehParams, op: OperatingPoint | None = None) -> BasebandFrame:
-    """Per-sample nonlinearity on a frame (amplify_samples)."""
-    return BasebandFrame(amplify_samples(frame.samples, params, op), frame.sample_rate)
+    return _rotate(samples, gain, _ampm_of_power(p, params))
 
 
 def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
@@ -179,7 +172,7 @@ def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
 def compute_obo(samples: np.ndarray, params: SalehParams) -> float:
     """Output back-off: dB ratio of the saturated output power to the
     measured mean power of the amplifier's output samples."""
-    mean_power = float(np.mean(np.abs(samples) ** 2))
+    mean_power = float(np.mean(_modulus_squared(np.asarray(samples))))
     if mean_power <= 0:
         raise ValueError("cannot compute output back-off of zero-power samples")
     return float(10.0 * np.log10(params.saturation_output_power / mean_power))
@@ -201,10 +194,11 @@ def pd_amplitude(g, params: SalehParams):
     return float(out) if out.ndim == 0 else out
 
 
-def apply_predistorter(frame: BasebandFrame, params: SalehParams) -> BasebandFrame:
-    """Map each sample (modulus g, phase t) to (pd_amplitude(g), t - ampm)
-    so that the following amplifier restores modulus min(g, peak) at phase t."""
-    x = frame.samples
+def apply_predistorter(samples: np.ndarray, params: SalehParams) -> np.ndarray:
+    """Map each complex sample (modulus g, phase t) to (pd_amplitude(g),
+    t - ampm) so that the following amplifier restores modulus min(g, peak)
+    at phase t."""
+    x = np.asarray(samples, dtype=np.complex128)
     p = _modulus_squared(x)
     # ratio = pd_amplitude(g)/g in pd_amplitude's rationalized form; it tends
     # to 2/alpha_am as g -> 0, so the zero sample needs no special case.
@@ -215,4 +209,4 @@ def apply_predistorter(frame: BasebandFrame, params: SalehParams) -> BasebandFra
     if over.any():
         ratio[over] *= np.sqrt(sat2 / p[over])
     phase = -_ampm_of_power(ratio**2 * p, params)
-    return BasebandFrame(_rotate(x, ratio, phase), frame.sample_rate)
+    return _rotate(x, ratio, phase)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import WalshMatrix
-from .txchain import LinkConfig, walsh_chip_indices
+from .txchain import LinkConfig, substream_walsh_rows, walsh_chip_indices
 
 SOURCE_NAMES = ("desired", "multipath", "inter_substream", "inter_carrier", "multi_user", "noise")
 
@@ -139,16 +138,16 @@ def decide_slots(z: np.ndarray, reference: np.ndarray) -> tuple:
     return int(np.count_nonzero(decisions != reference)), int(decisions.size)
 
 
-def partial_correlation_tables(pn_chips: np.ndarray, walsh: WalshMatrix, config: LinkConfig,
+def partial_correlation_tables(pn_chips: np.ndarray, walsh: np.ndarray, config: LinkConfig,
                                n_paths: int) -> np.ndarray:
     """Aperiodic partial cross-correlations between every user's delayed
     slot signatures and user 1's, for the chip-spaced path delays
     D = l * oversampling, l < n_paths.
 
     pn_chips holds the users' +-1 chip sequences, shape (users, pn_length),
-    user 1 first.  Returns complex tables of shape
-    (users, windows, S, n_paths, S) with S = substreams * carriers in the
-    slot order of slot_signatures:
+    user 1 first, and walsh the Walsh matrix (txchain.substream_walsh_rows).
+    Returns complex tables of shape (users, windows, S, n_paths, S) with
+    S = substreams * carriers in the slot order of slot_signatures:
 
         [k, 0, s, l, t] = (1/N) sum_{D <= i < N} sig_k[s, i - D] conj(sig_1[t, i])
         [k, 1, s, l, t] = (1/N) sum_{0 <= i < D} sig_k[s, N - D + i] conj(sig_1[t, i])
@@ -183,7 +182,7 @@ def partial_correlation_tables(pn_chips: np.ndarray, walsh: WalshMatrix, config:
     deltas = np.arange(-(n_car - 1), n_car)
     rotations = np.exp(2j * np.pi * order * np.outer(i, deltas) / n_samp).view(np.float64)
     delta_index = np.arange(n_car)[:, None] - np.arange(n_car)[None, :] + n_car - 1
-    rows = walsh.rows[:n_sub].astype(np.float64)
+    rows = substream_walsh_rows(walsh, config)
     windows = 2 if n_paths > 1 else 1
     tables = np.empty((users, windows, n_sub, n_car, n_paths, n_sub, n_car), dtype=np.complex128)
     products = np.empty_like(pn_up)

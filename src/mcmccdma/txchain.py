@@ -7,9 +7,9 @@ The Walsh chips of the multicode layer are stretched across the same window
 on a floor-indexed grid, so Walsh and PN chip clocks co-terminate at every
 symbol boundary even when the Walsh order does not divide the sample count.
 All signals are complex envelopes; the real passband waveform is never built.
-modulate_user returns one user's transmitted samples as a plain complex
-array; BasebandFrame pairs samples with their rate for the frame kernels of
-the amplifier model.
+Everything here takes and returns plain arrays: the Walsh matrix of
+codes.generate_walsh, a user's +-1 PN chips, and modulate_user's complex
+transmit samples.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from .codes import PnSequence, WalshMatrix
 
 
 def declared_type(f: dataclasses.Field) -> str:
@@ -114,17 +112,6 @@ class LinkConfig:
         return self.samples_per_symbol % self.walsh_order == 0
 
 
-@dataclass
-class BasebandFrame:
-    """Complex-envelope sample stream with an explicit sample rate."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-
-
 def serial_to_parallel(bits, lanes: int) -> np.ndarray:
     """Round-robin split of a +-1 stream into `lanes` rows: bit i goes to
     lane i mod lanes, slot i // lanes."""
@@ -169,13 +156,26 @@ def walsh_chip_indices(config: LinkConfig) -> np.ndarray:
 
 
 def _pn_chips(pn, config: LinkConfig) -> np.ndarray:
-    chips = pn.chips if isinstance(pn, PnSequence) else np.asarray(pn)
+    chips = np.asarray(pn)
     if chips.size != config.pn_length:
         raise ValueError(f"PN length {chips.size} does not match config pn_length {config.pn_length}")
     return chips
 
 
-def modulation_table(walsh: WalshMatrix, config: LinkConfig) -> np.ndarray:
+def substream_walsh_rows(walsh: np.ndarray, config: LinkConfig) -> np.ndarray:
+    """The substreams' Walsh rows as float64, shape (substreams, walsh_order),
+    from the Walsh matrix (codes.generate_walsh) or any array that starts
+    with those rows.  One whose rows are not walsh_order chips long is
+    rejected."""
+    walsh = np.asarray(walsh)
+    if (walsh.ndim != 2 or walsh.shape[1] != config.walsh_order
+            or walsh.shape[0] < config.substreams):
+        raise ValueError(f"Walsh rows of shape {walsh.shape} do not give {config.substreams} "
+                         f"substreams of Walsh order {config.walsh_order}")
+    return walsh[: config.substreams].astype(np.float64)
+
+
+def modulation_table(walsh: np.ndarray, config: LinkConfig) -> np.ndarray:
     """PN-free slot signatures, shared by every user.
 
     Row r*carriers + m holds walsh_row_r (stretched) * subcarrier m+1
@@ -185,9 +185,7 @@ def modulation_table(walsh: WalshMatrix, config: LinkConfig) -> np.ndarray:
     views as complex samples.  A user's slot signatures are these rows times
     its oversampled PN chips.
     """
-    if walsh.order != config.walsh_order:
-        raise ValueError(f"Walsh order {walsh.order} does not match config walsh_order {config.walsh_order}")
-    walsh_up = walsh.rows[: config.substreams, walsh_chip_indices(config)].astype(np.float64)
+    walsh_up = substream_walsh_rows(walsh, config)[:, walsh_chip_indices(config)]
     carriers = subcarrier_exponentials(config)
     table = np.multiply(walsh_up[:, None, :], carriers[None, :, :], order="C")
     return table.reshape(config.substreams * config.carriers, -1).view(np.float64)
@@ -208,13 +206,13 @@ def subcarrier_exponentials(config: LinkConfig) -> np.ndarray:
     )
 
 
-def slot_signatures(walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:
+def slot_signatures(walsh: np.ndarray, pn, config: LinkConfig) -> np.ndarray:
     """Unit-modulus signature waveform of every (substream, carrier) slot.
 
     Returns shape (substreams, carriers, samples_per_symbol); entry (r, m)
     is walsh_row_r (stretched) * pn chips (oversampled) * subcarrier m+1
-    exponential.  pn may be a PnSequence or a bare +-1 chip array (e.g. a
-    shifted per-user sequence).  The transmitter scales these by
+    exponential; pn is the user's +-1 chip array (e.g. a cyclically
+    shifted m-sequence).  The transmitter scales these by
     sqrt(2*power) and the receiver correlates against their conjugates.
     """
     pn_up = np.repeat(_pn_chips(pn, config), config.oversampling).astype(np.float64)
@@ -222,13 +220,12 @@ def slot_signatures(walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:
     return (table * pn_up).reshape(config.substreams, config.carriers, config.samples_per_symbol)
 
 
-def modulate_user(symbols, walsh: WalshMatrix, pn, config: LinkConfig) -> np.ndarray:
+def modulate_user(symbols, walsh: np.ndarray, pn, config: LinkConfig) -> np.ndarray:
     """Complex-envelope transmit samples of one user, as one array.
 
     symbols has shape (slots, substreams, carriers) with +-1 entries; pn is
-    a PnSequence or the user's +-1 chip array.  Each slot becomes
-    samples_per_symbol samples equal to sqrt(2*power) * sum over slots of
-    symbol * signature.
+    the user's +-1 chip array.  Each slot becomes samples_per_symbol
+    samples equal to sqrt(2*power) * sum over slots of symbol * signature.
     """
     d = np.asarray(symbols, dtype=np.float64)
     if d.ndim != 3 or d.shape[1] != config.substreams or d.shape[2] != config.carriers:

@@ -17,8 +17,8 @@ from mcmccdma import harness
 from mcmccdma.channel import draw_channel
 from mcmccdma.codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
 from mcmccdma.harness import Scenario, emit_csv, preset, run_scenario
-from mcmccdma.hpa import (SalehParams, amam, ampm, apply_hpa, apply_predistorter)
-from mcmccdma.txchain import BasebandFrame, LinkConfig
+from mcmccdma.hpa import (SalehParams, amam, amplify_samples, ampm, apply_predistorter)
+from mcmccdma.txchain import LinkConfig
 
 
 def _erfc_oracle(x: float) -> float:
@@ -49,13 +49,12 @@ def _report(label: str, ok: bool, detail: str):
 def test_walsh_and_msequence_properties():
     started = time.perf_counter()
     for order in (2, 4, 8, 16, 32, 64):
-        rows = generate_walsh(order).rows.astype(np.int64)
+        rows = generate_walsh(order).astype(np.int64)
         gram = rows @ rows.T
         assert np.array_equal(gram, order * np.eye(order, dtype=np.int64))
     for degree in sorted(PRIMITIVE_TAPS):
-        seq = generate_msequence(degree, PRIMITIVE_TAPS[degree])
         n = (1 << degree) - 1
-        chips = seq.chips.astype(np.int64)
+        chips = generate_msequence(degree, PRIMITIVE_TAPS[degree]).astype(np.int64)
         assert chips.size == n
         assert chips.sum() == -1
         for shift in range(1, n):
@@ -125,8 +124,7 @@ def test_predistorter_cancellation():
     started = time.perf_counter()
     params = SalehParams()
     targets = np.linspace(0.0, 0.99 * params.saturation_output, 10_000)
-    frame = BasebandFrame(targets.astype(np.complex128), sample_rate=1.0)
-    cascade = apply_hpa(apply_predistorter(frame, params), params).samples
+    cascade = amplify_samples(apply_predistorter(targets.astype(np.complex128), params), params)
     amp_residual = float(np.max(np.abs(np.abs(cascade) - targets)))
     phase = np.angle(cascade)
     phase[targets == 0.0] = 0.0

@@ -23,18 +23,19 @@ class TestWalsh:
     @pytest.mark.parametrize("order", [1, 2, 4, 8, 16, 32, 64])
     def test_orthogonality_exact(self, order):
         w = generate_walsh(order)
-        gram = w.rows.astype(np.int64) @ w.rows.astype(np.int64).T
+        gram = w.astype(np.int64) @ w.astype(np.int64).T
         assert (gram == order * np.eye(order, dtype=np.int64)).all()
 
     def test_chips_are_unit(self):
         w = generate_walsh(16)
-        assert set(np.unique(w.rows)) == {-1, 1}
+        assert w.shape == (16, 16) and w.dtype == np.int8
+        assert set(np.unique(w)) == {-1, 1}
 
     def test_first_row_all_ones(self):
-        assert (generate_walsh(8).row(0) == 1).all()
+        assert (generate_walsh(8)[0] == 1).all()
 
     def test_order4_contents(self):
-        rows = generate_walsh(4).rows
+        rows = generate_walsh(4)
         expected = np.array([
             [1, 1, 1, 1],
             [1, -1, 1, -1],
@@ -49,7 +50,7 @@ class TestWalsh:
         w = generate_walsh(8)
         for r in range(8):
             for s in range(8):
-                assert (w.row(r) * w.row(s) == w.row(r ^ s)).all()
+                assert (w[r] * w[s] == w[r ^ s]).all()
 
     @pytest.mark.parametrize("bad", [0, 3, 6, 12, -4])
     def test_rejects_non_power_of_two(self, bad):
@@ -59,30 +60,31 @@ class TestWalsh:
     def test_deterministic(self):
         a = generate_walsh(32)
         b = generate_walsh(32)
-        assert (a.rows == b.rows).all()
+        assert (a == b).all()
 
 
 class TestMSequence:
     def test_degree3_hand_oracle(self):
         pn = generate_msequence(3, (3, 1), seed=1)
-        assert (pn.chips == DEG3_CHIPS).all()
+        assert pn.dtype == np.int8
+        assert (pn == DEG3_CHIPS).all()
 
     @pytest.mark.parametrize("degree", sorted(PRIMITIVE_TAPS))
     def test_period_balance_autocorrelation(self, degree):
         pn = generate_msequence(degree)
         n = 2 ** degree - 1
-        assert pn.length == n
-        assert np.count_nonzero(pn.chips == -1) == 2 ** (degree - 1)
-        assert np.count_nonzero(pn.chips == 1) == 2 ** (degree - 1) - 1
+        assert pn.size == n
+        assert np.count_nonzero(pn == -1) == 2 ** (degree - 1)
+        assert np.count_nonzero(pn == 1) == 2 ** (degree - 1) - 1
         for shift in (1, 2, n // 2, n - 1):
-            assert periodic_correlation(pn.chips, pn.chips, shift) == -1
-        assert periodic_correlation(pn.chips, pn.chips, 0) == n
+            assert periodic_correlation(pn, pn, shift) == -1
+        assert periodic_correlation(pn, pn, 0) == n
 
     def test_seed_only_rotates(self):
         base = generate_msequence(5)
         other = generate_msequence(5, seed=7)
-        assert any((np.roll(base.chips, s) == other.chips).all()
-                   for s in range(base.length))
+        assert any((np.roll(base, s) == other).all()
+                   for s in range(base.size))
 
     def test_non_primitive_taps_rejected(self):
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has period 6, not 15
@@ -103,15 +105,11 @@ class TestMSequence:
         with pytest.raises(ValueError):
             generate_msequence(4, seed=16)
 
-    def test_shifted_view(self):
-        pn = generate_msequence(4)
-        assert (pn.shifted(3) == np.roll(pn.chips, 3)).all()
-
 
 class TestPeriodicCorrelation:
     def test_walsh_rows_zero(self):
         w = generate_walsh(8)
-        assert periodic_correlation(w.row(2), w.row(5), 0) == 0
+        assert periodic_correlation(w[2], w[5], 0) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -127,9 +125,9 @@ class TestPeriodicCorrelation:
     @settings(max_examples=40, deadline=None)
     def test_shift_wraps(self, degree, shift):
         pn = generate_msequence(degree)
-        n = pn.length
-        assert periodic_correlation(pn.chips, pn.chips, shift) == \
-            periodic_correlation(pn.chips, pn.chips, shift % n)
+        n = pn.size
+        assert periodic_correlation(pn, pn, shift) == \
+            periodic_correlation(pn, pn, shift % n)
 
 
 @given(st.sampled_from(sorted(PRIMITIVE_TAPS)), st.integers(1, 1000))
@@ -137,8 +135,8 @@ class TestPeriodicCorrelation:
 def test_msequence_any_seed_is_maximal(degree, seed_raw):
     seed = 1 + seed_raw % (2 ** degree - 1)
     pn = generate_msequence(degree, seed=seed)
-    assert np.count_nonzero(pn.chips == -1) == 2 ** (degree - 1)
-    assert periodic_correlation(pn.chips, pn.chips, 1) == -1
+    assert np.count_nonzero(pn == -1) == 2 ** (degree - 1)
+    assert periodic_correlation(pn, pn, 1) == -1
 
 
 @given(st.sampled_from([2, 4, 8, 16, 32]))
@@ -147,4 +145,4 @@ def test_walsh_rows_closed_under_product(order):
     w = generate_walsh(order)
     r = order // 2
     s = order - 1
-    assert (w.row(r) * w.row(s) == w.row(r ^ s)).all()
+    assert (w[r] * w[s] == w[r ^ s]).all()

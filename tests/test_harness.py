@@ -24,10 +24,9 @@ from mcmccdma.harness import (
     run_scenario,
     scenario_echo,
 )
-from mcmccdma.hpa import SalehParams, apply_hpa, apply_predistorter, envelope_excess
+from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, envelope_excess
 from mcmccdma.receiver import correlate_slots
-from mcmccdma.txchain import (BasebandFrame, LinkConfig, modulate_user, slot_signatures,
-                              subcarrier_exponentials)
+from mcmccdma.txchain import LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials
 
 TINY = Scenario(
     name="tiny",
@@ -327,15 +326,15 @@ class TestCorrelationEngine:
 
 
 def _reference_amplifier(runtime):
-    """The amplifier of a runtime's scenario as the frame kernels apply it:
-    the tube at the operating point, or the predistorter then the tube."""
+    """The amplifier of a runtime's scenario as the sample kernels apply it:
+    the tube at its input scale, or the predistorter then the tube."""
     scenario = runtime.scenario
 
     def amplify(samples):
         if scenario.hpa_mode == "saleh":
-            return apply_hpa(BasebandFrame(samples, 1.0), scenario.saleh, runtime.op).samples
-        frame = BasebandFrame(runtime.linear_gain * samples, 1.0)
-        return apply_hpa(apply_predistorter(frame, scenario.saleh), scenario.saleh).samples
+            return amplify_samples(runtime.input_scale * samples, scenario.saleh)
+        return amplify_samples(apply_predistorter(runtime.linear_gain * samples, scenario.saleh),
+                               scenario.saleh)
 
     return amplify
 

@@ -6,18 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.hpa import (
-    OperatingPoint,
     SalehParams,
     amam,
+    amplify_samples,
     ampm,
-    apply_hpa,
     apply_predistorter,
     compute_obo,
     envelope_excess,
-    operating_point_for_power,
+    input_scale_for_power,
     pd_amplitude,
 )
-from mcmccdma.txchain import BasebandFrame
 
 P = SalehParams()
 
@@ -87,43 +85,33 @@ class TestOperatingPoint:
         # IBO in dB: input saturation power over scaled mean input power
         mean_power = 4.0
         for ibo in (0.0, 3.0, 7.0, 9.0):
-            op = operating_point_for_power(mean_power, ibo, P)
-            scaled = (op.input_scale ** 2) * mean_power
+            scale = input_scale_for_power(mean_power, ibo, P)
+            scaled = (scale ** 2) * mean_power
             ratio_db = 10 * np.log10(P.saturation_input_power / scaled)
             assert ratio_db == pytest.approx(ibo, abs=1e-10)
 
     def test_ibo_scale_ratio(self):
-        op7 = operating_point_for_power(1.0, 7.0, P)
-        op9 = operating_point_for_power(1.0, 9.0, P)
-        assert op7.input_scale / op9.input_scale == pytest.approx(10 ** 0.1, rel=1e-12)
+        scale7 = input_scale_for_power(1.0, 7.0, P)
+        scale9 = input_scale_for_power(1.0, 9.0, P)
+        assert scale7 / scale9 == pytest.approx(10 ** 0.1, rel=1e-12)
 
 
 class TestApplyHpa:
     def test_pointwise_transfer(self):
         rng = np.random.default_rng(1)
         x = 0.4 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        frame = BasebandFrame(samples=x.copy(), sample_rate=1.0)
-        out = apply_hpa(frame, P)
+        out = amplify_samples(x, P)
         u = np.abs(x)
         expected = amam(u, P) * np.exp(1j * (np.angle(x) + ampm(u, P)))
-        assert np.allclose(out.samples, expected, atol=1e-14)
+        assert np.allclose(out, expected, atol=1e-14)
 
     def test_memoryless_permutation(self):
         rng = np.random.default_rng(2)
         x = 0.5 * (rng.standard_normal(128) + 1j * rng.standard_normal(128))
         perm = rng.permutation(128)
-        a = apply_hpa(BasebandFrame(x.copy(), 1.0), P).samples[perm]
-        b = apply_hpa(BasebandFrame(x[perm].copy(), 1.0), P).samples
+        a = amplify_samples(x, P)[perm]
+        b = amplify_samples(x[perm], P)
         assert np.array_equal(a, b)
-
-    def test_operating_point_scaling(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        frame = BasebandFrame(x.copy(), 1.0)
-        op = operating_point_for_power(float(np.mean(np.abs(x) ** 2)), 6.0, P)
-        out = apply_hpa(frame, P, op)
-        manual = apply_hpa(BasebandFrame(op.input_scale * x, 1.0), P)
-        assert np.allclose(out.samples, manual.samples, atol=1e-14)
 
     def test_obo_of_linear_regime(self):
         # deep back-off: nearly linear, so OBO(dB) is IBO minus the
@@ -132,10 +120,9 @@ class TestApplyHpa:
         # residual compression nudges OBO slightly above that.
         rng = np.random.default_rng(4)
         x = rng.standard_normal(65536) + 1j * rng.standard_normal(65536)
-        frame = BasebandFrame(x.copy(), 1.0)
         ibo = 30.0
-        op = operating_point_for_power(float(np.mean(np.abs(x) ** 2)), ibo, P)
-        obo = compute_obo(apply_hpa(frame, P, op).samples, P)
+        scale = input_scale_for_power(float(np.mean(np.abs(x) ** 2)), ibo, P)
+        obo = compute_obo(amplify_samples(scale * x, P), P)
         linear_estimate = ibo - 20 * np.log10(2.0)
         assert linear_estimate < obo < linear_estimate + 0.05
 
@@ -143,10 +130,9 @@ class TestApplyHpa:
         # pinned: complex-gaussian drive at 7 dB IBO, classical coefficients
         rng = np.random.default_rng(np.random.SeedSequence(12345))
         x = rng.standard_normal(2 ** 16) + 1j * rng.standard_normal(2 ** 16)
-        frame = BasebandFrame(x.copy(), 1.0)
-        op = operating_point_for_power(float(np.mean(np.abs(x) ** 2)), 7.0, P)
-        assert compute_obo(apply_hpa(frame, P, op).samples, P) == pytest.approx(3.46646831,
-                                                                             abs=1e-6)
+        scale = input_scale_for_power(float(np.mean(np.abs(x) ** 2)), 7.0, P)
+        assert compute_obo(amplify_samples(scale * x, P), P) == pytest.approx(3.46646831,
+                                                                          abs=1e-6)
 
 
 class TestPredistorter:
@@ -154,10 +140,9 @@ class TestPredistorter:
         g = np.linspace(0.0, 0.99 * P.saturation_output, 10000)
         u = pd_amplitude(g, P)
         assert np.abs(amam(u, P) - g).max() <= 1e-9
-        frame = BasebandFrame(g.astype(np.complex128), 1.0)
-        out = apply_hpa(apply_predistorter(frame, P), P)
-        assert np.abs(np.abs(out.samples) - g).max() <= 1e-9
-        phase = np.angle(out.samples)
+        out = amplify_samples(apply_predistorter(g.astype(np.complex128), P), P)
+        assert np.abs(np.abs(out) - g).max() <= 1e-9
+        phase = np.angle(out)
         phase[g == 0] = 0.0
         assert np.abs(phase).max() <= 1e-9
 
@@ -179,9 +164,9 @@ class TestPredistorter:
 
     def test_phase_precompensation(self):
         x = np.array([0.3 + 0.4j])
-        pre = apply_predistorter(BasebandFrame(x.copy(), 1.0), P)
-        u = np.abs(pre.samples)
-        assert np.angle(pre.samples)[0] == pytest.approx(
+        pre = apply_predistorter(x, P)
+        u = np.abs(pre)
+        assert np.angle(pre)[0] == pytest.approx(
             np.angle(x)[0] - ampm(u, P)[0], abs=1e-12)
 
 
@@ -197,10 +182,21 @@ def test_pd_inverse_property(frac):
 @given(st.floats(1.0, 50.0), st.floats(0.01, 10.0))
 @settings(max_examples=100, deadline=None)
 def test_operating_point_property(ibo_db, mean_power):
-    op = operating_point_for_power(mean_power, ibo_db, P)
-    assert op.input_scale > 0
-    back_off = P.saturation_input_power / (op.input_scale ** 2 * mean_power)
+    scale = input_scale_for_power(mean_power, ibo_db, P)
+    assert scale > 0
+    back_off = P.saturation_input_power / (scale ** 2 * mean_power)
     assert 10 * np.log10(back_off) == pytest.approx(ibo_db, abs=1e-9)
+
+
+@pytest.mark.parametrize("mean_power, ibo_db", [
+    (float("nan"), 7.0), (float("inf"), 7.0), (0.0, 7.0), (-1.0, 7.0),
+    (1.0, float("nan")), (1.0, float("inf")), (1.0, float("-inf")),
+    (1.0, 4000.0),      # the scale underflows to zero
+    (1.0, -4000.0),     # the scale overflows
+])
+def test_input_scale_rejects_nonfinite_or_degenerate(mean_power, ibo_db):
+    with pytest.raises(ValueError):
+        input_scale_for_power(mean_power, ibo_db, P)
 
 
 def _drive(max_modulus):
@@ -219,13 +215,11 @@ def _close(got, expected):
 def test_apply_hpa_matches_curve_formulas(quadratic, ibo_db):
     params = SalehParams(ampm_quadratic=quadratic)
     x = _drive(2.0 * params.saturation_input)
-    frame = BasebandFrame(x.copy(), 1.0)
-    op = (None if ibo_db is None
-          else operating_point_for_power(float(np.mean(np.abs(x) ** 2)), ibo_db, params))
-    scaled = x if op is None else op.input_scale * x
+    scaled = (x if ibo_db is None
+              else input_scale_for_power(float(np.mean(np.abs(x) ** 2)), ibo_db, params) * x)
     u = np.abs(scaled)
     expected = amam(u, params) * np.exp(1j * (np.angle(scaled) + ampm(u, params)))
-    assert _close(apply_hpa(frame, params, op).samples, expected)
+    assert _close(amplify_samples(scaled, params), expected)
 
 
 @pytest.mark.parametrize("quadratic", [False, True])
@@ -234,7 +228,7 @@ def test_apply_predistorter_matches_curve_formulas(quadratic):
     x = _drive(1.5 * params.saturation_output)      # the top third clamps
     u = pd_amplitude(np.abs(x), params)
     expected = u * np.exp(1j * (np.angle(x) - ampm(u, params)))
-    assert _close(apply_predistorter(BasebandFrame(x.copy(), 1.0), params).samples, expected)
+    assert _close(apply_predistorter(x, params), expected)
 
 
 @pytest.mark.parametrize("quadratic", [False, True])
@@ -247,7 +241,7 @@ def test_limiter_is_the_predistorted_tube(quadratic):
                               np.linspace(1.001 * sat, 4.0 * sat, 500)])
     rng = np.random.default_rng(5)
     x = modulus * np.exp(1j * rng.uniform(-np.pi, np.pi, modulus.size))
-    reference = apply_hpa(apply_predistorter(BasebandFrame(x.copy(), 1.0), params), params).samples
+    reference = amplify_samples(apply_predistorter(x, params), params)
     excess = envelope_excess(x, params)
     got = x + excess
     assert got[0] == 0.0
@@ -259,15 +253,16 @@ def test_limiter_is_the_predistorted_tube(quadratic):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
                                  complex(np.nan, 0.0)])
-@pytest.mark.parametrize("stage", ["hpa", "predistorter", "limiter"])
+@pytest.mark.parametrize("stage", ["hpa", "predistorter", "limiter", "obo"])
 def test_frame_kernels_reject_nonfinite_samples(bad, stage):
     x = np.full(16, 0.3 + 0.1j)
     x[7] = bad
-    frame = BasebandFrame(x, 1.0)
     with pytest.raises(ValueError, match="finite"):
         if stage == "hpa":
-            apply_hpa(frame, P)
+            amplify_samples(x, P)
         elif stage == "predistorter":
-            apply_predistorter(frame, P)
-        else:
+            apply_predistorter(x, P)
+        elif stage == "limiter":
             envelope_excess(x.reshape(4, 4), P)
+        else:
+            compute_obo(x, P)

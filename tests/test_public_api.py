@@ -6,14 +6,17 @@ import subprocess
 import sys
 
 import mcmccdma
-from mcmccdma import channel, hpa, receiver, txchain
+from mcmccdma import channel, codes, hpa, receiver, txchain
 
-# Names the per-user sample chain needed and the engines no longer do.
+# Names the per-user sample chain needed and the engines no longer do, and
+# the wrappers around plain code and sample arrays.
 _RETIRED = {
     channel: ("PathTap", "NoiseSpec"),
+    codes: ("WalshMatrix", "PnSequence"),
     receiver: ("recover_bits", "BitDecisions"),
-    txchain: ("UserSymbols", "multicode_spread"),
-    hpa: ("set_operating_point", "limit_envelope"),
+    txchain: ("UserSymbols", "multicode_spread", "BasebandFrame"),
+    hpa: ("set_operating_point", "limit_envelope", "OperatingPoint", "apply_hpa",
+          "operating_point_for_power"),
 }
 
 

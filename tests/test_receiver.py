@@ -106,11 +106,11 @@ def test_factored_correlator_matches_signature_product(r, m, na, degree):
     n = 5 * cfg.samples_per_symbol
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     expected = correlate_slots(samples, slot_signatures(walsh, pn, cfg), cfg, reference_phase=0.7)
-    chips = np.repeat(pn.chips, cfg.oversampling)
+    chips = np.repeat(pn, cfg.oversampling)
     correlator = chips[:, None] * subcarrier_exponentials(cfg).conj().T
     per_chip = chip_correlations(samples.reshape(5, -1), correlator, walsh_chip_indices(cfg),
-                                 walsh.order)
-    z = combine_walsh_chips(per_chip, walsh.rows[:r], cfg.samples_per_symbol, reference_phase=0.7)
+                                 na)
+    z = combine_walsh_chips(per_chip, walsh[:r], cfg.samples_per_symbol, reference_phase=0.7)
     assert z.shape == (5, r * m)
     assert np.abs(z - expected.reshape(5, -1)).max() <= 1e-12 * np.abs(expected).max()
 
@@ -145,7 +145,7 @@ class TestPartialCorrelationTables:
         cfg = LinkConfig(users=users, substreams=r, carriers=m, walsh_order=na,
                          pn_length=2 ** degree - 1, oversampling=oversampling)
         walsh = generate_walsh(na)
-        base = generate_msequence(degree).chips
+        base = generate_msequence(degree)
         stride = max(1, base.size // users)
         pn_chips = np.stack([np.roll(base, k * stride) for k in range(users)])
         tables = partial_correlation_tables(pn_chips, walsh, cfg, paths)
@@ -157,7 +157,7 @@ class TestPartialCorrelationTables:
         # orthonormal slots: user 1's own zero-delay table is the identity
         cfg, walsh, pn = _make(4, 2, 4, 3)
         assert cfg.walsh_aligned
-        tables = partial_correlation_tables(pn.chips[None, :], walsh, cfg, 1)
+        tables = partial_correlation_tables(pn[None, :], walsh, cfg, 1)
         assert np.allclose(tables[0, 0, :, 0], np.eye(8), atol=1e-12)
 
 

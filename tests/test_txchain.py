@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.codes import generate_msequence, generate_walsh
+from mcmccdma.receiver import partial_correlation_tables
 from mcmccdma.txchain import (
     LinkConfig,
     modulate_user,
@@ -124,10 +125,9 @@ class TestWalshGrid:
 
 class TestModulateUser:
     def test_degenerate_tone(self):
-        from mcmccdma.codes import PnSequence
         cfg = LinkConfig(pn_length=7, oversampling=4, power=2.0)
         walsh = generate_walsh(1)
-        flat_pn = PnSequence(degree=3, taps=(3, 1), chips=np.ones(7, dtype=np.int8))
+        flat_pn = np.ones(7, dtype=np.int8)
         d = np.ones((1, 1, 1), dtype=np.int8)
         samples = modulate_user(d, walsh, flat_pn, cfg)
         n = cfg.samples_per_symbol
@@ -169,7 +169,7 @@ def _loop_signatures(walsh, chips, cfg):
     n = cfg.samples_per_symbol
     t = np.arange(n) * cfg.symbol_duration / n
     pn_up = np.repeat(chips, cfg.oversampling)
-    walsh_up = walsh.rows[:, walsh_chip_indices(cfg)]
+    walsh_up = walsh[:, walsh_chip_indices(cfg)]
     sig = np.empty((cfg.substreams, cfg.carriers, n), dtype=np.complex128)
     for r in range(cfg.substreams):
         for m in range(cfg.carriers):
@@ -187,7 +187,7 @@ class TestModulationTable:
                          pn_length=2**degree - 1, oversampling=oversampling, power=0.7)
         assert cfg.walsh_aligned == aligned
         walsh = generate_walsh(8)
-        chips = np.roll(generate_msequence(degree).chips, 5)
+        chips = np.roll(generate_msequence(degree), 5)
         sig = slot_signatures(walsh, chips, cfg)
         assert np.abs(sig - _loop_signatures(walsh, chips, cfg)).max() < 1e-12
 
@@ -204,3 +204,5 @@ class TestModulationTable:
         cfg = LinkConfig(substreams=2, walsh_order=2, pn_length=7)
         with pytest.raises(ValueError, match="Walsh order"):
             modulation_table(generate_walsh(4), cfg)
+        with pytest.raises(ValueError, match="Walsh order"):
+            partial_correlation_tables(generate_msequence(3)[None, :], generate_walsh(4), cfg, 1)
