@@ -33,10 +33,6 @@ class ChannelRealization:
         if not np.all(np.isfinite(self.gains)) or np.any(self.gains < 0):
             raise ValueError(f"gains must be finite and nonnegative, got {self.gains}")
 
-    @property
-    def n_paths(self) -> int:
-        return self.gains.shape[1]
-
 
 def path_power_profile(n_paths: int, decay_db: float) -> np.ndarray:
     """Mean-square gain targets: exponential decay of decay_db per path,
@@ -67,28 +63,25 @@ def draw_channel(rng: np.random.Generator, users: int, n_paths: int,
 
 
 def propagate_samples(samples: np.ndarray, gains, samples_per_chip: int,
-                      out_len: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Sum of delayed copies of a sample array, copy l weighted by the
-    complex path gain gains[l] and delayed by l chips, zero outside the
-    input's support.  out_len defaults to the full support (input length
-    plus the largest delay); a larger out_len zero-pads.
+    complex path gain gains[l] and delayed by l chips, over the full support
+    (input length plus the largest delay).
 
-    With out given, the copies are added into it in place (out_len is then
-    its length) and out is returned, so a caller can sum many users' signals
-    into one buffer without a temporary per user.
+    With out given, the copies are added into it in place and out is
+    returned, so a caller can sum many users' signals into one buffer
+    without a temporary per user; an out longer than the support holds
+    zeros past it.
     """
     if samples_per_chip < 1:
         raise ValueError(f"samples_per_chip must be >= 1, got {samples_per_chip}")
     gains = np.asarray(gains)
-    max_shift = max(gains.size - 1, 0) * samples_per_chip
-    if out is not None:
-        out_len = out.size
-    if out_len is None:
-        out_len = samples.size + max_shift
-    elif out_len < samples.size + max_shift:
-        raise ValueError(f"out_len {out_len} cannot hold the {max_shift}-sample delayed copies")
+    support = samples.size + max(gains.size - 1, 0) * samples_per_chip
     if out is None:
-        out = np.zeros(out_len, dtype=np.complex128)
+        out = np.zeros(support, dtype=np.complex128)
+    elif out.size < support:
+        raise ValueError(f"out holds {out.size} samples, fewer than the {support} "
+                         "of the delayed copies")
     scratch = np.empty(samples.size, dtype=np.complex128)
     for path, gain in enumerate(gains):
         shift = path * samples_per_chip

@@ -37,15 +37,15 @@ rotation (none without an amplifier).
     is the predistorter's input scale, and W correlates what the limiter
     takes off the samples above A_sat, under 1% of them at working
     back-offs, with no window formed (_excess_correlations).  The search
-    runs over 16-sample cells inside each Walsh chip (_CellGrid): an
-    envelope bound on each symbol row over each Walsh chip
-    (_peak_power_bound) and then over each cell (_cell_power_bound) rule
-    out most cells before any sample is formed.  The kept cells are formed
-    a chunk at a time in one product (_formed_cells), and
-    hpa.envelope_excess gives what is clipped; about 80% of the formed
-    samples clip on amplifier-linearized.  The cells are correlated
-    directly, one small product per path, into per-(Walsh chip, window)
-    sums.
+    runs over cells of up to 16 samples, cut so that no path delays a cell
+    across a Walsh chip or window boundary (_CellGrid): an envelope bound
+    on each symbol row over each Walsh chip (_peak_power_bound) and then
+    over each cell (_cell_power_bound) rule out most cells before any
+    sample is formed.  The kept cells are formed a chunk at a time in one
+    product (_formed_cells), and hpa.envelope_excess gives what is clipped;
+    about 80% of the formed samples clip on amplifier-linearized.  The
+    cells are correlated directly, one small product per path, into
+    per-(Walsh chip, window) sums.
 - The noise is drawn per correlator output (channel.correlator_noise),
   with the covariance white sample noise would leave there: a factor of
   user 1's Gram matrix, from the same tables.
@@ -81,7 +81,7 @@ from .hpa import SalehParams, amplify_samples, envelope_excess, input_scale_for_
 from .receiver import (SOURCE_NAMES, InterferenceVariances, chip_correlations, combine_walsh_chips,
                        correlate_tables, decide_slots, partial_correlation_tables)
 from .txchain import (LinkConfig, check_field_types, declared_type, subcarrier_exponentials,
-                      substream_walsh_rows, walsh_chip_indices)
+                      substream_walsh_rows, walsh_chip_bounds)
 
 HPA_MODES = ("bypass", "saleh", "saleh_pd")
 
@@ -200,10 +200,12 @@ class RunReport:
 
 @dataclass(frozen=True)
 class _CellGrid:
-    """The cells of the limiter's clip search ("saleh_pd"): each Walsh chip
-    cut into runs of up to _CELL_SAMPLES consecutive sample positions, and
-    the tables through which a cell's samples are bounded, formed and
-    correlated without any other sample.
+    """The cells of the limiter's clip search ("saleh_pd"): the symbol cut at
+    every Walsh chip bound (txchain.walsh_chip_bounds) and at every position
+    that a path delay carries onto a chip bound of the same or the next
+    window, each piece cut into runs of up to _CELL_SAMPLES consecutive
+    sample positions, and the tables through which a cell's samples are
+    bounded, formed and correlated without any other sample.
 
     Cell q spans positions starts[q] .. starts[q] + lengths[q] - 1 and is
     anchored at a = starts[q] + (S - 1)/2, S = _CELL_SAMPLES, whatever its
@@ -211,11 +213,11 @@ class _CellGrid:
     for the offsets s = -(S - 1)/2 .. (S - 1)/2, of which the first lengths[q]
     belong to the cell.  Chip c holds cells chip_cells[c] .. chip_cells[c+1] - 1.
 
-    A span of a cell delayed by a path lies in windows n and n + 1; at
-    span position j (the undelayed position plus the delay, below
-    samples_per_symbol + max delay + S) span_bins[j] is the window increment
-    times walsh_order plus the Walsh chip of j's sample, nondecreasing, and
-    bin_starts[v] the first j of bin v.  user_chips[k, i] holds user k's
+    So a cell delayed by any path lies within one Walsh chip of one window,
+    n or n + 1: at span position j (the undelayed position plus the delay,
+    below samples_per_symbol + max delay + S) span_bins[j] is the window
+    increment times walsh_order plus the Walsh chip of j's sample, equal
+    over every delayed cell.  user_chips[k, i] holds user k's
     chips at positions i .. i + S - 1, zero past the symbol, and
     span_chips[j] user 1's at span positions j .. j + S - 1, periodic over
     the symbol: read-only windows into one row each, so a cell's chips are
@@ -228,8 +230,7 @@ class _CellGrid:
     offsets: np.ndarray         # E_m(s), (carriers, S) complex
     half_width: float           # (S - 1)/2 samples as carrier phase 2 pi W i / N
     delay_phases: np.ndarray    # conj(E_m(D_l)) per path delay, (paths, carriers)
-    span_bins: np.ndarray
-    bin_starts: np.ndarray
+    span_bins: np.ndarray       # (samples_per_symbol + max delay + S - 1,)
     user_chips: np.ndarray      # (users, samples_per_symbol, S)
     span_chips: np.ndarray      # (samples_per_symbol + max delay, S)
 
@@ -242,13 +243,14 @@ class _Runtime:
     _correlation_outputs needs without an amplifier: the tables of its
     linear term, its noise factor, the energy per bit the noise is matched
     to, the linear term's gain g, and the amplifier's mean rotation.  The
-    amplifier modes ("saleh" and "saleh_pd") also fill walsh_chips and
-    amplified, the function that forms a block's W; the tube ("saleh") the
+    amplifier modes ("saleh" and "saleh_pd") also fill amplified, the
+    function that forms a block's W; the tube ("saleh") the
     fields from which _waveform_tiles forms every user's PN-free waveform,
     pn_samples and carrier_correlator, against which its received windows
     are correlated; the limiter ("saleh_pd") the cell grid of its clip
     search.  So a bypass runtime holds no sample table and a saleh_pd
-    runtime no carrier table."""
+    runtime no carrier table.  The Walsh chips' geometry is
+    txchain.walsh_chip_bounds of the configuration throughout."""
 
     scenario: Scenario
     walsh: np.ndarray          # the substreams' Walsh rows, float64 (substreams, walsh_order)
@@ -264,7 +266,6 @@ class _Runtime:
     # amplified signal ("saleh").
     linear_gain: float = 1.0
     phase_offset: float = 0.0
-    walsh_chips: np.ndarray | None = None   # txchain.walsh_chip_indices, (samples,)
     # _tube_correlations or _excess_correlations: (runtime, symbols, path
     # gains) -> W per (Walsh chip, window) before the Walsh combine, shape
     # (walsh_order, symbols, carriers), or None when it is zero.
@@ -305,7 +306,6 @@ def _prepare(scenario: Scenario) -> _Runtime:
             runtime.eb = _linear_eb(cfg)
             return runtime
 
-        runtime.walsh_chips = walsh_chip_indices(cfg)
         pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
         mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
         if scenario.hpa_mode == "saleh":
@@ -323,7 +323,7 @@ def _prepare(scenario: Scenario) -> _Runtime:
             # output power.
             runtime.linear_gain = float(np.sqrt(scenario.saleh.saturation_output_power
                                                 / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
-            runtime.cells = _cell_grid(cfg, runtime.walsh_chips, pn_samples, scenario.paths)
+            runtime.cells = _cell_grid(cfg, pn_samples, scenario.paths)
             runtime.amplified = _excess_correlations
         runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
@@ -346,58 +346,51 @@ def _carrier_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
 
 
-def _chip_bounds(chips: np.ndarray, order: int) -> np.ndarray:
-    """The first sample position of each Walsh chip, then samples_per_symbol,
-    given each position's nondecreasing chip index."""
-    return np.searchsorted(chips, np.arange(order + 1))
-
-
-def _chip_runs(chips: np.ndarray, start: int, stop: int):
-    """(first, stop, chip) for each run of one Walsh chip in sample
-    positions start..stop-1, given each position's nondecreasing chip index."""
-    lo = start
-    while lo < stop:
-        chip = chips[lo]
-        hi = min(int(np.searchsorted(chips, chip, side="right")), stop)
-        yield lo, hi, chip
-        lo = hi
-
-
 def _waveform_tiles(runtime: _Runtime, symbols: np.ndarray):
     """Every symbol row's PN-free linear waveform in tiles, for the tube.
 
     symbols holds rows of (substreams, carriers) symbols, shape (...,
     substreams, carriers).  During Walsh chip c row n is
     sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each run of one
-    Walsh chip within a slab of _SLAB_SAMPLES positions is one real GEMM of
-    b[c] against the carrier exponentials with re/im interleaved.  Each run
-    is yielded as (first position, tile), the tile complex, (rows, run
-    length).
+    Walsh chip (txchain.walsh_chip_bounds) within a slab of _SLAB_SAMPLES
+    positions is one real GEMM of b[c] against the carrier exponentials with
+    re/im interleaved.  Each run is yielded as (first position, tile), the
+    tile complex, (rows, run length), in order of position.
 
     The tube acts on |x|^2 alone, so for +-1 chips A(pn x) = pn A(x) holds
     bit for bit and the caller applies each user's chips after it."""
-    cfg = runtime.scenario.config
     b = _carrier_coefficients(runtime, symbols)
     carriers = runtime.carriers.view(np.float64)
-    for start in range(0, cfg.samples_per_symbol, _SLAB_SAMPLES):
-        stop = min(start + _SLAB_SAMPLES, cfg.samples_per_symbol)
-        for lo, hi, chip in _chip_runs(runtime.walsh_chips, start, stop):
-            yield lo, (b[chip] @ carriers[:, 2 * lo:2 * hi]).view(np.complex128)
+    bounds = walsh_chip_bounds(runtime.scenario.config)
+    for chip, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        cuts = [lo, *range((lo // _SLAB_SAMPLES + 1) * _SLAB_SAMPLES, hi, _SLAB_SAMPLES), hi]
+        for first, last in zip(cuts[:-1], cuts[1:]):
+            yield first, (b[chip] @ carriers[:, 2 * first:2 * last]).view(np.complex128)
 
 
-def _cell_grid(cfg: LinkConfig, chips: np.ndarray, pn_samples: np.ndarray,
-               paths: int) -> _CellGrid:
-    """The _CellGrid of a configuration, given each sample's Walsh chip
-    index and every user's oversampled chips (users, samples_per_symbol)."""
+def _cell_grid(cfg: LinkConfig, pn_samples: np.ndarray, paths: int) -> _CellGrid:
+    """The _CellGrid of a configuration at `paths` chip-spaced paths, given
+    every user's oversampled chips (users, samples_per_symbol).
+
+    The cuts are the Walsh chip bounds B and, per path delay D, B - D and
+    B + N - D within [0, N], N = samples_per_symbol: the positions whose
+    delayed sample starts a Walsh chip of the current or the next window.
+    A cell never holds a cut past its first position, so its span delayed
+    by D never crosses a chip or window boundary.  With one path the cuts
+    are the chip bounds alone."""
     n_samp, order, size = cfg.samples_per_symbol, cfg.walsh_order, _CELL_SAMPLES
-    bounds = _chip_bounds(chips, order)
-    starts = np.concatenate([np.arange(lo, hi, size) for lo, hi in zip(bounds[:-1], bounds[1:])])
-    lengths = np.minimum(starts + size, bounds[chips[starts] + 1]) - starts
+    bounds = walsh_chip_bounds(cfg)
+    delays = cfg.oversampling * np.arange(paths)[:, None]
+    cuts = np.sort(np.clip(np.concatenate((bounds - delays, bounds + n_samp - delays)), 0, n_samp),
+                   axis=None)
+    starts = np.concatenate([np.arange(lo, hi, size) for lo, hi in zip(cuts[:-1], cuts[1:])
+                             if lo < hi])
+    lengths = np.minimum(starts + size, cuts[np.searchsorted(cuts, starts, side="right")]) - starts
     step = 2.0 * np.pi * order / n_samp
     harmonics = np.arange(1, cfg.carriers + 1)[:, None]
     middle = (size - 1) / 2.0
     span = np.arange(n_samp + (paths - 1) * cfg.oversampling + size - 1)
-    span_bins = span // n_samp * order + chips[span % n_samp]
+    span_bins = span // n_samp * order + np.searchsorted(bounds, span % n_samp, side="right") - 1
     padded = np.pad(pn_samples, ((0, 0), (0, size - 1)))
     return _CellGrid(
         starts=starts, lengths=lengths, chip_cells=np.searchsorted(starts, bounds),
@@ -405,7 +398,7 @@ def _cell_grid(cfg: LinkConfig, chips: np.ndarray, pn_samples: np.ndarray,
         offsets=np.exp(1j * step * harmonics * (np.arange(size) - middle)),
         half_width=middle * step,
         delay_phases=np.exp(-1j * step * harmonics.T * cfg.oversampling * np.arange(paths)[:, None]),
-        span_bins=span_bins, bin_starts=np.searchsorted(span_bins, np.arange(span_bins[-1] + 1)),
+        span_bins=span_bins,
         user_chips=np.lib.stride_tricks.sliding_window_view(padded, size, axis=1),
         span_chips=np.lib.stride_tricks.sliding_window_view(pn_samples[0, span % n_samp], size))
 
@@ -507,11 +500,11 @@ def _calibrate(runtime: _Runtime) -> tuple:
 
     The tube's frame is formed tile by tile.  The limiter's is the linear
     one, g x, but at its clipped samples, so no tile is formed: the linear
-    energy is sum_c b_c^T Re(G_c) b_c over the rows' coefficients b_c in
-    Walsh chip c, G_c the carriers' Gram matrix over the chip's samples,
-    and the clipped cells (_clipped_cells) add what the excess e changes,
-    |g x + e|^2 - |g x|^2.  The limiter keeps every phase, so its mean
-    rotation is zero."""
+    energy is 2 power N g^2 sum_n d_n^T Re(C) d_n over the symbol rows d_n,
+    N = samples_per_symbol and C user 1's Gram matrix (the current-window
+    table at zero delay, as for the noise factor), and the clipped cells
+    (_clipped_cells) add what the excess e changes, |g x + e|^2 - |g x|^2.
+    The limiter keeps every phase, so its mean rotation is zero."""
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
@@ -526,14 +519,10 @@ def _calibrate(runtime: _Runtime) -> tuple:
         rotation = float(np.angle(cross))
     else:
         g = runtime.linear_gain
+        d = symbols.reshape(_CALIBRATION_SYMBOLS, -1).astype(np.float64)
+        gram = runtime.correlation[0, 0, :, 0].real
+        energy = 2.0 * cfg.power * cfg.samples_per_symbol * g * g * np.sum((d @ gram) * d)
         b = _carrier_coefficients(runtime, symbols)
-        carriers = subcarrier_exponentials(cfg)
-        bounds = _chip_bounds(runtime.walsh_chips, cfg.walsh_order)
-        linear_energy = sum(
-            np.einsum("nm,mk,nk->", b[chip], (carriers[:, lo:hi] @ carriers[:, lo:hi].conj().T).real,
-                      b[chip])
-            for chip, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])))
-        energy = g * g * linear_energy
         for chip, rows, cells in _clipped_cells(runtime, b):
             driven, excess = _formed_cells(runtime, b[chip], rows, cells)
             energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
@@ -623,8 +612,7 @@ def _tube_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray
         tx = tx.reshape(users, n_total, stop - start) * runtime.pn_samples[:, None, start:stop]
         for frame, gain in zip(delayed, gains.T):
             frame[:, start:stop] += np.tensordot(gain, tx, axes=1)
-    return chip_correlations(delayed[0], runtime.carrier_correlator, runtime.walsh_chips,
-                             cfg.walsh_order)
+    return chip_correlations(delayed[0], runtime.carrier_correlator, walsh_chip_bounds(cfg))
 
 
 def _excess_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
@@ -658,34 +646,25 @@ def _add_cell_correlations(total: np.ndarray, runtime: _Runtime, rows: np.ndarra
         h_kl conj(E_m(a) E_m(D)) sum_s e(s) pn_k(i_s) pn_1(i_s + D) conj(E_m(s)),
 
     since the correlator's conj(E_m) at position a + D + s factors as its
-    sample does (_CellGrid).  The sums over s are one (cells, S) @ (S,
-    carriers) product per path; a span that crosses into the next Walsh
-    chip or window, which it can do once, is split there into two rows.
-    Rows are summed over runs of equal (chip, window) and added in."""
+    sample does (_CellGrid).  The grid is cut so that the delayed span lies
+    in one (chip, window) bin (span_bins), and the sums over s are one
+    (cells, S) @ (S, carriers) product per path, summed over runs of equal
+    bin and added in."""
     cfg = runtime.scenario.config
     grid = runtime.cells
     order, n_total = cfg.walsh_order, total.shape[1] - 1
-    offsets = np.arange(_CELL_SAMPLES)
     conj_offsets = grid.offsets.conj().T
     user, window = np.divmod(rows, n_total)
     starts = grid.starts[cells]
-    ends = starts + grid.lengths[cells] - 1
     excess *= grid.user_chips[user, starts]
     anchors = grid.centres[:, cells].T.conj()
     sums = total.reshape(-1, cfg.carriers)
     for path, gain in enumerate(gains[user].T):
         delay = path * cfg.oversampling
-        weights = excess * grid.span_chips[starts + delay]
-        first, last = grid.span_bins[starts + delay], grid.span_bins[ends + delay]
-        split = np.flatnonzero(first != last)
-        tail = weights[split] * (offsets >= (grid.bin_starts[last[split]]
-                                             - starts[split] - delay)[:, None])
-        weights[split] -= tail
-        out = np.concatenate((weights @ conj_offsets, tail @ conj_offsets))
-        factor = anchors * (gain[:, None] * grid.delay_phases[path])
-        out *= np.concatenate((factor, factor[split]))
-        bins = np.concatenate((first, last[split]))
-        key = bins % order * (n_total + 1) + np.concatenate((window, window[split])) + bins // order
+        out = (excess * grid.span_chips[starts + delay]) @ conj_offsets
+        out *= anchors * (gain[:, None] * grid.delay_phases[path])
+        bins = grid.span_bins[starts + delay]
+        key = bins % order * (n_total + 1) + window + bins // order
         heads = np.flatnonzero(np.diff(key, prepend=-1))
         np.add.at(sums, key[heads], np.add.reduceat(out, heads))
 

@@ -22,7 +22,7 @@ chain's outputs and calls envelope_excess, what the limiter takes off a
 sample, on the 16-sample cells whose envelope bound reaches A_sat only;
 about 80% of the samples it is given clip on the linearization preset.
 NaN and infinite samples raise ValueError in every kernel and in
-compute_obo.
+compute_obo, and so do finite samples whose squared modulus overflows.
 """
 
 from __future__ import annotations
@@ -117,9 +117,13 @@ def input_scale_for_power(mean_power: float, ibo_db: float, params: SalehParams)
 
 
 def _modulus_squared(x: np.ndarray) -> np.ndarray:
-    """|x|^2 per sample; one max reduction rejects NaN and infinite samples."""
-    p = x.real**2 + x.imag**2
+    """|x|^2 per sample; one max reduction rejects NaN and infinite samples,
+    and finite samples whose |x|^2 overflows, each with its own message."""
+    with np.errstate(over="ignore"):
+        p = x.real**2 + x.imag**2
     if not np.isfinite(p.max(initial=0.0)):
+        if np.isfinite(x).all():
+            raise ValueError("input modulus squared overflows float64")
         raise ValueError("input modulus must be finite")
     return p
 

@@ -21,8 +21,8 @@ first window starts at the reference path's delay, decide_slots the
 correlator outputs and the transmitted symbols.  The amplifier chains
 compute the same correlation with each signature's Walsh chips factored
 out: per-chip sums, which the tube's chain forms from its sampled windows
-(chip_correlations) and the limiter's from its clipped cells, and a Walsh
-combine (combine_walsh_chips).
+cut at txchain.walsh_chip_bounds (chip_correlations) and the limiter's from
+its clipped cells, and a Walsh combine (combine_walsh_chips).
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def correlate_slots(samples: np.ndarray, signatures: np.ndarray, config: LinkCon
     return z.reshape(n_sym, config.substreams, config.carriers)
 
 
-def chip_correlations(windows: np.ndarray, correlator: np.ndarray, chips: np.ndarray,
-                      order: int) -> np.ndarray:
+def chip_correlations(windows: np.ndarray, correlator: np.ndarray,
+                      bounds: np.ndarray) -> np.ndarray:
     """The correlations of correlate_slots on received samples already cut
     into symbol windows y, shape (n_symbols, samples_per_symbol), against
     slot signatures that factor as w_r(chip i) g_m(i), per Walsh chip and
@@ -95,14 +95,13 @@ def chip_correlations(windows: np.ndarray, correlator: np.ndarray, chips: np.nda
     substreams * carriers.  correlator holds conj(g_m(i)), shape
     (samples_per_symbol, carriers): for a user's signatures
     (txchain.slot_signatures) its chips times the conjugated carrier
-    exponentials.  chips holds the nondecreasing Walsh chip index of each
-    sample (txchain.walsh_chip_indices).  Shape (order, n_symbols,
-    carriers)."""
-    per_chip = np.empty((order, windows.shape[0], correlator.shape[1]), dtype=np.complex128)
-    lo = 0
-    for chip, hi in enumerate(np.searchsorted(chips, np.arange(order), side="right")):
+    exponentials.  bounds holds each Walsh chip's first sample and then
+    samples_per_symbol (txchain.walsh_chip_bounds).  Shape (walsh_order,
+    n_symbols, carriers)."""
+    per_chip = np.empty((len(bounds) - 1, windows.shape[0], correlator.shape[1]),
+                        dtype=np.complex128)
+    for chip, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         np.matmul(windows[:, lo:hi], correlator[lo:hi], out=per_chip[chip])
-        lo = hi
     return per_chip
 
 

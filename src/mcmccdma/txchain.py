@@ -1,12 +1,14 @@
-"""Transmitter chain: serial/parallel splitting, multicode spreading, PN
-spreading and subcarrier modulation.
+"""Transmitter chain: multicode spreading, PN spreading and subcarrier
+modulation.
 
 One data symbol occupies `symbol_duration` seconds and carries one full PN
 period (pn_length chips, oversampling samples per chip) on every subcarrier.
 The Walsh chips of the multicode layer are stretched across the same window
 on a floor-indexed grid, so Walsh and PN chip clocks co-terminate at every
 symbol boundary even when the Walsh order does not divide the sample count.
-All signals are complex envelopes; the real passband waveform is never built.
+walsh_chip_indices gives each sample's Walsh chip on that grid, and
+walsh_chip_bounds each chip's first sample.  All signals are complex
+envelopes; the real passband waveform is never built.
 Everything here takes and returns plain arrays: the Walsh matrix of
 codes.generate_walsh, a user's +-1 PN chips, and modulate_user's complex
 transmit samples.
@@ -112,23 +114,6 @@ class LinkConfig:
         return self.samples_per_symbol % self.walsh_order == 0
 
 
-def serial_to_parallel(bits, lanes: int) -> np.ndarray:
-    """Round-robin split of a +-1 stream into `lanes` rows: bit i goes to
-    lane i mod lanes, slot i // lanes."""
-    bits = np.asarray(bits)
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
-    if bits.size % lanes != 0:
-        raise ValueError(f"stream length {bits.size} is not divisible by {lanes} lanes; pad first")
-    return bits.reshape(-1, lanes).T
-
-
-def parallel_to_serial(matrix) -> np.ndarray:
-    """Inverse of serial_to_parallel."""
-    matrix = np.asarray(matrix)
-    return matrix.T.reshape(-1)
-
-
 def subcarrier_frequency(m: int, config: LinkConfig) -> float:
     """Frequency of subcarrier m (1-based): m * walsh_order / symbol_duration.
 
@@ -153,6 +138,15 @@ def walsh_chip_indices(config: LinkConfig) -> np.ndarray:
     """
     i = np.arange(config.samples_per_symbol, dtype=np.int64)
     return (i * config.walsh_order) // config.samples_per_symbol
+
+
+def walsh_chip_bounds(config: LinkConfig) -> np.ndarray:
+    """The first sample position of each Walsh chip on walsh_chip_indices'
+    floor grid, then samples_per_symbol: ceil(c * samples_per_symbol /
+    walsh_order) for c = 0 .. walsh_order, shape (walsh_order + 1,).  Chip c
+    spans positions bounds[c] .. bounds[c + 1] - 1, never none."""
+    c = np.arange(config.walsh_order + 1, dtype=np.int64)
+    return -(-c * config.samples_per_symbol // config.walsh_order)
 
 
 def _pn_chips(pn, config: LinkConfig) -> np.ndarray:

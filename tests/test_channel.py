@@ -33,7 +33,6 @@ class TestDrawChannel:
     def test_shape_and_delays(self):
         rng = np.random.default_rng(0)
         ch = draw_channel(rng, users=3, n_paths=4, decay_db=1.0, fading=True)
-        assert ch.n_paths == 4
         assert ch.gains.shape == ch.phases.shape == (3, 4)
         assert np.all((0.0 <= ch.phases) & (ch.phases < 2 * np.pi))
 
@@ -102,11 +101,6 @@ class TestPropagation:
         yb = propagate_samples(x1, gains, 4) + propagate_samples(x2, gains, 4)
         assert np.abs(ya - yb).max() < 1e-12
 
-    def test_out_len_too_small_rejected(self):
-        x = np.ones(8, dtype=np.complex128)
-        with pytest.raises(ValueError):
-            propagate_samples(x, np.array([0.0, 1.0]), 4, out_len=8)
-
     def test_out_accumulates_like_allocating_form(self):
         rng = np.random.default_rng(6)
         x1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -114,8 +108,9 @@ class TestPropagation:
         gains1 = np.array([0.9 * np.exp(0.3j), 0.0, 0.4 * np.exp(1.1j), 0.2 * np.exp(4.0j)])
         gains2 = np.zeros(6, dtype=np.complex128)
         gains2[[1, 5]] = 0.7 * np.exp(2.0j), 0.5 * np.exp(0.6j)
-        expected = (propagate_samples(x1, gains1, 4, out_len=80)
-                    + propagate_samples(x2, gains2, 4, out_len=80))
+        expected = np.zeros(80, dtype=np.complex128)
+        expected[:76] += propagate_samples(x1, gains1, 4)
+        expected[:68] += propagate_samples(x2, gains2, 4)
         out = np.zeros(80, dtype=np.complex128)
         assert propagate_samples(x1, gains1, 4, out=out) is out
         propagate_samples(x2, gains2, 4, out=out)
@@ -124,7 +119,7 @@ class TestPropagation:
     def test_out_too_short_rejected(self):
         x = np.ones(8, dtype=np.complex128)
         out = np.zeros(11, dtype=np.complex128)
-        with pytest.raises(ValueError, match="out_len 11"):
+        with pytest.raises(ValueError, match="out holds 11 samples"):
             propagate_samples(x, np.array([0.0, 1.0]), 4, out=out)
 
 

@@ -26,7 +26,8 @@ from mcmccdma.harness import (
 )
 from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, envelope_excess
 from mcmccdma.receiver import correlate_slots
-from mcmccdma.txchain import LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials
+from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
+                              walsh_chip_bounds, walsh_chip_indices)
 
 TINY = Scenario(
     name="tiny",
@@ -550,7 +551,7 @@ def _full_clip_search(runtime, symbols):
     order, and the excess at each."""
     cfg = runtime.scenario.config
     b = harness._carrier_coefficients(runtime, symbols)
-    linear = np.einsum("inm,mi->ni", b[runtime.walsh_chips], subcarrier_exponentials(cfg))
+    linear = np.einsum("inm,mi->ni", b[walsh_chip_indices(cfg)], subcarrier_exponentials(cfg))
     power = np.square(linear.real) + np.square(linear.imag)
     index = np.flatnonzero(power > harness._clip_power(runtime))
     return linear, index, envelope_excess(runtime.linear_gain * linear.reshape(-1)[index],
@@ -591,6 +592,26 @@ def _check_cell_search(runtime, symbols):
     assert np.abs(cell_excess - full_excess).max() <= 1e-12 * saturation
 
 
+def _check_cell_geometry(runtime):
+    """The Walsh chip bounds are where walsh_chip_indices steps, and at 1-3
+    paths the limiter's cells tile the symbol and every cell's span delayed
+    by any path lies in one (Walsh chip, window) bin of span_bins."""
+    cfg = runtime.scenario.config
+    chips = walsh_chip_indices(cfg)
+    assert np.array_equal(walsh_chip_bounds(cfg),
+                          np.searchsorted(chips, np.arange(cfg.walsh_order + 1)))
+    pn_samples = np.repeat(runtime.pn_chips, cfg.oversampling, axis=1).astype(np.float64)
+    for paths in (1, 2, 3):
+        grid = harness._cell_grid(cfg, pn_samples, paths)
+        assert np.array_equal(np.cumsum(grid.lengths)[:-1], grid.starts[1:])
+        assert grid.starts[-1] + grid.lengths[-1] == cfg.samples_per_symbol
+        for delay in cfg.oversampling * np.arange(paths):
+            first = grid.span_bins[grid.starts + delay]
+            assert np.array_equal(first, grid.span_bins[grid.starts + grid.lengths - 1 + delay])
+        if paths == runtime.scenario.paths:
+            assert np.array_equal(grid.starts, runtime.cells.starts)
+
+
 @pytest.mark.parametrize("name", sorted(_BOUND_CONFIGS))
 @given(seed=st.integers(0, 2**32 - 1), ibo_db=st.sampled_from([-4.0, 1.0, 4.0, 7.0]))
 @settings(max_examples=20, deadline=None)
@@ -599,7 +620,8 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     sample of the row's full waveform, and no pair under the clip power
     holds a clipped sample.  The bound of each cell (_cell_power_bound)
     holds at every sample of the cell, and the cell search clips what the
-    search over every sample clips (_check_cell_search)."""
+    search over every sample clips (_check_cell_search).  The grid's
+    geometry holds at 1-3 paths (_check_cell_geometry)."""
     cfg = _BOUND_CONFIGS[name]
     runtime = harness._prepare(dataclasses.replace(TINY, name="bound", hpa_mode="saleh_pd",
                                                    ibo_db=ibo_db, config=cfg))
@@ -611,9 +633,10 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
 
     linear, index, excess = _full_clip_search(runtime, symbols)
     power = np.square(linear.real) + np.square(linear.imag)
-    assert (power <= peak[runtime.walsh_chips].T * (1.0 + 1e-12)).all()
+    chips = walsh_chip_indices(cfg)
+    assert (power <= peak[chips].T * (1.0 + 1e-12)).all()
     row, position = np.divmod(index, cfg.samples_per_symbol)
-    assert (peak[runtime.walsh_chips[position], row] >= clip_power).all()
+    assert (peak[chips[position], row] >= clip_power).all()
 
     cell_bound = np.concatenate([
         harness._cell_power_bound(grid, b[chip], peak[chip], lo, hi)
@@ -622,6 +645,7 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     assert (power <= cell_bound[:, cell] * (1.0 + 1e-12)).all()
 
     _check_cell_search(runtime, symbols)
+    _check_cell_geometry(runtime)
 
 
 @st.composite

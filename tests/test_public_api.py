@@ -1,6 +1,7 @@
 """The package's public surface: what `from mcmccdma import *` gives, and
 what importing it loads."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -8,13 +9,15 @@ import sys
 import mcmccdma
 from mcmccdma import channel, codes, hpa, receiver, txchain
 
-# Names the per-user sample chain needed and the engines no longer do, and
-# the wrappers around plain code and sample arrays.
+# Names the per-user sample chain needed and the engines no longer do, the
+# wrappers around plain code and sample arrays, and surface nothing read.
 _RETIRED = {
     channel: ("PathTap", "NoiseSpec"),
+    channel.ChannelRealization: ("n_paths",),
     codes: ("WalshMatrix", "PnSequence"),
     receiver: ("recover_bits", "BitDecisions"),
-    txchain: ("UserSymbols", "multicode_spread", "BasebandFrame"),
+    txchain: ("UserSymbols", "multicode_spread", "BasebandFrame", "serial_to_parallel",
+              "parallel_to_serial"),
     hpa: ("set_operating_point", "limit_envelope", "OperatingPoint", "apply_hpa",
           "operating_point_for_power"),
 }
@@ -30,6 +33,7 @@ def test_exports_resolve_once_and_retired_names_are_gone():
             assert name not in names
             assert not hasattr(mcmccdma, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "out_len" not in inspect.signature(channel.propagate_samples).parameters
 
 
 _IMPORT_PATH_PROBE = """
@@ -44,6 +48,13 @@ scenario = harness.Scenario(name="probe", config=LinkConfig(users=2, pn_length=7
 runtime = harness._prepare(scenario)
 before = set(sys.modules)
 harness._simulate_block(runtime, 0, 0, 4.0)
+# the amplifier modes' setup (the limiter's cell grid, the calibrations)
+# and blocks, at 2 paths and a back-off at which the limiter clips
+config = LinkConfig(users=2, substreams=2, carriers=2, walsh_order=2, pn_length=7)
+for mode in ("saleh_pd", "saleh"):
+    amplified = harness._prepare(harness.Scenario(name="probe", config=config, paths=2,
+                                                  hpa_mode=mode, ibo_db=0.0))
+    harness._simulate_block(amplified, 0, 0, 4.0)
 added = sorted(set(sys.modules) - before)
 variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
                                   inter_carrier=0.0, multi_user=0.1, noise=0.2, n_symbols=10)
@@ -54,8 +65,9 @@ print(["scipy" in sys.modules, added])
 
 def test_engine_and_theory_run_without_scipy():
     """The package needs numpy alone: no scipy on the import path or in the
-    theory, and a block loads no module of its own (numpy.random, which
-    numpy loads on first use, is imported with the package)."""
+    theory, and neither a block nor an amplifier mode's setup loads a module
+    of its own (numpy.random, which numpy loads on first use, is imported
+    with the package; np.unique would load numpy.ma)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mcmccdma.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))

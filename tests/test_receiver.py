@@ -16,7 +16,7 @@ from mcmccdma.receiver import (
     partial_correlation_tables,
 )
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures,
-                              subcarrier_exponentials, walsh_chip_indices)
+                              subcarrier_exponentials, walsh_chip_bounds)
 
 REF_CHANNEL = ChannelRealization(gains=np.ones((1, 1)), phases=np.zeros((1, 1)))
 
@@ -108,8 +108,7 @@ def test_factored_correlator_matches_signature_product(r, m, na, degree):
     expected = correlate_slots(samples, slot_signatures(walsh, pn, cfg), cfg, reference_phase=0.7)
     chips = np.repeat(pn, cfg.oversampling)
     correlator = chips[:, None] * subcarrier_exponentials(cfg).conj().T
-    per_chip = chip_correlations(samples.reshape(5, -1), correlator, walsh_chip_indices(cfg),
-                                 na)
+    per_chip = chip_correlations(samples.reshape(5, -1), correlator, walsh_chip_bounds(cfg))
     z = combine_walsh_chips(per_chip, walsh[:r], cfg.samples_per_symbol, reference_phase=0.7)
     assert z.shape == (5, r * m)
     assert np.abs(z - expected.reshape(5, -1)).max() <= 1e-12 * np.abs(expected).max()

@@ -1,9 +1,7 @@
-"""Transmit chain: splitting, subcarriers, the Walsh grid, modulation."""
+"""Transmit chain: subcarriers, the Walsh grid, modulation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mcmccdma.codes import generate_msequence, generate_walsh
 from mcmccdma.receiver import partial_correlation_tables
@@ -11,8 +9,6 @@ from mcmccdma.txchain import (
     LinkConfig,
     modulate_user,
     modulation_table,
-    parallel_to_serial,
-    serial_to_parallel,
     slot_signatures,
     subcarrier_frequency,
     walsh_chip_indices,
@@ -52,26 +48,6 @@ class TestLinkConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             LinkConfig(**kwargs)
-
-
-class TestSerialParallel:
-    def test_round_robin_order(self):
-        out = serial_to_parallel(np.arange(6), 3)
-        assert (out == [[0, 3], [1, 4], [2, 5]]).all()
-
-    def test_round_trip(self):
-        bits = np.array([1, -1, -1, 1, 1, 1, -1, -1])
-        assert (parallel_to_serial(serial_to_parallel(bits, 4)) == bits).all()
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            serial_to_parallel(np.arange(7), 2)
-
-    @given(st.integers(1, 6), st.integers(1, 5))
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_property(self, lanes, blocks):
-        bits = np.arange(lanes * blocks)
-        assert (parallel_to_serial(serial_to_parallel(bits, lanes)) == bits).all()
 
 
 class TestSubcarriers:
