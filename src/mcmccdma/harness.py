@@ -7,6 +7,12 @@ waves.  Error and bit counts are integer sums over a wave, so the emitted
 records (and CSV bytes) are identical for any worker count and any
 execution order.
 
+A run forks no pool up front.  Its blocks run in the calling process until
+their summed time reaches _SERIAL_BUDGET_S, several times what a fork pool
+costs to start and tear down; only then, and only with workers > 1, does a
+pool of workers - 1 processes fork, the calling process running the first
+share of every later wave itself (run_scenario).
+
 One producer (_correlation_outputs) forms user 1's correlator outputs in
 every hpa_mode; the channel and symbol draws, the decisions and the error
 count around it are common too.  A block's outputs are
@@ -551,9 +557,15 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
 
 
 def _draw_symbols(rng: np.random.Generator, cfg: LinkConfig, n_total: int) -> np.ndarray:
-    """Every user's +-1 symbols, shape (users, n_total, substreams, carriers)."""
-    return (2 * rng.integers(0, 2, size=(cfg.users, n_total, cfg.substreams, cfg.carriers)) - 1
-            ).astype(np.int8)
+    """Every user's +-1 symbols, shape (users, n_total, substreams, carriers).
+    For the range [0, 2) numpy draws int32 from the same 32-bit stream as the
+    default int64, so the narrow draw changes neither these values nor the
+    draws that follow."""
+    symbols = rng.integers(0, 2, size=(cfg.users, n_total, cfg.substreams, cfg.carriers),
+                           dtype=np.int32).astype(np.int8)
+    symbols *= 2
+    symbols -= 1
+    return symbols
 
 
 def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
@@ -781,6 +793,13 @@ def _single_threaded_blas():
             set_(count)
 
 
+# Serial block time after which a run with workers > 1 forks its pool.
+# Forking a one-process pool, its first task and its teardown cost about
+# 6-8 ms on a 2-core VM (10-12 ms for two processes), so a run that ends
+# within this budget never pays them, and one that goes on has paid for
+# them several times over in serial time before it does.
+_SERIAL_BUDGET_S = 0.05
+
 # Set in the parent before the pool forks so workers inherit the prepared
 # tables instead of receiving them pickled with every task.
 _WORKER_RUNTIME: _Runtime | None = None
@@ -791,6 +810,48 @@ def _worker_block(args):
     return _simulate_block(_WORKER_RUNTIME, point_index, block_index, ebn0_db)
 
 
+class _BlockRunner:
+    """The blocks of one run_scenario call, by the fork rule described
+    there; run returns a wave's (errors, bits) in block order."""
+
+    def __init__(self, runtime: _Runtime, workers: int):
+        self.runtime = runtime
+        self.workers = workers
+        self.serial_s = 0.0
+        self.pool = None
+
+    def run(self, point_index: int, block_ids: range, ebn0_db: float) -> list:
+        global _WORKER_RUNTIME
+        results = []
+        for block_index in block_ids:
+            if self.workers > 1 and self.serial_s >= _SERIAL_BUDGET_S:
+                break
+            started = time.perf_counter()
+            results.append(_simulate_block(self.runtime, point_index, block_index, ebn0_db))
+            self.serial_s += time.perf_counter() - started
+        rest = block_ids[len(results):]
+        if rest:
+            if self.pool is None:
+                _WORKER_RUNTIME = self.runtime
+                self.pool = get_context("fork").Pool(self.workers - 1)
+            share = math.ceil(len(rest) / self.workers)
+            pooled = rest[share:]
+            pending = self.pool.map_async(
+                _worker_block, [(point_index, b, ebn0_db) for b in pooled],
+                chunksize=math.ceil(len(pooled) / (self.workers - 1)))
+            results += [_simulate_block(self.runtime, point_index, b, ebn0_db)
+                        for b in rest[:share]]
+            results += pending.get()
+        return results
+
+    def close(self):
+        global _WORKER_RUNTIME
+        if self.pool is not None:
+            self.pool.close()
+            self.pool.join()
+        _WORKER_RUNTIME = None
+
+
 def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     """Monte Carlo BER sweep with the scenario's stopping rule.
 
@@ -798,7 +859,14 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     min_bits / min_blocks floors), or flags the record censored when
     max_bits runs out first.  Identical (scenario, master_seed) give
     identical records at any worker count; workers must be an integer
-    >= 1, and above 1 each wave's blocks run on a fork pool.
+    >= 1 and counts the processes that run blocks, this one included.
+
+    The blocks run here until their summed time reaches _SERIAL_BUDGET_S,
+    several times what forking and tearing down a pool costs, so a short
+    run never forks.  Past it, and only with workers > 1, a fork pool of
+    workers - 1 processes starts and stays until the run ends; each wave's
+    remaining blocks are then cut into contiguous shares, the first run in
+    this process and the others on the pool.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -807,14 +875,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     records = []
     point_seconds = []
 
-    pool = None
+    runner = _BlockRunner(runtime, workers)
     with _single_threaded_blas():
         try:
-            if workers > 1:
-                global _WORKER_RUNTIME
-                _WORKER_RUNTIME = runtime
-                pool = get_context("fork").Pool(workers)
-
             for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
                 started = time.perf_counter()
                 errors = 0
@@ -822,16 +885,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
                 blocks = 0
                 while True:
                     block_ids = range(blocks, blocks + scenario.blocks_per_wave)
-                    if pool is None:
-                        results = [_simulate_block(runtime, point_index, b, float(ebn0_db))
-                                   for b in block_ids]
-                    else:
-                        # One contiguous range of the wave per worker.
-                        results = pool.map(
-                            _worker_block,
-                            [(point_index, b, float(ebn0_db)) for b in block_ids],
-                            chunksize=math.ceil(scenario.blocks_per_wave / workers))
-                    for block_errors, block_bits in results:
+                    for block_errors, block_bits in runner.run(point_index, block_ids,
+                                                               float(ebn0_db)):
                         errors += block_errors
                         bits += block_bits
                     blocks += scenario.blocks_per_wave
@@ -849,10 +904,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
                     source="monte-carlo", seed=scenario.master_seed, censored=censored))
                 point_seconds.append(time.perf_counter() - started)
         finally:
-            if pool is not None:
-                pool.close()
-                pool.join()
-                _WORKER_RUNTIME = None
+            runner.close()
 
     return RunReport(scenario=scenario, records=records, point_seconds=point_seconds)
 

@@ -22,7 +22,9 @@ chain's outputs and calls envelope_excess, what the limiter takes off a
 sample, on the 16-sample cells whose envelope bound reaches A_sat only;
 about 80% of the samples it is given clip on the linearization preset.
 NaN and infinite samples raise ValueError in every kernel and in
-compute_obo, and so do finite samples whose squared modulus overflows.
+compute_obo, and so do finite samples whose squared modulus overflows.  At
+any finite power the curves are evaluated without an intermediate
+overflow: where beta p overflows, their asymptotes take over.
 """
 
 from __future__ import annotations
@@ -83,18 +85,89 @@ def _check_modulus(u) -> np.ndarray:
     return u
 
 
+def _overflows(coefficient: float, p: np.ndarray, peak: float):
+    """Where coefficient * p overflows float64, as a boolean mask, or None
+    when it overflows nowhere, which the largest p (or a bound on it), peak,
+    settles without a pass over p."""
+    if math.isfinite(coefficient * peak):
+        return None
+    with np.errstate(over="ignore"):
+        return np.isinf(coefficient * p)
+
+
+def _piecewise(large, in_range, asymptotic):
+    """in_range(index) for every element, except asymptotic(index) where the
+    boolean mask large holds; large None means nowhere, and then no element
+    is copied."""
+    if large is None:
+        return in_range(...)
+    out = np.empty(large.shape)
+    out[~large] = in_range(~large)
+    out[large] = asymptotic(large)
+    return out
+
+
+# Both Saleh curves have the shape alpha t / (1 + beta p) at power p = u^2,
+# t being u (amam, linear ampm) or p (quadratic ampm).  Where beta p
+# overflows, 1 + beta p rounds to beta p long before, so the curve is its
+# asymptote there: alpha/(beta u) or alpha/beta.  Taking the asymptote only
+# where beta p overflows leaves the arithmetic at every other power as it
+# was, and no intermediate overflows at any finite power.
+
+def _odd_curve(u: np.ndarray, p: np.ndarray, peak: float, alpha: float, beta: float):
+    """alpha u / (1 + beta p) with p = u^2 (which may overflow) and peak its
+    largest value."""
+    return _piecewise(_overflows(beta, p, peak),
+                      lambda i: alpha * u[i] / (1.0 + beta * p[i]),
+                      lambda i: alpha / beta / u[i])
+
+
+def _even_curve(p: np.ndarray, peak: float, alpha: float, beta: float):
+    """alpha p / (1 + beta p), peak the largest p.  alpha p can overflow
+    before beta p does, where 1 + beta p has long been beta p."""
+    return _piecewise(_overflows(max(alpha, beta), p, peak),
+                      lambda i: alpha * p[i] / (1.0 + beta * p[i]),
+                      lambda i: alpha / beta)
+
+
+def _amam_gain(p: np.ndarray, peak: float, params: SalehParams):
+    """amam(u)/u at power p = u^2, peak the largest p: the amplifier
+    kernel's gain, which needs no modulus and no zero-input special case."""
+    alpha, beta = params.alpha_am, params.beta_am
+    return _piecewise(_overflows(beta, p, peak),
+                      lambda i: alpha / (1.0 + beta * p[i]),
+                      lambda i: alpha / beta / p[i])
+
+
+def _ampm_of_power(p: np.ndarray, peak: float, params: SalehParams, u=None):
+    """ampm at power p, peak the largest p or a bound on it.  The linear
+    phase curve needs the modulus u too, sqrt(p) unless given; the quadratic
+    one does not form it."""
+    if params.ampm_quadratic:
+        return _even_curve(p, peak, params.alpha_pm, params.beta_pm)
+    return _odd_curve(np.sqrt(p) if u is None else u, p, peak, params.alpha_pm, params.beta_pm)
+
+
+def _checked_power(u) -> tuple:
+    """Checked input moduli u, their powers u^2 (inf where those overflow)
+    and the largest power."""
+    u = _check_modulus(u)
+    with np.errstate(over="ignore"):
+        p = u**2
+    return u, p, float(p.max(initial=0.0))
+
+
 def amam(u, params: SalehParams):
     """Amplitude transfer: rises to the peak at 1/sqrt(beta_am), then falls."""
-    u = _check_modulus(u)
-    out = params.alpha_am * u / (1.0 + params.beta_am * u**2)
+    u, p, peak = _checked_power(u)
+    out = _odd_curve(u, p, peak, params.alpha_am, params.beta_am)
     return float(out) if out.ndim == 0 else out
 
 
 def ampm(u, params: SalehParams):
     """Input-modulus dependent phase shift in radians."""
-    u = _check_modulus(u)
-    numerator = params.alpha_pm * (u**2 if params.ampm_quadratic else u)
-    out = numerator / (1.0 + params.beta_pm * u**2)
+    u, p, peak = _checked_power(u)
+    out = _ampm_of_power(p, peak, params, u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -116,23 +189,18 @@ def input_scale_for_power(mean_power: float, ibo_db: float, params: SalehParams)
     return scale
 
 
-def _modulus_squared(x: np.ndarray) -> np.ndarray:
-    """|x|^2 per sample; one max reduction rejects NaN and infinite samples,
-    and finite samples whose |x|^2 overflows, each with its own message."""
+def _modulus_squared(x: np.ndarray) -> tuple:
+    """|x|^2 per sample and its largest value; that one max reduction
+    rejects NaN and infinite samples, and finite samples whose |x|^2
+    overflows, each with its own message."""
     with np.errstate(over="ignore"):
         p = x.real**2 + x.imag**2
-    if not np.isfinite(p.max(initial=0.0)):
+    peak = float(p.max(initial=0.0))
+    if not math.isfinite(peak):
         if np.isfinite(x).all():
             raise ValueError("input modulus squared overflows float64")
         raise ValueError("input modulus must be finite")
-    return p
-
-
-def _ampm_of_power(p: np.ndarray, params: SalehParams) -> np.ndarray:
-    """ampm at input modulus sqrt(p), without forming the modulus when the
-    phase curve is quadratic."""
-    numerator = params.alpha_pm * (p if params.ampm_quadratic else np.sqrt(p))
-    return numerator / (1.0 + params.beta_pm * p)
+    return p, peak
 
 
 def _rotate(x: np.ndarray, gain: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -149,11 +217,9 @@ def amplify_samples(samples: np.ndarray, params: SalehParams) -> np.ndarray:
     """The tube on a complex sample array of any shape, already scaled to
     its drive level (input_scale_for_power): map the modulus through amam
     and advance the phase by ampm."""
-    p = _modulus_squared(samples)
-    # amam(u) e^{j arg x} = x * amam(u)/u; the modulus factors out so the
-    # zero-input sample needs no special case.
-    gain = params.alpha_am / (1.0 + params.beta_am * p)
-    return _rotate(samples, gain, _ampm_of_power(p, params))
+    p, peak = _modulus_squared(samples)
+    # amam(u) e^{j arg x} = x * amam(u)/u
+    return _rotate(samples, _amam_gain(p, peak, params), _ampm_of_power(p, peak, params))
 
 
 def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
@@ -165,7 +231,7 @@ def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
     here."""
     sat2 = params.saturation_output_power
     # min(1, A_sat/|x|) as sqrt(sat^2/max(|x|^2, sat^2))
-    gain = _modulus_squared(samples)
+    gain, _ = _modulus_squared(samples)
     np.maximum(gain, sat2, out=gain)
     np.divide(sat2, gain, out=gain)
     np.sqrt(gain, out=gain)
@@ -176,7 +242,7 @@ def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
 def compute_obo(samples: np.ndarray, params: SalehParams) -> float:
     """Output back-off: dB ratio of the saturated output power to the
     measured mean power of the amplifier's output samples."""
-    mean_power = float(np.mean(_modulus_squared(np.asarray(samples))))
+    mean_power = float(np.mean(_modulus_squared(np.asarray(samples))[0]))
     if mean_power <= 0:
         raise ValueError("cannot compute output back-off of zero-power samples")
     return float(10.0 * np.log10(params.saturation_output_power / mean_power))
@@ -203,7 +269,7 @@ def apply_predistorter(samples: np.ndarray, params: SalehParams) -> np.ndarray:
     t - ampm) so that the following amplifier restores modulus min(g, peak)
     at phase t."""
     x = np.asarray(samples, dtype=np.complex128)
-    p = _modulus_squared(x)
+    p, _ = _modulus_squared(x)
     # ratio = pd_amplitude(g)/g in pd_amplitude's rationalized form; it tends
     # to 2/alpha_am as g -> 0, so the zero sample needs no special case.
     sat2 = params.saturation_output_power
@@ -212,5 +278,6 @@ def apply_predistorter(samples: np.ndarray, params: SalehParams) -> np.ndarray:
     over = p > sat2
     if over.any():
         ratio[over] *= np.sqrt(sat2 / p[over])
-    phase = -_ampm_of_power(ratio**2 * p, params)
+    # the predistorted power is at most the saturation input power
+    phase = -_ampm_of_power(ratio**2 * p, params.saturation_input_power, params)
     return _rotate(x, ratio, phase)

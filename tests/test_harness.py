@@ -1,6 +1,7 @@
 """Monte Carlo harness, CSV emission, presets, config files, CLI."""
 
 import dataclasses
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,28 @@ TINY = Scenario(
     config=LinkConfig(users=1, substreams=1, carriers=1, walsh_order=1,
                       pn_length=7, oversampling=4),
     ebn0_grid=(0.0,), min_errors=100, symbols_per_block=16, master_seed=99)
+
+
+@pytest.fixture
+def pool_forks(monkeypatch):
+    """The start method of every pool that run_scenario forks, in order."""
+    forks = []
+    get_context = harness.get_context
+
+    def spy(method):
+        forks.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(harness, "get_context", spy)
+    return forks
+
+
+@pytest.fixture
+def forced_fork(monkeypatch, pool_forks):
+    """A zero serial budget, so that a run with workers > 1 forks its pool
+    before the first block; yields pool_forks."""
+    monkeypatch.setattr(harness, "_SERIAL_BUDGET_S", 0.0)
+    return pool_forks
 
 
 class TestScenarioValidation:
@@ -144,9 +167,11 @@ class TestRunScenario:
         b = run_scenario(dataclasses.replace(TINY, master_seed=100))
         assert a.records != b.records
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, forced_fork):
         seq = run_scenario(TINY, workers=1)
+        assert forced_fork == []
         par = run_scenario(TINY, workers=4)
+        assert forced_fork == ["fork"]
         assert seq.records == par.records
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5, 2.0])
@@ -720,9 +745,66 @@ _POOLED = dict(ebn0_grid=(4.0,), blocks_per_wave=4, max_bits=2 * 4 * 16 * 4)
         config=LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4,
                           pn_length=15, oversampling=4), **_POOLED),
 ], ids=lambda sc: sc.name)
-def test_pooled_csv_bytes_match_serial(scenario, tmp_path):
+def test_pooled_csv_bytes_match_serial(scenario, tmp_path, forced_fork):
     serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
     assert serial == _csv_bytes(scenario, 2, tmp_path / "pooled.csv")
+    assert forced_fork == ["fork"]
+
+
+def test_short_run_never_forks(tmp_path, monkeypatch):
+    # one wave of four cheap blocks stays well inside the serial budget
+    scenario = dataclasses.replace(TINY, ebn0_grid=(4.0,), blocks_per_wave=4,
+                                   max_bits=4 * 16 * TINY.config.bits_per_symbol)
+    serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
+
+    def forbidden(*args):
+        raise AssertionError("a one-wave run forked a pool")
+
+    monkeypatch.setattr(harness, "get_context", forbidden)
+    assert _csv_bytes(scenario, 2, tmp_path / "two.csv") == serial
+
+
+def test_fork_within_first_wave_keeps_csv_bytes(tmp_path, monkeypatch, pool_forks):
+    # two waves of eight blocks, the serial budget 2.5 blocks long: the pool
+    # forks after one to three blocks and shares the rest of the first wave
+    scenario = dataclasses.replace(
+        TINY, name="tiny-3-path", paths=3, decay_db=3.0, fading=True,
+        config=LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4,
+                          pn_length=15, oversampling=4),
+        ebn0_grid=(4.0,), blocks_per_wave=8, max_bits=2 * 8 * 16 * 4)
+    serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
+    runtime = harness._prepare(scenario)
+    block_s = min(timeit.repeat(lambda: harness._simulate_block(runtime, 0, 0, 4.0),
+                                number=1, repeat=5))
+    monkeypatch.setattr(harness, "_SERIAL_BUDGET_S", 2.5 * block_s)
+    ran_here = []
+    simulate = harness._simulate_block
+
+    def recorded(runtime, point_index, block_index, ebn0_db):
+        ran_here.append(block_index)  # a worker appends to its own copy
+        return simulate(runtime, point_index, block_index, ebn0_db)
+
+    monkeypatch.setattr(harness, "_simulate_block", recorded)
+    assert _csv_bytes(scenario, 2, tmp_path / "pooled.csv") == serial
+    assert pool_forks == ["fork"]
+    assert ran_here[0] == 0 and set(range(8)) - set(ran_here)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("users,n_total,substreams,carriers", [(1, 17, 1, 1), (3, 9, 2, 4),
+                                                               (20, 257, 8, 8)])
+def test_symbol_draw_matches_default_integer_draw(seed, users, n_total, substreams, carriers):
+    # the int32 draw takes the same values, and leaves the stream where the
+    # default int64 draw does
+    cfg = LinkConfig(users=users, substreams=substreams, carriers=carriers, walsh_order=8,
+                     pn_length=31, oversampling=4)
+    shape = (users, n_total, substreams, carriers)
+    narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+    symbols = harness._draw_symbols(narrow, cfg, n_total)
+    assert symbols.dtype == np.int8
+    assert np.array_equal(symbols, (2 * wide.integers(0, 2, shape) - 1).astype(np.int8))
+    assert np.array_equal(narrow.integers(0, 2, 5), wide.integers(0, 2, 5))
+    assert narrow.standard_normal(3).tolist() == wide.standard_normal(3).tolist()
 
 
 def _numpy_blas_is_openblas() -> bool:
@@ -748,7 +830,7 @@ def blas_threads():
 class TestBlasThreads:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blocks_run_single_threaded_and_count_restored(self, blas_threads, monkeypatch,
-                                                          workers):
+                                                          workers, forced_fork):
         before = blas_threads()
         simulate = harness._simulate_block
 
@@ -760,9 +842,11 @@ class TestBlasThreads:
         monkeypatch.setattr(harness, "_simulate_block", checked)
         run_scenario(TINY, workers=workers)
         assert blas_threads() == before
+        assert forced_fork == (["fork"] if workers > 1 else [])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_count_restored_when_block_raises(self, blas_threads, monkeypatch, workers):
+    def test_count_restored_when_block_raises(self, blas_threads, monkeypatch, workers,
+                                              forced_fork):
         before = blas_threads()
 
         def failing(*args):
@@ -772,6 +856,7 @@ class TestBlasThreads:
         with pytest.raises(RuntimeError, match="block failed"):
             run_scenario(TINY, workers=workers)
         assert blas_threads() == before
+        assert forced_fork == (["fork"] if workers > 1 else [])
 
 
 class TestCiCoverage:

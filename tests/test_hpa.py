@@ -1,5 +1,8 @@
 """Nonlinear amplifier model, operating point, and analytic predistorter."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,3 +271,36 @@ def test_frame_kernels_reject_nonfinite_samples(bad, stage):
             envelope_excess(x.reshape(4, 4), P)
         else:
             compute_obo(x, P)
+
+
+def _exact_curves(u: float, params: SalehParams) -> tuple:
+    """amam(u) and ampm(u) in exact rational arithmetic, rounded once."""
+    u, power = Fraction(u), Fraction(u) ** 2
+    gain = Fraction(params.alpha_am) * u / (1 + Fraction(params.beta_am) * power)
+    phase = (Fraction(params.alpha_pm) * (power if params.ampm_quadratic else u)
+             / (1 + Fraction(params.beta_pm) * power))
+    return float(gain), float(phase)
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_curves_hold_where_beta_times_power_overflows(quadratic):
+    # beta_pm |x|^2 overflows above |x| ~ 4.4e153, beta_am |x|^2 above
+    # ~1.25e154 and |x|^2 itself above ~1.34e154
+    params = SalehParams(ampm_quadratic=quadratic)
+    moduli = np.array([1e153, 5e153, 1e154, 1.3e154])
+    x = moduli * np.exp(0.7j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = amplify_samples(x, params)
+        gains, phases = amam(moduli, params), ampm(moduli, params)
+        mixed = amplify_samples(np.array([0.3 + 0.1j, x[-1]]), params)
+    assert np.isfinite(out).all()
+    for k, u in enumerate(moduli):
+        gain, phase = _exact_curves(u, params)
+        reference = gain * np.exp(1j * (0.7 + phase))
+        assert abs(out[k] - reference) <= 1e-12 * abs(reference)
+        assert gains[k] == pytest.approx(gain, rel=1e-12, abs=0.0)
+        assert phases[k] == pytest.approx(phase, rel=1e-12, abs=0.0)
+    # the asymptote is taken only where the product overflows
+    assert mixed[0] == amplify_samples(np.array([0.3 + 0.1j]), params)[0]
+    assert mixed[1] == out[-1]
