@@ -62,7 +62,6 @@ from .txchain import (
     modulate_user,
     slot_signatures,
     subcarrier_frequency,
-    walsh_chip_indices,
 )
 
 __version__ = "0.1.0"
@@ -112,5 +111,4 @@ __all__ = [
     "slot_signatures",
     "subcarrier_frequency",
     "theoretical_curve",
-    "walsh_chip_indices",
 ]

@@ -26,7 +26,9 @@ rotation (none without an amplifier).
   correlator is linear in every user's symbols, so per scenario it
   tabulates the partial cross-correlations between each user's delayed
   slot signatures and user 1's (receiver.partial_correlation_tables), and
-  each block is one small product per user (receiver.correlate_tables).
+  each block is one small product per user, or with several paths one
+  product against the tables weighted by the block's path gains
+  (receiver.correlate_tables).
   The interference decomposition (measure_variances) reads the same
   tables: each source is a subset of the terms of that sum.
 - W correlates what the amplifier adds to g times the linear waveform
@@ -75,7 +77,6 @@ import time
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from multiprocessing import get_context
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: pay that here, not in the first block
@@ -771,6 +772,10 @@ def _openblas_thread_calls() -> list:
     return calls
 
 
+# True while a _single_threaded_blas body runs.
+_BLAS_PINNED = False
+
+
 @contextmanager
 def _single_threaded_blas():
     """Run the body with every loaded OpenBLAS at one thread, then restore
@@ -780,17 +785,33 @@ def _single_threaded_blas():
     under the fork pool they oversubscribe the cores.  The count is set in
     the parent before the pool forks, which is what workers inherit; setting
     OPENBLAS_NUM_THREADS in os.environ at that point has no effect, because
-    the library reads it only when it is loaded.
+    the library reads it only when it is loaded.  Finding the libraries
+    reads /proc/self/maps and loads each one (about 1 ms), so an entry
+    nested in another does nothing: the outer one has pinned the counts and
+    restores them.
     """
+    global _BLAS_PINNED
+    if _BLAS_PINNED:
+        yield
+        return
     calls = _openblas_thread_calls()
     saved = [get() for get, _ in calls]
     for _, set_ in calls:
         set_(1)
+    _BLAS_PINNED = True
     try:
         yield
     finally:
+        _BLAS_PINNED = False
         for (_, set_), count in zip(calls, saved):
             set_(count)
+
+
+def get_context(method: str):
+    """multiprocessing.get_context, imported only when a pool forks: the
+    import takes about 10 ms, which a run that never forks need not pay."""
+    import multiprocessing
+    return multiprocessing.get_context(method)
 
 
 # Serial block time after which a run with workers > 1 forks its pool.
@@ -870,13 +891,12 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    runtime = _prepare(scenario)
     cfg = scenario.config
     records = []
     point_seconds = []
 
-    runner = _BlockRunner(runtime, workers)
     with _single_threaded_blas():
+        runner = _BlockRunner(_prepare(scenario), workers)
         try:
             for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
                 started = time.perf_counter()
@@ -947,12 +967,12 @@ def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbol
     if scenario.hpa_mode != "bypass":
         raise ValueError("interference decomposition needs the linear chain; "
                          f"hpa_mode={scenario.hpa_mode!r} breaks superposition")
-    runtime = _prepare(scenario)
     cfg = scenario.config
     point = scenario.ebn0_grid[0] if ebn0_db is None else ebn0_db
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 2]))
-    channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
     with _single_threaded_blas():
+        runtime = _prepare(scenario)
+        rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 2]))
+        channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
         return estimate_interference_variances(runtime, channel, float(point), rng, n_symbols)
 
 

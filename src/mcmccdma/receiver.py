@@ -1,7 +1,9 @@
 """Correlator receiver: coherent subcarrier demodulation, despreading and
 bit decisions, the partial cross-correlation tables and their product
 through which the linear chain is simulated without samples, and the
-record of the interference decomposition.
+record of the interference decomposition.  The tables are built once per
+scenario at PN-chip rate, from the chip sequences and the Walsh chip
+bounds, with no per-sample array (partial_correlation_tables).
 
 The BER engine and the interference decomposition share that one
 correlation-domain model (correlate_tables): the decomposition evaluates
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txchain import LinkConfig, substream_walsh_rows, walsh_chip_indices
+from .txchain import LinkConfig, substream_walsh_rows, walsh_chip_bounds
 
 SOURCE_NAMES = ("desired", "multipath", "inter_substream", "inter_carrier", "multi_user", "noise")
 
@@ -164,51 +166,69 @@ def partial_correlation_tables(pn_chips: np.ndarray, walsh: np.ndarray, config: 
     The signatures are never built.  With a = Walsh chip of sample i - D and
     b = Walsh chip of sample i, each entry factors as
     e^{-j 2 pi W (m+1) D / N} sum_{(a,b)} w_r(a) w_r'(b) H[k, (a,b), m - m'],
-    where H sums pn_k(i - D) pn_1(i) e^{j 2 pi W (m - m') i / N} over the
-    samples of one (a, b) pair.  Both chip indices are nondecreasing within
-    a window, so each pair covers runs of consecutive samples, and H is one
-    small real GEMM per run.
+    where H sums pn_k(i - D) pn_1(i) w^{W (m - m') i} over the samples of
+    one (a, b) pair, w = e^{j 2 pi / N}.  The work is at PN-chip rate: the
+    PN product is constant over a PN chip, so the symbol is cut into
+    segments at the PN chips, at D, and at the Walsh bounds of both chip
+    indices (txchain.walsh_chip_bounds, and those bounds delayed by D mod
+    N).  Over a segment of n samples from i0 the rotation sums to
+    w^{W delta i0} sum_{t < n} w^{W delta t}, both read at exact integer
+    indices from one N-point unit circle, for delta = 0..M-1 only: the PN
+    products are real, so delta < 0 is the conjugate.  H is one small real
+    GEMM per run of segments with one (a, b) pair and window, the Walsh
+    combine one more per window and path, and the (m, m') layout a Toeplitz
+    view of the delta axis, multiplied by the delay phase straight into the
+    tables.
     """
-    n_samp = config.samples_per_symbol
+    n_samp, over = config.samples_per_symbol, config.oversampling
     order, n_sub, n_car = config.walsh_order, config.substreams, config.carriers
-    users = pn_chips.shape[0]
-    slots = n_sub * n_car
-    chip = walsh_chip_indices(config)
-    pn_up = np.repeat(np.asarray(pn_chips, dtype=np.float64), config.oversampling, axis=1)
-    i = np.arange(n_samp)
-    # e^{j 2 pi W delta i / N} for delta = m - m' in -(M-1)..M-1, as a real
-    # array with re/im interleaved so every H is a real GEMM.
-    deltas = np.arange(-(n_car - 1), n_car)
-    rotations = np.exp(2j * np.pi * order * np.outer(i, deltas) / n_samp).view(np.float64)
-    delta_index = np.arange(n_car)[:, None] - np.arange(n_car)[None, :] + n_car - 1
     rows = substream_walsh_rows(walsh, config)
+    users = pn_chips.shape[0]
+    bounds = walsh_chip_bounds(config)
+    circle = np.exp(2j * np.pi * np.arange(n_samp) / n_samp)
+    deltas = np.arange(n_car)
+    # partial[n - 1, delta] = sum_{t < n} w^{W delta t}, n <= oversampling
+    partial = np.cumsum(circle[order * np.outer(np.arange(over), deltas) % n_samp], axis=0)
+    pn_grid = np.arange(0, n_samp + 1, over)
     windows = 2 if n_paths > 1 else 1
-    tables = np.empty((users, windows, n_sub, n_car, n_paths, n_sub, n_car), dtype=np.complex128)
-    products = np.empty_like(pn_up)
+    # per (window, path): sum_{(a,b)} w_r(a) w_r'(b) H[k, (a,b), delta] over
+    # (r, r') and (k, delta >= 0), re/im interleaved
+    walsh_sums = np.zeros((windows, n_paths, n_sub * n_sub, users * 2 * n_car))
     for path in range(n_paths):
-        delay = path * config.oversampling
-        # pn_k((i - D) mod N) pn_1(i)
-        products[:, delay:] = pn_up[:, :n_samp - delay]
-        products[:, :delay] = pn_up[:, n_samp - delay:]
-        products *= pn_up[0]
-        chip_delayed = np.roll(chip, delay)
-        # A new run starts wherever the window or either chip index changes.
-        key = (i >= delay) * order * order + chip_delayed * order + chip
-        bounds = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1, [n_samp]))
-        starts = bounds[:-1]
-        # per run: H[k, delta], and w_r(a) w_r'(b) as a row over (r, r')
-        h = np.stack([(products[:, lo:hi] @ rotations[lo:hi]).reshape(-1)
-                      for lo, hi in zip(starts, bounds[1:])])
-        pairs = np.einsum("rp,qp->prq", rows[:, chip_delayed[starts]], rows[:, chip[starts]]
-                          ).reshape(starts.size, -1)
-        phase = np.exp(-2j * np.pi * order * np.arange(1, n_car + 1) * delay / n_samp) / n_samp
-        for window, runs in enumerate((starts >= delay, starts < delay)[:windows]):
-            x = pairs[runs].T @ h[runs]
-            # (r, r', k, delta) -> (r, r', k, m, m') -> (k, r, m, r', m')
-            y = x.view(np.complex128).reshape(n_sub, n_sub, users, -1)[..., delta_index]
-            y *= phase[:, None]
-            tables[:, window, :, :, path] = y.transpose(2, 0, 3, 1, 4)
-    return tables.reshape(users, windows, slots, n_paths, slots)
+        delay = path * over
+        # Runs of one window and one Walsh chip pair (a, b) end at D and at
+        # the Walsh bounds of both chip indices, segments at those and at
+        # every PN chip.  Every cut off the PN grid ends a run, so the
+        # segments of a run lie on consecutive PN chips, one each.
+        runs = np.sort(np.concatenate((bounds, (bounds[:-1] + delay) % n_samp)))
+        runs = runs[np.diff(runs, prepend=-1) > 0]
+        cuts = np.sort(np.concatenate((pn_grid, runs)))
+        cuts = cuts[np.diff(cuts, prepend=-1) > 0]
+        starts = cuts[:-1]
+        sums = (circle[np.outer(starts, order * deltas) % n_samp]
+                * partial[np.diff(cuts) - 1]).view(np.float64)
+        # pn_k(c - l) pn_1(c) per PN chip c, so a run's products are one slice
+        products = np.multiply(np.roll(pn_chips, path, axis=1), pn_chips[0], dtype=np.float64)
+        heads = np.searchsorted(cuts, runs)
+        h = np.stack([(products[:, starts[lo] // over:][:, :hi - lo] @ sums[lo:hi]).reshape(-1)
+                      for lo, hi in zip(heads[:-1], heads[1:])])
+        firsts = runs[:-1]
+        delayed = np.searchsorted(bounds, (firsts - delay) % n_samp, side="right") - 1
+        current = np.searchsorted(bounds, firsts, side="right") - 1
+        # per run, w_r(a) w_r'(b) as a row over (r, r')
+        pairs = np.einsum("rp,qp->prq", rows[:, delayed], rows[:, current]).reshape(firsts.size, -1)
+        for window, kept in enumerate((firsts >= delay, firsts < delay)[:windows]):
+            np.matmul(pairs[kept].T, h[kept], out=walsh_sums[window, path])
+    x = walsh_sums.view(np.complex128).reshape(windows, n_paths, n_sub, n_sub, users, n_car)
+    # delta = M-1..0 and then -1..-(M-1), by conjugation, so that
+    # y[..., m, m'] = flipped[..., M - 1 - m + m'] is the entry at m - m'
+    flipped = np.concatenate((x[..., ::-1], x[..., 1:].conj()), axis=-1)
+    y = np.lib.stride_tricks.sliding_window_view(flipped, n_car, axis=-1)[..., ::-1, :]
+    phase = circle[-order * np.outer(np.arange(n_paths) * over, np.arange(1, n_car + 1)) % n_samp]
+    tables = np.empty((users, windows, n_sub, n_car, n_paths, n_sub, n_car), dtype=np.complex128)
+    # (window, l, r, r', k, m, m') -> (k, window, r, m, l, r', m'), times the delay phase
+    np.multiply(y.transpose(4, 0, 2, 5, 1, 3, 6), phase.T[:, :, None, None] / n_samp, out=tables)
+    return tables.reshape(users, windows, n_sub * n_car, n_paths, n_sub * n_car)
 
 
 def correlate_tables(tables: np.ndarray, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -223,6 +243,12 @@ def correlate_tables(tables: np.ndarray, symbols: np.ndarray, gains: np.ndarray)
     the full tables over users (with symbols and gains sliced alike) or
     over the target slots t.  Returns (n, targets); the caller applies the
     amplitude sqrt(2 power) and the reference-path phase.
+
+    With one path, every user's outputs are one real GEMM against its
+    tables and the gains weigh them after.  With several, the gains are
+    contracted into the tables first, which leaves one table per user with
+    no path axis, and z is one real GEMM of all users' stacked symbols
+    against those: a fraction of the arithmetic, and no per-path outputs.
     """
     users, windows, slots, n_paths, targets = tables.shape
     n_total = symbols.shape[1]
@@ -233,9 +259,16 @@ def correlate_tables(tables: np.ndarray, symbols: np.ndarray, gains: np.ndarray)
     stacked[:, :, 0] = current
     if windows == 2:
         stacked[:, 1:, 1] = current[:, :-1]
-    # Every user's unweighted outputs on every path, one real GEMM per user.
-    tables = np.ascontiguousarray(tables).reshape(users, windows * slots, n_paths * targets)
-    per_path = np.matmul(stacked.reshape(users, n_total, windows * slots), tables.view(np.float64))
-    per_path = per_path.view(np.complex128).reshape(users, n_total, n_paths, targets)
-    return (per_path.transpose(1, 3, 0, 2).reshape(n_total * targets, users * n_paths)
+    stacked = stacked.reshape(users, n_total, windows * slots)
+    if n_paths > 1:
+        # weighted[k, (w, s), t] = sum_l gains[k, l] tables[k, w, s, l, t]
+        weighted = np.matmul(gains[:, None, None, :],
+                             tables.reshape(users, windows * slots, n_paths, targets))
+        weighted = weighted.reshape(-1, targets)
+        z = stacked.transpose(1, 0, 2).reshape(n_total, -1) @ weighted.view(np.float64)
+        return z.view(np.complex128)
+    # Every user's unweighted outputs, one real GEMM per user.
+    tables = np.ascontiguousarray(tables).reshape(users, windows * slots, targets)
+    per_user = np.matmul(stacked, tables.view(np.float64)).view(np.complex128)
+    return (per_user.transpose(1, 2, 0).reshape(n_total * targets, users)
             @ gains.reshape(-1)).reshape(n_total, targets)

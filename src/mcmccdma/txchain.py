@@ -6,9 +6,8 @@ period (pn_length chips, oversampling samples per chip) on every subcarrier.
 The Walsh chips of the multicode layer are stretched across the same window
 on a floor-indexed grid, so Walsh and PN chip clocks co-terminate at every
 symbol boundary even when the Walsh order does not divide the sample count.
-walsh_chip_indices gives each sample's Walsh chip on that grid, and
-walsh_chip_bounds each chip's first sample.  All signals are complex
-envelopes; the real passband waveform is never built.
+walsh_chip_bounds gives each chip's first sample on that grid.  All signals
+are complex envelopes; the real passband waveform is never built.
 Everything here takes and returns plain arrays: the Walsh matrix of
 codes.generate_walsh, a user's +-1 PN chips, and modulate_user's complex
 transmit samples.
@@ -129,22 +128,14 @@ def subcarrier_frequency(m: int, config: LinkConfig) -> float:
     return m * config.walsh_order / config.symbol_duration
 
 
-def walsh_chip_indices(config: LinkConfig) -> np.ndarray:
-    """Walsh chip index for each of the samples_per_symbol sample positions.
-
-    Floor grid: sample i belongs to chip (i * walsh_order) // samples_per_symbol.
-    Exact equal-length chips whenever walsh_order divides samples_per_symbol;
-    otherwise chip lengths differ by at most one sample.
-    """
-    i = np.arange(config.samples_per_symbol, dtype=np.int64)
-    return (i * config.walsh_order) // config.samples_per_symbol
-
-
 def walsh_chip_bounds(config: LinkConfig) -> np.ndarray:
-    """The first sample position of each Walsh chip on walsh_chip_indices'
-    floor grid, then samples_per_symbol: ceil(c * samples_per_symbol /
-    walsh_order) for c = 0 .. walsh_order, shape (walsh_order + 1,).  Chip c
-    spans positions bounds[c] .. bounds[c + 1] - 1, never none."""
+    """The first sample position of each Walsh chip, then
+    samples_per_symbol: ceil(c * samples_per_symbol / walsh_order) for
+    c = 0 .. walsh_order, shape (walsh_order + 1,).  Floor grid: sample i
+    belongs to chip (i * walsh_order) // samples_per_symbol, so chip c spans
+    positions bounds[c] .. bounds[c + 1] - 1, never none.  The chips are
+    equally long whenever walsh_order divides samples_per_symbol, and
+    otherwise differ by at most one sample."""
     c = np.arange(config.walsh_order + 1, dtype=np.int64)
     return -(-c * config.samples_per_symbol // config.walsh_order)
 
@@ -179,7 +170,8 @@ def modulation_table(walsh: np.ndarray, config: LinkConfig) -> np.ndarray:
     views as complex samples.  A user's slot signatures are these rows times
     its oversampled PN chips.
     """
-    walsh_up = substream_walsh_rows(walsh, config)[:, walsh_chip_indices(config)]
+    walsh_up = np.repeat(substream_walsh_rows(walsh, config), np.diff(walsh_chip_bounds(config)),
+                         axis=1)
     carriers = subcarrier_exponentials(config)
     table = np.multiply(walsh_up[:, None, :], carriers[None, :, :], order="C")
     return table.reshape(config.substreams * config.carriers, -1).view(np.float64)

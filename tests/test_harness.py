@@ -28,7 +28,7 @@ from mcmccdma.harness import (
 from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, envelope_excess
 from mcmccdma.receiver import correlate_slots
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
-                              walsh_chip_bounds, walsh_chip_indices)
+                              walsh_chip_bounds)
 
 TINY = Scenario(
     name="tiny",
@@ -568,6 +568,11 @@ _BOUND_CONFIGS = {
 }
 
 
+def _floor_chips(cfg):
+    """Each sample's Walsh chip on the floor grid, computed per sample."""
+    return (np.arange(cfg.samples_per_symbol) * cfg.walsh_order) // cfg.samples_per_symbol
+
+
 def _full_clip_search(runtime, symbols):
     """The limiter's clip search over every sample: each symbol row's
     PN-free linear waveform, sum_m b[c, n, m] E_m(i) during Walsh chip c as
@@ -576,7 +581,7 @@ def _full_clip_search(runtime, symbols):
     order, and the excess at each."""
     cfg = runtime.scenario.config
     b = harness._carrier_coefficients(runtime, symbols)
-    linear = np.einsum("inm,mi->ni", b[walsh_chip_indices(cfg)], subcarrier_exponentials(cfg))
+    linear = np.einsum("inm,mi->ni", b[_floor_chips(cfg)], subcarrier_exponentials(cfg))
     power = np.square(linear.real) + np.square(linear.imag)
     index = np.flatnonzero(power > harness._clip_power(runtime))
     return linear, index, envelope_excess(runtime.linear_gain * linear.reshape(-1)[index],
@@ -618,11 +623,11 @@ def _check_cell_search(runtime, symbols):
 
 
 def _check_cell_geometry(runtime):
-    """The Walsh chip bounds are where walsh_chip_indices steps, and at 1-3
+    """The Walsh chip bounds are where the floor grid's chips step, and at 1-3
     paths the limiter's cells tile the symbol and every cell's span delayed
     by any path lies in one (Walsh chip, window) bin of span_bins."""
     cfg = runtime.scenario.config
-    chips = walsh_chip_indices(cfg)
+    chips = _floor_chips(cfg)
     assert np.array_equal(walsh_chip_bounds(cfg),
                           np.searchsorted(chips, np.arange(cfg.walsh_order + 1)))
     pn_samples = np.repeat(runtime.pn_chips, cfg.oversampling, axis=1).astype(np.float64)
@@ -658,7 +663,7 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
 
     linear, index, excess = _full_clip_search(runtime, symbols)
     power = np.square(linear.real) + np.square(linear.imag)
-    chips = walsh_chip_indices(cfg)
+    chips = _floor_chips(cfg)
     assert (power <= peak[chips].T * (1.0 + 1e-12)).all()
     row, position = np.divmod(index, cfg.samples_per_symbol)
     assert (peak[chips[position], row] >= clip_power).all()
@@ -857,6 +862,30 @@ class TestBlasThreads:
             run_scenario(TINY, workers=workers)
         assert blas_threads() == before
         assert forced_fork == (["fork"] if workers > 1 else [])
+
+
+    def test_nested_entry_scans_once_and_restores(self, blas_threads, monkeypatch):
+        """A nested entry neither scans for OpenBLAS nor restores: the
+        outer one does both, also when the body raises.  A run scans once,
+        its setup's entry nesting in its own."""
+        before = blas_threads()
+        scan = harness._openblas_thread_calls
+        scans = []
+        monkeypatch.setattr(harness, "_openblas_thread_calls",
+                            lambda: scans.append(None) or scan())
+        with pytest.raises(RuntimeError, match="inner"):
+            with harness._single_threaded_blas():
+                with harness._single_threaded_blas():
+                    pass
+                assert all(count == 1 for count in blas_threads())
+                with harness._single_threaded_blas():
+                    raise RuntimeError("inner")
+        assert blas_threads() == before
+        assert len(scans) == 1
+        run_scenario(TINY)
+        measure_variances(TINY, n_symbols=16)
+        assert len(scans) == 3
+        assert blas_threads() == before
 
 
 class TestCiCoverage:

@@ -17,7 +17,7 @@ _RETIRED = {
     codes: ("WalshMatrix", "PnSequence"),
     receiver: ("recover_bits", "BitDecisions"),
     txchain: ("UserSymbols", "multicode_spread", "BasebandFrame", "serial_to_parallel",
-              "parallel_to_serial"),
+              "parallel_to_serial", "walsh_chip_indices"),
     hpa: ("set_operating_point", "limit_envelope", "OperatingPoint", "apply_hpa",
           "operating_point_for_power"),
 }
@@ -59,7 +59,10 @@ added = sorted(set(sys.modules) - before)
 variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
                                   inter_carrier=0.0, multi_user=0.1, noise=0.2, n_symbols=10)
 theoretical_curve(variances, (0.0, 10.0), 0.0, fading=True)
-print(["scipy" in sys.modules, added])
+# a one-worker run forks no pool, so it need not load multiprocessing
+harness.run_scenario(harness.Scenario(name="probe", config=config, paths=2, ebn0_grid=(4.0,),
+                                      max_bits=64), workers=1)
+print(["scipy" in sys.modules, added, "multiprocessing" in sys.modules])
 """
 
 
@@ -67,10 +70,11 @@ def test_engine_and_theory_run_without_scipy():
     """The package needs numpy alone: no scipy on the import path or in the
     theory, and neither a block nor an amplifier mode's setup loads a module
     of its own (numpy.random, which numpy loads on first use, is imported
-    with the package; np.unique would load numpy.ma)."""
+    with the package; np.unique would load numpy.ma).  multiprocessing is
+    loaded only when a pool forks, which a one-worker run never does."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mcmccdma.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PATH_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[False, []]"
+    assert out.strip() == "[False, [], False]"

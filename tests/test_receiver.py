@@ -1,5 +1,7 @@
 """Correlator receiver: loopback, decomposition, interference statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,12 @@ class TestPartialCorrelationTables:
         (3, 2, 3, 4, 3, 3, 2),      # 4 does not divide 21
         (4, 8, 2, 8, 5, 4, 7),      # 8 does not divide 124, several paths
         (1, 4, 2, 4, 4, 2, 12),     # delays spanning several Walsh chips
+        # Walsh bounds that split PN chips (oversampling 3 and 5), and
+        # delayed bounds that wrap past the symbol end, up to delays of
+        # more than half the symbol
+        (2, 4, 2, 16, 5, 3, 20),
+        (3, 8, 3, 32, 6, 5, 40),
+        (1, 16, 2, 32, 5, 5, 31),
     ])
     def test_matches_slice_products(self, users, r, m, na, degree, oversampling, paths):
         cfg = LinkConfig(users=users, substreams=r, carriers=m, walsh_order=na,
@@ -151,6 +159,22 @@ class TestPartialCorrelationTables:
         reference = _slice_tables(pn_chips, walsh, cfg, paths)
         assert tables.shape == reference.shape
         assert np.abs(tables - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_build_peak_stays_at_chip_rate(self):
+        """On the linearization preset's link (20 users, pn 4095, 64 slots)
+        the build's traced peak, tables included, stays below the tables
+        plus two (users, samples_per_symbol) float64 arrays: it forms no
+        per-sample PN product or rotation table."""
+        scenario = harness.preset("linearization")[0]
+        cfg = scenario.config
+        walsh, pn_chips = harness._user_codes(cfg)
+        tracemalloc.start()
+        try:
+            tables = partial_correlation_tables(pn_chips, walsh, cfg, scenario.paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables.nbytes + 2 * cfg.users * cfg.samples_per_symbol * 8
 
     def test_aligned_own_table_is_identity(self):
         # orthonormal slots: user 1's own zero-delay table is the identity

@@ -11,8 +11,13 @@ from mcmccdma.txchain import (
     modulation_table,
     slot_signatures,
     subcarrier_frequency,
-    walsh_chip_indices,
+    walsh_chip_bounds,
 )
+
+
+def _floor_chips(cfg):
+    """Each sample's Walsh chip on the floor grid, computed per sample."""
+    return (np.arange(cfg.samples_per_symbol) * cfg.walsh_order) // cfg.samples_per_symbol
 
 
 class TestLinkConfig:
@@ -85,18 +90,18 @@ class TestWalshGrid:
     def test_aligned_grid_uniform(self):
         cfg = LinkConfig(substreams=2, carriers=2, walsh_order=4,
                          pn_length=15, oversampling=4)
-        idx = walsh_chip_indices(cfg)
-        lengths = np.bincount(idx)
+        lengths = np.diff(walsh_chip_bounds(cfg))
         assert (lengths == 15).all()
+        assert np.array_equal(lengths, np.bincount(_floor_chips(cfg)))
 
     def test_unaligned_grid_near_uniform(self):
         cfg = LinkConfig(substreams=8, carriers=8, walsh_order=8,
                          pn_length=63, oversampling=4)
-        idx = walsh_chip_indices(cfg)
-        lengths = np.bincount(idx)
-        assert lengths.sum() == cfg.samples_per_symbol
+        bounds = walsh_chip_bounds(cfg)
+        lengths = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == cfg.samples_per_symbol
         assert lengths.max() - lengths.min() <= 1
-        assert (np.diff(idx) >= 0).all()
+        assert np.array_equal(lengths, np.bincount(_floor_chips(cfg)))
 
 
 class TestModulateUser:
@@ -145,7 +150,7 @@ def _loop_signatures(walsh, chips, cfg):
     n = cfg.samples_per_symbol
     t = np.arange(n) * cfg.symbol_duration / n
     pn_up = np.repeat(chips, cfg.oversampling)
-    walsh_up = walsh[:, walsh_chip_indices(cfg)]
+    walsh_up = walsh[:, _floor_chips(cfg)]
     sig = np.empty((cfg.substreams, cfg.carriers, n), dtype=np.complex128)
     for r in range(cfg.substreams):
         for m in range(cfg.carriers):
