@@ -27,7 +27,6 @@ from .codes import (
     PRIMITIVE_TAPS,
     generate_msequence,
     generate_walsh,
-    periodic_correlation,
 )
 from .config import ConfigError, load_config, saleh_from_keys, scenario_from_keys
 from .harness import (
@@ -61,7 +60,6 @@ from .txchain import (
     LinkConfig,
     modulate_user,
     slot_signatures,
-    subcarrier_frequency,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +99,6 @@ __all__ = [
     "parse_csv",
     "path_power_profile",
     "pd_amplitude",
-    "periodic_correlation",
     "preset",
     "propagate_samples",
     "run_scenario",
@@ -109,6 +106,5 @@ __all__ = [
     "scenario_echo",
     "scenario_from_keys",
     "slot_signatures",
-    "subcarrier_frequency",
     "theoretical_curve",
 ]

@@ -3,8 +3,7 @@
 Walsh rows separate the parallel substreams of one user; a cyclically
 shifted PN sequence (np.roll) separates users.  Both are plain int8 +-1
 arrays: generate_walsh returns the (order, order) matrix whose rows are
-the codes, generate_msequence one period of chips.  All correlation
-arithmetic here is exact integer math.
+the codes, generate_msequence one period of chips.
 """
 
 from __future__ import annotations
@@ -98,12 +97,3 @@ def generate_msequence(degree: int, taps: tuple[int, ...] | None = None, seed: i
 
     return np.where(bits == 0, 1, -1).astype(np.int8)
 
-
-def periodic_correlation(a, b, shift: int = 0) -> int:
-    """Full-period correlation sum_i a[i]*b[(i+shift) mod L], exact integer."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise ValueError(f"sequences must be 1-D and equally long, got {a.shape} and {b.shape}")
-    product = a.astype(np.int64) * np.roll(b, -int(shift)).astype(np.int64)
-    return int(product.sum())

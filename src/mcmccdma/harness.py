@@ -5,7 +5,8 @@ SeedSequence([master_seed, 0, point_index, block_index]), blocks are grouped
 into fixed-size waves, and the stopping rule is evaluated only on completed
 waves.  Error and bit counts are integer sums over a wave, so the emitted
 records (and CSV bytes) are identical for any worker count and any
-execution order.
+execution order.  Each +-1 symbol costs one bit of the generator's raw
+64-bit words, taken little-endian (_draw_symbols).
 
 A run forks no pool up front.  Its blocks run in the calling process until
 their summed time reaches _SERIAL_BUDGET_S, several times what a fork pool
@@ -30,7 +31,8 @@ rotation (none without an amplifier).
   product against the tables weighted by the block's path gains
   (receiver.correlate_tables).
   The interference decomposition (measure_variances) reads the same
-  tables: each source is a subset of the terms of that sum.
+  tables: each source is a subset of the terms of that sum, so the split
+  is one product against the tables times a 0/1 mask per source.
 - W correlates what the amplifier adds to g times the linear waveform
   against user 1's signatures with the Walsh chips factored out: per-chip
   sums (receiver.chip_correlations) and a Walsh combine
@@ -515,7 +517,7 @@ def _calibrate(runtime: _Runtime) -> tuple:
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
-    symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)) - 1
+    symbols = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
     if scenario.hpa_mode == "saleh":
         energy = 0.0
         cross = 0.0
@@ -552,21 +554,23 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
         np.random.SeedSequence([scenario.master_seed, 0, point_index, block_index]))
 
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
-    symbols = _draw_symbols(rng, cfg, scenario.symbols_per_block + runtime.warmup)
+    symbols = _draw_symbols(rng, (cfg.users, scenario.symbols_per_block + runtime.warmup,
+                                  cfg.substreams, cfg.carriers))
     z = _correlation_outputs(runtime, channel, symbols, ebn0_db, rng)
     return decide_slots(z[runtime.warmup:], symbols[0, runtime.warmup:])
 
 
-def _draw_symbols(rng: np.random.Generator, cfg: LinkConfig, n_total: int) -> np.ndarray:
-    """Every user's +-1 symbols, shape (users, n_total, substreams, carriers).
-    For the range [0, 2) numpy draws int32 from the same 32-bit stream as the
-    default int64, so the narrow draw changes neither these values nor the
-    draws that follow."""
-    symbols = rng.integers(0, 2, size=(cfg.users, n_total, cfg.substreams, cfg.carriers),
-                           dtype=np.int32).astype(np.int8)
+def _draw_symbols(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """+-1 symbols of the given shape, int8, one generator bit each: symbol
+    i is bit i mod 64 of raw 64-bit word i // 64 (1 -> +1, 0 -> -1).  The
+    words are taken little-endian, so the symbols do not depend on the
+    platform, and the draw leaves the stream ceil(n / 64) words on."""
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    symbols = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(np.int8)
     symbols *= 2
     symbols -= 1
-    return symbols
+    return symbols.reshape(shape)
 
 
 def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
@@ -691,31 +695,26 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     desired is user 1's slot (1, 1) on path 0 and multipath the same symbols
     on the later paths; inter_substream is user 1's other substreams on
     carrier 1 and inter_carrier its other carriers, both on every path;
-    multi_user is every other user.  The noise is drawn per output with
-    slot (1, 1)'s variance (user 1's Gram entry), and is zero with the noise
-    off.  The six sum to the noiseless slot-0 output plus that noise."""
-    scale = np.sqrt(2.0 * runtime.scenario.config.power) * np.exp(-1j * channel.phases[0, 0])
-    gains = _path_gains(channel)
-    own, others = runtime.correlation[:1, ..., :1], runtime.correlation[1:, ..., :1]
-    d = symbols[:1]
-    wanted, substreams, carriers = (np.zeros_like(d) for _ in range(3))
-    wanted[..., 0, 0] = d[..., 0, 0]
-    substreams[..., 1:, 0] = d[..., 1:, 0]
-    carriers[..., 1:] = d[..., 1:]
-    first, later = gains[:1].copy(), gains[:1].copy()
-    first[:, 1:] = 0
-    later[:, 0] = 0
-
-    def term(tables, kept, path_gains):
-        return scale * correlate_tables(tables, kept, path_gains)[:, 0]
-
-    sources = {
-        "desired": term(own, wanted, first),
-        "multipath": term(own, wanted, later),
-        "inter_substream": term(own, substreams, gains[:1]),
-        "inter_carrier": term(own, carriers, gains[:1]),
-        "multi_user": term(others, symbols[1:], gains[1:]),
-    }
+    multi_user is every other user.  The five partition the (user, slot,
+    path) terms, so they are one correlate_tables product against slot 0's
+    tables times a 0/1 mask per source, one output column each.  The noise
+    is drawn per output with slot (1, 1)'s variance (user 1's Gram entry),
+    and is zero with the noise off.  The six sum to the noiseless slot-0
+    output plus that noise."""
+    cfg = runtime.scenario.config
+    users, _, slots, paths, _ = runtime.correlation.shape
+    # mask[k, 0, (r, m), l, source]: 1 where the source holds the term of
+    # user k's substream r on carrier m and path l, in SOURCE_NAMES order
+    mask = np.zeros((users, cfg.substreams, cfg.carriers, paths, 5))
+    mask[0, 0, 0, 0, 0] = 1.0
+    mask[0, 0, 0, 1:, 1] = 1.0
+    mask[0, 1:, 0, :, 2] = 1.0
+    mask[0, :, 1:, :, 3] = 1.0
+    mask[1:, ..., 4] = 1.0
+    tables = runtime.correlation[..., :1] * mask.reshape(users, 1, slots, paths, 5)
+    z = correlate_tables(tables, symbols, _path_gains(channel))
+    z *= np.sqrt(2.0 * cfg.power) * np.exp(-1j * channel.phases[0, 0])
+    sources = dict(zip(SOURCE_NAMES, z.T))
     n_total = symbols.shape[1]
     if runtime.scenario.noise_enabled:
         sources["noise"] = _correlator_noise(runtime, ebn0_db, runtime.noise_factor[:1, :1],
@@ -945,7 +944,8 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     cfg = runtime.scenario.config
     collected = {name: [] for name in SOURCE_NAMES}
     for start in range(0, n_symbols, chunk):
-        symbols = _draw_symbols(rng, cfg, min(chunk, n_symbols - start) + runtime.warmup)
+        n_total = min(chunk, n_symbols - start) + runtime.warmup
+        symbols = _draw_symbols(rng, (cfg.users, n_total, cfg.substreams, cfg.carriers))
         for name, z in _source_outputs(runtime, channel, symbols, ebn0_db, rng).items():
             collected[name].append(z[runtime.warmup:])
 

@@ -113,21 +113,6 @@ class LinkConfig:
         return self.samples_per_symbol % self.walsh_order == 0
 
 
-def subcarrier_frequency(m: int, config: LinkConfig) -> float:
-    """Frequency of subcarrier m (1-based): m * walsh_order / symbol_duration.
-
-    The spacing walsh_order/T makes every carrier difference complete a
-    whole number of cycles inside each orthogonal-code chip, not just over
-    the full symbol.  That stronger condition is what keeps distinct
-    (substream, carrier) slots exactly orthogonal: with plain 1/T spacing a
-    code-chip-rate sign pattern can alias onto a carrier difference and two
-    slots stop separating, no matter how long the correlation window is.
-    """
-    if not 1 <= m <= config.carriers:
-        raise IndexError(f"subcarrier index {m} outside 1..{config.carriers}")
-    return m * config.walsh_order / config.symbol_duration
-
-
 def walsh_chip_bounds(config: LinkConfig) -> np.ndarray:
     """The first sample position of each Walsh chip, then
     samples_per_symbol: ceil(c * samples_per_symbol / walsh_order) for
@@ -184,8 +169,13 @@ def subcarrier_exponentials(config: LinkConfig) -> np.ndarray:
     i = np.arange(n_samp)
     # Sampled e^{j 2 pi f_m t} with f_m = m*walsh_order/T and t = i T/n_samp;
     # periodic over the symbol, so tiling symbols keeps the carrier phase
-    # continuous.  See subcarrier_frequency for why the spacing carries the
-    # walsh_order factor.
+    # continuous.  The spacing walsh_order/T makes every carrier difference
+    # complete a whole number of cycles inside each orthogonal-code chip, not
+    # just over the full symbol.  That stronger condition is what keeps
+    # distinct (substream, carrier) slots exactly orthogonal: with plain 1/T
+    # spacing a code-chip-rate sign pattern can alias onto a carrier
+    # difference and two slots stop separating, however long the
+    # correlation window is.
     return np.exp(
         2j * np.pi * config.walsh_order
         * np.arange(1, config.carriers + 1)[:, None] * i[None, :] / n_samp

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmccdma.codes import (
-    PRIMITIVE_TAPS,
-    generate_msequence,
-    generate_walsh,
-    periodic_correlation,
-)
+from mcmccdma.codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
 
 # LFSR stepped by hand: degree 3, taps (3, 1), seed state 0b001.
 # state  001 -> 011 -> 111 -> 110 -> 101 -> 010 -> 100 -> back to 001
 # outbit   0      0      1      1      1      0      1
 # chips   +1     +1     -1     -1     -1     +1     -1
 DEG3_CHIPS = np.array([1, 1, -1, -1, -1, 1, -1], dtype=np.int8)
+
+
+def _periodic_correlation(a, b, shift):
+    """Full-period correlation sum_i a[i] b[(i + shift) mod L], exact integer."""
+    return int(np.dot(np.asarray(a, np.int64), np.roll(np.asarray(b, np.int64), -shift)))
 
 
 class TestWalsh:
@@ -77,8 +77,8 @@ class TestMSequence:
         assert np.count_nonzero(pn == -1) == 2 ** (degree - 1)
         assert np.count_nonzero(pn == 1) == 2 ** (degree - 1) - 1
         for shift in (1, 2, n // 2, n - 1):
-            assert periodic_correlation(pn, pn, shift) == -1
-        assert periodic_correlation(pn, pn, 0) == n
+            assert _periodic_correlation(pn, pn, shift) == -1
+        assert _periodic_correlation(pn, pn, 0) == n
 
     def test_seed_only_rotates(self):
         base = generate_msequence(5)
@@ -107,27 +107,24 @@ class TestMSequence:
 
 
 class TestPeriodicCorrelation:
+    # the oracle of the m-sequence autocorrelation checks, held to hand cases
     def test_walsh_rows_zero(self):
         w = generate_walsh(8)
-        assert periodic_correlation(w[2], w[5], 0) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            periodic_correlation(np.ones(4), np.ones(8), 0)
+        assert _periodic_correlation(w[2], w[5], 0) == 0
 
     def test_known_small_case(self):
         a = np.array([1, 1, -1])
         b = np.array([1, -1, 1])
         # shift 1: sum a[i] * b[i+1 mod 3] = 1*(-1) + 1*1 + (-1)*1 = -1
-        assert periodic_correlation(a, b, 1) == -1
+        assert _periodic_correlation(a, b, 1) == -1
 
     @given(st.integers(2, 6), st.integers(-20, 20))
     @settings(max_examples=40, deadline=None)
     def test_shift_wraps(self, degree, shift):
         pn = generate_msequence(degree)
         n = pn.size
-        assert periodic_correlation(pn, pn, shift) == \
-            periodic_correlation(pn, pn, shift % n)
+        assert _periodic_correlation(pn, pn, shift) == \
+            _periodic_correlation(pn, pn, shift % n)
 
 
 @given(st.sampled_from(sorted(PRIMITIVE_TAPS)), st.integers(1, 1000))
@@ -136,7 +133,7 @@ def test_msequence_any_seed_is_maximal(degree, seed_raw):
     seed = 1 + seed_raw % (2 ** degree - 1)
     pn = generate_msequence(degree, seed=seed)
     assert np.count_nonzero(pn == -1) == 2 ** (degree - 1)
-    assert periodic_correlation(pn, pn, 1) == -1
+    assert _periodic_correlation(pn, pn, 1) == -1
 
 
 @given(st.sampled_from([2, 4, 8, 16, 32]))

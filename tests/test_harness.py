@@ -1,6 +1,7 @@
 """Monte Carlo harness, CSV emission, presets, config files, CLI."""
 
 import dataclasses
+import math
 import timeit
 import tracemalloc
 
@@ -371,8 +372,8 @@ def _reference_calibration(runtime):
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
-    symbols = 2 * rng.integers(0, 2, size=(harness._CALIBRATION_SYMBOLS, cfg.substreams,
-                                           cfg.carriers)) - 1
+    symbols = harness._draw_symbols(rng, (harness._CALIBRATION_SYMBOLS, cfg.substreams,
+                                          cfg.carriers))
     linear = modulate_user(symbols, runtime.walsh, runtime.pn_chips[0], cfg)
     tx = _reference_amplifier(runtime)(linear)
     eb = np.mean(np.abs(tx) ** 2) * cfg.symbol_duration / cfg.bits_per_symbol
@@ -491,7 +492,7 @@ class TestAmplifierEngine:
                                                        hpa_mode="saleh_pd", ibo_db=30.0))
         assert calls == []
         assert harness._excess_correlations(runtime, harness._draw_symbols(
-            np.random.default_rng(0), runtime.scenario.config, 16), np.ones((3, 1))) is None
+            np.random.default_rng(0), (3, 16, 2, 2)), np.ones((3, 1))) is None
         harness._simulate_block(runtime, 0, 0, 8.0)
         assert calls == []
 
@@ -656,7 +657,8 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     runtime = harness._prepare(dataclasses.replace(TINY, name="bound", hpa_mode="saleh_pd",
                                                    ibo_db=ibo_db, config=cfg))
     grid = runtime.cells
-    symbols = harness._draw_symbols(np.random.default_rng(seed), cfg, 5)
+    symbols = harness._draw_symbols(np.random.default_rng(seed),
+                                    (cfg.users, 5, cfg.substreams, cfg.carriers))
     b = harness._carrier_coefficients(runtime, symbols)
     peak = harness._peak_power_bound(b)
     clip_power = harness._clip_power(runtime)
@@ -712,7 +714,9 @@ def test_random_block_matches_sample_chain(scenario):
     rng = np.random.default_rng(scenario.master_seed)
     channel = harness.draw_channel(rng, scenario.config.users, scenario.paths,
                                    scenario.decay_db, scenario.fading)
-    symbols = harness._draw_symbols(rng, scenario.config, 3 + runtime.warmup)
+    cfg = scenario.config
+    symbols = harness._draw_symbols(rng, (cfg.users, 3 + runtime.warmup, cfg.substreams,
+                                          cfg.carriers))
     z = harness._correlation_outputs(runtime, channel, symbols, 8.0, rng)
     amplify, phase_offset = None, 0.0
     if scenario.hpa_mode != "bypass":
@@ -798,18 +802,30 @@ def test_fork_within_first_wave_keeps_csv_bytes(tmp_path, monkeypatch, pool_fork
 @pytest.mark.parametrize("seed", [0, 7, 11])
 @pytest.mark.parametrize("users,n_total,substreams,carriers", [(1, 17, 1, 1), (3, 9, 2, 4),
                                                                (20, 257, 8, 8)])
-def test_symbol_draw_matches_default_integer_draw(seed, users, n_total, substreams, carriers):
-    # the int32 draw takes the same values, and leaves the stream where the
-    # default int64 draw does
-    cfg = LinkConfig(users=users, substreams=substreams, carriers=carriers, walsh_order=8,
-                     pn_length=31, oversampling=4)
+def test_symbol_draw_unpacks_raw_words(seed, users, n_total, substreams, carriers):
+    # symbol i is bit i mod 64 of raw word i // 64, and the draw leaves the
+    # stream ceil(n / 64) words on (n = 17 and 216 are not multiples of 64)
     shape = (users, n_total, substreams, carriers)
-    narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
-    symbols = harness._draw_symbols(narrow, cfg, n_total)
-    assert symbols.dtype == np.int8
-    assert np.array_equal(symbols, (2 * wide.integers(0, 2, shape) - 1).astype(np.int8))
-    assert np.array_equal(narrow.integers(0, 2, 5), wide.integers(0, 2, 5))
-    assert narrow.standard_normal(3).tolist() == wide.standard_normal(3).tolist()
+    n = math.prod(shape)
+    drawn, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    symbols = harness._draw_symbols(drawn, shape)
+    words = twin.bit_generator.random_raw(-(-n // 64))
+    i = np.arange(n, dtype=np.uint64)
+    bits = (words[i // np.uint64(64)] >> (i % np.uint64(64))) & np.uint64(1)
+    assert symbols.dtype == np.int8 and symbols.shape == shape
+    assert np.array_equal(symbols.reshape(-1), np.where(bits == 1, 1, -1))
+    assert drawn.standard_normal(3).tolist() == twin.standard_normal(3).tolist()
+
+
+def test_symbol_draw_is_balanced_and_uncorrelated():
+    # 2^20 symbols: the mean at every (user, substream, carrier) position and
+    # the lag-1 correlation along the symbols there lie within 5 sigma of 0
+    n_symbols = 4096
+    symbols = harness._draw_symbols(np.random.default_rng(2024), (4, n_symbols, 8, 8))
+    d = symbols.astype(np.float64)
+    assert np.abs(d.mean(axis=1)).max() <= 5.0 / math.sqrt(n_symbols)
+    lag1 = (d[:, 1:] * d[:, :-1]).mean(axis=1)
+    assert np.abs(lag1).max() <= 5.0 / math.sqrt(n_symbols - 1)
 
 
 def _numpy_blas_is_openblas() -> bool:

@@ -14,10 +14,10 @@ from mcmccdma import channel, codes, hpa, receiver, txchain
 _RETIRED = {
     channel: ("PathTap", "NoiseSpec"),
     channel.ChannelRealization: ("n_paths",),
-    codes: ("WalshMatrix", "PnSequence"),
+    codes: ("WalshMatrix", "PnSequence", "periodic_correlation"),
     receiver: ("recover_bits", "BitDecisions"),
     txchain: ("UserSymbols", "multicode_spread", "BasebandFrame", "serial_to_parallel",
-              "parallel_to_serial", "walsh_chip_indices"),
+              "parallel_to_serial", "walsh_chip_indices", "subcarrier_frequency"),
     hpa: ("set_operating_point", "limit_envelope", "OperatingPoint", "apply_hpa",
           "operating_point_for_power"),
 }

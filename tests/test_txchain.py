@@ -10,7 +10,7 @@ from mcmccdma.txchain import (
     modulate_user,
     modulation_table,
     slot_signatures,
-    subcarrier_frequency,
+    subcarrier_exponentials,
     walsh_chip_bounds,
 )
 
@@ -18,6 +18,11 @@ from mcmccdma.txchain import (
 def _floor_chips(cfg):
     """Each sample's Walsh chip on the floor grid, computed per sample."""
     return (np.arange(cfg.samples_per_symbol) * cfg.walsh_order) // cfg.samples_per_symbol
+
+
+def _subcarrier_frequency(m, cfg):
+    """Frequency of subcarrier m (1-based): m walsh_order / symbol_duration."""
+    return m * cfg.walsh_order / cfg.symbol_duration
 
 
 class TestLinkConfig:
@@ -57,33 +62,20 @@ class TestLinkConfig:
 
 class TestSubcarriers:
     def test_frequencies_and_spacing(self):
+        # f_m = m walsh_order / T: 4, 8, 12, 16 at walsh_order 8 and T = 2
         cfg = LinkConfig(carriers=4, walsh_order=8, substreams=8,
                          pn_length=63, oversampling=4, symbol_duration=2.0)
-        freqs = [subcarrier_frequency(m, cfg) for m in range(1, 5)]
-        assert freqs == [4.0, 8.0, 12.0, 16.0]
-        spacing = np.diff(freqs)
-        assert np.allclose(spacing, cfg.walsh_order / cfg.symbol_duration)
-
-    def test_index_range(self):
-        cfg = LinkConfig(carriers=2, pn_length=15)
-        with pytest.raises(IndexError):
-            subcarrier_frequency(0, cfg)
-        with pytest.raises(IndexError):
-            subcarrier_frequency(3, cfg)
+        n = cfg.samples_per_symbol
+        t = np.arange(n) * cfg.symbol_duration / n
+        tones = np.exp(2j * np.pi * np.array([4.0, 8.0, 12.0, 16.0])[:, None] * t)
+        assert np.abs(subcarrier_exponentials(cfg) - tones).max() <= 1e-12
 
     def test_carrier_orthogonality_discrete(self):
         cfg = LinkConfig(carriers=6, walsh_order=8, substreams=1,
                          pn_length=31, oversampling=4)
-        n = cfg.samples_per_symbol
-        i = np.arange(n)
-        t = i * cfg.symbol_duration / n
-        for m in range(1, 7):
-            for mp in range(1, 7):
-                if m == mp:
-                    continue
-                df = subcarrier_frequency(m, cfg) - subcarrier_frequency(mp, cfg)
-                s = np.exp(2j * np.pi * df * t).sum() / n
-                assert abs(s) < 1e-10
+        tones = subcarrier_exponentials(cfg)
+        gram = tones @ tones.conj().T / cfg.samples_per_symbol
+        assert np.abs(gram - np.eye(cfg.carriers)).max() < 1e-10
 
 
 class TestWalshGrid:
@@ -114,7 +106,7 @@ class TestModulateUser:
         n = cfg.samples_per_symbol
         i = np.arange(n)
         expected = np.sqrt(2 * cfg.power) * np.exp(
-            2j * np.pi * subcarrier_frequency(1, cfg) * i * cfg.symbol_duration / n)
+            2j * np.pi * _subcarrier_frequency(1, cfg) * i * cfg.symbol_duration / n)
         assert np.allclose(samples, expected, atol=1e-12)
 
     def test_mean_power(self):
@@ -154,7 +146,7 @@ def _loop_signatures(walsh, chips, cfg):
     sig = np.empty((cfg.substreams, cfg.carriers, n), dtype=np.complex128)
     for r in range(cfg.substreams):
         for m in range(cfg.carriers):
-            tone = np.exp(2j * np.pi * subcarrier_frequency(m + 1, cfg) * t)
+            tone = np.exp(2j * np.pi * _subcarrier_frequency(m + 1, cfg) * t)
             sig[r, m] = walsh_up[r] * pn_up * tone
     return sig
 
