@@ -46,21 +46,125 @@ class Mutant(NamedTuple):
 
 _DRAW_TESTS = ("tests/test_harness.py", "-k", "symbol_draw")
 _SPLIT_TESTS = ("tests/test_harness.py", "-k", "sources_match")
+_TABLE_TESTS = ("tests/test_receiver.py", "-k", "matches_slice_products")
+_PRODUCT_TESTS = ("tests/test_receiver.py", "-k", "expanded_tables or work_arrays")
+_ENGINE_TESTS = ("tests/test_harness.py", "-k", "noiseless_outputs_match_sample_chain")
+_TUBE_TESTS = ("tests/test_harness.py", "-k", "per_user_chain and saleh")
+_LIMITER_TESTS = ("tests/test_harness.py", "-k", "per_user_chain and linearized")
+_BOUND_TESTS = ("tests/test_harness.py", "-k", "clip_search_skips")
+_GRAM_TESTS = ("tests/test_receiver.py", "tests/test_harness.py", "-k",
+               "gram or own_table or sources_match")
 
 MUTANTS = (
     Mutant("draw-big-endian-words", "harness.py",
            'astype("<u8", copy=False)', 'astype(">u8", copy=False)', _DRAW_TESTS),
-    Mutant("multipath-mask-on-path-0", "harness.py",
-           "mask[0, 0, 0, 1:, 1] = 1.0", "mask[0, 0, 0, 0:, 1] = 1.0", _SPLIT_TESTS),
-    Mutant("inter-substream-mask-on-carrier-2", "harness.py",
-           "mask[0, 1:, 0, :, 2] = 1.0", "mask[0, 1:, 1, :, 2] = 1.0", _SPLIT_TESTS),
-    Mutant("multi-user-from-user-3", "harness.py",
-           "mask[1:, ..., 4] = 1.0", "mask[2:, ..., 4] = 1.0", _SPLIT_TESTS),
     Mutant("calibration-integer-draw", "harness.py",
            "symbols = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))",
            "symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams,"
            " cfg.carriers)) - 1",
            ("tests/test_harness.py", "-k", "random_block_matches_sample_chain")),
+    # the interference split
+    Mutant("multipath-mask-on-path-0", "harness.py",
+           "mask[0, 0, 1:, 1] = 1.0", "mask[0, 0, 0:, 1] = 1.0", _SPLIT_TESTS),
+    Mutant("inter-substream-mask-on-carrier-2", "harness.py",
+           "mask[1:, 0, :, 2] = 1.0", "mask[1:, 1, :, 2] = 1.0", _SPLIT_TESTS),
+    Mutant("multi-user-from-user-3", "harness.py",
+           "_column_outputs(column[1:], symbols[1:], gains[1:])",
+           "_column_outputs(column[2:], symbols[2:], gains[2:])", _SPLIT_TESTS),
+    Mutant("split-drops-previous-symbol", "harness.py",
+           "    if windows == 2:\n        per_user[:, 1:]",
+           "    if False:\n        per_user[:, 1:]", _SPLIT_TESTS),
+    Mutant("slot-tables-window-at-equal-chip", "receiver.py",
+           "window = lag > chip", "window = lag >= chip", _GRAM_TESTS),
+    # the table build
+    Mutant("previous-window-lag-off-by-one", "receiver.py",
+           "np.where(firsts < delay, order, 0)", "np.where(firsts < delay, order + 1, 0)",
+           _TABLE_TESTS),
+    Mutant("delay-phase-on-target-carrier", "receiver.py",
+           "phase[:, None, None, None, :, None] / n_samp",
+           "phase[:, None, None, None, None, :] / n_samp", _TABLE_TESTS),
+    Mutant("toeplitz-conjugate-dropped", "receiver.py",
+           "x[..., 1:].conj()", "x[..., 1:]", _TABLE_TESTS),
+    Mutant("delay-phase-sign", "receiver.py",
+           "phase = circle[-order * np.outer(", "phase = circle[order * np.outer(", _TABLE_TESTS),
+    Mutant("no-delayed-cuts", "receiver.py",
+           "np.concatenate((bounds, (bounds[:-1] + delay) % n_samp))", "np.concatenate((bounds,))",
+           _TABLE_TESTS),
+    Mutant("full-chip-partial-sums", "receiver.py",
+           "partial[np.diff(cuts) - 1]", "partial[-1]", _TABLE_TESTS),
+    Mutant("unreversed-toeplitz", "receiver.py",
+           "sliding_window_view(flipped, n_car, axis=-1)[..., ::-1, :]",
+           "sliding_window_view(flipped, n_car, axis=-1)", _TABLE_TESTS),
+    # the block product
+    Mutant("walsh-transform-untransposed-rows", "receiver.py",
+           "np.matmul(walsh_rows.T, d.reshape(n_sub, -1),",
+           "np.matmul(walsh_rows, d.reshape(n_sub, -1),", _PRODUCT_TESTS),
+    Mutant("conjugated-gains", "receiver.py",
+           "gains[:, 0, None, None, None],", "gains[:, 0, None, None, None].conj(),",
+           _PRODUCT_TESTS),
+    Mutant("stale-first-window-of-a-lag", "receiver.py",
+           "            stacked[:lag, 0, :, lag] = 0.0\n", "", _PRODUCT_TESTS),
+    Mutant("linear-term-loses-1/N", "harness.py",
+           "runtime.linear_gain * np.sqrt(2.0 * cfg.power) * n_samp",
+           "runtime.linear_gain * np.sqrt(2.0 * cfg.power)", _ENGINE_TESTS),
+    Mutant("tube-forms-linear-term", "harness.py",
+           "    if runtime.linear_gain:\n", "    if True:\n",
+           ("tests/test_harness.py", "-k", "skips_linear_product")),
+    # the amplifier paths
+    Mutant("calibration-phase-slip", "harness.py",
+           "rotation = float(np.angle(cross))", "rotation = float(np.angle(cross)) + 1e-9",
+           _TUBE_TESTS),
+    Mutant("tube-drops-a-path", "harness.py",
+           "for frame, gain in zip(delayed, gains.T):",
+           "for frame, gain in zip(delayed[:1], gains.T):", _TUBE_TESTS),
+    Mutant("limiter-drops-a-path", "harness.py",
+           "for path, gain in enumerate(gains[user].T):",
+           "for path, gain in enumerate(gains[user].T[:1]):", _LIMITER_TESTS),
+    Mutant("limiter-conjugated-delay-phase", "harness.py",
+           "delay_phases=np.exp(-1j * step", "delay_phases=np.exp(1j * step", _LIMITER_TESTS),
+    Mutant("limiter-window-shift-lost", "harness.py",
+           "+ window + bins // order", "+ window", _LIMITER_TESTS),
+    Mutant("limiter-spans-not-split", "harness.py",
+           "heads = np.flatnonzero(np.diff(key, prepend=-1))",
+           "heads = np.zeros(1, dtype=np.intp)", _LIMITER_TESTS),
+    Mutant("limiter-chunk-cells-reordered", "harness.py",
+           "yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]",
+           "yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK][::-1]",
+           _BOUND_TESTS),
+    Mutant("limiter-no-short-cell-mask", "harness.py",
+           "    excess[short] *= np.arange(_CELL_SAMPLES) < grid.lengths[cells[short], None]\n", "",
+           _LIMITER_TESTS),
+    Mutant("calibration-g-for-g-squared", "harness.py",
+           "* g * g * np.sum(", "* g * np.sum(", _LIMITER_TESTS),
+    Mutant("cell-bound-no-bernstein-term", "harness.py",
+           "    bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]\n", "",
+           _BOUND_TESTS),
+    Mutant("cell-bound-half-slope", "harness.py",
+           "bound += 2.0 * grid.half_width * np.abs(slope)",
+           "bound += 1.0 * grid.half_width * np.abs(slope)", _BOUND_TESTS),
+    Mutant("cells-no-delay-cuts", "harness.py",
+           "np.concatenate((bounds - delays, bounds + n_samp - delays))",
+           "np.concatenate((bounds - 0 * delays, bounds + n_samp - 0 * delays))", _BOUND_TESTS),
+    Mutant("cells-unique-for-sort", "harness.py",
+           "cuts = np.sort(np.clip(", "cuts = np.unique(np.clip(",
+           ("tests/test_public_api.py", "-k", "without_scipy")),
+    Mutant("obo-abs-squared", "hpa.py",
+           "float(np.mean(_modulus_squared(np.asarray(samples))[0]))",
+           "float(np.mean(np.abs(np.asarray(samples)) ** 2))",
+           ("tests/test_hpa.py", "-k", "reject_nonfinite and obo")),
+    Mutant("reversed-previous-window-shift", "receiver.py",
+           "stacked[:lag, 1:, :, lag] = chips[order - lag:, :-1, :, 0]",
+           "stacked[:lag, :-1, :, lag] = chips[order - lag:, 1:, :, 0]", _PRODUCT_TESTS),
+    # the process around the blocks
+    Mutant("blas-flag-off", "harness.py",
+           "    _BLAS_PINNED = True\n", "    _BLAS_PINNED = False\n",
+           ("tests/test_harness.py", "-k", "nested_entry_scans_once")),
+    Mutant("eager-multiprocessing-import", "harness.py",
+           "import ctypes\n", "import ctypes\nimport multiprocessing\n",
+           ("tests/test_public_api.py", "-k", "without_scipy")),
+    Mutant("reversed-walsh-repeat", "txchain.py",
+           "np.diff(walsh_chip_bounds(config)),", "np.diff(walsh_chip_bounds(config))[::-1],",
+           ("tests/test_txchain.py",)),
 )
 
 

@@ -26,17 +26,21 @@ rotation (none without an amplifier).
 - T is the linear chain's correlation, straight from the symbols.  The
   correlator is linear in every user's symbols, so per scenario it
   tabulates the partial cross-correlations between each user's delayed
-  slot signatures and user 1's (receiver.partial_correlation_tables), and
-  each block is one small product per user, or with several paths one
-  product against the tables weighted by the block's path gains
+  chip stream and user 1's Walsh chips, one carrier block per (path, chip,
+  user, chip lag) with the Walsh rows factored out
+  (receiver.partial_correlation_tables).  Each block Walsh-transforms every
+  user's symbols, weighs the tables by the block's path gains and forms
+  user 1's per-chip sums in one product per Walsh chip
   (receiver.correlate_tables).
   The interference decomposition (measure_variances) reads the same
-  tables: each source is a subset of the terms of that sum, so the split
-  is one product against the tables times a 0/1 mask per source.
+  tables: each source is a subset of the terms of that sum at user 1's
+  first slot, so the split multiplies the tables' column for that slot
+  out over the Walsh rows (receiver.slot_tables) and is one product for
+  user 1, times a 0/1 mask per source, and one for the other users.
 - W correlates what the amplifier adds to g times the linear waveform
   against user 1's signatures with the Walsh chips factored out: per-chip
-  sums (receiver.chip_correlations) and a Walsh combine
-  (receiver.combine_walsh_chips).
+  sums (receiver.chip_correlations) of the same shape as T's, with which
+  they share one Walsh combine (receiver.combine_walsh_chips).
   - "bypass": g = 1 and W = 0.
   - "saleh": the tube acts on each user's summed waveform, so g = 0 and W
     correlates the whole received frame (_tube_correlations): every user
@@ -58,7 +62,7 @@ rotation (none without an amplifier).
     per-(Walsh chip, window) sums.
 - The noise is drawn per correlator output (channel.correlator_noise),
   with the covariance white sample noise would leave there: a factor of
-  user 1's Gram matrix, from the same tables.
+  user 1's Gram matrix, from the same tables (receiver.signature_gram).
 
 Noiseless, the outputs agree with the sample-level reference chain
 (modulate_user, the frame amplifier kernels, propagate_samples,
@@ -79,6 +83,7 @@ import time
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: pay that here, not in the first block
@@ -88,7 +93,8 @@ from .channel import correlator_noise, draw_channel, path_power_profile
 from .codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
 from .hpa import SalehParams, amplify_samples, envelope_excess, input_scale_for_power
 from .receiver import (SOURCE_NAMES, InterferenceVariances, chip_correlations, combine_walsh_chips,
-                       correlate_tables, decide_slots, partial_correlation_tables)
+                       correlate_tables, decide_slots, partial_correlation_tables,
+                       signature_gram, slot_tables)
 from .txchain import (LinkConfig, check_field_types, declared_type, subcarrier_exponentials,
                       substream_walsh_rows, walsh_chip_bounds)
 
@@ -287,6 +293,15 @@ class _Runtime:
     carrier_correlator: np.ndarray | None = None
     input_scale: float = 0.0   # the tube's drive scale (hpa.input_scale_for_power)
     cells: _CellGrid | None = None
+    # the working arrays of the blocks' correlate_tables, reused block to block
+    work: dict = field(default_factory=dict)
+
+    @cached_property
+    def slot_column(self) -> np.ndarray:
+        """[k, w, (r, m), l, 0]: what user k's slot (r, m) of window w puts
+        into user 1's slot (1, 1) via path l (receiver.slot_tables), built
+        on first use by the interference split (_source_outputs)."""
+        return slot_tables(self.correlation[..., :1], self.walsh, self.walsh[:1])
 
 
 def _user_codes(cfg: LinkConfig) -> tuple:
@@ -305,12 +320,10 @@ def _prepare(scenario: Scenario) -> _Runtime:
     # save: on a 2-core VM a 64x64 Cholesky took 60 ms threaded and 0.2 ms
     # on one thread.  The calibration's products are small too.
     with _single_threaded_blas():
-        correlation = partial_correlation_tables(pn_chips, walsh, cfg, scenario.paths)
-        # User 1's current-window table at zero delay is its Gram matrix
-        # transposed: G[s, t] = (1/N) sum_i sig_1[s, i] conj(sig_1[t, i]).
+        correlation = partial_correlation_tables(pn_chips, cfg, scenario.paths)
         runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
                            warmup=1 if scenario.paths > 1 else 0, correlation=correlation,
-                           noise_factor=np.linalg.cholesky(correlation[0, 0, :, 0].T))
+                           noise_factor=np.linalg.cholesky(signature_gram(correlation, walsh)))
         if scenario.hpa_mode == "bypass":
             runtime.eb = _linear_eb(cfg)
             return runtime
@@ -510,8 +523,8 @@ def _calibrate(runtime: _Runtime) -> tuple:
     The tube's frame is formed tile by tile.  The limiter's is the linear
     one, g x, but at its clipped samples, so no tile is formed: the linear
     energy is 2 power N g^2 sum_n d_n^T Re(C) d_n over the symbol rows d_n,
-    N = samples_per_symbol and C user 1's Gram matrix (the current-window
-    table at zero delay, as for the noise factor), and the clipped cells
+    N = samples_per_symbol and C user 1's Gram matrix (receiver.signature_gram,
+    as for the noise factor), and the clipped cells
     (_clipped_cells) add what the excess e changes, |g x + e|^2 - |g x|^2.
     The limiter keeps every phase, so its mean rotation is zero."""
     scenario = runtime.scenario
@@ -529,7 +542,7 @@ def _calibrate(runtime: _Runtime) -> tuple:
     else:
         g = runtime.linear_gain
         d = symbols.reshape(_CALIBRATION_SYMBOLS, -1).astype(np.float64)
-        gram = runtime.correlation[0, 0, :, 0].real
+        gram = signature_gram(runtime.correlation, runtime.walsh).real
         energy = 2.0 * cfg.power * cfg.samples_per_symbol * g * g * np.sum((d @ gram) * d)
         b = _carrier_coefficients(runtime, symbols)
         for chip, rows, cells in _clipped_cells(runtime, b):
@@ -580,26 +593,33 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_d
 
         z = g sqrt(2 power) e^{-j theta} T + W + noise.
 
-    T[n] = sum_k sum_l h_kl (d_k[n] @ C[k, 0, :, l] + d_k[n-1] @ C[k, 1, :, l])
-    is the linear chain's correlation, C being the runtime's partial
-    cross-correlation tables (receiver.correlate_tables), and g the
-    runtime's linear_gain.  W is what the amplifier adds to g times the
-    linear waveform, correlated against user 1's signatures per Walsh chip
-    (runtime.amplified; zero without an amplifier) and Walsh-combined
-    (receiver.combine_walsh_chips).  theta is user 1's reference-path phase
-    plus the amplifier's mean rotation.  The noise is drawn per correlator
-    output, with the covariance white sample noise would give there.
-    Noiseless, the outputs are those of the sample chain (modulate,
-    amplify, propagate, correlate) up to round-off."""
+    T is the linear chain's correlation, from the runtime's partial
+    cross-correlation tables as per-chip sums (receiver.correlate_tables),
+    and g the runtime's linear_gain.  W is what the amplifier adds to g
+    times the linear waveform, correlated against user 1's signatures per
+    Walsh chip (runtime.amplified; zero without an amplifier).  Both are
+    (walsh_order, symbols, carriers) sums, so they are added before one
+    Walsh combine (receiver.combine_walsh_chips), the tables' 1/N undone
+    since the combine divides by N; a tube block (g = 0) forms no T at all.
+    theta is user 1's reference-path phase plus the amplifier's mean
+    rotation.  The noise is drawn per correlator output, with the
+    covariance white sample noise would give there.  Noiseless, the
+    outputs are those of the sample chain (modulate, amplify, propagate,
+    correlate) up to round-off."""
     cfg = runtime.scenario.config
+    n_samp = cfg.samples_per_symbol
     n_total = symbols.shape[1]
     gains = _path_gains(channel)
-    theta = channel.phases[0, 0] + runtime.phase_offset
-    z = correlate_tables(runtime.correlation, symbols, gains)
-    z *= runtime.linear_gain * np.sqrt(2.0 * cfg.power) * np.exp(-1j * theta)
-    per_chip = None if runtime.amplified is None else runtime.amplified(runtime, symbols, gains)
-    if per_chip is not None:
-        z += combine_walsh_chips(per_chip, runtime.walsh, cfg.samples_per_symbol, theta)
+    per_chip = None
+    if runtime.linear_gain:
+        per_chip = correlate_tables(runtime.correlation, runtime.walsh, symbols, gains,
+                                    runtime.work)
+        per_chip *= runtime.linear_gain * np.sqrt(2.0 * cfg.power) * n_samp
+    amplified = None if runtime.amplified is None else runtime.amplified(runtime, symbols, gains)
+    if amplified is not None:
+        per_chip = amplified if per_chip is None else per_chip + amplified
+    z = combine_walsh_chips(per_chip, runtime.walsh, n_samp,
+                            channel.phases[0, 0] + runtime.phase_offset)
     if runtime.scenario.noise_enabled:
         z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
     return z.reshape(n_total, cfg.substreams, cfg.carriers)
@@ -696,23 +716,26 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     on the later paths; inter_substream is user 1's other substreams on
     carrier 1 and inter_carrier its other carriers, both on every path;
     multi_user is every other user.  The five partition the (user, slot,
-    path) terms, so they are one correlate_tables product against slot 0's
-    tables times a 0/1 mask per source, one output column each.  The noise
-    is drawn per output with slot (1, 1)'s variance (user 1's Gram entry),
-    and is zero with the noise off.  The six sum to the noiseless slot-0
-    output plus that noise."""
+    path) terms of the tables' slot-0 column (receiver.slot_tables): one
+    product for user 1 against that column times a 0/1 mask per source,
+    one output column each, and one for the other users (_column_outputs).
+    The noise is drawn per output with slot (1, 1)'s variance (user 1's Gram
+    entry), and is zero with the noise off.  The six sum to the noiseless
+    slot-0 output plus that noise."""
     cfg = runtime.scenario.config
-    users, _, slots, paths, _ = runtime.correlation.shape
-    # mask[k, 0, (r, m), l, source]: 1 where the source holds the term of
-    # user k's substream r on carrier m and path l, in SOURCE_NAMES order
-    mask = np.zeros((users, cfg.substreams, cfg.carriers, paths, 5))
-    mask[0, 0, 0, 0, 0] = 1.0
-    mask[0, 0, 0, 1:, 1] = 1.0
-    mask[0, 1:, 0, :, 2] = 1.0
-    mask[0, :, 1:, :, 3] = 1.0
-    mask[1:, ..., 4] = 1.0
-    tables = runtime.correlation[..., :1] * mask.reshape(users, 1, slots, paths, 5)
-    z = correlate_tables(tables, symbols, _path_gains(channel))
+    column = runtime.slot_column
+    gains = _path_gains(channel)
+    paths = gains.shape[1]
+    # mask[r, m, l, source]: 1 where the source holds the term of user 1's
+    # substream r on carrier m and path l, for the sources desired .. inter_carrier
+    mask = np.zeros((cfg.substreams, cfg.carriers, paths, 4))
+    mask[0, 0, 0, 0] = 1.0
+    mask[0, 0, 1:, 1] = 1.0
+    mask[1:, 0, :, 2] = 1.0
+    mask[:, 1:, :, 3] = 1.0
+    own = column[:1] * mask.reshape(1, 1, -1, paths, 4)
+    z = np.concatenate((_column_outputs(own, symbols[:1], gains[:1]),
+                        _column_outputs(column[1:], symbols[1:], gains[1:])), axis=1)
     z *= np.sqrt(2.0 * cfg.power) * np.exp(-1j * channel.phases[0, 0])
     sources = dict(zip(SOURCE_NAMES, z.T))
     n_total = symbols.shape[1]
@@ -722,6 +745,22 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     else:
         sources["noise"] = np.zeros(n_total, dtype=np.complex128)
     return sources
+
+
+def _column_outputs(column: np.ndarray, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """sum_k sum_l gains[k, l] (d_k[n] @ column[k, 0, :, l] + d_k[n-1] @ column[k, 1, :, l])
+    for each output column c of receiver.slot_tables' form, column being
+    (users, windows, slots, paths, columns), symbols (users, n, ...) with
+    its slots per symbol, and d_k[-1] = 0.  The path gains are contracted
+    into the column first, and each user's symbols meet it in one real
+    product, in their own layout.  Shape (n, columns)."""
+    users, windows, slots, _, _ = column.shape
+    weighted = np.einsum("kwslc,kl->kwsc", column, gains)
+    d = symbols.reshape(users, symbols.shape[1], slots).astype(np.float64)
+    per_user = np.matmul(d, weighted[:, 0].view(np.float64))
+    if windows == 2:
+        per_user[:, 1:] += np.matmul(d[:, :-1], weighted[:, 1].view(np.float64))
+    return per_user.sum(axis=0).view(np.complex128)
 
 
 def _path_gains(channel) -> np.ndarray:

@@ -3,12 +3,15 @@ bit decisions, the partial cross-correlation tables and their product
 through which the linear chain is simulated without samples, and the
 record of the interference decomposition.  The tables are built once per
 scenario at PN-chip rate, from the chip sequences and the Walsh chip
-bounds, with no per-sample array (partial_correlation_tables).
+bounds, with no per-sample array (partial_correlation_tables).  They keep
+each signature's Walsh chips factored out: one carrier block per (path,
+user 1's Walsh chip, user, chip lag), which the Walsh rows never enter.
 
 The BER engine and the interference decomposition share that one
-correlation-domain model (correlate_tables): the decomposition evaluates
-the same sum over subsets of its terms, one per source, and draws its noise
-per correlator output as the BER engine does.
+correlation-domain model (correlate_tables), and so does user 1's Gram
+matrix (signature_gram), from which the correlator noise is drawn: the
+decomposition evaluates the same sum over subsets of its terms, one per
+source, and draws its noise per correlator output as the BER engine does.
 
 The receiver is locked to the reference (first) path of the wanted user:
 it knows that path's delay and phase, counter-rotates the phase, projects
@@ -20,20 +23,20 @@ Correlations are normalized by the samples per symbol, so a clean slot
 correlates to sqrt(2*power) * path_gain * symbol.  The sample-level
 functions take plain arrays: correlate_slots a received sample array whose
 first window starts at the reference path's delay, decide_slots the
-correlator outputs and the transmitted symbols.  The amplifier chains
-compute the same correlation with each signature's Walsh chips factored
-out: per-chip sums, which the tube's chain forms from its sampled windows
-cut at txchain.walsh_chip_bounds (chip_correlations) and the limiter's from
-its clipped cells, and a Walsh combine (combine_walsh_chips).
+correlator outputs and the transmitted symbols.  Every other path computes
+the same correlation with each signature's Walsh chips factored out:
+per-chip sums, which the tube's chain forms from its sampled windows cut at
+txchain.walsh_chip_bounds (chip_correlations), the limiter's from its
+clipped cells and the linear chain from the tables (correlate_tables), and
+one Walsh combine (combine_walsh_chips).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .txchain import LinkConfig, substream_walsh_rows, walsh_chip_bounds
+from .txchain import LinkConfig, walsh_chip_bounds
 
 SOURCE_NAMES = ("desired", "multipath", "inter_substream", "inter_carrier", "multi_user", "noise")
 
@@ -139,35 +142,48 @@ def decide_slots(z: np.ndarray, reference: np.ndarray) -> tuple:
     return int(np.count_nonzero(decisions != reference)), int(decisions.size)
 
 
-def partial_correlation_tables(pn_chips: np.ndarray, walsh: np.ndarray, config: LinkConfig,
+def partial_correlation_tables(pn_chips: np.ndarray, config: LinkConfig,
                                n_paths: int) -> np.ndarray:
     """Aperiodic partial cross-correlations between every user's delayed
     slot signatures and user 1's, for the chip-spaced path delays
-    D = l * oversampling, l < n_paths.
+    D = l * oversampling, l < n_paths, with the Walsh chips factored out.
 
     pn_chips holds the users' +-1 chip sequences, shape (users, pn_length),
-    user 1 first, and walsh the Walsh matrix (txchain.substream_walsh_rows).
-    Returns complex tables of shape (users, windows, S, n_paths, S) with
-    S = substreams * carriers in the slot order of slot_signatures:
+    user 1 first.  Slot (r, m) of user k is w_r(chip) pn_k(i) E_m(i) at
+    sample i (txchain.slot_signatures), so a partial cross-correlation
+    between two slots is a sum over pairs of Walsh chips: chip a of user k's
+    delayed symbol against chip b of user 1's, weighed by w_r(a) w_r'(b).
+    The tables keep that sum open.  On the Walsh chips of a symbol stream,
+    chip b of user 1's symbol n meets chip (n * walsh_order + b - q) of user
+    k's stream delayed by D, for a lag q of 0 .. walsh_order: chip a = b - q
+    of symbol n, or a = walsh_order + b - q of symbol n - 1 when q > b.
+    Returns complex carrier blocks of shape (n_paths, walsh_order, users,
+    lags, carriers, carriers), lags being the largest lag of any path plus
+    one:
 
-        [k, 0, s, l, t] = (1/N) sum_{D <= i < N} sig_k[s, i - D] conj(sig_1[t, i])
-        [k, 1, s, l, t] = (1/N) sum_{0 <= i < D} sig_k[s, N - D + i] conj(sig_1[t, i])
+        [l, b, k, q, m, m'] = (1/N) sum_{i in chip b, i - D in chip a}
+                                  pn_k(i - D) E_m(i - D) pn_1(i) conj(E_m'(i)),
 
-    with N = samples_per_symbol.  Window 0 is what user k's current symbol
-    puts into user 1's correlator t on path l, window 1 what its previous
-    symbol leaks in; window 1 exists only when n_paths > 1.  This is the
-    correlation-domain form of the linear chain (Pursley, IEEE Trans.
-    Commun. 25(8), 1977): via path l, user k adds
-    sqrt(2 power) h_kl (d_k[n] @ table[k, 0, :, l] + d_k[n-1] @ table[k, 1, :, l])
-    to user 1's correlator outputs of symbol n.  The layout makes user k's
-    contribution on every path one product of its (d_k[n], d_k[n-1]) with
-    table[k] viewed as a (windows * S, n_paths * S) matrix.
+    with N = samples_per_symbol and i - D read modulo N: the part of chip b
+    of user 1's correlator, carrier m', that user k's chip a on carrier m
+    fills via path l; a block with no such samples is zero.  So via path l
+    user k adds
 
-    The signatures are never built.  With a = Walsh chip of sample i - D and
-    b = Walsh chip of sample i, each entry factors as
-    e^{-j 2 pi W (m+1) D / N} sum_{(a,b)} w_r(a) w_r'(b) H[k, (a,b), m - m'],
-    where H sums pn_k(i - D) pn_1(i) w^{W (m - m') i} over the samples of
-    one (a, b) pair, w = e^{j 2 pi / N}.  The work is at PN-chip rate: the
+        sqrt(2 power) h_kl sum_{q, m} c_k[n * walsh_order + b - q, m] [l, b, k, q, m, :]
+
+    to chip b of user 1's per-chip sums of symbol n, c_k being user k's
+    symbols Walsh-transformed onto its chip stream, c_k[n * walsh_order + a,
+    m] = sum_r w_r(a) d_k[n, r, m] (correlate_tables), and the Walsh combine
+    sum_b w_r'(b) gives the correlator output of slot (r', m')
+    (combine_walsh_chips).  This is the correlation-domain form of the
+    linear chain (Pursley, IEEE Trans. Commun. 25(8), 1977).  With as many
+    substreams as Walsh chips, the blocks of one lag hold 1/walsh_order of
+    the entries of the full (slot x slot) tables (slot_tables).
+
+    The signatures are never built.  Each block is
+    e^{-j 2 pi W (m+1) D / N} H[k, run, m - m'] summed over the runs of its
+    (path, b, lag), where H sums pn_k(i - D) pn_1(i) w^{W (m - m') i} over the
+    samples of one run, w = e^{j 2 pi / N}.  The work is at PN-chip rate: the
     PN product is constant over a PN chip, so the symbol is cut into
     segments at the PN chips, at D, and at the Walsh bounds of both chip
     indices (txchain.walsh_chip_bounds, and those bounds delayed by D mod
@@ -175,14 +191,13 @@ def partial_correlation_tables(pn_chips: np.ndarray, walsh: np.ndarray, config: 
     w^{W delta i0} sum_{t < n} w^{W delta t}, both read at exact integer
     indices from one N-point unit circle, for delta = 0..M-1 only: the PN
     products are real, so delta < 0 is the conjugate.  H is one small real
-    GEMM per run of segments with one (a, b) pair and window, the Walsh
-    combine one more per window and path, and the (m, m') layout a Toeplitz
-    view of the delta axis, multiplied by the delay phase straight into the
-    tables.
+    GEMM per run of segments with one (a, b) pair and window, the runs are
+    summed per (lag, b) by a 0/1 selector, one more GEMM per path, and the
+    (m, m') layout is a Toeplitz view of the delta axis, multiplied by the
+    delay phase straight into the tables.
     """
     n_samp, over = config.samples_per_symbol, config.oversampling
-    order, n_sub, n_car = config.walsh_order, config.substreams, config.carriers
-    rows = substream_walsh_rows(walsh, config)
+    order, n_car = config.walsh_order, config.carriers
     users = pn_chips.shape[0]
     bounds = walsh_chip_bounds(config)
     circle = np.exp(2j * np.pi * np.arange(n_samp) / n_samp)
@@ -190,10 +205,7 @@ def partial_correlation_tables(pn_chips: np.ndarray, walsh: np.ndarray, config: 
     # partial[n - 1, delta] = sum_{t < n} w^{W delta t}, n <= oversampling
     partial = np.cumsum(circle[order * np.outer(np.arange(over), deltas) % n_samp], axis=0)
     pn_grid = np.arange(0, n_samp + 1, over)
-    windows = 2 if n_paths > 1 else 1
-    # per (window, path): sum_{(a,b)} w_r(a) w_r'(b) H[k, (a,b), delta] over
-    # (r, r') and (k, delta >= 0), re/im interleaved
-    walsh_sums = np.zeros((windows, n_paths, n_sub * n_sub, users * 2 * n_car))
+    keys, sums = [], []
     for path in range(n_paths):
         delay = path * over
         # Runs of one window and one Walsh chip pair (a, b) end at D and at
@@ -205,70 +217,144 @@ def partial_correlation_tables(pn_chips: np.ndarray, walsh: np.ndarray, config: 
         cuts = np.sort(np.concatenate((pn_grid, runs)))
         cuts = cuts[np.diff(cuts, prepend=-1) > 0]
         starts = cuts[:-1]
-        sums = (circle[np.outer(starts, order * deltas) % n_samp]
-                * partial[np.diff(cuts) - 1]).view(np.float64)
+        rotations = (circle[np.outer(starts, order * deltas) % n_samp]
+                     * partial[np.diff(cuts) - 1]).view(np.float64)
         # pn_k(c - l) pn_1(c) per PN chip c, so a run's products are one slice
         products = np.multiply(np.roll(pn_chips, path, axis=1), pn_chips[0], dtype=np.float64)
         heads = np.searchsorted(cuts, runs)
-        h = np.stack([(products[:, starts[lo] // over:][:, :hi - lo] @ sums[lo:hi]).reshape(-1)
-                      for lo, hi in zip(heads[:-1], heads[1:])])
+        # per run, H over (k, delta >= 0), re/im interleaved
+        sums.append(np.stack([(products[:, starts[lo] // over:][:, :hi - lo]
+                               @ rotations[lo:hi]).reshape(-1)
+                              for lo, hi in zip(heads[:-1], heads[1:])]))
         firsts = runs[:-1]
         delayed = np.searchsorted(bounds, (firsts - delay) % n_samp, side="right") - 1
         current = np.searchsorted(bounds, firsts, side="right") - 1
-        # per run, w_r(a) w_r'(b) as a row over (r, r')
-        pairs = np.einsum("rp,qp->prq", rows[:, delayed], rows[:, current]).reshape(firsts.size, -1)
-        for window, kept in enumerate((firsts >= delay, firsts < delay)[:windows]):
-            np.matmul(pairs[kept].T, h[kept], out=walsh_sums[window, path])
-    x = walsh_sums.view(np.complex128).reshape(windows, n_paths, n_sub, n_sub, users, n_car)
+        # a run before D reads user k's previous symbol
+        lags = np.where(firsts < delay, order, 0) + current - delayed
+        keys.append(lags * order + current)
+    n_lags = max(key.max() for key in keys) // order + 1
+    selector = np.arange(n_lags * order)[:, None]
+    x = np.stack([(selector == key).astype(np.float64) @ h for key, h in zip(keys, sums)])
+    x = x.view(np.complex128).reshape(n_paths, n_lags, order, users, n_car)
     # delta = M-1..0 and then -1..-(M-1), by conjugation, so that
     # y[..., m, m'] = flipped[..., M - 1 - m + m'] is the entry at m - m'
     flipped = np.concatenate((x[..., ::-1], x[..., 1:].conj()), axis=-1)
     y = np.lib.stride_tricks.sliding_window_view(flipped, n_car, axis=-1)[..., ::-1, :]
     phase = circle[-order * np.outer(np.arange(n_paths) * over, np.arange(1, n_car + 1)) % n_samp]
-    tables = np.empty((users, windows, n_sub, n_car, n_paths, n_sub, n_car), dtype=np.complex128)
-    # (window, l, r, r', k, m, m') -> (k, window, r, m, l, r', m'), times the delay phase
-    np.multiply(y.transpose(4, 0, 2, 5, 1, 3, 6), phase.T[:, :, None, None] / n_samp, out=tables)
-    return tables.reshape(users, windows, n_sub * n_car, n_paths, n_sub * n_car)
+    tables = np.empty((n_paths, order, users, n_lags, n_car, n_car), dtype=np.complex128)
+    # (l, q, b, k, m, m') -> (l, b, k, q, m, m'), times the delay phase on m
+    np.multiply(y.transpose(0, 2, 3, 1, 4, 5), phase[:, None, None, None, :, None] / n_samp,
+                out=tables)
+    return tables
 
 
-def correlate_tables(tables: np.ndarray, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Noiseless correlator outputs straight from the symbols, through
-    partial_correlation_tables:
+def slot_tables(tables: np.ndarray, walsh_rows: np.ndarray,
+                target_rows: np.ndarray) -> np.ndarray:
+    """The carrier blocks of partial_correlation_tables multiplied out over
+    the Walsh rows: with walsh_rows the substreams' +-1 rows (substreams,
+    walsh_order) and target_rows those of user 1's target substreams,
 
-        z[n, t] = sum_k sum_l gains[k, l] (d_k[n] @ tables[k, 0, :, l, t]
-                                            + d_k[n-1] @ tables[k, 1, :, l, t])
+        [k, w, (r, m), l, (t, m')] = sum_{b, q} w_r(w * walsh_order + b - q) target_rows[t, b]
+                                                 tables[l, b, k, q, m, m']
 
-    with d_k[-1] = 0.  symbols is (users, n, ...) with S slots per symbol,
-    gains the complex path gains (users, paths), and tables any slice of
-    the full tables over users (with symbols and gains sliced alike) or
-    over the target slots t.  Returns (n, targets); the caller applies the
-    amplitude sqrt(2 power) and the reference-path phase.
+    over the lags q of window w, q <= b for user k's current symbol (w = 0)
+    and q > b for the one before (w = 1).  Entry [k, w, s, l, t] is what
+    slot s of that symbol of user k puts into user 1's correlator output t
+    via path l.  Shape (users, windows, substreams * carriers, paths,
+    targets * carriers), in slot order r * carriers + m, with a second
+    window when the tables have a lag past the first.  The form in which
+    few target slots (the interference split's one, user 1's Gram matrix)
+    cost less than the per-chip product of correlate_tables."""
+    n_paths, order, users, lags, n_car, n_tar = tables.shape
+    lag, chip = np.ogrid[:lags, :order]
+    window = lag > chip
+    windows = 2 if window.any() else 1
+    # pairs[r, t, b, q] = w_r(a) target_t(b), a = w * walsh_order + b - q
+    pairs = np.einsum("rqb,tb->rtbq", walsh_rows[:, window * order + chip - lag], target_rows)
+    selector = np.stack([pairs * (window == w).T for w in range(windows)])
+    # (w, r, t, l, k, m, m') -> (k, w, r, m, l, t, m')
+    full = np.tensordot(selector, tables, axes=([3, 4], [1, 3])).transpose(4, 0, 1, 5, 3, 2, 6)
+    return full.reshape(users, windows, len(walsh_rows) * n_car, n_paths, -1)
 
-    With one path, every user's outputs are one real GEMM against its
-    tables and the gains weigh them after.  With several, the gains are
-    contracted into the tables first, which leaves one table per user with
-    no path axis, and z is one real GEMM of all users' stacked symbols
-    against those: a fraction of the arithmetic, and no per-path outputs.
+
+def signature_gram(tables: np.ndarray, walsh_rows: np.ndarray) -> np.ndarray:
+    """User 1's Gram matrix C[s, t] = (1/N) sum_i conj(sig_1[s, i]) sig_1[t, i]
+    over its slot signatures, in the slot order r * carriers + m, from its
+    blocks on path 0 of partial_correlation_tables (slot_tables) and the
+    substreams' +-1 Walsh rows, shape (substreams, walsh_order).  It is the
+    covariance white sample noise leaves in the correlator outputs, up to
+    the noise level, and Hermitian."""
+    return slot_tables(tables[:1, :, :1], walsh_rows, walsh_rows)[0, 0, :, 0].T
+
+
+def correlate_tables(tables: np.ndarray, walsh_rows: np.ndarray, symbols: np.ndarray,
+                     gains: np.ndarray, work: dict | None = None) -> np.ndarray:
+    """Noiseless per-chip sums of user 1's correlator straight from the
+    symbols, through partial_correlation_tables:
+
+        per_chip[b, n, t] = sum_{k, l} gains[k, l] sum_{q, m} c_k[n * walsh_order + b - q, m]
+                                                              tables[l, b, k, q, m, t]
+
+    with c_k[n * walsh_order + a, m] = sum_r w_r(a) d_k[n, r, m] each user's
+    symbols on its Walsh chip stream, zero before the first symbol.
+    symbols is (users, n, substreams, carriers), walsh_rows the substreams'
+    +-1 Walsh rows (substreams, walsh_order), gains the complex path gains
+    (users, paths), and tables any slice of the full tables over users (with
+    symbols and gains sliced alike) or over the target carriers t.  Returns
+    (walsh_order, n, targets), the shape of receiver.chip_correlations:
+    combine_walsh_chips turns them into correlator outputs, once they are
+    scaled by sqrt(2 power) and by N, since the tables carry 1/N and the
+    combine divides by N again.
+
+    Three steps: the Walsh transform of every user's symbols, one real GEMM;
+    the block's path gains contracted into the tables, which leaves one
+    block per (b, k, q, m) with no path axis; and one real product per
+    target chip b of the chip stream, stacked at its lags, against those.
+    With as many substreams as Walsh chips that is 1/walsh_order of the
+    arithmetic of the full (slot x slot) tables at one lag.
+
+    The working arrays are about as large as the symbols in float64.  With
+    work, a dict that one call site passes to each of its calls, they are
+    made once and reused while their shapes hold: allocated afresh, they
+    can grow and trim the heap on every call, which then faults its pages
+    in again.
     """
-    users, windows, slots, n_paths, targets = tables.shape
-    n_total = symbols.shape[1]
-    # Per user, row n holds its symbols of window n and then, with several
-    # paths, those of window n - 1 (zero before the first window).
-    stacked = np.zeros((users, n_total, windows, slots))
-    current = symbols.reshape(users, n_total, slots)
-    stacked[:, :, 0] = current
-    if windows == 2:
-        stacked[:, 1:, 1] = current[:, :-1]
-    stacked = stacked.reshape(users, n_total, windows * slots)
+    n_paths, order, users, lags, n_car, targets = tables.shape
+    n_sub, n_total = len(walsh_rows), symbols.shape[1]
+    # chips[a, n, k, m] = sum_r w_r(a) d_k[n, r, m]
+    d = _work_array(work, "symbols", (n_sub, n_total, users, n_car))
+    np.copyto(d, symbols.transpose(2, 1, 0, 3))
+    chips = np.matmul(walsh_rows.T, d.reshape(n_sub, -1),
+                      out=_work_array(work, "chips", (order, n_total * users * n_car)))
+    chips = chips.reshape(order, n_total, users, 1, n_car)
+    stacked = chips
+    if lags > 1:
+        # stacked[b, n, k, q] holds chip b - q of window n, or of window
+        # n - 1 when b < q, and zero before the first window
+        stacked = _work_array(work, "stacked", (order, n_total, users, lags, n_car))
+        for lag in range(lags):
+            stacked[lag:, :, :, lag] = chips[:order - lag, :, :, 0]
+            stacked[:lag, 1:, :, lag] = chips[order - lag:, :-1, :, 0]
+            stacked[:lag, 0, :, lag] = 0.0
+    # weighted[b, k, q, m, t] = sum_l gains[k, l] tables[l, b, k, q, m, t]
+    weighted = np.multiply(tables[0], gains[:, 0, None, None, None],
+                           out=_work_array(work, "weighted", tables.shape[1:], np.complex128))
     if n_paths > 1:
-        # weighted[k, (w, s), t] = sum_l gains[k, l] tables[k, w, s, l, t]
-        weighted = np.matmul(gains[:, None, None, :],
-                             tables.reshape(users, windows * slots, n_paths, targets))
-        weighted = weighted.reshape(-1, targets)
-        z = stacked.transpose(1, 0, 2).reshape(n_total, -1) @ weighted.view(np.float64)
-        return z.view(np.complex128)
-    # Every user's unweighted outputs, one real GEMM per user.
-    tables = np.ascontiguousarray(tables).reshape(users, windows * slots, targets)
-    per_user = np.matmul(stacked, tables.view(np.float64)).view(np.complex128)
-    return (per_user.transpose(1, 2, 0).reshape(n_total * targets, users)
-            @ gains.reshape(-1)).reshape(n_total, targets)
+        term = _work_array(work, "term", tables.shape[1:], np.complex128)
+        for path in range(1, n_paths):
+            weighted += np.multiply(tables[path], gains[:, path, None, None, None], out=term)
+    per_chip = np.matmul(stacked.reshape(order, n_total, -1),
+                         weighted.reshape(order, -1, targets).view(np.float64))
+    return per_chip.view(np.complex128)
+
+
+def _work_array(work: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of the shape: a new one without work, and
+    otherwise the one work holds under the name, replaced when its shape
+    differs."""
+    if work is None:
+        return np.empty(shape, dtype)
+    array = work.get(name)
+    if array is None or array.shape != shape:
+        array = work[name] = np.empty(shape, dtype)
+    return array

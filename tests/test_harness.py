@@ -444,6 +444,34 @@ class TestAmplifierEngine:
         assert z.shape == reference.shape
         assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
 
+    @pytest.mark.parametrize("scenario", [
+        dataclasses.replace(_AMPLIFIER_BASE, name="ibo-7db", hpa_mode="saleh", ibo_db=7.0),
+        dataclasses.replace(_TINY_UNALIGNED, name="unaligned-saleh", hpa_mode="saleh",
+                            ibo_db=3.0),
+    ], ids=lambda sc: sc.name)
+    def test_tube_block_skips_linear_product(self, scenario, monkeypatch):
+        """A tube block has g = 0, so it forms no T: the tables' product is
+        never called, and its outputs still match the sample chain."""
+        calls = []
+        correlate_tables = harness.correlate_tables
+
+        def counted(*args):
+            calls.append(args)
+            return correlate_tables(*args)
+
+        monkeypatch.setattr(harness, "correlate_tables", counted)
+        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+        assert runtime.linear_gain == 0.0 and calls == []
+        reference = _sample_chain(runtime, symbols, harness._path_gains(channel),
+                                  channel.phases[0, 0] + runtime.phase_offset,
+                                  amplify=_reference_amplifier(runtime))
+        assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
+        # the bypass block of the same draws does call it
+        linear = harness._prepare(dataclasses.replace(scenario, hpa_mode="bypass",
+                                                      noise_enabled=False))
+        harness._correlation_outputs(linear, channel, symbols, 8.0, None)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("hpa_mode, ibo_db, frames", [
         pytest.param("saleh", 7.0, 4, id="saleh"),
         pytest.param("saleh_pd", 7.0, 1, id="saleh_pd"),

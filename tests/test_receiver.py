@@ -14,8 +14,11 @@ from mcmccdma.receiver import (
     chip_correlations,
     combine_walsh_chips,
     correlate_slots,
+    correlate_tables,
     decide_slots,
     partial_correlation_tables,
+    signature_gram,
+    slot_tables,
 )
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures,
                               subcarrier_exponentials, walsh_chip_bounds)
@@ -134,6 +137,35 @@ def _slice_tables(pn_chips, walsh, cfg, n_paths):
     return out
 
 
+def _expanded_tables(tables, walsh_rows, windows):
+    """The full (slot x slot) tables of the factored blocks: entry
+    [k, w, (r, m), l, (r', m')] sums w_r(a) w_r'(b) [l, b, k, q, m, m'] over
+    the lags q and user 1's chips b whose user-k chip a = w * order + b - q
+    lies in window w (the current symbol, or the one before)."""
+    paths, order, users, lags, n_car, _ = tables.shape
+    n_sub = len(walsh_rows)
+    full = np.zeros((users, 2, n_sub, n_car, paths, n_sub, n_car), dtype=np.complex128)
+    for q in range(lags):
+        for b in range(order):
+            window = int(q > b)
+            pair = np.outer(walsh_rows[:, window * order + b - q], walsh_rows[:, b])
+            full[:, window] += np.einsum("rs,lkmn->krmlsn", pair, tables[:, b, :, q])
+    assert np.all(full[:, windows:] == 0)
+    return full[:, :windows].reshape(users, windows, n_sub * n_car, paths, n_sub * n_car)
+
+
+def _expanded_product(full, symbols, gains):
+    """User 1's noiseless outputs through the full tables:
+    z[n, t] = sum_{k, l} gains[k, l] (d_k[n] @ full[k, 0, :, l, t]
+    + d_k[n-1] @ full[k, 1, :, l, t]), d_k[-1] = 0."""
+    users, windows, slots = full.shape[:3]
+    d = symbols.reshape(users, symbols.shape[1], slots).astype(np.float64)
+    z = np.einsum("kns,kslt,kl->nt", d, full[:, 0], gains)
+    if windows == 2:
+        z[1:] += np.einsum("kns,kslt,kl->nt", d[:, :-1], full[:, 1], gains)
+    return z
+
+
 class TestPartialCorrelationTables:
     @pytest.mark.parametrize("users, r, m, na, degree, oversampling, paths", [
         (1, 1, 1, 1, 3, 4, 1),      # one slot, one path
@@ -155,10 +187,15 @@ class TestPartialCorrelationTables:
         base = generate_msequence(degree)
         stride = max(1, base.size // users)
         pn_chips = np.stack([np.roll(base, k * stride) for k in range(users)])
-        tables = partial_correlation_tables(pn_chips, walsh, cfg, paths)
+        tables = partial_correlation_tables(pn_chips, cfg, paths)
         reference = _slice_tables(pn_chips, walsh, cfg, paths)
-        assert tables.shape == reference.shape
-        assert np.abs(tables - reference).max() <= 1e-12 * np.abs(reference).max()
+        rows = walsh[:r].astype(np.float64)
+        expanded = _expanded_tables(tables, rows, reference.shape[1])
+        assert expanded.shape == reference.shape
+        assert np.abs(expanded - reference).max() <= 1e-12 * np.abs(reference).max()
+        # the package's own expansion, which the split and the Gram matrix read
+        assert np.abs(slot_tables(tables, rows, rows) - reference).max() \
+            <= 1e-12 * np.abs(reference).max()
 
     def test_build_peak_stays_at_chip_rate(self):
         """On the linearization preset's link (20 users, pn 4095, 64 slots)
@@ -170,18 +207,68 @@ class TestPartialCorrelationTables:
         walsh, pn_chips = harness._user_codes(cfg)
         tracemalloc.start()
         try:
-            tables = partial_correlation_tables(pn_chips, walsh, cfg, scenario.paths)
+            tables = partial_correlation_tables(pn_chips, cfg, scenario.paths)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < tables.nbytes + 2 * cfg.users * cfg.samples_per_symbol * 8
 
     def test_aligned_own_table_is_identity(self):
-        # orthonormal slots: user 1's own zero-delay table is the identity
+        # orthonormal slots: user 1's own zero-delay table multiplied out
+        # over the Walsh rows, its Gram matrix, is the identity
         cfg, walsh, pn = _make(4, 2, 4, 3)
         assert cfg.walsh_aligned
-        tables = partial_correlation_tables(pn[None, :], walsh, cfg, 1)
-        assert np.allclose(tables[0, 0, :, 0], np.eye(8), atol=1e-12)
+        tables = partial_correlation_tables(pn[None, :], cfg, 1)
+        gram = signature_gram(tables, walsh.astype(np.float64))
+        assert np.allclose(gram, np.eye(8), atol=1e-12)
+
+    @pytest.mark.parametrize("users, r, m, na, degree, oversampling, paths, lags", [
+        (3, 4, 2, 4, 3, 4, 1, 1),       # one path: zero lag only
+        (2, 4, 3, 8, 5, 4, 3, 2),       # delays within a Walsh chip: lags 0 and 1
+        (2, 8, 2, 16, 5, 3, 20, 11),    # delays across up to ten Walsh chips
+    ])
+    def test_factored_product_matches_expanded_tables(self, users, r, m, na, degree,
+                                                      oversampling, paths, lags):
+        """correlate_tables' per-chip sums, Walsh-combined, equal the
+        product of the symbols with the expanded (slot x slot) tables, on
+        random symbols and complex path gains."""
+        cfg = LinkConfig(users=users, substreams=r, carriers=m, walsh_order=na,
+                         pn_length=2 ** degree - 1, oversampling=oversampling)
+        base = generate_msequence(degree)
+        pn_chips = np.stack([np.roll(base, 3 * k) for k in range(users)])
+        rows = generate_walsh(na)[:r].astype(np.float64)
+        tables = partial_correlation_tables(pn_chips, cfg, paths)
+        assert tables.shape == (paths, na, users, lags, m, m)
+        rng = np.random.default_rng(paths)
+        symbols = rng.choice([-1, 1], size=(users, 6, r, m)).astype(np.int8)
+        gains = rng.standard_normal((users, paths)) + 1j * rng.standard_normal((users, paths))
+        per_chip = correlate_tables(tables, rows, symbols, gains)
+        assert per_chip.shape == (na, 6, m)
+        z = combine_walsh_chips(per_chip, rows, 1)
+        expected = _expanded_product(_expanded_tables(tables, rows, 1 + (paths > 1)),
+                                     symbols, gains)
+        assert np.abs(z - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_work_arrays_are_reused_without_changing_the_sums(self):
+        """Calls that share a work dict reuse its arrays, and each call's
+        sums are those of a call with fresh arrays, bit for bit."""
+        cfg = LinkConfig(users=3, substreams=4, carriers=3, walsh_order=8, pn_length=15,
+                         oversampling=4)
+        base = generate_msequence(4)
+        tables = partial_correlation_tables(np.stack([np.roll(base, 5 * k) for k in range(3)]),
+                                            cfg, 4)
+        assert tables.shape[3] > 1
+        rows = generate_walsh(8)[:4].astype(np.float64)
+        rng = np.random.default_rng(11)
+        work = {}
+        for call in range(3):
+            symbols = rng.choice([-1, 1], size=(3, 5, 4, 3)).astype(np.int8)
+            gains = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+            shared = correlate_tables(tables, rows, symbols, gains, work)
+            if call == 0:
+                arrays = {name: id(array) for name, array in work.items()}
+            assert {name: id(array) for name, array in work.items()} == arrays
+            assert np.array_equal(shared, correlate_tables(tables, rows, symbols, gains))
 
 
 def _linear_runtime(cfg, paths=1, fading=False, noise_enabled=False):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from mcmccdma.codes import generate_msequence, generate_walsh
-from mcmccdma.receiver import partial_correlation_tables
 from mcmccdma.txchain import (
     LinkConfig,
     modulate_user,
     modulation_table,
     slot_signatures,
     subcarrier_exponentials,
+    substream_walsh_rows,
     walsh_chip_bounds,
 )
 
@@ -177,5 +177,7 @@ class TestModulationTable:
         cfg = LinkConfig(substreams=2, walsh_order=2, pn_length=7)
         with pytest.raises(ValueError, match="Walsh order"):
             modulation_table(generate_walsh(4), cfg)
+        # the engine's Walsh rows, which the tables' product and the Gram
+        # matrix read, are cut from the matrix by the same check
         with pytest.raises(ValueError, match="Walsh order"):
-            partial_correlation_tables(generate_msequence(3)[None, :], generate_walsh(4), cfg, 1)
+            substream_walsh_rows(generate_walsh(4), cfg)
