@@ -123,16 +123,16 @@ MUTANTS = (
     Mutant("limiter-conjugated-delay-phase", "harness.py",
            "delay_phases=np.exp(-1j * step", "delay_phases=np.exp(1j * step", _LIMITER_TESTS),
     Mutant("limiter-window-shift-lost", "harness.py",
-           "+ window + bins // order", "+ window", _LIMITER_TESTS),
+           "+ np.take(grid.bin_windows[path], cells) + window", "+ window", _LIMITER_TESTS),
     Mutant("limiter-spans-not-split", "harness.py",
-           "heads = np.flatnonzero(np.diff(key, prepend=-1))",
+           "heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))",
            "heads = np.zeros(1, dtype=np.intp)", _LIMITER_TESTS),
     Mutant("limiter-chunk-cells-reordered", "harness.py",
            "yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]",
            "yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK][::-1]",
            _BOUND_TESTS),
     Mutant("limiter-no-short-cell-mask", "harness.py",
-           "    excess[short] *= np.arange(_CELL_SAMPLES) < grid.lengths[cells[short], None]\n", "",
+           "            factor *= np.arange(_CELL_SAMPLES) < runtime.cells.lengths[cells, None]\n", "",
            _LIMITER_TESTS),
     Mutant("calibration-g-for-g-squared", "harness.py",
            "* g * g * np.sum(", "* g * np.sum(", _LIMITER_TESTS),
@@ -140,8 +140,24 @@ MUTANTS = (
            "    bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]\n", "",
            _BOUND_TESTS),
     Mutant("cell-bound-half-slope", "harness.py",
-           "bound += 2.0 * grid.half_width * np.abs(slope)",
-           "bound += 1.0 * grid.half_width * np.abs(slope)", _BOUND_TESTS),
+           "slope_terms=-2.0 * middle * step * k", "slope_terms=-1.0 * middle * step * k",
+           _BOUND_TESTS),
+    # the cell bound through the rows' autocorrelations, and the per-cell tables
+    Mutant("cell-bound-no-slope-term", "harness.py",
+           "    bound += np.abs(slope, out=slope)\n", "", _BOUND_TESTS),
+    Mutant("cell-bound-cos-sin-swapped", "harness.py",
+           "2.0 * np.cos(k * phases))),\n        slope_terms=-2.0 * middle * step * k * np.sin(",
+           "2.0 * np.sin(k * phases))),\n        slope_terms=-2.0 * middle * step * k * np.cos(",
+           _BOUND_TESTS),
+    Mutant("cell-bound-cos-loses-2", "harness.py",
+           "2.0 * np.cos(k * phases)", "np.cos(k * phases)", _BOUND_TESTS),
+    Mutant("cells-mask-unfolded", "harness.py",
+           " * inside.view(np.int8),", ",", _LIMITER_TESTS),
+    Mutant("cells-user-1-chips-for-all", "harness.py",
+           "user * grid.starts.size + cells", "cells", _LIMITER_TESTS),
+    Mutant("cell-sums-not-reset", "harness.py",
+           "            total.fill(0.0)\n", "",
+           ("tests/test_harness.py", "-k", "reused_cell_arrays")),
     Mutant("cells-no-delay-cuts", "harness.py",
            "np.concatenate((bounds - delays, bounds + n_samp - delays))",
            "np.concatenate((bounds - 0 * delays, bounds + n_samp - 0 * delays))", _BOUND_TESTS),

@@ -54,12 +54,14 @@ rotation (none without an amplifier).
     runs over cells of up to 16 samples, cut so that no path delays a cell
     across a Walsh chip or window boundary (_CellGrid): an envelope bound
     on each symbol row over each Walsh chip (_peak_power_bound) and then
-    over each cell (_cell_power_bound) rule out most cells before any
+    over each cell (_cell_power_bound), both read off the row's power
+    autocorrelations (_autocorrelations), rule out most cells before any
     sample is formed.  The kept cells are formed a chunk at a time in one
-    product (_formed_cells), and hpa.envelope_excess gives what is clipped;
-    about 80% of the formed samples clip on amplifier-linearized.  The
-    cells are correlated directly, one small product per path, into
-    per-(Walsh chip, window) sums.
+    product (_formed_cells), and the limiter's real factor
+    (hpa.limiter_factor) gives what is clipped; about 80% of the formed
+    samples clip on amplifier-linearized.  The cells are correlated
+    directly, one small product per path, into per-(Walsh chip, window)
+    sums.
 - The noise is drawn per correlator output (channel.correlator_noise),
   with the covariance white sample noise would leave there: a factor of
   user 1's Gram matrix, from the same tables (receiver.signature_gram).
@@ -91,10 +93,10 @@ import numpy.random  # numpy 2 loads it on first use: pay that here, not in the 
 from .analysis import BerRecord, binomial_ci95
 from .channel import correlator_noise, draw_channel, path_power_profile
 from .codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
-from .hpa import SalehParams, amplify_samples, envelope_excess, input_scale_for_power
-from .receiver import (SOURCE_NAMES, InterferenceVariances, chip_correlations, combine_walsh_chips,
-                       correlate_tables, decide_slots, partial_correlation_tables,
-                       signature_gram, slot_tables)
+from .hpa import SalehParams, amplify_samples, input_scale_for_power, limiter_factor
+from .receiver import (SOURCE_NAMES, InterferenceVariances, _work_array, chip_correlations,
+                       combine_walsh_chips, correlate_tables, decide_slots,
+                       partial_correlation_tables, signature_gram, slot_tables)
 from .txchain import (LinkConfig, check_field_types, declared_type, subcarrier_exponentials,
                       substream_walsh_rows, walsh_chip_bounds)
 
@@ -219,8 +221,8 @@ class _CellGrid:
     every Walsh chip bound (txchain.walsh_chip_bounds) and at every position
     that a path delay carries onto a chip bound of the same or the next
     window, each piece cut into runs of up to _CELL_SAMPLES consecutive
-    sample positions, and the tables through which a cell's samples are
-    bounded, formed and correlated without any other sample.
+    sample positions, and the per-cell tables through which a cell's samples
+    are bounded, formed and correlated without any other sample.
 
     Cell q spans positions starts[q] .. starts[q] + lengths[q] - 1 and is
     anchored at a = starts[q] + (S - 1)/2, S = _CELL_SAMPLES, whatever its
@@ -229,25 +231,31 @@ class _CellGrid:
     belong to the cell.  Chip c holds cells chip_cells[c] .. chip_cells[c+1] - 1.
 
     So a cell delayed by any path lies within one Walsh chip of one window,
-    n or n + 1: at span position j (the undelayed position plus the delay,
-    below samples_per_symbol + max delay + S) span_bins[j] is the window
-    increment times walsh_order plus the Walsh chip of j's sample, equal
-    over every delayed cell.  user_chips[k, i] holds user k's
-    chips at positions i .. i + S - 1, zero past the symbol, and
-    span_chips[j] user 1's at span positions j .. j + S - 1, periodic over
-    the symbol: read-only windows into one row each, so a cell's chips are
-    one row gather."""
+    n or n + 1: bin_chips[l, q] is that Walsh chip on path l and
+    bin_windows[l, q] the window increment.  user_chips[k, q] holds user k's
+    chips at the cell's S positions, and span_chips[l, q] user 1's at those
+    positions delayed by path l (periodic over the symbol), zero past the
+    cell's length, so the correlation reads nothing of a cell but its own
+    samples.
+
+    A row's power at carrier phase phi is P(phi) = rho_0 + 2 sum_{k>=1}
+    rho_k cos(k phi), rho_k = sum_m b_m b_{m+k} (_autocorrelations), so at
+    the anchor's phase phi_a it is rho . cos_terms[:, q], and its slope
+    there times the half width t of a cell is rho[1:] . slope_terms[:, q]."""
 
     starts: np.ndarray          # (cells,)
     lengths: np.ndarray         # (cells,)
     chip_cells: np.ndarray      # (walsh_order + 1,)
-    centres: np.ndarray         # E_m(a) at every anchor, (carriers, cells) complex
+    centres: np.ndarray         # E_m(a) at every anchor, C-contiguous (cells, carriers) complex
     offsets: np.ndarray         # E_m(s), (carriers, S) complex
-    half_width: float           # (S - 1)/2 samples as carrier phase 2 pi W i / N
+    cos_terms: np.ndarray       # 1 and 2 cos(k phi_a) for k >= 1, (carriers, cells)
+    slope_terms: np.ndarray     # -2 k t sin(k phi_a), k = 1 .. carriers - 1, (carriers - 1, cells)
+    half_width: float           # (S - 1)/2 samples as carrier phase 2 pi W i / N: t
     delay_phases: np.ndarray    # conj(E_m(D_l)) per path delay, (paths, carriers)
-    span_bins: np.ndarray       # (samples_per_symbol + max delay + S - 1,)
-    user_chips: np.ndarray      # (users, samples_per_symbol, S)
-    span_chips: np.ndarray      # (samples_per_symbol + max delay, S)
+    user_chips: np.ndarray      # (users, cells, S) int8
+    span_chips: np.ndarray      # (paths, cells, S) int8
+    bin_chips: np.ndarray       # (paths, cells)
+    bin_windows: np.ndarray     # (paths, cells)
 
 
 @dataclass
@@ -293,7 +301,8 @@ class _Runtime:
     carrier_correlator: np.ndarray | None = None
     input_scale: float = 0.0   # the tube's drive scale (hpa.input_scale_for_power)
     cells: _CellGrid | None = None
-    # the working arrays of the blocks' correlate_tables, reused block to block
+    # the working arrays of the blocks' correlate_tables and of the limiter's
+    # cell chunks (receiver._work_array), reused block to block
     work: dict = field(default_factory=dict)
 
     @cached_property
@@ -328,11 +337,10 @@ def _prepare(scenario: Scenario) -> _Runtime:
             runtime.eb = _linear_eb(cfg)
             return runtime
 
-        pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
         mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
         if scenario.hpa_mode == "saleh":
             runtime.carriers = subcarrier_exponentials(cfg)
-            runtime.pn_samples = pn_samples
+            runtime.pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
             # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
             runtime.carrier_correlator = np.ascontiguousarray(
                 runtime.pn_samples[0, :, None] * runtime.carriers.conj().T)
@@ -345,7 +353,7 @@ def _prepare(scenario: Scenario) -> _Runtime:
             # output power.
             runtime.linear_gain = float(np.sqrt(scenario.saleh.saturation_output_power
                                                 / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
-            runtime.cells = _cell_grid(cfg, pn_samples, scenario.paths)
+            runtime.cells = _cell_grid(cfg, pn_chips, scenario.paths)
             runtime.amplified = _excess_correlations
         runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
@@ -390,9 +398,9 @@ def _waveform_tiles(runtime: _Runtime, symbols: np.ndarray):
             yield first, (b[chip] @ carriers[:, 2 * first:2 * last]).view(np.complex128)
 
 
-def _cell_grid(cfg: LinkConfig, pn_samples: np.ndarray, paths: int) -> _CellGrid:
+def _cell_grid(cfg: LinkConfig, pn_chips: np.ndarray, paths: int) -> _CellGrid:
     """The _CellGrid of a configuration at `paths` chip-spaced paths, given
-    every user's oversampled chips (users, samples_per_symbol).
+    every user's PN chips (users, pn_length).
 
     The cuts are the Walsh chip bounds B and, per path delay D, B - D and
     B + N - D within [0, N], N = samples_per_symbol: the positions whose
@@ -409,57 +417,68 @@ def _cell_grid(cfg: LinkConfig, pn_samples: np.ndarray, paths: int) -> _CellGrid
                              if lo < hi])
     lengths = np.minimum(starts + size, cuts[np.searchsorted(cuts, starts, side="right")]) - starts
     step = 2.0 * np.pi * order / n_samp
-    harmonics = np.arange(1, cfg.carriers + 1)[:, None]
+    harmonics = np.arange(1, cfg.carriers + 1)
     middle = (size - 1) / 2.0
-    span = np.arange(n_samp + (paths - 1) * cfg.oversampling + size - 1)
-    span_bins = span // n_samp * order + np.searchsorted(bounds, span % n_samp, side="right") - 1
-    padded = np.pad(pn_samples, ((0, 0), (0, size - 1)))
+    phases = step * (starts + middle)
+    k = np.arange(1, cfg.carriers)[:, None]
+    # positions[l, q, s]: offset s of cell q delayed by path l; inside[q, s]:
+    # whether offset s belongs to the cell
+    positions = starts[:, None] + np.arange(size) + delays[:, :, None]
+    inside = np.arange(size) < lengths[:, None]
+    span = starts + delays
     return _CellGrid(
         starts=starts, lengths=lengths, chip_cells=np.searchsorted(starts, bounds),
-        centres=np.exp(1j * step * harmonics * (starts + middle)),
-        offsets=np.exp(1j * step * harmonics * (np.arange(size) - middle)),
+        centres=np.exp(1j * step * harmonics * (starts + middle)[:, None]),
+        offsets=np.exp(1j * step * np.outer(harmonics, np.arange(size) - middle)),
+        cos_terms=np.concatenate((np.ones((1, starts.size)), 2.0 * np.cos(k * phases))),
+        slope_terms=-2.0 * middle * step * k * np.sin(k * phases),
         half_width=middle * step,
-        delay_phases=np.exp(-1j * step * harmonics.T * cfg.oversampling * np.arange(paths)[:, None]),
-        span_bins=span_bins,
-        user_chips=np.lib.stride_tricks.sliding_window_view(padded, size, axis=1),
-        span_chips=np.lib.stride_tricks.sliding_window_view(pn_samples[0, span % n_samp], size))
+        delay_phases=np.exp(-1j * step * np.outer(delays, harmonics)),
+        user_chips=np.take(pn_chips, positions[0] % n_samp // cfg.oversampling, axis=1),
+        span_chips=pn_chips[0, positions % n_samp // cfg.oversampling] * inside.view(np.int8),
+        bin_chips=np.searchsorted(bounds, span % n_samp, side="right") - 1,
+        bin_windows=span // n_samp)
 
 
-def _peak_power_bound(b: np.ndarray) -> np.ndarray:
-    """An upper bound on |sum_m b[..., m] e^{j (m+1) theta}|^2 over every
-    angle theta, for real coefficients b: the power is
-    rho_0 + 2 sum_{k>=1} rho_k cos(k theta) with rho_k = sum_m b_m b_{m+k},
-    so it is at most rho_0 + 2 sum_k |rho_k| (Tellambura, Electron. Lett.
-    33(19), 1997).  Shape b.shape[:-1]."""
-    bound = np.einsum("...m,...m->...", b, b)
-    for k in range(1, b.shape[-1]):
-        bound += 2.0 * np.abs(np.einsum("...m,...m->...", b[..., :-k], b[..., k:]))
-    return bound
+def _autocorrelations(b: np.ndarray) -> np.ndarray:
+    """rho[k, ...] = sum_m b[..., m] b[..., m + k] for k = 0 .. M - 1, the
+    coefficients of a row's power |sum_m b_m e^{j (m+1) phi}|^2 =
+    rho_0 + 2 sum_{k>=1} rho_k cos(k phi), for real b.  Shape
+    (M, *b.shape[:-1])."""
+    n_car = b.shape[-1]
+    b = np.ascontiguousarray(np.moveaxis(b, -1, 0))
+    rho = np.empty(b.shape)
+    for k in range(n_car):
+        np.einsum("m...,m...->...", b[:n_car - k], b[k:], out=rho[k])
+    return rho
 
 
-def _cell_power_bound(grid: _CellGrid, b: np.ndarray, peak: np.ndarray, lo: int,
+def _peak_power_bound(rho: np.ndarray) -> np.ndarray:
+    """An upper bound on a row's power over every angle, from its
+    _autocorrelations: rho_0 + 2 sum_k |rho_k| (Tellambura, Electron. Lett.
+    33(19), 1997).  Shape rho.shape[1:]."""
+    return rho[0] + 2.0 * np.abs(rho[1:]).sum(axis=0)
+
+
+def _cell_power_bound(grid: _CellGrid, rho: np.ndarray, peak: np.ndarray, lo: int,
                       hi: int) -> np.ndarray:
-    """An upper bound on the power of rows b (rows, carriers) of one Walsh
-    chip over each of the chip's cells lo..hi-1, shape (rows, hi - lo),
-    given each row's _peak_power_bound.
+    """An upper bound on the power of rows of one Walsh chip over each of
+    the chip's cells lo..hi-1, shape (rows, hi - lo), given the rows'
+    _autocorrelations rho (carriers, rows) and _peak_power_bound.
 
-    The power P(phi) = |p(phi)|^2, p(phi) = sum_m b_m e^{j (m+1) phi}, is a
-    real trigonometric polynomial of degree M - 1 in the carrier phase, so
+    The power P(phi) = rho_0 + 2 sum_k rho_k cos(k phi) is a real
+    trigonometric polynomial of degree M - 1 in the carrier phase, so
     |P''| <= (M - 1)^2 max P <= (M - 1)^2 peak (Bernstein's inequality,
     twice), and within t of the anchor phi_0
 
-        P <= P(phi_0) + |P'(phi_0)| t + (M - 1)^2 peak t^2 / 2.
+        P <= P(phi_0) + |P'(phi_0)| t + (M - 1)^2 peak t^2 / 2,
 
-    p and p' = j sum_m (m+1) b_m e^{j (m+1) phi} at every anchor are one
-    real GEMM of the rows, and the rows times m+1, against the anchors'
-    exponentials; P' = 2 Re(conj(p) p')."""
-    rows, n_car = b.shape
-    stacked = np.concatenate((b, b * np.arange(1, n_car + 1)))
-    values = (stacked @ grid.centres.view(np.float64)[:, 2 * lo:2 * hi]).view(np.complex128)
-    p, q = values[:rows], values[rows:]
-    bound = np.square(p.real) + np.square(p.imag)
-    slope = p.imag * q.real - p.real * q.imag
-    bound += 2.0 * grid.half_width * np.abs(slope)
+    P(phi_0) and P'(phi_0) t being two real products of rho against the
+    grid's cos_terms and slope_terms."""
+    n_car = rho.shape[0]
+    bound = rho.T @ grid.cos_terms[:, lo:hi]
+    slope = rho[1:].T @ grid.slope_terms[:, lo:hi]
+    bound += np.abs(slope, out=slope)
     bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]
     return bound
 
@@ -470,44 +489,58 @@ def _clip_power(runtime: _Runtime) -> float:
     return runtime.scenario.saleh.saturation_output_power / runtime.linear_gain**2
 
 
+def _driven_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
+    """The limiter's drive per (Walsh chip, symbol row, carrier):
+    linear_gain times _carrier_coefficients, so that its samples are
+    compared with A_sat directly."""
+    b = _carrier_coefficients(runtime, symbols)
+    b *= runtime.linear_gain
+    return b
+
+
 def _clipped_cells(runtime: _Runtime, b: np.ndarray):
     """The (symbol row, cell) pairs of the limiter that can clip, as
     (Walsh chip, rows, cells) chunks of up to _CELL_CHUNK pairs in one chip,
     for _formed_cells.
 
-    b holds the rows' carrier coefficients (_carrier_coefficients).  A pair
-    is kept unless the row's envelope bound over its Walsh chip
-    (_peak_power_bound) or over the cell (_cell_power_bound) lies below the
-    clip power; the margin of 1e-12 keeps exact ties and anything round-off
-    could lift over it, and since NaN compares false a NaN bound keeps its
-    pair."""
+    b holds the rows' drive (_driven_coefficients).  A pair is kept unless
+    the row's envelope bound over its Walsh chip (_peak_power_bound) or
+    over the cell (_cell_power_bound), both from the row's
+    _autocorrelations, lies below A_sat^2; the margin of 1e-12 keeps exact
+    ties and anything round-off could lift over it, and since NaN compares
+    false a NaN bound keeps its pair."""
     grid = runtime.cells
-    threshold = _clip_power(runtime) * (1.0 - 1e-12)
-    peak = _peak_power_bound(b)
+    threshold = runtime.scenario.saleh.saturation_output_power * (1.0 - 1e-12)
+    rho = _autocorrelations(b)
+    peak = _peak_power_bound(rho)
     for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:])):
         rows = np.flatnonzero(~(peak[chip] < threshold))
         if rows.size == 0:
             continue
-        row, cell = np.nonzero(~(_cell_power_bound(grid, b[chip, rows], peak[chip, rows], lo, hi)
-                                 < threshold))
+        bound = _cell_power_bound(grid, rho[:, chip, rows], peak[chip, rows], lo, hi)
+        row, cell = np.divmod(np.flatnonzero(~(bound < threshold)), hi - lo)
         row, cell = rows[row], cell + lo
         for first in range(0, row.size, _CELL_CHUNK):
             yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]
 
 
-def _formed_cells(runtime: _Runtime, b: np.ndarray, rows: np.ndarray, cells: np.ndarray) -> tuple:
-    """(driven, excess) of a chunk of _clipped_cells, b being the rows'
-    coefficients in its Walsh chip: each cell's PN-free samples times
-    linear_gain, g x, shape (chunk, S), formed in one product through
-    E_m(a + s) = E_m(a) E_m(s) (see _CellGrid), and what the limiter takes
-    off them (hpa.envelope_excess), exactly zero below A_sat and outside
-    the cell."""
+def _formed_cells(runtime: _Runtime, b: np.ndarray, rows: np.ndarray,
+                  cells: np.ndarray) -> np.ndarray:
+    """The driven samples of a chunk of _clipped_cells, b being the rows'
+    drive in its Walsh chip (_driven_coefficients): each cell's samples
+    g x, shape (chunk, S), formed in one product through
+    E_m(a + s) = E_m(a) E_m(s) (see _CellGrid), into a working array of
+    runtime.work that the next chunk overwrites.  Past a cell's length they
+    are the row's later samples, which the limiter's weights zero."""
     grid = runtime.cells
-    driven = (runtime.linear_gain * b[rows] * grid.centres[:, cells].T) @ grid.offsets
-    excess = envelope_excess(driven, runtime.scenario.saleh)
-    short = np.flatnonzero(grid.lengths[cells] < _CELL_SAMPLES)
-    excess[short] *= np.arange(_CELL_SAMPLES) < grid.lengths[cells[short], None]
-    return driven, excess
+    n = rows.size
+    # the cells are in range; with mode="raise" take would buffer its out
+    coefficients = np.take(grid.centres, cells, axis=0, mode="clip", out=_work_array(
+        runtime.work, "cell_coefficients", (_CELL_CHUNK, grid.offsets.shape[0]), np.complex128)[:n])
+    coefficients *= np.take(b, rows, axis=0)
+    return np.matmul(coefficients, grid.offsets,
+                     out=_work_array(runtime.work, "cell_samples", (_CELL_CHUNK, _CELL_SAMPLES),
+                                     np.complex128)[:n])
 
 
 def _calibrate(runtime: _Runtime) -> tuple:
@@ -544,9 +577,12 @@ def _calibrate(runtime: _Runtime) -> tuple:
         d = symbols.reshape(_CALIBRATION_SYMBOLS, -1).astype(np.float64)
         gram = signature_gram(runtime.correlation, runtime.walsh).real
         energy = 2.0 * cfg.power * cfg.samples_per_symbol * g * g * np.sum((d @ gram) * d)
-        b = _carrier_coefficients(runtime, symbols)
+        b = _driven_coefficients(runtime, symbols)
         for chip, rows, cells in _clipped_cells(runtime, b):
-            driven, excess = _formed_cells(runtime, b[chip], rows, cells)
+            driven = _formed_cells(runtime, b[chip], rows, cells)
+            factor = limiter_factor(driven, scenario.saleh)
+            factor *= np.arange(_CELL_SAMPLES) < runtime.cells.lengths[cells, None]
+            excess = driven * factor
             energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
         rotation = 0.0
     mean_power = energy / (_CALIBRATION_SYMBOLS * cfg.samples_per_symbol)
@@ -657,52 +693,67 @@ def _excess_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarr
     off the samples of the cells that can clip (_clipped_cells), times each
     user's chips, received on every path and correlated directly
     (_add_cell_correlations), one chunk of cells at a time; None when no
-    cell can clip.  What falls past the last window is dropped, as the
-    correlator drops it."""
+    cell can clip.  The sums are a working array of runtime.work, zeroed
+    here, and hold one more window, for what falls past the last one; the
+    correlator drops it, and so does the view returned."""
     cfg = runtime.scenario.config
     n_total = symbols.shape[1]
-    b = _carrier_coefficients(runtime, symbols)
+    b = _driven_coefficients(runtime, symbols)
     total = None
     for chip, rows, cells in _clipped_cells(runtime, b):
         if total is None:
-            total = np.zeros((cfg.walsh_order, n_total + 1, cfg.carriers), dtype=np.complex128)
+            total = _work_array(runtime.work, "cell_sums",
+                                (cfg.walsh_order, n_total + 1, cfg.carriers), np.complex128)
+            total.fill(0.0)
         _add_cell_correlations(total, runtime, rows, cells,
-                               _formed_cells(runtime, b[chip], rows, cells)[1], gains)
+                               _formed_cells(runtime, b[chip], rows, cells), gains)
     return None if total is None else total[:, :n_total]
 
 
 def _add_cell_correlations(total: np.ndarray, runtime: _Runtime, rows: np.ndarray,
-                           cells: np.ndarray, excess: np.ndarray, gains: np.ndarray) -> None:
-    """Add the correlations of one chunk of cells' excess (_formed_cells)
-    into total, the block's per-(Walsh chip, window) sums, shape
-    (walsh_order, symbols + 1, carriers).
+                           cells: np.ndarray, driven: np.ndarray, gains: np.ndarray) -> None:
+    """Add the correlations of what the limiter takes off one chunk of
+    cells' driven samples (_formed_cells) into total, the block's
+    per-(Walsh chip, window) sums, shape (walsh_order, symbols + 1,
+    carriers).
 
     A cell of user k on path l at delay D adds, to window n' and user 1's
     Walsh chip c' of its delayed span,
 
-        h_kl conj(E_m(a) E_m(D)) sum_s e(s) pn_k(i_s) pn_1(i_s + D) conj(E_m(s)),
+        h_kl conj(E_m(a) E_m(D)) sum_s x(s) f(s) pn_k(i_s) pn_1(i_s + D) conj(E_m(s)),
 
-    since the correlator's conj(E_m) at position a + D + s factors as its
-    sample does (_CellGrid).  The grid is cut so that the delayed span lies
-    in one (chip, window) bin (span_bins), and the sums over s are one
+    f being the limiter's real factor (hpa.limiter_factor), since the
+    correlator's conj(E_m) at position a + D + s factors as its sample does
+    (_CellGrid).  The real weights f pn_k pn_1, zero past the cell's length,
+    meet the samples in one multiply, and the sums over s are one
     (cells, S) @ (S, carriers) product per path, summed over runs of equal
-    bin and added in."""
+    (chip, window) bin and added in.  The chunk's arrays are working arrays
+    of runtime.work."""
     cfg = runtime.scenario.config
     grid = runtime.cells
-    order, n_total = cfg.walsh_order, total.shape[1] - 1
-    conj_offsets = grid.offsets.conj().T
+    work = runtime.work
+    n, n_total = rows.size, total.shape[1] - 1
+    chunk = (_CELL_CHUNK, _CELL_SAMPLES)
     user, window = np.divmod(rows, n_total)
-    starts = grid.starts[cells]
-    excess *= grid.user_chips[user, starts]
-    anchors = grid.centres[:, cells].T.conj()
+    factor = limiter_factor(driven, runtime.scenario.saleh,
+                            out=_work_array(work, "cell_factor", chunk)[:n])
+    own_chips = np.take(grid.user_chips.reshape(-1, _CELL_SAMPLES), user * grid.starts.size + cells,
+                        axis=0)
+    anchors = np.conjugate(np.take(grid.centres, cells, axis=0))
+    conj_offsets = grid.offsets.conj().T
     sums = total.reshape(-1, cfg.carriers)
     for path, gain in enumerate(gains[user].T):
-        delay = path * cfg.oversampling
-        out = (excess * grid.span_chips[starts + delay]) @ conj_offsets
+        chips = np.take(grid.span_chips[path], cells, axis=0)
+        chips *= own_chips
+        weights = np.multiply(factor, chips, out=_work_array(work, "cell_weights", chunk)[:n])
+        excess = np.multiply(driven, weights,
+                             out=_work_array(work, "cell_excess", chunk, np.complex128)[:n])
+        out = np.matmul(excess, conj_offsets, out=_work_array(
+            work, "cell_correlations", (_CELL_CHUNK, cfg.carriers), np.complex128)[:n])
         out *= anchors * (gain[:, None] * grid.delay_phases[path])
-        bins = grid.span_bins[starts + delay]
-        key = bins % order * (n_total + 1) + window + bins // order
-        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        key = (np.take(grid.bin_chips[path], cells) * (n_total + 1)
+               + np.take(grid.bin_windows[path], cells) + window)
+        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         np.add.at(sums, key[heads], np.add.reduceat(out, heads))
 
 

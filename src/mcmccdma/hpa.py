@@ -18,9 +18,10 @@ solid-state amplifier model.  apply_predistorter is the reference that
 characterize-hpa and the tests use.  In "saleh" mode the Monte Carlo
 engine runs amplify_samples on its waveform tiles.  In "saleh_pd" mode the
 limiter is the identity up to A_sat, so the engine takes the linear
-chain's outputs and calls envelope_excess, what the limiter takes off a
-sample, on the 16-sample cells whose envelope bound reaches A_sat only;
-about 80% of the samples it is given clip on the linearization preset.
+chain's outputs and calls limiter_factor, whose product with a sample is
+what the limiter takes off it, on the 16-sample cells whose envelope
+bound reaches A_sat only; about 80% of the samples it is given clip on
+the linearization preset.
 NaN and infinite samples raise ValueError in every kernel and in
 compute_obo, and so do finite samples whose squared modulus overflows.  At
 any finite power the curves are evaluated without an intermediate
@@ -189,12 +190,13 @@ def input_scale_for_power(mean_power: float, ibo_db: float, params: SalehParams)
     return scale
 
 
-def _modulus_squared(x: np.ndarray) -> tuple:
-    """|x|^2 per sample and its largest value; that one max reduction
-    rejects NaN and infinite samples, and finite samples whose |x|^2
-    overflows, each with its own message."""
+def _modulus_squared(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """|x|^2 per sample (into out, when given) and its largest value; that
+    one max reduction rejects NaN and infinite samples, and finite samples
+    whose |x|^2 overflows, each with its own message."""
     with np.errstate(over="ignore"):
-        p = x.real**2 + x.imag**2
+        p = np.square(x.real, out=out)
+        p += np.square(x.imag)
     peak = float(p.max(initial=0.0))
     if not math.isfinite(peak):
         if np.isfinite(x).all():
@@ -222,21 +224,29 @@ def amplify_samples(samples: np.ndarray, params: SalehParams) -> np.ndarray:
     return _rotate(samples, _amam_gain(p, peak, params), _ampm_of_power(p, peak, params))
 
 
-def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
-    """What the predistorted tube, the limiter x * min(1, A_sat/|x|) (see
-    the module docstring), takes off each sample of a complex array of any
-    shape: x * (min(1, A_sat/|x|) - 1), exactly zero at and below A_sat.
-    The engine calls it on the few cells of samples that can exceed A_sat
-    only.  NaN and infinite samples raise ValueError, as in every kernel
-    here."""
+def limiter_factor(samples: np.ndarray, params: SalehParams,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The real factor min(1, A_sat/|x|) - 1 of the predistorted tube, the
+    limiter x * min(1, A_sat/|x|) (see the module docstring), at each sample
+    of a complex array of any shape: what it takes off x is x times it
+    (envelope_excess), exactly zero at and below A_sat.  The engine calls it
+    on the few cells of samples that can exceed A_sat only, into a real
+    working array out of the samples' shape, when given.  NaN and infinite
+    samples raise ValueError, as in every kernel here."""
     sat2 = params.saturation_output_power
     # min(1, A_sat/|x|) as sqrt(sat^2/max(|x|^2, sat^2))
-    gain, _ = _modulus_squared(samples)
-    np.maximum(gain, sat2, out=gain)
-    np.divide(sat2, gain, out=gain)
-    np.sqrt(gain, out=gain)
-    gain -= 1.0
-    return samples * gain
+    factor, _ = _modulus_squared(samples, out)
+    np.maximum(factor, sat2, out=factor)
+    np.divide(sat2, factor, out=factor)
+    np.sqrt(factor, out=factor)
+    factor -= 1.0
+    return factor
+
+
+def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
+    """What the limiter takes off each sample of a complex array of any
+    shape: x * limiter_factor(x), exactly zero at and below A_sat."""
+    return samples * limiter_factor(samples, params)
 
 
 def compute_obo(samples: np.ndarray, params: SalehParams) -> float:

@@ -124,11 +124,11 @@ def combine_walsh_chips(per_chip: np.ndarray, walsh_rows: np.ndarray, n_samp: in
     # (substreams, order) @ (order, n_sym * carriers), re/im interleaved
     z = np.asarray(walsh_rows, dtype=np.float64) @ np.ascontiguousarray(per_chip).view(
         np.float64).reshape(order, -1)
-    z = z.view(np.complex128).reshape(-1, n_sym, n_car).transpose(1, 0, 2).reshape(n_sym, -1)
-    z /= n_samp
-    if reference_phase != 0.0:
-        z *= np.exp(-1j * reference_phase)
-    return z
+    out = np.empty((n_sym, len(walsh_rows), n_car), dtype=np.complex128)
+    # the 1/N and the phase in one scalar multiply, written in slot order
+    np.multiply(z.view(np.complex128).reshape(-1, n_sym, n_car).transpose(1, 0, 2),
+                np.exp(-1j * reference_phase) / n_samp, out=out)
+    return out.reshape(n_sym, -1)
 
 
 def decide_slots(z: np.ndarray, reference: np.ndarray) -> tuple:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.analysis import BerRecord, binomial_ci95
-from mcmccdma.channel import propagate_samples
+from mcmccdma.channel import draw_channel, propagate_samples
 from mcmccdma.cli import main
 from mcmccdma import harness
 from mcmccdma.config import ConfigError, load_config, scenario_from_keys
@@ -26,7 +26,8 @@ from mcmccdma.harness import (
     run_scenario,
     scenario_echo,
 )
-from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, envelope_excess
+from mcmccdma.hpa import (SalehParams, amplify_samples, apply_predistorter, envelope_excess,
+                          limiter_factor)
 from mcmccdma.receiver import correlate_slots
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
                               walsh_chip_bounds)
@@ -483,11 +484,12 @@ class TestAmplifierEngine:
         tube's block peaks at 2.65 frames; amplifying one user's whole
         waveform at a time took six to seven.  The predistorted tube forms
         no tile and no frame, only cells: at 7 dB its envelope bound rules
-        out every row, and the block peaks at 0.013 frames.  At -4 dB most
-        samples clip, and the block peaks at 1.78 frames, the working
-        arrays of one _CELL_CHUNK of 1024 cells (3.3 frames when the
-        clipped excess was added into a dense frame tile by tile; 6.1 with
-        chunks of 2048 cells)."""
+        out every row, and the block peaks at 0.022 frames.  At -4 dB most
+        samples clip, and the block peaks at 1.67 frames, the working
+        arrays of one _CELL_CHUNK of 1024 cells, of which the calibration
+        has made some in runtime.work already (3.3 frames when the clipped
+        excess was added into a dense frame tile by tile; 6.1 with chunks
+        of 2048 cells)."""
         scenario = dataclasses.replace(
             TINY, name="guard", hpa_mode=hpa_mode, ibo_db=ibo_db, symbols_per_block=8,
             config=LinkConfig(users=4, substreams=2, carriers=2, walsh_order=2, pn_length=1023))
@@ -514,7 +516,7 @@ class TestAmplifierEngine:
                 return function(*args)
             return wrapper
 
-        monkeypatch.setattr(harness, "envelope_excess", counted("cell", harness.envelope_excess))
+        monkeypatch.setattr(harness, "limiter_factor", counted("cell", harness.limiter_factor))
         monkeypatch.setattr(harness, "_waveform_tiles", counted("tile", harness._waveform_tiles))
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="unclipped",
                                                        hpa_mode="saleh_pd", ibo_db=30.0))
@@ -573,12 +575,13 @@ class TestAmplifierEngine:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_limiter_block_rejects_nonfinite_tiles(self, bad):
         # at 1 dB some rows can clip in the poisoned cell's Walsh chip; the
-        # cell's anchor exponential enters both its bound, which a NaN or
-        # inf cannot rule out, and every sample formed in it
+        # cell's bound, which a NaN or inf cannot rule out, and its anchor
+        # exponential, which enters every sample formed in it, are poisoned
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="bad",
                                                        hpa_mode="saleh_pd", ibo_db=1.0))
         cell = np.searchsorted(runtime.cells.starts, 300, side="right") - 1
-        runtime.cells.centres[1, cell] = bad
+        runtime.cells.cos_terms[0, cell] = bad
+        runtime.cells.centres[cell, 1] = bad
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
             harness._simulate_block(runtime, 0, 0, 8.0)
 
@@ -623,23 +626,26 @@ def _check_cell_search(runtime, symbols):
     kept cell as the full waveform has it (times linear_gain), to 1e-12, and
     no sample twice; the samples it forms include every clipped sample, so
     on the full waveform's values it clips exactly the samples the full
-    search does; and its excess is zero outside its cells and within
-    1e-12 A_sat of the full search's at every sample (zero where that clips
-    nothing)."""
+    search does; user 1's chips on every path (span_chips), which weigh what
+    the limiter takes off, are zero outside its cells; and that excess is
+    within 1e-12 A_sat of the full search's at every sample (zero where that
+    clips nothing)."""
     cfg = runtime.scenario.config
     grid = runtime.cells
     linear, index, excess = _full_clip_search(runtime, symbols)
     offsets = np.arange(harness._CELL_SAMPLES)
     cell_excess = np.zeros(linear.size, dtype=np.complex128)
     formed = [np.zeros(0, dtype=np.int64)]
-    b = harness._carrier_coefficients(runtime, symbols)
+    b = harness._driven_coefficients(runtime, symbols)
     for chip, rows, cells in harness._clipped_cells(runtime, b):
-        driven, chunk_excess = harness._formed_cells(runtime, b[chip], rows, cells)
+        driven = harness._formed_cells(runtime, b[chip], rows, cells)
         inside = offsets < grid.lengths[cells, None]
+        assert np.array_equal(grid.span_chips[:, cells] != 0,
+                              np.broadcast_to(inside, grid.span_chips[:, cells].shape))
         at = rows[:, None] * cfg.samples_per_symbol + grid.starts[cells, None] + offsets
-        assert not chunk_excess[~inside].any()
         assert np.abs(driven[inside] / runtime.linear_gain - linear.reshape(-1)[at[inside]]).max() <= (
             1e-12 * np.abs(linear).max())
+        chunk_excess = driven * limiter_factor(driven, runtime.scenario.saleh)
         cell_excess[at[inside]] = chunk_excess[inside]
         formed.append(at[inside])
     formed = np.concatenate(formed)
@@ -653,20 +659,33 @@ def _check_cell_search(runtime, symbols):
 
 def _check_cell_geometry(runtime):
     """The Walsh chip bounds are where the floor grid's chips step, and at 1-3
-    paths the limiter's cells tile the symbol and every cell's span delayed
-    by any path lies in one (Walsh chip, window) bin of span_bins."""
+    paths the limiter's cells tile the symbol, every cell's span delayed by
+    any path lies in one (Walsh chip, window) bin, which bin_chips and
+    bin_windows hold, and the per-cell chip tables hold each user's chips at
+    the cell's positions (user_chips) and user 1's at its delayed span, zero
+    past the cell's length (span_chips)."""
     cfg = runtime.scenario.config
+    n_samp = cfg.samples_per_symbol
     chips = _floor_chips(cfg)
     assert np.array_equal(walsh_chip_bounds(cfg),
                           np.searchsorted(chips, np.arange(cfg.walsh_order + 1)))
-    pn_samples = np.repeat(runtime.pn_chips, cfg.oversampling, axis=1).astype(np.float64)
+    pn_samples = np.repeat(runtime.pn_chips, cfg.oversampling, axis=1)
+    offsets = np.arange(harness._CELL_SAMPLES)
     for paths in (1, 2, 3):
-        grid = harness._cell_grid(cfg, pn_samples, paths)
+        grid = harness._cell_grid(cfg, runtime.pn_chips, paths)
         assert np.array_equal(np.cumsum(grid.lengths)[:-1], grid.starts[1:])
         assert grid.starts[-1] + grid.lengths[-1] == cfg.samples_per_symbol
-        for delay in cfg.oversampling * np.arange(paths):
-            first = grid.span_bins[grid.starts + delay]
-            assert np.array_equal(first, grid.span_bins[grid.starts + grid.lengths - 1 + delay])
+        positions = grid.starts[:, None] + offsets
+        assert np.array_equal(grid.user_chips, pn_samples[:, positions % n_samp])
+        inside = offsets < grid.lengths[:, None]
+        for path, delay in enumerate(cfg.oversampling * np.arange(paths)):
+            first, last = grid.starts + delay, grid.starts + grid.lengths - 1 + delay
+            assert np.array_equal(first // n_samp, last // n_samp)
+            assert np.array_equal(chips[first % n_samp], chips[last % n_samp])
+            assert np.array_equal(grid.bin_windows[path], first // n_samp)
+            assert np.array_equal(grid.bin_chips[path], chips[first % n_samp])
+            assert np.array_equal(grid.span_chips[path],
+                                  pn_samples[0, (positions + delay) % n_samp] * inside)
         if paths == runtime.scenario.paths:
             assert np.array_equal(grid.starts, runtime.cells.starts)
 
@@ -679,7 +698,8 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     sample of the row's full waveform, and no pair under the clip power
     holds a clipped sample.  The bound of each cell (_cell_power_bound)
     holds at every sample of the cell, and the cell search clips what the
-    search over every sample clips (_check_cell_search).  The grid's
+    search over every sample clips (_check_cell_search).  Both bounds are
+    read off the rows' autocorrelations (_autocorrelations).  The grid's
     geometry holds at 1-3 paths (_check_cell_geometry)."""
     cfg = _BOUND_CONFIGS[name]
     runtime = harness._prepare(dataclasses.replace(TINY, name="bound", hpa_mode="saleh_pd",
@@ -688,7 +708,8 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     symbols = harness._draw_symbols(np.random.default_rng(seed),
                                     (cfg.users, 5, cfg.substreams, cfg.carriers))
     b = harness._carrier_coefficients(runtime, symbols)
-    peak = harness._peak_power_bound(b)
+    rho = harness._autocorrelations(b)
+    peak = harness._peak_power_bound(rho)
     clip_power = harness._clip_power(runtime)
 
     linear, index, excess = _full_clip_search(runtime, symbols)
@@ -699,13 +720,83 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     assert (peak[chips[position], row] >= clip_power).all()
 
     cell_bound = np.concatenate([
-        harness._cell_power_bound(grid, b[chip], peak[chip], lo, hi)
+        harness._cell_power_bound(grid, rho[:, chip], peak[chip], lo, hi)
         for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:]))], axis=1)
     cell = np.searchsorted(grid.starts, np.arange(cfg.samples_per_symbol), side="right") - 1
     assert (power <= cell_bound[:, cell] * (1.0 + 1e-12)).all()
 
     _check_cell_search(runtime, symbols)
     _check_cell_geometry(runtime)
+
+
+def _pq_clip_search(runtime, b):
+    """The (Walsh chip, row, cell) triples of the limiter's clip search as
+    it bounded each cell from p and p' at the cell's anchor: p =
+    sum_m b_m E_m(a) and p' = j sum_m (m+1) b_m E_m(a) as complex products,
+    P(phi_0) = |p|^2 and P'(phi_0) = 2 Re(conj(p) p'), on the carrier
+    coefficients b (_carrier_coefficients) against the clip power, each
+    row's peak bound summed term by term."""
+    grid = runtime.cells
+    n_car = b.shape[-1]
+    threshold = harness._clip_power(runtime) * (1.0 - 1e-12)
+    peak = np.einsum("...m,...m->...", b, b)
+    for k in range(1, n_car):
+        peak += 2.0 * np.abs(np.einsum("...m,...m->...", b[..., :-k], b[..., k:]))
+    centres = grid.centres.T
+    kept = []
+    for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:])):
+        rows = np.flatnonzero(~(peak[chip] < threshold))
+        p = b[chip, rows] @ centres[:, lo:hi]
+        q = (b[chip, rows] * np.arange(1, n_car + 1)) @ centres[:, lo:hi]
+        bound = np.square(p.real) + np.square(p.imag)
+        bound += 2.0 * grid.half_width * np.abs(p.imag * q.real - p.real * q.imag)
+        bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[chip, rows, None]
+        row, cell = np.nonzero(~(bound < threshold))
+        kept.append(np.stack((np.full(row.size, chip), rows[row], cell + lo), axis=1))
+    return np.concatenate(kept)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_clip_search_keeps_the_pairs_of_the_anchor_products(seed):
+    """On the first 8 blocks of amplifier-linearized, the search through the
+    rows' autocorrelations keeps exactly the (row, cell) pairs, in the same
+    order, that bounding each cell from p and p' at its anchor keeps
+    (_pq_clip_search)."""
+    scenario = dataclasses.replace(_preset_scenario("linearization", "amplifier-linearized"),
+                                   master_seed=seed)
+    runtime = harness._prepare(scenario)
+    cfg = scenario.config
+    for block in range(8):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 0, block]))
+        draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
+        symbols = harness._draw_symbols(rng, (cfg.users, scenario.symbols_per_block + runtime.warmup,
+                                              cfg.substreams, cfg.carriers))
+        kept = [np.stack((np.full(rows.size, chip), rows, cells), axis=1) for chip, rows, cells
+                in harness._clipped_cells(runtime, harness._driven_coefficients(runtime, symbols))]
+        expected = _pq_clip_search(runtime, harness._carrier_coefficients(runtime, symbols))
+        assert expected.shape[0] > 1000
+        assert np.array_equal(np.concatenate(kept), expected)
+
+
+def test_reused_cell_arrays_match_fresh_ones():
+    """The limiter's working arrays, kept in runtime.work from block to
+    block, give bit for bit the W of a runtime whose arrays are made afresh,
+    on two blocks whose kept cells and chunk sizes differ."""
+    scenario = dataclasses.replace(_CLIPPED_LINEARIZED, ibo_db=1.0)
+    runtime = harness._prepare(scenario)
+    cfg = scenario.config
+    rng = np.random.default_rng(5)
+    gains = harness._path_gains(draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db,
+                                             scenario.fading))
+    blocks = [harness._draw_symbols(rng, (cfg.users, n, cfg.substreams, cfg.carriers))
+              for n in (9, 5)]
+    counts = [sum(rows.size for _, rows, _ in harness._clipped_cells(
+        runtime, harness._driven_coefficients(runtime, symbols))) for symbols in blocks]
+    assert counts[0] != counts[1] and min(counts) > 0
+    reused = [harness._excess_correlations(runtime, symbols, gains).copy() for symbols in blocks]
+    for symbols, w in zip(blocks, reused):
+        fresh = dataclasses.replace(runtime, work={})
+        assert np.array_equal(harness._excess_correlations(fresh, symbols, gains), w)
 
 
 @st.composite

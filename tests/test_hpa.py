@@ -17,6 +17,7 @@ from mcmccdma.hpa import (
     compute_obo,
     envelope_excess,
     input_scale_for_power,
+    limiter_factor,
     pd_amplitude,
 )
 
@@ -252,6 +253,12 @@ def test_limiter_is_the_predistorted_tube(quadratic):
     assert np.abs(got).max() <= sat * (1.0 + 1e-15)
     # a tile keeps its shape
     assert np.array_equal(envelope_excess(x.reshape(20, -1), params), excess.reshape(20, -1))
+    # the excess is x times the real limiter factor, which a working array
+    # receives bit for bit
+    factor = limiter_factor(x, params)
+    assert factor.dtype == np.float64 and np.array_equal(x * factor, excess)
+    out = np.full(x.size, np.nan)
+    assert limiter_factor(x, params, out=out) is out and np.array_equal(out, factor)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
