@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 
 _DRAW_TESTS = ("tests/test_harness.py", "-k", "symbol_draw")
+_BLOCK_DRAW_TESTS = ("tests/test_harness.py", "-k", "seeded_block_draws")
 _SPLIT_TESTS = ("tests/test_harness.py", "-k", "sources_match")
 _TABLE_TESTS = ("tests/test_receiver.py", "-k", "matches_slice_products")
 _PRODUCT_TESTS = ("tests/test_receiver.py", "-k", "expanded_tables or work_arrays")
@@ -58,6 +59,28 @@ _GRAM_TESTS = ("tests/test_receiver.py", "tests/test_harness.py", "-k",
 MUTANTS = (
     Mutant("draw-big-endian-words", "harness.py",
            'astype("<u8", copy=False)', 'astype(">u8", copy=False)', _DRAW_TESTS),
+    # the block's steps: its draws, its noise, and the decomposition's noise
+    Mutant("block-seed-indices-swapped", "harness.py",
+           "[scenario.master_seed, 0, point_index, block_index]",
+           "[scenario.master_seed, 0, block_index, point_index]", _BLOCK_DRAW_TESTS),
+    Mutant("block-symbols-before-channel", "harness.py",
+           "    channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, "
+           "scenario.fading)\n    symbols = _draw_symbols(rng, (cfg.users, "
+           "scenario.symbols_per_block + runtime.warmup,\n"
+           "                                  cfg.substreams, cfg.carriers))\n",
+           "    symbols = _draw_symbols(rng, (cfg.users, "
+           "scenario.symbols_per_block + runtime.warmup,\n"
+           "                                  cfg.substreams, cfg.carriers))\n"
+           "    channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, "
+           "scenario.fading)\n", _BLOCK_DRAW_TESTS),
+    Mutant("block-skips-its-noise", "harness.py",
+           "    if runtime.scenario.noise_enabled:\n        z = z + ",
+           "    if False:\n        z = z + ",
+           ("tests/test_harness.py", "-k", "noise_per_correlator_output")),
+    Mutant("decomposition-noise-scale", "harness.py",
+           "_correlator_noise(runtime, ebn0_db, runtime.noise_factor[:1, :1],",
+           "_correlator_noise(runtime, ebn0_db, 1.1 * runtime.noise_factor[:1, :1],",
+           ("tests/test_receiver.py", "-k", "awgn_variance_matches_analytic")),
     Mutant("calibration-integer-draw", "harness.py",
            "symbols = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))",
            "symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams,"

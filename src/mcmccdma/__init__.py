@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .channel import (
     ChannelRealization,
-    add_awgn,
     draw_channel,
     path_power_profile,
     propagate_samples,
@@ -76,7 +75,6 @@ __all__ = [
     "SOURCE_NAMES",
     "SalehParams",
     "Scenario",
-    "add_awgn",
     "amam",
     "ampm",
     "amplify_samples",

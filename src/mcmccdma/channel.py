@@ -8,7 +8,7 @@ information bit, so back-off comparisons are not conflated with SNR loss.
 
 Everything here works on plain arrays: propagate_samples takes one user's
 complex path gains, path l delayed by l chips as in ChannelRealization, and
-add_awgn and correlator_noise take the Eb/N0 in dB and the energy per bit.
+correlator_noise takes the Eb/N0 in dB and the energy per bit.
 """
 
 from __future__ import annotations
@@ -90,32 +90,19 @@ def propagate_samples(samples: np.ndarray, gains, samples_per_chip: int,
     return out
 
 
-def add_awgn(samples: np.ndarray, sample_rate: float, ebn0_db: float, eb: float,
-             rng: np.random.Generator) -> np.ndarray:
-    """The samples plus complex white Gaussian noise sized for the requested
-    Eb/N0, as a new array.
-
-    eb is the transmitted energy per information bit; the noise density
-    follows as n0 = eb / 10^(ebn0_db/10) and each real component gets
-    variance (n0/2) * sample_rate.
-    """
-    sigma = np.sqrt(0.5 * _noise_density(ebn0_db, eb) * sample_rate)
-    w = rng.standard_normal((samples.size, 2))
-    w *= sigma
-    # Each row of w is one sample's (real, imaginary) pair.
-    return samples + w.view(np.complex128)[:, 0]
-
-
 def correlator_noise(ebn0_db: float, eb: float, window_rate: float, factor: np.ndarray,
                      n_windows: int, rng: np.random.Generator) -> np.ndarray:
-    """What add_awgn's noise leaves in a bank of correlators, drawn directly.
+    """What complex white Gaussian sample noise leaves in a bank of
+    correlators, drawn directly.
 
-    The correlators average N = sample_rate / window_rate samples each
-    against unit-modulus signatures sig_t, so their outputs in one window
-    are complex Gaussian with covariance n0 * window_rate * G, where
-    G[t, u] = (1/N) sum_i conj(sig_t[i]) sig_u[i] is the signatures' Gram
-    matrix and factor @ factor^H = G.  Returns (n_windows, len(factor))
-    draws, independent between windows.
+    The sample noise has one-sided density n0 = eb / 10^(ebn0_db/10): each
+    real component of a sample at sample_rate has variance
+    (n0/2) * sample_rate.  The correlators average N = sample_rate /
+    window_rate samples each against unit-modulus signatures sig_t, so
+    their outputs in one window are complex Gaussian with covariance
+    n0 * window_rate * G, where G[t, u] = (1/N) sum_i conj(sig_t[i]) sig_u[i]
+    is the signatures' Gram matrix and factor @ factor^H = G.  Returns
+    (n_windows, len(factor)) draws, independent between windows.
     """
     sigma = np.sqrt(0.5 * _noise_density(ebn0_db, eb) * window_rate)
     w = rng.standard_normal((n_windows, factor.shape[0], 2))

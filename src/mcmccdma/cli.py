@@ -122,9 +122,7 @@ def _cmd_simulate(args) -> int:
             var = measure_variances(scenario)
             ebn0 = scenario.ebn0_grid[0]
             rows = (("desired_power", var.desired_power),)
-            rows += tuple(zip(SOURCE_NAMES[1:], (var.multipath, var.inter_substream,
-                                                 var.inter_carrier, var.multi_user,
-                                                 var.noise)))
+            rows += tuple((name, getattr(var, name)) for name in SOURCE_NAMES[1:])
             rows += (("total_interference", var.total),)
             for component, value in rows:
                 lines.append(f"{scenario.name},{repr(float(ebn0))},{component},{repr(float(value))}")

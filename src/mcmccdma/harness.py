@@ -1,12 +1,12 @@
 """Monte Carlo engine, scenario presets and CSV emission.
 
-Determinism contract: every simulated block derives its generator from
-SeedSequence([master_seed, 0, point_index, block_index]), blocks are grouped
-into fixed-size waves, and the stopping rule is evaluated only on completed
-waves.  Error and bit counts are integer sums over a wave, so the emitted
-records (and CSV bytes) are identical for any worker count and any
-execution order.  Each +-1 symbol costs one bit of the generator's raw
-64-bit words, taken little-endian (_draw_symbols).
+Determinism contract: every simulated block draws from its own generator,
+seeded by the master seed and the block's (point, block) indices alone
+(_block_draws), blocks are grouped into fixed-size waves, and the stopping
+rule is evaluated only on completed waves.  Error and bit counts are integer
+sums over a wave, so the emitted records (and CSV bytes) are identical for
+any worker count and any execution order.  Each +-1 symbol costs one bit of
+the generator's raw 64-bit words, taken little-endian (_draw_symbols).
 
 A run forks no pool up front.  Its blocks run in the calling process until
 their summed time reaches _SERIAL_BUDGET_S, several times what a fork pool
@@ -14,9 +14,13 @@ costs to start and tear down; only then, and only with workers > 1, does a
 pool of workers - 1 processes fork, the calling process running the first
 share of every later wave itself (run_scenario).
 
-One producer (_correlation_outputs) forms user 1's correlator outputs in
-every hpa_mode; the channel and symbol draws, the decisions and the error
-count around it are common too.  A block's outputs are
+A block (_simulate_block) is four steps, one function each, common to
+every hpa_mode: the draws (_block_draws: the channel, then every user's
+symbols), user 1's noiseless correlator outputs (_correlation_outputs),
+one correlator noise draw when the noise is on (channel.correlator_noise),
+and the decisions (receiver.decide_slots).  The noise enters after the
+amplifier and the channel, so the noiseless outputs do not depend on
+Eb/N0, and neither producer takes it or a generator.  A block's outputs are
 
     z = g sqrt(2 power) e^{-j theta} T + W + noise,
 
@@ -262,10 +266,10 @@ class _CellGrid:
 class _Runtime:
     """Precomputed per-scenario tables shared by every block.
 
-    The fields down to phase_offset serve every mode, and are all that
-    _correlation_outputs needs without an amplifier: the tables of its
-    linear term, its noise factor, the energy per bit the noise is matched
-    to, the linear term's gain g, and the amplifier's mean rotation.  The
+    The fields down to phase_offset serve every mode, and are all that a
+    block needs without an amplifier: the tables of its linear term, the
+    noise factor, the energy per bit the noise is matched to, the linear
+    term's gain g, and the amplifier's mean rotation.  The
     amplifier modes ("saleh" and "saleh_pd") also fill amplified, the
     function that forms a block's W; the tube ("saleh") the
     fields from which _waveform_tiles forms every user's PN-free waveform,
@@ -595,18 +599,32 @@ def _linear_eb(cfg: LinkConfig) -> float:
 
 
 def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_db: float):
-    """One independent trial block: fresh channel, fresh data, fresh noise.
-    Returns (errors, bits) for user 1's counted symbols."""
+    """One independent trial block: its draws, user 1's noiseless correlator
+    outputs, one correlator noise draw when the noise is on, added into a
+    new array so that the noiseless outputs are left as they were, and the
+    decisions.  Returns (errors, bits) for user 1's counted symbols."""
+    rng, channel, symbols = _block_draws(runtime, point_index, block_index)
+    z = _correlation_outputs(runtime, channel, symbols)
+    if runtime.scenario.noise_enabled:
+        z = z + _correlator_noise(runtime, ebn0_db, runtime.noise_factor, symbols.shape[1],
+                                  rng).reshape(z.shape)
+    return decide_slots(z[runtime.warmup:], symbols[0, runtime.warmup:])
+
+
+def _block_draws(runtime: _Runtime, point_index: int, block_index: int) -> tuple:
+    """(generator, channel, symbols) of block block_index at sweep point
+    point_index: the generator seeded by SeedSequence([master_seed, 0,
+    point_index, block_index]) draws the channel, then every user's symbols
+    (users, symbols_per_block + warmup, substreams, carriers), and is
+    returned where they leave it, for the block's noise."""
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(
         np.random.SeedSequence([scenario.master_seed, 0, point_index, block_index]))
-
     channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
     symbols = _draw_symbols(rng, (cfg.users, scenario.symbols_per_block + runtime.warmup,
                                   cfg.substreams, cfg.carriers))
-    z = _correlation_outputs(runtime, channel, symbols, ebn0_db, rng)
-    return decide_slots(z[runtime.warmup:], symbols[0, runtime.warmup:])
+    return rng, channel, symbols
 
 
 def _draw_symbols(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -622,12 +640,11 @@ def _draw_symbols(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return symbols.reshape(shape)
 
 
-def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """User 1's correlator outputs, shape (symbols, substreams, carriers),
-    in every hpa_mode:
+def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.ndarray:
+    """User 1's noiseless correlator outputs, shape (symbols, substreams,
+    carriers), in every hpa_mode:
 
-        z = g sqrt(2 power) e^{-j theta} T + W + noise.
+        z = g sqrt(2 power) e^{-j theta} T + W.
 
     T is the linear chain's correlation, from the runtime's partial
     cross-correlation tables as per-chip sums (receiver.correlate_tables),
@@ -638,13 +655,10 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_d
     Walsh combine (receiver.combine_walsh_chips), the tables' 1/N undone
     since the combine divides by N; a tube block (g = 0) forms no T at all.
     theta is user 1's reference-path phase plus the amplifier's mean
-    rotation.  The noise is drawn per correlator output, with the
-    covariance white sample noise would give there.  Noiseless, the
-    outputs are those of the sample chain (modulate, amplify, propagate,
-    correlate) up to round-off."""
+    rotation.  The outputs are those of the sample chain (modulate,
+    amplify, propagate, correlate) up to round-off."""
     cfg = runtime.scenario.config
     n_samp = cfg.samples_per_symbol
-    n_total = symbols.shape[1]
     gains = _path_gains(channel)
     per_chip = None
     if runtime.linear_gain:
@@ -656,9 +670,7 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_d
         per_chip = amplified if per_chip is None else per_chip + amplified
     z = combine_walsh_chips(per_chip, runtime.walsh, n_samp,
                             channel.phases[0, 0] + runtime.phase_offset)
-    if runtime.scenario.noise_enabled:
-        z += _correlator_noise(runtime, ebn0_db, runtime.noise_factor, n_total, rng)
-    return z.reshape(n_total, cfg.substreams, cfg.carriers)
+    return z.reshape(symbols.shape[1], cfg.substreams, cfg.carriers)
 
 
 def _tube_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -757,11 +769,11 @@ def _add_cell_correlations(total: np.ndarray, runtime: _Runtime, rows: np.ndarra
         np.add.at(sums, key[heads], np.add.reduceat(out, heads))
 
 
-def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: float,
-                    rng: np.random.Generator) -> dict:
-    """User 1's slot (1, 1) correlator output of _correlation_outputs, split
-    by origin: one (symbols,) array per receiver.SOURCE_NAMES entry, each a
-    subset of the terms of the same sum at target slot 0.
+def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> dict:
+    """User 1's noiseless slot (1, 1) correlator output of
+    _correlation_outputs, split by origin: one (symbols,) array per
+    receiver.SOURCE_NAMES entry but the noise, each a subset of the terms of
+    the same sum at target slot 0.
 
     desired is user 1's slot (1, 1) on path 0 and multipath the same symbols
     on the later paths; inter_substream is user 1's other substreams on
@@ -770,9 +782,7 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     path) terms of the tables' slot-0 column (receiver.slot_tables): one
     product for user 1 against that column times a 0/1 mask per source,
     one output column each, and one for the other users (_column_outputs).
-    The noise is drawn per output with slot (1, 1)'s variance (user 1's Gram
-    entry), and is zero with the noise off.  The six sum to the noiseless
-    slot-0 output plus that noise."""
+    The five sum to the slot-0 output."""
     cfg = runtime.scenario.config
     column = runtime.slot_column
     gains = _path_gains(channel)
@@ -788,14 +798,7 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray, ebn0_db: fl
     z = np.concatenate((_column_outputs(own, symbols[:1], gains[:1]),
                         _column_outputs(column[1:], symbols[1:], gains[1:])), axis=1)
     z *= np.sqrt(2.0 * cfg.power) * np.exp(-1j * channel.phases[0, 0])
-    sources = dict(zip(SOURCE_NAMES, z.T))
-    n_total = symbols.shape[1]
-    if runtime.scenario.noise_enabled:
-        sources["noise"] = _correlator_noise(runtime, ebn0_db, runtime.noise_factor[:1, :1],
-                                             n_total, rng)[:, 0]
-    else:
-        sources["noise"] = np.zeros(n_total, dtype=np.complex128)
-    return sources
+    return dict(zip(SOURCE_NAMES, z.T))
 
 
 def _column_outputs(column: np.ndarray, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -1025,9 +1028,12 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     (_source_outputs) over n_symbols random-data symbols on one fixed
     channel realization of a linear-chain runtime.
 
-    Symbols and noise are drawn chunk by chunk.  With several paths each
-    chunk is preceded by one uncounted warmup symbol, so that the missing
-    previous symbol at its start does not bias the estimates.
+    Each chunk draws its symbols, splits their noiseless outputs
+    (_source_outputs) and then draws the noise of slot (1, 1), with that
+    slot's variance (user 1's Gram entry); with the noise off it is zero
+    and ebn0_db is not read.  With several paths each chunk is preceded by
+    one uncounted warmup symbol, so that the missing previous symbol at its
+    start does not bias the estimates.
     """
     if n_symbols < 2:
         raise ValueError(f"need at least 2 symbols for a sample variance, got {n_symbols}")
@@ -1036,7 +1042,12 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     for start in range(0, n_symbols, chunk):
         n_total = min(chunk, n_symbols - start) + runtime.warmup
         symbols = _draw_symbols(rng, (cfg.users, n_total, cfg.substreams, cfg.carriers))
-        for name, z in _source_outputs(runtime, channel, symbols, ebn0_db, rng).items():
+        sources = _source_outputs(runtime, channel, symbols)
+        sources["noise"] = (_correlator_noise(runtime, ebn0_db, runtime.noise_factor[:1, :1],
+                                              n_total, rng)[:, 0]
+                            if runtime.scenario.noise_enabled
+                            else np.zeros(n_total, dtype=np.complex128))
+        for name, z in sources.items():
             collected[name].append(z[runtime.warmup:])
 
     z_by_name = {name: np.concatenate(parts) for name, parts in collected.items()}

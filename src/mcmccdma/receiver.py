@@ -65,7 +65,7 @@ class InterferenceVariances:
 
     @property
     def total(self) -> float:
-        return self.multipath + self.inter_substream + self.inter_carrier + self.multi_user + self.noise
+        return sum(getattr(self, name) for name in SOURCE_NAMES[1:])
 
 
 def correlate_slots(samples: np.ndarray, signatures: np.ndarray, config: LinkConfig,

@@ -256,27 +256,25 @@ def test_decomposition_identity():
     cfg = LinkConfig(users=3, substreams=2, carriers=2, walsh_order=4,
                      pn_length=15, oversampling=4)
     scenario = Scenario(name="split", config=cfg, paths=2, decay_db=3.0, fading=True)
-    noiseless = harness._prepare(dataclasses.replace(scenario, noise_enabled=False))
+    runtime = harness._prepare(scenario)
     rng = np.random.default_rng(424242)
     channel = draw_channel(rng, users=3, n_paths=2, decay_db=3.0, fading=True)
     symbols = (2 * rng.integers(0, 2, size=(3, 1000, 2, 2)) - 1).astype(np.int8)
-    sources = harness._source_outputs(harness._prepare(scenario), channel, symbols, 5.0, rng)
-    # The BER engine's slot (1, 1) output, with the split's noise draw.
-    z_total = harness._correlation_outputs(noiseless, channel, symbols, 5.0,
-                                           rng)[:, 0, 0] + sources["noise"]
+    sources = harness._source_outputs(runtime, channel, symbols)
+    # The BER engine's noiseless slot (1, 1) output.
+    z_total = harness._correlation_outputs(runtime, channel, symbols)[:, 0, 0]
     residual = np.abs(z_total - sum(sources.values()))
     worst = float(np.max(residual / np.maximum(np.abs(z_total), 1e-6)))
     assert worst <= 1e-10, f"split misses the total by {worst:.2e} relative"
 
     lone_scenario = dataclasses.replace(scenario, config=dataclasses.replace(cfg, users=1),
-                                        paths=1, decay_db=0.0, fading=False,
-                                        noise_enabled=False)
+                                        paths=1, decay_db=0.0, fading=False)
     lone = draw_channel(rng, users=1, n_paths=1, decay_db=0.0, fading=False)
     symbols1 = (2 * rng.integers(0, 2, size=(1, 200, 2, 2)) - 1).astype(np.int8)
-    sources1 = harness._source_outputs(harness._prepare(lone_scenario), lone, symbols1, 5.0, rng)
+    sources1 = harness._source_outputs(harness._prepare(lone_scenario), lone, symbols1)
     lone_ok = bool(np.all(sources1["multipath"] == 0j) and np.all(sources1["multi_user"] == 0j))
     _report("decomposition identity", lone_ok,
-            f"six-way split matches the correlator total within {worst:.1e} "
+            f"five-way noiseless split matches the correlator total within {worst:.1e} "
             f"relative over 1000 symbols; single-user single-path run has "
             f"exactly zero multipath and multi-user terms")
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mcmccdma.channel import (
     ChannelRealization,
-    add_awgn,
     correlator_noise,
     draw_channel,
     path_power_profile,
@@ -124,28 +123,6 @@ class TestPropagation:
 
 
 class TestAwgn:
-    def test_variance_calibration(self):
-        # per-component variance must be (N0/2) * sample_rate
-        n = 1_000_000
-        sample_rate = 60.0
-        eb = 2.0
-        ebn0_db = 4.0
-        noisy = add_awgn(np.zeros(n, dtype=np.complex128), sample_rate, ebn0_db, eb,
-                         np.random.default_rng(11))
-        n0 = eb / 10 ** (ebn0_db / 10)
-        expected = 0.5 * n0 * sample_rate
-        assert noisy.real.var() == pytest.approx(expected, rel=0.01)
-        assert noisy.imag.var() == pytest.approx(expected, rel=0.01)
-
-    def test_whiteness(self):
-        n = 1_000_000
-        w = add_awgn(np.zeros(n, dtype=np.complex128), 1.0, 0.0, 1.0, np.random.default_rng(13))
-        lag1 = (w[:-1] * w[1:].conj()).mean()
-        power = (np.abs(w) ** 2).mean()
-        assert abs(lag1) / power < 0.01
-        # I/Q rails independent
-        assert abs(np.mean(w.real * w.imag)) / power < 0.01
-
     def test_correlator_noise_covariance(self):
         # outputs carry n0 * window_rate * factor @ factor^H, circular
         rng = np.random.default_rng(17)
@@ -161,17 +138,9 @@ class TestAwgn:
         pseudo = z.T @ z / z.shape[0]
         assert np.abs(pseudo).max() < 0.02 * np.abs(expected).max()
 
-    def test_deterministic_given_rng(self):
-        x = np.zeros(64, dtype=np.complex128)
-        a = add_awgn(x, 1.0, 3.0, 1.0, np.random.default_rng(9))
-        b = add_awgn(x, 1.0, 3.0, 1.0, np.random.default_rng(9))
-        assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("ebn0_db", [np.nan, np.inf, -np.inf])
     def test_nonfinite_ebn0_rejected(self, ebn0_db):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="ebn0_db must be finite"):
-            add_awgn(np.zeros(8, dtype=np.complex128), 1.0, ebn0_db, 1.0, rng)
         with pytest.raises(ValueError, match="ebn0_db must be finite"):
             correlator_noise(ebn0_db, 1.0, 1.0, np.eye(2), 4, rng)
 

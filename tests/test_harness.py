@@ -28,7 +28,7 @@ from mcmccdma.harness import (
 )
 from mcmccdma.hpa import (SalehParams, amplify_samples, apply_predistorter, envelope_excess,
                           limiter_factor)
-from mcmccdma.receiver import correlate_slots
+from mcmccdma.receiver import SOURCE_NAMES, correlate_slots
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
                               walsh_chip_bounds)
 
@@ -254,22 +254,12 @@ def _sample_chain(runtime, symbols, gains, reference_phase, amplify=None):
     return correlate_slots(received, own, cfg, reference_phase=reference_phase)
 
 
-def _recorded_block(scenario, monkeypatch):
-    """The runtime, channel, symbols and correlator outputs of one noiseless
-    block of the scenario's engine."""
-    scenario = dataclasses.replace(scenario, noise_enabled=False)
+def _recorded_block(scenario):
+    """The runtime, channel, symbols and noiseless correlator outputs of
+    block 3 at the first point of the scenario's engine."""
     runtime = harness._prepare(scenario)
-    produce = harness._correlation_outputs
-    seen = {}
-
-    def recorded(runtime, channel, symbols, ebn0_db, rng):
-        seen.update(channel=channel, symbols=symbols)
-        seen["z"] = produce(runtime, channel, symbols, ebn0_db, rng)
-        return seen["z"]
-
-    monkeypatch.setattr(harness, "_correlation_outputs", recorded)
-    harness._simulate_block(runtime, 0, 3, 8.0)
-    return runtime, seen["channel"], seen["symbols"], seen["z"]
+    _, channel, symbols = harness._block_draws(runtime, 0, 3)
+    return runtime, channel, symbols, harness._correlation_outputs(runtime, channel, symbols)
 
 
 class TestCorrelationEngine:
@@ -280,8 +270,8 @@ class TestCorrelationEngine:
         _preset_scenario("system-comparison", "multicarrier-only"),  # walsh_order 1
         _TINY_UNALIGNED,
     ], ids=lambda sc: sc.name)
-    def test_noiseless_outputs_match_sample_chain(self, scenario, monkeypatch):
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+    def test_noiseless_outputs_match_sample_chain(self, scenario):
+        runtime, channel, symbols, z = _recorded_block(scenario)
         reference = _sample_chain(runtime, symbols, harness._path_gains(channel),
                                   channel.phases[0, 0])
         assert z.shape == reference.shape
@@ -292,9 +282,9 @@ class TestCorrelationEngine:
         _preset_scenario("carrier-sweep", "carriers-2"),
         _preset_scenario("system-comparison", "multicode-only"),
     ], ids=lambda sc: sc.name)
-    def test_sources_match_sample_chain(self, scenario, monkeypatch):
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
-        sources = harness._source_outputs(runtime, channel, symbols, 8.0, rng=None)
+    def test_sources_match_sample_chain(self, scenario):
+        runtime, channel, symbols, z = _recorded_block(scenario)
+        sources = harness._source_outputs(runtime, channel, symbols)
         # Each source through the sample chain, on its own symbols and path
         # gains, zero where the source drops a path or a user.
         gains = harness._path_gains(channel)
@@ -320,8 +310,9 @@ class TestCorrelationEngine:
             reference = _sample_chain(runtime, masked, kept, channel.phases[0, 0])[:, 0, 0]
             assert sources[name].shape == reference.shape
             assert np.abs(sources[name] - reference).max() <= 1e-12 * np.abs(reference).max(), name
-        assert np.array_equal(sources["noise"], np.zeros(symbols.shape[1]))
-        # noise off, the six sum to the BER engine's slot (1, 1) output
+        # the split draws no noise, and the five sum to the BER engine's
+        # noiseless slot (1, 1) output
+        assert tuple(sources) == SOURCE_NAMES[:-1]
         total = sum(sources.values())
         assert np.abs(total - z[:, 0, 0]).max() <= 1e-12 * np.abs(z[:, 0, 0]).max()
 
@@ -428,7 +419,7 @@ class TestAmplifierEngine:
     ], ids=lambda v: getattr(v, "name", str(v)))
     def test_noiseless_outputs_match_per_user_chain(self, scenario, slab, monkeypatch):
         monkeypatch.setattr(harness, "_SLAB_SAMPLES", slab)
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+        runtime, channel, symbols, z = _recorded_block(scenario)
         if scenario.hpa_mode == "saleh_pd":
             linear = np.concatenate([
                 modulate_user(d, runtime.walsh, pn, scenario.config)
@@ -461,16 +452,15 @@ class TestAmplifierEngine:
             return correlate_tables(*args)
 
         monkeypatch.setattr(harness, "correlate_tables", counted)
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+        runtime, channel, symbols, z = _recorded_block(scenario)
         assert runtime.linear_gain == 0.0 and calls == []
         reference = _sample_chain(runtime, symbols, harness._path_gains(channel),
                                   channel.phases[0, 0] + runtime.phase_offset,
                                   amplify=_reference_amplifier(runtime))
         assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
         # the bypass block of the same draws does call it
-        linear = harness._prepare(dataclasses.replace(scenario, hpa_mode="bypass",
-                                                      noise_enabled=False))
-        harness._correlation_outputs(linear, channel, symbols, 8.0, None)
+        linear = harness._prepare(dataclasses.replace(scenario, hpa_mode="bypass"))
+        harness._correlation_outputs(linear, channel, symbols)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("hpa_mode, ibo_db, frames", [
@@ -529,34 +519,40 @@ class TestAmplifierEngine:
     @pytest.mark.parametrize("hpa_mode", harness.HPA_MODES)
     def test_block_draws_noise_per_correlator_output(self, hpa_mode, monkeypatch):
         """Every mode's noise is one correlator_noise draw through the
-        runtime's Gram factor, added to the noiseless outputs; the block
-        draws no other noise from its generator."""
+        runtime's Gram factor, from the generator where the block's draws
+        leave it, added to the noiseless outputs before the decisions; the
+        producer draws none, a block with the noise off neither, and the
+        block draws no other noise from its generator."""
         scenario = dataclasses.replace(_TINY_UNALIGNED, name="noisy", hpa_mode=hpa_mode,
                                        ibo_db=1.0)
-        draws = []
+        draws, decided = [], []
         correlator_noise = harness.correlator_noise
-        produce = harness._correlation_outputs
+        decide_slots = harness.decide_slots
 
         def recorded(ebn0_db, eb, window_rate, factor, n_windows, rng):
-            draws.append((factor, n_windows, eb, ebn0_db))
+            draws.append((factor, n_windows, eb, ebn0_db, rng))
             draws.append(correlator_noise(ebn0_db, eb, window_rate, factor, n_windows, rng))
             return draws[-1]
 
         monkeypatch.setattr(harness, "correlator_noise", recorded)
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+        monkeypatch.setattr(harness, "decide_slots",
+                            lambda z, reference: decided.append(z) or decide_slots(z, reference))
+        runtime, channel, symbols, z = _recorded_block(scenario)
+        quiet = harness._prepare(dataclasses.replace(scenario, noise_enabled=False))
+        harness._simulate_block(quiet, 0, 3, 8.0)
         assert draws == []          # noise off, nothing drawn
-        noisy = harness._prepare(scenario)
-        rng = np.random.default_rng(3)
-        z_noisy = produce(noisy, channel, symbols, 8.0, rng)
-        (factor, n_windows, eb, ebn0_db), noise = draws
-        assert factor is noisy.noise_factor and eb == noisy.eb == runtime.eb and ebn0_db == 8.0
+        warmup = runtime.warmup
+        assert np.array_equal(decided[0], z[warmup:])
+        harness._simulate_block(runtime, 0, 3, 8.0)
+        (factor, n_windows, eb, ebn0_db, rng), noise = draws
+        assert factor is runtime.noise_factor and eb == runtime.eb and ebn0_db == 8.0
         assert n_windows == symbols.shape[1]
-        # the generator is left where that one draw leaves a fresh one
-        alone = np.random.default_rng(3)
+        # the generator is left where that one draw leaves the block's draws
+        alone, _, _ = harness._block_draws(runtime, 0, 3)
         correlator_noise(ebn0_db, eb, 1.0, factor, n_windows, alone)
         assert rng.bit_generator.state == alone.bit_generator.state
-        difference = (z_noisy - z).reshape(n_windows, -1)
-        assert np.abs(difference - noise).max() <= 1e-12 * np.abs(z).max()
+        difference = (decided[1] - z[warmup:]).reshape(n_windows - warmup, -1)
+        assert np.abs(difference - noise[warmup:]).max() <= 1e-12 * np.abs(z).max()
 
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("scenario", [_CLIPPED_LINEARIZED, _UNALIGNED_LINEARIZED],
@@ -564,9 +560,9 @@ class TestAmplifierEngine:
     def test_cell_chunks_do_not_change_the_block(self, scenario, chunk, monkeypatch):
         """Kept cells formed and correlated 1 or 3 at a time give the block
         and the calibration of the default chunk, across every seam."""
-        runtime, channel, symbols, z = _recorded_block(scenario, monkeypatch)
+        runtime, channel, symbols, z = _recorded_block(scenario)
         monkeypatch.setattr(harness, "_CELL_CHUNK", chunk)
-        rechunked = harness._correlation_outputs(runtime, channel, symbols, 8.0, None)
+        rechunked = harness._correlation_outputs(runtime, channel, symbols)
         assert np.abs(rechunked - z).max() <= 1e-12 * np.abs(z).max()
         eb, phase_offset = harness._calibrate(runtime)
         assert abs(eb - runtime.eb) <= 1e-12 * eb
@@ -765,12 +761,8 @@ def test_clip_search_keeps_the_pairs_of_the_anchor_products(seed):
     scenario = dataclasses.replace(_preset_scenario("linearization", "amplifier-linearized"),
                                    master_seed=seed)
     runtime = harness._prepare(scenario)
-    cfg = scenario.config
     for block in range(8):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 0, block]))
-        draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
-        symbols = harness._draw_symbols(rng, (cfg.users, scenario.symbols_per_block + runtime.warmup,
-                                              cfg.substreams, cfg.carriers))
+        _, _, symbols = harness._block_draws(runtime, 0, block)
         kept = [np.stack((np.full(rows.size, chip), rows, cells), axis=1) for chip, rows, cells
                 in harness._clipped_cells(runtime, harness._driven_coefficients(runtime, symbols))]
         expected = _pq_clip_search(runtime, harness._carrier_coefficients(runtime, symbols))
@@ -803,7 +795,7 @@ def test_reused_cell_arrays_match_fresh_ones():
 def _small_scenarios(draw):
     """Small valid scenarios in every hpa_mode: pn 7-63, oversampling 2-5
     and Walsh orders 1-8, so that many grids are not aligned, 1-4 carriers,
-    1-3 paths, fading on and off, back-off -4 to 12 dB.  Noise off."""
+    1-3 paths, fading on and off, back-off -4 to 12 dB."""
     pn_length = draw(st.sampled_from([7, 15, 31, 63]))
     oversampling = draw(st.integers(2, 5))
     samples = pn_length * oversampling
@@ -814,7 +806,7 @@ def _small_scenarios(draw):
     return Scenario(
         name="random", paths=paths, decay_db=draw(st.sampled_from([0.0, 3.0])),
         fading=draw(st.booleans()), hpa_mode=draw(st.sampled_from(harness.HPA_MODES)),
-        ibo_db=draw(st.floats(-4.0, 12.0)), noise_enabled=False, symbols_per_block=3,
+        ibo_db=draw(st.floats(-4.0, 12.0)), symbols_per_block=3,
         master_seed=draw(st.integers(0, 2**32 - 1)),
         config=LinkConfig(users=users, substreams=draw(st.integers(1, walsh_order)),
                           carriers=carriers, walsh_order=walsh_order, pn_length=pn_length,
@@ -830,13 +822,8 @@ def test_random_block_matches_sample_chain(scenario):
     search clips what the search over every sample clips
     (_check_cell_search)."""
     runtime = harness._prepare(scenario)
-    rng = np.random.default_rng(scenario.master_seed)
-    channel = harness.draw_channel(rng, scenario.config.users, scenario.paths,
-                                   scenario.decay_db, scenario.fading)
-    cfg = scenario.config
-    symbols = harness._draw_symbols(rng, (cfg.users, 3 + runtime.warmup, cfg.substreams,
-                                          cfg.carriers))
-    z = harness._correlation_outputs(runtime, channel, symbols, 8.0, rng)
+    _, channel, symbols = harness._block_draws(runtime, 0, 0)
+    z = harness._correlation_outputs(runtime, channel, symbols)
     amplify, phase_offset = None, 0.0
     if scenario.hpa_mode != "bypass":
         amplify = _reference_amplifier(runtime)
@@ -945,6 +932,25 @@ def test_symbol_draw_is_balanced_and_uncorrelated():
     assert np.abs(d.mean(axis=1)).max() <= 5.0 / math.sqrt(n_symbols)
     lag1 = (d[:, 1:] * d[:, :-1]).mean(axis=1)
     assert np.abs(lag1).max() <= 5.0 / math.sqrt(n_symbols - 1)
+
+
+@pytest.mark.parametrize("point, block", [(1, 4), (4, 1)])
+def test_seeded_block_draws(point, block):
+    """A block's generator comes from SeedSequence([master_seed, 0, point,
+    block]) and draws the channel, then the symbols: drawn by hand from that
+    seed they are the same, and the hand generator ends in the state of the
+    one the block goes on to draw its noise from."""
+    scenario = dataclasses.replace(_TINY_UNALIGNED, master_seed=97)
+    cfg = scenario.config
+    runtime = harness._prepare(scenario)
+    rng, channel, symbols = harness._block_draws(runtime, point, block)
+    hand = np.random.default_rng(np.random.SeedSequence([97, 0, point, block]))
+    expected = draw_channel(hand, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
+    assert np.array_equal(channel.gains, expected.gains)
+    assert np.array_equal(channel.phases, expected.phases)
+    assert np.array_equal(symbols, harness._draw_symbols(hand, (
+        cfg.users, scenario.symbols_per_block + 1, cfg.substreams, cfg.carriers)))
+    assert rng.bit_generator.state == hand.bit_generator.state
 
 
 def _numpy_blas_is_openblas() -> bool:

@@ -12,7 +12,7 @@ from mcmccdma import channel, codes, hpa, receiver, txchain
 # Names the per-user sample chain needed and the engines no longer do, the
 # wrappers around plain code and sample arrays, and surface nothing read.
 _RETIRED = {
-    channel: ("PathTap", "NoiseSpec"),
+    channel: ("PathTap", "NoiseSpec", "add_awgn"),
     channel.ChannelRealization: ("n_paths",),
     codes: ("WalshMatrix", "PnSequence", "periodic_correlation"),
     receiver: ("recover_bits", "BitDecisions"),

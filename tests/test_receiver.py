@@ -285,7 +285,7 @@ def _source_setup(users=1, paths=1, fading=False, seed=0, n_symbols=8,
     rng = np.random.default_rng(seed)
     channel = draw_channel(rng, users, paths, 0.0, fading)
     symbols = rng.choice([-1, 1], size=(users, n_symbols, r, m)).astype(np.int8)
-    sources = harness._source_outputs(runtime, channel, symbols, 6.0, rng)
+    sources = harness._source_outputs(runtime, channel, symbols)
     return runtime, channel, symbols, sources
 
 
@@ -298,19 +298,15 @@ class TestDecomposition:
         assert abs(sources["inter_carrier"][3]) < 1e-10 * amp
         assert sources["multipath"][3] == 0j
         assert sources["multi_user"][3] == 0j
-        assert sources["noise"][3] == 0j
+        assert "noise" not in sources
 
     def test_identity_every_symbol(self):
-        # The six sources sum to the BER engine's slot (1, 1) output: its
-        # noiseless part plus the split's own noise draw.
-        runtime, channel, symbols, sources = _source_setup(
-            users=3, paths=2, fading=True, noise_enabled=True, seed=5)
-        noiseless = _linear_runtime(runtime.scenario.config, paths=2, fading=True)
-        z_total = harness._correlation_outputs(noiseless, channel, symbols, 6.0,
-                                               rng=None)[:, 0, 0] + sources["noise"]
-        assert tuple(sources) == SOURCE_NAMES
-        assert np.abs(sources["noise"]).min() > 0.0
-        total = sum(sources[name] for name in SOURCE_NAMES)
+        # The five noiseless sources sum to the BER engine's noiseless slot
+        # (1, 1) output.
+        runtime, channel, symbols, sources = _source_setup(users=3, paths=2, fading=True, seed=5)
+        z_total = harness._correlation_outputs(runtime, channel, symbols)[:, 0, 0]
+        assert tuple(sources) == SOURCE_NAMES[:-1]
+        total = sum(sources.values())
         assert total.shape == z_total.shape == (8,)
         assert np.all(np.abs(z_total - total) <= 1e-10 * np.maximum(np.abs(z_total), 1e-30))
 
@@ -369,6 +365,7 @@ class TestVarianceEstimates:
                                               rng=np.random.default_rng(2), n_symbols=300)
         parts = (var.multipath + var.inter_substream + var.inter_carrier
                  + var.multi_user + var.noise)
+        assert var.noise > 0.0
         assert var.total == pytest.approx(parts, rel=1e-12)
 
     @pytest.mark.parametrize("ebn0_db", [np.nan, np.inf])
