@@ -9,11 +9,15 @@ curves share one record format and CSV schema.
 """
 
 from .analysis import (
+    CSV_HEADER,
     BerRecord,
+    RunReport,
     binomial_ci95,
     conditional_ber,
+    emit_csv,
     erfc,
     fading_averaged_ber,
+    parse_csv,
     theoretical_curve,
 )
 from .channel import (
@@ -27,19 +31,16 @@ from .codes import (
     generate_msequence,
     generate_walsh,
 )
-from .config import ConfigError, load_config, saleh_from_keys, scenario_from_keys
-from .harness import (
-    CSV_HEADER,
-    RunReport,
+from .config import (
+    ConfigError,
     Scenario,
-    emit_csv,
-    estimate_interference_variances,
-    measure_variances,
-    parse_csv,
+    load_config,
     preset,
-    run_scenario,
+    saleh_from_keys,
     scenario_echo,
+    scenario_from_keys,
 )
+from .harness import estimate_interference_variances, measure_variances, run_scenario
 from .hpa import (
     SalehParams,
     amam,

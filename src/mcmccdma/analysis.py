@@ -1,4 +1,5 @@
-"""Theoretical bit-error-rate machinery and the shared result record.
+"""Theoretical bit-error-rate machinery, the shared result record and its
+CSV form.
 
 The post-correlator decision statistic is treated as a Gaussian: signal
 power S over total interference-plus-noise variance gives the ratio
@@ -7,14 +8,21 @@ Rayleigh-faded reference gain turns gamma exponential, averaged in closed
 form.  Variances follow the complex-power convention of
 `receiver.InterferenceVariances`, which makes gamma equal Eb/N0 in the
 noise-only case and reproduces the textbook BPSK curve.
+
+Monte Carlo runs and theory curves share one record (BerRecord) and one CSV
+schema (_CSV_COLUMNS), which emit_csv writes and parse_csv reads back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import Scenario
 
 
 def erfc(x):
@@ -86,6 +94,20 @@ class BerRecord:
             raise ValueError(f"ber must be in [0, 1], got {self.ber}")
         if self.source not in ("monte-carlo", "theoretical"):
             raise ValueError(f"source must be monte-carlo or theoretical, got {self.source!r}")
+        # a CSV cell holds no column or row separator
+        for name in ("scenario", "hpa_mode"):
+            if any(c in getattr(self, name) for c in ",\n\r"):
+                raise ValueError(f"{name} must hold no comma or line break, "
+                                 f"got {getattr(self, name)!r}")
+
+
+@dataclass
+class RunReport:
+    """Records plus reproduction metadata for one scenario run."""
+
+    scenario: Scenario
+    records: list
+    point_seconds: list
 
 
 def theoretical_curve(variances, ebn0_grid, reference_ebn0_db: float, *,
@@ -119,4 +141,69 @@ def theoretical_curve(variances, ebn0_grid, reference_ebn0_db: float, *,
                                  substreams=substreams, carriers=carriers, hpa_mode=hpa_mode,
                                  ibo_db=ibo_db, bits=0, errors=0, ber=ber, ci95=0.0,
                                  source="theoretical", seed=None))
+    return records
+
+
+# The CSV columns in order, as (header name, BerRecord field).  Each cell is
+# written and read by its field's declared type (_CSV_KINDS); an optional
+# field's None is the empty cell.
+_CSV_COLUMNS = (
+    ("scenario", "scenario"), ("ebn0_db", "ebn0_db"), ("k", "users"), ("r", "substreams"),
+    ("m", "carriers"), ("hpa_mode", "hpa_mode"), ("ibo_db", "ibo_db"), ("bits", "bits"),
+    ("errors", "errors"), ("ber", "ber"), ("ci95", "ci95"), ("source", "source"),
+    ("seed", "seed"),
+)
+
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+
+# Per declared type: (read a cell, write a value); floats in shortest
+# round-trip form.
+_CSV_KINDS = {"str": (str, str), "int": (int, str), "float": (float, lambda v: repr(float(v)))}
+
+
+def _csv_fields() -> list:
+    """(BerRecord field, read, write, optional) per CSV column, in order."""
+    declared = {f.name: f.type.partition(" | ") for f in fields(BerRecord)}
+    return [(name, *_CSV_KINDS[declared[name][0]], declared[name][2] == "None")
+            for _, name in _CSV_COLUMNS]
+
+
+_CSV_FIELDS = _csv_fields()
+
+
+def _iter_records(reports):
+    if isinstance(reports, RunReport):
+        yield from reports.records
+    elif isinstance(reports, BerRecord):
+        yield reports
+    else:
+        for item in reports:
+            yield from _iter_records(item)
+
+
+def emit_csv(reports, path) -> None:
+    """Write records (a RunReport, a record list, or a list of either) to a
+    CSV file with deterministic bytes; floats use shortest round-trip form."""
+    lines = [CSV_HEADER]
+    for rec in _iter_records(reports):
+        lines.append(",".join("" if (value := getattr(rec, name)) is None else write(value)
+                              for name, _, write, _ in _CSV_FIELDS))
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def parse_csv(path) -> list:
+    """Read back an emit_csv file into BerRecord values."""
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"unrecognized CSV header in {path}")
+    records = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(_CSV_FIELDS):
+            raise ValueError(f"malformed CSV row: {line!r}")
+        records.append(BerRecord(**{
+            name: None if optional and cell == "" else read(cell)
+            for cell, (name, read, _, optional) in zip(cells, _CSV_FIELDS)}))
     return records

@@ -19,8 +19,9 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config, saleh_from_keys, scenario_from_keys
-from .harness import PRESETS, emit_csv, measure_variances, preset, run_scenario
+from .analysis import emit_csv
+from .config import PRESETS, ConfigError, load_config, preset, saleh_from_keys, scenario_from_keys
+from .harness import measure_variances, run_scenario
 from .hpa import amam, ampm, amplify_samples, apply_predistorter
 from .receiver import SOURCE_NAMES
 

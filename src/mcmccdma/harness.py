@@ -1,4 +1,7 @@
-"""Monte Carlo engine, scenario presets and CSV emission.
+"""Monte Carlo engine: a scenario's prepared tables, the steps of one block,
+the runner that sweeps blocks over the Eb/N0 grid, and the interference
+decomposition.  The scenarios themselves are config's, and the records they
+produce and their CSV form analysis's.
 
 Determinism contract: every simulated block draws from its own generator,
 seeded by the master seed and the block's (point, block) indices alone
@@ -11,8 +14,9 @@ the generator's raw 64-bit words, taken little-endian (_draw_symbols).
 A run forks no pool up front.  Its blocks run in the calling process until
 their summed time reaches _SERIAL_BUDGET_S, several times what a fork pool
 costs to start and tear down; only then, and only with workers > 1, does a
-pool of workers - 1 processes fork, the calling process running the first
-share of every later wave itself (run_scenario).
+pool fork, of one process less than workers or than a wave's blocks,
+whichever is fewer, the calling process running the first share of every
+later wave itself (run_scenario).
 
 A block (_simulate_block) is four steps, one function each, common to
 every hpa_mode: the draws (_block_draws: the channel, then every user's
@@ -88,25 +92,23 @@ import numbers
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: pay that here, not in the first block
 
-from .analysis import BerRecord, binomial_ci95
+# preset and emit_csv are also imported for perfbench/call.py, which reads them here.
+from .analysis import BerRecord, RunReport, binomial_ci95, emit_csv
 from .channel import correlator_noise, draw_channel, path_power_profile
-from .codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
-from .hpa import SalehParams, amplify_samples, input_scale_for_power, limiter_factor
+from .codes import generate_msequence, generate_walsh
+from .config import Scenario, preset
+from .hpa import amplify_samples, input_scale_for_power, limiter_factor
 from .receiver import (SOURCE_NAMES, InterferenceVariances, _work_array, chip_correlations,
                        combine_walsh_chips, correlate_tables, decide_slots,
                        partial_correlation_tables, signature_gram, slot_tables)
-from .txchain import (LinkConfig, check_field_types, declared_type, subcarrier_exponentials,
-                      substream_walsh_rows, walsh_chip_bounds)
-
-HPA_MODES = ("bypass", "saleh", "saleh_pd")
-
-CSV_HEADER = "scenario,ebn0_db,k,r,m,hpa_mode,ibo_db,bits,errors,ber,ci95,source,seed"
+from .txchain import (LinkConfig, subcarrier_exponentials, substream_walsh_rows,
+                      walsh_chip_bounds)
 
 _CALIBRATION_SYMBOLS = 256
 
@@ -122,101 +124,6 @@ _SLAB_SAMPLES = 256
 # of the samples clips.
 _CELL_SAMPLES = 16
 _CELL_CHUNK = 1024
-
-# Bound on the magnitude of Eb/N0 and back-off values in dB.  Within it
-# 10^(x/10) and the noise and drive levels formed from it stay normal
-# doubles; 4000 dB overflows the conversion and -4000 dB underflows it to 0.
-_DB_LIMIT = 300.0
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Everything one Monte Carlo run needs, seeds included."""
-
-    name: str
-    config: LinkConfig
-    paths: int = 1
-    decay_db: float = 0.0
-    fading: bool = False
-    hpa_mode: str = "bypass"
-    ibo_db: float = 7.0
-    saleh: SalehParams = field(default_factory=SalehParams)
-    ebn0_grid: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)
-    noise_enabled: bool = True
-    min_errors: int = 100
-    min_bits: int = 0
-    min_blocks: int = 0
-    max_bits: int = 10_000_000
-    symbols_per_block: int = 16
-    blocks_per_wave: int = 16
-    master_seed: int = 20260817
-    allow_small_min_errors: bool = False
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not self.name or any(c in self.name for c in ",\n\r"):
-            raise ValueError(f"scenario name must be nonempty and comma-free, got {self.name!r}")
-        if self.hpa_mode not in HPA_MODES:
-            raise ValueError(f"hpa_mode must be one of {HPA_MODES}, got {self.hpa_mode!r}")
-        if len(self.ebn0_grid) == 0:
-            raise ValueError("ebn0_grid must not be empty")
-        if not all(math.isfinite(x) for x in self.ebn0_grid):
-            raise ValueError(f"ebn0_grid entries must be finite, got {self.ebn0_grid}")
-        for name, values in (("ebn0_grid", self.ebn0_grid), ("ibo_db", (self.ibo_db,))):
-            if not all(abs(x) <= _DB_LIMIT for x in values):
-                raise ValueError(f"{name} must lie within +-{_DB_LIMIT:g} dB, "
-                                 f"got {getattr(self, name)}")
-        if self.paths < 1:
-            raise ValueError(f"paths must be >= 1, got {self.paths}")
-        if self.decay_db < 0:
-            raise ValueError(f"decay_db must be nonnegative, got {self.decay_db}")
-        if self.min_errors < 100 and not self.allow_small_min_errors:
-            raise ValueError(
-                f"min_errors={self.min_errors} is below 100; set allow_small_min_errors "
-                "to accept the wider confidence interval"
-            )
-        if self.min_errors < 1:
-            raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
-        # min_bits above max_bits is allowed: max_bits is the cap.
-        for name in ("min_bits", "min_blocks"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.max_bits < 1:
-            raise ValueError(f"max_bits must be >= 1, got {self.max_bits}")
-        if self.symbols_per_block < 1 or self.blocks_per_wave < 1:
-            raise ValueError("symbols_per_block and blocks_per_wave must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
-        cfg = self.config
-        if self.paths > cfg.pn_length:
-            raise ValueError(f"{self.paths} chip-spaced paths do not fit one symbol "
-                             f"of {cfg.pn_length} chips")
-        degree = cfg.pn_length.bit_length()
-        if (1 << degree) - 1 != cfg.pn_length or degree not in PRIMITIVE_TAPS:
-            lengths = ", ".join(str((1 << d) - 1) for d in sorted(PRIMITIVE_TAPS))
-            raise ValueError(f"pn_length must be an m-sequence length ({lengths}), "
-                             f"got {cfg.pn_length}")
-        if cfg.users > cfg.pn_length:
-            raise ValueError(f"{cfg.users} users cannot get distinct shifts of a "
-                             f"{cfg.pn_length}-chip sequence")
-        stride = _shift_spacing(cfg)
-        if cfg.users > 1 and self.paths - 1 >= stride:
-            raise ValueError(f"path delays up to {self.paths - 1} chips alias the "
-                             f"{stride}-chip PN shift spacing between users")
-
-
-def _shift_spacing(cfg: LinkConfig) -> int:
-    """Chips between the cyclic PN shifts of consecutive users."""
-    return max(1, cfg.pn_length // cfg.users)
-
-
-@dataclass
-class RunReport:
-    """Records plus reproduction metadata for one scenario run."""
-
-    scenario: Scenario
-    records: list
-    point_seconds: list
 
 
 @dataclass(frozen=True)
@@ -321,8 +228,7 @@ def _user_codes(cfg: LinkConfig) -> tuple:
     """The substreams' Walsh rows as float64 and every user's cyclically
     shifted PN chips, shape (users, pn_length), user 1 first."""
     pn = generate_msequence(cfg.pn_length.bit_length())
-    stride = _shift_spacing(cfg)
-    pn_chips = np.stack([np.roll(pn, k * stride) for k in range(cfg.users)])
+    pn_chips = np.stack([np.roll(pn, k * cfg.shift_spacing) for k in range(cfg.users)])
     return substream_walsh_rows(generate_walsh(cfg.walsh_order), cfg), pn_chips
 
 
@@ -485,12 +391,6 @@ def _cell_power_bound(grid: _CellGrid, rho: np.ndarray, peak: np.ndarray, lo: in
     bound += np.abs(slope, out=slope)
     bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]
     return bound
-
-
-def _clip_power(runtime: _Runtime) -> float:
-    """The linear waveform's power above which the predistorted tube clips:
-    where linear_gain^2 |x|^2 exceeds the tube's peak output power."""
-    return runtime.scenario.saleh.saturation_output_power / runtime.linear_gain**2
 
 
 def _driven_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
@@ -929,7 +829,8 @@ class _BlockRunner:
 
     def __init__(self, runtime: _Runtime, workers: int):
         self.runtime = runtime
-        self.workers = workers
+        # a process beyond a wave's blocks would never get one
+        self.workers = min(workers, runtime.scenario.blocks_per_wave)
         self.serial_s = 0.0
         self.pool = None
 
@@ -977,9 +878,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     The blocks run here until their summed time reaches _SERIAL_BUDGET_S,
     several times what forking and tearing down a pool costs, so a short
     run never forks.  Past it, and only with workers > 1, a fork pool of
-    workers - 1 processes starts and stays until the run ends; each wave's
-    remaining blocks are then cut into contiguous shares, the first run in
-    this process and the others on the pool.
+    min(workers, blocks_per_wave) - 1 processes starts and stays until the
+    run ends; each wave's remaining blocks are then cut into contiguous
+    shares, the first run in this process and the others on the pool.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -1075,178 +976,3 @@ def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbol
         rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 2]))
         channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
         return estimate_interference_variances(runtime, channel, float(point), rng, n_symbols)
-
-
-def leaf_fields(instance):
-    """(field, value) for every leaf field of a dataclass instance, in
-    declaration order, walking into nested dataclass fields such as
-    Scenario.config and Scenario.saleh.  The leaf names of a Scenario are the
-    config-file keys, so they must be unique across the nested classes."""
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        if is_dataclass(value):
-            yield from leaf_fields(value)
-        else:
-            yield f, value
-
-
-def _echo_value(kind: str, value) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float":
-        return repr(float(value))
-    if kind == "tuple":
-        return ",".join(repr(float(x)) for x in value)
-    return str(value)
-
-
-def scenario_echo(scenario: Scenario) -> dict:
-    """Flat key=value view of a scenario, one entry per config-file key,
-    in a form the config reader parses back to the same scenario."""
-    return {f.name: _echo_value(declared_type(f), value) for f, value in leaf_fields(scenario)}
-
-
-def preset(name: str, master_seed: int | None = None) -> list:
-    """Named scenario families for the standard experiments.
-
-    system-comparison: multicode-multicarrier vs the two degenerate systems,
-    20 users, Rayleigh fading, bandwidth allocations matched to each system's
-    spreading structure.  user-sweep: 1/10/50 simultaneous users.
-    carrier-sweep: 2/4/8 carriers resolving the same physical delay spread.
-    linearization: tube amplifier at 7 and 9 dB back-off against the
-    predistorted chain.  Aliases fig5..fig8 name the same families.
-    """
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
-    scenarios = PRESETS[name]()
-    if master_seed is not None:
-        scenarios = [replace(s, master_seed=master_seed) for s in scenarios]
-    return scenarios
-
-
-_FADING_STOP = dict(min_errors=300, min_blocks=256, max_bits=10_000_000)
-
-
-def _preset_system_comparison() -> list:
-    """Three systems at the same per-branch power and user count; each gets
-    the bandwidth its own spreading structure calls for, and the wideband
-    single-carrier system resolves correspondingly more chip-spaced paths."""
-    combined = Scenario(
-        name="multicode-multicarrier",
-        config=LinkConfig(users=20, substreams=8, carriers=8, walsh_order=8, pn_length=1023),
-        paths=1, fading=True, **_FADING_STOP)
-    multicode = Scenario(
-        name="multicode-only",
-        config=LinkConfig(users=20, substreams=8, carriers=1, walsh_order=8, pn_length=1023),
-        paths=8, decay_db=0.0, fading=True, **_FADING_STOP)
-    multicarrier = Scenario(
-        name="multicarrier-only",
-        config=LinkConfig(users=20, substreams=1, carriers=8, walsh_order=1, pn_length=31),
-        paths=1, fading=True, **_FADING_STOP)
-    return [combined, multicode, multicarrier]
-
-
-def _preset_user_sweep() -> list:
-    scenarios = []
-    for users in (1, 10, 50):
-        scenarios.append(Scenario(
-            name=f"users-{users}",
-            config=LinkConfig(users=users, substreams=8, carriers=8, walsh_order=8,
-                              pn_length=1023),
-            paths=1, fading=True, **_FADING_STOP))
-    return scenarios
-
-
-def _preset_carrier_sweep() -> list:
-    """More carriers stretch the symbol and shrink the resolvable delay
-    spread: the same physical channel collapses from three chip-spaced paths
-    at 2 carriers to a single path at 8."""
-    plans = [
-        (2, 255, 3, 0.0),
-        (4, 511, 2, 10.0 * np.log10(2.0)),
-        (8, 1023, 1, 0.0),
-    ]
-    scenarios = []
-    for carriers, pn_length, paths, decay_db in plans:
-        scenarios.append(Scenario(
-            name=f"carriers-{carriers}",
-            config=LinkConfig(users=20, substreams=8, carriers=carriers, walsh_order=8,
-                              pn_length=pn_length),
-            paths=paths, decay_db=decay_db, fading=True, **_FADING_STOP))
-    return scenarios
-
-
-def _preset_linearization() -> list:
-    base = LinkConfig(users=20, substreams=8, carriers=8, walsh_order=8, pn_length=4095)
-    # The three curves sit within a factor of two of each other near 10 dB,
-    # so the error floor alone (min_errors=200) leaves overlapping intervals;
-    # the bits floor tightens them enough to separate the arms.
-    stop = dict(min_errors=200, min_bits=131_072, max_bits=10_000_000,
-                symbols_per_block=32)
-    return [
-        Scenario(name="amplifier-ibo-7db", config=base, hpa_mode="saleh", ibo_db=7.0, **stop),
-        Scenario(name="amplifier-ibo-9db", config=base, hpa_mode="saleh", ibo_db=9.0, **stop),
-        Scenario(name="amplifier-linearized", config=base, hpa_mode="saleh_pd", ibo_db=7.0, **stop),
-    ]
-
-
-# Every name preset() accepts, mapped to its family's builder.
-PRESETS = {
-    "fig5": _preset_system_comparison, "system-comparison": _preset_system_comparison,
-    "fig6": _preset_user_sweep, "user-sweep": _preset_user_sweep,
-    "fig7": _preset_carrier_sweep, "carrier-sweep": _preset_carrier_sweep,
-    "fig8": _preset_linearization, "linearization": _preset_linearization,
-}
-
-
-def _iter_records(reports):
-    if isinstance(reports, RunReport):
-        yield from reports.records
-    elif isinstance(reports, BerRecord):
-        yield reports
-    else:
-        for item in reports:
-            yield from _iter_records(item)
-
-
-def _format_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_csv(reports, path) -> None:
-    """Write records (a RunReport, a record list, or a list of either) to a
-    CSV file with deterministic bytes; floats use shortest round-trip form."""
-    lines = [CSV_HEADER]
-    for rec in _iter_records(reports):
-        lines.append(",".join([
-            rec.scenario, repr(float(rec.ebn0_db)), str(rec.users), str(rec.substreams),
-            str(rec.carriers), rec.hpa_mode, _format_field(rec.ibo_db), str(rec.bits),
-            str(rec.errors), repr(float(rec.ber)), repr(float(rec.ci95)), rec.source,
-            _format_field(rec.seed),
-        ]))
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def parse_csv(path) -> list:
-    """Read back an emit_csv file into BerRecord values."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unrecognized CSV header in {path}")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 13:
-            raise ValueError(f"malformed CSV row: {line!r}")
-        records.append(BerRecord(
-            scenario=parts[0], ebn0_db=float(parts[1]), users=int(parts[2]),
-            substreams=int(parts[3]), carriers=int(parts[4]), hpa_mode=parts[5],
-            ibo_db=None if parts[6] == "" else float(parts[6]), bits=int(parts[7]),
-            errors=int(parts[8]), ber=float(parts[9]), ci95=float(parts[10]),
-            source=parts[11], seed=None if parts[12] == "" else int(parts[12])))
-    return records

@@ -228,8 +228,8 @@ def limiter_factor(samples: np.ndarray, params: SalehParams,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The real factor min(1, A_sat/|x|) - 1 of the predistorted tube, the
     limiter x * min(1, A_sat/|x|) (see the module docstring), at each sample
-    of a complex array of any shape: what it takes off x is x times it
-    (envelope_excess), exactly zero at and below A_sat.  The engine calls it
+    of a complex array of any shape: what it takes off x is x times it,
+    exactly zero at and below A_sat.  The engine calls it
     on the few cells of samples that can exceed A_sat only, into a real
     working array out of the samples' shape, when given.  NaN and infinite
     samples raise ValueError, as in every kernel here."""
@@ -241,12 +241,6 @@ def limiter_factor(samples: np.ndarray, params: SalehParams,
     np.sqrt(factor, out=factor)
     factor -= 1.0
     return factor
-
-
-def envelope_excess(samples: np.ndarray, params: SalehParams) -> np.ndarray:
-    """What the limiter takes off each sample of a complex array of any
-    shape: x * limiter_factor(x), exactly zero at and below A_sat."""
-    return samples * limiter_factor(samples, params)
 
 
 def compute_obo(samples: np.ndarray, params: SalehParams) -> float:

@@ -108,6 +108,11 @@ class LinkConfig:
         return self.substreams * self.carriers
 
     @property
+    def shift_spacing(self) -> int:
+        """Chips between the cyclic PN shifts of consecutive users."""
+        return max(1, self.pn_length // self.users)
+
+    @property
     def walsh_aligned(self) -> bool:
         """True when every Walsh chip covers the same whole number of samples."""
         return self.samples_per_symbol % self.walsh_order == 0

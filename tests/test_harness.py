@@ -4,31 +4,23 @@ import dataclasses
 import math
 import timeit
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmccdma.analysis import BerRecord, binomial_ci95
+from mcmccdma.analysis import (CSV_HEADER, BerRecord, binomial_ci95, emit_csv, parse_csv,
+                               theoretical_curve)
 from mcmccdma.channel import draw_channel, propagate_samples
 from mcmccdma.cli import main
 from mcmccdma import harness
-from mcmccdma.config import ConfigError, load_config, scenario_from_keys
-from mcmccdma.harness import (
-    CSV_HEADER,
-    Scenario,
-    emit_csv,
-    leaf_fields,
-    measure_variances,
-    parse_csv,
-    preset,
-    run_scenario,
-    scenario_echo,
-)
-from mcmccdma.hpa import (SalehParams, amplify_samples, apply_predistorter, envelope_excess,
-                          limiter_factor)
-from mcmccdma.receiver import SOURCE_NAMES, correlate_slots
+from mcmccdma.config import (HPA_MODES, ConfigError, Scenario, leaf_fields, load_config, preset,
+                             scenario_echo, scenario_from_keys)
+from mcmccdma.harness import measure_variances, run_scenario
+from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, limiter_factor
+from mcmccdma.receiver import SOURCE_NAMES, InterferenceVariances, correlate_slots
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
                               walsh_chip_bounds)
 
@@ -107,7 +99,7 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=rf"{field} must lie within \+-300 dB"):
             dataclasses.replace(TINY, hpa_mode=hpa_mode, **{field: value})
 
-    @pytest.mark.parametrize("hpa_mode", harness.HPA_MODES)
+    @pytest.mark.parametrize("hpa_mode", HPA_MODES)
     def test_db_values_at_bound_run(self, hpa_mode):
         for ibo_db in (-300.0, 300.0):
             scenario = dataclasses.replace(TINY, hpa_mode=hpa_mode, ibo_db=ibo_db,
@@ -332,7 +324,7 @@ class TestCorrelationEngine:
 
     def test_every_mode_has_tables_and_noise_factor(self):
         linear = harness._prepare(_TINY_UNALIGNED)
-        for hpa_mode in harness.HPA_MODES:
+        for hpa_mode in HPA_MODES:
             runtime = harness._prepare(dataclasses.replace(_TINY_UNALIGNED, hpa_mode=hpa_mode))
             assert np.array_equal(runtime.correlation, linear.correlation)
             assert np.array_equal(runtime.noise_factor, linear.noise_factor)
@@ -516,7 +508,7 @@ class TestAmplifierEngine:
         harness._simulate_block(runtime, 0, 0, 8.0)
         assert calls == []
 
-    @pytest.mark.parametrize("hpa_mode", harness.HPA_MODES)
+    @pytest.mark.parametrize("hpa_mode", HPA_MODES)
     def test_block_draws_noise_per_correlator_output(self, hpa_mode, monkeypatch):
         """Every mode's noise is one correlator_noise draw through the
         runtime's Gram factor, from the generator where the block's draws
@@ -601,6 +593,12 @@ def _floor_chips(cfg):
     return (np.arange(cfg.samples_per_symbol) * cfg.walsh_order) // cfg.samples_per_symbol
 
 
+def _clip_power(runtime):
+    """The linear waveform's power above which the predistorted tube clips:
+    where linear_gain^2 |x|^2 exceeds the tube's peak output power."""
+    return runtime.scenario.saleh.saturation_output_power / runtime.linear_gain**2
+
+
 def _full_clip_search(runtime, symbols):
     """The limiter's clip search over every sample: each symbol row's
     PN-free linear waveform, sum_m b[c, n, m] E_m(i) during Walsh chip c as
@@ -611,9 +609,9 @@ def _full_clip_search(runtime, symbols):
     b = harness._carrier_coefficients(runtime, symbols)
     linear = np.einsum("inm,mi->ni", b[_floor_chips(cfg)], subcarrier_exponentials(cfg))
     power = np.square(linear.real) + np.square(linear.imag)
-    index = np.flatnonzero(power > harness._clip_power(runtime))
-    return linear, index, envelope_excess(runtime.linear_gain * linear.reshape(-1)[index],
-                                          runtime.scenario.saleh)
+    index = np.flatnonzero(power > _clip_power(runtime))
+    driven = runtime.linear_gain * linear.reshape(-1)[index]
+    return linear, index, driven * limiter_factor(driven, runtime.scenario.saleh)
 
 
 def _check_cell_search(runtime, symbols):
@@ -706,7 +704,7 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     b = harness._carrier_coefficients(runtime, symbols)
     rho = harness._autocorrelations(b)
     peak = harness._peak_power_bound(rho)
-    clip_power = harness._clip_power(runtime)
+    clip_power = _clip_power(runtime)
 
     linear, index, excess = _full_clip_search(runtime, symbols)
     power = np.square(linear.real) + np.square(linear.imag)
@@ -734,7 +732,7 @@ def _pq_clip_search(runtime, b):
     row's peak bound summed term by term."""
     grid = runtime.cells
     n_car = b.shape[-1]
-    threshold = harness._clip_power(runtime) * (1.0 - 1e-12)
+    threshold = _clip_power(runtime) * (1.0 - 1e-12)
     peak = np.einsum("...m,...m->...", b, b)
     for k in range(1, n_car):
         peak += 2.0 * np.abs(np.einsum("...m,...m->...", b[..., :-k], b[..., k:]))
@@ -805,7 +803,7 @@ def _small_scenarios(draw):
     paths = draw(st.integers(1, 3 if users == 1 else min(3, pn_length // users)))
     return Scenario(
         name="random", paths=paths, decay_db=draw(st.sampled_from([0.0, 3.0])),
-        fading=draw(st.booleans()), hpa_mode=draw(st.sampled_from(harness.HPA_MODES)),
+        fading=draw(st.booleans()), hpa_mode=draw(st.sampled_from(HPA_MODES)),
         ibo_db=draw(st.floats(-4.0, 12.0)), symbols_per_block=3,
         master_seed=draw(st.integers(0, 2**32 - 1)),
         config=LinkConfig(users=users, substreams=draw(st.integers(1, walsh_order)),
@@ -877,6 +875,46 @@ def test_short_run_never_forks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "get_context", forbidden)
     assert _csv_bytes(scenario, 2, tmp_path / "two.csv") == serial
+
+
+class _InlinePool:
+    """A stand-in for a fork pool that runs its tasks in the calling
+    process, recording its size and each map's chunk size; a map is its
+    own pending result."""
+
+    def __init__(self, sizes, chunks, processes):
+        sizes.append(processes)
+        self.chunks = chunks
+
+    def map_async(self, function, tasks, chunksize):
+        self.chunks.append(chunksize)
+        self.results = [function(task) for task in tasks]
+        return self
+
+    def get(self):
+        return self.results
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def test_pool_is_capped_at_the_wave(tmp_path, monkeypatch):
+    """workers above a wave's blocks fork a pool of one process less than
+    the wave, and share each wave as that many processes would: a pool of
+    3 for two 4-block waves at 64 workers, each taking one block per task.
+    The pool here runs in this process, so no process starts."""
+    scenario = dataclasses.replace(TINY, ebn0_grid=(4.0,), blocks_per_wave=4,
+                                   max_bits=2 * 4 * 16 * TINY.config.bits_per_symbol)
+    serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
+    sizes, chunks = [], []
+    context = types.SimpleNamespace(Pool=lambda processes: _InlinePool(sizes, chunks, processes))
+    monkeypatch.setattr(harness, "get_context", lambda method: context)
+    monkeypatch.setattr(harness, "_SERIAL_BUDGET_S", 0.0)
+    assert _csv_bytes(scenario, 64, tmp_path / "capped.csv") == serial
+    assert sizes == [3] and chunks == [1, 1]
 
 
 def test_fork_within_first_wave_keeps_csv_bytes(tmp_path, monkeypatch, pool_forks):
@@ -1041,6 +1079,10 @@ class TestCiCoverage:
 
 
 class TestCsv:
+    RECORD = BerRecord(scenario="t", ebn0_db=1.0, users=2, substreams=3, carriers=4,
+                       hpa_mode="saleh", ibo_db=7.0, bits=100, errors=5, ber=0.05, ci95=0.01,
+                       source="theoretical", seed=None)
+
     def test_header_exact(self):
         assert CSV_HEADER == ("scenario,ebn0_db,k,r,m,hpa_mode,ibo_db,"
                               "bits,errors,ber,ci95,source,seed")
@@ -1056,17 +1098,31 @@ class TestCsv:
         assert rows == rep.records   # repr floats round-trip exactly
 
     def test_emit_accepts_bare_records(self, tmp_path):
-        rec = BerRecord(scenario="t", ebn0_db=1.0, users=2, substreams=3,
-                        carriers=4, hpa_mode="saleh", ibo_db=7.0, bits=100,
-                        errors=5, ber=0.05, ci95=0.01, source="theoretical",
-                        seed=None)
         path = tmp_path / "one.csv"
-        emit_csv([rec], path)
+        emit_csv([self.RECORD], path)
         row = parse_csv(path)[0]
         assert (row.users, row.substreams, row.carriers) == (2, 3, 4)
         assert row.seed is None
         assert row.ibo_db == 7.0
         assert row.source == "theoretical"
+
+    @pytest.mark.parametrize("field", ["scenario", "hpa_mode"])
+    @pytest.mark.parametrize("separator", [",", "\n", "\r"])
+    def test_record_rejects_csv_separators(self, field, separator):
+        with pytest.raises(ValueError, match=f"{field} must hold no comma or line break"):
+            dataclasses.replace(self.RECORD, **{field: f"a{separator}b"})
+
+    def test_theory_curve_round_trips(self, tmp_path):
+        variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
+                                          inter_carrier=0.0, multi_user=0.1, noise=0.2,
+                                          n_symbols=10)
+        with pytest.raises(ValueError, match="scenario must hold no comma"):
+            theoretical_curve(variances, (0.0,), 0.0, scenario="a,b")
+        records = theoretical_curve(variances, (0.0, 5.0, 10.0), 0.0, scenario="users-20 theory",
+                                    users=20, hpa_mode="saleh", ibo_db=7.0)
+        path = tmp_path / "theory.csv"
+        emit_csv(records, path)
+        assert parse_csv(path) == records
 
     def test_parse_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

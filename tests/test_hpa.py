@@ -15,7 +15,6 @@ from mcmccdma.hpa import (
     ampm,
     apply_predistorter,
     compute_obo,
-    envelope_excess,
     input_scale_for_power,
     limiter_factor,
     pd_amplitude,
@@ -246,13 +245,14 @@ def test_limiter_is_the_predistorted_tube(quadratic):
     rng = np.random.default_rng(5)
     x = modulus * np.exp(1j * rng.uniform(-np.pi, np.pi, modulus.size))
     reference = amplify_samples(apply_predistorter(x, params), params)
-    excess = envelope_excess(x, params)
+    excess = x * limiter_factor(x, params)
     got = x + excess
     assert got[0] == 0.0
     assert np.all(np.abs(got - reference) <= 1e-12 * np.abs(reference))
     assert np.abs(got).max() <= sat * (1.0 + 1e-15)
     # a tile keeps its shape
-    assert np.array_equal(envelope_excess(x.reshape(20, -1), params), excess.reshape(20, -1))
+    tile = x.reshape(20, -1)
+    assert np.array_equal(tile * limiter_factor(tile, params), excess.reshape(20, -1))
     # the excess is x times the real limiter factor, which a working array
     # receives bit for bit
     factor = limiter_factor(x, params)
@@ -275,7 +275,8 @@ def test_frame_kernels_reject_nonfinite_samples(bad, stage):
         elif stage == "predistorter":
             apply_predistorter(x, P)
         elif stage == "limiter":
-            envelope_excess(x.reshape(4, 4), P)
+            tile = x.reshape(4, 4)
+            tile * limiter_factor(tile, P)
         else:
             compute_obo(x, P)
 

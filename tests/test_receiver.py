@@ -8,7 +8,8 @@ import pytest
 from mcmccdma import harness
 from mcmccdma.channel import ChannelRealization, draw_channel, propagate_samples
 from mcmccdma.codes import generate_msequence, generate_walsh
-from mcmccdma.harness import Scenario, estimate_interference_variances, measure_variances
+from mcmccdma.config import Scenario, preset
+from mcmccdma.harness import estimate_interference_variances, measure_variances
 from mcmccdma.receiver import (
     SOURCE_NAMES,
     chip_correlations,
@@ -202,7 +203,7 @@ class TestPartialCorrelationTables:
         the build's traced peak, tables included, stays below the tables
         plus two (users, samples_per_symbol) float64 arrays: it forms no
         per-sample PN product or rotation table."""
-        scenario = harness.preset("linearization")[0]
+        scenario = preset("linearization")[0]
         cfg = scenario.config
         walsh, pn_chips = harness._user_codes(cfg)
         tracemalloc.start()

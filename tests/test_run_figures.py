@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from mcmccdma.harness import measure_variances, preset
+from mcmccdma.config import preset
+from mcmccdma.harness import measure_variances
 
 _SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
 
