@@ -134,57 +134,58 @@ MUTANTS = (
            "    if runtime.linear_gain:\n", "    if True:\n",
            ("tests/test_harness.py", "-k", "skips_linear_product")),
     # the amplifier paths
-    Mutant("calibration-phase-slip", "harness.py",
-           "rotation = float(np.angle(cross))", "rotation = float(np.angle(cross)) + 1e-9",
+    Mutant("calibration-phase-slip", "hpa.py",
+           "return energy, float(np.angle(cross))",
+           "return energy, float(np.angle(cross)) + 1e-9",
            _TUBE_TESTS),
-    Mutant("tube-drops-a-path", "harness.py",
+    Mutant("tube-drops-a-path", "hpa.py",
            "for frame, gain in zip(delayed, gains.T):",
            "for frame, gain in zip(delayed[:1], gains.T):", _TUBE_TESTS),
-    Mutant("limiter-drops-a-path", "harness.py",
+    Mutant("limiter-drops-a-path", "hpa.py",
            "for path, gain in enumerate(gains[user].T):",
            "for path, gain in enumerate(gains[user].T[:1]):", _LIMITER_TESTS),
-    Mutant("limiter-conjugated-delay-phase", "harness.py",
+    Mutant("limiter-conjugated-delay-phase", "hpa.py",
            "delay_phases=np.exp(-1j * step", "delay_phases=np.exp(1j * step", _LIMITER_TESTS),
-    Mutant("limiter-window-shift-lost", "harness.py",
+    Mutant("limiter-window-shift-lost", "hpa.py",
            "+ np.take(grid.bin_windows[path], cells) + window", "+ window", _LIMITER_TESTS),
-    Mutant("limiter-spans-not-split", "harness.py",
+    Mutant("limiter-spans-not-split", "hpa.py",
            "heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))",
            "heads = np.zeros(1, dtype=np.intp)", _LIMITER_TESTS),
-    Mutant("limiter-chunk-cells-reordered", "harness.py",
+    Mutant("limiter-chunk-cells-reordered", "hpa.py",
            "yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]",
            "yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK][::-1]",
            _BOUND_TESTS),
-    Mutant("limiter-no-short-cell-mask", "harness.py",
-           "            factor *= np.arange(_CELL_SAMPLES) < runtime.cells.lengths[cells, None]\n", "",
+    Mutant("limiter-no-short-cell-mask", "hpa.py",
+           "        factor *= np.arange(_CELL_SAMPLES) < amplifier.cells.lengths[cells, None]\n", "",
            _LIMITER_TESTS),
     Mutant("calibration-g-for-g-squared", "harness.py",
            "* g * g * np.sum(", "* g * np.sum(", _LIMITER_TESTS),
-    Mutant("cell-bound-no-bernstein-term", "harness.py",
+    Mutant("cell-bound-no-bernstein-term", "hpa.py",
            "    bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]\n", "",
            _BOUND_TESTS),
-    Mutant("cell-bound-half-slope", "harness.py",
+    Mutant("cell-bound-half-slope", "hpa.py",
            "slope_terms=-2.0 * middle * step * k", "slope_terms=-1.0 * middle * step * k",
            _BOUND_TESTS),
     # the cell bound through the rows' autocorrelations, and the per-cell tables
-    Mutant("cell-bound-no-slope-term", "harness.py",
+    Mutant("cell-bound-no-slope-term", "hpa.py",
            "    bound += np.abs(slope, out=slope)\n", "", _BOUND_TESTS),
-    Mutant("cell-bound-cos-sin-swapped", "harness.py",
+    Mutant("cell-bound-cos-sin-swapped", "hpa.py",
            "2.0 * np.cos(k * phases))),\n        slope_terms=-2.0 * middle * step * k * np.sin(",
            "2.0 * np.sin(k * phases))),\n        slope_terms=-2.0 * middle * step * k * np.cos(",
            _BOUND_TESTS),
-    Mutant("cell-bound-cos-loses-2", "harness.py",
+    Mutant("cell-bound-cos-loses-2", "hpa.py",
            "2.0 * np.cos(k * phases)", "np.cos(k * phases)", _BOUND_TESTS),
-    Mutant("cells-mask-unfolded", "harness.py",
+    Mutant("cells-mask-unfolded", "hpa.py",
            " * inside.view(np.int8),", ",", _LIMITER_TESTS),
-    Mutant("cells-user-1-chips-for-all", "harness.py",
+    Mutant("cells-user-1-chips-for-all", "hpa.py",
            "user * grid.starts.size + cells", "cells", _LIMITER_TESTS),
-    Mutant("cell-sums-not-reset", "harness.py",
+    Mutant("cell-sums-not-reset", "hpa.py",
            "            total.fill(0.0)\n", "",
            ("tests/test_harness.py", "-k", "reused_cell_arrays")),
-    Mutant("cells-no-delay-cuts", "harness.py",
+    Mutant("cells-no-delay-cuts", "hpa.py",
            "np.concatenate((bounds - delays, bounds + n_samp - delays))",
            "np.concatenate((bounds - 0 * delays, bounds + n_samp - 0 * delays))", _BOUND_TESTS),
-    Mutant("cells-unique-for-sort", "harness.py",
+    Mutant("cells-unique-for-sort", "hpa.py",
            "cuts = np.sort(np.clip(", "cuts = np.unique(np.clip(",
            ("tests/test_public_api.py", "-k", "without_scipy")),
     Mutant("obo-abs-squared", "hpa.py",

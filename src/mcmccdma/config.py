@@ -148,14 +148,11 @@ def _preset_system_comparison() -> list:
 
 
 def _preset_user_sweep() -> list:
-    scenarios = []
-    for users in (1, 10, 50):
-        scenarios.append(Scenario(
-            name=f"users-{users}",
-            config=LinkConfig(users=users, substreams=8, carriers=8, walsh_order=8,
-                              pn_length=1023),
-            paths=1, fading=True, **_FADING_STOP))
-    return scenarios
+    return [Scenario(name=f"users-{users}",
+                     config=LinkConfig(users=users, substreams=8, carriers=8, walsh_order=8,
+                                       pn_length=1023),
+                     paths=1, fading=True, **_FADING_STOP)
+            for users in (1, 10, 50)]
 
 
 def _preset_carrier_sweep() -> list:
@@ -167,14 +164,11 @@ def _preset_carrier_sweep() -> list:
         (4, 511, 2, 10.0 * np.log10(2.0)),
         (8, 1023, 1, 0.0),
     ]
-    scenarios = []
-    for carriers, pn_length, paths, decay_db in plans:
-        scenarios.append(Scenario(
-            name=f"carriers-{carriers}",
-            config=LinkConfig(users=20, substreams=8, carriers=carriers, walsh_order=8,
-                              pn_length=pn_length),
-            paths=paths, decay_db=decay_db, fading=True, **_FADING_STOP))
-    return scenarios
+    return [Scenario(name=f"carriers-{carriers}",
+                     config=LinkConfig(users=20, substreams=8, carriers=carriers, walsh_order=8,
+                                       pn_length=pn_length),
+                     paths=paths, decay_db=decay_db, fading=True, **_FADING_STOP)
+            for carriers, pn_length, paths, decay_db in plans]
 
 
 def _preset_linearization() -> list:

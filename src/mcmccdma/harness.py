@@ -1,7 +1,7 @@
 """Monte Carlo engine: a scenario's prepared tables, the steps of one block,
 the runner that sweeps blocks over the Eb/N0 grid, and the interference
-decomposition.  The scenarios themselves are config's, and the records they
-produce and their CSV form analysis's.
+decomposition.  The scenarios themselves are config's, the records they
+produce and their CSV form analysis's, and what each amplifier adds hpa's.
 
 Determinism contract: every simulated block draws from its own generator,
 seeded by the master seed and the block's (point, block) indices alone
@@ -45,31 +45,13 @@ rotation (none without an amplifier).
   first slot, so the split multiplies the tables' column for that slot
   out over the Walsh rows (receiver.slot_tables) and is one product for
   user 1, times a 0/1 mask per source, and one for the other users.
-- W correlates what the amplifier adds to g times the linear waveform
-  against user 1's signatures with the Walsh chips factored out: per-chip
-  sums (receiver.chip_correlations) of the same shape as T's, with which
-  they share one Walsh combine (receiver.combine_walsh_chips).
-  - "bypass": g = 1 and W = 0.
-  - "saleh": the tube acts on each user's summed waveform, so g = 0 and W
-    correlates the whole received frame (_tube_correlations): every user
-    modulated and amplified (hpa.amplify_samples) tile by tile over all
-    users' PN-free symbol rows (_waveform_tiles), the paths summed.
-  - "saleh_pd": the predistorted tube is in exact arithmetic the envelope
-    limiter x min(1, A_sat/|x|) (see hpa), the identity up to A_sat.  So g
-    is the predistorter's input scale, and W correlates what the limiter
-    takes off the samples above A_sat, under 1% of them at working
-    back-offs, with no window formed (_excess_correlations).  The search
-    runs over cells of up to 16 samples, cut so that no path delays a cell
-    across a Walsh chip or window boundary (_CellGrid): an envelope bound
-    on each symbol row over each Walsh chip (_peak_power_bound) and then
-    over each cell (_cell_power_bound), both read off the row's power
-    autocorrelations (_autocorrelations), rule out most cells before any
-    sample is formed.  The kept cells are formed a chunk at a time in one
-    product (_formed_cells), and the limiter's real factor
-    (hpa.limiter_factor) gives what is clipped; about 80% of the formed
-    samples clip on amplifier-linearized.  The cells are correlated
-    directly, one small product per path, into per-(Walsh chip, window)
-    sums.
+- g and W are the amplifier's (hpa.prepare_amplifier): W correlates what
+  the amplifier adds to g times the linear waveform, per Walsh chip in
+  T's shape (hpa.amplifier_correlations), and the two share one Walsh
+  combine (receiver.combine_walsh_chips).  Without an amplifier ("bypass")
+  g = 1 and W = 0; the tube ("saleh") has g = 0, and the predistorted tube
+  ("saleh_pd"), an envelope limiter, has g = the predistorter's input
+  scale.
 - The noise is drawn per correlator output (channel.correlator_noise),
   with the covariance white sample noise would leave there: a factor of
   user 1's Gram matrix, from the same tables (receiver.signature_gram).
@@ -81,7 +63,9 @@ correlate_slots) to round-off, which the tests hold to 1e-12.
 Noise calibration: the energy per information bit is taken from the actual
 transmitted (post-amplifier) waveform, once per scenario, so that back-off
 settings change the signal the noise is matched to rather than silently
-shifting the operating SNR.  The linear chain has it in closed form.
+shifting the operating SNR.  The linear chain has it in closed form, and an
+amplifier's is g^2 times the linear frame's plus the amplifier's share
+(_calibrate, hpa.amplifier_calibration).
 """
 
 from __future__ import annotations
@@ -90,7 +74,6 @@ import ctypes
 import math
 import numbers
 import time
-from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -103,88 +86,22 @@ from .analysis import BerRecord, RunReport, binomial_ci95, emit_csv
 from .channel import correlator_noise, draw_channel, path_power_profile
 from .codes import generate_msequence, generate_walsh
 from .config import Scenario, preset
-from .hpa import amplify_samples, input_scale_for_power, limiter_factor
-from .receiver import (SOURCE_NAMES, InterferenceVariances, _work_array, chip_correlations,
-                       combine_walsh_chips, correlate_tables, decide_slots,
-                       partial_correlation_tables, signature_gram, slot_tables)
-from .txchain import (LinkConfig, subcarrier_exponentials, substream_walsh_rows,
-                      walsh_chip_bounds)
+from .hpa import (LimiterState, TubeState, amplifier_calibration, amplifier_correlations,
+                  prepare_amplifier)
+from .receiver import (SOURCE_NAMES, InterferenceVariances, combine_walsh_chips,
+                       correlate_tables, decide_slots, partial_correlation_tables,
+                       signature_gram, slot_tables)
+from .txchain import LinkConfig, substream_walsh_rows
 
 _CALIBRATION_SYMBOLS = 256
-
-# Samples per symbol row in one tile of the tube's chain.  A tile holds
-# every user's symbols of a block over this many samples, so it stays
-# cache-sized (about 2.6 MB for 20 users x 32 symbols); the per-tile
-# overhead is a few small calls.
-_SLAB_SAMPLES = 256
-
-# Sample positions per cell of the limiter's clip search (_CellGrid), and
-# the number of kept (symbol row, cell) pairs formed and correlated at once,
-# which caps the search's working arrays at a few hundred kB whatever share
-# of the samples clips.
-_CELL_SAMPLES = 16
-_CELL_CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class _CellGrid:
-    """The cells of the limiter's clip search ("saleh_pd"): the symbol cut at
-    every Walsh chip bound (txchain.walsh_chip_bounds) and at every position
-    that a path delay carries onto a chip bound of the same or the next
-    window, each piece cut into runs of up to _CELL_SAMPLES consecutive
-    sample positions, and the per-cell tables through which a cell's samples
-    are bounded, formed and correlated without any other sample.
-
-    Cell q spans positions starts[q] .. starts[q] + lengths[q] - 1 and is
-    anchored at a = starts[q] + (S - 1)/2, S = _CELL_SAMPLES, whatever its
-    length; the samples of a row there are x(a + s) = sum_m b_m E_m(a) E_m(s)
-    for the offsets s = -(S - 1)/2 .. (S - 1)/2, of which the first lengths[q]
-    belong to the cell.  Chip c holds cells chip_cells[c] .. chip_cells[c+1] - 1.
-
-    So a cell delayed by any path lies within one Walsh chip of one window,
-    n or n + 1: bin_chips[l, q] is that Walsh chip on path l and
-    bin_windows[l, q] the window increment.  user_chips[k, q] holds user k's
-    chips at the cell's S positions, and span_chips[l, q] user 1's at those
-    positions delayed by path l (periodic over the symbol), zero past the
-    cell's length, so the correlation reads nothing of a cell but its own
-    samples.
-
-    A row's power at carrier phase phi is P(phi) = rho_0 + 2 sum_{k>=1}
-    rho_k cos(k phi), rho_k = sum_m b_m b_{m+k} (_autocorrelations), so at
-    the anchor's phase phi_a it is rho . cos_terms[:, q], and its slope
-    there times the half width t of a cell is rho[1:] . slope_terms[:, q]."""
-
-    starts: np.ndarray          # (cells,)
-    lengths: np.ndarray         # (cells,)
-    chip_cells: np.ndarray      # (walsh_order + 1,)
-    centres: np.ndarray         # E_m(a) at every anchor, C-contiguous (cells, carriers) complex
-    offsets: np.ndarray         # E_m(s), (carriers, S) complex
-    cos_terms: np.ndarray       # 1 and 2 cos(k phi_a) for k >= 1, (carriers, cells)
-    slope_terms: np.ndarray     # -2 k t sin(k phi_a), k = 1 .. carriers - 1, (carriers - 1, cells)
-    half_width: float           # (S - 1)/2 samples as carrier phase 2 pi W i / N: t
-    delay_phases: np.ndarray    # conj(E_m(D_l)) per path delay, (paths, carriers)
-    user_chips: np.ndarray      # (users, cells, S) int8
-    span_chips: np.ndarray      # (paths, cells, S) int8
-    bin_chips: np.ndarray       # (paths, cells)
-    bin_windows: np.ndarray     # (paths, cells)
 
 
 @dataclass
 class _Runtime:
-    """Precomputed per-scenario tables shared by every block.
-
-    The fields down to phase_offset serve every mode, and are all that a
-    block needs without an amplifier: the tables of its linear term, the
-    noise factor, the energy per bit the noise is matched to, the linear
-    term's gain g, and the amplifier's mean rotation.  The
-    amplifier modes ("saleh" and "saleh_pd") also fill amplified, the
-    function that forms a block's W; the tube ("saleh") the
-    fields from which _waveform_tiles forms every user's PN-free waveform,
-    pn_samples and carrier_correlator, against which its received windows
-    are correlated; the limiter ("saleh_pd") the cell grid of its clip
-    search.  So a bypass runtime holds no sample table and a saleh_pd
-    runtime no carrier table.  The Walsh chips' geometry is
-    txchain.walsh_chip_bounds of the configuration throughout."""
+    """Precomputed per-scenario tables shared by every block: the tables of
+    its linear term, the noise factor, the amplifier's state (None without
+    one), the energy per bit the noise is matched to, and the amplifier's
+    mean rotation."""
 
     scenario: Scenario
     walsh: np.ndarray          # the substreams' Walsh rows, float64 (substreams, walsh_order)
@@ -194,27 +111,17 @@ class _Runtime:
     # noise covariance: F F^H = Gram matrix of user 1's slot signatures.
     correlation: np.ndarray
     noise_factor: np.ndarray
+    amplifier: TubeState | LimiterState | None = None   # hpa.prepare_amplifier
     eb: float = 0.0
-    # g: 1 without an amplifier, the predistorter's input scale before the
-    # limiter ("saleh_pd"), 0 for the tube, whose W carries the whole
-    # amplified signal ("saleh").
-    linear_gain: float = 1.0
     phase_offset: float = 0.0
-    # _tube_correlations or _excess_correlations: (runtime, symbols, path
-    # gains) -> W per (Walsh chip, window) before the Walsh combine, shape
-    # (walsh_order, symbols, carriers), or None when it is zero.
-    amplified: Callable | None = None
-    carriers: np.ndarray | None = None      # txchain.subcarrier_exponentials, (carriers, samples)
-    pn_samples: np.ndarray | None = None    # pn_chips oversampled, (users, samples_per_symbol)
-    # User 1's correlator with the Walsh chips factored out: its chips times
-    # the conjugated carrier exponentials, C-contiguous, shape
-    # (samples_per_symbol, carriers); see receiver.chip_correlations.
-    carrier_correlator: np.ndarray | None = None
-    input_scale: float = 0.0   # the tube's drive scale (hpa.input_scale_for_power)
-    cells: _CellGrid | None = None
-    # the working arrays of the blocks' correlate_tables and of the limiter's
-    # cell chunks (receiver._work_array), reused block to block
+    # the working arrays of the blocks' correlate_tables and of the
+    # amplifier's (receiver._work_array), reused block to block
     work: dict = field(default_factory=dict)
+
+    @property
+    def linear_gain(self) -> float:
+        """g: 1 without an amplifier, else the amplifier's."""
+        return 1.0 if self.amplifier is None else self.amplifier.linear_gain
 
     @cached_property
     def slot_column(self) -> np.ndarray:
@@ -242,209 +149,14 @@ def _prepare(scenario: Scenario) -> _Runtime:
         correlation = partial_correlation_tables(pn_chips, cfg, scenario.paths)
         runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
                            warmup=1 if scenario.paths > 1 else 0, correlation=correlation,
-                           noise_factor=np.linalg.cholesky(signature_gram(correlation, walsh)))
-        if scenario.hpa_mode == "bypass":
-            runtime.eb = _linear_eb(cfg)
-            return runtime
-
-        mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
-        if scenario.hpa_mode == "saleh":
-            runtime.carriers = subcarrier_exponentials(cfg)
-            runtime.pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
-            # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
-            runtime.carrier_correlator = np.ascontiguousarray(
-                runtime.pn_samples[0, :, None] * runtime.carriers.conj().T)
-            runtime.input_scale = input_scale_for_power(mean_tx_power, scenario.ibo_db,
-                                                        scenario.saleh)
-            runtime.linear_gain, runtime.amplified = 0.0, _tube_correlations
+                           noise_factor=np.linalg.cholesky(signature_gram(correlation, walsh)),
+                           amplifier=prepare_amplifier(scenario, walsh, pn_chips))
+        if runtime.amplifier is None:
+            # the linear chain's energy per information bit, in closed form
+            runtime.eb = 2.0 * cfg.power * cfg.symbol_duration
         else:
-            # Output-referred back-off: the predistorter expects desired
-            # output moduli, so the back-off is set against the saturated
-            # output power.
-            runtime.linear_gain = float(np.sqrt(scenario.saleh.saturation_output_power
-                                                / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
-            runtime.cells = _cell_grid(cfg, pn_chips, scenario.paths)
-            runtime.amplified = _excess_correlations
-        runtime.eb, runtime.phase_offset = _calibrate(runtime)
+            runtime.eb, runtime.phase_offset = _calibrate(runtime)
     return runtime
-
-
-def _carrier_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
-    """b[c, n, m] = sqrt(2 power) sum_r d[n, r, m] w_r(c): symbol row n's
-    real coefficient on carrier m during Walsh chip c, shape (walsh_order,
-    rows, carriers).  symbols holds rows of (substreams, carriers) symbols,
-    shape (..., substreams, carriers).  Row n's PN-free linear waveform is
-    sum_m b[c, n, m] E_m(i) during chip c, with E_m(i) =
-    e^{j (m+1) 2 pi W i / N} (txchain.subcarrier_exponentials): the shared
-    modulation table (txchain.modulation_table) applied to the row."""
-    cfg = runtime.scenario.config
-    n_sub, n_car = cfg.substreams, cfg.carriers
-    # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
-    d = symbols.reshape(-1, n_sub, n_car).transpose(0, 2, 1).reshape(-1, n_sub)
-    b = d.astype(np.float64) @ runtime.walsh
-    b *= np.sqrt(2.0 * cfg.power)
-    return np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
-
-
-def _waveform_tiles(runtime: _Runtime, symbols: np.ndarray):
-    """Every symbol row's PN-free linear waveform in tiles, for the tube.
-
-    symbols holds rows of (substreams, carriers) symbols, shape (...,
-    substreams, carriers).  During Walsh chip c row n is
-    sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each run of one
-    Walsh chip (txchain.walsh_chip_bounds) within a slab of _SLAB_SAMPLES
-    positions is one real GEMM of b[c] against the carrier exponentials with
-    re/im interleaved.  Each run is yielded as (first position, tile), the
-    tile complex, (rows, run length), in order of position.
-
-    The tube acts on |x|^2 alone, so for +-1 chips A(pn x) = pn A(x) holds
-    bit for bit and the caller applies each user's chips after it."""
-    b = _carrier_coefficients(runtime, symbols)
-    carriers = runtime.carriers.view(np.float64)
-    bounds = walsh_chip_bounds(runtime.scenario.config)
-    for chip, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        cuts = [lo, *range((lo // _SLAB_SAMPLES + 1) * _SLAB_SAMPLES, hi, _SLAB_SAMPLES), hi]
-        for first, last in zip(cuts[:-1], cuts[1:]):
-            yield first, (b[chip] @ carriers[:, 2 * first:2 * last]).view(np.complex128)
-
-
-def _cell_grid(cfg: LinkConfig, pn_chips: np.ndarray, paths: int) -> _CellGrid:
-    """The _CellGrid of a configuration at `paths` chip-spaced paths, given
-    every user's PN chips (users, pn_length).
-
-    The cuts are the Walsh chip bounds B and, per path delay D, B - D and
-    B + N - D within [0, N], N = samples_per_symbol: the positions whose
-    delayed sample starts a Walsh chip of the current or the next window.
-    A cell never holds a cut past its first position, so its span delayed
-    by D never crosses a chip or window boundary.  With one path the cuts
-    are the chip bounds alone."""
-    n_samp, order, size = cfg.samples_per_symbol, cfg.walsh_order, _CELL_SAMPLES
-    bounds = walsh_chip_bounds(cfg)
-    delays = cfg.oversampling * np.arange(paths)[:, None]
-    cuts = np.sort(np.clip(np.concatenate((bounds - delays, bounds + n_samp - delays)), 0, n_samp),
-                   axis=None)
-    starts = np.concatenate([np.arange(lo, hi, size) for lo, hi in zip(cuts[:-1], cuts[1:])
-                             if lo < hi])
-    lengths = np.minimum(starts + size, cuts[np.searchsorted(cuts, starts, side="right")]) - starts
-    step = 2.0 * np.pi * order / n_samp
-    harmonics = np.arange(1, cfg.carriers + 1)
-    middle = (size - 1) / 2.0
-    phases = step * (starts + middle)
-    k = np.arange(1, cfg.carriers)[:, None]
-    # positions[l, q, s]: offset s of cell q delayed by path l; inside[q, s]:
-    # whether offset s belongs to the cell
-    positions = starts[:, None] + np.arange(size) + delays[:, :, None]
-    inside = np.arange(size) < lengths[:, None]
-    span = starts + delays
-    return _CellGrid(
-        starts=starts, lengths=lengths, chip_cells=np.searchsorted(starts, bounds),
-        centres=np.exp(1j * step * harmonics * (starts + middle)[:, None]),
-        offsets=np.exp(1j * step * np.outer(harmonics, np.arange(size) - middle)),
-        cos_terms=np.concatenate((np.ones((1, starts.size)), 2.0 * np.cos(k * phases))),
-        slope_terms=-2.0 * middle * step * k * np.sin(k * phases),
-        half_width=middle * step,
-        delay_phases=np.exp(-1j * step * np.outer(delays, harmonics)),
-        user_chips=np.take(pn_chips, positions[0] % n_samp // cfg.oversampling, axis=1),
-        span_chips=pn_chips[0, positions % n_samp // cfg.oversampling] * inside.view(np.int8),
-        bin_chips=np.searchsorted(bounds, span % n_samp, side="right") - 1,
-        bin_windows=span // n_samp)
-
-
-def _autocorrelations(b: np.ndarray) -> np.ndarray:
-    """rho[k, ...] = sum_m b[..., m] b[..., m + k] for k = 0 .. M - 1, the
-    coefficients of a row's power |sum_m b_m e^{j (m+1) phi}|^2 =
-    rho_0 + 2 sum_{k>=1} rho_k cos(k phi), for real b.  Shape
-    (M, *b.shape[:-1])."""
-    n_car = b.shape[-1]
-    b = np.ascontiguousarray(np.moveaxis(b, -1, 0))
-    rho = np.empty(b.shape)
-    for k in range(n_car):
-        np.einsum("m...,m...->...", b[:n_car - k], b[k:], out=rho[k])
-    return rho
-
-
-def _peak_power_bound(rho: np.ndarray) -> np.ndarray:
-    """An upper bound on a row's power over every angle, from its
-    _autocorrelations: rho_0 + 2 sum_k |rho_k| (Tellambura, Electron. Lett.
-    33(19), 1997).  Shape rho.shape[1:]."""
-    return rho[0] + 2.0 * np.abs(rho[1:]).sum(axis=0)
-
-
-def _cell_power_bound(grid: _CellGrid, rho: np.ndarray, peak: np.ndarray, lo: int,
-                      hi: int) -> np.ndarray:
-    """An upper bound on the power of rows of one Walsh chip over each of
-    the chip's cells lo..hi-1, shape (rows, hi - lo), given the rows'
-    _autocorrelations rho (carriers, rows) and _peak_power_bound.
-
-    The power P(phi) = rho_0 + 2 sum_k rho_k cos(k phi) is a real
-    trigonometric polynomial of degree M - 1 in the carrier phase, so
-    |P''| <= (M - 1)^2 max P <= (M - 1)^2 peak (Bernstein's inequality,
-    twice), and within t of the anchor phi_0
-
-        P <= P(phi_0) + |P'(phi_0)| t + (M - 1)^2 peak t^2 / 2,
-
-    P(phi_0) and P'(phi_0) t being two real products of rho against the
-    grid's cos_terms and slope_terms."""
-    n_car = rho.shape[0]
-    bound = rho.T @ grid.cos_terms[:, lo:hi]
-    slope = rho[1:].T @ grid.slope_terms[:, lo:hi]
-    bound += np.abs(slope, out=slope)
-    bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]
-    return bound
-
-
-def _driven_coefficients(runtime: _Runtime, symbols: np.ndarray) -> np.ndarray:
-    """The limiter's drive per (Walsh chip, symbol row, carrier):
-    linear_gain times _carrier_coefficients, so that its samples are
-    compared with A_sat directly."""
-    b = _carrier_coefficients(runtime, symbols)
-    b *= runtime.linear_gain
-    return b
-
-
-def _clipped_cells(runtime: _Runtime, b: np.ndarray):
-    """The (symbol row, cell) pairs of the limiter that can clip, as
-    (Walsh chip, rows, cells) chunks of up to _CELL_CHUNK pairs in one chip,
-    for _formed_cells.
-
-    b holds the rows' drive (_driven_coefficients).  A pair is kept unless
-    the row's envelope bound over its Walsh chip (_peak_power_bound) or
-    over the cell (_cell_power_bound), both from the row's
-    _autocorrelations, lies below A_sat^2; the margin of 1e-12 keeps exact
-    ties and anything round-off could lift over it, and since NaN compares
-    false a NaN bound keeps its pair."""
-    grid = runtime.cells
-    threshold = runtime.scenario.saleh.saturation_output_power * (1.0 - 1e-12)
-    rho = _autocorrelations(b)
-    peak = _peak_power_bound(rho)
-    for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:])):
-        rows = np.flatnonzero(~(peak[chip] < threshold))
-        if rows.size == 0:
-            continue
-        bound = _cell_power_bound(grid, rho[:, chip, rows], peak[chip, rows], lo, hi)
-        row, cell = np.divmod(np.flatnonzero(~(bound < threshold)), hi - lo)
-        row, cell = rows[row], cell + lo
-        for first in range(0, row.size, _CELL_CHUNK):
-            yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]
-
-
-def _formed_cells(runtime: _Runtime, b: np.ndarray, rows: np.ndarray,
-                  cells: np.ndarray) -> np.ndarray:
-    """The driven samples of a chunk of _clipped_cells, b being the rows'
-    drive in its Walsh chip (_driven_coefficients): each cell's samples
-    g x, shape (chunk, S), formed in one product through
-    E_m(a + s) = E_m(a) E_m(s) (see _CellGrid), into a working array of
-    runtime.work that the next chunk overwrites.  Past a cell's length they
-    are the row's later samples, which the limiter's weights zero."""
-    grid = runtime.cells
-    n = rows.size
-    # the cells are in range; with mode="raise" take would buffer its out
-    coefficients = np.take(grid.centres, cells, axis=0, mode="clip", out=_work_array(
-        runtime.work, "cell_coefficients", (_CELL_CHUNK, grid.offsets.shape[0]), np.complex128)[:n])
-    coefficients *= np.take(b, rows, axis=0)
-    return np.matmul(coefficients, grid.offsets,
-                     out=_work_array(runtime.work, "cell_samples", (_CELL_CHUNK, _CELL_SAMPLES),
-                                     np.complex128)[:n])
 
 
 def _calibrate(runtime: _Runtime) -> tuple:
@@ -457,45 +169,25 @@ def _calibrate(runtime: _Runtime) -> tuple:
     pointing error.  The frame is user 1's, whose chips change neither
     measure, so it is taken PN-free.
 
-    The tube's frame is formed tile by tile.  The limiter's is the linear
-    one, g x, but at its clipped samples, so no tile is formed: the linear
-    energy is 2 power N g^2 sum_n d_n^T Re(C) d_n over the symbol rows d_n,
+    The frame's energy is g^2 times the linear one's, in closed form:
+    2 power N sum_n d_n^T Re(C) d_n over the symbol rows d_n,
     N = samples_per_symbol and C user 1's Gram matrix (receiver.signature_gram,
-    as for the noise factor), and the clipped cells
-    (_clipped_cells) add what the excess e changes, |g x + e|^2 - |g x|^2.
-    The limiter keeps every phase, so its mean rotation is zero."""
+    as for the noise factor), plus the amplifier's share, which
+    hpa.amplifier_calibration adds with the rotation.  The tube has g = 0 and
+    skips the linear term."""
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
     symbols = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
-    if scenario.hpa_mode == "saleh":
-        energy = 0.0
-        cross = 0.0
-        for _, linear in _waveform_tiles(runtime, symbols):
-            tx = amplify_samples(runtime.input_scale * linear, scenario.saleh)
-            energy += np.vdot(tx, tx).real
-            cross += np.vdot(linear, tx)
-        rotation = float(np.angle(cross))
-    else:
-        g = runtime.linear_gain
+    g = runtime.linear_gain
+    energy = 0.0
+    if g:
         d = symbols.reshape(_CALIBRATION_SYMBOLS, -1).astype(np.float64)
         gram = signature_gram(runtime.correlation, runtime.walsh).real
         energy = 2.0 * cfg.power * cfg.samples_per_symbol * g * g * np.sum((d @ gram) * d)
-        b = _driven_coefficients(runtime, symbols)
-        for chip, rows, cells in _clipped_cells(runtime, b):
-            driven = _formed_cells(runtime, b[chip], rows, cells)
-            factor = limiter_factor(driven, scenario.saleh)
-            factor *= np.arange(_CELL_SAMPLES) < runtime.cells.lengths[cells, None]
-            excess = driven * factor
-            energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
-        rotation = 0.0
+    energy, rotation = amplifier_calibration(runtime.amplifier, symbols, energy, runtime.work)
     mean_power = energy / (_CALIBRATION_SYMBOLS * cfg.samples_per_symbol)
     return mean_power * cfg.symbol_duration / cfg.bits_per_symbol, rotation
-
-
-def _linear_eb(cfg: LinkConfig) -> float:
-    """Energy per information bit of the linear chain, in closed form."""
-    return 2.0 * cfg.power * cfg.symbol_duration
 
 
 def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_db: float):
@@ -550,9 +242,9 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
     cross-correlation tables as per-chip sums (receiver.correlate_tables),
     and g the runtime's linear_gain.  W is what the amplifier adds to g
     times the linear waveform, correlated against user 1's signatures per
-    Walsh chip (runtime.amplified; zero without an amplifier).  Both are
-    (walsh_order, symbols, carriers) sums, so they are added before one
-    Walsh combine (receiver.combine_walsh_chips), the tables' 1/N undone
+    Walsh chip (hpa.amplifier_correlations; zero without an amplifier).
+    Both are (walsh_order, symbols, carriers) sums, so they are added before
+    one Walsh combine (receiver.combine_walsh_chips), the tables' 1/N undone
     since the combine divides by N; a tube block (g = 0) forms no T at all.
     theta is user 1's reference-path phase plus the amplifier's mean
     rotation.  The outputs are those of the sample chain (modulate,
@@ -565,108 +257,13 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
         per_chip = correlate_tables(runtime.correlation, runtime.walsh, symbols, gains,
                                     runtime.work)
         per_chip *= runtime.linear_gain * np.sqrt(2.0 * cfg.power) * n_samp
-    amplified = None if runtime.amplified is None else runtime.amplified(runtime, symbols, gains)
+    amplified = (None if runtime.amplifier is None
+                 else amplifier_correlations(runtime.amplifier, symbols, gains, runtime.work))
     if amplified is not None:
         per_chip = amplified if per_chip is None else per_chip + amplified
     z = combine_walsh_chips(per_chip, runtime.walsh, n_samp,
                             channel.phases[0, 0] + runtime.phase_offset)
     return z.reshape(symbols.shape[1], cfg.substreams, cfg.carriers)
-
-
-def _tube_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """W of a tube block per (Walsh chip, window): the noiseless received
-    frame through the tube, cut into the (symbols, samples_per_symbol)
-    correlator windows and correlated per Walsh chip
-    (receiver.chip_correlations).  The frame holds every user's amplified
-    waveform, built tile by tile over all users' symbols at once
-    (_waveform_tiles), times its chips.  Per path l, the users' tiles are
-    summed with their gains h_kl in one product and added into a
-    (symbols, samples) view of the frame shifted by the path delay.  The
-    part that falls past the last window is dropped, as the correlator
-    drops it."""
-    scenario = runtime.scenario
-    cfg = scenario.config
-    users, n_total = symbols.shape[:2]
-    length = n_total * cfg.samples_per_symbol
-    shifts = [l * cfg.oversampling for l in range(scenario.paths)]
-    received = np.zeros(length + shifts[-1], dtype=np.complex128)
-    delayed = [received[shift:shift + length].reshape(n_total, -1) for shift in shifts]
-    for start, linear in _waveform_tiles(runtime, symbols):
-        tx = amplify_samples(runtime.input_scale * linear, scenario.saleh)
-        stop = start + tx.shape[1]
-        tx = tx.reshape(users, n_total, stop - start) * runtime.pn_samples[:, None, start:stop]
-        for frame, gain in zip(delayed, gains.T):
-            frame[:, start:stop] += np.tensordot(gain, tx, axes=1)
-    return chip_correlations(delayed[0], runtime.carrier_correlator, walsh_chip_bounds(cfg))
-
-
-def _excess_correlations(runtime: _Runtime, symbols: np.ndarray, gains: np.ndarray):
-    """W of a limiter block per (Walsh chip, window): what the limiter takes
-    off the samples of the cells that can clip (_clipped_cells), times each
-    user's chips, received on every path and correlated directly
-    (_add_cell_correlations), one chunk of cells at a time; None when no
-    cell can clip.  The sums are a working array of runtime.work, zeroed
-    here, and hold one more window, for what falls past the last one; the
-    correlator drops it, and so does the view returned."""
-    cfg = runtime.scenario.config
-    n_total = symbols.shape[1]
-    b = _driven_coefficients(runtime, symbols)
-    total = None
-    for chip, rows, cells in _clipped_cells(runtime, b):
-        if total is None:
-            total = _work_array(runtime.work, "cell_sums",
-                                (cfg.walsh_order, n_total + 1, cfg.carriers), np.complex128)
-            total.fill(0.0)
-        _add_cell_correlations(total, runtime, rows, cells,
-                               _formed_cells(runtime, b[chip], rows, cells), gains)
-    return None if total is None else total[:, :n_total]
-
-
-def _add_cell_correlations(total: np.ndarray, runtime: _Runtime, rows: np.ndarray,
-                           cells: np.ndarray, driven: np.ndarray, gains: np.ndarray) -> None:
-    """Add the correlations of what the limiter takes off one chunk of
-    cells' driven samples (_formed_cells) into total, the block's
-    per-(Walsh chip, window) sums, shape (walsh_order, symbols + 1,
-    carriers).
-
-    A cell of user k on path l at delay D adds, to window n' and user 1's
-    Walsh chip c' of its delayed span,
-
-        h_kl conj(E_m(a) E_m(D)) sum_s x(s) f(s) pn_k(i_s) pn_1(i_s + D) conj(E_m(s)),
-
-    f being the limiter's real factor (hpa.limiter_factor), since the
-    correlator's conj(E_m) at position a + D + s factors as its sample does
-    (_CellGrid).  The real weights f pn_k pn_1, zero past the cell's length,
-    meet the samples in one multiply, and the sums over s are one
-    (cells, S) @ (S, carriers) product per path, summed over runs of equal
-    (chip, window) bin and added in.  The chunk's arrays are working arrays
-    of runtime.work."""
-    cfg = runtime.scenario.config
-    grid = runtime.cells
-    work = runtime.work
-    n, n_total = rows.size, total.shape[1] - 1
-    chunk = (_CELL_CHUNK, _CELL_SAMPLES)
-    user, window = np.divmod(rows, n_total)
-    factor = limiter_factor(driven, runtime.scenario.saleh,
-                            out=_work_array(work, "cell_factor", chunk)[:n])
-    own_chips = np.take(grid.user_chips.reshape(-1, _CELL_SAMPLES), user * grid.starts.size + cells,
-                        axis=0)
-    anchors = np.conjugate(np.take(grid.centres, cells, axis=0))
-    conj_offsets = grid.offsets.conj().T
-    sums = total.reshape(-1, cfg.carriers)
-    for path, gain in enumerate(gains[user].T):
-        chips = np.take(grid.span_chips[path], cells, axis=0)
-        chips *= own_chips
-        weights = np.multiply(factor, chips, out=_work_array(work, "cell_weights", chunk)[:n])
-        excess = np.multiply(driven, weights,
-                             out=_work_array(work, "cell_excess", chunk, np.complex128)[:n])
-        out = np.matmul(excess, conj_offsets, out=_work_array(
-            work, "cell_correlations", (_CELL_CHUNK, cfg.carriers), np.complex128)[:n])
-        out *= anchors * (gain[:, None] * grid.delay_phases[path])
-        key = (np.take(grid.bin_chips[path], cells) * (n_total + 1)
-               + np.take(grid.bin_windows[path], cells) + window)
-        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        np.add.at(sums, key[heads], np.add.reduceat(out, heads))
 
 
 def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> dict:
@@ -893,28 +490,24 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
         try:
             for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
                 started = time.perf_counter()
-                errors = 0
-                bits = 0
-                blocks = 0
-                while True:
+                errors = bits = blocks = 0
+                # wave by wave, until the bits run out or every floor is met
+                while not (bits >= scenario.max_bits
+                           or (errors >= scenario.min_errors and bits >= scenario.min_bits
+                               and blocks >= scenario.min_blocks)):
                     block_ids = range(blocks, blocks + scenario.blocks_per_wave)
                     for block_errors, block_bits in runner.run(point_index, block_ids,
                                                                float(ebn0_db)):
                         errors += block_errors
                         bits += block_bits
                     blocks += scenario.blocks_per_wave
-                    if bits >= scenario.max_bits:
-                        break
-                    if (errors >= scenario.min_errors and bits >= scenario.min_bits
-                            and blocks >= scenario.min_blocks):
-                        break
-                censored = errors < scenario.min_errors
                 records.append(BerRecord(
                     scenario=scenario.name, ebn0_db=float(ebn0_db), users=cfg.users,
                     substreams=cfg.substreams, carriers=cfg.carriers, hpa_mode=scenario.hpa_mode,
                     ibo_db=None if scenario.hpa_mode == "bypass" else float(scenario.ibo_db),
                     bits=bits, errors=errors, ber=errors / bits, ci95=binomial_ci95(errors, bits),
-                    source="monte-carlo", seed=scenario.master_seed, censored=censored))
+                    source="monte-carlo", seed=scenario.master_seed,
+                    censored=errors < scenario.min_errors))
                 point_seconds.append(time.perf_counter() - started)
         finally:
             runner.close()
@@ -934,10 +527,12 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     slot's variance (user 1's Gram entry); with the noise off it is zero
     and ebn0_db is not read.  With several paths each chunk is preceded by
     one uncounted warmup symbol, so that the missing previous symbol at its
-    start does not bias the estimates.
+    start does not bias the estimates.  chunk must be at least 1.
     """
     if n_symbols < 2:
         raise ValueError(f"need at least 2 symbols for a sample variance, got {n_symbols}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1 symbol, got {chunk}")
     cfg = runtime.scenario.config
     collected = {name: [] for name in SOURCE_NAMES}
     for start in range(0, n_symbols, chunk):

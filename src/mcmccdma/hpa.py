@@ -1,5 +1,7 @@
-"""Memoryless traveling-wave-tube nonlinearity, back-off control and the
-analytic predistorter that inverts it.
+"""Memoryless traveling-wave-tube nonlinearity, back-off control, the
+analytic predistorter that inverts it, and the Monte Carlo engine's two
+amplifiers: what each adds to a block's correlator outputs and to the
+noise calibration.
 
 The amplitude transfer is amam(u) = a1*u/(1 + b1*u^2) and the phase shift is
 ampm(u) = a2*u/(1 + b2*u^2) radians; the classical quadratic-numerator phase
@@ -15,17 +17,54 @@ is in exact arithmetic the ideal envelope limiter x * min(1, A_sat/|x|)
 with A_sat the peak output: it passes every modulus below A_sat and every
 phase unchanged.  That limiter is also the p -> infinity limit of Rapp's
 solid-state amplifier model.  apply_predistorter is the reference that
-characterize-hpa and the tests use.  In "saleh" mode the Monte Carlo
-engine runs amplify_samples on its waveform tiles.  In "saleh_pd" mode the
-limiter is the identity up to A_sat, so the engine takes the linear
-chain's outputs and calls limiter_factor, whose product with a sample is
-what the limiter takes off it, on the 16-sample cells whose envelope
-bound reaches A_sat only; about 80% of the samples it is given clip on
-the linearization preset.
+characterize-hpa and the tests use.
 NaN and infinite samples raise ValueError in every kernel and in
 compute_obo, and so do finite samples whose squared modulus overflows.  At
 any finite power the curves are evaluated without an intermediate
 overflow: where beta p overflows, their asymptotes take over.
+
+The engine's amplifiers.  The engine (harness) forms user 1's noiseless
+correlator outputs as z = g sqrt(2 power) e^{-j theta} T + W, T being the
+linear chain's correlation and g its gain.  W correlates what the amplifier
+adds to g times the linear waveform against user 1's signatures with the
+Walsh chips factored out: per-(Walsh chip, window) sums
+(receiver.chip_correlations) of T's shape, with which they share one Walsh
+combine.  Everything that differs between the amplifiers is here, reached
+through three functions: prepare_amplifier builds each one's frozen state
+(None without an amplifier, "bypass": g = 1 and W = 0), which holds its g,
+amplifier_correlations forms a block's W from it, and amplifier_calibration
+adds its share to the calibration frame's energy and gives its mean
+rotation.
+
+- "saleh" (TubeState): the tube acts on each user's summed waveform, so
+  g = 0 and W correlates the whole received frame (_tube_correlations):
+  every user modulated and amplified (amplify_samples) tile by tile over
+  all users' PN-free symbol rows (_waveform_tiles), the paths summed.  The
+  tube acts on |x|^2 alone, so for +-1 chips A(pn x) = pn A(x) holds bit
+  for bit and each user's chips are applied after it.
+- "saleh_pd" (LimiterState): the predistorted tube is the envelope
+  limiter, the identity up to A_sat.  So g is the predistorter's input
+  scale, and W correlates what the limiter takes off the samples above
+  A_sat, under 1% of them at working back-offs, with no window formed
+  (_excess_correlations).  The search runs over cells of up to 16 samples,
+  cut so that no path delays a cell across a Walsh chip or window boundary
+  (_CellGrid): an envelope bound on each symbol row over each Walsh chip
+  (_peak_power_bound) and then over each cell (_cell_power_bound), both
+  read off the row's power autocorrelations (_autocorrelations), rule out
+  most cells before any sample is formed.  The kept cells are formed a
+  chunk at a time in one product (_driven_cells), and limiter_factor, whose
+  product with a sample is what the limiter takes off it, gives what is
+  clipped; about 80% of the formed samples clip on amplifier-linearized.
+  The cells are correlated directly, one small product per path, into
+  per-(Walsh chip, window) sums.
+
+The calibration measures the energy per bit from the transmitted
+(post-amplifier) waveform of one long PN-free frame of user 1's: g^2 times
+the linear frame's energy, which the engine has in closed form, plus the
+amplifier's share.  The tube's frame is amplified tile by tile, as its
+blocks are (_waveform_tiles), and its mean AM/PM rotation is measured on
+it.  The limiter's frame is the linear one but at its clipped cells, which
+add what the excess changes; it keeps every phase, so its rotation is zero.
 """
 
 from __future__ import annotations
@@ -35,7 +74,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txchain import check_field_types
+from .receiver import _work_array, chip_correlations
+from .txchain import LinkConfig, check_field_types, subcarrier_exponentials, walsh_chip_bounds
 
 
 @dataclass(frozen=True)
@@ -230,8 +270,8 @@ def limiter_factor(samples: np.ndarray, params: SalehParams,
     limiter x * min(1, A_sat/|x|) (see the module docstring), at each sample
     of a complex array of any shape: what it takes off x is x times it,
     exactly zero at and below A_sat.  The engine calls it
-    on the few cells of samples that can exceed A_sat only, into a real
-    working array out of the samples' shape, when given.  NaN and infinite
+    on the few cells of samples that can exceed A_sat only (_clipped_cells),
+    into a real working array out of the samples' shape, when given.  NaN and infinite
     samples raise ValueError, as in every kernel here."""
     sat2 = params.saturation_output_power
     # min(1, A_sat/|x|) as sqrt(sat^2/max(|x|^2, sat^2))
@@ -285,3 +325,417 @@ def apply_predistorter(samples: np.ndarray, params: SalehParams) -> np.ndarray:
     # the predistorted power is at most the saturation input power
     phase = -_ampm_of_power(ratio**2 * p, params.saturation_input_power, params)
     return _rotate(x, ratio, phase)
+
+
+# Samples per symbol row in one tile of the tube's chain.  A tile holds
+# every user's symbols of a block over this many samples, so it stays
+# cache-sized (about 2.6 MB for 20 users x 32 symbols); the per-tile
+# overhead is a few small calls.
+_SLAB_SAMPLES = 256
+
+# Sample positions per cell of the limiter's clip search (_CellGrid), and
+# the number of kept (symbol row, cell) pairs formed and correlated at once,
+# which caps the search's working arrays at a few hundred kB whatever share
+# of the samples clips.
+_CELL_SAMPLES = 16
+_CELL_CHUNK = 1024
+
+
+@dataclass(frozen=True)
+class TubeState:
+    """The tube ("saleh") as the engine drives it: the tables from which
+    _waveform_tiles forms every user's PN-free waveform, and those against
+    which its received windows are correlated."""
+
+    config: LinkConfig
+    walsh: np.ndarray              # the substreams' Walsh rows, float64 (substreams, walsh_order)
+    saleh: SalehParams
+    input_scale: float             # the drive scale (input_scale_for_power)
+    # txchain.subcarrier_exponentials with re/im interleaved, float64
+    # (carriers, 2 samples_per_symbol): the tiles' GEMM operand
+    carriers: np.ndarray
+    pn_samples: np.ndarray         # every user's chips oversampled, (users, samples_per_symbol)
+    # User 1's correlator with the Walsh chips factored out: its chips times
+    # the conjugated carrier exponentials, C-contiguous, shape
+    # (samples_per_symbol, carriers); see receiver.chip_correlations.
+    carrier_correlator: np.ndarray
+    # g: the tube's W carries the whole amplified signal (a class constant)
+    linear_gain = 0.0
+
+
+@dataclass(frozen=True)
+class _CellGrid:
+    """The cells of the limiter's clip search: the symbol cut at every Walsh
+    chip bound (txchain.walsh_chip_bounds) and at every position that a path
+    delay carries onto a chip bound of the same or the next window, each
+    piece cut into runs of up to _CELL_SAMPLES consecutive sample positions,
+    and the per-cell tables through which a cell's samples are bounded,
+    formed and correlated without any other sample.
+
+    Cell q spans positions starts[q] .. starts[q] + lengths[q] - 1 and is
+    anchored at a = starts[q] + (S - 1)/2, S = _CELL_SAMPLES, whatever its
+    length; the samples of a row there are x(a + s) = sum_m b_m E_m(a) E_m(s)
+    for the offsets s = -(S - 1)/2 .. (S - 1)/2, of which the first lengths[q]
+    belong to the cell.  Chip c holds cells chip_cells[c] .. chip_cells[c+1] - 1.
+
+    So a cell delayed by any path lies within one Walsh chip of one window,
+    n or n + 1: bin_chips[l, q] is that Walsh chip on path l and
+    bin_windows[l, q] the window increment.  user_chips[k, q] holds user k's
+    chips at the cell's S positions, and span_chips[l, q] user 1's at those
+    positions delayed by path l (periodic over the symbol), zero past the
+    cell's length, so the correlation reads nothing of a cell but its own
+    samples.
+
+    A row's power at carrier phase phi is P(phi) = rho_0 + 2 sum_{k>=1}
+    rho_k cos(k phi), rho_k = sum_m b_m b_{m+k} (_autocorrelations), so at
+    the anchor's phase phi_a it is rho . cos_terms[:, q], and its slope
+    there times the half width t of a cell is rho[1:] . slope_terms[:, q]."""
+
+    starts: np.ndarray          # (cells,)
+    lengths: np.ndarray         # (cells,)
+    chip_cells: np.ndarray      # (walsh_order + 1,)
+    centres: np.ndarray         # E_m(a) at every anchor, C-contiguous (cells, carriers) complex
+    offsets: np.ndarray         # E_m(s), (carriers, S) complex
+    cos_terms: np.ndarray       # 1 and 2 cos(k phi_a) for k >= 1, (carriers, cells)
+    slope_terms: np.ndarray     # -2 k t sin(k phi_a), k = 1 .. carriers - 1, (carriers - 1, cells)
+    half_width: float           # (S - 1)/2 samples as carrier phase 2 pi W i / N: t
+    delay_phases: np.ndarray    # conj(E_m(D_l)) per path delay, (paths, carriers)
+    user_chips: np.ndarray      # (users, cells, S) int8
+    span_chips: np.ndarray      # (paths, cells, S) int8
+    bin_chips: np.ndarray       # (paths, cells)
+    bin_windows: np.ndarray     # (paths, cells)
+
+
+@dataclass(frozen=True)
+class LimiterState:
+    """The predistorted tube ("saleh_pd") as the engine drives it: the
+    envelope limiter behind the predistorter's input scale g, and the cell
+    grid of its clip search.  It forms no tile, so it holds no carrier
+    table."""
+
+    config: LinkConfig
+    walsh: np.ndarray              # the substreams' Walsh rows, float64 (substreams, walsh_order)
+    saleh: SalehParams
+    linear_gain: float             # g
+    cells: _CellGrid
+
+
+def prepare_amplifier(scenario, walsh: np.ndarray,
+                      pn_chips: np.ndarray) -> TubeState | LimiterState | None:
+    """The state of the amplifier of a scenario (config.Scenario), given
+    the substreams' Walsh rows as float64 and every user's PN chips (users,
+    pn_length): None for "bypass", a TubeState for "saleh", a LimiterState
+    for "saleh_pd".
+
+    The back-off is set against the linear chain's mean transmitted power,
+    2 power substreams carriers: below the saturating input power for the
+    tube (input_scale_for_power), and below the saturated output power for
+    the limiter, since the predistorter expects desired output moduli."""
+    if scenario.hpa_mode == "bypass":
+        return None
+    cfg, saleh = scenario.config, scenario.saleh
+    mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
+    if scenario.hpa_mode == "saleh":
+        carriers = subcarrier_exponentials(cfg)
+        pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
+        # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
+        return TubeState(
+            config=cfg, walsh=walsh, saleh=saleh,
+            input_scale=input_scale_for_power(mean_tx_power, scenario.ibo_db, saleh),
+            carriers=carriers.view(np.float64), pn_samples=pn_samples,
+            carrier_correlator=np.ascontiguousarray(pn_samples[0, :, None] * carriers.conj().T))
+    return LimiterState(
+        config=cfg, walsh=walsh, saleh=saleh,
+        linear_gain=float(np.sqrt(saleh.saturation_output_power
+                                  / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0)))),
+        cells=_cell_grid(cfg, pn_chips, scenario.paths))
+
+
+def amplifier_correlations(amplifier: TubeState | LimiterState, symbols: np.ndarray,
+                           gains: np.ndarray, work: dict) -> np.ndarray | None:
+    """A block's W per (Walsh chip, window) before the Walsh combine, shape
+    (walsh_order, symbols, carriers), or None when it is zero: symbols holds
+    every user's (users, symbols, substreams, carriers), gains the complex
+    path gains (users, paths), and work the block's working arrays
+    (receiver._work_array)."""
+    if isinstance(amplifier, TubeState):
+        return _tube_correlations(amplifier, symbols, gains)
+    return _excess_correlations(amplifier, symbols, gains, work)
+
+
+def amplifier_calibration(amplifier: TubeState | LimiterState, symbols: np.ndarray,
+                          energy: float, work: dict) -> tuple:
+    """(energy, mean rotation) of user 1's PN-free calibration frame, of
+    symbol rows (symbols, substreams, carriers), through the amplifier:
+    energy is that of the frame's linear term g x, to which this adds the
+    amplifier's share tile by tile or cell chunk by cell chunk, in order.
+
+    The tube's share is the whole amplified frame (g = 0), and its rotation
+    the angle of sum conj(x) A(x).  The limiter's is what the excess e
+    changes at its clipped cells, |g x + e|^2 - |g x|^2, and its rotation
+    zero."""
+    if isinstance(amplifier, TubeState):
+        cross = 0.0
+        for _, linear, tx in _waveform_tiles(amplifier, symbols):
+            energy += np.vdot(tx, tx).real
+            cross += np.vdot(linear, tx)
+        return energy, float(np.angle(cross))
+    for _, cells, driven, factor in _driven_cells(amplifier, symbols, work):
+        factor *= np.arange(_CELL_SAMPLES) < amplifier.cells.lengths[cells, None]
+        excess = driven * factor
+        energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
+    return energy, 0.0
+
+
+def _carrier_coefficients(amplifier: TubeState | LimiterState, symbols: np.ndarray) -> np.ndarray:
+    """b[c, n, m] = sqrt(2 power) sum_r d[n, r, m] w_r(c): symbol row n's
+    real coefficient on carrier m during Walsh chip c, shape (walsh_order,
+    rows, carriers).  symbols holds rows of (substreams, carriers) symbols,
+    shape (..., substreams, carriers).  Row n's PN-free linear waveform is
+    sum_m b[c, n, m] E_m(i) during chip c, with E_m(i) =
+    e^{j (m+1) 2 pi W i / N} (txchain.subcarrier_exponentials): the shared
+    modulation table (txchain.modulation_table) applied to the row."""
+    cfg = amplifier.config
+    n_sub, n_car = cfg.substreams, cfg.carriers
+    # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
+    d = symbols.reshape(-1, n_sub, n_car).transpose(0, 2, 1).reshape(-1, n_sub)
+    b = d.astype(np.float64) @ amplifier.walsh
+    b *= np.sqrt(2.0 * cfg.power)
+    return np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
+
+
+def _waveform_tiles(tube: TubeState, symbols: np.ndarray):
+    """Every symbol row's PN-free linear waveform in tiles, each tile also
+    through the tube at its drive: the one loop of the tube's blocks and of
+    its calibration.
+
+    symbols holds rows of (substreams, carriers) symbols, shape (...,
+    substreams, carriers).  During Walsh chip c row n is
+    sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each run of one
+    Walsh chip (txchain.walsh_chip_bounds) within a slab of _SLAB_SAMPLES
+    positions is one real GEMM of b[c] against the carrier exponentials with
+    re/im interleaved.  Each run is yielded as (first position, linear tile,
+    amplified tile), the tiles complex, (rows, run length), in order of
+    position."""
+    b = _carrier_coefficients(tube, symbols)
+    bounds = walsh_chip_bounds(tube.config)
+    for chip, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        cuts = [lo, *range((lo // _SLAB_SAMPLES + 1) * _SLAB_SAMPLES, hi, _SLAB_SAMPLES), hi]
+        for first, last in zip(cuts[:-1], cuts[1:]):
+            linear = (b[chip] @ tube.carriers[:, 2 * first:2 * last]).view(np.complex128)
+            yield first, linear, amplify_samples(tube.input_scale * linear, tube.saleh)
+
+
+def _tube_correlations(tube: TubeState, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """W of a tube block per (Walsh chip, window): the noiseless received
+    frame through the tube, cut into the (symbols, samples_per_symbol)
+    correlator windows and correlated per Walsh chip
+    (receiver.chip_correlations).  The frame holds every user's amplified
+    waveform, built tile by tile over all users' symbols at once
+    (_waveform_tiles), times its chips.  Per path l, the users' tiles are
+    summed with their gains h_kl in one product and added into a
+    (symbols, samples) view of the frame shifted by the path delay.  The
+    part that falls past the last window is dropped, as the correlator
+    drops it."""
+    cfg = tube.config
+    users, n_total = symbols.shape[:2]
+    length = n_total * cfg.samples_per_symbol
+    shifts = [l * cfg.oversampling for l in range(gains.shape[1])]
+    received = np.zeros(length + shifts[-1], dtype=np.complex128)
+    delayed = [received[shift:shift + length].reshape(n_total, -1) for shift in shifts]
+    for start, _, tx in _waveform_tiles(tube, symbols):
+        stop = start + tx.shape[1]
+        tx = tx.reshape(users, n_total, stop - start) * tube.pn_samples[:, None, start:stop]
+        for frame, gain in zip(delayed, gains.T):
+            frame[:, start:stop] += np.tensordot(gain, tx, axes=1)
+    return chip_correlations(delayed[0], tube.carrier_correlator, walsh_chip_bounds(cfg))
+
+
+def _cell_grid(cfg: LinkConfig, pn_chips: np.ndarray, paths: int) -> _CellGrid:
+    """The _CellGrid of a configuration at `paths` chip-spaced paths, given
+    every user's PN chips (users, pn_length).
+
+    The cuts are the Walsh chip bounds B and, per path delay D, B - D and
+    B + N - D within [0, N], N = samples_per_symbol: the positions whose
+    delayed sample starts a Walsh chip of the current or the next window.
+    A cell never holds a cut past its first position, so its span delayed
+    by D never crosses a chip or window boundary.  With one path the cuts
+    are the chip bounds alone."""
+    n_samp, order, size = cfg.samples_per_symbol, cfg.walsh_order, _CELL_SAMPLES
+    bounds = walsh_chip_bounds(cfg)
+    delays = cfg.oversampling * np.arange(paths)[:, None]
+    cuts = np.sort(np.clip(np.concatenate((bounds - delays, bounds + n_samp - delays)), 0, n_samp),
+                   axis=None)
+    starts = np.concatenate([np.arange(lo, hi, size) for lo, hi in zip(cuts[:-1], cuts[1:])
+                             if lo < hi])
+    lengths = np.minimum(starts + size, cuts[np.searchsorted(cuts, starts, side="right")]) - starts
+    step = 2.0 * np.pi * order / n_samp
+    harmonics = np.arange(1, cfg.carriers + 1)
+    middle = (size - 1) / 2.0
+    phases = step * (starts + middle)
+    k = np.arange(1, cfg.carriers)[:, None]
+    # positions[l, q, s]: offset s of cell q delayed by path l; inside[q, s]:
+    # whether offset s belongs to the cell
+    positions = starts[:, None] + np.arange(size) + delays[:, :, None]
+    inside = np.arange(size) < lengths[:, None]
+    span = starts + delays
+    return _CellGrid(
+        starts=starts, lengths=lengths, chip_cells=np.searchsorted(starts, bounds),
+        centres=np.exp(1j * step * harmonics * (starts + middle)[:, None]),
+        offsets=np.exp(1j * step * np.outer(harmonics, np.arange(size) - middle)),
+        cos_terms=np.concatenate((np.ones((1, starts.size)), 2.0 * np.cos(k * phases))),
+        slope_terms=-2.0 * middle * step * k * np.sin(k * phases),
+        half_width=middle * step,
+        delay_phases=np.exp(-1j * step * np.outer(delays, harmonics)),
+        user_chips=np.take(pn_chips, positions[0] % n_samp // cfg.oversampling, axis=1),
+        span_chips=pn_chips[0, positions % n_samp // cfg.oversampling] * inside.view(np.int8),
+        bin_chips=np.searchsorted(bounds, span % n_samp, side="right") - 1,
+        bin_windows=span // n_samp)
+
+
+def _autocorrelations(b: np.ndarray) -> np.ndarray:
+    """rho[k, ...] = sum_m b[..., m] b[..., m + k] for k = 0 .. M - 1, the
+    coefficients of a row's power |sum_m b_m e^{j (m+1) phi}|^2 =
+    rho_0 + 2 sum_{k>=1} rho_k cos(k phi), for real b.  Shape
+    (M, *b.shape[:-1])."""
+    n_car = b.shape[-1]
+    b = np.ascontiguousarray(np.moveaxis(b, -1, 0))
+    rho = np.empty(b.shape)
+    for k in range(n_car):
+        np.einsum("m...,m...->...", b[:n_car - k], b[k:], out=rho[k])
+    return rho
+
+
+def _peak_power_bound(rho: np.ndarray) -> np.ndarray:
+    """An upper bound on a row's power over every angle, from its
+    _autocorrelations: rho_0 + 2 sum_k |rho_k| (Tellambura, Electron. Lett.
+    33(19), 1997).  Shape rho.shape[1:]."""
+    return rho[0] + 2.0 * np.abs(rho[1:]).sum(axis=0)
+
+
+def _cell_power_bound(grid: _CellGrid, rho: np.ndarray, peak: np.ndarray, lo: int,
+                      hi: int) -> np.ndarray:
+    """An upper bound on the power of rows of one Walsh chip over each of
+    the chip's cells lo..hi-1, shape (rows, hi - lo), given the rows'
+    _autocorrelations rho (carriers, rows) and _peak_power_bound.
+
+    The power P(phi) = rho_0 + 2 sum_k rho_k cos(k phi) is a real
+    trigonometric polynomial of degree M - 1 in the carrier phase, so
+    |P''| <= (M - 1)^2 max P <= (M - 1)^2 peak (Bernstein's inequality,
+    twice), and within t of the anchor phi_0
+
+        P <= P(phi_0) + |P'(phi_0)| t + (M - 1)^2 peak t^2 / 2,
+
+    P(phi_0) and P'(phi_0) t being two real products of rho against the
+    grid's cos_terms and slope_terms."""
+    n_car = rho.shape[0]
+    bound = rho.T @ grid.cos_terms[:, lo:hi]
+    slope = rho[1:].T @ grid.slope_terms[:, lo:hi]
+    bound += np.abs(slope, out=slope)
+    bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]
+    return bound
+
+
+def _clipped_cells(limiter: LimiterState, b: np.ndarray):
+    """The (symbol row, cell) pairs of the limiter that can clip, as
+    (Walsh chip, rows, cells) chunks of up to _CELL_CHUNK pairs in one chip,
+    for _driven_cells.
+
+    b holds the rows' drive, g times _carrier_coefficients.  A pair is kept
+    unless the row's envelope bound over its Walsh chip (_peak_power_bound)
+    or over the cell (_cell_power_bound), both from the row's
+    _autocorrelations, lies below A_sat^2; the margin of 1e-12 keeps exact
+    ties and anything round-off could lift over it, and since NaN compares
+    false a NaN bound keeps its pair."""
+    grid = limiter.cells
+    threshold = limiter.saleh.saturation_output_power * (1.0 - 1e-12)
+    rho = _autocorrelations(b)
+    peak = _peak_power_bound(rho)
+    for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:])):
+        rows = np.flatnonzero(~(peak[chip] < threshold))
+        bound = _cell_power_bound(grid, rho[:, chip, rows], peak[chip, rows], lo, hi)
+        row, cell = np.divmod(np.flatnonzero(~(bound < threshold)), hi - lo)
+        row, cell = rows[row], cell + lo
+        for first in range(0, row.size, _CELL_CHUNK):
+            yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]
+
+
+def _driven_cells(limiter: LimiterState, symbols: np.ndarray, work: dict):
+    """The limiter at the cells that can clip: (rows, cells, driven
+    samples, factor) per chunk of _clipped_cells, the one loop of the
+    limiter's blocks and of its calibration.
+
+    The rows' drive b is g times _carrier_coefficients, and a chunk's
+    samples g x, shape (chunk, S), are formed in one product through
+    E_m(a + s) = E_m(a) E_m(s) (see _CellGrid); factor is limiter_factor
+    at each, so that the limiter takes x times it off.  Past a cell's
+    length the samples are the row's later ones, which the caller's
+    weights zero.  Both are working arrays of work that the next chunk
+    overwrites."""
+    grid = limiter.cells
+    chunk = (_CELL_CHUNK, _CELL_SAMPLES)
+    b = _carrier_coefficients(limiter, symbols)
+    b *= limiter.linear_gain
+    for chip, rows, cells in _clipped_cells(limiter, b):
+        n = rows.size
+        # the cells are in range; with mode="raise" take would buffer its out
+        coefficients = np.take(grid.centres, cells, axis=0, mode="clip", out=_work_array(
+            work, "cell_coefficients", (_CELL_CHUNK, grid.offsets.shape[0]), np.complex128)[:n])
+        coefficients *= np.take(b[chip], rows, axis=0)
+        driven = np.matmul(coefficients, grid.offsets,
+                           out=_work_array(work, "cell_samples", chunk, np.complex128)[:n])
+        yield rows, cells, driven, limiter_factor(driven, limiter.saleh,
+                                                  out=_work_array(work, "cell_factor", chunk)[:n])
+
+
+def _excess_correlations(limiter: LimiterState, symbols: np.ndarray, gains: np.ndarray,
+                         work: dict) -> np.ndarray | None:
+    """W of a limiter block per (Walsh chip, window): what the limiter takes
+    off the samples of the cells that can clip (_driven_cells), times each
+    user's chips, received on every path and correlated directly, one chunk
+    of cells at a time; None when no cell can clip.
+
+    A cell of user k on path l at delay D adds, to window n' and user 1's
+    Walsh chip c' of its delayed span,
+
+        h_kl conj(E_m(a) E_m(D)) sum_s x(s) f(s) pn_k(i_s) pn_1(i_s + D) conj(E_m(s)),
+
+    f being the limiter's real factor (limiter_factor), since the
+    correlator's conj(E_m) at position a + D + s factors as its sample does
+    (_CellGrid).  The real weights f pn_k pn_1, zero past the cell's length,
+    meet the samples in one multiply, and the sums over s are one
+    (cells, S) @ (S, carriers) product per path, summed over runs of equal
+    (chip, window) bin and added in.  The sums and each chunk's arrays are
+    working arrays of work.  The sums are zeroed here and hold one more
+    window, for what falls past the last one; the correlator drops it, and
+    so does the view returned."""
+    cfg = limiter.config
+    grid = limiter.cells
+    n_total = symbols.shape[1]
+    chunk = (_CELL_CHUNK, _CELL_SAMPLES)
+    conj_offsets = grid.offsets.conj().T
+    total = None
+    for rows, cells, driven, factor in _driven_cells(limiter, symbols, work):
+        if total is None:
+            total = _work_array(work, "cell_sums",
+                                (cfg.walsh_order, n_total + 1, cfg.carriers), np.complex128)
+            total.fill(0.0)
+        n = rows.size
+        user, window = np.divmod(rows, n_total)
+        own_chips = np.take(grid.user_chips.reshape(-1, _CELL_SAMPLES),
+                            user * grid.starts.size + cells, axis=0)
+        anchors = np.conjugate(np.take(grid.centres, cells, axis=0))
+        for path, gain in enumerate(gains[user].T):
+            chips = np.take(grid.span_chips[path], cells, axis=0)
+            chips *= own_chips
+            weights = np.multiply(factor, chips, out=_work_array(work, "cell_weights", chunk)[:n])
+            excess = np.multiply(driven, weights,
+                                 out=_work_array(work, "cell_excess", chunk, np.complex128)[:n])
+            out = np.matmul(excess, conj_offsets, out=_work_array(
+                work, "cell_correlations", (_CELL_CHUNK, cfg.carriers), np.complex128)[:n])
+            out *= anchors * (gain[:, None] * grid.delay_phases[path])
+            key = (np.take(grid.bin_chips[path], cells) * (n_total + 1)
+                   + np.take(grid.bin_windows[path], cells) + window)
+            heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            np.add.at(total.reshape(-1, cfg.carriers), key[heads], np.add.reduceat(out, heads))
+    return None if total is None else total[:, :n_total]

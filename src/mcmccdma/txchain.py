@@ -112,11 +112,6 @@ class LinkConfig:
         """Chips between the cyclic PN shifts of consecutive users."""
         return max(1, self.pn_length // self.users)
 
-    @property
-    def walsh_aligned(self) -> bool:
-        """True when every Walsh chip covers the same whole number of samples."""
-        return self.samples_per_symbol % self.walsh_order == 0
-
 
 def walsh_chip_bounds(config: LinkConfig) -> np.ndarray:
     """The first sample position of each Walsh chip, then

@@ -15,10 +15,10 @@ from mcmccdma.analysis import (CSV_HEADER, BerRecord, binomial_ci95, emit_csv, p
                                theoretical_curve)
 from mcmccdma.channel import draw_channel, propagate_samples
 from mcmccdma.cli import main
-from mcmccdma import harness
+from mcmccdma import harness, hpa
 from mcmccdma.config import (HPA_MODES, ConfigError, Scenario, leaf_fields, load_config, preset,
                              scenario_echo, scenario_from_keys)
-from mcmccdma.harness import measure_variances, run_scenario
+from mcmccdma.harness import estimate_interference_variances, measure_variances, run_scenario
 from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, limiter_factor
 from mcmccdma.receiver import SOURCE_NAMES, InterferenceVariances, correlate_slots
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
@@ -320,7 +320,8 @@ class TestCorrelationEngine:
         factor = runtime.noise_factor
         assert np.array_equal(factor, np.tril(factor))
         assert np.abs(factor @ factor.conj().T - gram).max() <= 1e-12
-        assert np.allclose(gram, np.eye(len(gram)), atol=1e-12) == config.walsh_aligned
+        aligned = config.samples_per_symbol % config.walsh_order == 0
+        assert np.allclose(gram, np.eye(len(gram)), atol=1e-12) == aligned
 
     def test_every_mode_has_tables_and_noise_factor(self):
         linear = harness._prepare(_TINY_UNALIGNED)
@@ -328,10 +329,10 @@ class TestCorrelationEngine:
             runtime = harness._prepare(dataclasses.replace(_TINY_UNALIGNED, hpa_mode=hpa_mode))
             assert np.array_equal(runtime.correlation, linear.correlation)
             assert np.array_equal(runtime.noise_factor, linear.noise_factor)
-            assert (runtime.amplified is None) == (hpa_mode == "bypass")
+            assert (runtime.amplifier is None) == (hpa_mode == "bypass")
             # only the limiter builds the cell grid, and it forms no tile
-            assert (runtime.cells is None) == (hpa_mode != "saleh_pd")
-            assert (runtime.carriers is None) == (hpa_mode != "saleh")
+            assert (getattr(runtime.amplifier, "cells", None) is None) == (hpa_mode != "saleh_pd")
+            assert (getattr(runtime.amplifier, "carriers", None) is None) == (hpa_mode != "saleh")
         assert linear.linear_gain == 1.0
         assert harness._prepare(dataclasses.replace(TINY, hpa_mode="saleh")).linear_gain == 0.0
 
@@ -343,7 +344,7 @@ def _reference_amplifier(runtime):
 
     def amplify(samples):
         if scenario.hpa_mode == "saleh":
-            return amplify_samples(runtime.input_scale * samples, scenario.saleh)
+            return amplify_samples(runtime.amplifier.input_scale * samples, scenario.saleh)
         return amplify_samples(apply_predistorter(runtime.linear_gain * samples, scenario.saleh),
                                scenario.saleh)
 
@@ -410,7 +411,7 @@ class TestAmplifierEngine:
                              config=dataclasses.replace(_SHORT_CHIPS, users=2)), 8),
     ], ids=lambda v: getattr(v, "name", str(v)))
     def test_noiseless_outputs_match_per_user_chain(self, scenario, slab, monkeypatch):
-        monkeypatch.setattr(harness, "_SLAB_SAMPLES", slab)
+        monkeypatch.setattr(hpa, "_SLAB_SAMPLES", slab)
         runtime, channel, symbols, z = _recorded_block(scenario)
         if scenario.hpa_mode == "saleh_pd":
             linear = np.concatenate([
@@ -498,13 +499,13 @@ class TestAmplifierEngine:
                 return function(*args)
             return wrapper
 
-        monkeypatch.setattr(harness, "limiter_factor", counted("cell", harness.limiter_factor))
-        monkeypatch.setattr(harness, "_waveform_tiles", counted("tile", harness._waveform_tiles))
+        monkeypatch.setattr(hpa, "limiter_factor", counted("cell", hpa.limiter_factor))
+        monkeypatch.setattr(hpa, "_waveform_tiles", counted("tile", hpa._waveform_tiles))
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="unclipped",
                                                        hpa_mode="saleh_pd", ibo_db=30.0))
         assert calls == []
-        assert harness._excess_correlations(runtime, harness._draw_symbols(
-            np.random.default_rng(0), (3, 16, 2, 2)), np.ones((3, 1))) is None
+        assert hpa._excess_correlations(runtime.amplifier, harness._draw_symbols(
+            np.random.default_rng(0), (3, 16, 2, 2)), np.ones((3, 1)), runtime.work) is None
         harness._simulate_block(runtime, 0, 0, 8.0)
         assert calls == []
 
@@ -553,7 +554,7 @@ class TestAmplifierEngine:
         """Kept cells formed and correlated 1 or 3 at a time give the block
         and the calibration of the default chunk, across every seam."""
         runtime, channel, symbols, z = _recorded_block(scenario)
-        monkeypatch.setattr(harness, "_CELL_CHUNK", chunk)
+        monkeypatch.setattr(hpa, "_CELL_CHUNK", chunk)
         rechunked = harness._correlation_outputs(runtime, channel, symbols)
         assert np.abs(rechunked - z).max() <= 1e-12 * np.abs(z).max()
         eb, phase_offset = harness._calibrate(runtime)
@@ -567,9 +568,10 @@ class TestAmplifierEngine:
         # exponential, which enters every sample formed in it, are poisoned
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="bad",
                                                        hpa_mode="saleh_pd", ibo_db=1.0))
-        cell = np.searchsorted(runtime.cells.starts, 300, side="right") - 1
-        runtime.cells.cos_terms[0, cell] = bad
-        runtime.cells.centres[cell, 1] = bad
+        grid = runtime.amplifier.cells
+        cell = np.searchsorted(grid.starts, 300, side="right") - 1
+        grid.cos_terms[0, cell] = bad
+        grid.centres[cell, 1] = bad
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
             harness._simulate_block(runtime, 0, 0, 8.0)
 
@@ -606,7 +608,7 @@ def _full_clip_search(runtime, symbols):
     row * samples_per_symbol + position of its clipped samples in ascending
     order, and the excess at each."""
     cfg = runtime.scenario.config
-    b = harness._carrier_coefficients(runtime, symbols)
+    b = hpa._carrier_coefficients(runtime.amplifier, symbols)
     linear = np.einsum("inm,mi->ni", b[_floor_chips(cfg)], subcarrier_exponentials(cfg))
     power = np.square(linear.real) + np.square(linear.imag)
     index = np.flatnonzero(power > _clip_power(runtime))
@@ -615,7 +617,7 @@ def _full_clip_search(runtime, symbols):
 
 
 def _check_cell_search(runtime, symbols):
-    """Hold the limiter's cell search (_clipped_cells, _formed_cells) to the
+    """Hold the limiter's cell search (_driven_cells) to the
     search over every sample (_full_clip_search): it forms each sample of a
     kept cell as the full waveform has it (times linear_gain), to 1e-12, and
     no sample twice; the samples it forms include every clipped sample, so
@@ -625,14 +627,12 @@ def _check_cell_search(runtime, symbols):
     within 1e-12 A_sat of the full search's at every sample (zero where that
     clips nothing)."""
     cfg = runtime.scenario.config
-    grid = runtime.cells
+    grid = runtime.amplifier.cells
     linear, index, excess = _full_clip_search(runtime, symbols)
-    offsets = np.arange(harness._CELL_SAMPLES)
+    offsets = np.arange(hpa._CELL_SAMPLES)
     cell_excess = np.zeros(linear.size, dtype=np.complex128)
     formed = [np.zeros(0, dtype=np.int64)]
-    b = harness._driven_coefficients(runtime, symbols)
-    for chip, rows, cells in harness._clipped_cells(runtime, b):
-        driven = harness._formed_cells(runtime, b[chip], rows, cells)
+    for rows, cells, driven, _ in hpa._driven_cells(runtime.amplifier, symbols, runtime.work):
         inside = offsets < grid.lengths[cells, None]
         assert np.array_equal(grid.span_chips[:, cells] != 0,
                               np.broadcast_to(inside, grid.span_chips[:, cells].shape))
@@ -664,9 +664,9 @@ def _check_cell_geometry(runtime):
     assert np.array_equal(walsh_chip_bounds(cfg),
                           np.searchsorted(chips, np.arange(cfg.walsh_order + 1)))
     pn_samples = np.repeat(runtime.pn_chips, cfg.oversampling, axis=1)
-    offsets = np.arange(harness._CELL_SAMPLES)
+    offsets = np.arange(hpa._CELL_SAMPLES)
     for paths in (1, 2, 3):
-        grid = harness._cell_grid(cfg, runtime.pn_chips, paths)
+        grid = hpa._cell_grid(cfg, runtime.pn_chips, paths)
         assert np.array_equal(np.cumsum(grid.lengths)[:-1], grid.starts[1:])
         assert grid.starts[-1] + grid.lengths[-1] == cfg.samples_per_symbol
         positions = grid.starts[:, None] + offsets
@@ -681,7 +681,7 @@ def _check_cell_geometry(runtime):
             assert np.array_equal(grid.span_chips[path],
                                   pn_samples[0, (positions + delay) % n_samp] * inside)
         if paths == runtime.scenario.paths:
-            assert np.array_equal(grid.starts, runtime.cells.starts)
+            assert np.array_equal(grid.starts, runtime.amplifier.cells.starts)
 
 
 @pytest.mark.parametrize("name", sorted(_BOUND_CONFIGS))
@@ -698,12 +698,12 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     cfg = _BOUND_CONFIGS[name]
     runtime = harness._prepare(dataclasses.replace(TINY, name="bound", hpa_mode="saleh_pd",
                                                    ibo_db=ibo_db, config=cfg))
-    grid = runtime.cells
+    grid = runtime.amplifier.cells
     symbols = harness._draw_symbols(np.random.default_rng(seed),
                                     (cfg.users, 5, cfg.substreams, cfg.carriers))
-    b = harness._carrier_coefficients(runtime, symbols)
-    rho = harness._autocorrelations(b)
-    peak = harness._peak_power_bound(rho)
+    b = hpa._carrier_coefficients(runtime.amplifier, symbols)
+    rho = hpa._autocorrelations(b)
+    peak = hpa._peak_power_bound(rho)
     clip_power = _clip_power(runtime)
 
     linear, index, excess = _full_clip_search(runtime, symbols)
@@ -714,7 +714,7 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     assert (peak[chips[position], row] >= clip_power).all()
 
     cell_bound = np.concatenate([
-        harness._cell_power_bound(grid, rho[:, chip], peak[chip], lo, hi)
+        hpa._cell_power_bound(grid, rho[:, chip], peak[chip], lo, hi)
         for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:]))], axis=1)
     cell = np.searchsorted(grid.starts, np.arange(cfg.samples_per_symbol), side="right") - 1
     assert (power <= cell_bound[:, cell] * (1.0 + 1e-12)).all()
@@ -730,7 +730,7 @@ def _pq_clip_search(runtime, b):
     P(phi_0) = |p|^2 and P'(phi_0) = 2 Re(conj(p) p'), on the carrier
     coefficients b (_carrier_coefficients) against the clip power, each
     row's peak bound summed term by term."""
-    grid = runtime.cells
+    grid = runtime.amplifier.cells
     n_car = b.shape[-1]
     threshold = _clip_power(runtime) * (1.0 - 1e-12)
     peak = np.einsum("...m,...m->...", b, b)
@@ -759,34 +759,37 @@ def test_clip_search_keeps_the_pairs_of_the_anchor_products(seed):
     scenario = dataclasses.replace(_preset_scenario("linearization", "amplifier-linearized"),
                                    master_seed=seed)
     runtime = harness._prepare(scenario)
+    limiter = runtime.amplifier
     for block in range(8):
         _, _, symbols = harness._block_draws(runtime, 0, block)
+        b = hpa._carrier_coefficients(limiter, symbols)
         kept = [np.stack((np.full(rows.size, chip), rows, cells), axis=1) for chip, rows, cells
-                in harness._clipped_cells(runtime, harness._driven_coefficients(runtime, symbols))]
-        expected = _pq_clip_search(runtime, harness._carrier_coefficients(runtime, symbols))
+                in hpa._clipped_cells(limiter, limiter.linear_gain * b)]
+        expected = _pq_clip_search(runtime, b)
         assert expected.shape[0] > 1000
         assert np.array_equal(np.concatenate(kept), expected)
 
 
 def test_reused_cell_arrays_match_fresh_ones():
     """The limiter's working arrays, kept in runtime.work from block to
-    block, give bit for bit the W of a runtime whose arrays are made afresh,
-    on two blocks whose kept cells and chunk sizes differ."""
+    block, give bit for bit the W formed in arrays made afresh, on two
+    blocks whose kept cells and chunk sizes differ."""
     scenario = dataclasses.replace(_CLIPPED_LINEARIZED, ibo_db=1.0)
     runtime = harness._prepare(scenario)
+    limiter = runtime.amplifier
     cfg = scenario.config
     rng = np.random.default_rng(5)
     gains = harness._path_gains(draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db,
                                              scenario.fading))
     blocks = [harness._draw_symbols(rng, (cfg.users, n, cfg.substreams, cfg.carriers))
               for n in (9, 5)]
-    counts = [sum(rows.size for _, rows, _ in harness._clipped_cells(
-        runtime, harness._driven_coefficients(runtime, symbols))) for symbols in blocks]
+    counts = [sum(rows.size for rows, *_ in hpa._driven_cells(limiter, symbols, {}))
+              for symbols in blocks]
     assert counts[0] != counts[1] and min(counts) > 0
-    reused = [harness._excess_correlations(runtime, symbols, gains).copy() for symbols in blocks]
+    reused = [hpa._excess_correlations(limiter, symbols, gains, runtime.work).copy()
+              for symbols in blocks]
     for symbols, w in zip(blocks, reused):
-        fresh = dataclasses.replace(runtime, work={})
-        assert np.array_equal(harness._excess_correlations(fresh, symbols, gains), w)
+        assert np.array_equal(hpa._excess_correlations(limiter, symbols, gains, {}), w)
 
 
 @st.composite
@@ -1445,3 +1448,11 @@ class TestMeasureVariances:
         sc = dataclasses.replace(TINY, hpa_mode="saleh")
         with pytest.raises(ValueError):
             measure_variances(sc)
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected(self, chunk):
+        runtime = harness._prepare(TINY)
+        rng = np.random.default_rng(0)
+        channel = draw_channel(rng, 1, 1, 0.0, False)
+        with pytest.raises(ValueError, match="chunk must be at least 1 symbol, got"):
+            estimate_interference_variances(runtime, channel, 0.0, rng, 16, chunk=chunk)

@@ -11,7 +11,8 @@ import mcmccdma
 from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, txchain
 
 # Names the per-user sample chain needed and the engines no longer do, the
-# wrappers around plain code and sample arrays, and surface nothing read.
+# wrappers around plain code and sample arrays, surface nothing read, and
+# the engine's names that moved to the module of their layer.
 _RETIRED = {
     channel: ("PathTap", "NoiseSpec", "add_awgn"),
     channel.ChannelRealization: ("n_paths",),
@@ -21,14 +22,23 @@ _RETIRED = {
               "parallel_to_serial", "walsh_chip_indices", "subcarrier_frequency"),
     hpa: ("set_operating_point", "limit_envelope", "OperatingPoint", "apply_hpa",
           "operating_point_for_power", "envelope_excess"),
-    harness: ("_clip_power", "_shift_spacing", "_echo_value", "HPA_MODES", "PRESETS"),
+    harness: ("_clip_power", "_shift_spacing", "_echo_value", "HPA_MODES", "PRESETS",
+              "_CellGrid", "_cell_grid", "_carrier_coefficients", "_waveform_tiles",
+              "_autocorrelations", "_peak_power_bound", "_cell_power_bound", "_clipped_cells",
+              "_formed_cells", "_driven_coefficients", "_tube_correlations",
+              "_excess_correlations", "_add_cell_correlations", "_SLAB_SAMPLES",
+              "_CELL_SAMPLES", "_CELL_CHUNK", "_linear_eb", "limiter_factor"),
+    txchain.LinkConfig: ("walsh_aligned",),
 }
 
-# The scenario layer, by the module that defines it: the scenarios, their
-# presets and config keys, and the records with their CSV form.
+# The scenario layer and the amplifiers, by the module that defines them:
+# the scenarios, their presets and config keys, the records with their CSV
+# form, and what each amplifier adds to a block and to the calibration.
 _HOMES = {
     config: ("Scenario", "preset", "leaf_fields", "scenario_echo", "scenario_from_keys"),
     analysis: ("BerRecord", "RunReport", "emit_csv", "parse_csv"),
+    hpa: ("TubeState", "LimiterState", "prepare_amplifier", "amplifier_correlations",
+          "amplifier_calibration"),
 }
 
 
@@ -46,8 +56,8 @@ def test_exports_resolve_once_and_retired_names_are_gone():
 
 
 def test_scenario_layer_lives_outside_the_engine():
-    """config and analysis define the scenario layer, and config reads a key
-    file without importing the engine."""
+    """config and analysis define the scenario layer, and hpa the
+    amplifiers; config reads a key file without importing the engine."""
     for module, names in _HOMES.items():
         for name in names:
             assert getattr(module, name).__module__ == module.__name__, name

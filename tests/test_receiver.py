@@ -218,7 +218,7 @@ class TestPartialCorrelationTables:
         # orthonormal slots: user 1's own zero-delay table multiplied out
         # over the Walsh rows, its Gram matrix, is the identity
         cfg, walsh, pn = _make(4, 2, 4, 3)
-        assert cfg.walsh_aligned
+        assert cfg.samples_per_symbol % cfg.walsh_order == 0
         tables = partial_correlation_tables(pn[None, :], cfg, 1)
         gram = signature_gram(tables, walsh.astype(np.float64))
         assert np.allclose(gram, np.eye(8), atol=1e-12)

@@ -32,12 +32,12 @@ class TestLinkConfig:
         assert cfg.samples_per_symbol == 60
         assert cfg.sample_rate == 30.0
         assert cfg.bits_per_symbol == 4
-        assert cfg.walsh_aligned
+        assert cfg.samples_per_symbol % cfg.walsh_order == 0
 
     def test_unaligned_flag(self):
         cfg = LinkConfig(substreams=8, carriers=1, walsh_order=8,
                          pn_length=63, oversampling=4)
-        assert not cfg.walsh_aligned        # 252 % 8 != 0
+        assert cfg.samples_per_symbol % cfg.walsh_order != 0        # 252 % 8 != 0
 
     @pytest.mark.parametrize("kwargs", [
         dict(users=0),
@@ -158,7 +158,7 @@ class TestModulationTable:
                                                     carriers):
         cfg = LinkConfig(users=2, substreams=3, carriers=carriers, walsh_order=8,
                          pn_length=2**degree - 1, oversampling=oversampling, power=0.7)
-        assert cfg.walsh_aligned == aligned
+        assert (cfg.samples_per_symbol % cfg.walsh_order == 0) == aligned
         walsh = generate_walsh(8)
         chips = np.roll(generate_msequence(degree), 5)
         sig = slot_signatures(walsh, chips, cfg)
