@@ -78,14 +78,18 @@ MUTANTS = (
            "    if False:\n        z = z + ",
            ("tests/test_harness.py", "-k", "noise_per_correlator_output")),
     Mutant("decomposition-noise-scale", "harness.py",
-           "_correlator_noise(runtime, ebn0_db, runtime.noise_factor[:1, :1],",
-           "_correlator_noise(runtime, ebn0_db, 1.1 * runtime.noise_factor[:1, :1],",
+           "correlator_noise(ebn0_db, runtime.eb, runtime.noise_factor[:1, :1],",
+           "correlator_noise(ebn0_db, runtime.eb, 1.1 * runtime.noise_factor[:1, :1],",
            ("tests/test_receiver.py", "-k", "awgn_variance_matches_analytic")),
     Mutant("calibration-integer-draw", "harness.py",
-           "symbols = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))",
-           "symbols = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams,"
+           "frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))",
+           "frame = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams,"
            " cfg.carriers)) - 1",
            ("tests/test_harness.py", "-k", "random_block_matches_sample_chain")),
+    Mutant("calibration-gets-noise-factor", "harness.py",
+           "amplifier_calibration(amplifier, frame, gram, work)",
+           "amplifier_calibration(amplifier, frame, np.linalg.cholesky(gram), work)",
+           _LIMITER_TESTS),
     # the interference split
     Mutant("multipath-mask-on-path-0", "harness.py",
            "mask[0, 0, 1:, 1] = 1.0", "mask[0, 0, 0:, 1] = 1.0", _SPLIT_TESTS),
@@ -135,8 +139,8 @@ MUTANTS = (
            ("tests/test_harness.py", "-k", "skips_linear_product")),
     # the amplifier paths
     Mutant("calibration-phase-slip", "hpa.py",
-           "return energy, float(np.angle(cross))",
-           "return energy, float(np.angle(cross)) + 1e-9",
+           "rotation = float(np.angle(cross))",
+           "rotation = float(np.angle(cross)) + 1e-9",
            _TUBE_TESTS),
     Mutant("tube-drops-a-path", "hpa.py",
            "for frame, gain in zip(delayed, gains.T):",
@@ -156,9 +160,9 @@ MUTANTS = (
            "yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK][::-1]",
            _BOUND_TESTS),
     Mutant("limiter-no-short-cell-mask", "hpa.py",
-           "        factor *= np.arange(_CELL_SAMPLES) < amplifier.cells.lengths[cells, None]\n", "",
-           _LIMITER_TESTS),
-    Mutant("calibration-g-for-g-squared", "harness.py",
+           "            factor *= np.arange(_CELL_SAMPLES)"
+           " < amplifier.cells.lengths[cells, None]\n", "", _LIMITER_TESTS),
+    Mutant("calibration-g-for-g-squared", "hpa.py",
            "* g * g * np.sum(", "* g * np.sum(", _LIMITER_TESTS),
     Mutant("cell-bound-no-bernstein-term", "hpa.py",
            "    bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]\n", "",
@@ -202,6 +206,11 @@ MUTANTS = (
     Mutant("eager-multiprocessing-import", "harness.py",
            "import ctypes\n", "import ctypes\nimport multiprocessing\n",
            ("tests/test_public_api.py", "-k", "without_scipy")),
+    # the construction checks
+    Mutant("bool-field-check-dropped", "txchain.py",
+           '        if kind == "bool" and not isinstance(value, bool):\n'
+           '            raise ValueError(f"{f.name} must be true or false, got {value!r}")\n', "",
+           ("tests/test_harness.py", "tests/test_hpa.py", "-k", "mistyped")),
     Mutant("reversed-walsh-repeat", "txchain.py",
            "np.diff(walsh_chip_bounds(config)),", "np.diff(walsh_chip_bounds(config))[::-1],",
            ("tests/test_txchain.py",)),

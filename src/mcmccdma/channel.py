@@ -4,7 +4,8 @@ Each user sees a small number of discrete paths with chip-quantized delays,
 Rayleigh (or fixed, when fading is disabled) gains on an exponential
 power-delay profile normalized to unit total mean-square gain, and uniform
 phases.  Noise is calibrated against the measured transmitted energy per
-information bit, so back-off comparisons are not conflated with SNR loss.
+information bit, so back-off comparisons are not conflated with SNR loss;
+time, and so that energy, is counted in symbol periods.
 
 Everything here works on plain arrays: propagate_samples takes one user's
 complex path gains, path l delayed by l chips as in ChannelRealization, and
@@ -90,21 +91,22 @@ def propagate_samples(samples: np.ndarray, gains, samples_per_chip: int,
     return out
 
 
-def correlator_noise(ebn0_db: float, eb: float, window_rate: float, factor: np.ndarray,
-                     n_windows: int, rng: np.random.Generator) -> np.ndarray:
+def correlator_noise(ebn0_db: float, eb: float, factor: np.ndarray, n_windows: int,
+                     rng: np.random.Generator) -> np.ndarray:
     """What complex white Gaussian sample noise leaves in a bank of
     correlators, drawn directly.
 
-    The sample noise has one-sided density n0 = eb / 10^(ebn0_db/10): each
-    real component of a sample at sample_rate has variance
-    (n0/2) * sample_rate.  The correlators average N = sample_rate /
-    window_rate samples each against unit-modulus signatures sig_t, so
-    their outputs in one window are complex Gaussian with covariance
-    n0 * window_rate * G, where G[t, u] = (1/N) sum_i conj(sig_t[i]) sig_u[i]
-    is the signatures' Gram matrix and factor @ factor^H = G.  Returns
-    (n_windows, len(factor)) draws, independent between windows.
+    Time is counted in symbol periods, so eb is an energy per bit of that
+    unit.  The sample noise has one-sided density n0 = eb / 10^(ebn0_db/10):
+    at N samples per symbol each real component of a sample has variance
+    (n0/2) * N.  The correlators average one symbol's N samples each against
+    unit-modulus signatures sig_t, so their outputs in one window are complex
+    Gaussian with covariance n0 * G, where G[t, u] = (1/N) sum_i
+    conj(sig_t[i]) sig_u[i] is the signatures' Gram matrix and
+    factor @ factor^H = G.  Returns (n_windows, len(factor)) draws,
+    independent between windows.
     """
-    sigma = np.sqrt(0.5 * _noise_density(ebn0_db, eb) * window_rate)
+    sigma = np.sqrt(0.5 * _noise_density(ebn0_db, eb))
     w = rng.standard_normal((n_windows, factor.shape[0], 2))
     return sigma * ((w[..., 0] + 1j * w[..., 1]) @ factor.T)
 

@@ -14,7 +14,6 @@ command line overrides both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -62,8 +61,6 @@ class Scenario:
             raise ValueError(f"hpa_mode must be one of {HPA_MODES}, got {self.hpa_mode!r}")
         if len(self.ebn0_grid) == 0:
             raise ValueError("ebn0_grid must not be empty")
-        if not all(math.isfinite(x) for x in self.ebn0_grid):
-            raise ValueError(f"ebn0_grid entries must be finite, got {self.ebn0_grid}")
         for name, values in (("ebn0_grid", self.ebn0_grid), ("ibo_db", (self.ibo_db,))):
             if not all(abs(x) <= _DB_LIMIT for x in values):
                 raise ValueError(f"{name} must lie within +-{_DB_LIMIT:g} dB, "

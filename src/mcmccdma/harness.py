@@ -63,9 +63,12 @@ correlate_slots) to round-off, which the tests hold to 1e-12.
 Noise calibration: the energy per information bit is taken from the actual
 transmitted (post-amplifier) waveform, once per scenario, so that back-off
 settings change the signal the noise is matched to rather than silently
-shifting the operating SNR.  The linear chain has it in closed form, and an
-amplifier's is g^2 times the linear frame's plus the amplifier's share
-(_calibrate, hpa.amplifier_calibration).
+shifting the operating SNR.  Time is counted in symbol periods, so the
+energy per bit is the mean transmitted power over the bits per symbol: 2
+power for the linear chain, and for an amplifier what
+hpa.amplifier_calibration measures on a fixed-seed frame of user 1's, with
+the amplifier's mean rotation, from the Gram matrix behind the noise
+factor (_prepare).
 """
 
 from __future__ import annotations
@@ -96,12 +99,12 @@ from .txchain import LinkConfig, substream_walsh_rows
 _CALIBRATION_SYMBOLS = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Runtime:
     """Precomputed per-scenario tables shared by every block: the tables of
     its linear term, the noise factor, the amplifier's state (None without
     one), the energy per bit the noise is matched to, and the amplifier's
-    mean rotation."""
+    mean rotation (_prepare)."""
 
     scenario: Scenario
     walsh: np.ndarray          # the substreams' Walsh rows, float64 (substreams, walsh_order)
@@ -111,9 +114,9 @@ class _Runtime:
     # noise covariance: F F^H = Gram matrix of user 1's slot signatures.
     correlation: np.ndarray
     noise_factor: np.ndarray
-    amplifier: TubeState | LimiterState | None = None   # hpa.prepare_amplifier
-    eb: float = 0.0
-    phase_offset: float = 0.0
+    amplifier: TubeState | LimiterState | None   # hpa.prepare_amplifier
+    eb: float
+    phase_offset: float
     # the working arrays of the blocks' correlate_tables and of the
     # amplifier's (receiver._work_array), reused block to block
     work: dict = field(default_factory=dict)
@@ -140,54 +143,32 @@ def _user_codes(cfg: LinkConfig) -> tuple:
 
 
 def _prepare(scenario: Scenario) -> _Runtime:
+    """The runtime of a scenario.  User 1's Gram matrix is formed once: its
+    factor draws the noise, and it gives an amplifier's calibration the
+    linear frame's energy.  The calibration frame is drawn from
+    SeedSequence([master_seed, 1]), and the working arrays it makes are
+    the blocks' too."""
     cfg = scenario.config
     walsh, pn_chips = _user_codes(cfg)
+    work = {}
     # Small products, for which OpenBLAS threads cost far more than they
     # save: on a 2-core VM a 64x64 Cholesky took 60 ms threaded and 0.2 ms
     # on one thread.  The calibration's products are small too.
     with _single_threaded_blas():
         correlation = partial_correlation_tables(pn_chips, cfg, scenario.paths)
-        runtime = _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
-                           warmup=1 if scenario.paths > 1 else 0, correlation=correlation,
-                           noise_factor=np.linalg.cholesky(signature_gram(correlation, walsh)),
-                           amplifier=prepare_amplifier(scenario, walsh, pn_chips))
-        if runtime.amplifier is None:
-            # the linear chain's energy per information bit, in closed form
-            runtime.eb = 2.0 * cfg.power * cfg.symbol_duration
+        gram = signature_gram(correlation, walsh)
+        amplifier = prepare_amplifier(scenario, walsh, pn_chips)
+        if amplifier is None:
+            # the linear chain's mean power over its bits per symbol
+            eb, phase_offset = 2.0 * cfg.power, 0.0
         else:
-            runtime.eb, runtime.phase_offset = _calibrate(runtime)
-    return runtime
-
-
-def _calibrate(runtime: _Runtime) -> tuple:
-    """Amplifier-mode waveform calibration: (energy per information bit,
-    mean carrier rotation of the amplifier), both measured from one long
-    fixed-seed frame.  The phase-transfer curve rotates the whole
-    constellation by the mean shift at the operating drive level, and a
-    coherent receiver tracks that rotation as part of its carrier reference,
-    so it is folded into the reference path phase rather than left as a
-    pointing error.  The frame is user 1's, whose chips change neither
-    measure, so it is taken PN-free.
-
-    The frame's energy is g^2 times the linear one's, in closed form:
-    2 power N sum_n d_n^T Re(C) d_n over the symbol rows d_n,
-    N = samples_per_symbol and C user 1's Gram matrix (receiver.signature_gram,
-    as for the noise factor), plus the amplifier's share, which
-    hpa.amplifier_calibration adds with the rotation.  The tube has g = 0 and
-    skips the linear term."""
-    scenario = runtime.scenario
-    cfg = scenario.config
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
-    symbols = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
-    g = runtime.linear_gain
-    energy = 0.0
-    if g:
-        d = symbols.reshape(_CALIBRATION_SYMBOLS, -1).astype(np.float64)
-        gram = signature_gram(runtime.correlation, runtime.walsh).real
-        energy = 2.0 * cfg.power * cfg.samples_per_symbol * g * g * np.sum((d @ gram) * d)
-    energy, rotation = amplifier_calibration(runtime.amplifier, symbols, energy, runtime.work)
-    mean_power = energy / (_CALIBRATION_SYMBOLS * cfg.samples_per_symbol)
-    return mean_power * cfg.symbol_duration / cfg.bits_per_symbol, rotation
+            rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
+            frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
+            eb, phase_offset = amplifier_calibration(amplifier, frame, gram, work)
+        return _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
+                        warmup=1 if scenario.paths > 1 else 0, correlation=correlation,
+                        noise_factor=np.linalg.cholesky(gram), amplifier=amplifier, eb=eb,
+                        phase_offset=phase_offset, work=work)
 
 
 def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_db: float):
@@ -198,8 +179,8 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_
     rng, channel, symbols = _block_draws(runtime, point_index, block_index)
     z = _correlation_outputs(runtime, channel, symbols)
     if runtime.scenario.noise_enabled:
-        z = z + _correlator_noise(runtime, ebn0_db, runtime.noise_factor, symbols.shape[1],
-                                  rng).reshape(z.shape)
+        z = z + correlator_noise(ebn0_db, runtime.eb, runtime.noise_factor, symbols.shape[1],
+                                 rng).reshape(z.shape)
     return decide_slots(z[runtime.warmup:], symbols[0, runtime.warmup:])
 
 
@@ -317,13 +298,6 @@ def _column_outputs(column: np.ndarray, symbols: np.ndarray, gains: np.ndarray) 
 def _path_gains(channel) -> np.ndarray:
     """Complex gains h_kl of every user's paths, shape (users, paths)."""
     return channel.gains * np.exp(1j * channel.phases)
-
-
-def _correlator_noise(runtime: _Runtime, ebn0_db: float, factor: np.ndarray, n_total: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    cfg = runtime.scenario.config
-    return correlator_noise(ebn0_db, runtime.eb, cfg.sample_rate / cfg.samples_per_symbol,
-                            factor, n_total, rng)
 
 
 # Thread-count calls of the OpenBLAS builds numpy and scipy ship (64-bit
@@ -539,8 +513,8 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
         n_total = min(chunk, n_symbols - start) + runtime.warmup
         symbols = _draw_symbols(rng, (cfg.users, n_total, cfg.substreams, cfg.carriers))
         sources = _source_outputs(runtime, channel, symbols)
-        sources["noise"] = (_correlator_noise(runtime, ebn0_db, runtime.noise_factor[:1, :1],
-                                              n_total, rng)[:, 0]
+        sources["noise"] = (correlator_noise(ebn0_db, runtime.eb, runtime.noise_factor[:1, :1],
+                                             n_total, rng)[:, 0]
                             if runtime.scenario.noise_enabled
                             else np.zeros(n_total, dtype=np.complex128))
         for name, z in sources.items():

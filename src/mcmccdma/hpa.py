@@ -33,7 +33,7 @@ combine.  Everything that differs between the amplifiers is here, reached
 through three functions: prepare_amplifier builds each one's frozen state
 (None without an amplifier, "bypass": g = 1 and W = 0), which holds its g,
 amplifier_correlations forms a block's W from it, and amplifier_calibration
-adds its share to the calibration frame's energy and gives its mean
+gives the energy per bit that the noise is matched to and the mean
 rotation.
 
 - "saleh" (TubeState): the tube acts on each user's summed waveform, so
@@ -59,12 +59,13 @@ rotation.
   per-(Walsh chip, window) sums.
 
 The calibration measures the energy per bit from the transmitted
-(post-amplifier) waveform of one long PN-free frame of user 1's: g^2 times
-the linear frame's energy, which the engine has in closed form, plus the
-amplifier's share.  The tube's frame is amplified tile by tile, as its
-blocks are (_waveform_tiles), and its mean AM/PM rotation is measured on
-it.  The limiter's frame is the linear one but at its clipped cells, which
-add what the excess changes; it keeps every phase, so its rotation is zero.
+(post-amplifier) waveform of one long PN-free frame of user 1's, time
+counted in symbol periods: g^2 times the linear frame's energy, in closed
+form from user 1's Gram matrix, plus the amplifier's share, over the
+frame's bits.  The tube's frame is amplified tile by tile, as its blocks
+are (_waveform_tiles), and its mean AM/PM rotation is measured on it.
+The limiter's frame is the linear one but at its clipped cells, which add
+what the excess changes; it keeps every phase, so its rotation is zero.
 """
 
 from __future__ import annotations
@@ -463,28 +464,48 @@ def amplifier_correlations(amplifier: TubeState | LimiterState, symbols: np.ndar
     return _excess_correlations(amplifier, symbols, gains, work)
 
 
-def amplifier_calibration(amplifier: TubeState | LimiterState, symbols: np.ndarray,
-                          energy: float, work: dict) -> tuple:
-    """(energy, mean rotation) of user 1's PN-free calibration frame, of
-    symbol rows (symbols, substreams, carriers), through the amplifier:
-    energy is that of the frame's linear term g x, to which this adds the
-    amplifier's share tile by tile or cell chunk by cell chunk, in order.
+def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray,
+                          gram: np.ndarray, work: dict) -> tuple:
+    """(energy per information bit, mean rotation) of user 1's PN-free
+    calibration frame through the amplifier: frame holds its symbol rows
+    (symbols, substreams, carriers), gram is user 1's Gram matrix
+    (receiver.signature_gram) and work the working arrays
+    (receiver._work_array).  Time is counted in symbol periods, so the
+    energy per bit is the frame's mean power over the bits per symbol.
 
-    The tube's share is the whole amplified frame (g = 0), and its rotation
-    the angle of sum conj(x) A(x).  The limiter's is what the excess e
-    changes at its clipped cells, |g x + e|^2 - |g x|^2, and its rotation
-    zero."""
+    The frame's energy is that of its linear term g x, in closed form
+    g^2 2 power N sum_n d_n^T Re(C) d_n over the symbol rows d_n, N being
+    samples_per_symbol and C the Gram matrix, plus the amplifier's share,
+    added tile by tile or cell chunk by cell chunk, in order.  The tube's
+    share is the whole amplified frame (g = 0, so it skips the linear
+    term), and its rotation the angle of sum conj(x) A(x).  The limiter's is
+    what the excess e changes at its clipped cells, |g x + e|^2 - |g x|^2,
+    and its rotation zero.  The tube's phase curve turns the whole
+    constellation by that mean shift at its drive, which a coherent
+    receiver tracks as part of its carrier reference, so the engine folds
+    it into the reference path phase.  User 1's chips change neither
+    measure, so the frame is taken PN-free."""
+    cfg = amplifier.config
+    n_symbols = frame.shape[0]
+    g = amplifier.linear_gain
+    energy = 0.0
+    if g:
+        d = frame.reshape(n_symbols, -1).astype(np.float64)
+        energy = 2.0 * cfg.power * cfg.samples_per_symbol * g * g * np.sum((d @ gram.real) * d)
+    rotation = 0.0
     if isinstance(amplifier, TubeState):
         cross = 0.0
-        for _, linear, tx in _waveform_tiles(amplifier, symbols):
+        for _, linear, tx in _waveform_tiles(amplifier, frame):
             energy += np.vdot(tx, tx).real
             cross += np.vdot(linear, tx)
-        return energy, float(np.angle(cross))
-    for _, cells, driven, factor in _driven_cells(amplifier, symbols, work):
-        factor *= np.arange(_CELL_SAMPLES) < amplifier.cells.lengths[cells, None]
-        excess = driven * factor
-        energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
-    return energy, 0.0
+        rotation = float(np.angle(cross))
+    else:
+        for _, cells, driven, factor in _driven_cells(amplifier, frame, work):
+            factor *= np.arange(_CELL_SAMPLES) < amplifier.cells.lengths[cells, None]
+            excess = driven * factor
+            energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
+    mean_power = energy / (n_symbols * cfg.samples_per_symbol)
+    return mean_power / cfg.bits_per_symbol, rotation
 
 
 def _carrier_coefficients(amplifier: TubeState | LimiterState, symbols: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Transmitter chain: multicode spreading, PN spreading and subcarrier
 modulation.
 
-One data symbol occupies `symbol_duration` seconds and carries one full PN
-period (pn_length chips, oversampling samples per chip) on every subcarrier.
+Time is counted in symbol periods: one data symbol lasts T = 1 and carries
+one full PN period (pn_length chips, oversampling samples per chip) on
+every subcarrier, so the sample rate is samples_per_symbol and subcarrier m
+sits at m * walsh_order.  No output depends on T in any other unit.
 The Walsh chips of the multicode layer are stretched across the same window
 on a floor-indexed grid, so Walsh and PN chip clocks co-terminate at every
 symbol boundary even when the Walsh order does not divide the sample count.
@@ -29,17 +31,32 @@ def declared_type(f: dataclasses.Field) -> str:
     return getattr(f.type, "__name__", f.type)
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is a number of the given kind; a bool is none."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def check_field_types(instance) -> None:
-    """Construction check shared by LinkConfig, Scenario and SalehParams:
-    every int-typed field holds an integral value that is not a bool, and
-    every float-typed field a finite one."""
+    """Construction check shared by LinkConfig, Scenario and SalehParams,
+    by each field's declared type: an int field holds an integral value, a
+    float field a finite real one, a tuple field (the Eb/N0 grid) finite
+    real ones, a bool field a bool and a str field a str.  A bool is no number
+    here, and no number a bool."""
     for f in dataclasses.fields(instance):
         value = getattr(instance, f.name)
         kind = declared_type(f)
-        if kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        if kind == "int" and not _is_number(value, numbers.Integral):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if kind == "float" and not _is_number(value):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
         if kind == "float" and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind == "tuple" and not all(_is_number(x) and math.isfinite(x) for x in value):
+            raise ValueError(f"{f.name} entries must be finite numbers, got {value!r}")
+        if kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +73,6 @@ class LinkConfig:
     carriers: int = 1
     walsh_order: int = 1
     pn_length: int = 7
-    symbol_duration: float = 1.0
     oversampling: int = 4
     power: float = 1.0
 
@@ -78,8 +94,6 @@ class LinkConfig:
             raise ValueError(f"pn_length must be >= 1, got {self.pn_length}")
         if self.oversampling < 2:
             raise ValueError(f"oversampling must be >= 2, got {self.oversampling}")
-        if self.symbol_duration <= 0:
-            raise ValueError(f"symbol_duration must be positive, got {self.symbol_duration}")
         if self.power <= 0:
             raise ValueError(f"power must be positive, got {self.power}")
         if self.walsh_order > self.samples_per_symbol:
@@ -89,7 +103,7 @@ class LinkConfig:
             )
         if self.carriers * self.walsh_order > self.samples_per_symbol:
             raise ValueError(
-                f"{self.carriers} subcarriers at spacing walsh_order/T need "
+                f"{self.carriers} subcarriers {self.walsh_order} cycles per symbol apart need "
                 f"{self.carriers * self.walsh_order} distinct cycles per symbol, "
                 f"but only {self.samples_per_symbol} samples are available"
             )
@@ -97,10 +111,6 @@ class LinkConfig:
     @property
     def samples_per_symbol(self) -> int:
         return self.oversampling * self.pn_length
-
-    @property
-    def sample_rate(self) -> float:
-        return self.samples_per_symbol / self.symbol_duration
 
     @property
     def bits_per_symbol(self) -> int:
@@ -167,15 +177,15 @@ def subcarrier_exponentials(config: LinkConfig) -> np.ndarray:
     (carriers, samples_per_symbol): row m is e^{j 2 pi f_{m+1} t}."""
     n_samp = config.samples_per_symbol
     i = np.arange(n_samp)
-    # Sampled e^{j 2 pi f_m t} with f_m = m*walsh_order/T and t = i T/n_samp;
-    # periodic over the symbol, so tiling symbols keeps the carrier phase
-    # continuous.  The spacing walsh_order/T makes every carrier difference
-    # complete a whole number of cycles inside each orthogonal-code chip, not
-    # just over the full symbol.  That stronger condition is what keeps
-    # distinct (substream, carrier) slots exactly orthogonal: with plain 1/T
-    # spacing a code-chip-rate sign pattern can alias onto a carrier
-    # difference and two slots stop separating, however long the
-    # correlation window is.
+    # Sampled e^{j 2 pi f_m t} with f_m = m*walsh_order cycles per symbol and
+    # t = i/n_samp symbol periods; periodic over the symbol, so tiling symbols
+    # keeps the carrier phase continuous.  The spacing of walsh_order cycles
+    # per symbol makes every carrier difference complete a whole number of
+    # cycles inside each orthogonal-code chip, not just over the full symbol.
+    # That stronger condition is what keeps distinct (substream, carrier)
+    # slots exactly orthogonal: with a spacing of one cycle per symbol a
+    # code-chip-rate sign pattern can alias onto a carrier difference and two
+    # slots stop separating, however long the correlation window is.
     return np.exp(
         2j * np.pi * config.walsh_order
         * np.arange(1, config.carriers + 1)[:, None] * i[None, :] / n_samp

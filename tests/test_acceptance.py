@@ -21,25 +21,7 @@ from mcmccdma.harness import run_scenario
 from mcmccdma.hpa import (SalehParams, amam, amplify_samples, ampm, apply_predistorter)
 from mcmccdma.txchain import LinkConfig
 
-
-def _erfc_oracle(x: float) -> float:
-    """Independent erfc: Maclaurin series below 3, Laplace continued
-    fraction above; both converge well past the tested tolerance."""
-    if x < 0:
-        return 2.0 - _erfc_oracle(-x)
-    if x < 3.0:
-        total = 0.0
-        term = x
-        n = 0
-        while abs(term) > 1e-18 * max(abs(total), 1.0) and n <= 200:
-            total += term / (2 * n + 1)
-            n += 1
-            term *= -x * x / n
-        return 1.0 - 2.0 / math.sqrt(math.pi) * total
-    f = 0.0
-    for k in range(120, 0, -1):
-        f = (k / 2.0) / (x + f)
-    return math.exp(-x * x) / math.sqrt(math.pi) / (x + f)
+from oracles import erfc_oracle
 
 
 def _report(label: str, ok: bool, detail: str):
@@ -72,7 +54,7 @@ def test_erfc_accuracy():
     xs = np.linspace(-6.0, 6.0, 1000)
     worst = 0.0
     for x in xs:
-        ref = _erfc_oracle(float(x))
+        ref = erfc_oracle(float(x))
         worst = max(worst, abs(erfc(float(x)) - ref) / abs(ref))
     _report("erfc accuracy", worst <= 1e-7,
             f"worst relative error {worst:.2e} over 1000 points in [-6, 6]")

@@ -1,4 +1,5 @@
-"""BER theory: erfc oracle, conditional and fading-averaged error rates."""
+"""BER theory: erfc oracle, conditional and fading-averaged error rates, and
+their confidence intervals."""
 
 import math
 
@@ -17,30 +18,7 @@ from mcmccdma.analysis import (
 )
 from mcmccdma.receiver import InterferenceVariances
 
-
-def _erfc_oracle(x: float) -> float:
-    """Independent complementary error function.
-
-    Maclaurin series of erf for x < 3; Laplace continued fraction
-    erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    beyond.  Both converge well below 1e-12 in their regions.
-    """
-    if x < 0:
-        return 2.0 - _erfc_oracle(-x)
-    if x < 3.0:
-        # erf(x) = (2/sqrt(pi)) sum (-1)^n x^(2n+1) / (n! (2n+1))
-        total = 0.0
-        term = x
-        n = 0
-        while abs(term) > 1e-18 * max(abs(total), 1.0) and n <= 200:
-            total += term / (2 * n + 1)
-            n += 1
-            term *= -x * x / n
-        return 1.0 - 2.0 / math.sqrt(math.pi) * total
-    f = 0.0
-    for k in range(120, 0, -1):
-        f = (k / 2.0) / (x + f)
-    return math.exp(-x * x) / math.sqrt(math.pi) / (x + f)
+from oracles import erfc_oracle
 
 
 class TestErfc:
@@ -48,7 +26,7 @@ class TestErfc:
         xs = np.linspace(-6.0, 6.0, 1000)
         for x in xs:
             ours = erfc(float(x))
-            ref = _erfc_oracle(float(x))
+            ref = erfc_oracle(float(x))
             if ref != 0.0:
                 assert abs(ours - ref) / abs(ref) <= 1e-7
             else:
@@ -149,6 +127,17 @@ class TestBinomialCi:
             binomial_ci95(11, 10)
 
 
+class TestCiCoverage:
+    def test_nominal_coverage_synthetic(self):
+        rng = np.random.default_rng(2024)
+        p, n, trials = 0.1, 1000, 100
+        hits = 0
+        for _ in range(trials):
+            k = rng.binomial(n, p)
+            hits += abs(k / n - p) <= binomial_ci95(k, n)
+        assert 90 <= hits <= 99
+
+
 def _vars(noise, desired=2.0, mui=0.0):
     return InterferenceVariances(
         desired_power=desired, multipath=0.0, inter_substream=0.0,
@@ -218,7 +207,7 @@ class TestBerRecord:
 @given(st.floats(-5.5, 5.5))
 @settings(max_examples=300, deadline=None)
 def test_erfc_oracle_property(x):
-    ref = _erfc_oracle(x)
+    ref = erfc_oracle(x)
     assert abs(erfc(x) - ref) <= 1e-7 * max(abs(ref), 1e-30)
 
 

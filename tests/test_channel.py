@@ -124,15 +124,15 @@ class TestPropagation:
 
 class TestAwgn:
     def test_correlator_noise_covariance(self):
-        # outputs carry n0 * window_rate * factor @ factor^H, circular
+        # outputs carry n0 * factor @ factor^H, circular
         rng = np.random.default_rng(17)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         gram = a @ a.conj().T / 3 + np.eye(3)
         factor = np.linalg.cholesky(gram)
-        eb, ebn0_db, window_rate = 2.0, 4.0, 0.5
-        z = correlator_noise(ebn0_db, eb, window_rate, factor, 200_000, rng)
+        eb, ebn0_db = 2.0, 4.0
+        z = correlator_noise(ebn0_db, eb, factor, 200_000, rng)
         assert z.shape == (200_000, 3)
-        expected = eb / 10 ** (ebn0_db / 10) * window_rate * gram
+        expected = eb / 10 ** (ebn0_db / 10) * gram
         measured = z.T @ z.conj() / z.shape[0]
         assert np.abs(measured - expected).max() < 0.02 * np.abs(expected).max()
         pseudo = z.T @ z / z.shape[0]
@@ -142,7 +142,7 @@ class TestAwgn:
     def test_nonfinite_ebn0_rejected(self, ebn0_db):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="ebn0_db must be finite"):
-            correlator_noise(ebn0_db, 1.0, 1.0, np.eye(2), 4, rng)
+            correlator_noise(ebn0_db, 1.0, np.eye(2), 4, rng)
 
 
 @given(st.integers(1, 5), st.floats(0.0, 6.0))

@@ -82,6 +82,16 @@ class TestSalehCurves:
         with pytest.raises(ValueError, match="finite"):
             SalehParams(**{name: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(ampm_quadratic="off"), "ampm_quadratic must be true or false"),
+        (dict(ampm_quadratic=1), "ampm_quadratic must be true or false"),
+        (dict(alpha_am=True), "alpha_am must be a number"),
+        (dict(beta_pm="9.1"), "beta_pm must be a number"),
+    ])
+    def test_mistyped_param_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SalehParams(**kwargs)
+
 
 class TestOperatingPoint:
     def test_scale_from_ibo(self):

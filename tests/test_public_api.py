@@ -11,8 +11,9 @@ import mcmccdma
 from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, txchain
 
 # Names the per-user sample chain needed and the engines no longer do, the
-# wrappers around plain code and sample arrays, surface nothing read, and
-# the engine's names that moved to the module of their layer.
+# wrappers around plain code and sample arrays, surface nothing read, the
+# engine's names that moved to the module of their layer, and the symbol
+# duration, which cancelled from every output.
 _RETIRED = {
     channel: ("PathTap", "NoiseSpec", "add_awgn"),
     channel.ChannelRealization: ("n_paths",),
@@ -27,8 +28,9 @@ _RETIRED = {
               "_autocorrelations", "_peak_power_bound", "_cell_power_bound", "_clipped_cells",
               "_formed_cells", "_driven_coefficients", "_tube_correlations",
               "_excess_correlations", "_add_cell_correlations", "_SLAB_SAMPLES",
-              "_CELL_SAMPLES", "_CELL_CHUNK", "_linear_eb", "limiter_factor"),
-    txchain.LinkConfig: ("walsh_aligned",),
+              "_CELL_SAMPLES", "_CELL_CHUNK", "_linear_eb", "limiter_factor", "_calibrate",
+              "_correlator_noise"),
+    txchain.LinkConfig: ("walsh_aligned", "symbol_duration", "sample_rate"),
 }
 
 # The scenario layer and the amplifiers, by the module that defines them:
@@ -53,6 +55,7 @@ def test_exports_resolve_once_and_retired_names_are_gone():
             assert not hasattr(mcmccdma, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert "out_len" not in inspect.signature(channel.propagate_samples).parameters
+    assert "window_rate" not in inspect.signature(channel.correlator_noise).parameters
 
 
 def test_scenario_layer_lives_outside_the_engine():

@@ -334,7 +334,8 @@ class TestVarianceEstimates:
             assert getattr(var, name) <= 1e-18
 
     def test_awgn_variance_matches_analytic(self):
-        # complex correlator noise variance: N0/T per complex sample average
+        # complex correlator noise variance: N0 per output, time counted in
+        # symbol periods
         cfg = LinkConfig(users=1, substreams=1, carriers=1, walsh_order=1,
                          pn_length=31, oversampling=4)
         runtime = _linear_runtime(cfg, noise_enabled=True)
@@ -343,7 +344,7 @@ class TestVarianceEstimates:
         var = estimate_interference_variances(
             runtime, REF_CHANNEL, ebn0_db, rng=np.random.default_rng(123), n_symbols=20_000)
         n0 = eb / 10 ** (ebn0_db / 10)
-        expected = n0 / cfg.symbol_duration
+        expected = n0
         assert var.noise == pytest.approx(expected, rel=0.05)
 
     def test_mui_grows_with_users(self):

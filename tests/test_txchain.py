@@ -14,27 +14,26 @@ from mcmccdma.txchain import (
     walsh_chip_bounds,
 )
 
-
-def _floor_chips(cfg):
-    """Each sample's Walsh chip on the floor grid, computed per sample."""
-    return (np.arange(cfg.samples_per_symbol) * cfg.walsh_order) // cfg.samples_per_symbol
+from oracles import floor_chips
 
 
 def _subcarrier_frequency(m, cfg):
-    """Frequency of subcarrier m (1-based): m walsh_order / symbol_duration."""
-    return m * cfg.walsh_order / cfg.symbol_duration
+    """Frequency of subcarrier m (1-based) in cycles per symbol: m walsh_order."""
+    return m * cfg.walsh_order
 
 
 class TestLinkConfig:
     def test_derived_quantities(self):
         cfg = LinkConfig(substreams=2, carriers=2, walsh_order=4,
-                         pn_length=15, oversampling=4, symbol_duration=2.0)
+                         pn_length=15, oversampling=4)
         assert cfg.samples_per_symbol == 60
-        assert cfg.sample_rate == 30.0
         assert cfg.bits_per_symbol == 4
         assert cfg.samples_per_symbol % cfg.walsh_order == 0
+        # time is counted in symbol periods, so no symbol duration is set
+        with pytest.raises(TypeError, match="symbol_duration"):
+            LinkConfig(symbol_duration=2.0)
 
-    def test_unaligned_flag(self):
+    def test_unaligned_sample_count(self):
         cfg = LinkConfig(substreams=8, carriers=1, walsh_order=8,
                          pn_length=63, oversampling=4)
         assert cfg.samples_per_symbol % cfg.walsh_order != 0        # 252 % 8 != 0
@@ -46,14 +45,16 @@ class TestLinkConfig:
         dict(walsh_order=2, substreams=3),
         dict(oversampling=1),
         dict(power=0.0),
-        dict(symbol_duration=-1.0),
+        dict(power=True),
         dict(walsh_order=64, pn_length=7, oversampling=4),     # 64 > 28
         dict(carriers=8, walsh_order=8, pn_length=7, oversampling=2),  # 64 > 14
         dict(users=2.5),
         dict(pn_length=7.0),
         dict(oversampling=True),
         dict(power=float("nan")),
-        dict(symbol_duration=float("inf")),
+        dict(power="2.0"),
+        dict(users=True),
+        dict(walsh_order="4"),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -62,12 +63,12 @@ class TestLinkConfig:
 
 class TestSubcarriers:
     def test_frequencies_and_spacing(self):
-        # f_m = m walsh_order / T: 4, 8, 12, 16 at walsh_order 8 and T = 2
+        # f_m = m walsh_order cycles per symbol: 8, 16, 24, 32 at walsh_order 8
         cfg = LinkConfig(carriers=4, walsh_order=8, substreams=8,
-                         pn_length=63, oversampling=4, symbol_duration=2.0)
+                         pn_length=63, oversampling=4)
         n = cfg.samples_per_symbol
-        t = np.arange(n) * cfg.symbol_duration / n
-        tones = np.exp(2j * np.pi * np.array([4.0, 8.0, 12.0, 16.0])[:, None] * t)
+        t = np.arange(n) / n
+        tones = np.exp(2j * np.pi * np.array([8.0, 16.0, 24.0, 32.0])[:, None] * t)
         assert np.abs(subcarrier_exponentials(cfg) - tones).max() <= 1e-12
 
     def test_carrier_orthogonality_discrete(self):
@@ -84,7 +85,7 @@ class TestWalshGrid:
                          pn_length=15, oversampling=4)
         lengths = np.diff(walsh_chip_bounds(cfg))
         assert (lengths == 15).all()
-        assert np.array_equal(lengths, np.bincount(_floor_chips(cfg)))
+        assert np.array_equal(lengths, np.bincount(floor_chips(cfg)))
 
     def test_unaligned_grid_near_uniform(self):
         cfg = LinkConfig(substreams=8, carriers=8, walsh_order=8,
@@ -93,7 +94,7 @@ class TestWalshGrid:
         lengths = np.diff(bounds)
         assert bounds[0] == 0 and bounds[-1] == cfg.samples_per_symbol
         assert lengths.max() - lengths.min() <= 1
-        assert np.array_equal(lengths, np.bincount(_floor_chips(cfg)))
+        assert np.array_equal(lengths, np.bincount(floor_chips(cfg)))
 
 
 class TestModulateUser:
@@ -106,7 +107,7 @@ class TestModulateUser:
         n = cfg.samples_per_symbol
         i = np.arange(n)
         expected = np.sqrt(2 * cfg.power) * np.exp(
-            2j * np.pi * _subcarrier_frequency(1, cfg) * i * cfg.symbol_duration / n)
+            2j * np.pi * _subcarrier_frequency(1, cfg) * i / n)
         assert np.allclose(samples, expected, atol=1e-12)
 
     def test_mean_power(self):
@@ -140,9 +141,9 @@ class TestModulateUser:
 def _loop_signatures(walsh, chips, cfg):
     """Slot signatures built one (substream, carrier) pair at a time."""
     n = cfg.samples_per_symbol
-    t = np.arange(n) * cfg.symbol_duration / n
+    t = np.arange(n) / n
     pn_up = np.repeat(chips, cfg.oversampling)
-    walsh_up = walsh[:, _floor_chips(cfg)]
+    walsh_up = walsh[:, floor_chips(cfg)]
     sig = np.empty((cfg.substreams, cfg.carriers, n), dtype=np.complex128)
     for r in range(cfg.substreams):
         for m in range(cfg.carriers):
