@@ -132,8 +132,8 @@ MUTANTS = (
     Mutant("stale-first-window-of-a-lag", "receiver.py",
            "            stacked[:lag, 0, :, lag] = 0.0\n", "", _PRODUCT_TESTS),
     Mutant("linear-term-loses-1/N", "harness.py",
-           "runtime.linear_gain * np.sqrt(2.0 * cfg.power) * n_samp",
-           "runtime.linear_gain * np.sqrt(2.0 * cfg.power)", _ENGINE_TESTS),
+           "runtime.linear_gain * np.sqrt(2.0) * n_samp",
+           "runtime.linear_gain * np.sqrt(2.0)", _ENGINE_TESTS),
     Mutant("tube-forms-linear-term", "harness.py",
            "    if runtime.linear_gain:\n", "    if True:\n",
            ("tests/test_harness.py", "-k", "skips_linear_product")),
@@ -193,8 +193,8 @@ MUTANTS = (
            "cuts = np.sort(np.clip(", "cuts = np.unique(np.clip(",
            ("tests/test_public_api.py", "-k", "without_scipy")),
     Mutant("obo-abs-squared", "hpa.py",
-           "float(np.mean(_modulus_squared(np.asarray(samples))[0]))",
-           "float(np.mean(np.abs(np.asarray(samples)) ** 2))",
+           "p, _ = _modulus_squared(np.asarray(samples))",
+           "p = np.abs(np.asarray(samples)) ** 2",
            ("tests/test_hpa.py", "-k", "reject_nonfinite and obo")),
     Mutant("reversed-previous-window-shift", "receiver.py",
            "stacked[:lag, 1:, :, lag] = chips[order - lag:, :-1, :, 0]",
@@ -206,7 +206,10 @@ MUTANTS = (
     Mutant("eager-multiprocessing-import", "harness.py",
            "import ctypes\n", "import ctypes\nimport multiprocessing\n",
            ("tests/test_public_api.py", "-k", "without_scipy")),
-    # the construction checks
+    # the input checks
+    Mutant("noise-density-unbounded", "channel.py",
+           "    if not 0.0 < n0 < np.inf:\n", "    if False:\n",
+           ("tests/test_receiver.py", "-k", "ebn0_beyond_float_range")),
     Mutant("bool-field-check-dropped", "txchain.py",
            '        if kind == "bool" and not isinstance(value, bool):\n'
            '            raise ValueError(f"{f.name} must be true or false, got {value!r}")\n', "",

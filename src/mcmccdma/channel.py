@@ -112,9 +112,16 @@ def correlator_noise(ebn0_db: float, eb: float, factor: np.ndarray, n_windows: i
 
 
 def _noise_density(ebn0_db: float, eb: float) -> float:
-    """One-sided noise density n0 for the requested Eb/N0."""
-    if not np.isfinite(ebn0_db):
-        raise ValueError(f"ebn0_db must be finite, got {ebn0_db}")
-    if eb <= 0:
-        raise ValueError(f"energy per bit must be positive, got {eb}")
-    return eb / 10.0 ** (ebn0_db / 10.0)
+    """One-sided noise density n0 for the requested Eb/N0.  ValueError
+    unless n0 is finite and positive, which rules out a NaN or infinite
+    ebn0_db, an energy per bit that is not positive, and an Eb/N0 so far
+    out (thousands of dB) that 10^(ebn0_db/10) or n0 overflows or
+    underflows to zero."""
+    # numpy's power returns inf or 0 where Python's raises, and rounds the
+    # same (both call the C library's pow)
+    with np.errstate(all="ignore"):
+        n0 = eb / np.float64(10.0) ** (ebn0_db / 10.0)
+    if not 0.0 < n0 < np.inf:
+        raise ValueError(f"ebn0_db must be finite and give a positive noise density, got "
+                         f"{ebn0_db} at energy per bit {eb}")
+    return n0

@@ -59,8 +59,6 @@ class Scenario:
             raise ValueError(f"scenario name must be nonempty and comma-free, got {self.name!r}")
         if self.hpa_mode not in HPA_MODES:
             raise ValueError(f"hpa_mode must be one of {HPA_MODES}, got {self.hpa_mode!r}")
-        if len(self.ebn0_grid) == 0:
-            raise ValueError("ebn0_grid must not be empty")
         for name, values in (("ebn0_grid", self.ebn0_grid), ("ibo_db", (self.ibo_db,))):
             if not all(abs(x) <= _DB_LIMIT for x in values):
                 raise ValueError(f"{name} must lie within +-{_DB_LIMIT:g} dB, "

@@ -26,7 +26,7 @@ and the decisions (receiver.decide_slots).  The noise enters after the
 amplifier and the channel, so the noiseless outputs do not depend on
 Eb/N0, and neither producer takes it or a generator.  A block's outputs are
 
-    z = g sqrt(2 power) e^{-j theta} T + W + noise,
+    z = g sqrt(2) e^{-j theta} T + W + noise,
 
 theta being user 1's reference-path phase plus the amplifier's mean
 rotation (none without an amplifier).
@@ -65,10 +65,10 @@ transmitted (post-amplifier) waveform, once per scenario, so that back-off
 settings change the signal the noise is matched to rather than silently
 shifting the operating SNR.  Time is counted in symbol periods, so the
 energy per bit is the mean transmitted power over the bits per symbol: 2
-power for the linear chain, and for an amplifier what
-hpa.amplifier_calibration measures on a fixed-seed frame of user 1's, with
-the amplifier's mean rotation, from the Gram matrix behind the noise
-factor (_prepare).
+for the linear chain at unit branch power (txchain.LinkConfig), and for an
+amplifier what hpa.amplifier_calibration measures on a fixed-seed frame of
+user 1's, with the amplifier's mean rotation, from the Gram matrix behind
+the noise factor (_prepare).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _prepare(scenario: Scenario) -> _Runtime:
         amplifier = prepare_amplifier(scenario, walsh, pn_chips)
         if amplifier is None:
             # the linear chain's mean power over its bits per symbol
-            eb, phase_offset = 2.0 * cfg.power, 0.0
+            eb, phase_offset = 2.0, 0.0
         else:
             rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
             frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
@@ -217,7 +217,7 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
     """User 1's noiseless correlator outputs, shape (symbols, substreams,
     carriers), in every hpa_mode:
 
-        z = g sqrt(2 power) e^{-j theta} T + W.
+        z = g sqrt(2) e^{-j theta} T + W.
 
     T is the linear chain's correlation, from the runtime's partial
     cross-correlation tables as per-chip sums (receiver.correlate_tables),
@@ -237,7 +237,7 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
     if runtime.linear_gain:
         per_chip = correlate_tables(runtime.correlation, runtime.walsh, symbols, gains,
                                     runtime.work)
-        per_chip *= runtime.linear_gain * np.sqrt(2.0 * cfg.power) * n_samp
+        per_chip *= runtime.linear_gain * np.sqrt(2.0) * n_samp
     amplified = (None if runtime.amplifier is None
                  else amplifier_correlations(runtime.amplifier, symbols, gains, runtime.work))
     if amplified is not None:
@@ -275,7 +275,7 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> dict:
     own = column[:1] * mask.reshape(1, 1, -1, paths, 4)
     z = np.concatenate((_column_outputs(own, symbols[:1], gains[:1]),
                         _column_outputs(column[1:], symbols[1:], gains[1:])), axis=1)
-    z *= np.sqrt(2.0 * cfg.power) * np.exp(-1j * channel.phases[0, 0])
+    z *= np.sqrt(2.0) * np.exp(-1j * channel.phases[0, 0])
     return dict(zip(SOURCE_NAMES, z.T))
 
 

@@ -24,7 +24,7 @@ any finite power the curves are evaluated without an intermediate
 overflow: where beta p overflows, their asymptotes take over.
 
 The engine's amplifiers.  The engine (harness) forms user 1's noiseless
-correlator outputs as z = g sqrt(2 power) e^{-j theta} T + W, T being the
+correlator outputs as z = g sqrt(2) e^{-j theta} T + W, T being the
 linear chain's correlation and g its gain.  W correlates what the amplifier
 adds to g times the linear waveform against user 1's signatures with the
 Walsh chips factored out: per-(Walsh chip, window) sums
@@ -286,10 +286,12 @@ def limiter_factor(samples: np.ndarray, params: SalehParams,
 
 def compute_obo(samples: np.ndarray, params: SalehParams) -> float:
     """Output back-off: dB ratio of the saturated output power to the
-    measured mean power of the amplifier's output samples."""
-    mean_power = float(np.mean(_modulus_squared(np.asarray(samples))[0]))
+    measured mean power of the amplifier's output samples, of which there
+    must be at least one."""
+    p, _ = _modulus_squared(np.asarray(samples))
+    mean_power = float(np.mean(p)) if p.size else 0.0
     if mean_power <= 0:
-        raise ValueError("cannot compute output back-off of zero-power samples")
+        raise ValueError("cannot compute output back-off of no samples or zero-power ones")
     return float(10.0 * np.log10(params.saturation_output_power / mean_power))
 
 
@@ -429,13 +431,14 @@ def prepare_amplifier(scenario, walsh: np.ndarray,
     for "saleh_pd".
 
     The back-off is set against the linear chain's mean transmitted power,
-    2 power substreams carriers: below the saturating input power for the
-    tube (input_scale_for_power), and below the saturated output power for
-    the limiter, since the predistorter expects desired output moduli."""
+    2 substreams carriers at unit branch power: below the saturating input
+    power for the tube (input_scale_for_power), and below the saturated
+    output power for the limiter, since the predistorter expects desired
+    output moduli."""
     if scenario.hpa_mode == "bypass":
         return None
     cfg, saleh = scenario.config, scenario.saleh
-    mean_tx_power = 2.0 * cfg.power * cfg.substreams * cfg.carriers
+    mean_tx_power = 2.0 * cfg.substreams * cfg.carriers
     if scenario.hpa_mode == "saleh":
         carriers = subcarrier_exponentials(cfg)
         pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
@@ -474,7 +477,7 @@ def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray
     energy per bit is the frame's mean power over the bits per symbol.
 
     The frame's energy is that of its linear term g x, in closed form
-    g^2 2 power N sum_n d_n^T Re(C) d_n over the symbol rows d_n, N being
+    g^2 2 N sum_n d_n^T Re(C) d_n over the symbol rows d_n, N being
     samples_per_symbol and C the Gram matrix, plus the amplifier's share,
     added tile by tile or cell chunk by cell chunk, in order.  The tube's
     share is the whole amplified frame (g = 0, so it skips the linear
@@ -491,7 +494,7 @@ def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray
     energy = 0.0
     if g:
         d = frame.reshape(n_symbols, -1).astype(np.float64)
-        energy = 2.0 * cfg.power * cfg.samples_per_symbol * g * g * np.sum((d @ gram.real) * d)
+        energy = 2.0 * cfg.samples_per_symbol * g * g * np.sum((d @ gram.real) * d)
     rotation = 0.0
     if isinstance(amplifier, TubeState):
         cross = 0.0
@@ -509,7 +512,7 @@ def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray
 
 
 def _carrier_coefficients(amplifier: TubeState | LimiterState, symbols: np.ndarray) -> np.ndarray:
-    """b[c, n, m] = sqrt(2 power) sum_r d[n, r, m] w_r(c): symbol row n's
+    """b[c, n, m] = sqrt(2) sum_r d[n, r, m] w_r(c): symbol row n's
     real coefficient on carrier m during Walsh chip c, shape (walsh_order,
     rows, carriers).  symbols holds rows of (substreams, carriers) symbols,
     shape (..., substreams, carriers).  Row n's PN-free linear waveform is
@@ -521,7 +524,7 @@ def _carrier_coefficients(amplifier: TubeState | LimiterState, symbols: np.ndarr
     # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
     d = symbols.reshape(-1, n_sub, n_car).transpose(0, 2, 1).reshape(-1, n_sub)
     b = d.astype(np.float64) @ amplifier.walsh
-    b *= np.sqrt(2.0 * cfg.power)
+    b *= np.sqrt(2.0)
     return np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
 
 

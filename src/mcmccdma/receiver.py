@@ -20,15 +20,16 @@ sign of the real part.  Later paths, other substreams, other carriers and
 other users all land in the correlator as interference.
 
 Correlations are normalized by the samples per symbol, so a clean slot
-correlates to sqrt(2*power) * path_gain * symbol.  The sample-level
-functions take plain arrays: correlate_slots a received sample array whose
-first window starts at the reference path's delay, decide_slots the
-correlator outputs and the transmitted symbols.  Every other path computes
-the same correlation with each signature's Walsh chips factored out:
-per-chip sums, which the tube's chain forms from its sampled windows cut at
-txchain.walsh_chip_bounds (chip_correlations), the limiter's from its
-clipped cells and the linear chain from the tables (correlate_tables), and
-one Walsh combine (combine_walsh_chips).
+correlates to sqrt(2) * path_gain * symbol at unit branch power
+(txchain.LinkConfig).  The sample-level functions take plain arrays:
+correlate_slots a received sample array whose first window starts at the
+reference path's delay, decide_slots the correlator outputs and the
+transmitted symbols.  Every other path computes the same correlation with
+each signature's Walsh chips factored out: per-chip sums, which the tube's
+chain forms from its sampled windows cut at txchain.walsh_chip_bounds
+(chip_correlations), the limiter's from its clipped cells and the linear
+chain from the tables (correlate_tables), and one Walsh combine
+(combine_walsh_chips).
 """
 from __future__ import annotations
 
@@ -169,7 +170,7 @@ def partial_correlation_tables(pn_chips: np.ndarray, config: LinkConfig,
     fills via path l; a block with no such samples is zero.  So via path l
     user k adds
 
-        sqrt(2 power) h_kl sum_{q, m} c_k[n * walsh_order + b - q, m] [l, b, k, q, m, :]
+        sqrt(2) h_kl sum_{q, m} c_k[n * walsh_order + b - q, m] [l, b, k, q, m, :]
 
     to chip b of user 1's per-chip sums of symbol n, c_k being user k's
     symbols Walsh-transformed onto its chip stream, c_k[n * walsh_order + a,
@@ -303,7 +304,7 @@ def correlate_tables(tables: np.ndarray, walsh_rows: np.ndarray, symbols: np.nda
     symbols and gains sliced alike) or over the target carriers t.  Returns
     (walsh_order, n, targets), the shape of receiver.chip_correlations:
     combine_walsh_chips turns them into correlator outputs, once they are
-    scaled by sqrt(2 power) and by N, since the tables carry 1/N and the
+    scaled by sqrt(2) and by N, since the tables carry 1/N and the
     combine divides by N again.
 
     Three steps: the Walsh transform of every user's symbols, one real GEMM;

@@ -39,9 +39,9 @@ def _is_number(value, kind=numbers.Real) -> bool:
 def check_field_types(instance) -> None:
     """Construction check shared by LinkConfig, Scenario and SalehParams,
     by each field's declared type: an int field holds an integral value, a
-    float field a finite real one, a tuple field (the Eb/N0 grid) finite
-    real ones, a bool field a bool and a str field a str.  A bool is no number
-    here, and no number a bool."""
+    float field a finite real one, a tuple field (the Eb/N0 grid) a nonempty
+    tuple of finite real ones, a bool field a bool and a str field a str.  A
+    bool is no number here, and no number a bool."""
     for f in dataclasses.fields(instance):
         value = getattr(instance, f.name)
         kind = declared_type(f)
@@ -51,6 +51,8 @@ def check_field_types(instance) -> None:
             raise ValueError(f"{f.name} must be a number, got {value!r}")
         if kind == "float" and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind == "tuple" and not (isinstance(value, tuple) and value):
+            raise ValueError(f"{f.name} must be a nonempty tuple, got {value!r}")
         if kind == "tuple" and not all(_is_number(x) and math.isfinite(x) for x in value):
             raise ValueError(f"{f.name} entries must be finite numbers, got {value!r}")
         if kind == "bool" and not isinstance(value, bool):
@@ -63,9 +65,10 @@ def check_field_types(instance) -> None:
 class LinkConfig:
     """System dimensions shared by the transmitter, channel and receiver.
 
-    power is the per-branch signal power: each (substream, carrier) branch is
-    sent with complex-envelope amplitude sqrt(2*power), so a full frame has
-    average complex power 2*power*substreams*carriers.
+    Every (substream, carrier) branch is sent at unit power: complex-envelope
+    amplitude sqrt(2), complex power 2, so a full frame has average complex
+    power 2*substreams*carriers.  Eb/N0 and the back-offs are ratios, so the
+    unit cancels from every error rate.
     """
 
     users: int = 1
@@ -74,7 +77,6 @@ class LinkConfig:
     walsh_order: int = 1
     pn_length: int = 7
     oversampling: int = 4
-    power: float = 1.0
 
     def __post_init__(self):
         check_field_types(self)
@@ -94,8 +96,6 @@ class LinkConfig:
             raise ValueError(f"pn_length must be >= 1, got {self.pn_length}")
         if self.oversampling < 2:
             raise ValueError(f"oversampling must be >= 2, got {self.oversampling}")
-        if self.power <= 0:
-            raise ValueError(f"power must be positive, got {self.power}")
         if self.walsh_order > self.samples_per_symbol:
             raise ValueError(
                 f"walsh_order {self.walsh_order} exceeds the {self.samples_per_symbol} "
@@ -198,8 +198,8 @@ def slot_signatures(walsh: np.ndarray, pn, config: LinkConfig) -> np.ndarray:
     Returns shape (substreams, carriers, samples_per_symbol); entry (r, m)
     is walsh_row_r (stretched) * pn chips (oversampled) * subcarrier m+1
     exponential; pn is the user's +-1 chip array (e.g. a cyclically
-    shifted m-sequence).  The transmitter scales these by
-    sqrt(2*power) and the receiver correlates against their conjugates.
+    shifted m-sequence).  The transmitter scales these by sqrt(2)
+    (LinkConfig) and the receiver correlates against their conjugates.
     """
     pn_up = np.repeat(_pn_chips(pn, config), config.oversampling).astype(np.float64)
     table = modulation_table(walsh, config).view(np.complex128)
@@ -211,14 +211,14 @@ def modulate_user(symbols, walsh: np.ndarray, pn, config: LinkConfig) -> np.ndar
 
     symbols has shape (slots, substreams, carriers) with +-1 entries; pn is
     the user's +-1 chip array.  Each slot becomes samples_per_symbol
-    samples equal to sqrt(2*power) * sum over slots of symbol * signature.
+    samples equal to sqrt(2) * sum over slots of symbol * signature.
     """
     d = np.asarray(symbols, dtype=np.float64)
     if d.ndim != 3 or d.shape[1] != config.substreams or d.shape[2] != config.carriers:
         raise ValueError(
             f"symbols must be (slots, {config.substreams}, {config.carriers}), got {d.shape}"
         )
-    scale = np.repeat(np.sqrt(2.0 * config.power) * _pn_chips(pn, config), config.oversampling)
+    scale = np.repeat(np.sqrt(2.0) * _pn_chips(pn, config), config.oversampling)
     samples = (d.reshape(d.shape[0], -1) @ modulation_table(walsh, config)).view(np.complex128)
     samples *= scale
     return samples.reshape(-1)

@@ -1,6 +1,7 @@
-"""BER theory: erfc oracle, conditional and fading-averaged error rates, and
-their confidence intervals."""
+"""BER theory: erfc oracle, conditional and fading-averaged error rates,
+their confidence intervals, and the records with their CSV form."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,14 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.analysis import (
+    CSV_HEADER,
     BerRecord,
     binomial_ci95,
     conditional_ber,
+    emit_csv,
     erfc,
     fading_averaged_ber,
+    parse_csv,
     theoretical_curve,
 )
+from mcmccdma.config import Scenario
+from mcmccdma.harness import run_scenario
 from mcmccdma.receiver import InterferenceVariances
+from mcmccdma.txchain import LinkConfig
 
 from oracles import erfc_oracle
 
@@ -202,6 +209,67 @@ class TestBerRecord:
                       carriers=1, hpa_mode="bypass", ibo_db=None, bits=10,
                       errors=1, ber=0.1, ci95=0.0, source="guesswork",
                       seed=None)
+
+
+# a one-point run of the smallest link, for the CSV round trip
+_ONE_POINT = Scenario(
+    name="tiny",
+    config=LinkConfig(users=1, substreams=1, carriers=1, walsh_order=1,
+                      pn_length=7, oversampling=4),
+    ebn0_grid=(0.0,), min_errors=100, symbols_per_block=16, master_seed=99)
+
+
+class TestCsv:
+    RECORD = BerRecord(scenario="t", ebn0_db=1.0, users=2, substreams=3, carriers=4,
+                       hpa_mode="saleh", ibo_db=7.0, bits=100, errors=5, ber=0.05, ci95=0.01,
+                       source="theoretical", seed=None)
+
+    def test_header_exact(self):
+        assert CSV_HEADER == ("scenario,ebn0_db,k,r,m,hpa_mode,ibo_db,"
+                              "bits,errors,ber,ci95,source,seed")
+
+    def test_round_trip(self, tmp_path):
+        rep = run_scenario(_ONE_POINT)
+        path = tmp_path / "out.csv"
+        emit_csv([rep], path)
+        text = path.read_text()
+        assert text.startswith(CSV_HEADER + "\n")
+        assert text.endswith("\n")
+        rows = parse_csv(path)
+        assert rows == rep.records   # repr floats round-trip exactly
+
+    def test_emit_accepts_bare_records(self, tmp_path):
+        path = tmp_path / "one.csv"
+        emit_csv([self.RECORD], path)
+        row = parse_csv(path)[0]
+        assert (row.users, row.substreams, row.carriers) == (2, 3, 4)
+        assert row.seed is None
+        assert row.ibo_db == 7.0
+        assert row.source == "theoretical"
+
+    @pytest.mark.parametrize("field", ["scenario", "hpa_mode"])
+    @pytest.mark.parametrize("separator", [",", "\n", "\r"])
+    def test_record_rejects_csv_separators(self, field, separator):
+        with pytest.raises(ValueError, match=f"{field} must hold no comma or line break"):
+            dataclasses.replace(self.RECORD, **{field: f"a{separator}b"})
+
+    def test_theory_curve_round_trips(self, tmp_path):
+        variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
+                                          inter_carrier=0.0, multi_user=0.1, noise=0.2,
+                                          n_symbols=10)
+        with pytest.raises(ValueError, match="scenario must hold no comma"):
+            theoretical_curve(variances, (0.0,), 0.0, scenario="a,b")
+        records = theoretical_curve(variances, (0.0, 5.0, 10.0), 0.0, scenario="users-20 theory",
+                                    users=20, hpa_mode="saleh", ibo_db=7.0)
+        path = tmp_path / "theory.csv"
+        emit_csv(records, path)
+        assert parse_csv(path) == records
+
+    def test_parse_rejects_wrong_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,c\n1,2,3\n")
+        with pytest.raises(ValueError):
+            parse_csv(path)
 
 
 @given(st.floats(-5.5, 5.5))

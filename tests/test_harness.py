@@ -1,4 +1,4 @@
-"""Monte Carlo harness, CSV emission, presets, config files, CLI."""
+"""Monte Carlo harness, scenario checks, presets and config files."""
 
 import dataclasses
 import math
@@ -11,15 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmccdma.analysis import CSV_HEADER, BerRecord, emit_csv, parse_csv, theoretical_curve
+from mcmccdma.analysis import emit_csv
 from mcmccdma.channel import draw_channel, propagate_samples
-from mcmccdma.cli import main
 from mcmccdma import harness, hpa
 from mcmccdma.config import (HPA_MODES, ConfigError, Scenario, leaf_fields, load_config, preset,
                              scenario_echo, scenario_from_keys)
 from mcmccdma.harness import estimate_interference_variances, measure_variances, run_scenario
 from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, limiter_factor
-from mcmccdma.receiver import SOURCE_NAMES, InterferenceVariances, correlate_slots
+from mcmccdma.receiver import SOURCE_NAMES, correlate_slots
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
                               walsh_chip_bounds)
 
@@ -160,6 +159,8 @@ class TestScenarioValidation:
         ("ibo_db", "7", "ibo_db must be a number"),
         ("ebn0_grid", (True,), "ebn0_grid entries must be finite numbers"),
         ("ebn0_grid", (0.0, "8"), "ebn0_grid entries must be finite numbers"),
+        ("ebn0_grid", 8.0, "ebn0_grid must be a nonempty tuple"),
+        ("ebn0_grid", None, "ebn0_grid must be a nonempty tuple"),
     ])
     def test_mistyped_field_rejected(self, field, value, message):
         # a switch takes a bool only, a level or a grid entry no bool
@@ -1082,59 +1083,6 @@ class TestBlasThreads:
         assert blas_threads() == before
 
 
-class TestCsv:
-    RECORD = BerRecord(scenario="t", ebn0_db=1.0, users=2, substreams=3, carriers=4,
-                       hpa_mode="saleh", ibo_db=7.0, bits=100, errors=5, ber=0.05, ci95=0.01,
-                       source="theoretical", seed=None)
-
-    def test_header_exact(self):
-        assert CSV_HEADER == ("scenario,ebn0_db,k,r,m,hpa_mode,ibo_db,"
-                              "bits,errors,ber,ci95,source,seed")
-
-    def test_round_trip(self, tmp_path):
-        rep = run_scenario(TINY)
-        path = tmp_path / "out.csv"
-        emit_csv([rep], path)
-        text = path.read_text()
-        assert text.startswith(CSV_HEADER + "\n")
-        assert text.endswith("\n")
-        rows = parse_csv(path)
-        assert rows == rep.records   # repr floats round-trip exactly
-
-    def test_emit_accepts_bare_records(self, tmp_path):
-        path = tmp_path / "one.csv"
-        emit_csv([self.RECORD], path)
-        row = parse_csv(path)[0]
-        assert (row.users, row.substreams, row.carriers) == (2, 3, 4)
-        assert row.seed is None
-        assert row.ibo_db == 7.0
-        assert row.source == "theoretical"
-
-    @pytest.mark.parametrize("field", ["scenario", "hpa_mode"])
-    @pytest.mark.parametrize("separator", [",", "\n", "\r"])
-    def test_record_rejects_csv_separators(self, field, separator):
-        with pytest.raises(ValueError, match=f"{field} must hold no comma or line break"):
-            dataclasses.replace(self.RECORD, **{field: f"a{separator}b"})
-
-    def test_theory_curve_round_trips(self, tmp_path):
-        variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
-                                          inter_carrier=0.0, multi_user=0.1, noise=0.2,
-                                          n_symbols=10)
-        with pytest.raises(ValueError, match="scenario must hold no comma"):
-            theoretical_curve(variances, (0.0,), 0.0, scenario="a,b")
-        records = theoretical_curve(variances, (0.0, 5.0, 10.0), 0.0, scenario="users-20 theory",
-                                    users=20, hpa_mode="saleh", ibo_db=7.0)
-        path = tmp_path / "theory.csv"
-        emit_csv(records, path)
-        assert parse_csv(path) == records
-
-    def test_parse_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            parse_csv(path)
-
-
 class TestPresets:
     def test_aliases_match_canonical(self):
         for alias, canon in (("fig5", "system-comparison"), ("fig6", "user-sweep"),
@@ -1219,7 +1167,7 @@ class TestConfigFiles:
     def test_leaf_names_unique_across_classes(self):
         # flat config keys need every leaf name to occur once
         names = [f.name for f, _ in leaf_fields(TINY)]
-        assert len(names) == len(set(names)) == 28
+        assert len(names) == len(set(names)) == 27
         assert set(names) == {f.name for cls in (LinkConfig, Scenario, SalehParams)
                               for f in dataclasses.fields(cls)} - {"config", "saleh"}
 
@@ -1250,175 +1198,6 @@ class TestConfigFiles:
         sc = scenario_from_keys({"min_errors": "123"}, base=base)
         assert sc.min_errors == 123
         assert sc.config == base.config
-
-
-def _write_tiny_config(tmp_path, **extra):
-    lines = {
-        "name": "cli-tiny", "users": "1", "substreams": "1", "carriers": "1",
-        "walsh_order": "1", "pn_length": "7", "oversampling": "4",
-        "ebn0_grid": "0", "min_errors": "100", "symbols_per_block": "16",
-        "master_seed": "7",
-    }
-    lines.update(extra)
-    path = tmp_path / "tiny.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
-    return path
-
-
-class TestCli:
-    def test_simulate_success(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path)
-        out = tmp_path / "results.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = parse_csv(out)
-        assert rows[0].scenario == "cli-tiny"
-        assert rows[0].seed == 7
-
-    def test_cli_seed_beats_config_and_env(self, tmp_path, monkeypatch):
-        cfg = _write_tiny_config(tmp_path)
-        out = tmp_path / "r.csv"
-        monkeypatch.setenv("SIM_SEED", "1234")
-        assert main(["simulate", "--config", str(cfg), "--out", str(out),
-                     "--seed", "555"]) == 0
-        assert parse_csv(out)[0].seed == 555
-
-    def test_env_seed_beats_config(self, tmp_path, monkeypatch):
-        cfg = _write_tiny_config(tmp_path)
-        out = tmp_path / "r.csv"
-        monkeypatch.setenv("SIM_SEED", "1234")
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert parse_csv(out)[0].seed == 1234
-
-    def test_workers_env(self, tmp_path, monkeypatch):
-        cfg = _write_tiny_config(tmp_path)
-        ref = tmp_path / "a.csv"
-        par = tmp_path / "b.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(ref)]) == 0
-        monkeypatch.setenv("SIM_WORKERS", "4")
-        assert main(["simulate", "--config", str(cfg), "--out", str(par)]) == 0
-        assert ref.read_bytes() == par.read_bytes()
-
-    def test_missing_config_file_is_io_error(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
-
-    def test_bad_key_is_config_error(self, tmp_path, capsys):
-        cfg = _write_tiny_config(tmp_path, hyperdrive="on")
-        assert main(["simulate", "--config", str(cfg)]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_nonfinite_decay_is_config_error(self, tmp_path, capsys):
-        cfg = _write_tiny_config(tmp_path, decay_db="nan")
-        assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "x.csv")]) == 1
-        assert "decay_db" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("pn_length", ["8", "8191"])
-    def test_bad_pn_length_is_config_error(self, tmp_path, capsys, pn_length):
-        cfg = _write_tiny_config(tmp_path, pn_length=pn_length)
-        out = tmp_path / "x.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "error: pn_length must be an m-sequence length" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
-        cfg = _write_tiny_config(tmp_path)
-        out = tmp_path / "x.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out),
-                     "--seed", "-1"]) == 1
-        assert "error: master_seed must be nonnegative" in capsys.readouterr().err
-        monkeypatch.setenv("SIM_SEED", "-1")
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "error: master_seed must be nonnegative" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key, value", [("max_bits", "0"), ("min_bits", "-1"),
-                                            ("min_blocks", "-1")])
-    def test_unusable_stopping_budget_is_config_error(self, tmp_path, capsys, key, value):
-        cfg = _write_tiny_config(tmp_path, **{key: value})
-        out = tmp_path / "x.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert f"error: {key} must be" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key, value", [("ebn0_grid", "4000"), ("ebn0_grid", "0,-4000"),
-                                            ("ibo_db", "4000"), ("ibo_db", "-4000")])
-    def test_db_value_beyond_bound_is_config_error(self, tmp_path, capsys, key, value):
-        cfg = _write_tiny_config(tmp_path, hpa_mode="saleh_pd", **{key: value})
-        out = tmp_path / "x.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert f"error: {key} must lie within +-300 dB" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unknown_preset_is_config_error(self):
-        assert main(["simulate", "--preset", "fig99"]) == 1
-
-    def test_no_source_is_config_error(self):
-        assert main(["simulate"]) == 1
-
-    def test_usage_error_exit_code(self):
-        assert main(["simulate", "--no-such-flag"]) == 1
-        assert main([]) == 1
-
-    def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        assert "simulate" in capsys.readouterr().out
-
-    def test_decompose_writes_companion(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path, users="2", substreams="2",
-                                 carriers="2", walsh_order="4", pn_length="15")
-        out = tmp_path / "d.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out),
-                     "--decompose"]) == 0
-        companion = tmp_path / "d.csv.decomposition.csv"
-        text = companion.read_text()
-        assert text.splitlines()[0] == "scenario,ebn0_db,component,value"
-        assert "multi_user" in text
-        assert "total_interference" in text
-
-    def test_decompose_rejects_nonlinear(self, tmp_path):
-        cfg = _write_tiny_config(tmp_path, hpa_mode="saleh")
-        assert main(["simulate", "--config", str(cfg), "--decompose",
-                     "--out", str(tmp_path / "x.csv")]) == 1
-
-    def test_characterize_hpa_default_params(self, tmp_path):
-        out = tmp_path / "curves.csv"
-        assert main(["characterize-hpa", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == ("level,amam_output,ampm_rad,predistorted_input,"
-                            "cascade_output,cascade_phase_rad")
-        assert len(lines) == 302
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-
-    def test_characterize_hpa_param_file(self, tmp_path):
-        params = tmp_path / "amp.cfg"
-        params.write_text("alpha_am = 2.0\nbeta_am = 1.0\n")
-        out = tmp_path / "c.csv"
-        assert main(["characterize-hpa", "--params", str(params),
-                     "--out", str(out)]) == 0
-        rows = out.read_text().splitlines()[1:]
-        levels = np.array([float(r.split(",")[0]) for r in rows])
-        assert levels[-1] == pytest.approx(1.5)   # 1.5 / sqrt(beta_am)
-
-    def test_characterize_hpa_nonfinite_param(self, tmp_path, capsys):
-        params = tmp_path / "amp.cfg"
-        params.write_text("alpha_am = nan\n")
-        assert main(["characterize-hpa", "--params", str(params),
-                     "--out", str(tmp_path / "c.csv")]) == 1
-        assert "error: alpha_am must be finite" in capsys.readouterr().err
-
-    def test_nonfinite_saleh_param_is_config_error(self, tmp_path, capsys):
-        cfg = _write_tiny_config(tmp_path, hpa_mode="saleh", alpha_am="inf")
-        out = tmp_path / "x.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "error: alpha_am must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_characterize_hpa_unknown_key(self, tmp_path):
-        params = tmp_path / "amp.cfg"
-        params.write_text("users = 5\n")
-        assert main(["characterize-hpa", "--params", str(params),
-                     "--out", str(tmp_path / "c.csv")]) == 1
 
 
 class TestMeasureVariances:

@@ -291,6 +291,11 @@ def test_frame_kernels_reject_nonfinite_samples(bad, stage):
             compute_obo(x, P)
 
 
+def test_obo_rejects_empty_samples():
+    with pytest.raises(ValueError, match="no samples"):
+        compute_obo(np.empty(0, dtype=np.complex128), P)
+
+
 def _exact_curves(u: float, params: SalehParams) -> tuple:
     """amam(u) and ampm(u) in exact rational arithmetic, rounded once."""
     u, power = Fraction(u), Fraction(u) ** 2

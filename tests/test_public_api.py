@@ -13,7 +13,7 @@ from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, t
 # Names the per-user sample chain needed and the engines no longer do, the
 # wrappers around plain code and sample arrays, surface nothing read, the
 # engine's names that moved to the module of their layer, and the symbol
-# duration, which cancelled from every output.
+# duration and the branch power, which cancelled from every output.
 _RETIRED = {
     channel: ("PathTap", "NoiseSpec", "add_awgn"),
     channel.ChannelRealization: ("n_paths",),
@@ -30,7 +30,7 @@ _RETIRED = {
               "_excess_correlations", "_add_cell_correlations", "_SLAB_SAMPLES",
               "_CELL_SAMPLES", "_CELL_CHUNK", "_linear_eb", "limiter_factor", "_calibrate",
               "_correlator_noise"),
-    txchain.LinkConfig: ("walsh_aligned", "symbol_duration", "sample_rate"),
+    txchain.LinkConfig: ("walsh_aligned", "symbol_duration", "sample_rate", "power"),
 }
 
 # The scenario layer and the amplifiers, by the module that defines them:

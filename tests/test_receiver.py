@@ -81,7 +81,7 @@ class TestCorrelatorIdentity:
         rng = np.random.default_rng(3)
         d = rng.choice([-1, 1], size=(12, 2, 2)).astype(np.int8)
         z = correlate_slots(modulate_user(d, walsh, pn, cfg), slot_signatures(walsh, pn, cfg), cfg)
-        assert np.allclose(z.real, np.sqrt(2 * cfg.power) * d, atol=1e-10)
+        assert np.allclose(z.real, np.sqrt(2) * d, atol=1e-10)
         assert np.abs(z.imag).max() < 1e-10
 
     def test_linearity(self):
@@ -293,7 +293,7 @@ def _source_setup(users=1, paths=1, fading=False, seed=0, n_symbols=8,
 class TestDecomposition:
     def test_aligned_single_user_all_zero_interference(self):
         runtime, channel, symbols, sources = _source_setup()
-        amp = np.sqrt(2 * runtime.scenario.config.power)
+        amp = np.sqrt(2)
         assert sources["desired"][3].real == pytest.approx(amp * symbols[0, 3, 0, 0], rel=1e-10)
         assert abs(sources["inter_substream"][3]) < 1e-10 * amp
         assert abs(sources["inter_carrier"][3]) < 1e-10 * amp
@@ -378,6 +378,13 @@ class TestVarianceEstimates:
         var = measure_variances(Scenario(name="quiet", config=cfg, noise_enabled=False),
                                 ebn0_db, n_symbols=16)
         assert var.noise == 0.0
+
+    @pytest.mark.parametrize("ebn0_db", [4000.0, -4000.0])
+    def test_ebn0_beyond_float_range_rejected(self, ebn0_db):
+        # 10^(ebn0_db/10) overflows at 4000 dB and underflows to 0 at -4000 dB
+        cfg = LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4, pn_length=15)
+        with pytest.raises(ValueError, match="give a positive noise density"):
+            measure_variances(Scenario(name="noisy", config=cfg), ebn0_db, n_symbols=16)
 
     def test_too_few_symbols_rejected(self):
         runtime, channel, *_ = _source_setup()

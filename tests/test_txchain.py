@@ -29,9 +29,12 @@ class TestLinkConfig:
         assert cfg.samples_per_symbol == 60
         assert cfg.bits_per_symbol == 4
         assert cfg.samples_per_symbol % cfg.walsh_order == 0
-        # time is counted in symbol periods, so no symbol duration is set
+        # time is counted in symbol periods and every branch is sent at unit
+        # power, so neither a symbol duration nor a power is set
         with pytest.raises(TypeError, match="symbol_duration"):
             LinkConfig(symbol_duration=2.0)
+        with pytest.raises(TypeError, match="power"):
+            LinkConfig(power=1.0)
 
     def test_unaligned_sample_count(self):
         cfg = LinkConfig(substreams=8, carriers=1, walsh_order=8,
@@ -44,15 +47,13 @@ class TestLinkConfig:
         dict(walsh_order=3),
         dict(walsh_order=2, substreams=3),
         dict(oversampling=1),
-        dict(power=0.0),
-        dict(power=True),
+        dict(carriers=0),
+        dict(pn_length=0),
         dict(walsh_order=64, pn_length=7, oversampling=4),     # 64 > 28
         dict(carriers=8, walsh_order=8, pn_length=7, oversampling=2),  # 64 > 14
         dict(users=2.5),
         dict(pn_length=7.0),
         dict(oversampling=True),
-        dict(power=float("nan")),
-        dict(power="2.0"),
         dict(users=True),
         dict(walsh_order="4"),
     ])
@@ -99,26 +100,26 @@ class TestWalshGrid:
 
 class TestModulateUser:
     def test_degenerate_tone(self):
-        cfg = LinkConfig(pn_length=7, oversampling=4, power=2.0)
+        cfg = LinkConfig(pn_length=7, oversampling=4)
         walsh = generate_walsh(1)
         flat_pn = np.ones(7, dtype=np.int8)
         d = np.ones((1, 1, 1), dtype=np.int8)
         samples = modulate_user(d, walsh, flat_pn, cfg)
         n = cfg.samples_per_symbol
         i = np.arange(n)
-        expected = np.sqrt(2 * cfg.power) * np.exp(
+        expected = np.sqrt(2) * np.exp(
             2j * np.pi * _subcarrier_frequency(1, cfg) * i / n)
         assert np.allclose(samples, expected, atol=1e-12)
 
     def test_mean_power(self):
         cfg = LinkConfig(substreams=4, carriers=4, walsh_order=4,
-                         pn_length=63, oversampling=4, power=0.5)
+                         pn_length=63, oversampling=4)
         walsh = generate_walsh(4)
         pn = generate_msequence(6)
         rng = np.random.default_rng(5)
         d = rng.choice([-1, 1], size=(40, 4, 4)).astype(np.int8)
         samples = modulate_user(d, walsh, pn, cfg)
-        expected = 2 * cfg.power * cfg.substreams * cfg.carriers
+        expected = 2 * cfg.substreams * cfg.carriers
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(expected, rel=1e-2)
 
     def test_slot_signatures_orthonormal_when_aligned(self):
@@ -158,7 +159,7 @@ class TestModulationTable:
     def test_shared_table_matches_signature_product(self, degree, oversampling, aligned,
                                                     carriers):
         cfg = LinkConfig(users=2, substreams=3, carriers=carriers, walsh_order=8,
-                         pn_length=2**degree - 1, oversampling=oversampling, power=0.7)
+                         pn_length=2**degree - 1, oversampling=oversampling)
         assert (cfg.samples_per_symbol % cfg.walsh_order == 0) == aligned
         walsh = generate_walsh(8)
         chips = np.roll(generate_msequence(degree), 5)
@@ -168,7 +169,7 @@ class TestModulationTable:
         rng = np.random.default_rng(11)
         d = rng.choice([-1, 1], size=(9, 3, carriers)).astype(np.int8)
         n = cfg.samples_per_symbol
-        expected = np.sqrt(2 * cfg.power) * (d.reshape(9, -1) @ sig.reshape(-1, n))
+        expected = np.sqrt(2) * (d.reshape(9, -1) @ sig.reshape(-1, n))
         table = modulation_table(walsh, cfg)
         assert table.shape == (3 * carriers, 2 * n) and table.dtype == np.float64
         got = modulate_user(d, walsh, chips, cfg).reshape(9, n)
