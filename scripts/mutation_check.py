@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 _DRAW_TESTS = ("tests/test_harness.py", "-k", "symbol_draw")
 _BLOCK_DRAW_TESTS = ("tests/test_harness.py", "-k", "seeded_block_draws")
 _SPLIT_TESTS = ("tests/test_harness.py", "-k", "sources_match")
+_GROUP_TESTS = ("tests/test_harness.py", "-k", "sources_match or column_outputs")
 _TABLE_TESTS = ("tests/test_receiver.py", "-k", "matches_slice_products")
 _PRODUCT_TESTS = ("tests/test_receiver.py", "-k", "expanded_tables or work_arrays")
 _ENGINE_TESTS = ("tests/test_harness.py", "-k", "noiseless_outputs_match_sample_chain")
@@ -96,11 +97,18 @@ MUTANTS = (
     Mutant("inter-substream-mask-on-carrier-2", "harness.py",
            "mask[1:, 0, :, 2] = 1.0", "mask[1:, 1, :, 2] = 1.0", _SPLIT_TESTS),
     Mutant("multi-user-from-user-3", "harness.py",
-           "_column_outputs(column[1:], symbols[1:], gains[1:])",
-           "_column_outputs(column[2:], symbols[2:], gains[2:])", _SPLIT_TESTS),
+           'others=np.einsum("kwslc,kl->kwsc", column[1:], gains[1:]),',
+           'others=np.einsum("kwslc,kl->kwsc", column[1:], gains[1:])'
+           " * (np.arange(1, cfg.users) >= 2)[:, None, None, None],", _SPLIT_TESTS),
     Mutant("split-drops-previous-symbol", "harness.py",
-           "    if windows == 2:\n        per_user[:, 1:]",
-           "    if False:\n        per_user[:, 1:]", _SPLIT_TESTS),
+           "        if windows == 2:\n            per_user[first:last, 1:]",
+           "        if False:\n            per_user[first:last, 1:]", _SPLIT_TESTS),
+    Mutant("split-drops-last-partial-group", "harness.py",
+           "for first in range(0, users, group):",
+           "for first in range(0, users - users % group, group):", _GROUP_TESTS),
+    Mutant("user-codes-rolled-backwards", "harness.py",
+           "starts = (-np.arange(cfg.users)", "starts = (np.arange(cfg.users)",
+           ("tests/test_harness.py", "-k", "user_codes")),
     Mutant("slot-tables-window-at-equal-chip", "receiver.py",
            "window = lag > chip", "window = lag >= chip", _GRAM_TESTS),
     # the table build
@@ -207,6 +215,12 @@ MUTANTS = (
            "import ctypes\n", "import ctypes\nimport multiprocessing\n",
            ("tests/test_public_api.py", "-k", "without_scipy")),
     # the input checks
+    Mutant("lfsr-no-early-repeat-check", "codes.py",
+           "        if state == seed and i != period - 1:\n", "        if False:\n",
+           ("tests/test_codes.py", "-k", "period_dividing")),
+    Mutant("saleh-saturation-check-dropped", "hpa.py",
+           "        if not all(0.0 < p < math.inf for p in powers):\n", "        if False:\n",
+           ("tests/test_hpa.py", "-k", "saturation")),
     Mutant("noise-density-unbounded", "channel.py",
            "    if not 0.0 < n0 < np.inf:\n", "    if False:\n",
            ("tests/test_receiver.py", "-k", "ebn0_beyond_float_range")),

@@ -81,7 +81,7 @@ def generate_msequence(degree: int, taps: tuple[int, ...] | None = None, seed: i
     # Stage j of the register is bit j-1 of the integer state; the output is
     # taken from the last stage and feedback is the parity of the tapped stages.
     out_shift = degree - 1
-    bits = np.empty(period, dtype=np.int8)
+    bits = bytearray(period)
     state = seed
     for i in range(period):
         bits[i] = (state >> out_shift) & 1
@@ -95,5 +95,5 @@ def generate_msequence(degree: int, taps: tuple[int, ...] | None = None, seed: i
     if state != seed:
         raise ValueError(f"taps {taps} are not primitive: no return to the seed state")
 
-    return np.where(bits == 0, 1, -1).astype(np.int8)
+    return 1 - 2 * np.frombuffer(bits, dtype=np.int8)
 

@@ -43,8 +43,12 @@ rotation (none without an amplifier).
   The interference decomposition (measure_variances) reads the same
   tables: each source is a subset of the terms of that sum at user 1's
   first slot, so the split multiplies the tables' column for that slot
-  out over the Walsh rows (receiver.slot_tables) and is one product for
-  user 1, times a 0/1 mask per source, and one for the other users.
+  out over the Walsh rows (receiver.slot_tables).  Its one channel draw
+  fixes the weights: user 1's column times a 0/1 mask per source and the
+  other users' column, each with the path gains contracted in, formed
+  once per call (_source_split).  Each chunk of symbols then meets them
+  in one product per user, converted to float64 a group of users at a
+  time through one bounded buffer (_column_outputs).
 - g and W are the amplifier's (hpa.prepare_amplifier): W correlates what
   the amplifier adds to g times the linear waveform, per Walsh chip in
   T's shape (hpa.amplifier_correlations), and the two share one Walsh
@@ -136,9 +140,15 @@ class _Runtime:
 
 def _user_codes(cfg: LinkConfig) -> tuple:
     """The substreams' Walsh rows as float64 and every user's cyclically
-    shifted PN chips, shape (users, pn_length), user 1 first."""
+    shifted PN chips, shape (users, pn_length), user 1 first.  User k's chip
+    i is chip i - k * shift_spacing (mod pn_length) of the one m-sequence,
+    as in np.roll(pn, k * shift_spacing): pn_length chips of two periods
+    end to end, from chip -k * shift_spacing (mod pn_length) on.  Every
+    user's are gathered at once, with no (users, pn_length) index array."""
     pn = generate_msequence(cfg.pn_length.bit_length())
-    pn_chips = np.stack([np.roll(pn, k * cfg.shift_spacing) for k in range(cfg.users)])
+    starts = (-np.arange(cfg.users) * cfg.shift_spacing) % cfg.pn_length
+    pn_chips = np.lib.stride_tricks.sliding_window_view(np.concatenate((pn, pn)),
+                                                       cfg.pn_length)[starts]
     return substream_walsh_rows(generate_walsh(cfg.walsh_order), cfg), pn_chips
 
 
@@ -247,20 +257,34 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
     return z.reshape(symbols.shape[1], cfg.substreams, cfg.carriers)
 
 
-def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> dict:
-    """User 1's noiseless slot (1, 1) correlator output of
-    _correlation_outputs, split by origin: one (symbols,) array per
-    receiver.SOURCE_NAMES entry but the noise, each a subset of the terms of
-    the same sum at target slot 0.
+# float64 values (256 kB) of _column_outputs' buffer, which holds a group of
+# users' symbols at a time
+_SPLIT_VALUES = 1 << 15
+
+
+@dataclass(frozen=True)
+class _Split:
+    """The interference split of one channel draw (_source_split): the
+    weights every chunk of symbols meets, and the working buffer it meets
+    them in, reused chunk to chunk."""
+
+    own: np.ndarray       # (1, windows, slots, 4): user 1's, one column per source
+    others: np.ndarray    # (users - 1, windows, slots, 1): every other user's
+    factor: complex       # sqrt(2) e^{-j phi}, phi user 1's reference-path phase
+    work: dict = field(default_factory=dict)
+
+
+def _source_split(runtime: _Runtime, channel) -> _Split:
+    """The weights of _source_outputs on one channel draw, formed once for
+    all the symbols that meet it.
 
     desired is user 1's slot (1, 1) on path 0 and multipath the same symbols
     on the later paths; inter_substream is user 1's other substreams on
     carrier 1 and inter_carrier its other carriers, both on every path;
     multi_user is every other user.  The five partition the (user, slot,
-    path) terms of the tables' slot-0 column (receiver.slot_tables): one
-    product for user 1 against that column times a 0/1 mask per source,
-    one output column each, and one for the other users (_column_outputs).
-    The five sum to the slot-0 output."""
+    path) terms of the tables' slot-0 column (receiver.slot_tables): user
+    1's column times a 0/1 mask per source, one output column each, and the
+    other users' column, each with the path gains contracted into it."""
     cfg = runtime.scenario.config
     column = runtime.slot_column
     gains = _path_gains(channel)
@@ -273,25 +297,51 @@ def _source_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> dict:
     mask[1:, 0, :, 2] = 1.0
     mask[:, 1:, :, 3] = 1.0
     own = column[:1] * mask.reshape(1, 1, -1, paths, 4)
-    z = np.concatenate((_column_outputs(own, symbols[:1], gains[:1]),
-                        _column_outputs(column[1:], symbols[1:], gains[1:])), axis=1)
-    z *= np.sqrt(2.0) * np.exp(-1j * channel.phases[0, 0])
+    # sum_l gains[k, l] column[k, w, s, l, c]
+    return _Split(own=np.einsum("kwslc,kl->kwsc", own, gains[:1]),
+                  others=np.einsum("kwslc,kl->kwsc", column[1:], gains[1:]),
+                  factor=np.sqrt(2.0) * np.exp(-1j * channel.phases[0, 0]))
+
+
+def _source_outputs(split: _Split, symbols: np.ndarray) -> dict:
+    """User 1's noiseless slot (1, 1) correlator output of
+    _correlation_outputs, split by origin (_source_split): one (symbols,)
+    array per receiver.SOURCE_NAMES entry but the noise, each a subset of
+    the terms of the same sum at target slot 0.  User 1's symbols meet its
+    masked column in one product, and the other users' theirs
+    (_column_outputs).  The five sum to the slot-0 output."""
+    z = np.concatenate((_column_outputs(split.own, symbols[:1], split.work),
+                        _column_outputs(split.others, symbols[1:], split.work)), axis=1)
+    z *= split.factor
     return dict(zip(SOURCE_NAMES, z.T))
 
 
-def _column_outputs(column: np.ndarray, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """sum_k sum_l gains[k, l] (d_k[n] @ column[k, 0, :, l] + d_k[n-1] @ column[k, 1, :, l])
-    for each output column c of receiver.slot_tables' form, column being
-    (users, windows, slots, paths, columns), symbols (users, n, ...) with
-    its slots per symbol, and d_k[-1] = 0.  The path gains are contracted
-    into the column first, and each user's symbols meet it in one real
-    product, in their own layout.  Shape (n, columns)."""
-    users, windows, slots, _, _ = column.shape
-    weighted = np.einsum("kwslc,kl->kwsc", column, gains)
-    d = symbols.reshape(users, symbols.shape[1], slots).astype(np.float64)
-    per_user = np.matmul(d, weighted[:, 0].view(np.float64))
-    if windows == 2:
-        per_user[:, 1:] += np.matmul(d[:, :-1], weighted[:, 1].view(np.float64))
+def _column_outputs(weighted: np.ndarray, symbols: np.ndarray, work: dict) -> np.ndarray:
+    """sum_k (d_k[n] @ weighted[k, 0] + d_k[n-1] @ weighted[k, 1]) for each
+    output column c, weighted being (users, windows, slots, columns)
+    (_source_split), symbols (users, n, ...) with its slots per symbol, and
+    d_k[-1] = 0.  Shape (n, columns).
+
+    The symbols are converted to float64 as many users at a time as fit
+    one buffer, which work holds from call to call: _SPLIT_VALUES values,
+    or one user's n * slots when more, so that no array grows with users x
+    symbols x slots.  Each user's symbols meet its weights in one real
+    product, and the users' outputs are summed in user order at the end."""
+    users, windows, slots, columns = weighted.shape
+    n = symbols.shape[1]
+    buffer = work.get("split")
+    if buffer is None or buffer.size < n * slots:
+        buffer = work["split"] = np.empty(max(_SPLIT_VALUES, n * slots))
+    group = buffer.size // (n * slots)
+    per_user = np.empty((users, n, 2 * columns))
+    for first in range(0, users, group):
+        last = min(first + group, users)
+        d = buffer[:(last - first) * n * slots].reshape(last - first, n, slots)
+        np.copyto(d, symbols[first:last].reshape(last - first, n, slots))
+        np.matmul(d, weighted[first:last, 0].view(np.float64), out=per_user[first:last])
+        if windows == 2:
+            per_user[first:last, 1:] += np.matmul(d[:, :-1],
+                                                  weighted[first:last, 1].view(np.float64))
     return per_user.sum(axis=0).view(np.complex128)
 
 
@@ -496,10 +546,12 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     (_source_outputs) over n_symbols random-data symbols on one fixed
     channel realization of a linear-chain runtime.
 
-    Each chunk draws its symbols, splits their noiseless outputs
-    (_source_outputs) and then draws the noise of slot (1, 1), with that
-    slot's variance (user 1's Gram entry); with the noise off it is zero
-    and ebn0_db is not read.  With several paths each chunk is preceded by
+    The split's weights depend on the channel alone, so they are formed
+    once, before the chunks (_source_split).  Each chunk of at most chunk
+    symbols draws its symbols, splits their noiseless outputs against those
+    weights (_source_outputs) and then draws the noise of slot (1, 1), with
+    that slot's variance (user 1's Gram entry); with the noise off it is
+    zero and ebn0_db is not read.  With several paths each chunk is preceded by
     one uncounted warmup symbol, so that the missing previous symbol at its
     start does not bias the estimates.  chunk must be at least 1.
     """
@@ -508,11 +560,12 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1 symbol, got {chunk}")
     cfg = runtime.scenario.config
+    split = _source_split(runtime, channel)
     collected = {name: [] for name in SOURCE_NAMES}
     for start in range(0, n_symbols, chunk):
         n_total = min(chunk, n_symbols - start) + runtime.warmup
-        symbols = _draw_symbols(rng, (cfg.users, n_total, cfg.substreams, cfg.carriers))
-        sources = _source_outputs(runtime, channel, symbols)
+        sources = _source_outputs(
+            split, _draw_symbols(rng, (cfg.users, n_total, cfg.substreams, cfg.carriers)))
         sources["noise"] = (correlator_noise(ebn0_db, runtime.eb, runtime.noise_factor[:1, :1],
                                              n_total, rng)[:, 0]
                             if runtime.scenario.noise_enabled

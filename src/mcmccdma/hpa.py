@@ -84,7 +84,8 @@ class SalehParams:
     """Amplitude and phase coefficient pairs of the memoryless tube model.
 
     Defaults are the classical fitted values (2.1587, 1.1517, 4.0033, 9.1040);
-    all four must be finite and strictly positive.
+    all four must be finite and strictly positive, and so must the
+    saturation input and output powers they give.
     """
 
     alpha_am: float = 2.1587
@@ -98,6 +99,15 @@ class SalehParams:
         for name in ("alpha_am", "beta_am", "alpha_pm", "beta_pm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+        # Finite positive coefficients can still put a saturation power at 0
+        # or past the float range, where the operating point is undefined.
+        with np.errstate(over="ignore", under="ignore"):
+            powers = (self.saturation_input_power, self.saturation_output_power)
+        if not all(0.0 < p < math.inf for p in powers):
+            raise ValueError(
+                f"alpha_am={self.alpha_am!r} and beta_am={self.beta_am!r} give saturation "
+                f"input and output powers {float(powers[0])!r} and {float(powers[1])!r}; "
+                "both must be finite and positive")
 
     @property
     def saturation_input(self) -> float:

@@ -33,3 +33,17 @@ def erfc_oracle(x: float) -> float:
 def floor_chips(cfg):
     """Each sample's Walsh chip on the floor grid, computed per sample."""
     return (np.arange(cfg.samples_per_symbol) * cfg.walsh_order) // cfg.samples_per_symbol
+
+
+def lfsr_chips(degree: int, taps: tuple, seed: int) -> np.ndarray:
+    """One period of the Fibonacci LFSR that codes.generate_msequence
+    describes, stepped as a list of stages: stage j holds bit j of the seed,
+    each step outputs the last stage (0 -> +1, 1 -> -1), shifts every stage
+    up by one and feeds the parity of the tapped stages into the first."""
+    stages = [(seed >> j) & 1 for j in range(degree)]
+    chips = []
+    for _ in range(2 ** degree - 1):
+        chips.append(1 - 2 * stages[-1])
+        feedback = sum(stages[t - 1] for t in taps) % 2
+        stages = [feedback] + stages[:-1]
+    return np.array(chips, dtype=np.int8)

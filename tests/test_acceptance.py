@@ -245,7 +245,7 @@ def test_decomposition_identity():
     rng = np.random.default_rng(424242)
     channel = draw_channel(rng, users=3, n_paths=2, decay_db=3.0, fading=True)
     symbols = (2 * rng.integers(0, 2, size=(3, 1000, 2, 2)) - 1).astype(np.int8)
-    sources = harness._source_outputs(runtime, channel, symbols)
+    sources = harness._source_outputs(harness._source_split(runtime, channel), symbols)
     # The BER engine's noiseless slot (1, 1) output.
     z_total = harness._correlation_outputs(runtime, channel, symbols)[:, 0, 0]
     residual = np.abs(z_total - sum(sources.values()))
@@ -256,7 +256,8 @@ def test_decomposition_identity():
                                         paths=1, decay_db=0.0, fading=False)
     lone = draw_channel(rng, users=1, n_paths=1, decay_db=0.0, fading=False)
     symbols1 = (2 * rng.integers(0, 2, size=(1, 200, 2, 2)) - 1).astype(np.int8)
-    sources1 = harness._source_outputs(harness._prepare(lone_scenario), lone, symbols1)
+    sources1 = harness._source_outputs(
+        harness._source_split(harness._prepare(lone_scenario), lone), symbols1)
     lone_ok = bool(np.all(sources1["multipath"] == 0j) and np.all(sources1["multi_user"] == 0j))
     _report("decomposition identity", lone_ok,
             f"five-way noiseless split matches the correlator total within {worst:.1e} "

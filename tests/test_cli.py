@@ -178,6 +178,22 @@ class TestCli:
         assert "error: alpha_am must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("hpa_mode, key, value", [
+        ("saleh", "beta_am", "1e-320"),
+        ("saleh_pd", "alpha_am", "1e-300"),
+        ("saleh", "alpha_am", "1e-300"),
+        ("saleh_pd", "alpha_am", "4e169"),
+    ])
+    def test_degenerate_saturation_power_is_config_error(self, tmp_path, capsys, hpa_mode,
+                                                         key, value):
+        cfg = _write_tiny_config(tmp_path, hpa_mode=hpa_mode, **{key: value})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "saturation input and output powers" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_characterize_hpa_unknown_key(self, tmp_path):
         params = tmp_path / "amp.cfg"
         params.write_text("users = 5\n")

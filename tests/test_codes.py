@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mcmccdma.codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
 
+from oracles import lfsr_chips
+
 # LFSR stepped by hand: degree 3, taps (3, 1), seed state 0b001.
 # state  001 -> 011 -> 111 -> 110 -> 101 -> 010 -> 100 -> back to 001
 # outbit   0      0      1      1      1      0      1
@@ -90,6 +92,20 @@ class TestMSequence:
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has period 6, not 15
         with pytest.raises(ValueError, match="not primitive"):
             generate_msequence(4, (4, 2))
+
+    def test_period_dividing_full_length_rejected(self):
+        # x^4 + x^3 + x^2 + x + 1 is irreducible of order 5: the register is
+        # back at its seed after 15 steps too, so only the early repeat shows it
+        with pytest.raises(ValueError, match="repeats after 5 steps"):
+            generate_msequence(4, (4, 3, 2, 1))
+
+    @pytest.mark.parametrize("degree", sorted(PRIMITIVE_TAPS))
+    def test_matches_plain_lfsr(self, degree):
+        period = 2 ** degree - 1
+        for seed in sorted({1, 2, period // 3, period - 1, period}):
+            pn = generate_msequence(degree, seed=seed)
+            assert pn.dtype == np.int8
+            assert np.array_equal(pn, lfsr_chips(degree, PRIMITIVE_TAPS[degree], seed))
 
     def test_bad_taps_rejected(self):
         with pytest.raises(ValueError):

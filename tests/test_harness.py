@@ -1,4 +1,4 @@
-"""Monte Carlo harness, scenario checks, presets and config files."""
+"""Monte Carlo harness and scenario checks."""
 
 import dataclasses
 import math
@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from mcmccdma.analysis import emit_csv
 from mcmccdma.channel import draw_channel, propagate_samples
+from mcmccdma.codes import generate_msequence
 from mcmccdma import harness, hpa
-from mcmccdma.config import (HPA_MODES, ConfigError, Scenario, leaf_fields, load_config, preset,
-                             scenario_echo, scenario_from_keys)
+from mcmccdma.config import HPA_MODES, Scenario, preset
 from mcmccdma.harness import estimate_interference_variances, measure_variances, run_scenario
-from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, limiter_factor
+from mcmccdma.hpa import amplify_samples, apply_predistorter, limiter_factor
 from mcmccdma.receiver import SOURCE_NAMES, correlate_slots
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
                               walsh_chip_bounds)
@@ -294,7 +294,7 @@ class TestCorrelationEngine:
     ], ids=lambda sc: sc.name)
     def test_sources_match_sample_chain(self, scenario):
         runtime, channel, symbols, z = _recorded_block(scenario)
-        sources = harness._source_outputs(runtime, channel, symbols)
+        sources = harness._source_outputs(harness._source_split(runtime, channel), symbols)
         # Each source through the sample chain, on its own symbols and path
         # gains, zero where the source drops a path or a user.
         gains = harness._path_gains(channel)
@@ -1083,123 +1083,6 @@ class TestBlasThreads:
         assert blas_threads() == before
 
 
-class TestPresets:
-    def test_aliases_match_canonical(self):
-        for alias, canon in (("fig5", "system-comparison"), ("fig6", "user-sweep"),
-                             ("fig7", "carrier-sweep"), ("fig8", "linearization")):
-            a = preset(alias)
-            b = preset(canon)
-            assert [s.name for s in a] == [s.name for s in b]
-
-    def test_system_comparison_contents(self):
-        scenarios = {s.name: s for s in preset("system-comparison")}
-        assert set(scenarios) == {"multicode-multicarrier", "multicode-only",
-                                  "multicarrier-only"}
-        combined = scenarios["multicode-multicarrier"]
-        assert combined.config.users == 20
-        assert combined.config.substreams == 8
-        assert combined.config.carriers == 8
-        assert combined.fading
-        assert scenarios["multicode-only"].config.carriers == 1
-        assert scenarios["multicode-only"].paths > 1
-        assert scenarios["multicarrier-only"].config.substreams == 1
-
-    def test_user_sweep_contents(self):
-        users = [s.config.users for s in preset("user-sweep")]
-        assert users == [1, 10, 50]
-
-    def test_carrier_sweep_contents(self):
-        carriers = [s.config.carriers for s in preset("carrier-sweep")]
-        assert carriers == [2, 4, 8]
-        for s in preset("carrier-sweep"):
-            assert s.config.substreams == 8
-            assert s.config.users == 20
-
-    def test_linearization_contents(self):
-        modes = [(s.hpa_mode, s.ibo_db) for s in preset("linearization")]
-        assert ("saleh", 7.0) in modes
-        assert ("saleh", 9.0) in modes
-        assert any(m == "saleh_pd" for m, _ in modes)
-        for s in preset("linearization"):
-            assert not s.fading
-
-    def test_seed_override(self):
-        for s in preset("fig6", master_seed=7):
-            assert s.master_seed == 7
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            preset("fig9")
-
-
-class TestConfigFiles:
-    def test_load_and_build(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# comment line\n"
-            "name = demo\n"
-            "users=2\n"
-            "substreams = 2\n"
-            "carriers = 2   # trailing comment\n"
-            "walsh_order = 4\n"
-            "pn_length = 15\n"
-            "ebn0_grid = 0, 4, 8\n"
-            "fading = true\n"
-            "min_errors = 150\n"
-            "\n")
-        keys = load_config(path)
-        sc = scenario_from_keys(keys)
-        assert sc.name == "demo"
-        assert sc.config.users == 2
-        assert sc.config.walsh_order == 4
-        assert sc.ebn0_grid == (0.0, 4.0, 8.0)
-        assert sc.fading
-        assert sc.min_errors == 150
-
-    def test_echo_round_trip(self):
-        for family in ("system-comparison", "user-sweep", "carrier-sweep", "linearization"):
-            for sc in preset(family):
-                echoed = scenario_echo(sc)
-                rebuilt = scenario_from_keys(echoed)
-                assert rebuilt == sc, sc.name
-                assert scenario_echo(rebuilt) == echoed, sc.name
-
-    def test_leaf_names_unique_across_classes(self):
-        # flat config keys need every leaf name to occur once
-        names = [f.name for f, _ in leaf_fields(TINY)]
-        assert len(names) == len(set(names)) == 27
-        assert set(names) == {f.name for cls in (LinkConfig, Scenario, SalehParams)
-                              for f in dataclasses.fields(cls)} - {"config", "saleh"}
-
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            scenario_from_keys({"warp_factor": "9"})
-
-    def test_bad_int(self):
-        with pytest.raises(ConfigError, match="integer"):
-            scenario_from_keys({"users": "two"})
-
-    def test_bad_bool(self):
-        with pytest.raises(ConfigError, match="boolean"):
-            scenario_from_keys({"fading": "maybe"})
-
-    def test_constraint_violation_becomes_config_error(self):
-        with pytest.raises(ConfigError):
-            scenario_from_keys({"walsh_order": "3"})
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("users 2\n")
-        with pytest.raises(ConfigError, match="key=value"):
-            load_config(path)
-
-    def test_overrides_on_base(self):
-        base = preset("fig6")[0]
-        sc = scenario_from_keys({"min_errors": "123"}, base=base)
-        assert sc.min_errors == 123
-        assert sc.config == base.config
-
-
 class TestMeasureVariances:
     def test_linear_scenario_variances(self):
         sc = dataclasses.replace(
@@ -1229,6 +1112,24 @@ class TestMeasureVariances:
         with pytest.raises(ValueError):
             measure_variances(sc)
 
+    def test_split_memory_stays_under_a_full_symbol_copy(self):
+        # One 256-symbol chunk of multicode-multicarrier as float64 is
+        # 20 users x 256 x 64 slots x 8 B = 2.6 MB; the split converts the
+        # users a group at a time, so one whole call peaks well under it.
+        scenario = _preset_scenario("system-comparison", "multicode-multicarrier")
+        cfg = scenario.config
+        runtime = harness._prepare(scenario)
+        rng = np.random.default_rng(5)
+        channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
+        full_copy = cfg.users * 256 * cfg.substreams * cfg.carriers * 8
+        tracemalloc.start()
+        try:
+            estimate_interference_variances(runtime, channel, 8.0, rng, 2000, chunk=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_copy / 2
+
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_chunk_below_one_rejected(self, chunk):
         runtime = harness._prepare(TINY)
@@ -1236,3 +1137,54 @@ class TestMeasureVariances:
         channel = draw_channel(rng, 1, 1, 0.0, False)
         with pytest.raises(ValueError, match="chunk must be at least 1 symbol, got"):
             estimate_interference_variances(runtime, channel, 0.0, rng, 16, chunk=chunk)
+
+
+def _full_copy_column_outputs(weighted, symbols):
+    """harness._column_outputs with every user's symbols converted to
+    float64 at once."""
+    users, windows, slots, _ = weighted.shape
+    d = symbols.reshape(users, symbols.shape[1], slots).astype(np.float64)
+    per_user = np.matmul(d, weighted[:, 0].view(np.float64))
+    if windows == 2:
+        per_user[:, 1:] += np.matmul(d[:, :-1], weighted[:, 1].view(np.float64))
+    return per_user.sum(axis=0).view(np.complex128)
+
+
+@pytest.mark.parametrize("users, n, slots, windows, values", [
+    (5, 9, 4, 2, 3 * 9 * 4),     # groups of 3 users, the last one partial
+    (5, 9, 4, 1, 3 * 9 * 4),
+    (5, 9, 4, 2, 1),             # fewer values than one user's: one user a group
+    (20, 257, 8, 2, None),       # multicode-only's chunks at the default buffer
+    (0, 9, 4, 2, None),          # no other users
+], ids=["partial-group", "partial-group-one-window", "user-per-group", "default", "no-users"])
+def test_column_outputs_match_full_copy(users, n, slots, windows, values, monkeypatch):
+    if values is not None:
+        monkeypatch.setattr(harness, "_SPLIT_VALUES", values)
+    rng = np.random.default_rng(users + n + windows)
+    weighted = (rng.standard_normal((users, windows, slots, 3))
+                + 1j * rng.standard_normal((users, windows, slots, 3)))
+    work = {}
+    buffers = []
+    for length in (n, n - 4):   # a shorter last chunk reuses the buffer
+        symbols = (2 * rng.integers(0, 2, size=(users, length, slots)) - 1).astype(np.int8)
+        z = harness._column_outputs(weighted, symbols, work)
+        assert z.shape == (length, 3)
+        assert np.array_equal(z, _full_copy_column_outputs(weighted, symbols))
+        if users == 0:
+            assert not z.any()
+        buffers.append(work["split"])
+    assert buffers[0] is buffers[1]
+    assert buffers[0].size == max(harness._SPLIT_VALUES, n * slots)
+
+
+@pytest.mark.parametrize("config", [
+    _preset_scenario("user-sweep", "users-50").config,
+    _preset_scenario("system-comparison", "multicarrier-only").config,
+    TINY.config,
+], ids=["users-50", "multicarrier-only", "one-user"])
+def test_user_codes_are_rolled_msequences(config):
+    _, pn_chips = harness._user_codes(config)
+    pn = generate_msequence(config.pn_length.bit_length())
+    rolled = np.stack([np.roll(pn, k * config.shift_spacing) for k in range(config.users)])
+    assert pn_chips.dtype == np.int8
+    assert np.array_equal(pn_chips, rolled)

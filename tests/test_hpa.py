@@ -82,6 +82,22 @@ class TestSalehCurves:
         with pytest.raises(ValueError, match="finite"):
             SalehParams(**{name: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(beta_am=1e-320),    # input saturation power 1/beta_am overflows
+        dict(alpha_am=1e-300),   # output saturation power underflows to 0
+        dict(alpha_am=4e169),    # output saturation power overflows
+    ], ids=["input-infinite", "output-zero", "output-overflows"])
+    def test_degenerate_saturation_power_rejected(self, kwargs):
+        # pytest turns warnings into errors, so this also holds the check
+        # to computing the powers without an overflow warning
+        with pytest.raises(ValueError, match="saturation input and output powers"):
+            SalehParams(**kwargs)
+
+    def test_extreme_coefficients_with_finite_saturation_accepted(self):
+        params = SalehParams(alpha_am=1e200, beta_am=1e200)
+        assert params.saturation_output_power == pytest.approx(2.5e199)
+        assert params.saturation_input_power == 1e-200
+
     @pytest.mark.parametrize("kwargs, message", [
         (dict(ampm_quadratic="off"), "ampm_quadratic must be true or false"),
         (dict(ampm_quadratic=1), "ampm_quadratic must be true or false"),

@@ -286,7 +286,7 @@ def _source_setup(users=1, paths=1, fading=False, seed=0, n_symbols=8,
     rng = np.random.default_rng(seed)
     channel = draw_channel(rng, users, paths, 0.0, fading)
     symbols = rng.choice([-1, 1], size=(users, n_symbols, r, m)).astype(np.int8)
-    sources = harness._source_outputs(runtime, channel, symbols)
+    sources = harness._source_outputs(harness._source_split(runtime, channel), symbols)
     return runtime, channel, symbols, sources
 
 
