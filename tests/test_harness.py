@@ -1,4 +1,4 @@
-"""Monte Carlo harness and scenario checks."""
+"""Monte Carlo harness, scenario checks and config files."""
 
 import dataclasses
 import math
@@ -15,9 +15,10 @@ from mcmccdma.analysis import emit_csv
 from mcmccdma.channel import draw_channel, propagate_samples
 from mcmccdma.codes import generate_msequence
 from mcmccdma import harness, hpa
-from mcmccdma.config import HPA_MODES, Scenario, preset
+from mcmccdma.config import (HPA_MODES, ConfigError, Scenario, leaf_fields, load_config, preset,
+                             scenario_echo, scenario_from_keys)
 from mcmccdma.harness import estimate_interference_variances, measure_variances, run_scenario
-from mcmccdma.hpa import amplify_samples, apply_predistorter, limiter_factor
+from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, limiter_factor
 from mcmccdma.receiver import SOURCE_NAMES, correlate_slots
 from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
                               walsh_chip_bounds)
@@ -1081,6 +1082,74 @@ class TestBlasThreads:
         measure_variances(TINY, n_symbols=16)
         assert len(scans) == 3
         assert blas_threads() == before
+
+
+class TestConfigFiles:
+    def test_load_and_build(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "# comment line\n"
+            "name = demo\n"
+            "users=2\n"
+            "substreams = 2\n"
+            "carriers = 2   # trailing comment\n"
+            "walsh_order = 4\n"
+            "pn_length = 15\n"
+            "ebn0_grid = 0, 4, 8\n"
+            "fading = true\n"
+            "min_errors = 150\n"
+            "\n")
+        keys = load_config(path)
+        sc = scenario_from_keys(keys)
+        assert sc.name == "demo"
+        assert sc.config.users == 2
+        assert sc.config.walsh_order == 4
+        assert sc.ebn0_grid == (0.0, 4.0, 8.0)
+        assert sc.fading
+        assert sc.min_errors == 150
+
+    def test_echo_round_trip(self):
+        for family in ("system-comparison", "user-sweep", "carrier-sweep", "linearization"):
+            for sc in preset(family):
+                echoed = scenario_echo(sc)
+                rebuilt = scenario_from_keys(echoed)
+                assert rebuilt == sc, sc.name
+                assert scenario_echo(rebuilt) == echoed, sc.name
+
+    def test_leaf_names_unique_across_classes(self):
+        # flat config keys need every leaf name to occur once
+        names = [f.name for f, _ in leaf_fields(TINY)]
+        assert len(names) == len(set(names)) == 27
+        assert set(names) == {f.name for cls in (LinkConfig, Scenario, SalehParams)
+                              for f in dataclasses.fields(cls)} - {"config", "saleh"}
+
+    def test_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            scenario_from_keys({"warp_factor": "9"})
+
+    def test_bad_int(self):
+        with pytest.raises(ConfigError, match="integer"):
+            scenario_from_keys({"users": "two"})
+
+    def test_bad_bool(self):
+        with pytest.raises(ConfigError, match="boolean"):
+            scenario_from_keys({"fading": "maybe"})
+
+    def test_constraint_violation_becomes_config_error(self):
+        with pytest.raises(ConfigError):
+            scenario_from_keys({"walsh_order": "3"})
+
+    def test_malformed_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("users 2\n")
+        with pytest.raises(ConfigError, match="key=value"):
+            load_config(path)
+
+    def test_overrides_on_base(self):
+        base = preset("fig6")[0]
+        sc = scenario_from_keys({"min_errors": "123"}, base=base)
+        assert sc.min_errors == 123
+        assert sc.config == base.config
 
 
 class TestMeasureVariances:
