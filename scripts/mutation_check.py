@@ -130,10 +130,17 @@ MUTANTS = (
     Mutant("unreversed-toeplitz", "receiver.py",
            "sliding_window_view(flipped, n_car, axis=-1)[..., ::-1, :]",
            "sliding_window_view(flipped, n_car, axis=-1)", _TABLE_TESTS),
-    # the block product
-    Mutant("walsh-transform-untransposed-rows", "receiver.py",
+    # the block's one Walsh spreading, and the block product
+    Mutant("walsh-transform-untransposed-rows", "txchain.py",
            "np.matmul(walsh_rows.T, d.reshape(n_sub, -1),",
            "np.matmul(walsh_rows, d.reshape(n_sub, -1),", _PRODUCT_TESTS),
+    Mutant("reversed-walsh-repeat", "txchain.py",
+           "np.matmul(walsh_rows.T, d.reshape(n_sub, -1),",
+           "np.matmul(walsh_rows[:, ::-1].T, d.reshape(n_sub, -1),", _ENGINE_TESTS),
+    Mutant("amplifier-rows-symbol-major", "hpa.py",
+           "np.multiply(chips.transpose(0, 2, 1, 3), np.sqrt(2.0), out=b)",
+           "np.multiply(chips.reshape(b.shape), np.sqrt(2.0), out=b)",
+           ("tests/test_harness.py", "-k", "per_user_chain")),
     Mutant("conjugated-gains", "receiver.py",
            "gains[:, 0, None, None, None],", "gains[:, 0, None, None, None].conj(),",
            _PRODUCT_TESTS),
@@ -172,6 +179,8 @@ MUTANTS = (
            " < amplifier.cells.lengths[cells, None]\n", "", _LIMITER_TESTS),
     Mutant("calibration-g-for-g-squared", "hpa.py",
            "* g * g * np.sum(", "* g * np.sum(", _LIMITER_TESTS),
+    Mutant("peak-bound-drops-last-lag", "hpa.py",
+           "for term in rho[1:]:", "for term in rho[1:-1]:", _BOUND_TESTS),
     Mutant("cell-bound-no-bernstein-term", "hpa.py",
            "    bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]\n", "",
            _BOUND_TESTS),
@@ -221,6 +230,9 @@ MUTANTS = (
     Mutant("saleh-saturation-check-dropped", "hpa.py",
            "        if not all(0.0 < p < math.inf for p in powers):\n", "        if False:\n",
            ("tests/test_hpa.py", "-k", "saturation")),
+    Mutant("scenario-drive-unchecked", "config.py",
+           '        if self.hpa_mode != "bypass":\n            amplifier_drive(self)\n', "",
+           ("tests/test_cli.py", "-k", "drive_without_finite_scale")),
     Mutant("noise-density-unbounded", "channel.py",
            "    if not 0.0 < n0 < np.inf:\n", "    if False:\n",
            ("tests/test_receiver.py", "-k", "ebn0_beyond_float_range")),
@@ -228,9 +240,6 @@ MUTANTS = (
            '        if kind == "bool" and not isinstance(value, bool):\n'
            '            raise ValueError(f"{f.name} must be true or false, got {value!r}")\n', "",
            ("tests/test_harness.py", "tests/test_hpa.py", "-k", "mistyped")),
-    Mutant("reversed-walsh-repeat", "txchain.py",
-           "np.diff(walsh_chip_bounds(config)),", "np.diff(walsh_chip_bounds(config))[::-1],",
-           ("tests/test_txchain.py",)),
 )
 
 

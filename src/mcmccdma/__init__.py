@@ -24,7 +24,6 @@ from .channel import (
     ChannelRealization,
     draw_channel,
     path_power_profile,
-    propagate_samples,
 )
 from .codes import (
     PRIMITIVE_TAPS,
@@ -51,16 +50,8 @@ from .hpa import (
     input_scale_for_power,
     pd_amplitude,
 )
-from .receiver import (
-    SOURCE_NAMES,
-    InterferenceVariances,
-    correlate_slots,
-)
-from .txchain import (
-    LinkConfig,
-    modulate_user,
-    slot_signatures,
-)
+from .receiver import SOURCE_NAMES, InterferenceVariances
+from .txchain import LinkConfig
 
 __version__ = "0.1.0"
 
@@ -83,7 +74,6 @@ __all__ = [
     "binomial_ci95",
     "compute_obo",
     "conditional_ber",
-    "correlate_slots",
     "draw_channel",
     "emit_csv",
     "erfc",
@@ -94,16 +84,13 @@ __all__ = [
     "input_scale_for_power",
     "load_config",
     "measure_variances",
-    "modulate_user",
     "parse_csv",
     "path_power_profile",
     "pd_amplitude",
     "preset",
-    "propagate_samples",
     "run_scenario",
     "saleh_from_keys",
     "scenario_echo",
     "scenario_from_keys",
-    "slot_signatures",
     "theoretical_curve",
 ]

@@ -7,9 +7,8 @@ phases.  Noise is calibrated against the measured transmitted energy per
 information bit, so back-off comparisons are not conflated with SNR loss;
 time, and so that energy, is counted in symbol periods.
 
-Everything here works on plain arrays: propagate_samples takes one user's
-complex path gains, path l delayed by l chips as in ChannelRealization, and
-correlator_noise takes the Eb/N0 in dB and the energy per bit.
+Everything here works on plain arrays: correlator_noise takes the Eb/N0 in
+dB and the energy per bit.
 """
 
 from __future__ import annotations
@@ -61,34 +60,6 @@ def draw_channel(rng: np.random.Generator, users: int, n_paths: int,
         gains = np.broadcast_to(np.sqrt(profile), (users, n_paths)).copy()
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(users, n_paths))
     return ChannelRealization(gains=gains, phases=phases)
-
-
-def propagate_samples(samples: np.ndarray, gains, samples_per_chip: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Sum of delayed copies of a sample array, copy l weighted by the
-    complex path gain gains[l] and delayed by l chips, over the full support
-    (input length plus the largest delay).
-
-    With out given, the copies are added into it in place and out is
-    returned, so a caller can sum many users' signals into one buffer
-    without a temporary per user; an out longer than the support holds
-    zeros past it.
-    """
-    if samples_per_chip < 1:
-        raise ValueError(f"samples_per_chip must be >= 1, got {samples_per_chip}")
-    gains = np.asarray(gains)
-    support = samples.size + max(gains.size - 1, 0) * samples_per_chip
-    if out is None:
-        out = np.zeros(support, dtype=np.complex128)
-    elif out.size < support:
-        raise ValueError(f"out holds {out.size} samples, fewer than the {support} "
-                         "of the delayed copies")
-    scratch = np.empty(samples.size, dtype=np.complex128)
-    for path, gain in enumerate(gains):
-        shift = path * samples_per_chip
-        np.multiply(samples, gain, out=scratch)
-        out[shift:shift + samples.size] += scratch
-    return out
 
 
 def correlator_noise(ebn0_db: float, eb: float, factor: np.ndarray, n_windows: int,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .codes import PRIMITIVE_TAPS
-from .hpa import SalehParams
+from .hpa import SalehParams, amplifier_drive
 from .txchain import LinkConfig, check_field_types, declared_type
 
 HPA_MODES = ("bypass", "saleh", "saleh_pd")
@@ -100,6 +100,8 @@ class Scenario:
         if cfg.users > 1 and self.paths - 1 >= stride:
             raise ValueError(f"path delays up to {self.paths - 1} chips alias the "
                              f"{stride}-chip PN shift spacing between users")
+        if self.hpa_mode != "bypass":
+            amplifier_drive(self)
 
 
 def preset(name: str, master_seed: int | None = None) -> list:

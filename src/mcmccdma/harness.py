@@ -36,10 +36,10 @@ rotation (none without an amplifier).
   tabulates the partial cross-correlations between each user's delayed
   chip stream and user 1's Walsh chips, one carrier block per (path, chip,
   user, chip lag) with the Walsh rows factored out
-  (receiver.partial_correlation_tables).  Each block Walsh-transforms every
-  user's symbols, weighs the tables by the block's path gains and forms
-  user 1's per-chip sums in one product per Walsh chip
-  (receiver.correlate_tables).
+  (receiver.partial_correlation_tables).  Each block spreads every user's
+  symbols onto its Walsh chips once (txchain.spread_symbols), weighs the
+  tables by the block's path gains and forms user 1's per-chip sums in one
+  product per Walsh chip (receiver.correlate_tables).
   The interference decomposition (measure_variances) reads the same
   tables: each source is a subset of the terms of that sum at user 1's
   first slot, so the split multiplies the tables' column for that slot
@@ -51,18 +51,18 @@ rotation (none without an amplifier).
   time through one bounded buffer (_column_outputs).
 - g and W are the amplifier's (hpa.prepare_amplifier): W correlates what
   the amplifier adds to g times the linear waveform, per Walsh chip in
-  T's shape (hpa.amplifier_correlations), and the two share one Walsh
-  combine (receiver.combine_walsh_chips).  Without an amplifier ("bypass")
-  g = 1 and W = 0; the tube ("saleh") has g = 0, and the predistorted tube
-  ("saleh_pd"), an envelope limiter, has g = the predistorter's input
-  scale.
+  T's shape, from the same spread symbols (hpa.amplifier_correlations),
+  and the two share one Walsh combine (receiver.combine_walsh_chips).
+  Without an amplifier ("bypass") g = 1 and W = 0; the tube ("saleh") has
+  g = 0, and the predistorted tube ("saleh_pd"), an envelope limiter, has
+  g = the predistorter's input scale.
 - The noise is drawn per correlator output (channel.correlator_noise),
   with the covariance white sample noise would leave there: a factor of
   user 1's Gram matrix, from the same tables (receiver.signature_gram).
 
-Noiseless, the outputs agree with the sample-level reference chain
-(modulate_user, the frame amplifier kernels, propagate_samples,
-correlate_slots) to round-off, which the tests hold to 1e-12.
+Noiseless, the outputs agree to round-off with a sample-level chain that
+modulates, amplifies (with hpa's sample kernels), propagates and
+correlates every sample, which the tests hold to 1e-12.
 
 Noise calibration: the energy per information bit is taken from the actual
 transmitted (post-amplifier) waveform, once per scenario, so that back-off
@@ -98,7 +98,7 @@ from .hpa import (LimiterState, TubeState, amplifier_calibration, amplifier_corr
 from .receiver import (SOURCE_NAMES, InterferenceVariances, combine_walsh_chips,
                        correlate_tables, decide_slots, partial_correlation_tables,
                        signature_gram, slot_tables)
-from .txchain import LinkConfig, substream_walsh_rows
+from .txchain import LinkConfig, spread_symbols, substream_walsh_rows
 
 _CALIBRATION_SYMBOLS = 256
 
@@ -121,8 +121,8 @@ class _Runtime:
     amplifier: TubeState | LimiterState | None   # hpa.prepare_amplifier
     eb: float
     phase_offset: float
-    # the working arrays of the blocks' correlate_tables and of the
-    # amplifier's (receiver._work_array), reused block to block
+    # the working arrays of the blocks' spread_symbols, correlate_tables
+    # and amplifier (txchain._work_array), reused block to block
     work: dict = field(default_factory=dict)
 
     @property
@@ -229,11 +229,13 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
 
         z = g sqrt(2) e^{-j theta} T + W.
 
-    T is the linear chain's correlation, from the runtime's partial
-    cross-correlation tables as per-chip sums (receiver.correlate_tables),
-    and g the runtime's linear_gain.  W is what the amplifier adds to g
-    times the linear waveform, correlated against user 1's signatures per
-    Walsh chip (hpa.amplifier_correlations; zero without an amplifier).
+    Every user's symbols are spread onto their Walsh chips once
+    (txchain.spread_symbols), and both terms start from them.  T is the
+    linear chain's correlation, from the runtime's partial cross-correlation
+    tables as per-chip sums (receiver.correlate_tables), and g the runtime's
+    linear_gain.  W is what the amplifier adds to g times the linear
+    waveform, correlated against user 1's signatures per Walsh chip
+    (hpa.amplifier_correlations; zero without an amplifier).
     Both are (walsh_order, symbols, carriers) sums, so they are added before
     one Walsh combine (receiver.combine_walsh_chips), the tables' 1/N undone
     since the combine divides by N; a tube block (g = 0) forms no T at all.
@@ -243,13 +245,13 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
     cfg = runtime.scenario.config
     n_samp = cfg.samples_per_symbol
     gains = _path_gains(channel)
+    chips = spread_symbols(runtime.walsh, symbols, runtime.work)
     per_chip = None
     if runtime.linear_gain:
-        per_chip = correlate_tables(runtime.correlation, runtime.walsh, symbols, gains,
-                                    runtime.work)
+        per_chip = correlate_tables(runtime.correlation, chips, gains, runtime.work)
         per_chip *= runtime.linear_gain * np.sqrt(2.0) * n_samp
     amplified = (None if runtime.amplifier is None
-                 else amplifier_correlations(runtime.amplifier, symbols, gains, runtime.work))
+                 else amplifier_correlations(runtime.amplifier, chips, gains, runtime.work))
     if amplified is not None:
         per_chip = amplified if per_chip is None else per_chip + amplified
     z = combine_walsh_chips(per_chip, runtime.walsh, n_samp,

@@ -75,8 +75,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver import _work_array, chip_correlations
-from .txchain import LinkConfig, check_field_types, subcarrier_exponentials, walsh_chip_bounds
+from .receiver import chip_correlations
+from .txchain import (LinkConfig, _work_array, check_field_types, spread_symbols,
+                      subcarrier_exponentials, walsh_chip_bounds)
 
 
 @dataclass(frozen=True)
@@ -433,57 +434,69 @@ class LimiterState:
     cells: _CellGrid
 
 
+def amplifier_drive(scenario) -> float:
+    """The drive of the amplifier of a scenario (config.Scenario) in the
+    "saleh" or "saleh_pd" mode, set against the linear chain's mean
+    transmitted power, 2 substreams carriers at unit branch power: the
+    tube's input scale, ibo_db below the saturating input power
+    (input_scale_for_power), or the limiter's g, ibo_db below the saturated
+    output power, since the predistorter expects desired output moduli.
+    ValueError unless it is finite and positive, so that Scenario, which
+    calls it when it is built, rejects a drive no run could set up."""
+    cfg, saleh = scenario.config, scenario.saleh
+    mean_tx_power = 2.0 * cfg.substreams * cfg.carriers
+    if scenario.hpa_mode == "saleh":
+        return input_scale_for_power(mean_tx_power, scenario.ibo_db, saleh)
+    with np.errstate(over="ignore", under="ignore"):
+        g = float(np.sqrt(saleh.saturation_output_power
+                          / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"an input back-off of {scenario.ibo_db} dB gives the predistorter "
+                         f"no finite positive input scale, got {g}")
+    return g
+
+
 def prepare_amplifier(scenario, walsh: np.ndarray,
                       pn_chips: np.ndarray) -> TubeState | LimiterState | None:
     """The state of the amplifier of a scenario (config.Scenario), given
     the substreams' Walsh rows as float64 and every user's PN chips (users,
     pn_length): None for "bypass", a TubeState for "saleh", a LimiterState
-    for "saleh_pd".
-
-    The back-off is set against the linear chain's mean transmitted power,
-    2 substreams carriers at unit branch power: below the saturating input
-    power for the tube (input_scale_for_power), and below the saturated
-    output power for the limiter, since the predistorter expects desired
-    output moduli."""
+    for "saleh_pd", each at its amplifier_drive."""
     if scenario.hpa_mode == "bypass":
         return None
     cfg, saleh = scenario.config, scenario.saleh
-    mean_tx_power = 2.0 * cfg.substreams * cfg.carriers
     if scenario.hpa_mode == "saleh":
         carriers = subcarrier_exponentials(cfg)
         pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1).astype(np.float64)
         # Slot (r, m) of user 1 is w_r(chip i) pn_1(i) E_m(i) at sample i.
         return TubeState(
-            config=cfg, walsh=walsh, saleh=saleh,
-            input_scale=input_scale_for_power(mean_tx_power, scenario.ibo_db, saleh),
+            config=cfg, walsh=walsh, saleh=saleh, input_scale=amplifier_drive(scenario),
             carriers=carriers.view(np.float64), pn_samples=pn_samples,
             carrier_correlator=np.ascontiguousarray(pn_samples[0, :, None] * carriers.conj().T))
-    return LimiterState(
-        config=cfg, walsh=walsh, saleh=saleh,
-        linear_gain=float(np.sqrt(saleh.saturation_output_power
-                                  / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0)))),
-        cells=_cell_grid(cfg, pn_chips, scenario.paths))
+    return LimiterState(config=cfg, walsh=walsh, saleh=saleh, linear_gain=amplifier_drive(scenario),
+                        cells=_cell_grid(cfg, pn_chips, scenario.paths))
 
 
-def amplifier_correlations(amplifier: TubeState | LimiterState, symbols: np.ndarray,
+def amplifier_correlations(amplifier: TubeState | LimiterState, chips: np.ndarray,
                            gains: np.ndarray, work: dict) -> np.ndarray | None:
     """A block's W per (Walsh chip, window) before the Walsh combine, shape
-    (walsh_order, symbols, carriers), or None when it is zero: symbols holds
-    every user's (users, symbols, substreams, carriers), gains the complex
-    path gains (users, paths), and work the block's working arrays
-    (receiver._work_array)."""
+    (walsh_order, symbols, carriers), or None when it is zero: chips holds
+    every user's symbols on its Walsh chips (txchain.spread_symbols), gains
+    the complex path gains (users, paths), and work the block's working
+    arrays (txchain._work_array)."""
     if isinstance(amplifier, TubeState):
-        return _tube_correlations(amplifier, symbols, gains)
-    return _excess_correlations(amplifier, symbols, gains, work)
+        return _tube_correlations(amplifier, chips, gains, work)
+    return _excess_correlations(amplifier, chips, gains, work)
 
 
 def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray,
                           gram: np.ndarray, work: dict) -> tuple:
     """(energy per information bit, mean rotation) of user 1's PN-free
     calibration frame through the amplifier: frame holds its symbol rows
-    (symbols, substreams, carriers), gram is user 1's Gram matrix
+    (symbols, substreams, carriers), spread onto its Walsh chips as one
+    user's (txchain.spread_symbols), gram is user 1's Gram matrix
     (receiver.signature_gram) and work the working arrays
-    (receiver._work_array).  Time is counted in symbol periods, so the
+    (txchain._work_array).  Time is counted in symbol periods, so the
     energy per bit is the frame's mean power over the bits per symbol.
 
     The frame's energy is that of its linear term g x, in closed form
@@ -506,14 +519,15 @@ def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray
         d = frame.reshape(n_symbols, -1).astype(np.float64)
         energy = 2.0 * cfg.samples_per_symbol * g * g * np.sum((d @ gram.real) * d)
     rotation = 0.0
+    chips = spread_symbols(amplifier.walsh, frame[None], work)
     if isinstance(amplifier, TubeState):
         cross = 0.0
-        for _, linear, tx in _waveform_tiles(amplifier, frame):
+        for _, linear, tx in _waveform_tiles(amplifier, chips, work):
             energy += np.vdot(tx, tx).real
             cross += np.vdot(linear, tx)
         rotation = float(np.angle(cross))
     else:
-        for _, cells, driven, factor in _driven_cells(amplifier, frame, work):
+        for _, cells, driven, factor in _driven_cells(amplifier, chips, work):
             factor *= np.arange(_CELL_SAMPLES) < amplifier.cells.lengths[cells, None]
             excess = driven * factor
             energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
@@ -521,37 +535,34 @@ def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray
     return mean_power / cfg.bits_per_symbol, rotation
 
 
-def _carrier_coefficients(amplifier: TubeState | LimiterState, symbols: np.ndarray) -> np.ndarray:
-    """b[c, n, m] = sqrt(2) sum_r d[n, r, m] w_r(c): symbol row n's
-    real coefficient on carrier m during Walsh chip c, shape (walsh_order,
-    rows, carriers).  symbols holds rows of (substreams, carriers) symbols,
-    shape (..., substreams, carriers).  Row n's PN-free linear waveform is
-    sum_m b[c, n, m] E_m(i) during chip c, with E_m(i) =
-    e^{j (m+1) 2 pi W i / N} (txchain.subcarrier_exponentials): the shared
-    modulation table (txchain.modulation_table) applied to the row."""
-    cfg = amplifier.config
-    n_sub, n_car = cfg.substreams, cfg.carriers
-    # (rows, carriers, substreams) @ (substreams, order) -> b[c, row, m]
-    d = symbols.reshape(-1, n_sub, n_car).transpose(0, 2, 1).reshape(-1, n_sub)
-    b = d.astype(np.float64) @ amplifier.walsh
-    b *= np.sqrt(2.0)
-    return np.ascontiguousarray(b.reshape(-1, n_car, cfg.walsh_order).transpose(2, 0, 1))
+def _row_coefficients(chips: np.ndarray, work: dict) -> np.ndarray:
+    """b[c, k n_total + n, m] = sqrt(2) chips[c, n, k, m]: the real
+    coefficient of symbol row (k, n), user k's symbol n, on carrier m during
+    Walsh chip c, shape (walsh_order, users * n_total, carriers), from the
+    Walsh-spread symbols (txchain.spread_symbols), rows in (user, symbol)
+    order.  The row's PN-free linear waveform is sum_m b[c, row, m] E_m(i)
+    during chip c, with E_m(i) = e^{j (m+1) 2 pi W i / N}
+    (txchain.subcarrier_exponentials).  A working array of work."""
+    order, n_total, users, n_car = chips.shape
+    b = _work_array(work, "rows", (order, users, n_total, n_car))
+    np.multiply(chips.transpose(0, 2, 1, 3), np.sqrt(2.0), out=b)
+    return b.reshape(order, -1, n_car)
 
 
-def _waveform_tiles(tube: TubeState, symbols: np.ndarray):
+def _waveform_tiles(tube: TubeState, chips: np.ndarray, work: dict):
     """Every symbol row's PN-free linear waveform in tiles, each tile also
     through the tube at its drive: the one loop of the tube's blocks and of
     its calibration.
 
-    symbols holds rows of (substreams, carriers) symbols, shape (...,
-    substreams, carriers).  During Walsh chip c row n is
-    sum_m b[c, n, m] E_m(i) (_carrier_coefficients), so each run of one
+    chips holds the rows' symbols on their Walsh chips
+    (txchain.spread_symbols).  During Walsh chip c row n is
+    sum_m b[c, n, m] E_m(i) (_row_coefficients), so each run of one
     Walsh chip (txchain.walsh_chip_bounds) within a slab of _SLAB_SAMPLES
     positions is one real GEMM of b[c] against the carrier exponentials with
     re/im interleaved.  Each run is yielded as (first position, linear tile,
     amplified tile), the tiles complex, (rows, run length), in order of
     position."""
-    b = _carrier_coefficients(tube, symbols)
+    b = _row_coefficients(chips, work)
     bounds = walsh_chip_bounds(tube.config)
     for chip, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         cuts = [lo, *range((lo // _SLAB_SAMPLES + 1) * _SLAB_SAMPLES, hi, _SLAB_SAMPLES), hi]
@@ -560,24 +571,25 @@ def _waveform_tiles(tube: TubeState, symbols: np.ndarray):
             yield first, linear, amplify_samples(tube.input_scale * linear, tube.saleh)
 
 
-def _tube_correlations(tube: TubeState, symbols: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def _tube_correlations(tube: TubeState, chips: np.ndarray, gains: np.ndarray,
+                       work: dict) -> np.ndarray:
     """W of a tube block per (Walsh chip, window): the noiseless received
     frame through the tube, cut into the (symbols, samples_per_symbol)
     correlator windows and correlated per Walsh chip
     (receiver.chip_correlations).  The frame holds every user's amplified
-    waveform, built tile by tile over all users' symbols at once
+    waveform, built tile by tile over all users' symbol rows at once
     (_waveform_tiles), times its chips.  Per path l, the users' tiles are
     summed with their gains h_kl in one product and added into a
     (symbols, samples) view of the frame shifted by the path delay.  The
     part that falls past the last window is dropped, as the correlator
     drops it."""
     cfg = tube.config
-    users, n_total = symbols.shape[:2]
+    _, n_total, users, _ = chips.shape
     length = n_total * cfg.samples_per_symbol
     shifts = [l * cfg.oversampling for l in range(gains.shape[1])]
     received = np.zeros(length + shifts[-1], dtype=np.complex128)
     delayed = [received[shift:shift + length].reshape(n_total, -1) for shift in shifts]
-    for start, _, tx in _waveform_tiles(tube, symbols):
+    for start, _, tx in _waveform_tiles(tube, chips, work):
         stop = start + tx.shape[1]
         tx = tx.reshape(users, n_total, stop - start) * tube.pn_samples[:, None, start:stop]
         for frame, gain in zip(delayed, gains.T):
@@ -633,18 +645,24 @@ def _autocorrelations(b: np.ndarray) -> np.ndarray:
     rho_0 + 2 sum_{k>=1} rho_k cos(k phi), for real b.  Shape
     (M, *b.shape[:-1])."""
     n_car = b.shape[-1]
-    b = np.ascontiguousarray(np.moveaxis(b, -1, 0))
-    rho = np.empty(b.shape)
+    rho = np.empty((n_car, *b.shape[:-1]))
     for k in range(n_car):
-        np.einsum("m...,m...->...", b[:n_car - k], b[k:], out=rho[k])
+        np.einsum("...m,...m->...", b[..., :n_car - k], b[..., k:], out=rho[k])
     return rho
 
 
 def _peak_power_bound(rho: np.ndarray) -> np.ndarray:
     """An upper bound on a row's power over every angle, from its
     _autocorrelations: rho_0 + 2 sum_k |rho_k| (Tellambura, Electron. Lett.
-    33(19), 1997).  Shape rho.shape[1:]."""
-    return rho[0] + 2.0 * np.abs(rho[1:]).sum(axis=0)
+    33(19), 1997), the |rho_k| summed in order into one array.  Shape
+    rho.shape[1:]."""
+    bound = np.zeros(rho.shape[1:])
+    magnitude = np.empty_like(bound)
+    for term in rho[1:]:
+        bound += np.abs(term, out=magnitude)
+    bound *= 2.0
+    bound += rho[0]
+    return bound
 
 
 def _cell_power_bound(grid: _CellGrid, rho: np.ndarray, peak: np.ndarray, lo: int,
@@ -675,7 +693,7 @@ def _clipped_cells(limiter: LimiterState, b: np.ndarray):
     (Walsh chip, rows, cells) chunks of up to _CELL_CHUNK pairs in one chip,
     for _driven_cells.
 
-    b holds the rows' drive, g times _carrier_coefficients.  A pair is kept
+    b holds the rows' drive, g times _row_coefficients.  A pair is kept
     unless the row's envelope bound over its Walsh chip (_peak_power_bound)
     or over the cell (_cell_power_bound), both from the row's
     _autocorrelations, lies below A_sat^2; the margin of 1e-12 keeps exact
@@ -694,12 +712,13 @@ def _clipped_cells(limiter: LimiterState, b: np.ndarray):
             yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]
 
 
-def _driven_cells(limiter: LimiterState, symbols: np.ndarray, work: dict):
+def _driven_cells(limiter: LimiterState, chips: np.ndarray, work: dict):
     """The limiter at the cells that can clip: (rows, cells, driven
     samples, factor) per chunk of _clipped_cells, the one loop of the
     limiter's blocks and of its calibration.
 
-    The rows' drive b is g times _carrier_coefficients, and a chunk's
+    The rows' drive b is g times _row_coefficients of chips (the rows'
+    symbols on their Walsh chips, txchain.spread_symbols), and a chunk's
     samples g x, shape (chunk, S), are formed in one product through
     E_m(a + s) = E_m(a) E_m(s) (see _CellGrid); factor is limiter_factor
     at each, so that the limiter takes x times it off.  Past a cell's
@@ -708,7 +727,7 @@ def _driven_cells(limiter: LimiterState, symbols: np.ndarray, work: dict):
     overwrites."""
     grid = limiter.cells
     chunk = (_CELL_CHUNK, _CELL_SAMPLES)
-    b = _carrier_coefficients(limiter, symbols)
+    b = _row_coefficients(chips, work)
     b *= limiter.linear_gain
     for chip, rows, cells in _clipped_cells(limiter, b):
         n = rows.size
@@ -722,7 +741,7 @@ def _driven_cells(limiter: LimiterState, symbols: np.ndarray, work: dict):
                                                   out=_work_array(work, "cell_factor", chunk)[:n])
 
 
-def _excess_correlations(limiter: LimiterState, symbols: np.ndarray, gains: np.ndarray,
+def _excess_correlations(limiter: LimiterState, chips: np.ndarray, gains: np.ndarray,
                          work: dict) -> np.ndarray | None:
     """W of a limiter block per (Walsh chip, window): what the limiter takes
     off the samples of the cells that can clip (_driven_cells), times each
@@ -745,11 +764,11 @@ def _excess_correlations(limiter: LimiterState, symbols: np.ndarray, gains: np.n
     so does the view returned."""
     cfg = limiter.config
     grid = limiter.cells
-    n_total = symbols.shape[1]
+    n_total = chips.shape[1]
     chunk = (_CELL_CHUNK, _CELL_SAMPLES)
     conj_offsets = grid.offsets.conj().T
     total = None
-    for rows, cells, driven, factor in _driven_cells(limiter, symbols, work):
+    for rows, cells, driven, factor in _driven_cells(limiter, chips, work):
         if total is None:
             total = _work_array(work, "cell_sums",
                                 (cfg.walsh_order, n_total + 1, cfg.carriers), np.complex128)
@@ -760,9 +779,9 @@ def _excess_correlations(limiter: LimiterState, symbols: np.ndarray, gains: np.n
                             user * grid.starts.size + cells, axis=0)
         anchors = np.conjugate(np.take(grid.centres, cells, axis=0))
         for path, gain in enumerate(gains[user].T):
-            chips = np.take(grid.span_chips[path], cells, axis=0)
-            chips *= own_chips
-            weights = np.multiply(factor, chips, out=_work_array(work, "cell_weights", chunk)[:n])
+            span = np.take(grid.span_chips[path], cells, axis=0)
+            span *= own_chips
+            weights = np.multiply(factor, span, out=_work_array(work, "cell_weights", chunk)[:n])
             excess = np.multiply(driven, weights,
                                  out=_work_array(work, "cell_excess", chunk, np.complex128)[:n])
             out = np.matmul(excess, conj_offsets, out=_work_array(

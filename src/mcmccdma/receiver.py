@@ -21,15 +21,14 @@ other users all land in the correlator as interference.
 
 Correlations are normalized by the samples per symbol, so a clean slot
 correlates to sqrt(2) * path_gain * symbol at unit branch power
-(txchain.LinkConfig).  The sample-level functions take plain arrays:
-correlate_slots a received sample array whose first window starts at the
-reference path's delay, decide_slots the correlator outputs and the
-transmitted symbols.  Every other path computes the same correlation with
-each signature's Walsh chips factored out: per-chip sums, which the tube's
-chain forms from its sampled windows cut at txchain.walsh_chip_bounds
-(chip_correlations), the limiter's from its clipped cells and the linear
-chain from the tables (correlate_tables), and one Walsh combine
-(combine_walsh_chips).
+(txchain.LinkConfig).  Slot (r, m) of user k has the signature
+w_r(chip i) pn_k(i) E_m(i) at sample i, E_m the subcarrier exponentials,
+and every path correlates against it with its Walsh chips factored out:
+per-chip sums, which the tube's chain forms from its sampled windows cut at
+txchain.walsh_chip_bounds (chip_correlations), the limiter's from its
+clipped cells and the linear chain from the tables (correlate_tables), and
+one Walsh combine (combine_walsh_chips).  decide_slots takes the correlator
+outputs and the transmitted symbols.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txchain import LinkConfig, walsh_chip_bounds
+from .txchain import LinkConfig, _work_array, walsh_chip_bounds
 
 SOURCE_NAMES = ("desired", "multipath", "inter_substream", "inter_carrier", "multi_user", "noise")
 
@@ -69,39 +68,19 @@ class InterferenceVariances:
         return sum(getattr(self, name) for name in SOURCE_NAMES[1:])
 
 
-def correlate_slots(samples: np.ndarray, signatures: np.ndarray, config: LinkConfig,
-                    reference_phase: float = 0.0) -> np.ndarray:
-    """Normalized per-symbol correlations against every slot signature.
-
-    Returns (n_symbols, substreams, carriers) complex values
-    (1/S) * sum_i y[i] conj(sig[i]) * e^{-j reference_phase} over the whole
-    symbol windows of the sample array y; a partial last window is dropped.
-    """
-    n_samp = config.samples_per_symbol
-    n_sym = samples.size // n_samp
-    if n_sym == 0:
-        raise ValueError("sample array shorter than one symbol window")
-    y = samples[: n_sym * n_samp].reshape(n_sym, n_samp)
-    z = (y @ signatures.reshape(-1, n_samp).conj().T) / n_samp
-    if reference_phase != 0.0:
-        z = z * np.exp(-1j * reference_phase)
-    return z.reshape(n_sym, config.substreams, config.carriers)
-
-
 def chip_correlations(windows: np.ndarray, correlator: np.ndarray,
                       bounds: np.ndarray) -> np.ndarray:
-    """The correlations of correlate_slots on received samples already cut
-    into symbol windows y, shape (n_symbols, samples_per_symbol), against
-    slot signatures that factor as w_r(chip i) g_m(i), per Walsh chip and
-    before the Walsh chips are applied (combine_walsh_chips):
+    """The correlations of received samples already cut into symbol windows
+    y, shape (n_symbols, samples_per_symbol), against slot signatures that
+    factor as w_r(chip i) g_m(i), per Walsh chip and before the Walsh chips
+    are applied (combine_walsh_chips):
 
         per_chip[c, n, m] = sum_{i in chip c} y[n, i] conj(g_m(i)),
 
     one GEMM per chip against `carriers` columns instead of one against
     substreams * carriers.  correlator holds conj(g_m(i)), shape
-    (samples_per_symbol, carriers): for a user's signatures
-    (txchain.slot_signatures) its chips times the conjugated carrier
-    exponentials.  bounds holds each Walsh chip's first sample and then
+    (samples_per_symbol, carriers): for a user's signatures its chips
+    times the conjugated carrier exponentials.  bounds holds each Walsh chip's first sample and then
     samples_per_symbol (txchain.walsh_chip_bounds).  Shape (walsh_order,
     n_symbols, carriers)."""
     per_chip = np.empty((len(bounds) - 1, windows.shape[0], correlator.shape[1]),
@@ -151,7 +130,7 @@ def partial_correlation_tables(pn_chips: np.ndarray, config: LinkConfig,
 
     pn_chips holds the users' +-1 chip sequences, shape (users, pn_length),
     user 1 first.  Slot (r, m) of user k is w_r(chip) pn_k(i) E_m(i) at
-    sample i (txchain.slot_signatures), so a partial cross-correlation
+    sample i, so a partial cross-correlation
     between two slots is a sum over pairs of Walsh chips: chip a of user k's
     delayed symbol against chip b of user 1's, weighed by w_r(a) w_r'(b).
     The tables keep that sum open.  On the Walsh chips of a symbol stream,
@@ -174,7 +153,7 @@ def partial_correlation_tables(pn_chips: np.ndarray, config: LinkConfig,
 
     to chip b of user 1's per-chip sums of symbol n, c_k being user k's
     symbols Walsh-transformed onto its chip stream, c_k[n * walsh_order + a,
-    m] = sum_r w_r(a) d_k[n, r, m] (correlate_tables), and the Walsh combine
+    m] = sum_r w_r(a) d_k[n, r, m] (txchain.spread_symbols), and the Walsh combine
     sum_b w_r'(b) gives the correlator output of slot (r', m')
     (combine_walsh_chips).  This is the correlation-domain form of the
     linear chain (Pursley, IEEE Trans. Commun. 25(8), 1977).  With as many
@@ -288,45 +267,33 @@ def signature_gram(tables: np.ndarray, walsh_rows: np.ndarray) -> np.ndarray:
     return slot_tables(tables[:1, :, :1], walsh_rows, walsh_rows)[0, 0, :, 0].T
 
 
-def correlate_tables(tables: np.ndarray, walsh_rows: np.ndarray, symbols: np.ndarray,
-                     gains: np.ndarray, work: dict | None = None) -> np.ndarray:
+def correlate_tables(tables: np.ndarray, chips: np.ndarray, gains: np.ndarray,
+                     work: dict | None = None) -> np.ndarray:
     """Noiseless per-chip sums of user 1's correlator straight from the
     symbols, through partial_correlation_tables:
 
         per_chip[b, n, t] = sum_{k, l} gains[k, l] sum_{q, m} c_k[n * walsh_order + b - q, m]
                                                               tables[l, b, k, q, m, t]
 
-    with c_k[n * walsh_order + a, m] = sum_r w_r(a) d_k[n, r, m] each user's
-    symbols on its Walsh chip stream, zero before the first symbol.
-    symbols is (users, n, substreams, carriers), walsh_rows the substreams'
-    +-1 Walsh rows (substreams, walsh_order), gains the complex path gains
-    (users, paths), and tables any slice of the full tables over users (with
-    symbols and gains sliced alike) or over the target carriers t.  Returns
-    (walsh_order, n, targets), the shape of receiver.chip_correlations:
-    combine_walsh_chips turns them into correlator outputs, once they are
-    scaled by sqrt(2) and by N, since the tables carry 1/N and the
-    combine divides by N again.
+    with c_k[n * walsh_order + a, m] = chips[a, n, k, m] each user's
+    symbols on its Walsh chip stream (txchain.spread_symbols), zero before
+    the first symbol.  chips is (walsh_order, n, users, carriers), gains
+    the complex path gains (users, paths), and tables any slice of the full
+    tables over users (with chips and gains sliced alike) or over the
+    target carriers t.  Returns (walsh_order, n, targets), the shape of
+    receiver.chip_correlations: combine_walsh_chips turns them into
+    correlator outputs, once they are scaled by sqrt(2) and by N, since the
+    tables carry 1/N and the combine divides by N again.
 
-    Three steps: the Walsh transform of every user's symbols, one real GEMM;
-    the block's path gains contracted into the tables, which leaves one
-    block per (b, k, q, m) with no path axis; and one real product per
-    target chip b of the chip stream, stacked at its lags, against those.
-    With as many substreams as Walsh chips that is 1/walsh_order of the
-    arithmetic of the full (slot x slot) tables at one lag.
-
-    The working arrays are about as large as the symbols in float64.  With
-    work, a dict that one call site passes to each of its calls, they are
-    made once and reused while their shapes hold: allocated afresh, they
-    can grow and trim the heap on every call, which then faults its pages
-    in again.
+    Two steps: the block's path gains contracted into the tables, which
+    leaves one block per (b, k, q, m) with no path axis, and one real
+    product per target chip b of the chip stream, stacked at its lags,
+    against those.  With as many substreams as Walsh chips that is
+    1/walsh_order of the arithmetic of the full (slot x slot) tables at one
+    lag.  Its working arrays are work's (txchain._work_array).
     """
     n_paths, order, users, lags, n_car, targets = tables.shape
-    n_sub, n_total = len(walsh_rows), symbols.shape[1]
-    # chips[a, n, k, m] = sum_r w_r(a) d_k[n, r, m]
-    d = _work_array(work, "symbols", (n_sub, n_total, users, n_car))
-    np.copyto(d, symbols.transpose(2, 1, 0, 3))
-    chips = np.matmul(walsh_rows.T, d.reshape(n_sub, -1),
-                      out=_work_array(work, "chips", (order, n_total * users * n_car)))
+    n_total = chips.shape[1]
     chips = chips.reshape(order, n_total, users, 1, n_car)
     stacked = chips
     if lags > 1:
@@ -347,15 +314,3 @@ def correlate_tables(tables: np.ndarray, walsh_rows: np.ndarray, symbols: np.nda
     per_chip = np.matmul(stacked.reshape(order, n_total, -1),
                          weighted.reshape(order, -1, targets).view(np.float64))
     return per_chip.view(np.complex128)
-
-
-def _work_array(work: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialized array of the shape: a new one without work, and
-    otherwise the one work holds under the name, replaced when its shape
-    differs."""
-    if work is None:
-        return np.empty(shape, dtype)
-    array = work.get(name)
-    if array is None or array.shape != shape:
-        array = work[name] = np.empty(shape, dtype)
-    return array

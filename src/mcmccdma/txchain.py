@@ -9,10 +9,10 @@ The Walsh chips of the multicode layer are stretched across the same window
 on a floor-indexed grid, so Walsh and PN chip clocks co-terminate at every
 symbol boundary even when the Walsh order does not divide the sample count.
 walsh_chip_bounds gives each chip's first sample on that grid.  All signals
-are complex envelopes; the real passband waveform is never built.
-Everything here takes and returns plain arrays: the Walsh matrix of
-codes.generate_walsh, a user's +-1 PN chips, and modulate_user's complex
-transmit samples.
+are complex envelopes; the real passband waveform is never built, and
+neither is a user's sampled transmit waveform: spread_symbols puts a
+block's symbols on the Walsh chips, and the receiver and the amplifiers go
+on from there.
 """
 
 from __future__ import annotations
@@ -135,13 +135,6 @@ def walsh_chip_bounds(config: LinkConfig) -> np.ndarray:
     return -(-c * config.samples_per_symbol // config.walsh_order)
 
 
-def _pn_chips(pn, config: LinkConfig) -> np.ndarray:
-    chips = np.asarray(pn)
-    if chips.size != config.pn_length:
-        raise ValueError(f"PN length {chips.size} does not match config pn_length {config.pn_length}")
-    return chips
-
-
 def substream_walsh_rows(walsh: np.ndarray, config: LinkConfig) -> np.ndarray:
     """The substreams' Walsh rows as float64, shape (substreams, walsh_order),
     from the Walsh matrix (codes.generate_walsh) or any array that starts
@@ -153,23 +146,6 @@ def substream_walsh_rows(walsh: np.ndarray, config: LinkConfig) -> np.ndarray:
         raise ValueError(f"Walsh rows of shape {walsh.shape} do not give {config.substreams} "
                          f"substreams of Walsh order {config.walsh_order}")
     return walsh[: config.substreams].astype(np.float64)
-
-
-def modulation_table(walsh: np.ndarray, config: LinkConfig) -> np.ndarray:
-    """PN-free slot signatures, shared by every user.
-
-    Row r*carriers + m holds walsh_row_r (stretched) * subcarrier m+1
-    exponential over one symbol, stored as a real array of shape
-    (substreams*carriers, 2*samples_per_symbol) with real and imaginary
-    parts interleaved, so that symbols @ table is one real GEMM whose result
-    views as complex samples.  A user's slot signatures are these rows times
-    its oversampled PN chips.
-    """
-    walsh_up = np.repeat(substream_walsh_rows(walsh, config), np.diff(walsh_chip_bounds(config)),
-                         axis=1)
-    carriers = subcarrier_exponentials(config)
-    table = np.multiply(walsh_up[:, None, :], carriers[None, :, :], order="C")
-    return table.reshape(config.substreams * config.carriers, -1).view(np.float64)
 
 
 def subcarrier_exponentials(config: LinkConfig) -> np.ndarray:
@@ -192,33 +168,39 @@ def subcarrier_exponentials(config: LinkConfig) -> np.ndarray:
     )
 
 
-def slot_signatures(walsh: np.ndarray, pn, config: LinkConfig) -> np.ndarray:
-    """Unit-modulus signature waveform of every (substream, carrier) slot.
+def spread_symbols(walsh_rows: np.ndarray, symbols: np.ndarray,
+                   work: dict | None = None) -> np.ndarray:
+    """Every user's symbols on its Walsh chip stream, the one place the
+    multicode layer spreads them:
 
-    Returns shape (substreams, carriers, samples_per_symbol); entry (r, m)
-    is walsh_row_r (stretched) * pn chips (oversampled) * subcarrier m+1
-    exponential; pn is the user's +-1 chip array (e.g. a cyclically
-    shifted m-sequence).  The transmitter scales these by sqrt(2)
-    (LinkConfig) and the receiver correlates against their conjugates.
+        chips[a, n, k, m] = sum_r w_r(a) d_k[n, r, m],
+
+    with walsh_rows the substreams' +-1 rows w_r (substream_walsh_rows) and
+    symbols d, shape (users, n, substreams, carriers).  During Walsh chip a
+    of window n, user k's PN-free waveform is sqrt(2) sum_m chips[a, n, k,
+    m] E_m, E_m the subcarrier exponentials.  One real GEMM; the sums are of
+    +-1 terms, so they are exact.  Shape (walsh_order, n, users, carriers),
+    in work's arrays "symbols" and "chips" when work is given (_work_array).
     """
-    pn_up = np.repeat(_pn_chips(pn, config), config.oversampling).astype(np.float64)
-    table = modulation_table(walsh, config).view(np.complex128)
-    return (table * pn_up).reshape(config.substreams, config.carriers, config.samples_per_symbol)
+    n_sub, order = walsh_rows.shape
+    users, n_total, _, n_car = symbols.shape
+    d = _work_array(work, "symbols", (n_sub, n_total, users, n_car))
+    np.copyto(d, symbols.transpose(2, 1, 0, 3))
+    chips = np.matmul(walsh_rows.T, d.reshape(n_sub, -1),
+                      out=_work_array(work, "chips", (order, n_total * users * n_car)))
+    return chips.reshape(order, n_total, users, n_car)
 
 
-def modulate_user(symbols, walsh: np.ndarray, pn, config: LinkConfig) -> np.ndarray:
-    """Complex-envelope transmit samples of one user, as one array.
-
-    symbols has shape (slots, substreams, carriers) with +-1 entries; pn is
-    the user's +-1 chip array.  Each slot becomes samples_per_symbol
-    samples equal to sqrt(2) * sum over slots of symbol * signature.
-    """
-    d = np.asarray(symbols, dtype=np.float64)
-    if d.ndim != 3 or d.shape[1] != config.substreams or d.shape[2] != config.carriers:
-        raise ValueError(
-            f"symbols must be (slots, {config.substreams}, {config.carriers}), got {d.shape}"
-        )
-    scale = np.repeat(np.sqrt(2.0) * _pn_chips(pn, config), config.oversampling)
-    samples = (d.reshape(d.shape[0], -1) @ modulation_table(walsh, config)).view(np.complex128)
-    samples *= scale
-    return samples.reshape(-1)
+def _work_array(work: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of the shape: a new one without work, and
+    otherwise the one work holds under the name, replaced when its shape
+    differs.  A block's steps pass one dict to each of their calls, so that
+    their working arrays are made once and reused while their shapes hold:
+    allocated afresh, they can grow and trim the heap on every call, which
+    then faults its pages in again."""
+    if work is None:
+        return np.empty(shape, dtype)
+    array = work.get(name)
+    if array is None or array.shape != shape:
+        array = work[name] = np.empty(shape, dtype)
+    return array

@@ -10,8 +10,9 @@ from mcmccdma.channel import (
     correlator_noise,
     draw_channel,
     path_power_profile,
-    propagate_samples,
 )
+
+from reference_chain import propagate_samples
 
 
 class TestProfile:

@@ -194,6 +194,23 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("hpa_mode, key, value, message", [
+        ("saleh", "beta_am", "1e-300", "gives no finite positive input scale"),
+        ("saleh_pd", "alpha_am", "1e150", "gives the predistorter no finite positive input scale"),
+    ])
+    def test_drive_without_finite_scale_is_config_error(self, tmp_path, capsys, hpa_mode, key,
+                                                       value, message):
+        """A back-off that puts the tube's input scale or the limiter's g
+        out of the float range is rejected with the scenario, not in the
+        run's setup."""
+        cfg = _write_tiny_config(tmp_path, hpa_mode=hpa_mode, ibo_db="-300", **{key: value})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_characterize_hpa_unknown_key(self, tmp_path):
         params = tmp_path / "amp.cfg"
         params.write_text("users = 5\n")

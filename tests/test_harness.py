@@ -1,4 +1,4 @@
-"""Monte Carlo harness, scenario checks and config files."""
+"""Monte Carlo harness and scenario checks."""
 
 import dataclasses
 import math
@@ -12,18 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.analysis import emit_csv
-from mcmccdma.channel import draw_channel, propagate_samples
+from mcmccdma.channel import draw_channel
 from mcmccdma.codes import generate_msequence
 from mcmccdma import harness, hpa
-from mcmccdma.config import (HPA_MODES, ConfigError, Scenario, leaf_fields, load_config, preset,
-                             scenario_echo, scenario_from_keys)
+from mcmccdma.config import HPA_MODES, Scenario, preset
 from mcmccdma.harness import estimate_interference_variances, measure_variances, run_scenario
-from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, limiter_factor
-from mcmccdma.receiver import SOURCE_NAMES, correlate_slots
-from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures, subcarrier_exponentials,
+from mcmccdma.hpa import amplify_samples, apply_predistorter, limiter_factor
+from mcmccdma.receiver import SOURCE_NAMES
+from mcmccdma.txchain import (LinkConfig, spread_symbols, subcarrier_exponentials,
                               walsh_chip_bounds)
 
 from oracles import floor_chips
+from reference_chain import correlate_slots, modulate_user, propagate_samples, slot_signatures
 
 TINY = Scenario(
     name="tiny",
@@ -523,8 +523,9 @@ class TestAmplifierEngine:
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="unclipped",
                                                        hpa_mode="saleh_pd", ibo_db=30.0))
         assert calls == []
-        assert hpa._excess_correlations(runtime.amplifier, harness._draw_symbols(
-            np.random.default_rng(0), (3, 16, 2, 2)), np.ones((3, 1)), runtime.work) is None
+        symbols = harness._draw_symbols(np.random.default_rng(0), (3, 16, 2, 2))
+        assert hpa._excess_correlations(runtime.amplifier, spread_symbols(runtime.walsh, symbols),
+                                        np.ones((3, 1)), runtime.work) is None
         harness._simulate_block(runtime, 0, 0, 8.0)
         assert calls == []
 
@@ -615,6 +616,14 @@ def _clip_power(runtime):
     return runtime.scenario.saleh.saturation_output_power / runtime.linear_gain**2
 
 
+def _einsum_row_coefficients(runtime, symbols):
+    """b[c, (k, n), m] = sqrt(2) sum_r w_r(c) d_k[n, r, m]: each symbol
+    row's real coefficient on carrier m during Walsh chip c, the rows in
+    (user, symbol) order, by one einsum over the symbols."""
+    b = np.sqrt(2.0) * np.einsum("rc,knrm->cknm", runtime.walsh, symbols)
+    return b.reshape(len(b), -1, symbols.shape[-1])
+
+
 def _full_clip_search(runtime, symbols):
     """The limiter's clip search over every sample: each symbol row's
     PN-free linear waveform, sum_m b[c, n, m] E_m(i) during Walsh chip c as
@@ -622,7 +631,7 @@ def _full_clip_search(runtime, symbols):
     row * samples_per_symbol + position of its clipped samples in ascending
     order, and the excess at each."""
     cfg = runtime.scenario.config
-    b = hpa._carrier_coefficients(runtime.amplifier, symbols)
+    b = _einsum_row_coefficients(runtime, symbols)
     linear = np.einsum("inm,mi->ni", b[floor_chips(cfg)], subcarrier_exponentials(cfg))
     power = np.square(linear.real) + np.square(linear.imag)
     index = np.flatnonzero(power > _clip_power(runtime))
@@ -646,7 +655,8 @@ def _check_cell_search(runtime, symbols):
     offsets = np.arange(hpa._CELL_SAMPLES)
     cell_excess = np.zeros(linear.size, dtype=np.complex128)
     formed = [np.zeros(0, dtype=np.int64)]
-    for rows, cells, driven, _ in hpa._driven_cells(runtime.amplifier, symbols, runtime.work):
+    chips = spread_symbols(runtime.walsh, symbols)
+    for rows, cells, driven, _ in hpa._driven_cells(runtime.amplifier, chips, runtime.work):
         inside = offsets < grid.lengths[cells, None]
         assert np.array_equal(grid.span_chips[:, cells] != 0,
                               np.broadcast_to(inside, grid.span_chips[:, cells].shape))
@@ -715,7 +725,7 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     grid = runtime.amplifier.cells
     symbols = harness._draw_symbols(np.random.default_rng(seed),
                                     (cfg.users, 5, cfg.substreams, cfg.carriers))
-    b = hpa._carrier_coefficients(runtime.amplifier, symbols)
+    b = _einsum_row_coefficients(runtime, symbols)
     rho = hpa._autocorrelations(b)
     peak = hpa._peak_power_bound(rho)
     clip_power = _clip_power(runtime)
@@ -742,7 +752,7 @@ def _pq_clip_search(runtime, b):
     it bounded each cell from p and p' at the cell's anchor: p =
     sum_m b_m E_m(a) and p' = j sum_m (m+1) b_m E_m(a) as complex products,
     P(phi_0) = |p|^2 and P'(phi_0) = 2 Re(conj(p) p'), on the carrier
-    coefficients b (_carrier_coefficients) against the clip power, each
+    coefficients b (_einsum_row_coefficients) against the clip power, each
     row's peak bound summed term by term."""
     grid = runtime.amplifier.cells
     n_car = b.shape[-1]
@@ -776,7 +786,7 @@ def test_clip_search_keeps_the_pairs_of_the_anchor_products(seed):
     limiter = runtime.amplifier
     for block in range(8):
         _, _, symbols = harness._block_draws(runtime, 0, block)
-        b = hpa._carrier_coefficients(limiter, symbols)
+        b = _einsum_row_coefficients(runtime, symbols)
         kept = [np.stack((np.full(rows.size, chip), rows, cells), axis=1) for chip, rows, cells
                 in hpa._clipped_cells(limiter, limiter.linear_gain * b)]
         expected = _pq_clip_search(runtime, b)
@@ -795,15 +805,15 @@ def test_reused_cell_arrays_match_fresh_ones():
     rng = np.random.default_rng(5)
     gains = harness._path_gains(draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db,
                                              scenario.fading))
-    blocks = [harness._draw_symbols(rng, (cfg.users, n, cfg.substreams, cfg.carriers))
-              for n in (9, 5)]
-    counts = [sum(rows.size for rows, *_ in hpa._driven_cells(limiter, symbols, {}))
-              for symbols in blocks]
+    blocks = [spread_symbols(runtime.walsh, harness._draw_symbols(
+        rng, (cfg.users, n, cfg.substreams, cfg.carriers))) for n in (9, 5)]
+    counts = [sum(rows.size for rows, *_ in hpa._driven_cells(limiter, chips, {}))
+              for chips in blocks]
     assert counts[0] != counts[1] and min(counts) > 0
-    reused = [hpa._excess_correlations(limiter, symbols, gains, runtime.work).copy()
-              for symbols in blocks]
-    for symbols, w in zip(blocks, reused):
-        assert np.array_equal(hpa._excess_correlations(limiter, symbols, gains, {}), w)
+    reused = [hpa._excess_correlations(limiter, chips, gains, runtime.work).copy()
+              for chips in blocks]
+    for chips, w in zip(blocks, reused):
+        assert np.array_equal(hpa._excess_correlations(limiter, chips, gains, {}), w)
 
 
 @st.composite
@@ -1082,74 +1092,6 @@ class TestBlasThreads:
         measure_variances(TINY, n_symbols=16)
         assert len(scans) == 3
         assert blas_threads() == before
-
-
-class TestConfigFiles:
-    def test_load_and_build(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# comment line\n"
-            "name = demo\n"
-            "users=2\n"
-            "substreams = 2\n"
-            "carriers = 2   # trailing comment\n"
-            "walsh_order = 4\n"
-            "pn_length = 15\n"
-            "ebn0_grid = 0, 4, 8\n"
-            "fading = true\n"
-            "min_errors = 150\n"
-            "\n")
-        keys = load_config(path)
-        sc = scenario_from_keys(keys)
-        assert sc.name == "demo"
-        assert sc.config.users == 2
-        assert sc.config.walsh_order == 4
-        assert sc.ebn0_grid == (0.0, 4.0, 8.0)
-        assert sc.fading
-        assert sc.min_errors == 150
-
-    def test_echo_round_trip(self):
-        for family in ("system-comparison", "user-sweep", "carrier-sweep", "linearization"):
-            for sc in preset(family):
-                echoed = scenario_echo(sc)
-                rebuilt = scenario_from_keys(echoed)
-                assert rebuilt == sc, sc.name
-                assert scenario_echo(rebuilt) == echoed, sc.name
-
-    def test_leaf_names_unique_across_classes(self):
-        # flat config keys need every leaf name to occur once
-        names = [f.name for f, _ in leaf_fields(TINY)]
-        assert len(names) == len(set(names)) == 27
-        assert set(names) == {f.name for cls in (LinkConfig, Scenario, SalehParams)
-                              for f in dataclasses.fields(cls)} - {"config", "saleh"}
-
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            scenario_from_keys({"warp_factor": "9"})
-
-    def test_bad_int(self):
-        with pytest.raises(ConfigError, match="integer"):
-            scenario_from_keys({"users": "two"})
-
-    def test_bad_bool(self):
-        with pytest.raises(ConfigError, match="boolean"):
-            scenario_from_keys({"fading": "maybe"})
-
-    def test_constraint_violation_becomes_config_error(self):
-        with pytest.raises(ConfigError):
-            scenario_from_keys({"walsh_order": "3"})
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("users 2\n")
-        with pytest.raises(ConfigError, match="key=value"):
-            load_config(path)
-
-    def test_overrides_on_base(self):
-        base = preset("fig6")[0]
-        sc = scenario_from_keys({"min_errors": "123"}, base=base)
-        assert sc.min_errors == 123
-        assert sc.config == base.config
 
 
 class TestMeasureVariances:

@@ -12,17 +12,19 @@ from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, t
 
 # Names the per-user sample chain needed and the engines no longer do, the
 # wrappers around plain code and sample arrays, surface nothing read, the
-# engine's names that moved to the module of their layer, and the symbol
-# duration and the branch power, which cancelled from every output.
+# engine's names that moved to the module of their layer, the symbol
+# duration and the branch power, which cancelled from every output, and the
+# sample-level reference chain, which moved to tests/reference_chain.py.
 _RETIRED = {
-    channel: ("PathTap", "NoiseSpec", "add_awgn"),
+    channel: ("PathTap", "NoiseSpec", "add_awgn", "propagate_samples"),
     channel.ChannelRealization: ("n_paths",),
     codes: ("WalshMatrix", "PnSequence", "periodic_correlation"),
-    receiver: ("recover_bits", "BitDecisions"),
+    receiver: ("recover_bits", "BitDecisions", "correlate_slots"),
     txchain: ("UserSymbols", "multicode_spread", "BasebandFrame", "serial_to_parallel",
-              "parallel_to_serial", "walsh_chip_indices", "subcarrier_frequency"),
+              "parallel_to_serial", "walsh_chip_indices", "subcarrier_frequency",
+              "modulate_user", "slot_signatures", "modulation_table", "_pn_chips"),
     hpa: ("set_operating_point", "limit_envelope", "OperatingPoint", "apply_hpa",
-          "operating_point_for_power", "envelope_excess"),
+          "operating_point_for_power", "envelope_excess", "_carrier_coefficients"),
     harness: ("_clip_power", "_shift_spacing", "_echo_value", "HPA_MODES", "PRESETS",
               "_CellGrid", "_cell_grid", "_carrier_coefficients", "_waveform_tiles",
               "_autocorrelations", "_peak_power_bound", "_cell_power_bound", "_clipped_cells",
@@ -54,7 +56,6 @@ def test_exports_resolve_once_and_retired_names_are_gone():
             assert name not in names
             assert not hasattr(mcmccdma, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert "out_len" not in inspect.signature(channel.propagate_samples).parameters
     assert "window_rate" not in inspect.signature(channel.correlator_noise).parameters
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mcmccdma import harness
-from mcmccdma.channel import ChannelRealization, draw_channel, propagate_samples
+from mcmccdma.channel import ChannelRealization, draw_channel
 from mcmccdma.codes import generate_msequence, generate_walsh
 from mcmccdma.config import Scenario, preset
 from mcmccdma.harness import estimate_interference_variances, measure_variances
@@ -14,15 +14,16 @@ from mcmccdma.receiver import (
     SOURCE_NAMES,
     chip_correlations,
     combine_walsh_chips,
-    correlate_slots,
     correlate_tables,
     decide_slots,
     partial_correlation_tables,
     signature_gram,
     slot_tables,
 )
-from mcmccdma.txchain import (LinkConfig, modulate_user, slot_signatures,
-                              subcarrier_exponentials, walsh_chip_bounds)
+from mcmccdma.txchain import (LinkConfig, spread_symbols, subcarrier_exponentials,
+                              walsh_chip_bounds)
+
+from reference_chain import correlate_slots, modulate_user, propagate_samples, slot_signatures
 
 REF_CHANNEL = ChannelRealization(gains=np.ones((1, 1)), phases=np.zeros((1, 1)))
 
@@ -77,7 +78,6 @@ class TestLoopback:
 class TestCorrelatorIdentity:
     def test_correlate_matches_symbols(self):
         cfg, walsh, pn = _make(2, 2, 4, 4)
-        from mcmccdma.txchain import slot_signatures
         rng = np.random.default_rng(3)
         d = rng.choice([-1, 1], size=(12, 2, 2)).astype(np.int8)
         z = correlate_slots(modulate_user(d, walsh, pn, cfg), slot_signatures(walsh, pn, cfg), cfg)
@@ -86,7 +86,6 @@ class TestCorrelatorIdentity:
 
     def test_linearity(self):
         cfg, walsh, pn = _make(2, 1, 2, 3)
-        from mcmccdma.txchain import slot_signatures
         sig = slot_signatures(walsh, pn, cfg)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(cfg.samples_per_symbol) * (1 + 0.5j)
@@ -96,7 +95,6 @@ class TestCorrelatorIdentity:
 
     def test_too_short_frame(self):
         cfg, walsh, pn = _make(1, 1, 1, 3)
-        from mcmccdma.txchain import slot_signatures
         sig = slot_signatures(walsh, pn, cfg)
         with pytest.raises(ValueError):
             correlate_slots(np.zeros(5, dtype=np.complex128), sig, cfg)
@@ -243,7 +241,7 @@ class TestPartialCorrelationTables:
         rng = np.random.default_rng(paths)
         symbols = rng.choice([-1, 1], size=(users, 6, r, m)).astype(np.int8)
         gains = rng.standard_normal((users, paths)) + 1j * rng.standard_normal((users, paths))
-        per_chip = correlate_tables(tables, rows, symbols, gains)
+        per_chip = correlate_tables(tables, spread_symbols(rows, symbols), gains)
         assert per_chip.shape == (na, 6, m)
         z = combine_walsh_chips(per_chip, rows, 1)
         expected = _expanded_product(_expanded_tables(tables, rows, 1 + (paths > 1)),
@@ -265,11 +263,12 @@ class TestPartialCorrelationTables:
         for call in range(3):
             symbols = rng.choice([-1, 1], size=(3, 5, 4, 3)).astype(np.int8)
             gains = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            shared = correlate_tables(tables, rows, symbols, gains, work)
+            shared = correlate_tables(tables, spread_symbols(rows, symbols, work), gains, work)
             if call == 0:
                 arrays = {name: id(array) for name, array in work.items()}
             assert {name: id(array) for name, array in work.items()} == arrays
-            assert np.array_equal(shared, correlate_tables(tables, rows, symbols, gains))
+            assert np.array_equal(shared, correlate_tables(tables, spread_symbols(rows, symbols),
+                                                           gains))
 
 
 def _linear_runtime(cfg, paths=1, fading=False, noise_enabled=False):

@@ -6,15 +6,13 @@ import pytest
 from mcmccdma.codes import generate_msequence, generate_walsh
 from mcmccdma.txchain import (
     LinkConfig,
-    modulate_user,
-    modulation_table,
-    slot_signatures,
     subcarrier_exponentials,
     substream_walsh_rows,
     walsh_chip_bounds,
 )
 
 from oracles import floor_chips
+from reference_chain import modulate_user, modulation_table, slot_signatures
 
 
 def _subcarrier_frequency(m, cfg):
