@@ -217,15 +217,20 @@ MUTANTS = (
            "stacked[:lag, 1:, :, lag] = chips[order - lag:, :-1, :, 0]",
            "stacked[:lag, :-1, :, lag] = chips[order - lag:, 1:, :, 0]", _PRODUCT_TESTS),
     # the process around the blocks
-    Mutant("blas-flag-off", "harness.py",
-           "    _BLAS_PINNED = True\n", "    _BLAS_PINNED = False\n",
-           ("tests/test_harness.py", "-k", "nested_entry_scans_once")),
+    Mutant("run-blocks-unpinned", "harness.py",
+           "    with _single_threaded_blas():\n        runner = ", "    if True:\n        runner = ",
+           ("tests/test_harness.py", "-k", "blocks_run_single_threaded")),
     Mutant("eager-multiprocessing-import", "harness.py",
            "import ctypes\n", "import ctypes\nimport multiprocessing\n",
            ("tests/test_public_api.py", "-k", "without_scipy")),
+    # the theory overlay
+    Mutant("theory-keeps-reference-gain", "analysis.py",
+           "    if scenario.fading:\n        s = s / ", "    if False:\n        s = s / ",
+           ("tests/test_analysis.py", "tests/test_run_figures.py", "-k",
+            "reference_gain or mean_path_gain")),
     # the input checks
     Mutant("lfsr-no-early-repeat-check", "codes.py",
-           "        if state == seed and i != period - 1:\n", "        if False:\n",
+           "        if state == 1 and i != period - 1:\n", "        if False:\n",
            ("tests/test_codes.py", "-k", "period_dividing")),
     Mutant("saleh-saturation-check-dropped", "hpa.py",
            "        if not all(0.0 < p < math.inf for p in powers):\n", "        if False:\n",

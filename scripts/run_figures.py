@@ -8,9 +8,9 @@ Families (aliases fig5..fig8 also accepted):
   carrier-sweep       2 / 4 / 8 carriers over the same delay spread
   linearization       tube amplifier at 7 / 9 dB back-off vs predistortion
 
-Linear (bypass) scenarios also get a theoretical overlay predicted from the
-measured interference variances, appended to the same CSV with
-source=theoretical.  Every family's full sweep, overlays included, took
+Linear (bypass) scenarios also get a theoretical overlay, <name>-theory with
+source=theoretical, predicted on the scenario's own grid from its measured
+interference variances.  Every family's full sweep, overlays included, took
 464 s at one worker and 238 s at two on a 2-core VM, all but about 10 s
 of it in linearization's two tube arms; --quick trims the grid to
 4/8/12 dB.
@@ -34,18 +34,10 @@ THEORY_REFERENCE_DB = 8.0
 
 def theory_overlay(scenario) -> list:
     """The scenario's BER predicted from its interference variances,
-    measured at THEORY_REFERENCE_DB on one channel draw.  Under fading the
-    Rayleigh average starts from the desired power at the reference path's
-    mean gain, so the draw's own gain is divided out of it."""
-    variances = measure_variances(scenario, ebn0_db=THEORY_REFERENCE_DB)
-    signal_power = None
-    if scenario.fading:
-        signal_power = variances.desired_power / variances.reference_gain
-    return theoretical_curve(
-        variances, scenario.ebn0_grid, THEORY_REFERENCE_DB, signal_power=signal_power,
-        fading=scenario.fading, scenario=scenario.name + "-theory",
-        users=scenario.config.users, substreams=scenario.config.substreams,
-        carriers=scenario.config.carriers)
+    measured at THEORY_REFERENCE_DB on one channel draw
+    (analysis.theoretical_curve)."""
+    return theoretical_curve(measure_variances(scenario, ebn0_db=THEORY_REFERENCE_DB),
+                             scenario, THEORY_REFERENCE_DB)
 
 
 def run_family(family: str, out_dir: pathlib.Path, seed, workers: int,

@@ -9,8 +9,10 @@ form.  Variances follow the complex-power convention of
 `receiver.InterferenceVariances`, which makes gamma equal Eb/N0 in the
 noise-only case and reproduces the textbook BPSK curve.
 
-Monte Carlo runs and theory curves share one record (BerRecord) and one CSV
-schema (_CSV_COLUMNS), which emit_csv writes and parse_csv reads back.
+Monte Carlo runs and theory curves (theoretical_curve(variances, scenario,
+reference_ebn0_db)) share one record (BerRecord), its link columns taken
+from the Scenario (scenario_columns), and one CSV schema (_CSV_COLUMNS),
+which emit_csv writes and parse_csv reads back.
 """
 
 from __future__ import annotations
@@ -110,37 +112,46 @@ class RunReport:
     point_seconds: list
 
 
-def theoretical_curve(variances, ebn0_grid, reference_ebn0_db: float, *,
-                      signal_power: float | None = None, fading: bool = False,
-                      scenario: str = "theory",
-                      users: int = 1, substreams: int = 1, carriers: int = 1,
-                      hpa_mode: str = "bypass", ibo_db: float | None = None) -> list[BerRecord]:
-    """BER curve predicted from measured correlator variances.
+def scenario_columns(scenario: Scenario) -> dict:
+    """The BerRecord fields that describe a scenario's link, which its Monte
+    Carlo and theory records share: users, substreams, carriers, hpa_mode,
+    and ibo_db, None without an amplifier."""
+    cfg = scenario.config
+    return dict(users=cfg.users, substreams=cfg.substreams, carriers=cfg.carriers,
+                hpa_mode=scenario.hpa_mode,
+                ibo_db=None if scenario.hpa_mode == "bypass" else float(scenario.ibo_db))
 
-    `variances` provides the component variances observed at
-    reference_ebn0_db (an InterferenceVariances or anything with the same
-    attributes).  Only the noise variance scales along the sweep, by
+
+def theoretical_curve(variances, scenario: Scenario,
+                      reference_ebn0_db: float) -> list[BerRecord]:
+    """The scenario's BER over its ebn0_grid predicted from correlator
+    variances measured at reference_ebn0_db, one record per point named
+    <name>-theory.
+
+    `variances` is an InterferenceVariances or anything with the same
+    attributes.  Only the noise variance scales along the sweep, by
     10**((reference - point)/10); interference terms are treated as
-    noise-independent.  With fading=True the desired power is read as the
-    unit-gain value and the Rayleigh average is applied.
+    noise-independent.  Under fading the Rayleigh average starts from the
+    desired power at the reference path's mean gain, so the measured draw's
+    own gain (variances.reference_gain) is divided out of it.
     """
-    s = variances.desired_power if signal_power is None else signal_power
-    if s < 0:
-        raise ValueError(f"signal power must be nonnegative, got {s}")
+    s = variances.desired_power
+    if scenario.fading:
+        s = s / variances.reference_gain
     interference = variances.total - variances.noise
+    columns = scenario_columns(scenario)
     records = []
-    for point in ebn0_grid:
+    for point in scenario.ebn0_grid:
         noise_var = variances.noise * 10.0 ** ((reference_ebn0_db - point) / 10.0)
         total = interference + noise_var
         if total <= 0.0:
             ber = 0.0
         else:
             gamma = s / total
-            ber = fading_averaged_ber(gamma) if fading else conditional_ber(gamma)
-        records.append(BerRecord(scenario=scenario, ebn0_db=float(point), users=users,
-                                 substreams=substreams, carriers=carriers, hpa_mode=hpa_mode,
-                                 ibo_db=ibo_db, bits=0, errors=0, ber=ber, ci95=0.0,
-                                 source="theoretical", seed=None))
+            ber = fading_averaged_ber(gamma) if scenario.fading else conditional_ber(gamma)
+        records.append(BerRecord(scenario=scenario.name + "-theory", ebn0_db=float(point),
+                                 bits=0, errors=0, ber=ber, ci95=0.0, source="theoretical",
+                                 seed=None, **columns))
     return records
 
 

@@ -302,9 +302,10 @@ def _from_keys(base, keys: dict, kind: str):
         raise ConfigError(str(exc)) from exc
 
 
-def saleh_from_keys(keys: dict, base: SalehParams | None = None) -> SalehParams:
-    """Amplifier parameters from config keys; unknown keys are rejected."""
-    return _from_keys(base if base is not None else SalehParams(), keys, "amplifier parameter")
+def saleh_from_keys(keys: dict) -> SalehParams:
+    """Amplifier parameters from config keys over the classical defaults;
+    unknown keys are rejected."""
+    return _from_keys(SalehParams(), keys, "amplifier parameter")
 
 
 def scenario_from_keys(keys: dict, base: Scenario | None = None) -> Scenario:

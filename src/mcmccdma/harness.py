@@ -18,6 +18,10 @@ pool fork, of one process less than workers or than a wave's blocks,
 whichever is fewer, the calling process running the first share of every
 later wave itself (run_scenario).
 
+Each public call, run_scenario or measure_variances, pins OpenBLAS to one
+thread once, around its setup (_prepare, which sets no thread count) and
+its blocks, which forked workers inherit (_single_threaded_blas).
+
 A block (_simulate_block) is four steps, one function each, common to
 every hpa_mode: the draws (_block_draws: the channel, then every user's
 symbols), user 1's noiseless correlator outputs (_correlation_outputs),
@@ -83,13 +87,12 @@ import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: pay that here, not in the first block
 
 # preset and emit_csv are also imported for perfbench/call.py, which reads them here.
-from .analysis import BerRecord, RunReport, binomial_ci95, emit_csv
+from .analysis import BerRecord, RunReport, binomial_ci95, emit_csv, scenario_columns
 from .channel import correlator_noise, draw_channel, path_power_profile
 from .codes import generate_msequence, generate_walsh
 from .config import Scenario, preset
@@ -112,7 +115,6 @@ class _Runtime:
 
     scenario: Scenario
     walsh: np.ndarray          # the substreams' Walsh rows, float64 (substreams, walsh_order)
-    pn_chips: np.ndarray       # (users, pn_length) +-1
     warmup: int
     # receiver.partial_correlation_tables, and a factor F of the correlator
     # noise covariance: F F^H = Gram matrix of user 1's slot signatures.
@@ -129,13 +131,6 @@ class _Runtime:
     def linear_gain(self) -> float:
         """g: 1 without an amplifier, else the amplifier's."""
         return 1.0 if self.amplifier is None else self.amplifier.linear_gain
-
-    @cached_property
-    def slot_column(self) -> np.ndarray:
-        """[k, w, (r, m), l, 0]: what user k's slot (r, m) of window w puts
-        into user 1's slot (1, 1) via path l (receiver.slot_tables), built
-        on first use by the interference split (_source_outputs)."""
-        return slot_tables(self.correlation[..., :1], self.walsh, self.walsh[:1])
 
 
 def _user_codes(cfg: LinkConfig) -> tuple:
@@ -161,24 +156,19 @@ def _prepare(scenario: Scenario) -> _Runtime:
     cfg = scenario.config
     walsh, pn_chips = _user_codes(cfg)
     work = {}
-    # Small products, for which OpenBLAS threads cost far more than they
-    # save: on a 2-core VM a 64x64 Cholesky took 60 ms threaded and 0.2 ms
-    # on one thread.  The calibration's products are small too.
-    with _single_threaded_blas():
-        correlation = partial_correlation_tables(pn_chips, cfg, scenario.paths)
-        gram = signature_gram(correlation, walsh)
-        amplifier = prepare_amplifier(scenario, walsh, pn_chips)
-        if amplifier is None:
-            # the linear chain's mean power over its bits per symbol
-            eb, phase_offset = 2.0, 0.0
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
-            frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
-            eb, phase_offset = amplifier_calibration(amplifier, frame, gram, work)
-        return _Runtime(scenario=scenario, walsh=walsh, pn_chips=pn_chips,
-                        warmup=1 if scenario.paths > 1 else 0, correlation=correlation,
-                        noise_factor=np.linalg.cholesky(gram), amplifier=amplifier, eb=eb,
-                        phase_offset=phase_offset, work=work)
+    correlation = partial_correlation_tables(pn_chips, cfg, scenario.paths)
+    gram = signature_gram(correlation, walsh)
+    amplifier = prepare_amplifier(scenario, walsh, pn_chips)
+    if amplifier is None:
+        # the linear chain's mean power over its bits per symbol
+        eb, phase_offset = 2.0, 0.0
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
+        frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
+        eb, phase_offset = amplifier_calibration(amplifier, frame, gram, work)
+    return _Runtime(scenario=scenario, walsh=walsh, warmup=1 if scenario.paths > 1 else 0,
+                    correlation=correlation, noise_factor=np.linalg.cholesky(gram),
+                    amplifier=amplifier, eb=eb, phase_offset=phase_offset, work=work)
 
 
 def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_db: float):
@@ -288,7 +278,7 @@ def _source_split(runtime: _Runtime, channel) -> _Split:
     1's column times a 0/1 mask per source, one output column each, and the
     other users' column, each with the path gains contracted into it."""
     cfg = runtime.scenario.config
-    column = runtime.slot_column
+    column = slot_tables(runtime.correlation[..., :1], runtime.walsh, runtime.walsh[:1])
     gains = _path_gains(channel)
     paths = gains.shape[1]
     # mask[r, m, l, source]: 1 where the source holds the term of user 1's
@@ -387,10 +377,6 @@ def _openblas_thread_calls() -> list:
     return calls
 
 
-# True while a _single_threaded_blas body runs.
-_BLAS_PINNED = False
-
-
 @contextmanager
 def _single_threaded_blas():
     """Run the body with every loaded OpenBLAS at one thread, then restore
@@ -401,23 +387,17 @@ def _single_threaded_blas():
     the parent before the pool forks, which is what workers inherit; setting
     OPENBLAS_NUM_THREADS in os.environ at that point has no effect, because
     the library reads it only when it is loaded.  Finding the libraries
-    reads /proc/self/maps and loads each one (about 1 ms), so an entry
-    nested in another does nothing: the outer one has pinned the counts and
-    restores them.
+    reads /proc/self/maps and loads each one (about 1 ms), so each public
+    call (run_scenario, measure_variances) enters it once, around its setup
+    and its blocks.
     """
-    global _BLAS_PINNED
-    if _BLAS_PINNED:
-        yield
-        return
     calls = _openblas_thread_calls()
     saved = [get() for get, _ in calls]
     for _, set_ in calls:
         set_(1)
-    _BLAS_PINNED = True
     try:
         yield
     finally:
-        _BLAS_PINNED = False
         for (_, set_), count in zip(calls, saved):
             set_(count)
 
@@ -507,10 +487,14 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    cfg = scenario.config
     records = []
     point_seconds = []
+    columns = scenario_columns(scenario)
 
+    # One pin covers the setup and the blocks.  Both are small products, for
+    # which OpenBLAS threads cost far more than they save: on a 2-core VM a
+    # 64x64 Cholesky in _prepare took 60 ms threaded and 0.2 ms on one
+    # thread, and the calibration's products are small too.
     with _single_threaded_blas():
         runner = _BlockRunner(_prepare(scenario), workers)
         try:
@@ -528,12 +512,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
                         bits += block_bits
                     blocks += scenario.blocks_per_wave
                 records.append(BerRecord(
-                    scenario=scenario.name, ebn0_db=float(ebn0_db), users=cfg.users,
-                    substreams=cfg.substreams, carriers=cfg.carriers, hpa_mode=scenario.hpa_mode,
-                    ibo_db=None if scenario.hpa_mode == "bypass" else float(scenario.ibo_db),
-                    bits=bits, errors=errors, ber=errors / bits, ci95=binomial_ci95(errors, bits),
-                    source="monte-carlo", seed=scenario.master_seed,
-                    censored=errors < scenario.min_errors))
+                    scenario=scenario.name, ebn0_db=float(ebn0_db), bits=bits, errors=errors,
+                    ber=errors / bits, ci95=binomial_ci95(errors, bits), source="monte-carlo",
+                    seed=scenario.master_seed, censored=errors < scenario.min_errors, **columns))
                 point_seconds.append(time.perf_counter() - started)
         finally:
             runner.close()

@@ -317,9 +317,19 @@ def pd_amplitude(g, params: SalehParams):
     """
     g = _check_modulus(g)
     g_clipped = np.minimum(g, params.saturation_output)
-    discriminant = np.maximum(params.alpha_am**2 - 4.0 * params.beta_am * g_clipped**2, 0.0)
-    out = 2.0 * g_clipped / (params.alpha_am + np.sqrt(discriminant))
+    out = g_clipped * _predistorter_ratio(g_clipped * g_clipped, params)
     return float(out) if out.ndim == 0 else out
+
+
+def _predistorter_ratio(p, params: SalehParams):
+    """pd_amplitude(g) / g at squared modulus p = g^2, in pd_amplitude's
+    rationalized form: 2 / (a + sqrt(a^2 - 4 b min(p, A_sat^2))), A_sat the
+    peak output modulus.  It tends to 2/a as p -> 0, so the zero sample
+    needs no special case."""
+    discriminant = np.maximum(
+        params.alpha_am**2
+        - 4.0 * params.beta_am * np.minimum(p, params.saturation_output_power), 0.0)
+    return 2.0 / (params.alpha_am + np.sqrt(discriminant))
 
 
 def apply_predistorter(samples: np.ndarray, params: SalehParams) -> np.ndarray:
@@ -328,11 +338,8 @@ def apply_predistorter(samples: np.ndarray, params: SalehParams) -> np.ndarray:
     at phase t."""
     x = np.asarray(samples, dtype=np.complex128)
     p, _ = _modulus_squared(x)
-    # ratio = pd_amplitude(g)/g in pd_amplitude's rationalized form; it tends
-    # to 2/alpha_am as g -> 0, so the zero sample needs no special case.
+    ratio = _predistorter_ratio(p, params)
     sat2 = params.saturation_output_power
-    discriminant = np.maximum(params.alpha_am**2 - 4.0 * params.beta_am * np.minimum(p, sat2), 0.0)
-    ratio = 2.0 / (params.alpha_am + np.sqrt(discriminant))
     over = p > sat2
     if over.any():
         ratio[over] *= np.sqrt(sat2 / p[over])

@@ -37,7 +37,7 @@ def test_walsh_and_msequence_properties():
         assert np.array_equal(gram, order * np.eye(order, dtype=np.int64))
     for degree in sorted(PRIMITIVE_TAPS):
         n = (1 << degree) - 1
-        chips = generate_msequence(degree, PRIMITIVE_TAPS[degree]).astype(np.int64)
+        chips = generate_msequence(degree).astype(np.int64)
         assert chips.size == n
         assert chips.sum() == -1
         for shift in range(1, n):

@@ -145,10 +145,16 @@ class TestCiCoverage:
         assert 90 <= hits <= 99
 
 
-def _vars(noise, desired=2.0, mui=0.0):
+def _vars(noise, desired=2.0, mui=0.0, reference_gain=1.0):
     return InterferenceVariances(
         desired_power=desired, multipath=0.0, inter_substream=0.0,
-        inter_carrier=0.0, multi_user=mui, noise=noise, n_symbols=1000)
+        inter_carrier=0.0, multi_user=mui, noise=noise, n_symbols=1000,
+        reference_gain=reference_gain)
+
+
+def _theory_scenario(grid, name="theory", **fields):
+    """A scenario whose theory curve runs over grid."""
+    return Scenario(name=name, config=LinkConfig(), ebn0_grid=tuple(grid), **fields)
 
 
 class TestTheoreticalCurve:
@@ -160,8 +166,9 @@ class TestTheoreticalCurve:
         n0 = eb / 10 ** (ref_db / 10)
         var = _vars(noise=n0 / 1.0)      # T_sym = 1: sigma^2 = N0/T
         grid = (0.0, 2.0, 4.0, 6.0, 8.0)
-        records = theoretical_curve(var, grid, ref_db, scenario="awgn")
+        records = theoretical_curve(var, _theory_scenario(grid, "awgn"), ref_db)
         assert [r.ebn0_db for r in records] == list(grid)
+        assert {r.scenario for r in records} == {"awgn-theory"}
         for r in records:
             expected = 0.5 * math.erfc(math.sqrt(10 ** (r.ebn0_db / 10)))
             assert r.ber == pytest.approx(expected, rel=1e-9)
@@ -171,7 +178,7 @@ class TestTheoreticalCurve:
     def test_interference_floor(self):
         # non-noise variance does not scale with Eb/N0: BER floors out
         var = _vars(noise=0.2, mui=0.1)
-        records = theoretical_curve(var, tuple(range(0, 41, 5)), 10.0)
+        records = theoretical_curve(var, _theory_scenario(range(0, 41, 5)), 10.0)
         bers = [r.ber for r in records]
         assert all(np.diff(bers) < 0)
         floor = conditional_ber(var.desired_power / var.multi_user)
@@ -180,19 +187,31 @@ class TestTheoreticalCurve:
     def test_fading_variant_uses_average(self):
         var = _vars(noise=0.2)
         ref = 10.0
-        rec = theoretical_curve(var, (ref,), ref, fading=True)[0]
+        rec = theoretical_curve(var, _theory_scenario((ref,), fading=True), ref)[0]
         assert rec.ber == pytest.approx(fading_averaged_ber(2.0 / 0.2), rel=1e-9)
+
+    def test_fading_divides_out_the_reference_gain(self):
+        # the draw's reference path at 4x its mean power: the Rayleigh
+        # average starts from a quarter of the measured desired power
+        var = _vars(noise=0.2, desired=8.0, reference_gain=4.0)
+        rec = theoretical_curve(var, _theory_scenario((10.0,), fading=True), 10.0)[0]
+        assert rec.ber == pytest.approx(fading_averaged_ber(2.0 / 0.2), rel=1e-12)
+        # without fading the measured power is the one the decisions see
+        rec = theoretical_curve(var, _theory_scenario((10.0,)), 10.0)[0]
+        assert rec.ber == pytest.approx(conditional_ber(8.0 / 0.2), rel=1e-12)
 
     def test_record_metadata(self):
         var = _vars(noise=0.5)
-        rec = theoretical_curve(var, (3.0,), 3.0, scenario="meta", users=20,
-                                substreams=8, carriers=8, hpa_mode="saleh",
-                                ibo_db=7.0)[0]
-        assert rec.scenario == "meta"
-        assert rec.users == 20
+        config = LinkConfig(users=20, substreams=8, carriers=8, walsh_order=8, pn_length=1023)
+        scenario = Scenario(name="meta", config=config, hpa_mode="saleh", ibo_db=7.0,
+                            ebn0_grid=(3.0,))
+        rec = theoretical_curve(var, scenario, 3.0)[0]
+        assert rec.scenario == "meta-theory"
+        assert (rec.users, rec.substreams, rec.carriers) == (20, 8, 8)
         assert rec.hpa_mode == "saleh"
         assert rec.ibo_db == 7.0
         assert rec.ci95 == 0.0
+        assert rec.seed is None
 
 
 class TestBerRecord:
@@ -257,10 +276,10 @@ class TestCsv:
         variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
                                           inter_carrier=0.0, multi_user=0.1, noise=0.2,
                                           n_symbols=10)
-        with pytest.raises(ValueError, match="scenario must hold no comma"):
-            theoretical_curve(variances, (0.0,), 0.0, scenario="a,b")
-        records = theoretical_curve(variances, (0.0, 5.0, 10.0), 0.0, scenario="users-20 theory",
-                                    users=20, hpa_mode="saleh", ibo_db=7.0)
+        config = LinkConfig(users=20, pn_length=31)
+        scenario = Scenario(name="users-20", config=config, hpa_mode="saleh", ibo_db=7.0,
+                            ebn0_grid=(0.0, 5.0, 10.0))
+        records = theoretical_curve(variances, scenario, 0.0)
         path = tmp_path / "theory.csv"
         emit_csv(records, path)
         assert parse_csv(path) == records

@@ -9,7 +9,7 @@ from mcmccdma.codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
 
 from oracles import lfsr_chips
 
-# LFSR stepped by hand: degree 3, taps (3, 1), seed state 0b001.
+# LFSR stepped by hand: degree 3, taps (3, 1), start state 0b001.
 # state  001 -> 011 -> 111 -> 110 -> 101 -> 010 -> 100 -> back to 001
 # outbit   0      0      1      1      1      0      1
 # chips   +1     +1     -1     -1     -1     +1     -1
@@ -67,7 +67,8 @@ class TestWalsh:
 
 class TestMSequence:
     def test_degree3_hand_oracle(self):
-        pn = generate_msequence(3, (3, 1), seed=1)
+        assert PRIMITIVE_TAPS[3] == (3, 1)
+        pn = generate_msequence(3)
         assert pn.dtype == np.int8
         assert (pn == DEG3_CHIPS).all()
 
@@ -82,44 +83,30 @@ class TestMSequence:
             assert _periodic_correlation(pn, pn, shift) == -1
         assert _periodic_correlation(pn, pn, 0) == n
 
-    def test_seed_only_rotates(self):
-        base = generate_msequence(5)
-        other = generate_msequence(5, seed=7)
-        assert any((np.roll(base, s) == other).all()
-                   for s in range(base.size))
-
-    def test_non_primitive_taps_rejected(self):
+    def test_non_primitive_taps_rejected(self, monkeypatch):
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has period 6, not 15
+        monkeypatch.setitem(PRIMITIVE_TAPS, 4, (4, 2))
         with pytest.raises(ValueError, match="not primitive"):
-            generate_msequence(4, (4, 2))
+            generate_msequence(4)
 
-    def test_period_dividing_full_length_rejected(self):
+    def test_period_dividing_full_length_rejected(self, monkeypatch):
         # x^4 + x^3 + x^2 + x + 1 is irreducible of order 5: the register is
-        # back at its seed after 15 steps too, so only the early repeat shows it
+        # back at its start after 15 steps too, so only the early repeat shows it
+        monkeypatch.setitem(PRIMITIVE_TAPS, 4, (4, 3, 2, 1))
         with pytest.raises(ValueError, match="repeats after 5 steps"):
-            generate_msequence(4, (4, 3, 2, 1))
+            generate_msequence(4)
 
     @pytest.mark.parametrize("degree", sorted(PRIMITIVE_TAPS))
     def test_matches_plain_lfsr(self, degree):
-        period = 2 ** degree - 1
-        for seed in sorted({1, 2, period // 3, period - 1, period}):
-            pn = generate_msequence(degree, seed=seed)
-            assert pn.dtype == np.int8
-            assert np.array_equal(pn, lfsr_chips(degree, PRIMITIVE_TAPS[degree], seed))
+        pn = generate_msequence(degree)
+        assert pn.dtype == np.int8
+        assert np.array_equal(pn, lfsr_chips(degree, PRIMITIVE_TAPS[degree], 1))
 
     def test_bad_taps_rejected(self):
-        with pytest.raises(ValueError):
-            generate_msequence(4, (3, 1))     # highest tap must equal degree
-        with pytest.raises(ValueError):
-            generate_msequence(4, (4, 0))
-        with pytest.raises(ValueError):
-            generate_msequence(1, (1,))
-
-    def test_bad_seed_rejected(self):
-        with pytest.raises(ValueError):
-            generate_msequence(4, seed=0)
-        with pytest.raises(ValueError):
-            generate_msequence(4, seed=16)
+        # a register length without a table entry has no taps to run
+        for degree in (0, 1, max(PRIMITIVE_TAPS) + 1):
+            with pytest.raises(ValueError, match="no feedback taps"):
+                generate_msequence(degree)
 
 
 class TestPeriodicCorrelation:
@@ -141,15 +128,6 @@ class TestPeriodicCorrelation:
         n = pn.size
         assert _periodic_correlation(pn, pn, shift) == \
             _periodic_correlation(pn, pn, shift % n)
-
-
-@given(st.sampled_from(sorted(PRIMITIVE_TAPS)), st.integers(1, 1000))
-@settings(max_examples=60, deadline=None)
-def test_msequence_any_seed_is_maximal(degree, seed_raw):
-    seed = 1 + seed_raw % (2 ** degree - 1)
-    pn = generate_msequence(degree, seed=seed)
-    assert np.count_nonzero(pn == -1) == 2 ** (degree - 1)
-    assert _periodic_correlation(pn, pn, 1) == -1
 
 
 @given(st.sampled_from([2, 4, 8, 16, 32]))

@@ -1,13 +1,21 @@
 """Scenario presets: the contents of each preset family, its aliases and the
-seed override; and config files: parsing, the echo round trip and the
-errors."""
+seed override; config files: parsing, the echo round trip and the errors;
+and the property that a config-key dict either fails construction or runs
+clean, through the library and through the command line."""
 
 import dataclasses
+import pathlib
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcmccdma.cli import main
 from mcmccdma.config import (ConfigError, Scenario, leaf_fields, load_config, preset,
                              scenario_echo, scenario_from_keys)
+from mcmccdma.harness import run_scenario
 from mcmccdma.hpa import SalehParams
 from mcmccdma.txchain import LinkConfig
 
@@ -133,3 +141,80 @@ class TestConfigFiles:
         sc = scenario_from_keys({"min_errors": "123"}, base=base)
         assert sc.min_errors == 123
         assert sc.config == base.config
+
+
+def _texts(*strategies):
+    """Key text drawn from any of the value strategies."""
+    return st.one_of(*strategies).map(str)
+
+
+# Amplifier coefficients from the classical values to the float range's ends,
+# where the saturation powers and the calibrated Eb underflow or overflow.
+_COEFFICIENT = _texts(st.floats(1e-3, 1e3), st.floats(allow_nan=True, allow_infinity=True),
+                      st.sampled_from([0, -1.0, 5e-324, 1e-320, 1e-300, 1e-150, 1e150, 4e169,
+                                       1e300]))
+_DB = _texts(st.floats(-20.0, 40.0), st.floats(-400.0, 400.0),
+             st.sampled_from([-300.0, 300.0, -301.0]))
+
+# Config keys over tiny scenarios: at most 3 users on at most 31 chips, blocks
+# of at most 4 symbols, and max_bits 1, so that each point runs one wave.  The
+# integer keys draw one invalid value among their valid ones.
+_TINY_KEYS = st.fixed_dictionaries(
+    {"name": st.just("fuzz"), "max_bits": st.just("1"), "min_errors": st.just("1"),
+     "allow_small_min_errors": st.just("true"),
+     "symbols_per_block": _texts(st.sampled_from([1, 2, 3, 4, 0])),
+     "blocks_per_wave": _texts(st.sampled_from([1, 2, 3, 0]))},
+    optional={
+        "users": _texts(st.sampled_from([1, 2, 3, 0])),
+        "substreams": _texts(st.sampled_from([1, 2, 3, 4, 0])),
+        "carriers": _texts(st.sampled_from([1, 2, 3, 4, 0])),
+        "walsh_order": _texts(st.sampled_from([1, 2, 4, 8, 3])),
+        "pn_length": _texts(st.sampled_from([3, 7, 15, 31, 8])),
+        "oversampling": _texts(st.sampled_from([2, 3, 4, 1])),
+        "paths": _texts(st.sampled_from([1, 2, 3, 4, 0])),
+        "decay_db": _DB,
+        "fading": _texts(st.booleans()),
+        "hpa_mode": st.sampled_from(["bypass", "saleh", "saleh_pd", "tube"]),
+        "ibo_db": _DB,
+        "alpha_am": _COEFFICIENT, "beta_am": _COEFFICIENT,
+        "alpha_pm": _COEFFICIENT, "beta_pm": _COEFFICIENT,
+        "ampm_quadratic": _texts(st.booleans()),
+        "ebn0_grid": st.lists(_DB, min_size=1, max_size=2).map(",".join),
+        "noise_enabled": _texts(st.booleans()),
+        "master_seed": _texts(st.integers(-1, 2**32)),
+    })
+
+
+class TestKeysRunOrRaise:
+    """A config-key dict over a tiny scenario is either rejected when its
+    scenario is built or runs clean: one wave per point, every count in
+    range, and no warning."""
+
+    @given(_TINY_KEYS)
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_scenario_rejected_or_runs_clean(self, keys):
+        try:
+            scenario = scenario_from_keys(keys)
+        except ConfigError:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_scenario(scenario, workers=1)
+        wave_bits = (scenario.blocks_per_wave * scenario.symbols_per_block
+                     * scenario.config.bits_per_symbol)
+        assert len(report.records) == len(scenario.ebn0_grid)
+        for record in report.records:
+            assert record.bits == wave_bits > 0
+            assert 0 <= record.errors <= record.bits
+
+    @given(_TINY_KEYS)
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_cli_exits_0_or_1(self, keys):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "fuzz.cfg"
+            path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["simulate", "--config", str(path), "--out",
+                             str(pathlib.Path(tmp) / "out.csv")])
+        assert code in (0, 1)

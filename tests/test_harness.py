@@ -249,6 +249,11 @@ _TINY_UNALIGNED = dataclasses.replace(
                       pn_length=7, oversampling=3))
 
 
+def _pn_chips(runtime):
+    """Every user's PN chips in the runtime's scenario (harness._user_codes)."""
+    return harness._user_codes(runtime.scenario.config)[1]
+
+
 def _sample_chain(runtime, symbols, gains, reference_phase, amplify=None):
     """User 1's correlator outputs from the sampled waveform: every user's
     symbols modulated, amplified when amplify is given, sent through its
@@ -257,11 +262,12 @@ def _sample_chain(runtime, symbols, gains, reference_phase, amplify=None):
     cfg = runtime.scenario.config
     received = np.zeros(symbols.shape[1] * cfg.samples_per_symbol
                         + (runtime.scenario.paths - 1) * cfg.oversampling, dtype=np.complex128)
+    pn_chips = _pn_chips(runtime)
     for k in range(cfg.users):
-        tx = modulate_user(symbols[k], runtime.walsh, runtime.pn_chips[k], cfg)
+        tx = modulate_user(symbols[k], runtime.walsh, pn_chips[k], cfg)
         propagate_samples(tx if amplify is None else amplify(tx), gains[k], cfg.oversampling,
                           out=received)
-    own = slot_signatures(runtime.walsh, runtime.pn_chips[0], cfg)
+    own = slot_signatures(runtime.walsh, pn_chips[0], cfg)
     return correlate_slots(received, own, cfg, reference_phase=reference_phase)
 
 
@@ -333,7 +339,7 @@ class TestCorrelationEngine:
     ], ids=["aligned", "unaligned"])
     def test_noise_factor_reproduces_signature_gram(self, config):
         runtime = harness._prepare(dataclasses.replace(TINY, config=config))
-        own = slot_signatures(runtime.walsh, runtime.pn_chips[0], config)
+        own = slot_signatures(runtime.walsh, _pn_chips(runtime)[0], config)
         own = own.reshape(-1, config.samples_per_symbol)
         gram = own.conj() @ own.T / config.samples_per_symbol
         factor = runtime.noise_factor
@@ -378,7 +384,7 @@ def _reference_calibration(runtime):
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
     symbols = harness._draw_symbols(rng, (harness._CALIBRATION_SYMBOLS, cfg.substreams,
                                           cfg.carriers))
-    linear = modulate_user(symbols, runtime.walsh, runtime.pn_chips[0], cfg)
+    linear = modulate_user(symbols, runtime.walsh, _pn_chips(runtime)[0], cfg)
     tx = _reference_amplifier(runtime)(linear)
     eb = np.mean(np.abs(tx) ** 2) / cfg.bits_per_symbol
     return eb, np.angle(np.vdot(linear, tx) / np.vdot(linear, linear))
@@ -435,7 +441,7 @@ class TestAmplifierEngine:
         if scenario.hpa_mode == "saleh_pd":
             linear = np.concatenate([
                 modulate_user(d, runtime.walsh, pn, scenario.config)
-                for d, pn in zip(symbols, runtime.pn_chips)])
+                for d, pn in zip(symbols, _pn_chips(runtime))])
             share = np.mean(np.abs(runtime.linear_gain * linear) > scenario.saleh.saturation_output)
             low, high = _CLIPPED_SHARE[scenario.name]
             assert low <= share <= high
@@ -687,10 +693,11 @@ def _check_cell_geometry(runtime):
     chips = floor_chips(cfg)
     assert np.array_equal(walsh_chip_bounds(cfg),
                           np.searchsorted(chips, np.arange(cfg.walsh_order + 1)))
-    pn_samples = np.repeat(runtime.pn_chips, cfg.oversampling, axis=1)
+    pn_chips = _pn_chips(runtime)
+    pn_samples = np.repeat(pn_chips, cfg.oversampling, axis=1)
     offsets = np.arange(hpa._CELL_SAMPLES)
     for paths in (1, 2, 3):
-        grid = hpa._cell_grid(cfg, runtime.pn_chips, paths)
+        grid = hpa._cell_grid(cfg, pn_chips, paths)
         assert np.array_equal(np.cumsum(grid.lengths)[:-1], grid.starts[1:])
         assert grid.starts[-1] + grid.lengths[-1] == cfg.samples_per_symbol
         positions = grid.starts[:, None] + offsets
@@ -1070,10 +1077,10 @@ class TestBlasThreads:
         assert forced_fork == (["fork"] if workers > 1 else [])
 
 
-    def test_nested_entry_scans_once_and_restores(self, blas_threads, monkeypatch):
-        """A nested entry neither scans for OpenBLAS nor restores: the
-        outer one does both, also when the body raises.  A run scans once,
-        its setup's entry nesting in its own."""
+    def test_one_scan_per_public_call(self, blas_threads, monkeypatch):
+        """An entry scans for OpenBLAS once and restores the counts, also
+        when the body raises; a run and a measure_variances call each enter
+        it once, around their setup and their blocks."""
         before = blas_threads()
         scan = harness._openblas_thread_calls
         scans = []
@@ -1081,11 +1088,8 @@ class TestBlasThreads:
                             lambda: scans.append(None) or scan())
         with pytest.raises(RuntimeError, match="inner"):
             with harness._single_threaded_blas():
-                with harness._single_threaded_blas():
-                    pass
                 assert all(count == 1 for count in blas_threads())
-                with harness._single_threaded_blas():
-                    raise RuntimeError("inner")
+                raise RuntimeError("inner")
         assert blas_threads() == before
         assert len(scans) == 1
         run_scenario(TINY)

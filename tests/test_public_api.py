@@ -13,8 +13,9 @@ from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, t
 # Names the per-user sample chain needed and the engines no longer do, the
 # wrappers around plain code and sample arrays, surface nothing read, the
 # engine's names that moved to the module of their layer, the symbol
-# duration and the branch power, which cancelled from every output, and the
-# sample-level reference chain, which moved to tests/reference_chain.py.
+# duration and the branch power, which cancelled from every output, the
+# sample-level reference chain, which moved to tests/reference_chain.py, and
+# the runtime's fields and the BLAS flag that no program code read.
 _RETIRED = {
     channel: ("PathTap", "NoiseSpec", "add_awgn", "propagate_samples"),
     channel.ChannelRealization: ("n_paths",),
@@ -31,8 +32,18 @@ _RETIRED = {
               "_formed_cells", "_driven_coefficients", "_tube_correlations",
               "_excess_correlations", "_add_cell_correlations", "_SLAB_SAMPLES",
               "_CELL_SAMPLES", "_CELL_CHUNK", "_linear_eb", "limiter_factor", "_calibrate",
-              "_correlator_noise"),
+              "_correlator_noise", "_BLAS_PINNED"),
+    harness._Runtime: ("pn_chips", "slot_column"),
     txchain.LinkConfig: ("walsh_aligned", "symbol_duration", "sample_rate", "power"),
+}
+
+# The whole parameter lists of three public calls, which take the theory's
+# grid and link from the Scenario, the feedback taps from PRIMITIVE_TAPS and
+# the amplifier's base from the SalehParams defaults.
+_SIGNATURES = {
+    analysis.theoretical_curve: ("variances", "scenario", "reference_ebn0_db"),
+    codes.generate_msequence: ("degree",),
+    config.saleh_from_keys: ("keys",),
 }
 
 # The scenario layer and the amplifiers, by the module that defines them:
@@ -56,7 +67,11 @@ def test_exports_resolve_once_and_retired_names_are_gone():
             assert name not in names
             assert not hasattr(mcmccdma, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+            # a dataclass field without a default is no class attribute
+            assert name not in getattr(module, "__dataclass_fields__", {}), name
     assert "window_rate" not in inspect.signature(channel.correlator_noise).parameters
+    for function, parameters in _SIGNATURES.items():
+        assert tuple(inspect.signature(function).parameters) == parameters, function.__name__
 
 
 def test_scenario_layer_lives_outside_the_engine():
@@ -71,6 +86,7 @@ def test_scenario_layer_lives_outside_the_engine():
 
 
 _IMPORT_PATH_PROBE = """
+import dataclasses
 import sys
 import mcmccdma
 from mcmccdma import harness
@@ -93,7 +109,8 @@ for mode in ("saleh_pd", "saleh"):
 added = sorted(set(sys.modules) - before)
 variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
                                   inter_carrier=0.0, multi_user=0.1, noise=0.2, n_symbols=10)
-theoretical_curve(variances, (0.0, 10.0), 0.0, fading=True)
+theoretical_curve(variances, dataclasses.replace(scenario, fading=True, ebn0_grid=(0.0, 10.0)),
+                  0.0)
 # a one-worker run forks no pool, so it need not load multiprocessing
 harness.run_scenario(Scenario(name="probe", config=config, paths=2, ebn0_grid=(4.0,),
                               max_bits=64), workers=1)
