@@ -75,12 +75,15 @@ MUTANTS = (
            "    channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, "
            "scenario.fading)\n", _BLOCK_DRAW_TESTS),
     Mutant("block-skips-its-noise", "harness.py",
-           "    if runtime.scenario.noise_enabled:\n        z = z + ",
+           "    if runtime.noise_scales:\n        z = z + ",
            "    if False:\n        z = z + ",
            ("tests/test_harness.py", "-k", "noise_per_correlator_output")),
+    Mutant("noise-scale-wrong-point", "harness.py",
+           "noise_scales[point_index]", "noise_scales[0]",
+           ("tests/test_harness.py", "-k", "own_noise_variance")),
     Mutant("decomposition-noise-scale", "harness.py",
-           "correlator_noise(ebn0_db, runtime.eb, runtime.noise_factor[:1, :1],",
-           "correlator_noise(ebn0_db, runtime.eb, 1.1 * runtime.noise_factor[:1, :1],",
+           "correlator_noise(scale, runtime.noise_factor[:1, :1],",
+           "correlator_noise(scale, 1.1 * runtime.noise_factor[:1, :1],",
            ("tests/test_receiver.py", "-k", "awgn_variance_matches_analytic")),
     Mutant("calibration-integer-draw", "harness.py",
            "frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))",
@@ -238,6 +241,10 @@ MUTANTS = (
     Mutant("scenario-drive-unchecked", "config.py",
            '        if self.hpa_mode != "bypass":\n            amplifier_drive(self)\n', "",
            ("tests/test_cli.py", "-k", "drive_without_finite_scale")),
+    Mutant("setup-noise-check-dropped", "harness.py",
+           "        except ValueError as exc:\n            raise ConfigError(",
+           "        except ConfigError as exc:\n            raise ConfigError(",
+           ("tests/test_cli.py", "-k", "point_without_noise_level")),
     Mutant("noise-density-unbounded", "channel.py",
            "    if not 0.0 < n0 < np.inf:\n", "    if False:\n",
            ("tests/test_receiver.py", "-k", "ebn0_beyond_float_range")),

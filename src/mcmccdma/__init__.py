@@ -15,7 +15,6 @@ from .analysis import (
     binomial_ci95,
     conditional_ber,
     emit_csv,
-    erfc,
     fading_averaged_ber,
     parse_csv,
     theoretical_curve,
@@ -76,7 +75,6 @@ __all__ = [
     "conditional_ber",
     "draw_channel",
     "emit_csv",
-    "erfc",
     "estimate_interference_variances",
     "fading_averaged_ber",
     "generate_msequence",

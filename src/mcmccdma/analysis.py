@@ -21,19 +21,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
     from .config import Scenario
-
-
-def erfc(x):
-    """Complementary error function (vectorized)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("erfc argument must be finite")
-    out = np.vectorize(math.erfc, otypes=[np.float64])(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def conditional_ber(gamma: float) -> float:

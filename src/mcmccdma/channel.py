@@ -7,8 +7,8 @@ phases.  Noise is calibrated against the measured transmitted energy per
 information bit, so back-off comparisons are not conflated with SNR loss;
 time, and so that energy, is counted in symbol periods.
 
-Everything here works on plain arrays: correlator_noise takes the Eb/N0 in
-dB and the energy per bit.
+Everything here works on plain arrays: noise_scale turns the Eb/N0 in dB and
+the energy per bit into the scale that correlator_noise draws with.
 """
 
 from __future__ import annotations
@@ -62,31 +62,29 @@ def draw_channel(rng: np.random.Generator, users: int, n_paths: int,
     return ChannelRealization(gains=gains, phases=phases)
 
 
-def correlator_noise(ebn0_db: float, eb: float, factor: np.ndarray, n_windows: int,
+def correlator_noise(scale: float, factor: np.ndarray, n_windows: int,
                      rng: np.random.Generator) -> np.ndarray:
     """What complex white Gaussian sample noise leaves in a bank of
     correlators, drawn directly.
 
-    Time is counted in symbol periods, so eb is an energy per bit of that
-    unit.  The sample noise has one-sided density n0 = eb / 10^(ebn0_db/10):
-    at N samples per symbol each real component of a sample has variance
-    (n0/2) * N.  The correlators average one symbol's N samples each against
-    unit-modulus signatures sig_t, so their outputs in one window are complex
-    Gaussian with covariance n0 * G, where G[t, u] = (1/N) sum_i
-    conj(sig_t[i]) sig_u[i] is the signatures' Gram matrix and
+    scale is the noise's per-rail standard deviation sqrt(n0/2)
+    (noise_scale): at N samples per symbol each real component of a sample
+    has variance (n0/2) * N.  The correlators average one symbol's N samples
+    each against unit-modulus signatures sig_t, so their outputs in one
+    window are complex Gaussian with covariance n0 * G, where G[t, u] =
+    (1/N) sum_i conj(sig_t[i]) sig_u[i] is the signatures' Gram matrix and
     factor @ factor^H = G.  Returns (n_windows, len(factor)) draws,
     independent between windows.
     """
-    sigma = np.sqrt(0.5 * _noise_density(ebn0_db, eb))
     w = rng.standard_normal((n_windows, factor.shape[0], 2))
-    return sigma * ((w[..., 0] + 1j * w[..., 1]) @ factor.T)
+    return scale * ((w[..., 0] + 1j * w[..., 1]) @ factor.T)
 
 
-def _noise_density(ebn0_db: float, eb: float) -> float:
-    """One-sided noise density n0 for the requested Eb/N0.  ValueError
-    unless n0 is finite and positive, which rules out a NaN or infinite
-    ebn0_db, an energy per bit that is not positive, and an Eb/N0 so far
-    out (thousands of dB) that 10^(ebn0_db/10) or n0 overflows or
+def noise_scale(ebn0_db: float, eb: float) -> float:
+    """sqrt(n0/2), the noise's per-rail standard deviation, for the one-sided
+    density n0 = eb / 10^(ebn0_db/10).  ValueError unless n0 is finite and
+    positive, which rules out a NaN or infinite ebn0_db, an energy per bit
+    that is not positive, and an Eb/N0 or Eb so far out that n0 overflows or
     underflows to zero."""
     # numpy's power returns inf or 0 where Python's raises, and rounds the
     # same (both call the C library's pow)
@@ -95,4 +93,4 @@ def _noise_density(ebn0_db: float, eb: float) -> float:
     if not 0.0 < n0 < np.inf:
         raise ValueError(f"ebn0_db must be finite and give a positive noise density, got "
                          f"{ebn0_db} at energy per bit {eb}")
-    return n0
+    return np.sqrt(0.5 * n0)

@@ -28,7 +28,9 @@ symbols), user 1's noiseless correlator outputs (_correlation_outputs),
 one correlator noise draw when the noise is on (channel.correlator_noise),
 and the decisions (receiver.decide_slots).  The noise enters after the
 amplifier and the channel, so the noiseless outputs do not depend on
-Eb/N0, and neither producer takes it or a generator.  A block's outputs are
+Eb/N0, and neither producer takes it or a generator; a block takes only
+its (point, block) indices, and its noise draw the point's noise scale,
+which the setup formed.  A block's outputs are
 
     z = g sqrt(2) e^{-j theta} T + W + noise,
 
@@ -76,7 +78,8 @@ energy per bit is the mean transmitted power over the bits per symbol: 2
 for the linear chain at unit branch power (txchain.LinkConfig), and for an
 amplifier what hpa.amplifier_calibration measures on a fixed-seed frame of
 user 1's, with the amplifier's mean rotation, from the Gram matrix behind
-the noise factor (_prepare).
+the noise factor (_prepare), which then forms every Eb/N0 point's noise
+scale (channel.noise_scale) and rejects a point without one (ConfigError).
 """
 
 from __future__ import annotations
@@ -93,9 +96,9 @@ import numpy.random  # numpy 2 loads it on first use: pay that here, not in the 
 
 # preset and emit_csv are also imported for perfbench/call.py, which reads them here.
 from .analysis import BerRecord, RunReport, binomial_ci95, emit_csv, scenario_columns
-from .channel import correlator_noise, draw_channel, path_power_profile
+from .channel import correlator_noise, draw_channel, noise_scale, path_power_profile
 from .codes import generate_msequence, generate_walsh
-from .config import Scenario, preset
+from .config import ConfigError, Scenario, preset
 from .hpa import (LimiterState, TubeState, amplifier_calibration, amplifier_correlations,
                   prepare_amplifier)
 from .receiver import (SOURCE_NAMES, InterferenceVariances, combine_walsh_chips,
@@ -110,8 +113,8 @@ _CALIBRATION_SYMBOLS = 256
 class _Runtime:
     """Precomputed per-scenario tables shared by every block: the tables of
     its linear term, the noise factor, the amplifier's state (None without
-    one), the energy per bit the noise is matched to, and the amplifier's
-    mean rotation (_prepare)."""
+    one), the energy per bit the noise is matched to, the amplifier's mean
+    rotation, and the noise scale of every grid point (_prepare)."""
 
     scenario: Scenario
     walsh: np.ndarray          # the substreams' Walsh rows, float64 (substreams, walsh_order)
@@ -123,6 +126,8 @@ class _Runtime:
     amplifier: TubeState | LimiterState | None   # hpa.prepare_amplifier
     eb: float
     phase_offset: float
+    # channel.noise_scale of each ebn0_grid point, empty when the noise is off
+    noise_scales: tuple
     # the working arrays of the blocks' spread_symbols, correlate_tables
     # and amplifier (txchain._work_array), reused block to block
     work: dict = field(default_factory=dict)
@@ -152,7 +157,8 @@ def _prepare(scenario: Scenario) -> _Runtime:
     factor draws the noise, and it gives an amplifier's calibration the
     linear frame's energy.  The calibration frame is drawn from
     SeedSequence([master_seed, 1]), and the working arrays it makes are
-    the blocks' too."""
+    the blocks' too, as is every grid point's noise scale, formed once Eb is
+    known: a point without one raises ConfigError before any block runs."""
     cfg = scenario.config
     walsh, pn_chips = _user_codes(cfg)
     work = {}
@@ -166,21 +172,29 @@ def _prepare(scenario: Scenario) -> _Runtime:
         rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
         frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
         eb, phase_offset = amplifier_calibration(amplifier, frame, gram, work)
+    noise_scales = []
+    for point_index, ebn0_db in enumerate(scenario.ebn0_grid if scenario.noise_enabled else ()):
+        try:
+            noise_scales.append(noise_scale(float(ebn0_db), eb))
+        except ValueError as exc:
+            raise ConfigError(f"scenario {scenario.name!r}, Eb/N0 point {point_index}: {exc}")
     return _Runtime(scenario=scenario, walsh=walsh, warmup=1 if scenario.paths > 1 else 0,
                     correlation=correlation, noise_factor=np.linalg.cholesky(gram),
-                    amplifier=amplifier, eb=eb, phase_offset=phase_offset, work=work)
+                    amplifier=amplifier, eb=eb, phase_offset=phase_offset,
+                    noise_scales=tuple(noise_scales), work=work)
 
 
-def _simulate_block(runtime: _Runtime, point_index: int, block_index: int, ebn0_db: float):
+def _simulate_block(runtime: _Runtime, point_index: int, block_index: int):
     """One independent trial block: its draws, user 1's noiseless correlator
-    outputs, one correlator noise draw when the noise is on, added into a
-    new array so that the noiseless outputs are left as they were, and the
-    decisions.  Returns (errors, bits) for user 1's counted symbols."""
+    outputs, one correlator noise draw at the point's noise scale when the
+    noise is on, added into a new array so that the noiseless outputs are
+    left as they were, and the decisions.  Returns (errors, bits) for user
+    1's counted symbols."""
     rng, channel, symbols = _block_draws(runtime, point_index, block_index)
     z = _correlation_outputs(runtime, channel, symbols)
-    if runtime.scenario.noise_enabled:
-        z = z + correlator_noise(ebn0_db, runtime.eb, runtime.noise_factor, symbols.shape[1],
-                                 rng).reshape(z.shape)
+    if runtime.noise_scales:
+        z = z + correlator_noise(runtime.noise_scales[point_index], runtime.noise_factor,
+                                 symbols.shape[1], rng).reshape(z.shape)
     return decide_slots(z[runtime.warmup:], symbols[0, runtime.warmup:])
 
 
@@ -422,8 +436,7 @@ _WORKER_RUNTIME: _Runtime | None = None
 
 
 def _worker_block(args):
-    point_index, block_index, ebn0_db = args
-    return _simulate_block(_WORKER_RUNTIME, point_index, block_index, ebn0_db)
+    return _simulate_block(_WORKER_RUNTIME, *args)
 
 
 class _BlockRunner:
@@ -437,14 +450,14 @@ class _BlockRunner:
         self.serial_s = 0.0
         self.pool = None
 
-    def run(self, point_index: int, block_ids: range, ebn0_db: float) -> list:
+    def run(self, point_index: int, block_ids: range) -> list:
         global _WORKER_RUNTIME
         results = []
         for block_index in block_ids:
             if self.workers > 1 and self.serial_s >= _SERIAL_BUDGET_S:
                 break
             started = time.perf_counter()
-            results.append(_simulate_block(self.runtime, point_index, block_index, ebn0_db))
+            results.append(_simulate_block(self.runtime, point_index, block_index))
             self.serial_s += time.perf_counter() - started
         rest = block_ids[len(results):]
         if rest:
@@ -454,10 +467,9 @@ class _BlockRunner:
             share = math.ceil(len(rest) / self.workers)
             pooled = rest[share:]
             pending = self.pool.map_async(
-                _worker_block, [(point_index, b, ebn0_db) for b in pooled],
+                _worker_block, [(point_index, b) for b in pooled],
                 chunksize=math.ceil(len(pooled) / (self.workers - 1)))
-            results += [_simulate_block(self.runtime, point_index, b, ebn0_db)
-                        for b in rest[:share]]
+            results += [_simulate_block(self.runtime, point_index, b) for b in rest[:share]]
             results += pending.get()
         return results
 
@@ -506,8 +518,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
                            or (errors >= scenario.min_errors and bits >= scenario.min_bits
                                and blocks >= scenario.min_blocks)):
                     block_ids = range(blocks, blocks + scenario.blocks_per_wave)
-                    for block_errors, block_bits in runner.run(point_index, block_ids,
-                                                               float(ebn0_db)):
+                    for block_errors, block_bits in runner.run(point_index, block_ids):
                         errors += block_errors
                         bits += block_bits
                     blocks += scenario.blocks_per_wave
@@ -533,10 +544,12 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     once, before the chunks (_source_split).  Each chunk of at most chunk
     symbols draws its symbols, splits their noiseless outputs against those
     weights (_source_outputs) and then draws the noise of slot (1, 1), with
-    that slot's variance (user 1's Gram entry); with the noise off it is
-    zero and ebn0_db is not read.  With several paths each chunk is preceded by
-    one uncounted warmup symbol, so that the missing previous symbol at its
-    start does not bias the estimates.  chunk must be at least 1.
+    that slot's variance (user 1's Gram entry), at the one noise scale
+    formed before the chunks (channel.noise_scale); with the noise off it
+    is zero and ebn0_db is not read.  With several paths each chunk is
+    preceded by one uncounted warmup symbol, so that the missing previous
+    symbol at its start does not bias the estimates.  chunk must be at
+    least 1.
     """
     if n_symbols < 2:
         raise ValueError(f"need at least 2 symbols for a sample variance, got {n_symbols}")
@@ -544,15 +557,15 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
         raise ValueError(f"chunk must be at least 1 symbol, got {chunk}")
     cfg = runtime.scenario.config
     split = _source_split(runtime, channel)
+    scale = noise_scale(ebn0_db, runtime.eb) if runtime.scenario.noise_enabled else None
     collected = {name: [] for name in SOURCE_NAMES}
     for start in range(0, n_symbols, chunk):
         n_total = min(chunk, n_symbols - start) + runtime.warmup
         sources = _source_outputs(
             split, _draw_symbols(rng, (cfg.users, n_total, cfg.substreams, cfg.carriers)))
-        sources["noise"] = (correlator_noise(ebn0_db, runtime.eb, runtime.noise_factor[:1, :1],
-                                             n_total, rng)[:, 0]
-                            if runtime.scenario.noise_enabled
-                            else np.zeros(n_total, dtype=np.complex128))
+        sources["noise"] = (np.zeros(n_total, dtype=np.complex128) if scale is None
+                            else correlator_noise(scale, runtime.noise_factor[:1, :1], n_total,
+                                                  rng)[:, 0])
         for name, z in sources.items():
             collected[name].append(z[runtime.warmup:])
 

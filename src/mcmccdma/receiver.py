@@ -91,7 +91,7 @@ def chip_correlations(windows: np.ndarray, correlator: np.ndarray,
 
 
 def combine_walsh_chips(per_chip: np.ndarray, walsh_rows: np.ndarray, n_samp: int,
-                        reference_phase: float = 0.0) -> np.ndarray:
+                        reference_phase: float) -> np.ndarray:
     """The correlator outputs from per-chip sums (chip_correlations), shape
     (walsh_order, n_symbols, carriers), given the +-1 Walsh rows w_r, shape
     (substreams, walsh_order):
@@ -268,7 +268,7 @@ def signature_gram(tables: np.ndarray, walsh_rows: np.ndarray) -> np.ndarray:
 
 
 def correlate_tables(tables: np.ndarray, chips: np.ndarray, gains: np.ndarray,
-                     work: dict | None = None) -> np.ndarray:
+                     work: dict) -> np.ndarray:
     """Noiseless per-chip sums of user 1's correlator straight from the
     symbols, through partial_correlation_tables:
 

@@ -168,8 +168,7 @@ def subcarrier_exponentials(config: LinkConfig) -> np.ndarray:
     )
 
 
-def spread_symbols(walsh_rows: np.ndarray, symbols: np.ndarray,
-                   work: dict | None = None) -> np.ndarray:
+def spread_symbols(walsh_rows: np.ndarray, symbols: np.ndarray, work: dict) -> np.ndarray:
     """Every user's symbols on its Walsh chip stream, the one place the
     multicode layer spreads them:
 
@@ -180,7 +179,7 @@ def spread_symbols(walsh_rows: np.ndarray, symbols: np.ndarray,
     of window n, user k's PN-free waveform is sqrt(2) sum_m chips[a, n, k,
     m] E_m, E_m the subcarrier exponentials.  One real GEMM; the sums are of
     +-1 terms, so they are exact.  Shape (walsh_order, n, users, carriers),
-    in work's arrays "symbols" and "chips" when work is given (_work_array).
+    in work's arrays "symbols" and "chips" (_work_array).
     """
     n_sub, order = walsh_rows.shape
     users, n_total, _, n_car = symbols.shape
@@ -191,15 +190,13 @@ def spread_symbols(walsh_rows: np.ndarray, symbols: np.ndarray,
     return chips.reshape(order, n_total, users, n_car)
 
 
-def _work_array(work: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialized array of the shape: a new one without work, and
-    otherwise the one work holds under the name, replaced when its shape
-    differs.  A block's steps pass one dict to each of their calls, so that
-    their working arrays are made once and reused while their shapes hold:
-    allocated afresh, they can grow and trim the heap on every call, which
-    then faults its pages in again."""
-    if work is None:
-        return np.empty(shape, dtype)
+def _work_array(work: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of the shape: the one work holds under the
+    name, made anew when there is none or its shape differs.  A block's
+    steps pass one dict to each of their calls, so that their working arrays
+    are made once and reused while their shapes hold: allocated afresh, they
+    can grow and trim the heap on every call, which then faults its pages in
+    again.  An empty dict gives fresh arrays."""
     array = work.get(name)
     if array is None or array.shape != shape:
         array = work[name] = np.empty(shape, dtype)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from mcmccdma.analysis import conditional_ber, emit_csv, erfc, fading_averaged_ber
+from mcmccdma.analysis import conditional_ber, emit_csv, fading_averaged_ber
 from mcmccdma import harness
 from mcmccdma.channel import draw_channel
 from mcmccdma.codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
@@ -51,13 +51,15 @@ def test_walsh_and_msequence_properties():
 
 
 def test_erfc_accuracy():
-    xs = np.linspace(-6.0, 6.0, 1000)
+    # conditional_ber(gamma) = erfc(sqrt(gamma)) / 2, at sqrt(gamma) in [0, 6]
     worst = 0.0
-    for x in xs:
-        ref = erfc_oracle(float(x))
-        worst = max(worst, abs(erfc(float(x)) - ref) / abs(ref))
+    for x in np.linspace(0.0, 6.0, 1000):
+        gamma = float(x) ** 2
+        ref = 0.5 * erfc_oracle(math.sqrt(gamma))
+        worst = max(worst, abs(conditional_ber(gamma) - ref) / ref)
     _report("erfc accuracy", worst <= 1e-7,
-            f"worst relative error {worst:.2e} over 1000 points in [-6, 6]")
+            f"conditional BER's worst relative error {worst:.2e} against the erfc oracle "
+            f"over 1000 points, sqrt(gamma) in [0, 6]")
 
 
 def test_bpsk_awgn_closure():

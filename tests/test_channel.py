@@ -9,6 +9,7 @@ from mcmccdma.channel import (
     ChannelRealization,
     correlator_noise,
     draw_channel,
+    noise_scale,
     path_power_profile,
 )
 
@@ -131,7 +132,7 @@ class TestAwgn:
         gram = a @ a.conj().T / 3 + np.eye(3)
         factor = np.linalg.cholesky(gram)
         eb, ebn0_db = 2.0, 4.0
-        z = correlator_noise(ebn0_db, eb, factor, 200_000, rng)
+        z = correlator_noise(noise_scale(ebn0_db, eb), factor, 200_000, rng)
         assert z.shape == (200_000, 3)
         expected = eb / 10 ** (ebn0_db / 10) * gram
         measured = z.T @ z.conj() / z.shape[0]
@@ -141,9 +142,8 @@ class TestAwgn:
 
     @pytest.mark.parametrize("ebn0_db", [np.nan, np.inf, -np.inf])
     def test_nonfinite_ebn0_rejected(self, ebn0_db):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="ebn0_db must be finite"):
-            correlator_noise(ebn0_db, 1.0, np.eye(2), 4, rng)
+            noise_scale(ebn0_db, 1.0)
 
 
 @given(st.integers(1, 5), st.floats(0.0, 6.0))

@@ -211,6 +211,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys", [
+        dict(hpa_mode="saleh", alpha_am="1e-150", beta_am="1", ebn0_grid="300"),
+        dict(hpa_mode="saleh_pd", alpha_am="1e-150", beta_am="1", ebn0_grid="300"),
+        dict(hpa_mode="saleh", alpha_am="1e-150", beta_am="1", ibo_db="-300", ebn0_grid="0"),
+        dict(hpa_mode="saleh", alpha_am="1e-100", beta_am="1e100", ibo_db="300",
+             ebn0_grid="300"),
+    ], ids=["saleh-300db", "saleh_pd-300db", "saleh-eb-zero", "saleh-eb-zero-300db"])
+    def test_point_without_noise_level_is_config_error(self, tmp_path, capsys, keys):
+        """A calibrated Eb that leaves an Eb/N0 point no finite positive
+        noise density (n0 underflows, or Eb is 0) is rejected at the run's
+        setup with one error line, before any block."""
+        cfg = _write_tiny_config(tmp_path, **keys)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario 'cli-tiny', Eb/N0 point 0: ")
+        assert "positive noise density" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_characterize_hpa_unknown_key(self, tmp_path):
         params = tmp_path / "amp.cfg"
         params.write_text("users = 5\n")

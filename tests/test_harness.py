@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.analysis import emit_csv
-from mcmccdma.channel import draw_channel
+from mcmccdma.channel import draw_channel, noise_scale
 from mcmccdma.codes import generate_msequence
 from mcmccdma import harness, hpa
-from mcmccdma.config import HPA_MODES, Scenario, preset
+from mcmccdma.config import HPA_MODES, ConfigError, Scenario, preset
 from mcmccdma.harness import estimate_interference_variances, measure_variances, run_scenario
-from mcmccdma.hpa import amplify_samples, apply_predistorter, limiter_factor
+from mcmccdma.hpa import SalehParams, amplify_samples, apply_predistorter, limiter_factor
 from mcmccdma.receiver import SOURCE_NAMES
 from mcmccdma.txchain import (LinkConfig, spread_symbols, subcarrier_exponentials,
                               walsh_chip_bounds)
@@ -196,6 +196,20 @@ class TestRunScenario:
         monkeypatch.setattr(harness, "get_context", forbidden)
         with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             run_scenario(TINY, workers=workers)
+
+    def test_point_without_noise_level_rejected_before_any_block(self, monkeypatch):
+        """The tube's calibrated Eb is ~1e-301 at alpha_am=1e-150, so at
+        300 dB n0 underflows to 0: the setup names that point, and no block
+        of the point before it runs."""
+        def forbidden(*args):
+            raise AssertionError("a block ran before every point's noise level was checked")
+
+        monkeypatch.setattr(harness, "_simulate_block", forbidden)
+        scenario = dataclasses.replace(TINY, hpa_mode="saleh", ebn0_grid=(0.0, 300.0),
+                                       saleh=SalehParams(alpha_am=1e-150, beta_am=1.0))
+        with pytest.raises(ConfigError, match="scenario 'tiny', Eb/N0 point 1: ebn0_db must be "
+                                              "finite and give a positive noise density"):
+            run_scenario(scenario)
 
     def test_record_contents(self):
         rep = run_scenario(TINY)
@@ -506,7 +520,7 @@ class TestAmplifierEngine:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            harness._simulate_block(runtime, 0, 0, 8.0)
+            harness._simulate_block(runtime, 0, 0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -530,27 +544,29 @@ class TestAmplifierEngine:
                                                        hpa_mode="saleh_pd", ibo_db=30.0))
         assert calls == []
         symbols = harness._draw_symbols(np.random.default_rng(0), (3, 16, 2, 2))
-        assert hpa._excess_correlations(runtime.amplifier, spread_symbols(runtime.walsh, symbols),
-                                        np.ones((3, 1)), runtime.work) is None
-        harness._simulate_block(runtime, 0, 0, 8.0)
+        chips = spread_symbols(runtime.walsh, symbols, {})
+        assert hpa._excess_correlations(runtime.amplifier, chips, np.ones((3, 1)),
+                                        runtime.work) is None
+        harness._simulate_block(runtime, 0, 0)
         assert calls == []
 
     @pytest.mark.parametrize("hpa_mode", HPA_MODES)
     def test_block_draws_noise_per_correlator_output(self, hpa_mode, monkeypatch):
         """Every mode's noise is one correlator_noise draw through the
-        runtime's Gram factor, from the generator where the block's draws
-        leave it, added to the noiseless outputs before the decisions; the
-        producer draws none, a block with the noise off neither, and the
-        block draws no other noise from its generator."""
+        runtime's Gram factor at the point's noise scale, from the generator
+        where the block's draws leave it, added to the noiseless outputs
+        before the decisions; the producer draws none, a block with the
+        noise off neither, and the block draws no other noise from its
+        generator."""
         scenario = dataclasses.replace(_TINY_UNALIGNED, name="noisy", hpa_mode=hpa_mode,
-                                       ibo_db=1.0)
+                                       ibo_db=1.0, ebn0_grid=(8.0,))
         draws, decided = [], []
         correlator_noise = harness.correlator_noise
         decide_slots = harness.decide_slots
 
-        def recorded(ebn0_db, eb, factor, n_windows, rng):
-            draws.append((factor, n_windows, eb, ebn0_db, rng))
-            draws.append(correlator_noise(ebn0_db, eb, factor, n_windows, rng))
+        def recorded(scale, factor, n_windows, rng):
+            draws.append((scale, factor, n_windows, rng))
+            draws.append(correlator_noise(scale, factor, n_windows, rng))
             return draws[-1]
 
         monkeypatch.setattr(harness, "correlator_noise", recorded)
@@ -558,20 +574,42 @@ class TestAmplifierEngine:
                             lambda z, reference: decided.append(z) or decide_slots(z, reference))
         runtime, channel, symbols, z = _recorded_block(scenario)
         quiet = harness._prepare(dataclasses.replace(scenario, noise_enabled=False))
-        harness._simulate_block(quiet, 0, 3, 8.0)
+        assert quiet.noise_scales == ()
+        harness._simulate_block(quiet, 0, 3)
         assert draws == []          # noise off, nothing drawn
         warmup = runtime.warmup
         assert np.array_equal(decided[0], z[warmup:])
-        harness._simulate_block(runtime, 0, 3, 8.0)
-        (factor, n_windows, eb, ebn0_db, rng), noise = draws
-        assert factor is runtime.noise_factor and eb == runtime.eb and ebn0_db == 8.0
+        harness._simulate_block(runtime, 0, 3)
+        (scale, factor, n_windows, rng), noise = draws
+        assert factor is runtime.noise_factor
+        assert scale == noise_scale(8.0, runtime.eb) == runtime.noise_scales[0]
         assert n_windows == symbols.shape[1]
         # the generator is left where that one draw leaves the block's draws
         alone, _, _ = harness._block_draws(runtime, 0, 3)
-        correlator_noise(ebn0_db, eb, factor, n_windows, alone)
+        correlator_noise(scale, factor, n_windows, alone)
         assert rng.bit_generator.state == alone.bit_generator.state
         difference = (decided[1] - z[warmup:]).reshape(n_windows - warmup, -1)
         assert np.abs(difference - noise[warmup:]).max() <= 1e-12 * np.abs(z).max()
+
+    def test_each_point_draws_its_own_noise_variance(self, monkeypatch):
+        """On a two-point grid each point's blocks add noise of that point's
+        variance, n0 = eb / 10^(ebn0_db/10) times user 1's Gram entry, per
+        correlator output: the noise is what a decided block adds to the
+        noiseless outputs of the same draws."""
+        scenario = dataclasses.replace(TINY, name="two-point", ebn0_grid=(0.0, 10.0),
+                                       symbols_per_block=4000)
+        runtime = harness._prepare(scenario)
+        decided = []
+        decide_slots = harness.decide_slots
+        monkeypatch.setattr(harness, "decide_slots",
+                            lambda z, reference: decided.append(z) or decide_slots(z, reference))
+        for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
+            harness._simulate_block(runtime, point_index, 0)
+            _, channel, symbols = harness._block_draws(runtime, point_index, 0)
+            noise = decided[-1] - harness._correlation_outputs(runtime, channel, symbols)
+            n0 = runtime.eb / 10 ** (ebn0_db / 10)
+            expected = n0 * abs(runtime.noise_factor[0, 0]) ** 2
+            assert np.mean(np.abs(noise) ** 2) == pytest.approx(expected, rel=0.1)
 
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("scenario", [_CLIPPED_LINEARIZED, _UNALIGNED_LINEARIZED],
@@ -599,7 +637,7 @@ class TestAmplifierEngine:
         grid.cos_terms[0, cell] = bad
         grid.centres[cell, 1] = bad
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
-            harness._simulate_block(runtime, 0, 0, 8.0)
+            harness._simulate_block(runtime, 0, 0)
 
 
 # Grids for the clip search: aligned, non-aligned, one Walsh chip per
@@ -661,7 +699,7 @@ def _check_cell_search(runtime, symbols):
     offsets = np.arange(hpa._CELL_SAMPLES)
     cell_excess = np.zeros(linear.size, dtype=np.complex128)
     formed = [np.zeros(0, dtype=np.int64)]
-    chips = spread_symbols(runtime.walsh, symbols)
+    chips = spread_symbols(runtime.walsh, symbols, {})
     for rows, cells, driven, _ in hpa._driven_cells(runtime.amplifier, chips, runtime.work):
         inside = offsets < grid.lengths[cells, None]
         assert np.array_equal(grid.span_chips[:, cells] != 0,
@@ -813,7 +851,7 @@ def test_reused_cell_arrays_match_fresh_ones():
     gains = harness._path_gains(draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db,
                                              scenario.fading))
     blocks = [spread_symbols(runtime.walsh, harness._draw_symbols(
-        rng, (cfg.users, n, cfg.substreams, cfg.carriers))) for n in (9, 5)]
+        rng, (cfg.users, n, cfg.substreams, cfg.carriers)), {}) for n in (9, 5)]
     counts = [sum(rows.size for rows, *_ in hpa._driven_cells(limiter, chips, {}))
               for chips in blocks]
     assert counts[0] != counts[1] and min(counts) > 0
@@ -961,15 +999,15 @@ def test_fork_within_first_wave_keeps_csv_bytes(tmp_path, monkeypatch, pool_fork
         ebn0_grid=(4.0,), blocks_per_wave=8, max_bits=2 * 8 * 16 * 4)
     serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
     runtime = harness._prepare(scenario)
-    block_s = min(timeit.repeat(lambda: harness._simulate_block(runtime, 0, 0, 4.0),
+    block_s = min(timeit.repeat(lambda: harness._simulate_block(runtime, 0, 0),
                                 number=1, repeat=5))
     monkeypatch.setattr(harness, "_SERIAL_BUDGET_S", 2.5 * block_s)
     ran_here = []
     simulate = harness._simulate_block
 
-    def recorded(runtime, point_index, block_index, ebn0_db):
+    def recorded(runtime, point_index, block_index):
         ran_here.append(block_index)  # a worker appends to its own copy
-        return simulate(runtime, point_index, block_index, ebn0_db)
+        return simulate(runtime, point_index, block_index)
 
     monkeypatch.setattr(harness, "_simulate_block", recorded)
     assert _csv_bytes(scenario, 2, tmp_path / "pooled.csv") == serial

@@ -14,10 +14,13 @@ from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, t
 # wrappers around plain code and sample arrays, surface nothing read, the
 # engine's names that moved to the module of their layer, the symbol
 # duration and the branch power, which cancelled from every output, the
-# sample-level reference chain, which moved to tests/reference_chain.py, and
-# the runtime's fields and the BLAS flag that no program code read.
+# sample-level reference chain, which moved to tests/reference_chain.py, the
+# runtime's fields and the BLAS flag that no program code read, the
+# vectorized erfc that only tests called, and the per-block noise density,
+# which the setup's noise_scale replaced.
 _RETIRED = {
-    channel: ("PathTap", "NoiseSpec", "add_awgn", "propagate_samples"),
+    analysis: ("erfc",),
+    channel: ("PathTap", "NoiseSpec", "add_awgn", "propagate_samples", "_noise_density"),
     channel.ChannelRealization: ("n_paths",),
     codes: ("WalshMatrix", "PnSequence", "periodic_correlation"),
     receiver: ("recover_bits", "BitDecisions", "correlate_slots"),
@@ -39,11 +42,14 @@ _RETIRED = {
 
 # The whole parameter lists of three public calls, which take the theory's
 # grid and link from the Scenario, the feedback taps from PRIMITIVE_TAPS and
-# the amplifier's base from the SalehParams defaults.
+# the amplifier's base from the SalehParams defaults, and of a block and its
+# noise draw, which take the noise scale the setup formed, not an Eb/N0.
 _SIGNATURES = {
     analysis.theoretical_curve: ("variances", "scenario", "reference_ebn0_db"),
     codes.generate_msequence: ("degree",),
     config.saleh_from_keys: ("keys",),
+    harness._simulate_block: ("runtime", "point_index", "block_index"),
+    channel.correlator_noise: ("scale", "factor", "n_windows", "rng"),
 }
 
 # The scenario layer and the amplifiers, by the module that defines them:
@@ -69,7 +75,6 @@ def test_exports_resolve_once_and_retired_names_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             # a dataclass field without a default is no class attribute
             assert name not in getattr(module, "__dataclass_fields__", {}), name
-    assert "window_rate" not in inspect.signature(channel.correlator_noise).parameters
     for function, parameters in _SIGNATURES.items():
         assert tuple(inspect.signature(function).parameters) == parameters, function.__name__
 
@@ -98,14 +103,14 @@ from mcmccdma.txchain import LinkConfig
 scenario = Scenario(name="probe", config=LinkConfig(users=2, pn_length=7))
 runtime = harness._prepare(scenario)
 before = set(sys.modules)
-harness._simulate_block(runtime, 0, 0, 4.0)
+harness._simulate_block(runtime, 0, 0)
 # the amplifier modes' setup (the limiter's cell grid, the calibrations)
 # and blocks, at 2 paths and a back-off at which the limiter clips
 config = LinkConfig(users=2, substreams=2, carriers=2, walsh_order=2, pn_length=7)
 for mode in ("saleh_pd", "saleh"):
     amplified = harness._prepare(Scenario(name="probe", config=config, paths=2, hpa_mode=mode,
                                           ibo_db=0.0))
-    harness._simulate_block(amplified, 0, 0, 4.0)
+    harness._simulate_block(amplified, 0, 0)
 added = sorted(set(sys.modules) - before)
 variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
                                   inter_carrier=0.0, multi_user=0.1, noise=0.2, n_symbols=10)

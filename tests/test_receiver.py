@@ -241,9 +241,9 @@ class TestPartialCorrelationTables:
         rng = np.random.default_rng(paths)
         symbols = rng.choice([-1, 1], size=(users, 6, r, m)).astype(np.int8)
         gains = rng.standard_normal((users, paths)) + 1j * rng.standard_normal((users, paths))
-        per_chip = correlate_tables(tables, spread_symbols(rows, symbols), gains)
+        per_chip = correlate_tables(tables, spread_symbols(rows, symbols, {}), gains, {})
         assert per_chip.shape == (na, 6, m)
-        z = combine_walsh_chips(per_chip, rows, 1)
+        z = combine_walsh_chips(per_chip, rows, 1, 0.0)
         expected = _expanded_product(_expanded_tables(tables, rows, 1 + (paths > 1)),
                                      symbols, gains)
         assert np.abs(z - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -267,8 +267,8 @@ class TestPartialCorrelationTables:
             if call == 0:
                 arrays = {name: id(array) for name, array in work.items()}
             assert {name: id(array) for name, array in work.items()} == arrays
-            assert np.array_equal(shared, correlate_tables(tables, spread_symbols(rows, symbols),
-                                                           gains))
+            assert np.array_equal(shared, correlate_tables(
+                tables, spread_symbols(rows, symbols, {}), gains, {}))
 
 
 def _linear_runtime(cfg, paths=1, fading=False, noise_enabled=False):
