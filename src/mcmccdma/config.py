@@ -45,7 +45,6 @@ class Scenario:
     ebn0_grid: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)
     noise_enabled: bool = True
     min_errors: int = 100
-    min_bits: int = 0
     min_blocks: int = 0
     max_bits: int = 10_000_000
     symbols_per_block: int = 16
@@ -74,10 +73,9 @@ class Scenario:
             )
         if self.min_errors < 1:
             raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
-        # min_bits above max_bits is allowed: max_bits is the cap.
-        for name in ("min_bits", "min_blocks"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        # min_blocks past max_bits is allowed: max_bits is the cap.
+        if self.min_blocks < 0:
+            raise ValueError(f"min_blocks must be nonnegative, got {self.min_blocks}")
         if self.max_bits < 1:
             raise ValueError(f"max_bits must be >= 1, got {self.max_bits}")
         if self.symbols_per_block < 1 or self.blocks_per_wave < 1:
@@ -172,9 +170,9 @@ def _preset_linearization() -> list:
     base = LinkConfig(users=20, substreams=8, carriers=8, walsh_order=8, pn_length=4095)
     # The three curves sit within a factor of two of each other near 10 dB,
     # so the error floor alone (min_errors=200) leaves overlapping intervals;
-    # the bits floor tightens them enough to separate the arms.
-    stop = dict(min_errors=200, min_bits=131_072, max_bits=10_000_000,
-                symbols_per_block=32)
+    # the block floor, 131072 bits at 2048 per block, tightens them enough to
+    # separate the arms.
+    stop = dict(min_errors=200, min_blocks=64, max_bits=10_000_000, symbols_per_block=32)
     return [
         Scenario(name="amplifier-ibo-7db", config=base, hpa_mode="saleh", ibo_db=7.0, **stop),
         Scenario(name="amplifier-ibo-9db", config=base, hpa_mode="saleh", ibo_db=9.0, **stop),

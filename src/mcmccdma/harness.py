@@ -6,9 +6,9 @@ produce and their CSV form analysis's, and what each amplifier adds hpa's.
 Determinism contract: every simulated block draws from its own generator,
 seeded by the master seed and the block's (point, block) indices alone
 (_block_draws), blocks are grouped into fixed-size waves, and the stopping
-rule is evaluated only on completed waves.  Error and bit counts are integer
-sums over a wave, so the emitted records (and CSV bytes) are identical for
-any worker count and any execution order.  Each +-1 symbol costs one bit of
+rule is evaluated only on completed waves.  A point counts its blocks, of
+equal bits, and their integer error sums, so the records (and CSV bytes) are
+identical for any worker count and order.  Each +-1 symbol costs one bit of
 the generator's raw 64-bit words, taken little-endian (_draw_symbols).
 
 A run forks no pool up front.  Its blocks run in the calling process until
@@ -188,7 +188,7 @@ def _simulate_block(runtime: _Runtime, point_index: int, block_index: int):
     """One independent trial block: its draws, user 1's noiseless correlator
     outputs, one correlator noise draw at the point's noise scale when the
     noise is on, added into a new array so that the noiseless outputs are
-    left as they were, and the decisions.  Returns (errors, bits) for user
+    left as they were, and the decisions.  Returns the bit errors of user
     1's counted symbols."""
     rng, channel, symbols = _block_draws(runtime, point_index, block_index)
     z = _correlation_outputs(runtime, channel, symbols)
@@ -441,7 +441,7 @@ def _worker_block(args):
 
 class _BlockRunner:
     """The blocks of one run_scenario call, by the fork rule described
-    there; run returns a wave's (errors, bits) in block order."""
+    there; run returns a wave's error counts in block order."""
 
     def __init__(self, runtime: _Runtime, workers: int):
         self.runtime = runtime
@@ -484,9 +484,9 @@ class _BlockRunner:
 def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     """Monte Carlo BER sweep with the scenario's stopping rule.
 
-    Stops a point once the wave totals reach min_errors (and any configured
-    min_bits / min_blocks floors), or flags the record censored when
-    max_bits runs out first.  Identical (scenario, master_seed) give
+    Stops a point once its waves reach min_errors and min_blocks, or flags
+    the record censored when max_bits (blocks x symbols_per_block x
+    bits_per_symbol) runs out first.  Identical (scenario, master_seed) give
     identical records at any worker count; workers must be an integer
     >= 1 and counts the processes that run blocks, this one included.
 
@@ -502,6 +502,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     records = []
     point_seconds = []
     columns = scenario_columns(scenario)
+    bits_per_block = scenario.symbols_per_block * scenario.config.bits_per_symbol
 
     # One pin covers the setup and the blocks.  Both are small products, for
     # which OpenBLAS threads cost far more than they save: on a 2-core VM a
@@ -512,16 +513,14 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
         try:
             for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
                 started = time.perf_counter()
-                errors = bits = blocks = 0
-                # wave by wave, until the bits run out or every floor is met
-                while not (bits >= scenario.max_bits
-                           or (errors >= scenario.min_errors and bits >= scenario.min_bits
-                               and blocks >= scenario.min_blocks)):
+                errors = blocks = 0
+                # wave by wave, until the bits run out or both floors are met
+                while not (blocks * bits_per_block >= scenario.max_bits
+                           or (errors >= scenario.min_errors and blocks >= scenario.min_blocks)):
                     block_ids = range(blocks, blocks + scenario.blocks_per_wave)
-                    for block_errors, block_bits in runner.run(point_index, block_ids):
-                        errors += block_errors
-                        bits += block_bits
+                    errors += sum(runner.run(point_index, block_ids))
                     blocks += scenario.blocks_per_wave
+                bits = blocks * bits_per_block
                 records.append(BerRecord(
                     scenario=scenario.name, ebn0_db=float(ebn0_db), bits=bits, errors=errors,
                     ber=errors / bits, ci95=binomial_ci95(errors, bits), source="monte-carlo",

@@ -111,15 +111,15 @@ def combine_walsh_chips(per_chip: np.ndarray, walsh_rows: np.ndarray, n_samp: in
     return out.reshape(n_sym, -1)
 
 
-def decide_slots(z: np.ndarray, reference: np.ndarray) -> tuple:
+def decide_slots(z: np.ndarray, reference: np.ndarray) -> int:
     """Sign decisions on the real part of correlator outputs z, shape
     (symbols, substreams, carriers), against the transmitted +-1 symbols of
-    the same shape.  Returns (errors, bits)."""
+    the same shape, one bit each.  Returns the number of bit errors."""
     reference = np.asarray(reference)
     if reference.shape != z.shape:
         raise ValueError(f"reference shape {reference.shape} != outputs shape {z.shape}")
     decisions = np.where(z.real >= 0.0, 1, -1).astype(np.int8)
-    return int(np.count_nonzero(decisions != reference)), int(decisions.size)
+    return int(np.count_nonzero(decisions != reference))
 
 
 def partial_correlation_tables(pn_chips: np.ndarray, config: LinkConfig,

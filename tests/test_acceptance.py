@@ -69,7 +69,7 @@ def test_bpsk_awgn_closure():
         config=LinkConfig(users=1, substreams=1, carriers=1, walsh_order=1,
                           pn_length=7, oversampling=4),
         ebn0_grid=(0.0, 2.0, 4.0, 6.0, 8.0),
-        min_errors=1, min_bits=200_000, allow_small_min_errors=True,
+        min_errors=1, min_blocks=782, allow_small_min_errors=True,
         symbols_per_block=256, master_seed=20260817)
     report = run_scenario(scenario)
     deviations = []

@@ -70,6 +70,14 @@ class TestCli:
         assert "error: unknown configuration key 'power'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_retired_min_bits_key_is_config_error(self, tmp_path, capsys):
+        # every block decides the same bits, so min_blocks is the one floor
+        cfg = _write_tiny_config(tmp_path, min_bits="131072")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: unknown configuration key 'min_bits'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_decay_is_config_error(self, tmp_path, capsys):
         cfg = _write_tiny_config(tmp_path, decay_db="nan")
         assert main(["simulate", "--config", str(cfg),
@@ -95,8 +103,7 @@ class TestCli:
         assert "error: master_seed must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("max_bits", "0"), ("min_bits", "-1"),
-                                            ("min_blocks", "-1")])
+    @pytest.mark.parametrize("key, value", [("max_bits", "0"), ("min_blocks", "-1")])
     def test_unusable_stopping_budget_is_config_error(self, tmp_path, capsys, key, value):
         cfg = _write_tiny_config(tmp_path, **{key: value})
         out = tmp_path / "x.csv"

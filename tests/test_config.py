@@ -110,7 +110,7 @@ class TestConfigFiles:
     def test_leaf_names_unique_across_classes(self):
         # flat config keys need every leaf name to occur once
         names = [f.name for f, _ in leaf_fields(TINY)]
-        assert len(names) == len(set(names)) == 27
+        assert len(names) == len(set(names)) == 26
         assert set(names) == {f.name for cls in (LinkConfig, Scenario, SalehParams)
                               for f in dataclasses.fields(cls)} - {"config", "saleh"}
 

@@ -130,19 +130,18 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("field, value, message", [
         ("max_bits", 0, "max_bits must be >= 1"),
         ("max_bits", -64, "max_bits must be >= 1"),
-        ("min_bits", -1, "min_bits must be nonnegative"),
         ("min_blocks", -1, "min_blocks must be nonnegative"),
     ])
     def test_unusable_stopping_budget_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(TINY, **{field: value})
 
-    def test_min_bits_may_exceed_the_max_bits_cap(self):
-        sc = dataclasses.replace(TINY, min_bits=131_072, max_bits=4096)
-        assert (sc.min_bits, sc.max_bits) == (131_072, 4096)
+    def test_min_blocks_may_exceed_the_max_bits_cap(self):
+        sc = dataclasses.replace(TINY, min_blocks=64, max_bits=4096)
+        assert (sc.min_blocks, sc.max_bits) == (64, 4096)
 
     @pytest.mark.parametrize("field", [
-        "paths", "min_errors", "min_bits", "min_blocks", "max_bits",
+        "paths", "min_errors", "min_blocks", "max_bits",
         "symbols_per_block", "blocks_per_wave", "master_seed",
     ])
     @pytest.mark.parametrize("as_type", [float, bool])
@@ -244,6 +243,22 @@ class TestRunScenario:
         rep = run_scenario(TINY)
         assert len(rep.point_seconds) == 1
         assert rep.point_seconds[0] > 0
+
+    @pytest.mark.parametrize("min_blocks, blocks", [(0, 16), (16, 16), (17, 32), (32, 32)])
+    def test_stops_on_the_wave_that_reaches_min_blocks(self, min_blocks, blocks):
+        """At 0 dB every 16-block wave meets min_errors=1, so the block floor
+        alone sets the run: it ends on the first wave that reaches it, and
+        the record's bits are its blocks' bits."""
+        sc = dataclasses.replace(TINY, min_errors=1, allow_small_min_errors=True,
+                                 min_blocks=min_blocks)
+        record = run_scenario(sc).records[0]
+        assert record.bits == blocks * sc.symbols_per_block * sc.config.bits_per_symbol
+        assert 0 < record.errors < record.bits and not record.censored
+
+    def test_block_returns_its_error_count(self):
+        runtime = harness._prepare(TINY)
+        errors = harness._simulate_block(runtime, 0, 0)
+        assert type(errors) is int and 0 <= errors <= TINY.symbols_per_block
 
     def test_multipoint_grid(self):
         sc = dataclasses.replace(TINY, ebn0_grid=(0.0, 4.0))

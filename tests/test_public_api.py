@@ -16,8 +16,9 @@ from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, t
 # duration and the branch power, which cancelled from every output, the
 # sample-level reference chain, which moved to tests/reference_chain.py, the
 # runtime's fields and the BLAS flag that no program code read, the
-# vectorized erfc that only tests called, and the per-block noise density,
-# which the setup's noise_scale replaced.
+# vectorized erfc that only tests called, the per-block noise density,
+# which the setup's noise_scale replaced, and the bits floor, which
+# min_blocks states since every block decides the same bits.
 _RETIRED = {
     analysis: ("erfc",),
     channel: ("PathTap", "NoiseSpec", "add_awgn", "propagate_samples", "_noise_density"),
@@ -38,6 +39,7 @@ _RETIRED = {
               "_correlator_noise", "_BLAS_PINNED"),
     harness._Runtime: ("pn_chips", "slot_column"),
     txchain.LinkConfig: ("walsh_aligned", "symbol_duration", "sample_rate", "power"),
+    config.Scenario: ("min_bits",),
 }
 
 # The whole parameter lists of three public calls, which take the theory's
