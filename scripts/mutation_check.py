@@ -90,10 +90,6 @@ MUTANTS = (
            "frame = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams,"
            " cfg.carriers)) - 1",
            ("tests/test_harness.py", "-k", "random_block_matches_sample_chain")),
-    Mutant("calibration-gets-noise-factor", "harness.py",
-           "amplifier_calibration(amplifier, frame, gram, work)",
-           "amplifier_calibration(amplifier, frame, np.linalg.cholesky(gram), work)",
-           _LIMITER_TESTS),
     # the interference split
     Mutant("multipath-mask-on-path-0", "harness.py",
            "mask[0, 0, 1:, 1] = 1.0", "mask[0, 0, 0:, 1] = 1.0", _SPLIT_TESTS),
@@ -178,10 +174,15 @@ MUTANTS = (
            "yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK][::-1]",
            _BOUND_TESTS),
     Mutant("limiter-no-short-cell-mask", "hpa.py",
-           "            factor *= np.arange(_CELL_SAMPLES)"
-           " < amplifier.cells.lengths[cells, None]\n", "", _LIMITER_TESTS),
-    Mutant("calibration-g-for-g-squared", "hpa.py",
-           "* g * g * np.sum(", "* g * np.sum(", _LIMITER_TESTS),
+           "            power *= np.arange(_CELL_SAMPLES) < grid.lengths[cells, None]\n", "",
+           _LIMITER_TESTS),
+    Mutant("calibration-unkept-mask-dropped", "hpa.py",
+           "grid.energy_terms[:, lo:hi])[~kept[:, lo:hi]])", "grid.energy_terms[:, lo:hi]))",
+           ("tests/test_harness.py", "-k", "limiter_eb_is_the_direct_sum")),
+    Mutant("limiter-drive-input-power", "hpa.py",
+           "g = _backed_off_scale(saleh.saturation_output_power,",
+           "g = _backed_off_scale(saleh.saturation_input_power,",
+           ("tests/test_hpa.py", "-k", "back_off_their_saturation")),
     Mutant("peak-bound-drops-last-lag", "hpa.py",
            "for term in rho[1:]:", "for term in rho[1:-1]:", _BOUND_TESTS),
     Mutant("cell-bound-no-bernstein-term", "hpa.py",
@@ -220,6 +221,9 @@ MUTANTS = (
            "stacked[:lag, 1:, :, lag] = chips[order - lag:, :-1, :, 0]",
            "stacked[:lag, :-1, :, lag] = chips[order - lag:, 1:, :, 0]", _PRODUCT_TESTS),
     # the process around the blocks
+    Mutant("stop-floor-off-by-a-wave", "harness.py",
+           "blocks >= scenario.min_blocks", "blocks > scenario.min_blocks",
+           ("tests/test_harness.py", "-k", "reaches_min_blocks")),
     Mutant("run-blocks-unpinned", "harness.py",
            "    with _single_threaded_blas():\n        runner = ", "    if True:\n        runner = ",
            ("tests/test_harness.py", "-k", "blocks_run_single_threaded")),

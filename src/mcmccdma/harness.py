@@ -77,9 +77,9 @@ shifting the operating SNR.  Time is counted in symbol periods, so the
 energy per bit is the mean transmitted power over the bits per symbol: 2
 for the linear chain at unit branch power (txchain.LinkConfig), and for an
 amplifier what hpa.amplifier_calibration measures on a fixed-seed frame of
-user 1's, with the amplifier's mean rotation, from the Gram matrix behind
-the noise factor (_prepare), which then forms every Eb/N0 point's noise
-scale (channel.noise_scale) and rejects a point without one (ConfigError).
+user 1's, with the amplifier's mean rotation (_prepare), which then forms
+every Eb/N0 point's noise scale (channel.noise_scale) and rejects a point
+without one (ConfigError).
 """
 
 from __future__ import annotations
@@ -153,10 +153,9 @@ def _user_codes(cfg: LinkConfig) -> tuple:
 
 
 def _prepare(scenario: Scenario) -> _Runtime:
-    """The runtime of a scenario.  User 1's Gram matrix is formed once: its
-    factor draws the noise, and it gives an amplifier's calibration the
-    linear frame's energy.  The calibration frame is drawn from
-    SeedSequence([master_seed, 1]), and the working arrays it makes are
+    """The runtime of a scenario.  User 1's Gram matrix is formed once, and
+    its factor draws the noise.  An amplifier's calibration frame is drawn
+    from SeedSequence([master_seed, 1]), and the working arrays it makes are
     the blocks' too, as is every grid point's noise scale, formed once Eb is
     known: a point without one raises ConfigError before any block runs."""
     cfg = scenario.config
@@ -171,7 +170,7 @@ def _prepare(scenario: Scenario) -> _Runtime:
     else:
         rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
         frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
-        eb, phase_offset = amplifier_calibration(amplifier, frame, gram, work)
+        eb, phase_offset = amplifier_calibration(amplifier, frame, work)
     noise_scales = []
     for point_index, ebn0_db in enumerate(scenario.ebn0_grid if scenario.noise_enabled else ()):
         try:

@@ -60,12 +60,12 @@ rotation.
 
 The calibration measures the energy per bit from the transmitted
 (post-amplifier) waveform of one long PN-free frame of user 1's, time
-counted in symbol periods: g^2 times the linear frame's energy, in closed
-form from user 1's Gram matrix, plus the amplifier's share, over the
-frame's bits.  The tube's frame is amplified tile by tile, as its blocks
-are (_waveform_tiles), and its mean AM/PM rotation is measured on it.
-The limiter's frame is the linear one but at its clipped cells, which add
-what the excess changes; it keeps every phase, so its rotation is zero.
+counted in symbol periods: the frame's energy over its bits.  The tube's
+frame is amplified tile by tile, as its blocks are (_waveform_tiles), and
+its mean AM/PM rotation is measured on it.  The limiter's output is summed
+sample by sample over the cells its search keeps and is the linear
+waveform over every other cell, whose energy its autocorrelations give in
+closed form (_CellGrid); it keeps every phase, so its rotation is zero.
 """
 
 from __future__ import annotations
@@ -232,14 +232,21 @@ def input_scale_for_power(mean_power: float, ibo_db: float, params: SalehParams)
     mean_power, ibo_db = float(mean_power), float(ibo_db)
     if not (math.isfinite(mean_power) and mean_power > 0):
         raise ValueError(f"mean input power must be finite and positive, got {mean_power}")
-    try:
-        scale = math.sqrt(params.saturation_input_power / (mean_power * 10.0 ** (ibo_db / 10.0)))
-    except (OverflowError, ZeroDivisionError):
-        scale = 0.0
-    if not (math.isfinite(scale) and scale > 0):
+    scale = _backed_off_scale(params.saturation_input_power, mean_power, ibo_db)
+    if not 0.0 < scale < math.inf:
         raise ValueError(f"an input back-off of {ibo_db} dB at mean input power {mean_power} "
                          "gives no finite positive input scale")
     return scale
+
+
+def _backed_off_scale(saturation_power: float, mean_power: float, ibo_db: float) -> float:
+    """The scale sqrt(saturation_power / (mean_power 10^(ibo_db/10))) that
+    puts a drive of mean_power ibo_db below saturation_power, or 0.0 where
+    the power of 10 overflows or the denominator is 0."""
+    try:
+        return math.sqrt(float(saturation_power) / (mean_power * 10.0 ** (ibo_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        return 0.0
 
 
 def _modulus_squared(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
@@ -410,7 +417,9 @@ class _CellGrid:
     A row's power at carrier phase phi is P(phi) = rho_0 + 2 sum_{k>=1}
     rho_k cos(k phi), rho_k = sum_m b_m b_{m+k} (_autocorrelations), so at
     the anchor's phase phi_a it is rho . cos_terms[:, q], and its slope
-    there times the half width t of a cell is rho[1:] . slope_terms[:, q]."""
+    there times the half width t of a cell is rho[1:] . slope_terms[:, q].
+    Summed over the cell's own positions, its energy there is
+    rho . energy_terms[:, q]."""
 
     starts: np.ndarray          # (cells,)
     lengths: np.ndarray         # (cells,)
@@ -419,6 +428,8 @@ class _CellGrid:
     offsets: np.ndarray         # E_m(s), (carriers, S) complex
     cos_terms: np.ndarray       # 1 and 2 cos(k phi_a) for k >= 1, (carriers, cells)
     slope_terms: np.ndarray     # -2 k t sin(k phi_a), k = 1 .. carriers - 1, (carriers - 1, cells)
+    # the length and 2 sum_{s < length} cos(k phi_s) for k >= 1, (carriers, cells)
+    energy_terms: np.ndarray
     half_width: float           # (S - 1)/2 samples as carrier phase 2 pi W i / N: t
     delay_phases: np.ndarray    # conj(E_m(D_l)) per path delay, (paths, carriers)
     user_chips: np.ndarray      # (users, cells, S) int8
@@ -454,9 +465,7 @@ def amplifier_drive(scenario) -> float:
     mean_tx_power = 2.0 * cfg.substreams * cfg.carriers
     if scenario.hpa_mode == "saleh":
         return input_scale_for_power(mean_tx_power, scenario.ibo_db, saleh)
-    with np.errstate(over="ignore", under="ignore"):
-        g = float(np.sqrt(saleh.saturation_output_power
-                          / (mean_tx_power * 10.0 ** (scenario.ibo_db / 10.0))))
+    g = _backed_off_scale(saleh.saturation_output_power, mean_tx_power, scenario.ibo_db)
     if not 0.0 < g < math.inf:
         raise ValueError(f"an input back-off of {scenario.ibo_db} dB gives the predistorter "
                          f"no finite positive input scale, got {g}")
@@ -497,35 +506,28 @@ def amplifier_correlations(amplifier: TubeState | LimiterState, chips: np.ndarra
 
 
 def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray,
-                          gram: np.ndarray, work: dict) -> tuple:
+                          work: dict) -> tuple:
     """(energy per information bit, mean rotation) of user 1's PN-free
     calibration frame through the amplifier: frame holds its symbol rows
     (symbols, substreams, carriers), spread onto its Walsh chips as one
-    user's (txchain.spread_symbols), gram is user 1's Gram matrix
-    (receiver.signature_gram) and work the working arrays
+    user's (txchain.spread_symbols), and work the working arrays
     (txchain._work_array).  Time is counted in symbol periods, so the
     energy per bit is the frame's mean power over the bits per symbol.
 
-    The frame's energy is that of its linear term g x, in closed form
-    g^2 2 N sum_n d_n^T Re(C) d_n over the symbol rows d_n, N being
-    samples_per_symbol and C the Gram matrix, plus the amplifier's share,
-    added tile by tile or cell chunk by cell chunk, in order.  The tube's
-    share is the whole amplified frame (g = 0, so it skips the linear
-    term), and its rotation the angle of sum conj(x) A(x).  The limiter's is
-    what the excess e changes at its clipped cells, |g x + e|^2 - |g x|^2,
-    and its rotation zero.  The tube's phase curve turns the whole
-    constellation by that mean shift at its drive, which a coherent
-    receiver tracks as part of its carrier reference, so the engine folds
-    it into the reference path phase.  User 1's chips change neither
-    measure, so the frame is taken PN-free."""
+    The frame's energy is added tile by tile or cell chunk by cell chunk,
+    in order.  The tube's is that of the whole amplified frame, and its
+    rotation the angle of sum conj(x) A(x).  The limiter's is that of its
+    output at the cells that can clip, summed over each cell's own samples,
+    and then that of the linear output g x at every other (row, cell)
+    pair, in closed form from the row's autocorrelations (_CellGrid): a
+    masked sum of nonnegative terms, so no cancellation at any drive.  Its
+    rotation is zero.  The tube's phase curve turns the whole constellation
+    by that mean shift at its drive, which a coherent receiver tracks as
+    part of its carrier reference, so the engine folds it into the
+    reference path phase.  User 1's chips change neither measure, so the
+    frame is taken PN-free."""
     cfg = amplifier.config
-    n_symbols = frame.shape[0]
-    g = amplifier.linear_gain
-    energy = 0.0
-    if g:
-        d = frame.reshape(n_symbols, -1).astype(np.float64)
-        energy = 2.0 * cfg.samples_per_symbol * g * g * np.sum((d @ gram.real) * d)
-    rotation = 0.0
+    energy, rotation = 0.0, 0.0
     chips = spread_symbols(amplifier.walsh, frame[None], work)
     if isinstance(amplifier, TubeState):
         cross = 0.0
@@ -534,11 +536,18 @@ def amplifier_calibration(amplifier: TubeState | LimiterState, frame: np.ndarray
             cross += np.vdot(linear, tx)
         rotation = float(np.angle(cross))
     else:
-        for _, cells, driven, factor in _driven_cells(amplifier, chips, work):
-            factor *= np.arange(_CELL_SAMPLES) < amplifier.cells.lengths[cells, None]
-            excess = driven * factor
-            energy += np.vdot(excess, excess).real + 2.0 * np.vdot(driven, excess).real
-    mean_power = energy / (n_symbols * cfg.samples_per_symbol)
+        grid, sat2 = amplifier.cells, amplifier.saleh.saturation_output_power
+        b, rho = _limiter_drive(amplifier, chips, work)
+        kept = np.zeros((b.shape[1], grid.starts.size), dtype=bool)
+        for rows, cells, driven, _ in _driven_cells(amplifier, b, rho, work):
+            # |g x min(1, A_sat/|g x|)|^2, with no 1 + factor to round
+            power = np.minimum(np.square(driven.real) + np.square(driven.imag), sat2)
+            power *= np.arange(_CELL_SAMPLES) < grid.lengths[cells, None]
+            energy += power.sum()
+            kept[rows, cells] = True
+        for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:])):
+            energy += np.sum((rho[:, chip].T @ grid.energy_terms[:, lo:hi])[~kept[:, lo:hi]])
+    mean_power = energy / (frame.shape[0] * cfg.samples_per_symbol)
     return mean_power / cfg.bits_per_symbol, rotation
 
 
@@ -632,12 +641,16 @@ def _cell_grid(cfg: LinkConfig, pn_chips: np.ndarray, paths: int) -> _CellGrid:
     positions = starts[:, None] + np.arange(size) + delays[:, :, None]
     inside = np.arange(size) < lengths[:, None]
     span = starts + delays
+    centres = np.exp(1j * step * harmonics * (starts + middle)[:, None])
+    offsets = np.exp(1j * step * np.outer(harmonics, np.arange(size) - middle))
+    # sum_{s < length} e^{j k phi_s} = E_k(a) times the offsets' partial sums
+    cell_sums = np.cumsum(offsets[:-1], axis=1)[:, lengths - 1] * centres[:, :-1].T
     return _CellGrid(
         starts=starts, lengths=lengths, chip_cells=np.searchsorted(starts, bounds),
-        centres=np.exp(1j * step * harmonics * (starts + middle)[:, None]),
-        offsets=np.exp(1j * step * np.outer(harmonics, np.arange(size) - middle)),
+        centres=centres, offsets=offsets,
         cos_terms=np.concatenate((np.ones((1, starts.size)), 2.0 * np.cos(k * phases))),
         slope_terms=-2.0 * middle * step * k * np.sin(k * phases),
+        energy_terms=np.concatenate((lengths[None], 2.0 * cell_sums.real)),
         half_width=middle * step,
         delay_phases=np.exp(-1j * step * np.outer(delays, harmonics)),
         user_chips=np.take(pn_chips, positions[0] % n_samp // cfg.oversampling, axis=1),
@@ -695,20 +708,19 @@ def _cell_power_bound(grid: _CellGrid, rho: np.ndarray, peak: np.ndarray, lo: in
     return bound
 
 
-def _clipped_cells(limiter: LimiterState, b: np.ndarray):
+def _clipped_cells(limiter: LimiterState, rho: np.ndarray):
     """The (symbol row, cell) pairs of the limiter that can clip, as
     (Walsh chip, rows, cells) chunks of up to _CELL_CHUNK pairs in one chip,
     for _driven_cells.
 
-    b holds the rows' drive, g times _row_coefficients.  A pair is kept
-    unless the row's envelope bound over its Walsh chip (_peak_power_bound)
-    or over the cell (_cell_power_bound), both from the row's
-    _autocorrelations, lies below A_sat^2; the margin of 1e-12 keeps exact
-    ties and anything round-off could lift over it, and since NaN compares
-    false a NaN bound keeps its pair."""
+    rho holds the _autocorrelations of the rows' drive (_limiter_drive).  A
+    pair is kept unless the row's envelope bound over its Walsh chip
+    (_peak_power_bound) or over the cell (_cell_power_bound), both from rho,
+    lies below A_sat^2; the margin of 1e-12 keeps exact ties and anything
+    round-off could lift over it, and since NaN compares false a NaN bound
+    keeps its pair."""
     grid = limiter.cells
     threshold = limiter.saleh.saturation_output_power * (1.0 - 1e-12)
-    rho = _autocorrelations(b)
     peak = _peak_power_bound(rho)
     for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:])):
         rows = np.flatnonzero(~(peak[chip] < threshold))
@@ -719,24 +731,31 @@ def _clipped_cells(limiter: LimiterState, b: np.ndarray):
             yield chip, row[first:first + _CELL_CHUNK], cell[first:first + _CELL_CHUNK]
 
 
-def _driven_cells(limiter: LimiterState, chips: np.ndarray, work: dict):
+def _limiter_drive(limiter: LimiterState, chips: np.ndarray, work: dict) -> tuple:
+    """(b, rho): the rows' drive, g times _row_coefficients of chips (the
+    rows' symbols on their Walsh chips, txchain.spread_symbols), a working
+    array of work, and its _autocorrelations, formed once for the clip
+    search and the calibration."""
+    b = _row_coefficients(chips, work)
+    b *= limiter.linear_gain
+    return b, _autocorrelations(b)
+
+
+def _driven_cells(limiter: LimiterState, b: np.ndarray, rho: np.ndarray, work: dict):
     """The limiter at the cells that can clip: (rows, cells, driven
     samples, factor) per chunk of _clipped_cells, the one loop of the
     limiter's blocks and of its calibration.
 
-    The rows' drive b is g times _row_coefficients of chips (the rows'
-    symbols on their Walsh chips, txchain.spread_symbols), and a chunk's
-    samples g x, shape (chunk, S), are formed in one product through
-    E_m(a + s) = E_m(a) E_m(s) (see _CellGrid); factor is limiter_factor
-    at each, so that the limiter takes x times it off.  Past a cell's
-    length the samples are the row's later ones, which the caller's
-    weights zero.  Both are working arrays of work that the next chunk
-    overwrites."""
+    b and rho are the rows' drive and its autocorrelations
+    (_limiter_drive), and a chunk's samples g x, shape (chunk, S), are
+    formed in one product through E_m(a + s) = E_m(a) E_m(s) (see
+    _CellGrid); factor is limiter_factor at each, so that the limiter
+    takes x times it off.  Past a cell's length the samples are the row's
+    later ones, which the caller's weights zero.  Both are working arrays
+    of work that the next chunk overwrites."""
     grid = limiter.cells
     chunk = (_CELL_CHUNK, _CELL_SAMPLES)
-    b = _row_coefficients(chips, work)
-    b *= limiter.linear_gain
-    for chip, rows, cells in _clipped_cells(limiter, b):
+    for chip, rows, cells in _clipped_cells(limiter, rho):
         n = rows.size
         # the cells are in range; with mode="raise" take would buffer its out
         coefficients = np.take(grid.centres, cells, axis=0, mode="clip", out=_work_array(
@@ -775,7 +794,8 @@ def _excess_correlations(limiter: LimiterState, chips: np.ndarray, gains: np.nda
     chunk = (_CELL_CHUNK, _CELL_SAMPLES)
     conj_offsets = grid.offsets.conj().T
     total = None
-    for rows, cells, driven, factor in _driven_cells(limiter, chips, work):
+    b, rho = _limiter_drive(limiter, chips, work)
+    for rows, cells, driven, factor in _driven_cells(limiter, b, rho, work):
         if total is None:
             total = _work_array(work, "cell_sums",
                                 (cfg.walsh_order, n_total + 1, cfg.carriers), np.complex128)

@@ -9,7 +9,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.cli import main
@@ -191,6 +191,12 @@ class TestKeysRunOrRaise:
     range, and no warning."""
 
     @given(_TINY_KEYS)
+    # drawn once: the limiter at -300 dB, whose calibration once cancelled
+    # to a negative Eb
+    @example({"name": "fuzz", "max_bits": "1", "min_errors": "1",
+              "allow_small_min_errors": "true", "symbols_per_block": "1",
+              "blocks_per_wave": "1", "carriers": "2", "hpa_mode": "saleh_pd",
+              "ibo_db": "-300.0"})
     @settings(max_examples=300, deadline=None, database=None)
     def test_scenario_rejected_or_runs_clean(self, keys):
         try:

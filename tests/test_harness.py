@@ -419,6 +419,24 @@ def _reference_calibration(runtime):
     return eb, np.angle(np.vdot(linear, tx) / np.vdot(linear, linear))
 
 
+def _direct_limiter_eb(runtime, zeros=None):
+    """The energy per bit of the calibration frame through the limiter:
+    sum min(g^2 |x|^2, A_sat^2) over the linear frame's samples x
+    (modulate_user), over its samples and bits per symbol.  zeros, when
+    given, is the power counted instead at the samples within 1e-14 max |x|
+    of zero, the waveform's exact zeros, where x is round-off alone."""
+    scenario = runtime.scenario
+    cfg = scenario.config
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
+    symbols = harness._draw_symbols(rng, (harness._CALIBRATION_SYMBOLS, cfg.substreams,
+                                          cfg.carriers))
+    modulus = np.abs(modulate_user(symbols, runtime.walsh, _pn_chips(runtime)[0], cfg))
+    power = np.minimum((runtime.linear_gain * modulus) ** 2, scenario.saleh.saturation_output_power)
+    if zeros is not None:
+        power[modulus <= 1e-14 * modulus.max()] = zeros
+    return float(power.sum()) / (modulus.size * cfg.bits_per_symbol)
+
+
 # 508 samples per symbol: one full 256-sample tile and one short one.
 _AMPLIFIER_BASE = dataclasses.replace(
     TINY, config=LinkConfig(users=3, substreams=2, carriers=2, walsh_order=4, pn_length=127))
@@ -434,6 +452,52 @@ _UNALIGNED_LINEARIZED = dataclasses.replace(_TINY_UNALIGNED, name="unaligned-lin
                                             hpa_mode="saleh_pd", ibo_db=1.0)
 _CLIPPED_LINEARIZED = dataclasses.replace(_AMPLIFIER_BASE, name="clipped-linearized",
                                           hpa_mode="saleh_pd", paths=2, ibo_db=-4.0)
+
+# The one-user link with 1 x 2 slots on which the limiter's calibration
+# once cancelled under overdrive.
+_ONE_BY_TWO = LinkConfig(users=1, substreams=1, carriers=2, walsh_order=1, pn_length=7)
+
+
+def _limiter_runtime(config, ibo_db):
+    return harness._prepare(dataclasses.replace(TINY, config=config, hpa_mode="saleh_pd",
+                                                ibo_db=ibo_db))
+
+
+@pytest.mark.parametrize("config", [_ONE_BY_TWO, _AMPLIFIER_BASE.config],
+                         ids=["1x2-slots", "pn-127"])
+@pytest.mark.parametrize("ibo_db", [7.0, 0.0, -20.0, -60.0, -100.0, -200.0])
+def test_limiter_eb_is_the_direct_sum(config, ibo_db):
+    """The limiter's calibrated Eb is its output frame's energy, to 1e-12
+    of the direct sum (_direct_limiter_eb) from no clipping down to -200 dB,
+    where nearly every sample clips and the linear frame carries 1e20 times
+    the output's energy."""
+    runtime = _limiter_runtime(config, ibo_db)
+    direct = _direct_limiter_eb(runtime)
+    assert abs(runtime.eb - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("config", [_ONE_BY_TWO, _AMPLIFIER_BASE.config],
+                         ids=["1x2-slots", "pn-127"])
+def test_limiter_eb_at_the_drive_bound(config):
+    """At -300 dB, g ~ 5e14 lifts the linear waveform's round-off at its
+    exact zeros (|x| ~ 1e-16) to about A_sat, so no float64 sum is defined
+    to 1e-12 there: Eb lies, to 1e-12, between the direct sums that count
+    those samples as silent and as clipped."""
+    runtime = _limiter_runtime(config, -300.0)
+    low = _direct_limiter_eb(runtime, zeros=0.0)
+    high = _direct_limiter_eb(runtime, zeros=runtime.scenario.saleh.saturation_output_power)
+    assert low * (1.0 - 1e-12) <= runtime.eb <= high * (1.0 + 1e-12)
+
+
+def test_overdriven_limiter_decides_at_10db():
+    """At -200 dB the limiter clips nearly every sample, and with the
+    energy of what it sends the 1 x 2-slot link still decides nearly every
+    bit at 10 dB, where an Eb 2.3e5 times too large read a BER of 0.5."""
+    scenario = dataclasses.replace(TINY, config=_ONE_BY_TWO, hpa_mode="saleh_pd",
+                                   ibo_db=-200.0, ebn0_grid=(10.0,), max_bits=1024)
+    record = run_scenario(scenario).records[0]
+    assert record.bits == 1024 and record.errors < 0.01 * record.bits
+
 
 # Walsh chips 1-2 samples long (16 chips over 21 samples).
 _SHORT_CHIPS = LinkConfig(users=3, substreams=5, carriers=1, walsh_order=16, pn_length=7,
@@ -715,7 +779,8 @@ def _check_cell_search(runtime, symbols):
     cell_excess = np.zeros(linear.size, dtype=np.complex128)
     formed = [np.zeros(0, dtype=np.int64)]
     chips = spread_symbols(runtime.walsh, symbols, {})
-    for rows, cells, driven, _ in hpa._driven_cells(runtime.amplifier, chips, runtime.work):
+    b, rho = hpa._limiter_drive(runtime.amplifier, chips, runtime.work)
+    for rows, cells, driven, _ in hpa._driven_cells(runtime.amplifier, b, rho, runtime.work):
         inside = offsets < grid.lengths[cells, None]
         assert np.array_equal(grid.span_chips[:, cells] != 0,
                               np.broadcast_to(inside, grid.span_chips[:, cells].shape))
@@ -740,7 +805,8 @@ def _check_cell_geometry(runtime):
     any path lies in one (Walsh chip, window) bin, which bin_chips and
     bin_windows hold, and the per-cell chip tables hold each user's chips at
     the cell's positions (user_chips) and user 1's at its delayed span, zero
-    past the cell's length (span_chips)."""
+    past the cell's length (span_chips), and the energy terms hold each
+    cell's length and its cosine sums 2 sum_{s < length} cos(k phi_s)."""
     cfg = runtime.scenario.config
     n_samp = cfg.samples_per_symbol
     chips = floor_chips(cfg)
@@ -764,6 +830,10 @@ def _check_cell_geometry(runtime):
             assert np.array_equal(grid.bin_chips[path], chips[first % n_samp])
             assert np.array_equal(grid.span_chips[path],
                                   pn_samples[0, (positions + delay) % n_samp] * inside)
+        cosines = np.cos(np.arange(1, cfg.carriers)[:, None, None] * 2.0 * np.pi
+                         * cfg.walsh_order / n_samp * positions) * inside
+        assert np.allclose(grid.energy_terms, np.concatenate((
+            grid.lengths[None], 2.0 * cosines.sum(axis=-1))), rtol=0.0, atol=1e-12)
         if paths == runtime.scenario.paths:
             assert np.array_equal(grid.starts, runtime.amplifier.cells.starts)
 
@@ -848,7 +918,7 @@ def test_clip_search_keeps_the_pairs_of_the_anchor_products(seed):
         _, _, symbols = harness._block_draws(runtime, 0, block)
         b = _einsum_row_coefficients(runtime, symbols)
         kept = [np.stack((np.full(rows.size, chip), rows, cells), axis=1) for chip, rows, cells
-                in hpa._clipped_cells(limiter, limiter.linear_gain * b)]
+                in hpa._clipped_cells(limiter, hpa._autocorrelations(limiter.linear_gain * b))]
         expected = _pq_clip_search(runtime, b)
         assert expected.shape[0] > 1000
         assert np.array_equal(np.concatenate(kept), expected)
@@ -867,8 +937,8 @@ def test_reused_cell_arrays_match_fresh_ones():
                                              scenario.fading))
     blocks = [spread_symbols(runtime.walsh, harness._draw_symbols(
         rng, (cfg.users, n, cfg.substreams, cfg.carriers)), {}) for n in (9, 5)]
-    counts = [sum(rows.size for rows, *_ in hpa._driven_cells(limiter, chips, {}))
-              for chips in blocks]
+    counts = [sum(rows.size for rows, *_ in hpa._driven_cells(
+        limiter, *hpa._limiter_drive(limiter, chips, {}), {})) for chips in blocks]
     assert counts[0] != counts[1] and min(counts) > 0
     reused = [hpa._excess_correlations(limiter, chips, gains, runtime.work).copy()
               for chips in blocks]

@@ -8,17 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmccdma.config import Scenario
 from mcmccdma.hpa import (
     SalehParams,
     amam,
     amplify_samples,
     ampm,
+    amplifier_drive,
     apply_predistorter,
     compute_obo,
     input_scale_for_power,
     limiter_factor,
     pd_amplitude,
 )
+from mcmccdma.txchain import LinkConfig
 
 P = SalehParams()
 
@@ -123,6 +126,19 @@ class TestOperatingPoint:
         scale7 = input_scale_for_power(1.0, 7.0, P)
         scale9 = input_scale_for_power(1.0, 9.0, P)
         assert scale7 / scale9 == pytest.approx(10 ** 0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("ibo_db", [-3.0, 0.0, 7.0])
+    def test_amplifier_drives_back_off_their_saturation_powers(self, ibo_db):
+        """The linear chain's mean power, 2 x 2 substreams x 4 carriers, is
+        driven ibo_db below the tube's saturating input power and below the
+        limiter's saturated output power, which the predistorter targets."""
+        config = LinkConfig(substreams=2, carriers=4, walsh_order=2)
+        for mode, saturation in (("saleh", P.saturation_input_power),
+                                 ("saleh_pd", P.saturation_output_power)):
+            drive = amplifier_drive(Scenario(name="drive", config=config, hpa_mode=mode,
+                                             ibo_db=ibo_db))
+            assert drive**2 * 16.0 * 10.0 ** (ibo_db / 10.0) == pytest.approx(saturation,
+                                                                              rel=1e-12)
 
 
 class TestApplyHpa:
