@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 _DRAW_TESTS = ("tests/test_harness.py", "-k", "symbol_draw")
 _BLOCK_DRAW_TESTS = ("tests/test_harness.py", "-k", "seeded_block_draws")
+_BATCH_TESTS = ("tests/test_harness.py", "-k", "not_depend_on_its_batch")
 _SPLIT_TESTS = ("tests/test_harness.py", "-k", "sources_match")
 _GROUP_TESTS = ("tests/test_harness.py", "-k", "sources_match or column_outputs")
 _TABLE_TESTS = ("tests/test_receiver.py", "-k", "matches_slice_products")
@@ -59,25 +60,37 @@ _GRAM_TESTS = ("tests/test_receiver.py", "tests/test_harness.py", "-k",
 
 MUTANTS = (
     Mutant("draw-big-endian-words", "harness.py",
-           'astype("<u8", copy=False)', 'astype(">u8", copy=False)', _DRAW_TESTS),
+           'dtype="<u8")', 'dtype=">u8")', _DRAW_TESTS),
     # the block's steps: its draws, its noise, and the decomposition's noise
     Mutant("block-seed-indices-swapped", "harness.py",
            "[scenario.master_seed, 0, point_index, block_index]",
            "[scenario.master_seed, 0, block_index, point_index]", _BLOCK_DRAW_TESTS),
     Mutant("block-symbols-before-channel", "harness.py",
-           "    channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, "
-           "scenario.fading)\n    symbols = _draw_symbols(rng, (cfg.users, "
+           "    channel = draw_channel(rngs, cfg.users, scenario.paths, scenario.decay_db, "
+           "scenario.fading)\n    symbols = _draw_symbols(rngs, (cfg.users, "
            "scenario.symbols_per_block + runtime.warmup,\n"
-           "                                  cfg.substreams, cfg.carriers))\n",
-           "    symbols = _draw_symbols(rng, (cfg.users, "
+           "                                   cfg.substreams, cfg.carriers))\n",
+           "    symbols = _draw_symbols(rngs, (cfg.users, "
            "scenario.symbols_per_block + runtime.warmup,\n"
-           "                                  cfg.substreams, cfg.carriers))\n"
-           "    channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, "
+           "                                   cfg.substreams, cfg.carriers))\n"
+           "    channel = draw_channel(rngs, cfg.users, scenario.paths, scenario.decay_db, "
            "scenario.fading)\n", _BLOCK_DRAW_TESTS),
     Mutant("block-skips-its-noise", "harness.py",
-           "    if runtime.noise_scales:\n        z = z + ",
-           "    if False:\n        z = z + ",
+           "    if runtime.noise_scales:\n        z += ",
+           "    if False:\n        z += ",
            ("tests/test_harness.py", "-k", "noise_per_correlator_output")),
+    # a batch's blocks: each its own gains, noise generator and symbols, and
+    # one block per batch with an amplifier
+    Mutant("batch-gains-of-first-block", "receiver.py",
+           "path_gains = gains[..., None, :,", "path_gains = gains[:1, None, :,", _BATCH_TESTS),
+    Mutant("batch-noise-from-one-generator", "channel.py",
+           "        rng.standard_normal(out=normals)",
+           "        batch[0].standard_normal(out=normals)", _BATCH_TESTS),
+    Mutant("batch-decides-against-first-block-symbols", "harness.py",
+           "symbols[:, 0, runtime.warmup:]",
+           "symbols[:1, 0, runtime.warmup:].repeat(len(z), axis=0)", _BATCH_TESTS),
+    Mutant("batch-cap-ignores-amplifier", "harness.py",
+           "        if self.amplifier is not None:\n            return 1\n", "", _BATCH_TESTS),
     Mutant("noise-scale-wrong-point", "harness.py",
            "noise_scales[point_index]", "noise_scales[0]",
            ("tests/test_harness.py", "-k", "own_noise_variance")),
@@ -131,20 +144,19 @@ MUTANTS = (
            "sliding_window_view(flipped, n_car, axis=-1)", _TABLE_TESTS),
     # the block's one Walsh spreading, and the block product
     Mutant("walsh-transform-untransposed-rows", "txchain.py",
-           "np.matmul(walsh_rows.T, d.reshape(n_sub, -1),",
-           "np.matmul(walsh_rows, d.reshape(n_sub, -1),", _PRODUCT_TESTS),
+           "np.matmul(walsh_rows.T, d.reshape(*lead, n_sub, -1),",
+           "np.matmul(walsh_rows, d.reshape(*lead, n_sub, -1),", _PRODUCT_TESTS),
     Mutant("reversed-walsh-repeat", "txchain.py",
-           "np.matmul(walsh_rows.T, d.reshape(n_sub, -1),",
-           "np.matmul(walsh_rows[:, ::-1].T, d.reshape(n_sub, -1),", _ENGINE_TESTS),
+           "np.matmul(walsh_rows.T, d.reshape(*lead, n_sub, -1),",
+           "np.matmul(walsh_rows[:, ::-1].T, d.reshape(*lead, n_sub, -1),", _ENGINE_TESTS),
     Mutant("amplifier-rows-symbol-major", "hpa.py",
            "np.multiply(chips.transpose(0, 2, 1, 3), np.sqrt(2.0), out=b)",
            "np.multiply(chips.reshape(b.shape), np.sqrt(2.0), out=b)",
            ("tests/test_harness.py", "-k", "per_user_chain")),
     Mutant("conjugated-gains", "receiver.py",
-           "gains[:, 0, None, None, None],", "gains[:, 0, None, None, None].conj(),",
-           _PRODUCT_TESTS),
+           "None, None, None, :]\n", "None, None, None, :].conj()\n", _PRODUCT_TESTS),
     Mutant("stale-first-window-of-a-lag", "receiver.py",
-           "            stacked[:lag, 0, :, lag] = 0.0\n", "", _PRODUCT_TESTS),
+           "            stacked[..., :lag, 0, :, lag, :] = 0.0\n", "", _PRODUCT_TESTS),
     Mutant("linear-term-loses-1/N", "harness.py",
            "runtime.linear_gain * np.sqrt(2.0) * n_samp",
            "runtime.linear_gain * np.sqrt(2.0)", _ENGINE_TESTS),
@@ -218,8 +230,9 @@ MUTANTS = (
            "p = np.abs(np.asarray(samples)) ** 2",
            ("tests/test_hpa.py", "-k", "reject_nonfinite and obo")),
     Mutant("reversed-previous-window-shift", "receiver.py",
-           "stacked[:lag, 1:, :, lag] = chips[order - lag:, :-1, :, 0]",
-           "stacked[:lag, :-1, :, lag] = chips[order - lag:, 1:, :, 0]", _PRODUCT_TESTS),
+           "stacked[..., :lag, 1:, :, lag, :] = chips[..., order - lag:, :-1, :, 0, :]",
+           "stacked[..., :lag, :-1, :, lag, :] = chips[..., order - lag:, 1:, :, 0, :]",
+           _PRODUCT_TESTS),
     # the process around the blocks
     Mutant("stop-floor-off-by-a-wave", "harness.py",
            "blocks >= scenario.min_blocks", "blocks > scenario.min_blocks",

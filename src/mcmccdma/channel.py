@@ -21,14 +21,16 @@ import numpy as np
 @dataclass(frozen=True)
 class ChannelRealization:
     """One fading realization: gains and phases of every user's paths, both
-    shape (users, paths).  Path l of every user has a delay of l chips."""
+    shape (users, paths), or a batch's, one realization per block, both
+    (blocks, users, paths).  Path l of every user has a delay of l chips."""
 
     gains: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.gains) != 2 or np.shape(self.gains) != np.shape(self.phases):
-            raise ValueError(f"gains and phases must be one (users, paths) shape, got "
+        if np.ndim(self.gains) not in (2, 3) or np.shape(self.gains) != np.shape(self.phases):
+            raise ValueError(f"gains and phases must be one (users, paths) or (blocks, users, "
+                             f"paths) shape, got "
                              f"{np.shape(self.gains)} and {np.shape(self.phases)}")
         if not np.all(np.isfinite(self.gains)) or np.any(self.gains < 0):
             raise ValueError(f"gains must be finite and nonnegative, got {self.gains}")
@@ -45,25 +47,44 @@ def path_power_profile(n_paths: int, decay_db: float) -> np.ndarray:
     return profile / profile.sum()
 
 
-def draw_channel(rng: np.random.Generator, users: int, n_paths: int,
-                 decay_db: float = 0.0, fading: bool = True) -> ChannelRealization:
-    """Draw one block's channel: delays are 0..n_paths-1 chips for every user,
-    phases uniform, gains Rayleigh with the profile mean squares (or exactly
-    the profile square roots when fading is off)."""
+def draw_channel(rngs, users: int, n_paths: int, decay_db: float = 0.0,
+                 fading: bool = True) -> ChannelRealization:
+    """Draw one block's channel from its generator, or a batch's from a
+    sequence of generators, one per block, each block's realization from
+    its own generator as if drawn alone: delays are 0..n_paths-1 chips for
+    every user, phases uniform, gains Rayleigh with the profile mean squares
+    (or exactly the profile square roots when fading is off).
+
+    Each generator draws the standard exponentials of its gains, then the
+    uniform variates of its phases, into the batch's arrays, and the
+    Rayleigh magnitudes and the phases are formed once for the batch:
+    Generator.rayleigh(scale=s) is s sqrt(2 E) and uniform(0, 2 pi) is 2 pi
+    U, bit for bit."""
     if users < 1:
         raise ValueError(f"need at least one user, got {users}")
     profile = path_power_profile(n_paths, decay_db)
+    single = isinstance(rngs, np.random.Generator)
+    batch = [rngs] if single else rngs
+    gains = np.empty((len(batch), users, n_paths))
+    phases = np.empty_like(gains)
+    for rng, block_gains, block_phases in zip(batch, gains, phases):
+        if fading:
+            rng.standard_exponential(out=block_gains)
+        rng.random(out=block_phases)
     if fading:
         # Rayleigh with scale s has mean square 2 s^2.
-        gains = rng.rayleigh(scale=np.sqrt(profile / 2.0), size=(users, n_paths))
+        gains *= 2.0
+        np.sqrt(gains, out=gains)
+        gains *= np.sqrt(profile / 2.0)
     else:
-        gains = np.broadcast_to(np.sqrt(profile), (users, n_paths)).copy()
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(users, n_paths))
+        gains[...] = np.sqrt(profile)
+    phases *= 2.0 * np.pi
+    if single:
+        gains, phases = gains[0], phases[0]
     return ChannelRealization(gains=gains, phases=phases)
 
 
-def correlator_noise(scale: float, factor: np.ndarray, n_windows: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def correlator_noise(scale: float, factor: np.ndarray, n_windows: int, rngs) -> np.ndarray:
     """What complex white Gaussian sample noise leaves in a bank of
     correlators, drawn directly.
 
@@ -74,10 +95,18 @@ def correlator_noise(scale: float, factor: np.ndarray, n_windows: int,
     window are complex Gaussian with covariance n0 * G, where G[t, u] =
     (1/N) sum_i conj(sig_t[i]) sig_u[i] is the signatures' Gram matrix and
     factor @ factor^H = G.  Returns (n_windows, len(factor)) draws,
-    independent between windows.
+    independent between windows, from one block's generator, or (blocks,
+    n_windows, len(factor)) from a sequence of generators, one per block:
+    each draws its block's interleaved normals into the batch's array, read
+    as complex, and one product per block applies the factor.
     """
-    w = rng.standard_normal((n_windows, factor.shape[0], 2))
-    return scale * ((w[..., 0] + 1j * w[..., 1]) @ factor.T)
+    single = isinstance(rngs, np.random.Generator)
+    batch = [rngs] if single else rngs
+    w = np.empty((len(batch), n_windows, factor.shape[0], 2))
+    for rng, normals in zip(batch, w):
+        rng.standard_normal(out=normals)
+    z = scale * (w.view(np.complex128)[..., 0] @ factor.T)
+    return z[0] if single else z
 
 
 def noise_scale(ebn0_db: float, eb: float) -> float:

@@ -1,36 +1,47 @@
-"""Monte Carlo engine: a scenario's prepared tables, the steps of one block,
-the runner that sweeps blocks over the Eb/N0 grid, and the interference
-decomposition.  The scenarios themselves are config's, the records they
-produce and their CSV form analysis's, and what each amplifier adds hpa's.
+"""Monte Carlo engine: a scenario's prepared tables, the steps of a batch
+of blocks, the runner that sweeps blocks over the Eb/N0 grid, and the
+interference decomposition.  The scenarios themselves are config's, the
+records they produce and their CSV form analysis's, and what each amplifier
+adds hpa's.
 
 Determinism contract: every simulated block draws from its own generator,
-seeded by the master seed and the block's (point, block) indices alone
-(_block_draws), blocks are grouped into fixed-size waves, and the stopping
-rule is evaluated only on completed waves.  A point counts its blocks, of
-equal bits, and their integer error sums, so the records (and CSV bytes) are
-identical for any worker count and order.  Each +-1 symbol costs one bit of
-the generator's raw 64-bit words, taken little-endian (_draw_symbols).
+seeded by the master seed and the block's (point, block) indices alone, in
+its own order: its channel, then its symbols, then its noise (_batch_draws).
+Blocks run in batches, whose steps keep a leading block axis so that every
+block's products have the shapes they have alone: a block's outputs, bit
+for bit, do not depend on the batch it runs in.  Blocks are grouped into
+fixed-size waves, and the stopping rule is evaluated only on completed
+waves.  A point counts its blocks, of equal bits, and their integer error
+sums, so the records (and CSV bytes) are identical for any worker count,
+order and batch size.  Each +-1 symbol costs one bit of the generator's raw
+64-bit words, taken little-endian (_draw_symbols).
 
-A run forks no pool up front.  Its blocks run in the calling process until
-their summed time reaches _SERIAL_BUDGET_S, several times what a fork pool
-costs to start and tear down; only then, and only with workers > 1, does a
-pool fork, of one process less than workers or than a wave's blocks,
-whichever is fewer, the calling process running the first share of every
-later wave itself (run_scenario).
+A run forks no pool up front.  Its blocks run in the calling process, a
+batch at a time, until their summed time reaches _SERIAL_BUDGET_S, several
+times what a fork pool costs to start and tear down; only then, and only
+with workers > 1, does a pool fork, of one process less than workers or
+than a wave's blocks, whichever is fewer.  Each later wave is then cut into
+one contiguous range of blocks per process, the calling process running
+the first itself, and each process runs its range in batches (run_scenario).
 
 Each public call, run_scenario or measure_variances, pins OpenBLAS to one
 thread once, around its setup (_prepare, which sets no thread count) and
 its blocks, which forked workers inherit (_single_threaded_blas).
 
-A block (_simulate_block) is four steps, one function each, common to
-every hpa_mode: the draws (_block_draws: the channel, then every user's
-symbols), user 1's noiseless correlator outputs (_correlation_outputs),
-one correlator noise draw when the noise is on (channel.correlator_noise),
-and the decisions (receiver.decide_slots).  The noise enters after the
-amplifier and the channel, so the noiseless outputs do not depend on
-Eb/N0, and neither producer takes it or a generator; a block takes only
-its (point, block) indices, and its noise draw the point's noise scale,
-which the setup formed.  A block's outputs are
+A batch of blocks (_batch_outputs, decided in _simulate_blocks) is four
+steps, one function each, common to every hpa_mode: the draws
+(_batch_draws: each block's channel, then every user's symbols), user 1's
+noiseless correlator outputs (_correlation_outputs), one correlator noise
+draw per block when the noise is on (channel.correlator_noise), and the
+decisions (receiver.decide_slots).  Each step is one call per batch: every
+block's generator draws its raw variates into the batch's arrays, and the
+products run once over the batch's leading block axis.  A batch holds as
+many blocks as keep its largest working array within _BATCH_VALUES, and one
+block with an amplifier (_Runtime.batch_blocks).  The noise enters after
+the amplifier and the channel, so the noiseless outputs do not depend on
+Eb/N0, and neither producer takes it or a generator; a batch takes only its
+(point, block) indices, and its noise draw the point's noise scale, which
+the setup formed.  A block's outputs are
 
     z = g sqrt(2) e^{-j theta} T + W + noise,
 
@@ -45,7 +56,8 @@ rotation (none without an amplifier).
   (receiver.partial_correlation_tables).  Each block spreads every user's
   symbols onto its Walsh chips once (txchain.spread_symbols), weighs the
   tables by the block's path gains and forms user 1's per-chip sums in one
-  product per Walsh chip (receiver.correlate_tables).
+  product per Walsh chip (receiver.correlate_tables), each step one call
+  for the batch's blocks.
   The interference decomposition (measure_variances) reads the same
   tables: each source is a subset of the terms of that sum at user 1's
   first slot, so the split multiplies the tables' column for that slot
@@ -108,6 +120,10 @@ from .txchain import LinkConfig, spread_symbols, substream_walsh_rows
 
 _CALIBRATION_SYMBOLS = 256
 
+# float64 values (512 kB) of the largest working array of a batch of blocks
+# (_Runtime.batch_blocks)
+_BATCH_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class _Runtime:
@@ -128,14 +144,35 @@ class _Runtime:
     phase_offset: float
     # channel.noise_scale of each ebn0_grid point, empty when the noise is off
     noise_scales: tuple
-    # the working arrays of the blocks' spread_symbols, correlate_tables
-    # and amplifier (txchain._work_array), reused block to block
+    # the working arrays of the batches' spread_symbols, correlate_tables
+    # and amplifier (txchain._work_array), reused batch to batch
     work: dict = field(default_factory=dict)
 
     @property
     def linear_gain(self) -> float:
         """g: 1 without an amplifier, else the amplifier's."""
         return 1.0 if self.amplifier is None else self.amplifier.linear_gain
+
+    @property
+    def block_values(self) -> int:
+        """float64 values of the largest working array that a batch forms
+        per block: the spread chips stacked at their lags, or the complex
+        path-weighted tables (receiver.correlate_tables)."""
+        _, order, users, lags, n_car, targets = self.correlation.shape
+        n_total = self.scenario.symbols_per_block + self.warmup
+        return max(order * n_total * users * lags * n_car,
+                   2 * order * users * lags * n_car * targets)
+
+    @property
+    def batch_blocks(self) -> int:
+        """Blocks per batch: as many as keep block_values per block within
+        _BATCH_VALUES, and at least one.  With an amplifier one: its W is
+        formed block by block, so a batch would save it nothing, and the
+        tube's first block alone can exhaust the serial budget
+        (_BlockRunner)."""
+        if self.amplifier is not None:
+            return 1
+        return max(1, _BATCH_VALUES // self.block_values)
 
 
 def _user_codes(cfg: LinkConfig) -> tuple:
@@ -183,52 +220,76 @@ def _prepare(scenario: Scenario) -> _Runtime:
                     noise_scales=tuple(noise_scales), work=work)
 
 
-def _simulate_block(runtime: _Runtime, point_index: int, block_index: int):
-    """One independent trial block: its draws, user 1's noiseless correlator
-    outputs, one correlator noise draw at the point's noise scale when the
-    noise is on, added into a new array so that the noiseless outputs are
-    left as they were, and the decisions.  Returns the bit errors of user
-    1's counted symbols."""
-    rng, channel, symbols = _block_draws(runtime, point_index, block_index)
+def _simulate_blocks(runtime: _Runtime, point_index: int, block_ids) -> list:
+    """The bit errors of user 1's counted symbols in each block of block_ids
+    (a range) at sweep point point_index, in block order, the blocks run in
+    batches of runtime.batch_blocks (_batch_outputs).  A block's outputs do
+    not depend on its batch, so neither do the counts."""
+    errors = []
+    for first in range(0, len(block_ids), runtime.batch_blocks):
+        symbols, z = _batch_outputs(runtime, point_index,
+                                    block_ids[first:first + runtime.batch_blocks])
+        errors += decide_slots(z[:, runtime.warmup:], symbols[:, 0, runtime.warmup:]).tolist()
+    return errors
+
+
+def _batch_outputs(runtime: _Runtime, point_index: int, block_ids) -> tuple:
+    """(symbols, z) of a batch of blocks: their draws (_batch_draws), user
+    1's noiseless correlator outputs (_correlation_outputs) and, when the
+    noise is on, one correlator noise draw per block at the point's noise
+    scale, added in.  Both have a leading block axis."""
+    rngs, channel, symbols = _batch_draws(runtime, point_index, block_ids)
     z = _correlation_outputs(runtime, channel, symbols)
     if runtime.noise_scales:
-        z = z + correlator_noise(runtime.noise_scales[point_index], runtime.noise_factor,
-                                 symbols.shape[1], rng).reshape(z.shape)
-    return decide_slots(z[runtime.warmup:], symbols[0, runtime.warmup:])
+        z += correlator_noise(runtime.noise_scales[point_index], runtime.noise_factor,
+                              symbols.shape[2], rngs).reshape(z.shape)
+    return symbols, z
 
 
-def _block_draws(runtime: _Runtime, point_index: int, block_index: int) -> tuple:
-    """(generator, channel, symbols) of block block_index at sweep point
-    point_index: the generator seeded by SeedSequence([master_seed, 0,
-    point_index, block_index]) draws the channel, then every user's symbols
+def _batch_draws(runtime: _Runtime, point_index: int, block_ids) -> tuple:
+    """(generators, channel, symbols) of the blocks block_ids at sweep point
+    point_index: block b's generator, seeded by SeedSequence([master_seed,
+    0, point_index, b]), draws its channel, then every user's symbols
     (users, symbols_per_block + warmup, substreams, carriers), and is
-    returned where they leave it, for the block's noise."""
+    returned where they leave it, for the block's noise.  The channel and
+    the symbols are the batch's, with a leading block axis; each block's
+    are what its generator would draw alone."""
     scenario = runtime.scenario
     cfg = scenario.config
-    rng = np.random.default_rng(
+    rngs = [np.random.default_rng(
         np.random.SeedSequence([scenario.master_seed, 0, point_index, block_index]))
-    channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
-    symbols = _draw_symbols(rng, (cfg.users, scenario.symbols_per_block + runtime.warmup,
-                                  cfg.substreams, cfg.carriers))
-    return rng, channel, symbols
+        for block_index in block_ids]
+    channel = draw_channel(rngs, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
+    symbols = _draw_symbols(rngs, (cfg.users, scenario.symbols_per_block + runtime.warmup,
+                                   cfg.substreams, cfg.carriers))
+    return rngs, channel, symbols
 
 
-def _draw_symbols(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """+-1 symbols of the given shape, int8, one generator bit each: symbol
-    i is bit i mod 64 of raw 64-bit word i // 64 (1 -> +1, 0 -> -1).  The
-    words are taken little-endian, so the symbols do not depend on the
-    platform, and the draw leaves the stream ceil(n / 64) words on."""
+def _draw_symbols(rngs, shape: tuple) -> np.ndarray:
+    """+-1 symbols of the given shape, int8, one generator bit each, from
+    one generator, or of shape (blocks, *shape) from a sequence of
+    generators, one per block: a block's symbol i is bit i mod 64 of its
+    generator's raw 64-bit word i // 64 (1 -> +1, 0 -> -1).  The words are
+    taken little-endian, so the symbols do not depend on the platform, and
+    the draw leaves each generator ceil(n / 64) words on.  Every
+    generator's words go into one array, unpacked once."""
+    single = isinstance(rngs, np.random.Generator)
+    batch = [rngs] if single else rngs
     n = math.prod(shape)
-    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
-    symbols = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(np.int8)
+    words = np.empty((len(batch), -(-n // 64)), dtype="<u8")
+    for rng, block_words in zip(batch, words):
+        block_words[...] = rng.bit_generator.random_raw(block_words.size)
+    symbols = np.unpackbits(words.view(np.uint8), axis=1, count=n,
+                            bitorder="little").view(np.int8)
     symbols *= 2
     symbols -= 1
-    return symbols.reshape(shape)
+    return symbols.reshape(shape) if single else symbols.reshape(len(batch), *shape)
 
 
 def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.ndarray:
-    """User 1's noiseless correlator outputs, shape (symbols, substreams,
-    carriers), in every hpa_mode:
+    """User 1's noiseless correlator outputs, shape (..., symbols,
+    substreams, carriers), in every hpa_mode, of one block's channel and
+    symbols or of a batch's, with a leading block axis (_batch_draws):
 
         z = g sqrt(2) e^{-j theta} T + W.
 
@@ -238,28 +299,33 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
     tables as per-chip sums (receiver.correlate_tables), and g the runtime's
     linear_gain.  W is what the amplifier adds to g times the linear
     waveform, correlated against user 1's signatures per Walsh chip
-    (hpa.amplifier_correlations; zero without an amplifier).
-    Both are (walsh_order, symbols, carriers) sums, so they are added before
-    one Walsh combine (receiver.combine_walsh_chips), the tables' 1/N undone
-    since the combine divides by N; a tube block (g = 0) forms no T at all.
-    theta is user 1's reference-path phase plus the amplifier's mean
-    rotation.  The outputs are those of the sample chain (modulate,
-    amplify, propagate, correlate) up to round-off."""
+    (hpa.amplifier_correlations; zero without an amplifier), one block at
+    a time: with an amplifier a batch holds one block (_Runtime.batch_blocks).
+    Both are (walsh_order, symbols, carriers) sums per block, so they are
+    added before one Walsh combine (receiver.combine_walsh_chips), the
+    tables' 1/N undone since the combine divides by N; a tube block (g = 0)
+    forms no T at all.  theta is user 1's reference-path phase plus the
+    amplifier's mean rotation.  The outputs are those of the sample chain
+    (modulate, amplify, propagate, correlate) up to round-off."""
     cfg = runtime.scenario.config
     n_samp = cfg.samples_per_symbol
+    lead = symbols.shape[:-4]
     gains = _path_gains(channel)
     chips = spread_symbols(runtime.walsh, symbols, runtime.work)
     per_chip = None
     if runtime.linear_gain:
         per_chip = correlate_tables(runtime.correlation, chips, gains, runtime.work)
         per_chip *= runtime.linear_gain * np.sqrt(2.0) * n_samp
-    amplified = (None if runtime.amplifier is None
-                 else amplifier_correlations(runtime.amplifier, chips, gains, runtime.work))
-    if amplified is not None:
-        per_chip = amplified if per_chip is None else per_chip + amplified
+    if runtime.amplifier is not None:
+        # one block's, which the reshapes check
+        amplified = amplifier_correlations(runtime.amplifier, chips.reshape(chips.shape[-4:]),
+                                           gains.reshape(gains.shape[-2:]), runtime.work)
+        if amplified is not None:
+            amplified = amplified.reshape(*lead, *amplified.shape)
+            per_chip = amplified if per_chip is None else per_chip + amplified
     z = combine_walsh_chips(per_chip, runtime.walsh, n_samp,
-                            channel.phases[0, 0] + runtime.phase_offset)
-    return z.reshape(symbols.shape[1], cfg.substreams, cfg.carriers)
+                            channel.phases[..., 0, 0] + runtime.phase_offset)
+    return z.reshape(*lead, symbols.shape[-3], cfg.substreams, cfg.carriers)
 
 
 # float64 values (256 kB) of _column_outputs' buffer, which holds a group of
@@ -422,7 +488,8 @@ def get_context(method: str):
     return multiprocessing.get_context(method)
 
 
-# Serial block time after which a run with workers > 1 forks its pool.
+# Serial block time after which a run with workers > 1 forks its pool,
+# checked between batches.
 # Forking a one-process pool, its first task and its teardown cost about
 # 6-8 ms on a 2-core VM (10-12 ms for two processes), so a run that ends
 # within this budget never pays them, and one that goes on has paid for
@@ -434,8 +501,8 @@ _SERIAL_BUDGET_S = 0.05
 _WORKER_RUNTIME: _Runtime | None = None
 
 
-def _worker_block(args):
-    return _simulate_block(_WORKER_RUNTIME, *args)
+def _worker_blocks(args):
+    return _simulate_blocks(_WORKER_RUNTIME, *args)
 
 
 class _BlockRunner:
@@ -452,24 +519,27 @@ class _BlockRunner:
     def run(self, point_index: int, block_ids: range) -> list:
         global _WORKER_RUNTIME
         results = []
-        for block_index in block_ids:
-            if self.workers > 1 and self.serial_s >= _SERIAL_BUDGET_S:
-                break
+        size = self.runtime.batch_blocks
+        while len(results) < len(block_ids) and not (
+                self.workers > 1 and self.serial_s >= _SERIAL_BUDGET_S):
             started = time.perf_counter()
-            results.append(_simulate_block(self.runtime, point_index, block_index))
+            results += _simulate_blocks(self.runtime, point_index,
+                                        block_ids[len(results):len(results) + size])
             self.serial_s += time.perf_counter() - started
         rest = block_ids[len(results):]
         if rest:
             if self.pool is None:
                 _WORKER_RUNTIME = self.runtime
                 self.pool = get_context("fork").Pool(self.workers - 1)
+            # one contiguous range per process, this one's first
             share = math.ceil(len(rest) / self.workers)
-            pooled = rest[share:]
             pending = self.pool.map_async(
-                _worker_block, [(point_index, b) for b in pooled],
-                chunksize=math.ceil(len(pooled) / (self.workers - 1)))
-            results += [_simulate_block(self.runtime, point_index, b) for b in rest[:share]]
-            results += pending.get()
+                _worker_blocks,
+                [(point_index, rest[i:i + share]) for i in range(share, len(rest), share)],
+                chunksize=1)
+            results += _simulate_blocks(self.runtime, point_index, rest[:share])
+            for errors in pending.get():
+                results += errors
         return results
 
     def close(self):
@@ -489,12 +559,13 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> RunReport:
     identical records at any worker count; workers must be an integer
     >= 1 and counts the processes that run blocks, this one included.
 
-    The blocks run here until their summed time reaches _SERIAL_BUDGET_S,
-    several times what forking and tearing down a pool costs, so a short
-    run never forks.  Past it, and only with workers > 1, a fork pool of
-    min(workers, blocks_per_wave) - 1 processes starts and stays until the
-    run ends; each wave's remaining blocks are then cut into contiguous
-    shares, the first run in this process and the others on the pool.
+    The blocks run here, a batch at a time, until their summed time
+    reaches _SERIAL_BUDGET_S, several times what forking and tearing down a
+    pool costs, so a short run never forks.  Past it, and only with workers
+    > 1, a fork pool of min(workers, blocks_per_wave) - 1 processes starts
+    and stays until the run ends; each wave's remaining blocks are then cut
+    into one contiguous range per process, the first run in this process
+    and the others on the pool, one task each, every range in batches.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")

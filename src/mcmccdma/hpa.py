@@ -659,25 +659,26 @@ def _cell_grid(cfg: LinkConfig, pn_chips: np.ndarray, paths: int) -> _CellGrid:
         bin_windows=span // n_samp)
 
 
-def _autocorrelations(b: np.ndarray) -> np.ndarray:
+def _autocorrelations(b: np.ndarray, work: dict) -> np.ndarray:
     """rho[k, ...] = sum_m b[..., m] b[..., m + k] for k = 0 .. M - 1, the
     coefficients of a row's power |sum_m b_m e^{j (m+1) phi}|^2 =
     rho_0 + 2 sum_{k>=1} rho_k cos(k phi), for real b.  Shape
-    (M, *b.shape[:-1])."""
+    (M, *b.shape[:-1]), a working array of work."""
     n_car = b.shape[-1]
-    rho = np.empty((n_car, *b.shape[:-1]))
+    rho = _work_array(work, "rho", (n_car, *b.shape[:-1]))
     for k in range(n_car):
         np.einsum("...m,...m->...", b[..., :n_car - k], b[..., k:], out=rho[k])
     return rho
 
 
-def _peak_power_bound(rho: np.ndarray) -> np.ndarray:
+def _peak_power_bound(rho: np.ndarray, work: dict) -> np.ndarray:
     """An upper bound on a row's power over every angle, from its
     _autocorrelations: rho_0 + 2 sum_k |rho_k| (Tellambura, Electron. Lett.
     33(19), 1997), the |rho_k| summed in order into one array.  Shape
-    rho.shape[1:]."""
-    bound = np.zeros(rho.shape[1:])
-    magnitude = np.empty_like(bound)
+    rho.shape[1:], a working array of work."""
+    bound = _work_array(work, "peak", rho.shape[1:])
+    bound.fill(0.0)
+    magnitude = _work_array(work, "peak_term", rho.shape[1:])
     for term in rho[1:]:
         bound += np.abs(term, out=magnitude)
     bound *= 2.0
@@ -686,10 +687,11 @@ def _peak_power_bound(rho: np.ndarray) -> np.ndarray:
 
 
 def _cell_power_bound(grid: _CellGrid, rho: np.ndarray, peak: np.ndarray, lo: int,
-                      hi: int) -> np.ndarray:
+                      hi: int, work: dict) -> np.ndarray:
     """An upper bound on the power of rows of one Walsh chip over each of
     the chip's cells lo..hi-1, shape (rows, hi - lo), given the rows'
-    _autocorrelations rho (carriers, rows) and _peak_power_bound.
+    _autocorrelations rho (carriers, rows) and _peak_power_bound; it and
+    the slope term are working arrays of work, as many rows as rho holds.
 
     The power P(phi) = rho_0 + 2 sum_k rho_k cos(k phi) is a real
     trigonometric polynomial of degree M - 1 in the carrier phase, so
@@ -700,15 +702,17 @@ def _cell_power_bound(grid: _CellGrid, rho: np.ndarray, peak: np.ndarray, lo: in
 
     P(phi_0) and P'(phi_0) t being two real products of rho against the
     grid's cos_terms and slope_terms."""
-    n_car = rho.shape[0]
-    bound = rho.T @ grid.cos_terms[:, lo:hi]
-    slope = rho[1:].T @ grid.slope_terms[:, lo:hi]
+    n_car, rows = rho.shape
+    bound = np.matmul(rho.T, grid.cos_terms[:, lo:hi],
+                      out=_work_array(work, "cell_bound", (rows, hi - lo)))
+    slope = np.matmul(rho[1:].T, grid.slope_terms[:, lo:hi],
+                      out=_work_array(work, "cell_slope", (rows, hi - lo)))
     bound += np.abs(slope, out=slope)
     bound += (0.5 * ((n_car - 1) * grid.half_width) ** 2) * peak[:, None]
     return bound
 
 
-def _clipped_cells(limiter: LimiterState, rho: np.ndarray):
+def _clipped_cells(limiter: LimiterState, rho: np.ndarray, work: dict):
     """The (symbol row, cell) pairs of the limiter that can clip, as
     (Walsh chip, rows, cells) chunks of up to _CELL_CHUNK pairs in one chip,
     for _driven_cells.
@@ -718,13 +722,13 @@ def _clipped_cells(limiter: LimiterState, rho: np.ndarray):
     (_peak_power_bound) or over the cell (_cell_power_bound), both from rho,
     lies below A_sat^2; the margin of 1e-12 keeps exact ties and anything
     round-off could lift over it, and since NaN compares false a NaN bound
-    keeps its pair."""
+    keeps its pair.  The bounds are working arrays of work."""
     grid = limiter.cells
     threshold = limiter.saleh.saturation_output_power * (1.0 - 1e-12)
-    peak = _peak_power_bound(rho)
+    peak = _peak_power_bound(rho, work)
     for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:])):
         rows = np.flatnonzero(~(peak[chip] < threshold))
-        bound = _cell_power_bound(grid, rho[:, chip, rows], peak[chip, rows], lo, hi)
+        bound = _cell_power_bound(grid, rho[:, chip, rows], peak[chip, rows], lo, hi, work)
         row, cell = np.divmod(np.flatnonzero(~(bound < threshold)), hi - lo)
         row, cell = rows[row], cell + lo
         for first in range(0, row.size, _CELL_CHUNK):
@@ -738,7 +742,7 @@ def _limiter_drive(limiter: LimiterState, chips: np.ndarray, work: dict) -> tupl
     search and the calibration."""
     b = _row_coefficients(chips, work)
     b *= limiter.linear_gain
-    return b, _autocorrelations(b)
+    return b, _autocorrelations(b, work)
 
 
 def _driven_cells(limiter: LimiterState, b: np.ndarray, rho: np.ndarray, work: dict):
@@ -755,7 +759,7 @@ def _driven_cells(limiter: LimiterState, b: np.ndarray, rho: np.ndarray, work: d
     of work that the next chunk overwrites."""
     grid = limiter.cells
     chunk = (_CELL_CHUNK, _CELL_SAMPLES)
-    for chip, rows, cells in _clipped_cells(limiter, rho):
+    for chip, rows, cells in _clipped_cells(limiter, rho, work):
         n = rows.size
         # the cells are in range; with mode="raise" take would buffer its out
         coefficients = np.take(grid.centres, cells, axis=0, mode="clip", out=_work_array(

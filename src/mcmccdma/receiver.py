@@ -91,35 +91,38 @@ def chip_correlations(windows: np.ndarray, correlator: np.ndarray,
 
 
 def combine_walsh_chips(per_chip: np.ndarray, walsh_rows: np.ndarray, n_samp: int,
-                        reference_phase: float) -> np.ndarray:
+                        reference_phase) -> np.ndarray:
     """The correlator outputs from per-chip sums (chip_correlations), shape
-    (walsh_order, n_symbols, carriers), given the +-1 Walsh rows w_r, shape
-    (substreams, walsh_order):
+    (..., walsh_order, n_symbols, carriers), given the +-1 Walsh rows w_r,
+    shape (substreams, walsh_order):
 
-        z[n, (r, m)] = (1/N) e^{-j reference_phase} sum_c w_r(c) per_chip[c, n, m],
+        z[..., n, (r, m)] = (1/N) e^{-j reference_phase} sum_c w_r(c) per_chip[..., c, n, m],
 
-    a real Walsh combine.  Returns (n_symbols, substreams * carriers) in slot
-    order r * carriers + m."""
-    order, n_sym, n_car = per_chip.shape
+    a real Walsh combine, one GEMM per leading index (a batch's blocks, each
+    with its own reference_phase, of the leading shape).  Returns (...,
+    n_symbols, substreams * carriers) in slot order r * carriers + m."""
+    *lead, order, n_sym, n_car = per_chip.shape
     # (substreams, order) @ (order, n_sym * carriers), re/im interleaved
     z = np.asarray(walsh_rows, dtype=np.float64) @ np.ascontiguousarray(per_chip).view(
-        np.float64).reshape(order, -1)
-    out = np.empty((n_sym, len(walsh_rows), n_car), dtype=np.complex128)
-    # the 1/N and the phase in one scalar multiply, written in slot order
-    np.multiply(z.view(np.complex128).reshape(-1, n_sym, n_car).transpose(1, 0, 2),
-                np.exp(-1j * reference_phase) / n_samp, out=out)
-    return out.reshape(n_sym, -1)
+        np.float64).reshape(*lead, order, -1)
+    out = np.empty((*lead, n_sym, len(walsh_rows), n_car), dtype=np.complex128)
+    # the 1/N and the phase in one scalar multiply per block, written in slot order
+    rotation = np.exp(-1j * np.asarray(reference_phase)) / n_samp
+    np.multiply(z.view(np.complex128).reshape(*lead, -1, n_sym, n_car).swapaxes(-3, -2),
+                rotation[..., None, None, None], out=out)
+    return out.reshape(*lead, n_sym, -1)
 
 
-def decide_slots(z: np.ndarray, reference: np.ndarray) -> int:
-    """Sign decisions on the real part of correlator outputs z, shape
-    (symbols, substreams, carriers), against the transmitted +-1 symbols of
-    the same shape, one bit each.  Returns the number of bit errors."""
+def decide_slots(z: np.ndarray, reference: np.ndarray):
+    """Sign decisions on the real part of correlator outputs z, shape (...,
+    symbols, substreams, carriers), against the transmitted +-1 symbols of
+    the same shape, one bit each.  Returns the number of bit errors per
+    leading index: one count for one block's outputs, an array of one per
+    block for a batch's."""
     reference = np.asarray(reference)
     if reference.shape != z.shape:
         raise ValueError(f"reference shape {reference.shape} != outputs shape {z.shape}")
-    decisions = np.where(z.real >= 0.0, 1, -1).astype(np.int8)
-    return int(np.count_nonzero(decisions != reference))
+    return np.count_nonzero((z.real >= 0.0) != (reference > 0), axis=(-3, -2, -1))
 
 
 def partial_correlation_tables(pn_chips: np.ndarray, config: LinkConfig,
@@ -277,40 +280,43 @@ def correlate_tables(tables: np.ndarray, chips: np.ndarray, gains: np.ndarray,
 
     with c_k[n * walsh_order + a, m] = chips[a, n, k, m] each user's
     symbols on its Walsh chip stream (txchain.spread_symbols), zero before
-    the first symbol.  chips is (walsh_order, n, users, carriers), gains
-    the complex path gains (users, paths), and tables any slice of the full
-    tables over users (with chips and gains sliced alike) or over the
-    target carriers t.  Returns (walsh_order, n, targets), the shape of
+    the first symbol.  chips is (..., walsh_order, n, users, carriers),
+    gains the complex path gains (..., users, paths), any leading axes (a
+    batch's blocks) alike in both, and tables any slice of the full tables
+    over users (with chips and gains sliced alike) or over the target
+    carriers t.  Returns (..., walsh_order, n, targets), the shape of
     receiver.chip_correlations: combine_walsh_chips turns them into
     correlator outputs, once they are scaled by sqrt(2) and by N, since the
     tables carry 1/N and the combine divides by N again.
 
-    Two steps: the block's path gains contracted into the tables, which
-    leaves one block per (b, k, q, m) with no path axis, and one real
-    product per target chip b of the chip stream, stacked at its lags,
-    against those.  With as many substreams as Walsh chips that is
+    Two steps: the path gains contracted into the tables, which leaves one
+    block per (b, k, q, m) with no path axis, and one real product per
+    target chip b of the chip stream, stacked at its lags, against those,
+    per leading index.  With as many substreams as Walsh chips that is
     1/walsh_order of the arithmetic of the full (slot x slot) tables at one
     lag.  Its working arrays are work's (txchain._work_array).
     """
     n_paths, order, users, lags, n_car, targets = tables.shape
-    n_total = chips.shape[1]
-    chips = chips.reshape(order, n_total, users, 1, n_car)
+    *lead, _, n_total, _, _ = chips.shape
+    chips = chips.reshape(*lead, order, n_total, users, 1, n_car)
     stacked = chips
     if lags > 1:
-        # stacked[b, n, k, q] holds chip b - q of window n, or of window
-        # n - 1 when b < q, and zero before the first window
-        stacked = _work_array(work, "stacked", (order, n_total, users, lags, n_car))
+        # stacked[..., b, n, k, q] holds chip b - q of window n, or of
+        # window n - 1 when b < q, and zero before the first window
+        stacked = _work_array(work, "stacked", (*lead, order, n_total, users, lags, n_car))
         for lag in range(lags):
-            stacked[lag:, :, :, lag] = chips[:order - lag, :, :, 0]
-            stacked[:lag, 1:, :, lag] = chips[order - lag:, :-1, :, 0]
-            stacked[:lag, 0, :, lag] = 0.0
-    # weighted[b, k, q, m, t] = sum_l gains[k, l] tables[l, b, k, q, m, t]
-    weighted = np.multiply(tables[0], gains[:, 0, None, None, None],
-                           out=_work_array(work, "weighted", tables.shape[1:], np.complex128))
+            stacked[..., lag:, :, :, lag, :] = chips[..., :order - lag, :, :, 0, :]
+            stacked[..., :lag, 1:, :, lag, :] = chips[..., order - lag:, :-1, :, 0, :]
+            stacked[..., :lag, 0, :, lag, :] = 0.0
+    # weighted[..., b, k, q, m, t] = sum_l gains[..., k, l] tables[l, b, k, q, m, t]
+    path_gains = gains[..., None, :, None, None, None, :]
+    shape = (*lead, *tables.shape[1:])
+    weighted = np.multiply(tables[0], path_gains[..., 0],
+                           out=_work_array(work, "weighted", shape, np.complex128))
     if n_paths > 1:
-        term = _work_array(work, "term", tables.shape[1:], np.complex128)
+        term = _work_array(work, "term", shape, np.complex128)
         for path in range(1, n_paths):
-            weighted += np.multiply(tables[path], gains[:, path, None, None, None], out=term)
-    per_chip = np.matmul(stacked.reshape(order, n_total, -1),
-                         weighted.reshape(order, -1, targets).view(np.float64))
+            weighted += np.multiply(tables[path], path_gains[..., path], out=term)
+    per_chip = np.matmul(stacked.reshape(*lead, order, n_total, -1),
+                         weighted.reshape(*lead, order, -1, targets).view(np.float64))
     return per_chip.view(np.complex128)

@@ -172,32 +172,36 @@ def spread_symbols(walsh_rows: np.ndarray, symbols: np.ndarray, work: dict) -> n
     """Every user's symbols on its Walsh chip stream, the one place the
     multicode layer spreads them:
 
-        chips[a, n, k, m] = sum_r w_r(a) d_k[n, r, m],
+        chips[..., a, n, k, m] = sum_r w_r(a) d_k[n, r, m],
 
     with walsh_rows the substreams' +-1 rows w_r (substream_walsh_rows) and
-    symbols d, shape (users, n, substreams, carriers).  During Walsh chip a
-    of window n, user k's PN-free waveform is sqrt(2) sum_m chips[a, n, k,
-    m] E_m, E_m the subcarrier exponentials.  One real GEMM; the sums are of
-    +-1 terms, so they are exact.  Shape (walsh_order, n, users, carriers),
-    in work's arrays "symbols" and "chips" (_work_array).
+    symbols d, shape (..., users, n, substreams, carriers), any leading axes
+    (a batch's blocks) kept in front.  During Walsh chip a of window n, user
+    k's PN-free waveform is sqrt(2) sum_m chips[a, n, k, m] E_m, E_m the
+    subcarrier exponentials.  One real GEMM per leading index; the sums are
+    of +-1 terms, so they are exact.  Shape (..., walsh_order, n, users,
+    carriers), in work's arrays "symbols" and "chips" (_work_array).
     """
     n_sub, order = walsh_rows.shape
-    users, n_total, _, n_car = symbols.shape
-    d = _work_array(work, "symbols", (n_sub, n_total, users, n_car))
-    np.copyto(d, symbols.transpose(2, 1, 0, 3))
-    chips = np.matmul(walsh_rows.T, d.reshape(n_sub, -1),
-                      out=_work_array(work, "chips", (order, n_total * users * n_car)))
-    return chips.reshape(order, n_total, users, n_car)
+    *lead, users, n_total, _, n_car = symbols.shape
+    d = _work_array(work, "symbols", (*lead, n_sub, n_total, users, n_car))
+    np.copyto(d, symbols.swapaxes(-4, -2))
+    chips = np.matmul(walsh_rows.T, d.reshape(*lead, n_sub, -1),
+                      out=_work_array(work, "chips", (*lead, order, n_total * users * n_car)))
+    return chips.reshape(*lead, order, n_total, users, n_car)
 
 
 def _work_array(work: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialized array of the shape: the one work holds under the
-    name, made anew when there is none or its shape differs.  A block's
-    steps pass one dict to each of their calls, so that their working arrays
-    are made once and reused while their shapes hold: allocated afresh, they
-    can grow and trim the heap on every call, which then faults its pages in
-    again.  An empty dict gives fresh arrays."""
-    array = work.get(name)
-    if array is None or array.shape != shape:
-        array = work[name] = np.empty(shape, dtype)
-    return array
+    """An uninitialized array of the shape: a view of the first values of
+    the flat buffer work holds under the name, made anew only when there is
+    none, or it is too small or of another dtype.  A block's steps pass one
+    dict to each of their calls, so that their working arrays are made once
+    and reused: allocated afresh, they can grow and trim the heap on every
+    call, which then faults its pages in again.  A smaller shape, a batch's
+    short last one or the rows a search keeps, reuses the larger buffer.  An
+    empty dict gives fresh arrays."""
+    size = math.prod(shape)
+    buffer = work.get(name)
+    if buffer is None or buffer.size < size or buffer.dtype != dtype:
+        buffer = work[name] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)

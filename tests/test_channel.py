@@ -52,6 +52,26 @@ class TestDrawChannel:
         assert np.array_equal(a.gains, b.gains)
         assert np.array_equal(a.phases, b.phases)
 
+    @pytest.mark.parametrize("fading", [True, False])
+    def test_draw_matches_twin_generator_draws(self, fading):
+        """draw_channel forms from raw variates what Generator.rayleigh and
+        uniform draw from a twin generator, bit for bit, for one block's
+        generator and for each of a batch's."""
+        profile = path_power_profile(3, 2.0)
+        seeds = (5, 6, 7)
+        batch = draw_channel([np.random.default_rng(seed) for seed in seeds], 4, 3, 2.0, fading)
+        assert batch.gains.shape == batch.phases.shape == (3, 4, 3)
+        for at, seed in enumerate(seeds):
+            twin = np.random.default_rng(seed)
+            gains = (twin.rayleigh(scale=np.sqrt(profile / 2.0), size=(4, 3)) if fading
+                     else np.broadcast_to(np.sqrt(profile), (4, 3)))
+            phases = twin.uniform(0.0, 2.0 * np.pi, size=(4, 3))
+            one = draw_channel(np.random.default_rng(seed), 4, 3, 2.0, fading)
+            for drawn_gains, drawn_phases in ((one.gains, one.phases),
+                                              (batch.gains[at], batch.phases[at])):
+                assert drawn_gains.tobytes() == np.ascontiguousarray(gains).tobytes()
+                assert drawn_phases.tobytes() == phases.tobytes()
+
     def test_fading_off_gains_are_profile(self):
         rng = np.random.default_rng(1)
         ch = draw_channel(rng, 1, 3, 2.0, fading=False)
@@ -139,6 +159,23 @@ class TestAwgn:
         assert np.abs(measured - expected).max() < 0.02 * np.abs(expected).max()
         pseudo = z.T @ z / z.shape[0]
         assert np.abs(pseudo).max() < 0.02 * np.abs(expected).max()
+
+    def test_correlator_noise_reads_normals_as_complex(self):
+        """The interleaved normals read as complex128 give bit for bit the
+        draws of the complex normals w[..., 0] + 1j w[..., 1], over 200
+        seeds, and a batch's generators each give their block's draws."""
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        factor = np.linalg.cholesky(a @ a.conj().T / 64 + np.eye(64))
+        for seed in range(200):
+            w = np.random.default_rng(seed).standard_normal((17, 64, 2))
+            expected = 0.3 * ((w[..., 0] + 1j * w[..., 1]) @ factor.T)
+            drawn = correlator_noise(0.3, factor, 17, np.random.default_rng(seed))
+            assert drawn.tobytes() == expected.tobytes()
+        batch = correlator_noise(0.3, factor, 17, [np.random.default_rng(seed) for seed in (4, 9)])
+        for noise, seed in zip(batch, (4, 9)):
+            assert noise.tobytes() == correlator_noise(0.3, factor, 17,
+                                                       np.random.default_rng(seed)).tobytes()
 
     @pytest.mark.parametrize("ebn0_db", [np.nan, np.inf, -np.inf])
     def test_nonfinite_ebn0_rejected(self, ebn0_db):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.analysis import emit_csv
-from mcmccdma.channel import draw_channel, noise_scale
+from mcmccdma.channel import ChannelRealization, draw_channel, noise_scale
 from mcmccdma.codes import generate_msequence
 from mcmccdma import harness, hpa
 from mcmccdma.config import HPA_MODES, ConfigError, Scenario, preset
@@ -203,7 +203,7 @@ class TestRunScenario:
         def forbidden(*args):
             raise AssertionError("a block ran before every point's noise level was checked")
 
-        monkeypatch.setattr(harness, "_simulate_block", forbidden)
+        monkeypatch.setattr(harness, "_simulate_blocks", forbidden)
         scenario = dataclasses.replace(TINY, hpa_mode="saleh", ebn0_grid=(0.0, 300.0),
                                        saleh=SalehParams(alpha_am=1e-150, beta_am=1.0))
         with pytest.raises(ConfigError, match="scenario 'tiny', Eb/N0 point 1: ebn0_db must be "
@@ -257,8 +257,9 @@ class TestRunScenario:
 
     def test_block_returns_its_error_count(self):
         runtime = harness._prepare(TINY)
-        errors = harness._simulate_block(runtime, 0, 0)
-        assert type(errors) is int and 0 <= errors <= TINY.symbols_per_block
+        errors = harness._simulate_blocks(runtime, 0, range(3))
+        assert len(errors) == 3
+        assert all(type(e) is int and 0 <= e <= TINY.symbols_per_block for e in errors)
 
     def test_multipoint_grid(self):
         sc = dataclasses.replace(TINY, ebn0_grid=(0.0, 4.0))
@@ -300,11 +301,19 @@ def _sample_chain(runtime, symbols, gains, reference_phase, amplify=None):
     return correlate_slots(received, own, cfg, reference_phase=reference_phase)
 
 
+def _block_draws(runtime, point_index, block_index):
+    """(generator, channel, symbols) of one block, drawn as a batch of one
+    (harness._batch_draws)."""
+    (rng,), channel, symbols = harness._batch_draws(runtime, point_index,
+                                                     range(block_index, block_index + 1))
+    return rng, ChannelRealization(gains=channel.gains[0], phases=channel.phases[0]), symbols[0]
+
+
 def _recorded_block(scenario):
     """The runtime, channel, symbols and noiseless correlator outputs of
     block 3 at the first point of the scenario's engine."""
     runtime = harness._prepare(scenario)
-    _, channel, symbols = harness._block_draws(runtime, 0, 3)
+    _, channel, symbols = _block_draws(runtime, 0, 3)
     return runtime, channel, symbols, harness._correlation_outputs(runtime, channel, symbols)
 
 
@@ -599,7 +608,7 @@ class TestAmplifierEngine:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            harness._simulate_block(runtime, 0, 0)
+            harness._simulate_blocks(runtime, 0, range(1))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -626,7 +635,7 @@ class TestAmplifierEngine:
         chips = spread_symbols(runtime.walsh, symbols, {})
         assert hpa._excess_correlations(runtime.amplifier, chips, np.ones((3, 1)),
                                         runtime.work) is None
-        harness._simulate_block(runtime, 0, 0)
+        harness._simulate_blocks(runtime, 0, range(1))
         assert calls == []
 
     @pytest.mark.parametrize("hpa_mode", HPA_MODES)
@@ -643,9 +652,9 @@ class TestAmplifierEngine:
         correlator_noise = harness.correlator_noise
         decide_slots = harness.decide_slots
 
-        def recorded(scale, factor, n_windows, rng):
-            draws.append((scale, factor, n_windows, rng))
-            draws.append(correlator_noise(scale, factor, n_windows, rng))
+        def recorded(scale, factor, n_windows, rngs):
+            draws.append((scale, factor, n_windows, rngs))
+            draws.append(correlator_noise(scale, factor, n_windows, rngs))
             return draws[-1]
 
         monkeypatch.setattr(harness, "correlator_noise", recorded)
@@ -654,21 +663,21 @@ class TestAmplifierEngine:
         runtime, channel, symbols, z = _recorded_block(scenario)
         quiet = harness._prepare(dataclasses.replace(scenario, noise_enabled=False))
         assert quiet.noise_scales == ()
-        harness._simulate_block(quiet, 0, 3)
+        harness._simulate_blocks(quiet, 0, range(3, 4))
         assert draws == []          # noise off, nothing drawn
         warmup = runtime.warmup
-        assert np.array_equal(decided[0], z[warmup:])
-        harness._simulate_block(runtime, 0, 3)
-        (scale, factor, n_windows, rng), noise = draws
+        assert np.array_equal(decided[0], z[None, warmup:])
+        harness._simulate_blocks(runtime, 0, range(3, 4))
+        (scale, factor, n_windows, (rng,)), noise = draws
         assert factor is runtime.noise_factor
         assert scale == noise_scale(8.0, runtime.eb) == runtime.noise_scales[0]
         assert n_windows == symbols.shape[1]
         # the generator is left where that one draw leaves the block's draws
-        alone, _, _ = harness._block_draws(runtime, 0, 3)
+        alone, _, _ = _block_draws(runtime, 0, 3)
         correlator_noise(scale, factor, n_windows, alone)
         assert rng.bit_generator.state == alone.bit_generator.state
-        difference = (decided[1] - z[warmup:]).reshape(n_windows - warmup, -1)
-        assert np.abs(difference - noise[warmup:]).max() <= 1e-12 * np.abs(z).max()
+        difference = (decided[1][0] - z[warmup:]).reshape(n_windows - warmup, -1)
+        assert np.abs(difference - noise[0, warmup:]).max() <= 1e-12 * np.abs(z).max()
 
     def test_each_point_draws_its_own_noise_variance(self, monkeypatch):
         """On a two-point grid each point's blocks add noise of that point's
@@ -683,9 +692,9 @@ class TestAmplifierEngine:
         monkeypatch.setattr(harness, "decide_slots",
                             lambda z, reference: decided.append(z) or decide_slots(z, reference))
         for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
-            harness._simulate_block(runtime, point_index, 0)
-            _, channel, symbols = harness._block_draws(runtime, point_index, 0)
-            noise = decided[-1] - harness._correlation_outputs(runtime, channel, symbols)
+            harness._simulate_blocks(runtime, point_index, range(1))
+            _, channel, symbols = _block_draws(runtime, point_index, 0)
+            noise = decided[-1][0] - harness._correlation_outputs(runtime, channel, symbols)
             n0 = runtime.eb / 10 ** (ebn0_db / 10)
             expected = n0 * abs(runtime.noise_factor[0, 0]) ** 2
             assert np.mean(np.abs(noise) ** 2) == pytest.approx(expected, rel=0.1)
@@ -716,7 +725,7 @@ class TestAmplifierEngine:
         grid.cos_terms[0, cell] = bad
         grid.centres[cell, 1] = bad
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
-            harness._simulate_block(runtime, 0, 0)
+            harness._simulate_blocks(runtime, 0, range(1))
 
 
 # Grids for the clip search: aligned, non-aligned, one Walsh chip per
@@ -856,8 +865,8 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     symbols = harness._draw_symbols(np.random.default_rng(seed),
                                     (cfg.users, 5, cfg.substreams, cfg.carriers))
     b = _einsum_row_coefficients(runtime, symbols)
-    rho = hpa._autocorrelations(b)
-    peak = hpa._peak_power_bound(rho)
+    rho = hpa._autocorrelations(b, {})
+    peak = hpa._peak_power_bound(rho, {})
     clip_power = _clip_power(runtime)
 
     linear, index, excess = _full_clip_search(runtime, symbols)
@@ -868,7 +877,7 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     assert (peak[chips[position], row] >= clip_power).all()
 
     cell_bound = np.concatenate([
-        hpa._cell_power_bound(grid, rho[:, chip], peak[chip], lo, hi)
+        hpa._cell_power_bound(grid, rho[:, chip], peak[chip], lo, hi, {})
         for chip, (lo, hi) in enumerate(zip(grid.chip_cells[:-1], grid.chip_cells[1:]))], axis=1)
     cell = np.searchsorted(grid.starts, np.arange(cfg.samples_per_symbol), side="right") - 1
     assert (power <= cell_bound[:, cell] * (1.0 + 1e-12)).all()
@@ -915,10 +924,11 @@ def test_clip_search_keeps_the_pairs_of_the_anchor_products(seed):
     runtime = harness._prepare(scenario)
     limiter = runtime.amplifier
     for block in range(8):
-        _, _, symbols = harness._block_draws(runtime, 0, block)
+        _, _, symbols = _block_draws(runtime, 0, block)
         b = _einsum_row_coefficients(runtime, symbols)
+        rho = hpa._autocorrelations(limiter.linear_gain * b, {})
         kept = [np.stack((np.full(rows.size, chip), rows, cells), axis=1) for chip, rows, cells
-                in hpa._clipped_cells(limiter, hpa._autocorrelations(limiter.linear_gain * b))]
+                in hpa._clipped_cells(limiter, rho, {})]
         expected = _pq_clip_search(runtime, b)
         assert expected.shape[0] > 1000
         assert np.array_equal(np.concatenate(kept), expected)
@@ -977,7 +987,7 @@ def test_random_block_matches_sample_chain(scenario):
     search clips what the search over every sample clips
     (_check_cell_search)."""
     runtime = harness._prepare(scenario)
-    _, channel, symbols = harness._block_draws(runtime, 0, 0)
+    _, channel, symbols = _block_draws(runtime, 0, 0)
     z = harness._correlation_outputs(runtime, channel, symbols)
     amplify, phase_offset = None, 0.0
     if scenario.hpa_mode != "bypass":
@@ -1019,6 +1029,62 @@ def test_pooled_csv_bytes_match_serial(scenario, tmp_path, forced_fork):
     serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
     assert serial == _csv_bytes(scenario, 2, tmp_path / "pooled.csv")
     assert forced_fork == ["fork"]
+
+
+def test_pooled_csv_bytes_match_serial_in_two_block_batches(tmp_path, forced_fork,
+                                                           monkeypatch):
+    """Each 4-block wave of tiny-3-path runs as one batch serially, and
+    under a cap of two blocks per batch as one batch here and one in the
+    pool, which gives the same CSV bytes."""
+    scenario = dataclasses.replace(
+        TINY, name="tiny-3-path", paths=3, decay_db=3.0, fading=True,
+        config=LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4,
+                          pn_length=15, oversampling=4), **_POOLED)
+    runtime = harness._prepare(scenario)
+    assert runtime.batch_blocks >= scenario.blocks_per_wave
+    serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
+    monkeypatch.setattr(harness, "_BATCH_VALUES", 2 * runtime.block_values)
+    assert runtime.batch_blocks == 2
+    assert _csv_bytes(scenario, 2, tmp_path / "pooled.csv") == serial
+    assert forced_fork == ["fork"]
+
+
+def _decided(runtime, point_index, block_ids, monkeypatch):
+    """{block: (z, errors)} for each block of block_ids as _simulate_blocks
+    decides it: the noisy outputs decide_slots is given, and the count."""
+    decided = []
+    decide_slots = harness.decide_slots
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "decide_slots",
+                      lambda z, reference: decided.append(z.copy()) or decide_slots(z, reference))
+        errors = harness._simulate_blocks(runtime, point_index, block_ids)
+    return dict(zip(block_ids, zip(np.concatenate(decided), errors)))
+
+
+@pytest.mark.parametrize("scenario", [
+    dataclasses.replace(_TINY_UNALIGNED, name="batch-bypass", ebn0_grid=(2.0, 6.0)),
+    dataclasses.replace(_TINY_UNALIGNED, name="batch-saleh-pd", hpa_mode="saleh_pd",
+                        ibo_db=1.0, ebn0_grid=(2.0, 6.0)),
+    dataclasses.replace(TINY, name="batch-saleh", hpa_mode="saleh", ibo_db=3.0,
+                        ebn0_grid=(2.0, 6.0)),
+], ids=lambda sc: sc.name)
+def test_block_does_not_depend_on_its_batch(scenario, monkeypatch):
+    """Block 3's noisy outputs and error count at the second point are bit
+    for bit the same whether it runs alone, first, within or last in a
+    batch, at the default cap (one batch of up to 8 blocks) or at one of 3
+    blocks per batch.  With an amplifier every batch holds one block,
+    whatever the cap."""
+    runtime = harness._prepare(scenario)
+    z, errors = _decided(runtime, 1, range(3, 4), monkeypatch)[3]
+    for cap, batch in ((harness._BATCH_VALUES, 8), (3 * runtime.block_values, 3)):
+        monkeypatch.setattr(harness, "_BATCH_VALUES", cap)
+        if runtime.amplifier is None:
+            assert min(runtime.batch_blocks, 8) == batch
+        else:
+            assert runtime.batch_blocks == 1
+        for block_ids in (range(3, 8), range(2, 5), range(0, 8), range(1, 4), range(0, 4)):
+            batched, batched_errors = _decided(runtime, 1, block_ids, monkeypatch)[3]
+            assert batched.tobytes() == z.tobytes() and batched_errors == errors
 
 
 def test_short_run_never_forks(tmp_path, monkeypatch):
@@ -1075,8 +1141,9 @@ def test_pool_is_capped_at_the_wave(tmp_path, monkeypatch):
 
 
 def test_fork_within_first_wave_keeps_csv_bytes(tmp_path, monkeypatch, pool_forks):
-    # two waves of eight blocks, the serial budget 2.5 blocks long: the pool
-    # forks after one to three blocks and shares the rest of the first wave
+    # two waves of eight blocks in batches of two, the serial budget 2.5
+    # batches long: the pool forks after one to three batches and shares the
+    # rest of the first wave
     scenario = dataclasses.replace(
         TINY, name="tiny-3-path", paths=3, decay_db=3.0, fading=True,
         config=LinkConfig(users=2, substreams=2, carriers=2, walsh_order=4,
@@ -1084,20 +1151,22 @@ def test_fork_within_first_wave_keeps_csv_bytes(tmp_path, monkeypatch, pool_fork
         ebn0_grid=(4.0,), blocks_per_wave=8, max_bits=2 * 8 * 16 * 4)
     serial = _csv_bytes(scenario, 1, tmp_path / "serial.csv")
     runtime = harness._prepare(scenario)
-    block_s = min(timeit.repeat(lambda: harness._simulate_block(runtime, 0, 0),
+    monkeypatch.setattr(harness, "_BATCH_VALUES", 2 * runtime.block_values)
+    assert runtime.batch_blocks == 2
+    batch_s = min(timeit.repeat(lambda: harness._simulate_blocks(runtime, 0, range(2)),
                                 number=1, repeat=5))
-    monkeypatch.setattr(harness, "_SERIAL_BUDGET_S", 2.5 * block_s)
+    monkeypatch.setattr(harness, "_SERIAL_BUDGET_S", 2.5 * batch_s)
     ran_here = []
-    simulate = harness._simulate_block
+    simulate = harness._simulate_blocks
 
-    def recorded(runtime, point_index, block_index):
-        ran_here.append(block_index)  # a worker appends to its own copy
-        return simulate(runtime, point_index, block_index)
+    def recorded(runtime, point_index, block_ids):
+        ran_here.extend(block_ids)  # a worker extends its own copy
+        return simulate(runtime, point_index, block_ids)
 
-    monkeypatch.setattr(harness, "_simulate_block", recorded)
+    monkeypatch.setattr(harness, "_simulate_blocks", recorded)
     assert _csv_bytes(scenario, 2, tmp_path / "pooled.csv") == serial
     assert pool_forks == ["fork"]
-    assert ran_here[0] == 0 and set(range(8)) - set(ran_here)
+    assert ran_here[:2] == [0, 1] and set(range(8)) - set(ran_here)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
@@ -1133,19 +1202,24 @@ def test_symbol_draw_is_balanced_and_uncorrelated():
 def test_seeded_block_draws(point, block):
     """A block's generator comes from SeedSequence([master_seed, 0, point,
     block]) and draws the channel, then the symbols: drawn by hand from that
-    seed they are the same, and the hand generator ends in the state of the
-    one the block goes on to draw its noise from."""
+    seed they are the same, whether the block is drawn alone or first,
+    within or last in a batch, and the hand generator ends in the state of
+    the one the block goes on to draw its noise from."""
     scenario = dataclasses.replace(_TINY_UNALIGNED, master_seed=97)
     cfg = scenario.config
     runtime = harness._prepare(scenario)
-    rng, channel, symbols = harness._block_draws(runtime, point, block)
-    hand = np.random.default_rng(np.random.SeedSequence([97, 0, point, block]))
-    expected = draw_channel(hand, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
-    assert np.array_equal(channel.gains, expected.gains)
-    assert np.array_equal(channel.phases, expected.phases)
-    assert np.array_equal(symbols, harness._draw_symbols(hand, (
-        cfg.users, scenario.symbols_per_block + 1, cfg.substreams, cfg.carriers)))
-    assert rng.bit_generator.state == hand.bit_generator.state
+    for block_ids in (range(block, block + 1), range(block, block + 3),
+                      range(block - 1, block + 2), range(block - 1, block + 1)):
+        rngs, channel, symbols = harness._batch_draws(runtime, point, block_ids)
+        at = block_ids.index(block)
+        hand = np.random.default_rng(np.random.SeedSequence([97, 0, point, block]))
+        expected = draw_channel(hand, cfg.users, scenario.paths, scenario.decay_db,
+                                scenario.fading)
+        assert np.array_equal(channel.gains[at], expected.gains)
+        assert np.array_equal(channel.phases[at], expected.phases)
+        assert np.array_equal(symbols[at], harness._draw_symbols(hand, (
+            cfg.users, scenario.symbols_per_block + 1, cfg.substreams, cfg.carriers)))
+        assert rngs[at].bit_generator.state == hand.bit_generator.state
 
 
 def _numpy_blas_is_openblas() -> bool:
@@ -1173,14 +1247,14 @@ class TestBlasThreads:
     def test_blocks_run_single_threaded_and_count_restored(self, blas_threads, monkeypatch,
                                                           workers, forced_fork):
         before = blas_threads()
-        simulate = harness._simulate_block
+        simulate = harness._simulate_blocks
 
         def checked(*args):
             # runs in the forked workers too, where a failure reaches pool.map
             assert all(count == 1 for count in blas_threads())
             return simulate(*args)
 
-        monkeypatch.setattr(harness, "_simulate_block", checked)
+        monkeypatch.setattr(harness, "_simulate_blocks", checked)
         run_scenario(TINY, workers=workers)
         assert blas_threads() == before
         assert forced_fork == (["fork"] if workers > 1 else [])
@@ -1193,7 +1267,7 @@ class TestBlasThreads:
         def failing(*args):
             raise RuntimeError("block failed")
 
-        monkeypatch.setattr(harness, "_simulate_block", failing)
+        monkeypatch.setattr(harness, "_simulate_blocks", failing)
         with pytest.raises(RuntimeError, match="block failed"):
             run_scenario(TINY, workers=workers)
         assert blas_threads() == before

@@ -17,8 +17,9 @@ from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, t
 # sample-level reference chain, which moved to tests/reference_chain.py, the
 # runtime's fields and the BLAS flag that no program code read, the
 # vectorized erfc that only tests called, the per-block noise density,
-# which the setup's noise_scale replaced, and the bits floor, which
-# min_blocks states since every block decides the same bits.
+# which the setup's noise_scale replaced, the bits floor, which
+# min_blocks states since every block decides the same bits, and the
+# one-block steps and pool task, which batches of blocks replaced.
 _RETIRED = {
     analysis: ("erfc",),
     channel: ("PathTap", "NoiseSpec", "add_awgn", "propagate_samples", "_noise_density"),
@@ -36,7 +37,8 @@ _RETIRED = {
               "_formed_cells", "_driven_coefficients", "_tube_correlations",
               "_excess_correlations", "_add_cell_correlations", "_SLAB_SAMPLES",
               "_CELL_SAMPLES", "_CELL_CHUNK", "_linear_eb", "limiter_factor", "_calibrate",
-              "_correlator_noise", "_BLAS_PINNED"),
+              "_correlator_noise", "_BLAS_PINNED", "_simulate_block", "_block_draws",
+              "_worker_block"),
     harness._Runtime: ("pn_chips", "slot_column"),
     txchain.LinkConfig: ("walsh_aligned", "symbol_duration", "sample_rate", "power"),
     config.Scenario: ("min_bits",),
@@ -44,14 +46,17 @@ _RETIRED = {
 
 # The whole parameter lists of three public calls, which take the theory's
 # grid and link from the Scenario, the feedback taps from PRIMITIVE_TAPS and
-# the amplifier's base from the SalehParams defaults, and of a block and its
-# noise draw, which take the noise scale the setup formed, not an Eb/N0.
+# the amplifier's base from the SalehParams defaults, of the blocks' entry
+# point, which takes a range of blocks, and of its noise and channel draws,
+# which take the noise scale the setup formed, not an Eb/N0, and a batch's
+# generators.
 _SIGNATURES = {
     analysis.theoretical_curve: ("variances", "scenario", "reference_ebn0_db"),
     codes.generate_msequence: ("degree",),
     config.saleh_from_keys: ("keys",),
-    harness._simulate_block: ("runtime", "point_index", "block_index"),
-    channel.correlator_noise: ("scale", "factor", "n_windows", "rng"),
+    harness._simulate_blocks: ("runtime", "point_index", "block_ids"),
+    channel.correlator_noise: ("scale", "factor", "n_windows", "rngs"),
+    channel.draw_channel: ("rngs", "users", "n_paths", "decay_db", "fading"),
 }
 
 # The scenario layer and the amplifiers, by the module that defines them:
@@ -105,14 +110,14 @@ from mcmccdma.txchain import LinkConfig
 scenario = Scenario(name="probe", config=LinkConfig(users=2, pn_length=7))
 runtime = harness._prepare(scenario)
 before = set(sys.modules)
-harness._simulate_block(runtime, 0, 0)
+harness._simulate_blocks(runtime, 0, range(2))
 # the amplifier modes' setup (the limiter's cell grid, the calibrations)
 # and blocks, at 2 paths and a back-off at which the limiter clips
 config = LinkConfig(users=2, substreams=2, carriers=2, walsh_order=2, pn_length=7)
 for mode in ("saleh_pd", "saleh"):
     amplified = harness._prepare(Scenario(name="probe", config=config, paths=2, hpa_mode=mode,
                                           ibo_db=0.0))
-    harness._simulate_block(amplified, 0, 0)
+    harness._simulate_blocks(amplified, 0, range(2))
 added = sorted(set(sys.modules) - before)
 variances = InterferenceVariances(desired_power=1.0, multipath=0.0, inter_substream=0.0,
                                   inter_carrier=0.0, multi_user=0.1, noise=0.2, n_symbols=10)
