@@ -60,32 +60,41 @@ _GRAM_TESTS = ("tests/test_receiver.py", "tests/test_harness.py", "-k",
 
 MUTANTS = (
     Mutant("draw-big-endian-words", "harness.py",
-           'dtype="<u8")', 'dtype=">u8")', _DRAW_TESTS),
-    # the block's steps: its draws, its noise, and the decomposition's noise
+           'np.asarray(words, dtype="<u8")', 'np.asarray(words, dtype=">u8")', _DRAW_TESTS),
+    # the block's steps: its draws, in the one loop that calls its
+    # generator, its noise, and the decomposition's noise
     Mutant("block-seed-indices-swapped", "harness.py",
            "[scenario.master_seed, 0, point_index, block_index]",
            "[scenario.master_seed, 0, block_index, point_index]", _BLOCK_DRAW_TESTS),
     Mutant("block-symbols-before-channel", "harness.py",
-           "    channel = draw_channel(rngs, cfg.users, scenario.paths, scenario.decay_db, "
-           "scenario.fading)\n    symbols = _draw_symbols(rngs, (cfg.users, "
-           "scenario.symbols_per_block + runtime.warmup,\n"
-           "                                   cfg.substreams, cfg.carriers))\n",
-           "    symbols = _draw_symbols(rngs, (cfg.users, "
-           "scenario.symbols_per_block + runtime.warmup,\n"
-           "                                   cfg.substreams, cfg.carriers))\n"
-           "    channel = draw_channel(rngs, cfg.users, scenario.paths, scenario.decay_db, "
-           "scenario.fading)\n", _BLOCK_DRAW_TESTS),
+           "        if exponentials is not None:\n"
+           "            rng.standard_exponential(out=exponentials[at])\n"
+           "        rng.random(out=uniforms[at])\n"
+           "        words[at] = rng.bit_generator.random_raw(words.shape[1])\n",
+           "        words[at] = rng.bit_generator.random_raw(words.shape[1])\n"
+           "        if exponentials is not None:\n"
+           "            rng.standard_exponential(out=exponentials[at])\n"
+           "        rng.random(out=uniforms[at])\n", _BLOCK_DRAW_TESTS),
+    Mutant("block-noise-before-symbols", "harness.py",
+           "        words[at] = rng.bit_generator.random_raw(words.shape[1])\n"
+           "        if normals is not None:\n"
+           "            rng.standard_normal(out=normals[at])\n",
+           "        if normals is not None:\n"
+           "            rng.standard_normal(out=normals[at])\n"
+           "        words[at] = rng.bit_generator.random_raw(words.shape[1])\n",
+           _BLOCK_DRAW_TESTS),
     Mutant("block-skips-its-noise", "harness.py",
-           "    if runtime.noise_scales:\n        z += ",
+           "    if normals is not None:\n        z += ",
            "    if False:\n        z += ",
            ("tests/test_harness.py", "-k", "noise_per_correlator_output")),
     # a batch's blocks: each its own gains, noise generator and symbols, and
     # one block per batch with an amplifier
     Mutant("batch-gains-of-first-block", "receiver.py",
            "path_gains = gains[..., None, :,", "path_gains = gains[:1, None, :,", _BATCH_TESTS),
-    Mutant("batch-noise-from-one-generator", "channel.py",
-           "        rng.standard_normal(out=normals)",
-           "        batch[0].standard_normal(out=normals)", _BATCH_TESTS),
+    Mutant("batch-noise-from-one-generator", "harness.py",
+           "        if normals is not None:\n            rng.standard_normal(out=normals[at])\n",
+           "        if normals is not None and at == 0:\n"
+           "            rng.standard_normal(out=normals)\n", _BATCH_TESTS),
     Mutant("batch-decides-against-first-block-symbols", "harness.py",
            "symbols[:, 0, runtime.warmup:]",
            "symbols[:1, 0, runtime.warmup:].repeat(len(z), axis=0)", _BATCH_TESTS),
@@ -99,9 +108,8 @@ MUTANTS = (
            "correlator_noise(scale, 1.1 * runtime.noise_factor[:1, :1],",
            ("tests/test_receiver.py", "-k", "awgn_variance_matches_analytic")),
     Mutant("calibration-integer-draw", "harness.py",
-           "frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))",
-           "frame = 2 * rng.integers(0, 2, size=(_CALIBRATION_SYMBOLS, cfg.substreams,"
-           " cfg.carriers)) - 1",
+           "frame = _symbols_from_words(rng.bit_generator.random_raw(_symbol_words(shape)), shape)",
+           "frame = 2 * rng.integers(0, 2, size=shape) - 1",
            ("tests/test_harness.py", "-k", "random_block_matches_sample_chain")),
     # the interference split
     Mutant("multipath-mask-on-path-0", "harness.py",
@@ -258,6 +266,9 @@ MUTANTS = (
     Mutant("scenario-drive-unchecked", "config.py",
            '        if self.hpa_mode != "bypass":\n            amplifier_drive(self)\n', "",
            ("tests/test_cli.py", "-k", "drive_without_finite_scale")),
+    Mutant("limiter-roundoff-unbounded", "hpa.py",
+           "    if roundoff > _LIMITER_ROUNDOFF * saleh.saturation_output:\n", "    if False:\n",
+           ("tests/test_cli.py", "tests/test_harness.py", "-k", "round_off or drive_bound")),
     Mutant("setup-noise-check-dropped", "harness.py",
            "        except ValueError as exc:\n            raise ConfigError(",
            "        except ConfigError as exc:\n            raise ConfigError(",

@@ -7,8 +7,10 @@ phases.  Noise is calibrated against the measured transmitted energy per
 information bit, so back-off comparisons are not conflated with SNR loss;
 time, and so that energy, is counted in symbol periods.
 
-Everything here works on plain arrays: noise_scale turns the Eb/N0 in dB and
-the energy per bit into the scale that correlator_noise draws with.
+Everything here works on plain arrays and takes no generator: draw_channel
+and correlator_noise form the channel and the noise from the variates a
+generator drew (harness._batch_draws), and noise_scale turns the Eb/N0 in
+dB and the energy per bit into the scale that correlator_noise applies.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One fading realization: gains and phases of every user's paths, both
-    shape (users, paths), or a batch's, one realization per block, both
-    (blocks, users, paths).  Path l of every user has a delay of l chips."""
+    """Fading realizations: gains and phases of every user's paths, both
+    shape (..., users, paths), one realization per index of the leading
+    axes (a batch's blocks).  Path l of every user has a delay of l chips."""
 
     gains: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.gains) not in (2, 3) or np.shape(self.gains) != np.shape(self.phases):
-            raise ValueError(f"gains and phases must be one (users, paths) or (blocks, users, "
-                             f"paths) shape, got "
+        if np.ndim(self.gains) < 2 or np.shape(self.gains) != np.shape(self.phases):
+            raise ValueError(f"gains and phases must share one (..., users, paths) shape, got "
                              f"{np.shape(self.gains)} and {np.shape(self.phases)}")
         if not np.all(np.isfinite(self.gains)) or np.any(self.gains < 0):
             raise ValueError(f"gains must be finite and nonnegative, got {self.gains}")
@@ -47,46 +48,29 @@ def path_power_profile(n_paths: int, decay_db: float) -> np.ndarray:
     return profile / profile.sum()
 
 
-def draw_channel(rngs, users: int, n_paths: int, decay_db: float = 0.0,
-                 fading: bool = True) -> ChannelRealization:
-    """Draw one block's channel from its generator, or a batch's from a
-    sequence of generators, one per block, each block's realization from
-    its own generator as if drawn alone: delays are 0..n_paths-1 chips for
-    every user, phases uniform, gains Rayleigh with the profile mean squares
-    (or exactly the profile square roots when fading is off).
+def draw_channel(exponentials: np.ndarray | None, uniforms: np.ndarray,
+                 decay_db: float = 0.0) -> ChannelRealization:
+    """The channel of a generator's variates, both shape (..., users,
+    paths): delays are 0..paths-1 chips for every user, phases 2 pi times
+    the uniforms, gains Rayleigh with the profile mean squares, formed from
+    the standard exponentials, or exactly the profile square roots when
+    there are none (fading off).
 
-    Each generator draws the standard exponentials of its gains, then the
-    uniform variates of its phases, into the batch's arrays, and the
-    Rayleigh magnitudes and the phases are formed once for the batch:
-    Generator.rayleigh(scale=s) is s sqrt(2 E) and uniform(0, 2 pi) is 2 pi
-    U, bit for bit."""
-    if users < 1:
-        raise ValueError(f"need at least one user, got {users}")
-    profile = path_power_profile(n_paths, decay_db)
-    single = isinstance(rngs, np.random.Generator)
-    batch = [rngs] if single else rngs
-    gains = np.empty((len(batch), users, n_paths))
-    phases = np.empty_like(gains)
-    for rng, block_gains, block_phases in zip(batch, gains, phases):
-        if fading:
-            rng.standard_exponential(out=block_gains)
-        rng.random(out=block_phases)
-    if fading:
-        # Rayleigh with scale s has mean square 2 s^2.
-        gains *= 2.0
-        np.sqrt(gains, out=gains)
-        gains *= np.sqrt(profile / 2.0)
+    Generator.rayleigh(scale=s) is s sqrt(2 E) and uniform(0, 2 pi) is
+    2 pi U, bit for bit, so a generator that draws the exponentials, then
+    the uniforms, gives what rayleigh, then uniform, would draw."""
+    profile = path_power_profile(uniforms.shape[-1], decay_db)
+    if exponentials is None:
+        gains = np.broadcast_to(np.sqrt(profile), uniforms.shape).copy()
     else:
-        gains[...] = np.sqrt(profile)
-    phases *= 2.0 * np.pi
-    if single:
-        gains, phases = gains[0], phases[0]
-    return ChannelRealization(gains=gains, phases=phases)
+        # Rayleigh with scale s has mean square 2 s^2.
+        gains = np.sqrt(2.0 * exponentials) * np.sqrt(profile / 2.0)
+    return ChannelRealization(gains=gains, phases=2.0 * np.pi * uniforms)
 
 
-def correlator_noise(scale: float, factor: np.ndarray, n_windows: int, rngs) -> np.ndarray:
+def correlator_noise(scale: float, factor: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """What complex white Gaussian sample noise leaves in a bank of
-    correlators, drawn directly.
+    correlators, from standard normals.
 
     scale is the noise's per-rail standard deviation sqrt(n0/2)
     (noise_scale): at N samples per symbol each real component of a sample
@@ -94,19 +78,11 @@ def correlator_noise(scale: float, factor: np.ndarray, n_windows: int, rngs) -> 
     each against unit-modulus signatures sig_t, so their outputs in one
     window are complex Gaussian with covariance n0 * G, where G[t, u] =
     (1/N) sum_i conj(sig_t[i]) sig_u[i] is the signatures' Gram matrix and
-    factor @ factor^H = G.  Returns (n_windows, len(factor)) draws,
-    independent between windows, from one block's generator, or (blocks,
-    n_windows, len(factor)) from a sequence of generators, one per block:
-    each draws its block's interleaved normals into the batch's array, read
-    as complex, and one product per block applies the factor.
-    """
-    single = isinstance(rngs, np.random.Generator)
-    batch = [rngs] if single else rngs
-    w = np.empty((len(batch), n_windows, factor.shape[0], 2))
-    for rng, normals in zip(batch, w):
-        rng.standard_normal(out=normals)
-    z = scale * (w.view(np.complex128)[..., 0] @ factor.T)
-    return z[0] if single else z
+    factor @ factor^H = G.  normals has shape (..., windows, len(factor),
+    2), its last axis read as the real and imaginary parts of one complex
+    normal; returns (..., windows, len(factor)), independent between
+    windows, with one product applying the factor."""
+    return scale * (normals.view(np.complex128)[..., 0] @ factor.T)
 
 
 def noise_scale(ebn0_db: float, eb: float) -> float:

@@ -6,15 +6,18 @@ adds hpa's.
 
 Determinism contract: every simulated block draws from its own generator,
 seeded by the master seed and the block's (point, block) indices alone, in
-its own order: its channel, then its symbols, then its noise (_batch_draws).
-Blocks run in batches, whose steps keep a leading block axis so that every
-block's products have the shapes they have alone: a block's outputs, bit
-for bit, do not depend on the batch it runs in.  Blocks are grouped into
-fixed-size waves, and the stopping rule is evaluated only on completed
-waves.  A point counts its blocks, of equal bits, and their integer error
-sums, so the records (and CSV bytes) are identical for any worker count,
-order and batch size.  Each +-1 symbol costs one bit of the generator's raw
-64-bit words, taken little-endian (_draw_symbols).
+its own order: its channel, then its symbols, then its noise.  One loop
+owns those draws (_batch_draws): no other code calls a block's generator,
+and the producers it feeds (channel.draw_channel, _symbols_from_words,
+channel.correlator_noise) are functions of the drawn arrays.  Blocks run
+in batches, whose steps keep a leading block axis so that every block's
+products have the shapes they have alone: a block's outputs, bit for bit,
+do not depend on the batch it runs in.  Blocks are grouped into fixed-size
+waves, and the stopping rule is evaluated only on completed waves.  A point
+counts its blocks, of equal bits, and their integer error sums, so the
+records (and CSV bytes) are identical for any worker count, order and
+batch size.  Each +-1 symbol costs one bit of the generator's raw 64-bit
+words, taken little-endian (_symbols_from_words).
 
 A run forks no pool up front.  Its blocks run in the calling process, a
 batch at a time, until their summed time reaches _SERIAL_BUDGET_S, several
@@ -30,18 +33,19 @@ its blocks, which forked workers inherit (_single_threaded_blas).
 
 A batch of blocks (_batch_outputs, decided in _simulate_blocks) is four
 steps, one function each, common to every hpa_mode: the draws
-(_batch_draws: each block's channel, then every user's symbols), user 1's
-noiseless correlator outputs (_correlation_outputs), one correlator noise
-draw per block when the noise is on (channel.correlator_noise), and the
-decisions (receiver.decide_slots).  Each step is one call per batch: every
-block's generator draws its raw variates into the batch's arrays, and the
-products run once over the batch's leading block axis.  A batch holds as
-many blocks as keep its largest working array within _BATCH_VALUES, and one
-block with an amplifier (_Runtime.batch_blocks).  The noise enters after
-the amplifier and the channel, so the noiseless outputs do not depend on
-Eb/N0, and neither producer takes it or a generator; a batch takes only its
-(point, block) indices, and its noise draw the point's noise scale, which
-the setup formed.  A block's outputs are
+(_batch_draws: each block's channel, then every user's symbols, then its
+noise's normals), user 1's noiseless correlator outputs
+(_correlation_outputs), the correlator noise when it is on
+(channel.correlator_noise), and the decisions (receiver.decide_slots).
+Each step is one call per batch: every block's generator draws its raw
+variates into the batch's arrays, and the products run once over the
+batch's leading block axis.  A batch holds as many blocks as keep its
+largest working array within _BATCH_VALUES, and one block with an
+amplifier (_Runtime.batch_blocks).  The noise enters after the amplifier
+and the channel, so the noiseless outputs do not depend on Eb/N0, and no
+producer takes it or a generator; a batch takes only its (point, block)
+indices, and its noise the point's noise scale, which the setup formed.  A
+block's outputs are
 
     z = g sqrt(2) e^{-j theta} T + W + noise,
 
@@ -206,7 +210,8 @@ def _prepare(scenario: Scenario) -> _Runtime:
         eb, phase_offset = 2.0, 0.0
     else:
         rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
-        frame = _draw_symbols(rng, (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
+        shape = (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)
+        frame = _symbols_from_words(rng.bit_generator.random_raw(_symbol_words(shape)), shape)
         eb, phase_offset = amplifier_calibration(amplifier, frame, work)
     noise_scales = []
     for point_index, ebn0_db in enumerate(scenario.ebn0_grid if scenario.noise_enabled else ()):
@@ -236,54 +241,67 @@ def _simulate_blocks(runtime: _Runtime, point_index: int, block_ids) -> list:
 def _batch_outputs(runtime: _Runtime, point_index: int, block_ids) -> tuple:
     """(symbols, z) of a batch of blocks: their draws (_batch_draws), user
     1's noiseless correlator outputs (_correlation_outputs) and, when the
-    noise is on, one correlator noise draw per block at the point's noise
-    scale, added in.  Both have a leading block axis."""
-    rngs, channel, symbols = _batch_draws(runtime, point_index, block_ids)
+    noise is on, each block's correlator noise at the point's noise scale,
+    added in.  Both have a leading block axis."""
+    channel, symbols, normals = _batch_draws(runtime, point_index, block_ids)
     z = _correlation_outputs(runtime, channel, symbols)
-    if runtime.noise_scales:
+    if normals is not None:
         z += correlator_noise(runtime.noise_scales[point_index], runtime.noise_factor,
-                              symbols.shape[2], rngs).reshape(z.shape)
+                              normals).reshape(z.shape)
     return symbols, z
 
 
 def _batch_draws(runtime: _Runtime, point_index: int, block_ids) -> tuple:
-    """(generators, channel, symbols) of the blocks block_ids at sweep point
-    point_index: block b's generator, seeded by SeedSequence([master_seed,
-    0, point_index, b]), draws its channel, then every user's symbols
-    (users, symbols_per_block + warmup, substreams, carriers), and is
-    returned where they leave it, for the block's noise.  The channel and
-    the symbols are the batch's, with a leading block axis; each block's
-    are what its generator would draw alone."""
+    """(channel, symbols, normals) of the blocks block_ids at sweep point
+    point_index, each with a leading block axis: the one loop that calls a
+    block's generator.  Block b's generator, seeded by
+    SeedSequence([master_seed, 0, point_index, b]), draws into the batch's
+    arrays, in this order, its channel's standard exponentials (with
+    fading) and uniforms, the raw words of every user's symbols (users,
+    symbols_per_block + warmup, substreams, carriers), and, when the noise
+    is on, the standard normals of its correlator noise (None when off).
+    The channel and the symbols are formed once for the batch
+    (channel.draw_channel, _symbols_from_words), and each block's are what
+    its generator would give alone."""
     scenario = runtime.scenario
     cfg = scenario.config
-    rngs = [np.random.default_rng(
-        np.random.SeedSequence([scenario.master_seed, 0, point_index, block_index]))
-        for block_index in block_ids]
-    channel = draw_channel(rngs, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
-    symbols = _draw_symbols(rngs, (cfg.users, scenario.symbols_per_block + runtime.warmup,
-                                   cfg.substreams, cfg.carriers))
-    return rngs, channel, symbols
+    shape = (cfg.users, scenario.symbols_per_block + runtime.warmup, cfg.substreams, cfg.carriers)
+    size = (len(block_ids), cfg.users, scenario.paths)
+    exponentials = np.empty(size) if scenario.fading else None
+    uniforms = np.empty(size)
+    words = np.empty((len(block_ids), _symbol_words(shape)), dtype=np.uint64)
+    normals = (np.empty((len(block_ids), shape[1], runtime.noise_factor.shape[0], 2))
+               if runtime.noise_scales else None)
+    for at, block_index in enumerate(block_ids):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([scenario.master_seed, 0, point_index, block_index]))
+        if exponentials is not None:
+            rng.standard_exponential(out=exponentials[at])
+        rng.random(out=uniforms[at])
+        words[at] = rng.bit_generator.random_raw(words.shape[1])
+        if normals is not None:
+            rng.standard_normal(out=normals[at])
+    channel = draw_channel(exponentials, uniforms, scenario.decay_db)
+    return channel, _symbols_from_words(words, shape), normals
 
 
-def _draw_symbols(rngs, shape: tuple) -> np.ndarray:
-    """+-1 symbols of the given shape, int8, one generator bit each, from
-    one generator, or of shape (blocks, *shape) from a sequence of
-    generators, one per block: a block's symbol i is bit i mod 64 of its
-    generator's raw 64-bit word i // 64 (1 -> +1, 0 -> -1).  The words are
-    taken little-endian, so the symbols do not depend on the platform, and
-    the draw leaves each generator ceil(n / 64) words on.  Every
-    generator's words go into one array, unpacked once."""
-    single = isinstance(rngs, np.random.Generator)
-    batch = [rngs] if single else rngs
-    n = math.prod(shape)
-    words = np.empty((len(batch), -(-n // 64)), dtype="<u8")
-    for rng, block_words in zip(batch, words):
-        block_words[...] = rng.bit_generator.random_raw(block_words.size)
-    symbols = np.unpackbits(words.view(np.uint8), axis=1, count=n,
+def _symbol_words(shape: tuple) -> int:
+    """The raw 64-bit words that symbols of the given shape take, one bit
+    per symbol (_symbols_from_words)."""
+    return -(-math.prod(shape) // 64)
+
+
+def _symbols_from_words(words: np.ndarray, shape: tuple) -> np.ndarray:
+    """+-1 symbols, int8, of shape (..., *shape), from a generator's raw
+    64-bit words (..., _symbol_words(shape)): symbol i is bit i mod 64 of
+    word i // 64 (1 -> +1, 0 -> -1).  The words are read little-endian, so
+    the symbols do not depend on the platform, and unpacked at once."""
+    octets = np.asarray(words, dtype="<u8").view(np.uint8)
+    symbols = np.unpackbits(octets, axis=-1, count=math.prod(shape),
                             bitorder="little").view(np.int8)
     symbols *= 2
     symbols -= 1
-    return symbols.reshape(shape) if single else symbols.reshape(len(batch), *shape)
+    return symbols.reshape(*words.shape[:-1], *shape)
 
 
 def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.ndarray:
@@ -630,11 +648,12 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     collected = {name: [] for name in SOURCE_NAMES}
     for start in range(0, n_symbols, chunk):
         n_total = min(chunk, n_symbols - start) + runtime.warmup
-        sources = _source_outputs(
-            split, _draw_symbols(rng, (cfg.users, n_total, cfg.substreams, cfg.carriers)))
+        shape = (cfg.users, n_total, cfg.substreams, cfg.carriers)
+        words = rng.bit_generator.random_raw(_symbol_words(shape))
+        sources = _source_outputs(split, _symbols_from_words(words, shape))
         sources["noise"] = (np.zeros(n_total, dtype=np.complex128) if scale is None
-                            else correlator_noise(scale, runtime.noise_factor[:1, :1], n_total,
-                                                  rng)[:, 0])
+                            else correlator_noise(scale, runtime.noise_factor[:1, :1],
+                                                  rng.standard_normal((n_total, 1, 2)))[:, 0])
         for name, z in sources.items():
             collected[name].append(z[runtime.warmup:])
 
@@ -661,5 +680,7 @@ def measure_variances(scenario: Scenario, ebn0_db: float | None = None, n_symbol
     with _single_threaded_blas():
         runtime = _prepare(scenario)
         rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 2]))
-        channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
+        size = (cfg.users, scenario.paths)
+        exponentials = rng.standard_exponential(size) if scenario.fading else None
+        channel = draw_channel(exponentials, rng.random(size), scenario.decay_db)
         return estimate_interference_variances(runtime, channel, float(point), rng, n_symbols)

@@ -452,6 +452,11 @@ class LimiterState:
     cells: _CellGrid
 
 
+# The largest share of A_sat that the limiter's round-off may reach
+# (amplifier_drive).
+_LIMITER_ROUNDOFF = 1e-3
+
+
 def amplifier_drive(scenario) -> float:
     """The drive of the amplifier of a scenario (config.Scenario) in the
     "saleh" or "saleh_pd" mode, set against the linear chain's mean
@@ -460,7 +465,18 @@ def amplifier_drive(scenario) -> float:
     (input_scale_for_power), or the limiter's g, ibo_db below the saturated
     output power, since the predistorter expects desired output moduli.
     ValueError unless it is finite and positive, so that Scenario, which
-    calls it when it is built, rejects a drive no run could set up."""
+    calls it when it is built, rejects a drive no run could set up.
+
+    The limiter's g is also rejected where float rounding, not the model,
+    would set its outputs.  The linear waveform peaks at sqrt(2)
+    substreams carriers, and a sample at one of its exact zeros holds a
+    round-off of up to eps times that peak (eps, float64's machine
+    epsilon), which g lifts to g eps peak; a clipped sample is g x plus its
+    excess, two terms of order g peak that cancel to A_sat, so it carries
+    as much.  That error must stay within _LIMITER_ROUNDOFF of A_sat:
+    g peak / A_sat is sqrt(substreams carriers) 10^(-ibo_db/20), so the
+    bound is ibo_db >= 20 log10(eps sqrt(substreams carriers) / 1e-3),
+    about -253 dB plus 10 log10(substreams carriers)."""
     cfg, saleh = scenario.config, scenario.saleh
     mean_tx_power = 2.0 * cfg.substreams * cfg.carriers
     if scenario.hpa_mode == "saleh":
@@ -469,6 +485,11 @@ def amplifier_drive(scenario) -> float:
     if not 0.0 < g < math.inf:
         raise ValueError(f"an input back-off of {scenario.ibo_db} dB gives the predistorter "
                          f"no finite positive input scale, got {g}")
+    roundoff = g * math.sqrt(2.0) * cfg.substreams * cfg.carriers * np.finfo(float).eps
+    if roundoff > _LIMITER_ROUNDOFF * saleh.saturation_output:
+        raise ValueError(f"an input back-off of {scenario.ibo_db} dB drives the predistorter's "
+                         f"round-off to {roundoff:.3g}, more than {_LIMITER_ROUNDOFF:g} of its "
+                         f"saturated output modulus {saleh.saturation_output:.3g}")
     return g
 
 

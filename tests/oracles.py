@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from mcmccdma import harness
+from mcmccdma.channel import draw_channel
+
 
 def erfc_oracle(x: float) -> float:
     """Independent complementary error function.
@@ -47,3 +50,19 @@ def lfsr_chips(degree: int, taps: tuple, seed: int) -> np.ndarray:
         feedback = sum(stages[t - 1] for t in taps) % 2
         stages = [feedback] + stages[:-1]
     return np.array(chips, dtype=np.int8)
+
+
+def drawn_channel(rng, users: int, paths: int, decay_db: float = 0.0, fading: bool = True):
+    """A channel drawn from one generator as a block draws it: the
+    standard exponentials of its gains (with fading), then the uniforms of
+    its phases, formed by channel.draw_channel."""
+    size = (users, paths)
+    exponentials = rng.standard_exponential(size) if fading else None
+    return draw_channel(exponentials, rng.random(size), decay_db)
+
+
+def drawn_symbols(rng, shape: tuple) -> np.ndarray:
+    """+-1 symbols of the given shape from one generator's raw words, one
+    bit each (harness._symbols_from_words)."""
+    words = rng.bit_generator.random_raw(harness._symbol_words(shape))
+    return harness._symbols_from_words(words, shape)

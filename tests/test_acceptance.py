@@ -14,14 +14,13 @@ import numpy as np
 
 from mcmccdma.analysis import conditional_ber, emit_csv, fading_averaged_ber
 from mcmccdma import harness
-from mcmccdma.channel import draw_channel
 from mcmccdma.codes import PRIMITIVE_TAPS, generate_msequence, generate_walsh
 from mcmccdma.config import Scenario, preset
 from mcmccdma.harness import run_scenario
 from mcmccdma.hpa import (SalehParams, amam, amplify_samples, ampm, apply_predistorter)
 from mcmccdma.txchain import LinkConfig
 
-from oracles import erfc_oracle
+from oracles import drawn_channel, erfc_oracle
 
 
 def _report(label: str, ok: bool, detail: str):
@@ -245,7 +244,7 @@ def test_decomposition_identity():
     scenario = Scenario(name="split", config=cfg, paths=2, decay_db=3.0, fading=True)
     runtime = harness._prepare(scenario)
     rng = np.random.default_rng(424242)
-    channel = draw_channel(rng, users=3, n_paths=2, decay_db=3.0, fading=True)
+    channel = drawn_channel(rng, users=3, paths=2, decay_db=3.0, fading=True)
     symbols = (2 * rng.integers(0, 2, size=(3, 1000, 2, 2)) - 1).astype(np.int8)
     sources = harness._source_outputs(harness._source_split(runtime, channel), symbols)
     # The BER engine's noiseless slot (1, 1) output.
@@ -256,7 +255,7 @@ def test_decomposition_identity():
 
     lone_scenario = dataclasses.replace(scenario, config=dataclasses.replace(cfg, users=1),
                                         paths=1, decay_db=0.0, fading=False)
-    lone = draw_channel(rng, users=1, n_paths=1, decay_db=0.0, fading=False)
+    lone = drawn_channel(rng, users=1, paths=1, decay_db=0.0, fading=False)
     symbols1 = (2 * rng.integers(0, 2, size=(1, 200, 2, 2)) - 1).astype(np.int8)
     sources1 = harness._source_outputs(
         harness._source_split(harness._prepare(lone_scenario), lone), symbols1)

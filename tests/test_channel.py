@@ -13,6 +13,7 @@ from mcmccdma.channel import (
     path_power_profile,
 )
 
+from oracles import drawn_channel
 from reference_chain import propagate_samples
 
 
@@ -33,7 +34,7 @@ class TestProfile:
 class TestDrawChannel:
     def test_shape_and_delays(self):
         rng = np.random.default_rng(0)
-        ch = draw_channel(rng, users=3, n_paths=4, decay_db=1.0, fading=True)
+        ch = draw_channel(rng.standard_exponential((3, 4)), rng.random((3, 4)), decay_db=1.0)
         assert ch.gains.shape == ch.phases.shape == (3, 4)
         assert np.all((0.0 <= ch.phases) & (ch.phases < 2 * np.pi))
 
@@ -46,27 +47,40 @@ class TestDrawChannel:
         with pytest.raises(ValueError, match="shape"):
             ChannelRealization(gains=np.ones((2, 3)), phases=np.zeros((3, 2)))
 
+    def test_realization_takes_any_leading_axes(self):
+        batch = ChannelRealization(gains=np.ones((2, 3, 1, 2)), phases=np.zeros((2, 3, 1, 2)))
+        assert batch.gains.shape == (2, 3, 1, 2)
+        with pytest.raises(ValueError, match="shape"):
+            ChannelRealization(gains=np.ones(2), phases=np.zeros(2))
+
     def test_deterministic_given_seed(self):
-        a = draw_channel(np.random.default_rng(42), 2, 3, 1.0, True)
-        b = draw_channel(np.random.default_rng(42), 2, 3, 1.0, True)
+        a = drawn_channel(np.random.default_rng(42), 2, 3, 1.0, True)
+        b = drawn_channel(np.random.default_rng(42), 2, 3, 1.0, True)
         assert np.array_equal(a.gains, b.gains)
         assert np.array_equal(a.phases, b.phases)
 
     @pytest.mark.parametrize("fading", [True, False])
     def test_draw_matches_twin_generator_draws(self, fading):
-        """draw_channel forms from raw variates what Generator.rayleigh and
-        uniform draw from a twin generator, bit for bit, for one block's
-        generator and for each of a batch's."""
+        """draw_channel forms from a generator's standard exponentials and
+        uniforms what Generator.rayleigh and uniform draw from a twin
+        generator, bit for bit, for one block's variates and for each
+        block's of a batch's (a leading axis)."""
         profile = path_power_profile(3, 2.0)
         seeds = (5, 6, 7)
-        batch = draw_channel([np.random.default_rng(seed) for seed in seeds], 4, 3, 2.0, fading)
+        exponentials, uniforms = np.empty((3, 4, 3)), np.empty((3, 4, 3))
+        for seed, block_exponentials, block_uniforms in zip(seeds, exponentials, uniforms):
+            rng = np.random.default_rng(seed)
+            if fading:
+                rng.standard_exponential(out=block_exponentials)
+            rng.random(out=block_uniforms)
+        batch = draw_channel(exponentials if fading else None, uniforms, 2.0)
         assert batch.gains.shape == batch.phases.shape == (3, 4, 3)
         for at, seed in enumerate(seeds):
             twin = np.random.default_rng(seed)
             gains = (twin.rayleigh(scale=np.sqrt(profile / 2.0), size=(4, 3)) if fading
                      else np.broadcast_to(np.sqrt(profile), (4, 3)))
             phases = twin.uniform(0.0, 2.0 * np.pi, size=(4, 3))
-            one = draw_channel(np.random.default_rng(seed), 4, 3, 2.0, fading)
+            one = draw_channel(exponentials[at] if fading else None, uniforms[at], 2.0)
             for drawn_gains, drawn_phases in ((one.gains, one.phases),
                                               (batch.gains[at], batch.phases[at])):
                 assert drawn_gains.tobytes() == np.ascontiguousarray(gains).tobytes()
@@ -74,7 +88,7 @@ class TestDrawChannel:
 
     def test_fading_off_gains_are_profile(self):
         rng = np.random.default_rng(1)
-        ch = draw_channel(rng, 1, 3, 2.0, fading=False)
+        ch = draw_channel(None, rng.random((1, 3)), 2.0)
         profile = path_power_profile(3, 2.0)
         assert np.allclose(ch.gains[0], np.sqrt(profile), atol=1e-12)
 
@@ -82,7 +96,7 @@ class TestDrawChannel:
         # users axis doubles as the sample axis for the moment check
         rng = np.random.default_rng(7)
         n = 100_000
-        ch = draw_channel(rng, n, 2, 3.0, fading=True)
+        ch = drawn_channel(rng, n, 2, 3.0, fading=True)
         profile = path_power_profile(2, 3.0)
         for path in range(2):
             g2 = ch.gains[:, path] ** 2
@@ -93,7 +107,7 @@ class TestDrawChannel:
 
     def test_phases_cover_circle(self):
         rng = np.random.default_rng(3)
-        ch = draw_channel(rng, 20_000, 1, 0.0, True)
+        ch = drawn_channel(rng, 20_000, 1, 0.0, True)
         phases = ch.phases[:, 0]
         assert abs(np.exp(1j * phases).mean()) < 0.02
 
@@ -152,7 +166,7 @@ class TestAwgn:
         gram = a @ a.conj().T / 3 + np.eye(3)
         factor = np.linalg.cholesky(gram)
         eb, ebn0_db = 2.0, 4.0
-        z = correlator_noise(noise_scale(ebn0_db, eb), factor, 200_000, rng)
+        z = correlator_noise(noise_scale(ebn0_db, eb), factor, rng.standard_normal((200_000, 3, 2)))
         assert z.shape == (200_000, 3)
         expected = eb / 10 ** (ebn0_db / 10) * gram
         measured = z.T @ z.conj() / z.shape[0]
@@ -162,20 +176,22 @@ class TestAwgn:
 
     def test_correlator_noise_reads_normals_as_complex(self):
         """The interleaved normals read as complex128 give bit for bit the
-        draws of the complex normals w[..., 0] + 1j w[..., 1], over 200
-        seeds, and a batch's generators each give their block's draws."""
+        complex normals w[..., 0] + 1j w[..., 1] through the factor, over
+        200 seeds, and a batch's normals (a leading axis) give each block's
+        noise as its own normals do."""
         rng = np.random.default_rng(3)
         a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         factor = np.linalg.cholesky(a @ a.conj().T / 64 + np.eye(64))
         for seed in range(200):
             w = np.random.default_rng(seed).standard_normal((17, 64, 2))
             expected = 0.3 * ((w[..., 0] + 1j * w[..., 1]) @ factor.T)
-            drawn = correlator_noise(0.3, factor, 17, np.random.default_rng(seed))
-            assert drawn.tobytes() == expected.tobytes()
-        batch = correlator_noise(0.3, factor, 17, [np.random.default_rng(seed) for seed in (4, 9)])
-        for noise, seed in zip(batch, (4, 9)):
-            assert noise.tobytes() == correlator_noise(0.3, factor, 17,
-                                                       np.random.default_rng(seed)).tobytes()
+            assert correlator_noise(0.3, factor, w).tobytes() == expected.tobytes()
+        normals = np.stack([np.random.default_rng(seed).standard_normal((17, 64, 2))
+                            for seed in (4, 9)])
+        batch = correlator_noise(0.3, factor, normals)
+        assert batch.shape == (2, 17, 64)
+        for noise, block_normals in zip(batch, normals):
+            assert noise.tobytes() == correlator_noise(0.3, factor, block_normals).tobytes()
 
     @pytest.mark.parametrize("ebn0_db", [np.nan, np.inf, -np.inf])
     def test_nonfinite_ebn0_rejected(self, ebn0_db):

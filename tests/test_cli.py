@@ -218,6 +218,18 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_limiter_drive_in_round_off_is_config_error(self, tmp_path, capsys):
+        """At -300 dB the limiter's g lifts the round-off of the linear
+        waveform to about A_sat, so the scenario is rejected when it is
+        built, with one error line."""
+        cfg = _write_tiny_config(tmp_path, hpa_mode="saleh_pd", ibo_db="-300")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "round-off" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("keys", [
         dict(hpa_mode="saleh", alpha_am="1e-150", beta_am="1", ebn0_grid="300"),
         dict(hpa_mode="saleh_pd", alpha_am="1e-150", beta_am="1", ebn0_grid="300"),

@@ -1,12 +1,14 @@
 """Scenario presets: the contents of each preset family, its aliases and the
 seed override; config files: parsing, the echo round trip and the errors;
-and the property that a config-key dict either fails construction or runs
-clean, through the library and through the command line."""
+and the property that a config-key dict fails construction, is rejected by
+the run's setup before any block, or runs clean, through the library and
+through the command line."""
 
 import dataclasses
 import pathlib
 import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from mcmccdma.cli import main
 from mcmccdma.config import (ConfigError, Scenario, leaf_fields, load_config, preset,
                              scenario_echo, scenario_from_keys)
+from mcmccdma import harness
 from mcmccdma.harness import run_scenario
 from mcmccdma.hpa import SalehParams
 from mcmccdma.txchain import LinkConfig
@@ -186,26 +189,44 @@ _TINY_KEYS = st.fixed_dictionaries(
 
 
 class TestKeysRunOrRaise:
-    """A config-key dict over a tiny scenario is either rejected when its
-    scenario is built or runs clean: one wave per point, every count in
-    range, and no warning."""
+    """A config-key dict over a tiny scenario is rejected when its scenario
+    is built, or rejected by the run's setup before any block runs (the
+    README's point without a noise density), or runs clean: one wave per
+    point, every count in range, and no warning."""
 
     @given(_TINY_KEYS)
     # drawn once: the limiter at -300 dB, whose calibration once cancelled
-    # to a negative Eb
+    # to a negative Eb, and which is now rejected when built
     @example({"name": "fuzz", "max_bits": "1", "min_errors": "1",
               "allow_small_min_errors": "true", "symbols_per_block": "1",
               "blocks_per_wave": "1", "carriers": "2", "hpa_mode": "saleh_pd",
               "ibo_db": "-300.0"})
+    # drawn once: a tube whose calibrated Eb of 1.39e-301 leaves its 300 dB
+    # point no noise density, which the setup rejects
+    @example({"name": "fuzz", "max_bits": "1", "min_errors": "1",
+              "allow_small_min_errors": "true", "symbols_per_block": "1",
+              "blocks_per_wave": "1", "hpa_mode": "saleh", "alpha_am": "1e-150",
+              "beta_am": "1", "ebn0_grid": "300"})
     @settings(max_examples=300, deadline=None, database=None)
     def test_scenario_rejected_or_runs_clean(self, keys):
         try:
             scenario = scenario_from_keys(keys)
         except ConfigError:
             return
-        with warnings.catch_warnings():
+        blocks_run = []
+        simulate_blocks = harness._simulate_blocks
+
+        def spied(*args):
+            blocks_run.append(args)
+            return simulate_blocks(*args)
+
+        with mock.patch.object(harness, "_simulate_blocks", spied), warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = run_scenario(scenario, workers=1)
+            try:
+                report = run_scenario(scenario, workers=1)
+            except ConfigError:
+                assert blocks_run == [], "rejected after a block ran"
+                return
         wave_bits = (scenario.blocks_per_wave * scenario.symbols_per_block
                      * scenario.config.bits_per_symbol)
         assert len(report.records) == len(scenario.ebn0_grid)

@@ -5,6 +5,7 @@ import math
 import timeit
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmccdma.analysis import emit_csv
-from mcmccdma.channel import ChannelRealization, draw_channel, noise_scale
+from mcmccdma.channel import ChannelRealization, noise_scale
 from mcmccdma.codes import generate_msequence
 from mcmccdma import harness, hpa
 from mcmccdma.config import HPA_MODES, ConfigError, Scenario, preset
@@ -22,7 +23,7 @@ from mcmccdma.receiver import SOURCE_NAMES
 from mcmccdma.txchain import (LinkConfig, spread_symbols, subcarrier_exponentials,
                               walsh_chip_bounds)
 
-from oracles import floor_chips
+from oracles import drawn_channel, drawn_symbols, floor_chips
 from reference_chain import correlate_slots, modulate_user, propagate_samples, slot_signatures
 
 TINY = Scenario(
@@ -102,7 +103,10 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("hpa_mode", HPA_MODES)
     def test_db_values_at_bound_run(self, hpa_mode):
-        for ibo_db in (-300.0, 300.0):
+        # the limiter's back-off stops above -300 dB, at its drive bound
+        # (test_limiter_eb_at_the_drive_bound)
+        lowest = _lowest_limiter_ibo(TINY.config) if hpa_mode == "saleh_pd" else -300.0
+        for ibo_db in (lowest, 300.0):
             scenario = dataclasses.replace(TINY, hpa_mode=hpa_mode, ibo_db=ibo_db,
                                            ebn0_grid=(-300.0, 300.0), blocks_per_wave=4,
                                            max_bits=64)
@@ -302,18 +306,19 @@ def _sample_chain(runtime, symbols, gains, reference_phase, amplify=None):
 
 
 def _block_draws(runtime, point_index, block_index):
-    """(generator, channel, symbols) of one block, drawn as a batch of one
-    (harness._batch_draws)."""
-    (rng,), channel, symbols = harness._batch_draws(runtime, point_index,
+    """(channel, symbols, normals) of one block, drawn as a batch of one
+    (harness._batch_draws); normals is None with the noise off."""
+    channel, symbols, normals = harness._batch_draws(runtime, point_index,
                                                      range(block_index, block_index + 1))
-    return rng, ChannelRealization(gains=channel.gains[0], phases=channel.phases[0]), symbols[0]
+    return (ChannelRealization(gains=channel.gains[0], phases=channel.phases[0]), symbols[0],
+            None if normals is None else normals[0])
 
 
 def _recorded_block(scenario):
     """The runtime, channel, symbols and noiseless correlator outputs of
     block 3 at the first point of the scenario's engine."""
     runtime = harness._prepare(scenario)
-    _, channel, symbols = _block_draws(runtime, 0, 3)
+    channel, symbols, _ = _block_draws(runtime, 0, 3)
     return runtime, channel, symbols, harness._correlation_outputs(runtime, channel, symbols)
 
 
@@ -420,8 +425,7 @@ def _reference_calibration(runtime):
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
-    symbols = harness._draw_symbols(rng, (harness._CALIBRATION_SYMBOLS, cfg.substreams,
-                                          cfg.carriers))
+    symbols = drawn_symbols(rng, (harness._CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
     linear = modulate_user(symbols, runtime.walsh, _pn_chips(runtime)[0], cfg)
     tx = _reference_amplifier(runtime)(linear)
     eb = np.mean(np.abs(tx) ** 2) / cfg.bits_per_symbol
@@ -437,8 +441,7 @@ def _direct_limiter_eb(runtime, zeros=None):
     scenario = runtime.scenario
     cfg = scenario.config
     rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
-    symbols = harness._draw_symbols(rng, (harness._CALIBRATION_SYMBOLS, cfg.substreams,
-                                          cfg.carriers))
+    symbols = drawn_symbols(rng, (harness._CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers))
     modulus = np.abs(modulate_user(symbols, runtime.walsh, _pn_chips(runtime)[0], cfg))
     power = np.minimum((runtime.linear_gain * modulus) ** 2, scenario.saleh.saturation_output_power)
     if zeros is not None:
@@ -485,17 +488,49 @@ def test_limiter_eb_is_the_direct_sum(config, ibo_db):
     assert abs(runtime.eb - direct) <= 1e-12 * direct
 
 
+def _lowest_limiter_ibo(config):
+    """The lowest back-off, to 1e-9 dB, at which the limiter's round-off
+    g eps peak stays within 1e-3 of A_sat on a link (hpa.amplifier_drive):
+    20 log10(eps sqrt(substreams carriers) / 1e-3) dB."""
+    slots = config.substreams * config.carriers
+    return 20.0 * math.log10(np.finfo(float).eps * math.sqrt(slots) / 1e-3) + 1e-9
+
+
 @pytest.mark.parametrize("config", [_ONE_BY_TWO, _AMPLIFIER_BASE.config],
                          ids=["1x2-slots", "pn-127"])
 def test_limiter_eb_at_the_drive_bound(config):
-    """At -300 dB, g ~ 5e14 lifts the linear waveform's round-off at its
-    exact zeros (|x| ~ 1e-16) to about A_sat, so no float64 sum is defined
-    to 1e-12 there: Eb lies, to 1e-12, between the direct sums that count
-    those samples as silent and as clipped."""
-    runtime = _limiter_runtime(config, -300.0)
+    """At the lowest back-off the limiter accepts, g lifts the linear
+    waveform's round-off at its exact zeros (|x| ~ 1e-16) to 1e-3 of A_sat:
+    Eb lies, to 1e-12, between the direct sums that count those samples as
+    silent and as clipped, and within 1e-8 of the direct sum.  2e-9 dB
+    lower, and at -300 dB, where that round-off nears A_sat, the drive is
+    rejected when the scenario is built."""
+    lowest = _lowest_limiter_ibo(config)
+    runtime = _limiter_runtime(config, lowest)
     low = _direct_limiter_eb(runtime, zeros=0.0)
     high = _direct_limiter_eb(runtime, zeros=runtime.scenario.saleh.saturation_output_power)
     assert low * (1.0 - 1e-12) <= runtime.eb <= high * (1.0 + 1e-12)
+    direct = _direct_limiter_eb(runtime)
+    assert abs(runtime.eb - direct) <= 1e-8 * direct
+    for ibo_db in (lowest - 2e-9, -300.0):
+        with pytest.raises(ValueError, match="round-off"):
+            _limiter_runtime(config, ibo_db)
+
+
+def test_tiny_limiter_runs_at_its_lowest_drive():
+    """The one-slot link at its lowest accepted back-off (about -253 dB,
+    where every sample clips): its calibration is the direct sum to 1e-12,
+    and a run decides every bit with no warning."""
+    scenario = dataclasses.replace(TINY, hpa_mode="saleh_pd",
+                                   ibo_db=_lowest_limiter_ibo(TINY.config),
+                                   ebn0_grid=(10.0,), max_bits=1024)
+    runtime = harness._prepare(scenario)
+    direct = _direct_limiter_eb(runtime)
+    assert abs(runtime.eb - direct) <= 1e-12 * direct
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = run_scenario(scenario).records[0]
+    assert record.bits == 1024 and 0 <= record.errors < 0.01 * record.bits
 
 
 def test_overdriven_limiter_decides_at_10db():
@@ -631,7 +666,7 @@ class TestAmplifierEngine:
         runtime = harness._prepare(dataclasses.replace(_AMPLIFIER_BASE, name="unclipped",
                                                        hpa_mode="saleh_pd", ibo_db=30.0))
         assert calls == []
-        symbols = harness._draw_symbols(np.random.default_rng(0), (3, 16, 2, 2))
+        symbols = drawn_symbols(np.random.default_rng(0), (3, 16, 2, 2))
         chips = spread_symbols(runtime.walsh, symbols, {})
         assert hpa._excess_correlations(runtime.amplifier, chips, np.ones((3, 1)),
                                         runtime.work) is None
@@ -640,21 +675,20 @@ class TestAmplifierEngine:
 
     @pytest.mark.parametrize("hpa_mode", HPA_MODES)
     def test_block_draws_noise_per_correlator_output(self, hpa_mode, monkeypatch):
-        """Every mode's noise is one correlator_noise draw through the
-        runtime's Gram factor at the point's noise scale, from the generator
-        where the block's draws leave it, added to the noiseless outputs
-        before the decisions; the producer draws none, a block with the
-        noise off neither, and the block draws no other noise from its
-        generator."""
+        """Every mode's noise is one correlator_noise call through the
+        runtime's Gram factor at the point's noise scale, on the normals the
+        block's draws end with, added to the noiseless outputs before the
+        decisions; the producer takes none, a block with the noise off draws
+        none and makes no call, and the block adds no other noise."""
         scenario = dataclasses.replace(_TINY_UNALIGNED, name="noisy", hpa_mode=hpa_mode,
                                        ibo_db=1.0, ebn0_grid=(8.0,))
         draws, decided = [], []
         correlator_noise = harness.correlator_noise
         decide_slots = harness.decide_slots
 
-        def recorded(scale, factor, n_windows, rngs):
-            draws.append((scale, factor, n_windows, rngs))
-            draws.append(correlator_noise(scale, factor, n_windows, rngs))
+        def recorded(scale, factor, normals):
+            draws.append((scale, factor, normals))
+            draws.append(correlator_noise(scale, factor, normals))
             return draws[-1]
 
         monkeypatch.setattr(harness, "correlator_noise", recorded)
@@ -663,19 +697,18 @@ class TestAmplifierEngine:
         runtime, channel, symbols, z = _recorded_block(scenario)
         quiet = harness._prepare(dataclasses.replace(scenario, noise_enabled=False))
         assert quiet.noise_scales == ()
+        assert _block_draws(quiet, 0, 3)[2] is None
         harness._simulate_blocks(quiet, 0, range(3, 4))
         assert draws == []          # noise off, nothing drawn
         warmup = runtime.warmup
         assert np.array_equal(decided[0], z[None, warmup:])
         harness._simulate_blocks(runtime, 0, range(3, 4))
-        (scale, factor, n_windows, (rng,)), noise = draws
+        (scale, factor, normals), noise = draws
         assert factor is runtime.noise_factor
         assert scale == noise_scale(8.0, runtime.eb) == runtime.noise_scales[0]
-        assert n_windows == symbols.shape[1]
-        # the generator is left where that one draw leaves the block's draws
-        alone, _, _ = _block_draws(runtime, 0, 3)
-        correlator_noise(scale, factor, n_windows, alone)
-        assert rng.bit_generator.state == alone.bit_generator.state
+        n_windows = symbols.shape[1]
+        assert normals.shape == (1, n_windows, factor.shape[0], 2)
+        assert np.array_equal(normals[0], _block_draws(runtime, 0, 3)[2])
         difference = (decided[1][0] - z[warmup:]).reshape(n_windows - warmup, -1)
         assert np.abs(difference - noise[0, warmup:]).max() <= 1e-12 * np.abs(z).max()
 
@@ -693,7 +726,7 @@ class TestAmplifierEngine:
                             lambda z, reference: decided.append(z) or decide_slots(z, reference))
         for point_index, ebn0_db in enumerate(scenario.ebn0_grid):
             harness._simulate_blocks(runtime, point_index, range(1))
-            _, channel, symbols = _block_draws(runtime, point_index, 0)
+            channel, symbols, _ = _block_draws(runtime, point_index, 0)
             noise = decided[-1][0] - harness._correlation_outputs(runtime, channel, symbols)
             n0 = runtime.eb / 10 ** (ebn0_db / 10)
             expected = n0 * abs(runtime.noise_factor[0, 0]) ** 2
@@ -862,8 +895,8 @@ def test_clip_search_skips_only_rows_that_cannot_clip(name, seed, ibo_db):
     runtime = harness._prepare(dataclasses.replace(TINY, name="bound", hpa_mode="saleh_pd",
                                                    ibo_db=ibo_db, config=cfg))
     grid = runtime.amplifier.cells
-    symbols = harness._draw_symbols(np.random.default_rng(seed),
-                                    (cfg.users, 5, cfg.substreams, cfg.carriers))
+    symbols = drawn_symbols(np.random.default_rng(seed),
+                            (cfg.users, 5, cfg.substreams, cfg.carriers))
     b = _einsum_row_coefficients(runtime, symbols)
     rho = hpa._autocorrelations(b, {})
     peak = hpa._peak_power_bound(rho, {})
@@ -924,7 +957,7 @@ def test_clip_search_keeps_the_pairs_of_the_anchor_products(seed):
     runtime = harness._prepare(scenario)
     limiter = runtime.amplifier
     for block in range(8):
-        _, _, symbols = _block_draws(runtime, 0, block)
+        _, symbols, _ = _block_draws(runtime, 0, block)
         b = _einsum_row_coefficients(runtime, symbols)
         rho = hpa._autocorrelations(limiter.linear_gain * b, {})
         kept = [np.stack((np.full(rows.size, chip), rows, cells), axis=1) for chip, rows, cells
@@ -943,9 +976,9 @@ def test_reused_cell_arrays_match_fresh_ones():
     limiter = runtime.amplifier
     cfg = scenario.config
     rng = np.random.default_rng(5)
-    gains = harness._path_gains(draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db,
-                                             scenario.fading))
-    blocks = [spread_symbols(runtime.walsh, harness._draw_symbols(
+    gains = harness._path_gains(drawn_channel(rng, cfg.users, scenario.paths, scenario.decay_db,
+                                              scenario.fading))
+    blocks = [spread_symbols(runtime.walsh, drawn_symbols(
         rng, (cfg.users, n, cfg.substreams, cfg.carriers)), {}) for n in (9, 5)]
     counts = [sum(rows.size for rows, *_ in hpa._driven_cells(
         limiter, *hpa._limiter_drive(limiter, chips, {}), {})) for chips in blocks]
@@ -987,7 +1020,7 @@ def test_random_block_matches_sample_chain(scenario):
     search clips what the search over every sample clips
     (_check_cell_search)."""
     runtime = harness._prepare(scenario)
-    _, channel, symbols = _block_draws(runtime, 0, 0)
+    channel, symbols, _ = _block_draws(runtime, 0, 0)
     z = harness._correlation_outputs(runtime, channel, symbols)
     amplify, phase_offset = None, 0.0
     if scenario.hpa_mode != "bypass":
@@ -1173,25 +1206,28 @@ def test_fork_within_first_wave_keeps_csv_bytes(tmp_path, monkeypatch, pool_fork
 @pytest.mark.parametrize("users,n_total,substreams,carriers", [(1, 17, 1, 1), (3, 9, 2, 4),
                                                                (20, 257, 8, 8)])
 def test_symbol_draw_unpacks_raw_words(seed, users, n_total, substreams, carriers):
-    # symbol i is bit i mod 64 of raw word i // 64, and the draw leaves the
-    # stream ceil(n / 64) words on (n = 17 and 216 are not multiples of 64)
+    # symbol i is bit i mod 64 of raw word i // 64, and the symbols take
+    # ceil(n / 64) words (n = 17 and 216 are not multiples of 64); a leading
+    # axis holds one block's words per index
     shape = (users, n_total, substreams, carriers)
     n = math.prod(shape)
-    drawn, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    symbols = harness._draw_symbols(drawn, shape)
-    words = twin.bit_generator.random_raw(-(-n // 64))
+    assert harness._symbol_words(shape) == -(-n // 64)
+    words = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 64))
+    symbols = harness._symbols_from_words(words, shape)
     i = np.arange(n, dtype=np.uint64)
     bits = (words[i // np.uint64(64)] >> (i % np.uint64(64))) & np.uint64(1)
     assert symbols.dtype == np.int8 and symbols.shape == shape
     assert np.array_equal(symbols.reshape(-1), np.where(bits == 1, 1, -1))
-    assert drawn.standard_normal(3).tolist() == twin.standard_normal(3).tolist()
+    batch = harness._symbols_from_words(np.stack((words, ~words)), shape)
+    assert batch.shape == (2, *shape)
+    assert np.array_equal(batch[0], symbols) and np.array_equal(batch[1], -symbols)
 
 
 def test_symbol_draw_is_balanced_and_uncorrelated():
     # 2^20 symbols: the mean at every (user, substream, carrier) position and
     # the lag-1 correlation along the symbols there lie within 5 sigma of 0
     n_symbols = 4096
-    symbols = harness._draw_symbols(np.random.default_rng(2024), (4, n_symbols, 8, 8))
+    symbols = drawn_symbols(np.random.default_rng(2024), (4, n_symbols, 8, 8))
     d = symbols.astype(np.float64)
     assert np.abs(d.mean(axis=1)).max() <= 5.0 / math.sqrt(n_symbols)
     lag1 = (d[:, 1:] * d[:, :-1]).mean(axis=1)
@@ -1201,25 +1237,29 @@ def test_symbol_draw_is_balanced_and_uncorrelated():
 @pytest.mark.parametrize("point, block", [(1, 4), (4, 1)])
 def test_seeded_block_draws(point, block):
     """A block's generator comes from SeedSequence([master_seed, 0, point,
-    block]) and draws the channel, then the symbols: drawn by hand from that
-    seed they are the same, whether the block is drawn alone or first,
-    within or last in a batch, and the hand generator ends in the state of
-    the one the block goes on to draw its noise from."""
-    scenario = dataclasses.replace(_TINY_UNALIGNED, master_seed=97)
-    cfg = scenario.config
-    runtime = harness._prepare(scenario)
-    for block_ids in (range(block, block + 1), range(block, block + 3),
-                      range(block - 1, block + 2), range(block - 1, block + 1)):
-        rngs, channel, symbols = harness._batch_draws(runtime, point, block_ids)
-        at = block_ids.index(block)
-        hand = np.random.default_rng(np.random.SeedSequence([97, 0, point, block]))
-        expected = draw_channel(hand, cfg.users, scenario.paths, scenario.decay_db,
-                                scenario.fading)
-        assert np.array_equal(channel.gains[at], expected.gains)
-        assert np.array_equal(channel.phases[at], expected.phases)
-        assert np.array_equal(symbols[at], harness._draw_symbols(hand, (
-            cfg.users, scenario.symbols_per_block + 1, cfg.substreams, cfg.carriers)))
-        assert rngs[at].bit_generator.state == hand.bit_generator.state
+    block]) and draws its channel (the gains' standard exponentials, with
+    fading, then the phases' uniforms), then its symbols' raw words, then
+    its noise's standard normals: a twin generator drawn by hand in that
+    order gives the block's gains, phases, symbols and normals bit for bit,
+    whether the block is drawn alone or first, within or last in a batch,
+    with fading and without."""
+    for fading in (True, False):
+        scenario = dataclasses.replace(_TINY_UNALIGNED, master_seed=97, fading=fading)
+        cfg = scenario.config
+        runtime = harness._prepare(scenario)
+        shape = (cfg.users, scenario.symbols_per_block + 1, cfg.substreams, cfg.carriers)
+        for block_ids in (range(block, block + 1), range(block, block + 3),
+                          range(block - 1, block + 2), range(block - 1, block + 1)):
+            channel, symbols, normals = harness._batch_draws(runtime, point, block_ids)
+            at = block_ids.index(block)
+            hand = np.random.default_rng(np.random.SeedSequence([97, 0, point, block]))
+            expected = drawn_channel(hand, cfg.users, scenario.paths, scenario.decay_db, fading)
+            words = hand.bit_generator.random_raw(harness._symbol_words(shape))
+            assert np.array_equal(channel.gains[at], expected.gains)
+            assert np.array_equal(channel.phases[at], expected.phases)
+            assert np.array_equal(symbols[at], harness._symbols_from_words(words, shape))
+            assert np.array_equal(normals[at], hand.standard_normal(
+                (shape[1], cfg.substreams * cfg.carriers, 2)))
 
 
 def _numpy_blas_is_openblas() -> bool:
@@ -1332,7 +1372,8 @@ class TestMeasureVariances:
         cfg = scenario.config
         runtime = harness._prepare(scenario)
         rng = np.random.default_rng(5)
-        channel = draw_channel(rng, cfg.users, scenario.paths, scenario.decay_db, scenario.fading)
+        channel = drawn_channel(rng, cfg.users, scenario.paths, scenario.decay_db,
+                                scenario.fading)
         full_copy = cfg.users * 256 * cfg.substreams * cfg.carriers * 8
         tracemalloc.start()
         try:
@@ -1346,7 +1387,7 @@ class TestMeasureVariances:
     def test_chunk_below_one_rejected(self, chunk):
         runtime = harness._prepare(TINY)
         rng = np.random.default_rng(0)
-        channel = draw_channel(rng, 1, 1, 0.0, False)
+        channel = drawn_channel(rng, 1, 1, 0.0, False)
         with pytest.raises(ValueError, match="chunk must be at least 1 symbol, got"):
             estimate_interference_variances(runtime, channel, 0.0, rng, 16, chunk=chunk)
 

@@ -18,8 +18,14 @@ from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, t
 # runtime's fields and the BLAS flag that no program code read, the
 # vectorized erfc that only tests called, the per-block noise density,
 # which the setup's noise_scale replaced, the bits floor, which
-# min_blocks states since every block decides the same bits, and the
-# one-block steps and pool task, which batches of blocks replaced.
+# min_blocks states since every block decides the same bits, the one-block
+# steps and pool task, which batches of blocks replaced, and the symbol
+# draw, which became a former of the raw words that _batch_draws, the
+# calibration frame and the decomposition draw (_symbols_from_words).
+# _draw_symbols was read by _batch_draws, _prepare and
+# estimate_interference_variances, and in tests by _reference_calibration,
+# _direct_limiter_eb, the test_symbol_draw_* tests, test_seeded_block_draws,
+# the limiter's bound and cell-array tests and the unclipped-limiter test.
 _RETIRED = {
     analysis: ("erfc",),
     channel: ("PathTap", "NoiseSpec", "add_awgn", "propagate_samples", "_noise_density"),
@@ -38,7 +44,7 @@ _RETIRED = {
               "_excess_correlations", "_add_cell_correlations", "_SLAB_SAMPLES",
               "_CELL_SAMPLES", "_CELL_CHUNK", "_linear_eb", "limiter_factor", "_calibrate",
               "_correlator_noise", "_BLAS_PINNED", "_simulate_block", "_block_draws",
-              "_worker_block"),
+              "_worker_block", "_draw_symbols"),
     harness._Runtime: ("pn_chips", "slot_column"),
     txchain.LinkConfig: ("walsh_aligned", "symbol_duration", "sample_rate", "power"),
     config.Scenario: ("min_bits",),
@@ -47,16 +53,19 @@ _RETIRED = {
 # The whole parameter lists of three public calls, which take the theory's
 # grid and link from the Scenario, the feedback taps from PRIMITIVE_TAPS and
 # the amplifier's base from the SalehParams defaults, of the blocks' entry
-# point, which takes a range of blocks, and of its noise and channel draws,
-# which take the noise scale the setup formed, not an Eb/N0, and a batch's
-# generators.
+# point, which takes a range of blocks, of the one loop that draws a batch's
+# variates, and of the channel, symbol and noise producers it feeds, which
+# take the variates it drew, with any leading axes, not a generator, and the
+# noise scale the setup formed, not an Eb/N0.
 _SIGNATURES = {
     analysis.theoretical_curve: ("variances", "scenario", "reference_ebn0_db"),
     codes.generate_msequence: ("degree",),
     config.saleh_from_keys: ("keys",),
     harness._simulate_blocks: ("runtime", "point_index", "block_ids"),
-    channel.correlator_noise: ("scale", "factor", "n_windows", "rngs"),
-    channel.draw_channel: ("rngs", "users", "n_paths", "decay_db", "fading"),
+    channel.correlator_noise: ("scale", "factor", "normals"),
+    channel.draw_channel: ("exponentials", "uniforms", "decay_db"),
+    harness._batch_draws: ("runtime", "point_index", "block_ids"),
+    harness._symbols_from_words: ("words", "shape"),
 }
 
 # The scenario layer and the amplifiers, by the module that defines them:

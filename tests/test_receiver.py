@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mcmccdma import harness
-from mcmccdma.channel import ChannelRealization, draw_channel
+from mcmccdma.channel import ChannelRealization
 from mcmccdma.codes import generate_msequence, generate_walsh
 from mcmccdma.config import Scenario, preset
 from mcmccdma.harness import estimate_interference_variances, measure_variances
@@ -23,6 +23,7 @@ from mcmccdma.receiver import (
 from mcmccdma.txchain import (LinkConfig, spread_symbols, subcarrier_exponentials,
                               walsh_chip_bounds)
 
+from oracles import drawn_channel
 from reference_chain import correlate_slots, modulate_user, propagate_samples, slot_signatures
 
 REF_CHANNEL = ChannelRealization(gains=np.ones((1, 1)), phases=np.zeros((1, 1)))
@@ -283,7 +284,7 @@ def _source_setup(users=1, paths=1, fading=False, seed=0, n_symbols=8,
                      pn_length=2 ** degree - 1, oversampling=4)
     runtime = _linear_runtime(cfg, paths, fading, noise_enabled)
     rng = np.random.default_rng(seed)
-    channel = draw_channel(rng, users, paths, 0.0, fading)
+    channel = drawn_channel(rng, users, paths, 0.0, fading)
     symbols = rng.choice([-1, 1], size=(users, n_symbols, r, m)).astype(np.int8)
     sources = harness._source_outputs(harness._source_split(runtime, channel), symbols)
     return runtime, channel, symbols, sources
@@ -351,7 +352,7 @@ class TestVarianceEstimates:
             cfg = LinkConfig(users=users, substreams=2, carriers=2,
                              walsh_order=4, pn_length=63, oversampling=4)
             rng = np.random.default_rng(seed)
-            channel = draw_channel(rng, users, 1, 0.0, True)
+            channel = drawn_channel(rng, users, 1, 0.0, True)
             var = estimate_interference_variances(_linear_runtime(cfg), channel, 0.0,
                                                   rng=rng, n_symbols=400)
             return var.multi_user
