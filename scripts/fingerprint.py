@@ -16,9 +16,8 @@ The entries, every scenario at master seed 7:
                                with 1 worker and with 2 (the pool forked
                                before the first block)
   prepare/<scenario>/eb, .../phase_offset
-                               float-hex of the setup's calibration, taken
-                               under the one-thread BLAS pin as a public
-                               call takes it
+                               float-hex of the setup's calibration, which
+                               pins BLAS to one thread itself
   variances/<scenario>         repr of measure_variances on each bypass preset
   cli/decompose/<file>         SHA-256 of `simulate --preset system-comparison
                                --decompose` at 2 points x 2 blocks: the BER
@@ -85,8 +84,7 @@ def scenario_entries(scenario, seed: int = SEED) -> dict:
             with _forced_pool():
                 emit_csv([harness.run_scenario(short, workers=workers)], path)
             entries[f"run/{name}/workers-{workers}"] = _digest(path.read_bytes())
-    with harness._single_threaded_blas():
-        runtime = harness._prepare(scenario)
+    runtime = harness._prepare(scenario)
     entries[f"prepare/{name}/eb"] = float(runtime.eb).hex()
     entries[f"prepare/{name}/phase_offset"] = float(runtime.phase_offset).hex()
     if scenario.hpa_mode == "bypass":

@@ -107,6 +107,9 @@ MUTANTS = (
            "correlator_noise(scale, runtime.noise_factor[:1, :1],",
            "correlator_noise(scale, 1.1 * runtime.noise_factor[:1, :1],",
            ("tests/test_receiver.py", "-k", "awgn_variance_matches_analytic")),
+    Mutant("decomposition-noise-row-dropped", "harness.py",
+           "            z[-1, start:stop] = correlator_noise(", "            _ = correlator_noise(",
+           ("tests/test_harness.py", "-k", "linear_scenario_variances")),
     Mutant("calibration-integer-draw", "harness.py",
            "frame = _symbols_from_words(rng.bit_generator.random_raw(_symbol_words(shape)), shape)",
            "frame = 2 * rng.integers(0, 2, size=shape) - 1",
@@ -117,8 +120,8 @@ MUTANTS = (
     Mutant("inter-substream-mask-on-carrier-2", "harness.py",
            "mask[1:, 0, :, 2] = 1.0", "mask[1:, 1, :, 2] = 1.0", _SPLIT_TESTS),
     Mutant("multi-user-from-user-3", "harness.py",
-           'others=np.einsum("kwslc,kl->kwsc", column[1:], gains[1:]),',
-           'others=np.einsum("kwslc,kl->kwsc", column[1:], gains[1:])'
+           'np.einsum("kwslc,kl->kwsc", column[1:], gains[1:]),',
+           'np.einsum("kwslc,kl->kwsc", column[1:], gains[1:])'
            " * (np.arange(1, cfg.users) >= 2)[:, None, None, None],", _SPLIT_TESTS),
     Mutant("split-drops-previous-symbol", "harness.py",
            "        if windows == 2:\n            per_user[first:last, 1:]",
@@ -248,6 +251,10 @@ MUTANTS = (
     Mutant("run-blocks-unpinned", "harness.py",
            "    with _single_threaded_blas():\n        runner = ", "    if True:\n        runner = ",
            ("tests/test_harness.py", "-k", "blocks_run_single_threaded")),
+    Mutant("prepare-unpinned", "harness.py",
+           "    with _single_threaded_blas():\n        correlation = ",
+           "    if True:\n        correlation = ",
+           ("tests/test_harness.py", "-k", "setup_is_pinned")),
     Mutant("eager-multiprocessing-import", "harness.py",
            "import ctypes\n", "import ctypes\nimport multiprocessing\n",
            ("tests/test_public_api.py", "-k", "without_scipy")),

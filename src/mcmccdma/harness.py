@@ -28,8 +28,10 @@ one contiguous range of blocks per process, the calling process running
 the first itself, and each process runs its range in batches (run_scenario).
 
 Each public call, run_scenario or measure_variances, pins OpenBLAS to one
-thread once, around its setup (_prepare, which sets no thread count) and
-its blocks, which forked workers inherit (_single_threaded_blas).
+thread once, around its setup and its blocks, which forked workers inherit
+(_single_threaded_blas).  The setup (_prepare) pins too, so that its
+runtime does not depend on its caller's thread count; inside a public
+call's pin that entry does nothing.
 
 A batch of blocks (_batch_outputs, decided in _simulate_blocks) is four
 steps, one function each, common to every hpa_mode: the draws
@@ -70,7 +72,8 @@ rotation (none without an amplifier).
   other users' column, each with the path gains contracted in, formed
   once per call (_source_split).  Each chunk of symbols then meets them
   in one product per user, converted to float64 a group of users at a
-  time through one bounded buffer (_column_outputs).
+  time in one bounded working array (_column_outputs), and the chunk's
+  sources fill their columns of one array, a row per source.
 - g and W are the amplifier's (hpa.prepare_amplifier): W correlates what
   the amplifier adds to g times the linear waveform, per Walsh chip in
   T's shape, from the same spread symbols (hpa.amplifier_correlations),
@@ -120,7 +123,7 @@ from .hpa import (LimiterState, TubeState, amplifier_calibration, amplifier_corr
 from .receiver import (SOURCE_NAMES, InterferenceVariances, combine_walsh_chips,
                        correlate_tables, decide_slots, partial_correlation_tables,
                        signature_gram, slot_tables)
-from .txchain import LinkConfig, spread_symbols, substream_walsh_rows
+from .txchain import LinkConfig, _work_array, spread_symbols, substream_walsh_rows
 
 _CALIBRATION_SYMBOLS = 256
 
@@ -149,7 +152,8 @@ class _Runtime:
     # channel.noise_scale of each ebn0_grid point, empty when the noise is off
     noise_scales: tuple
     # the working arrays of the batches' spread_symbols, correlate_tables
-    # and amplifier (txchain._work_array), reused batch to batch
+    # and amplifier, and of the decomposition's split (txchain._work_array),
+    # reused batch to batch and chunk to chunk
     work: dict = field(default_factory=dict)
 
     @property
@@ -198,21 +202,25 @@ def _prepare(scenario: Scenario) -> _Runtime:
     its factor draws the noise.  An amplifier's calibration frame is drawn
     from SeedSequence([master_seed, 1]), and the working arrays it makes are
     the blocks' too, as is every grid point's noise scale, formed once Eb is
-    known: a point without one raises ConfigError before any block runs."""
+    known: a point without one raises ConfigError before any block runs.
+    It pins OpenBLAS to one thread itself (_single_threaded_blas), since the
+    Cholesky factor and the tube's calibration move at other counts."""
     cfg = scenario.config
     walsh, pn_chips = _user_codes(cfg)
     work = {}
-    correlation = partial_correlation_tables(pn_chips, cfg, scenario.paths)
-    gram = signature_gram(correlation, walsh)
-    amplifier = prepare_amplifier(scenario, walsh, pn_chips)
-    if amplifier is None:
-        # the linear chain's mean power over its bits per symbol
-        eb, phase_offset = 2.0, 0.0
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
-        shape = (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)
-        frame = _symbols_from_words(rng.bit_generator.random_raw(_symbol_words(shape)), shape)
-        eb, phase_offset = amplifier_calibration(amplifier, frame, work)
+    with _single_threaded_blas():
+        correlation = partial_correlation_tables(pn_chips, cfg, scenario.paths)
+        gram = signature_gram(correlation, walsh)
+        noise_factor = np.linalg.cholesky(gram)
+        amplifier = prepare_amplifier(scenario, walsh, pn_chips)
+        if amplifier is None:
+            # the linear chain's mean power over its bits per symbol
+            eb, phase_offset = 2.0, 0.0
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([scenario.master_seed, 1]))
+            shape = (_CALIBRATION_SYMBOLS, cfg.substreams, cfg.carriers)
+            frame = _symbols_from_words(rng.bit_generator.random_raw(_symbol_words(shape)), shape)
+            eb, phase_offset = amplifier_calibration(amplifier, frame, work)
     noise_scales = []
     for point_index, ebn0_db in enumerate(scenario.ebn0_grid if scenario.noise_enabled else ()):
         try:
@@ -220,7 +228,7 @@ def _prepare(scenario: Scenario) -> _Runtime:
         except ValueError as exc:
             raise ConfigError(f"scenario {scenario.name!r}, Eb/N0 point {point_index}: {exc}")
     return _Runtime(scenario=scenario, walsh=walsh, warmup=1 if scenario.paths > 1 else 0,
-                    correlation=correlation, noise_factor=np.linalg.cholesky(gram),
+                    correlation=correlation, noise_factor=noise_factor,
                     amplifier=amplifier, eb=eb, phase_offset=phase_offset,
                     noise_scales=tuple(noise_scales), work=work)
 
@@ -346,34 +354,24 @@ def _correlation_outputs(runtime: _Runtime, channel, symbols: np.ndarray) -> np.
     return z.reshape(*lead, symbols.shape[-3], cfg.substreams, cfg.carriers)
 
 
-# float64 values (256 kB) of _column_outputs' buffer, which holds a group of
-# users' symbols at a time
+# float64 values (256 kB) of _column_outputs' working array, which holds a
+# group of users' symbols at a time
 _SPLIT_VALUES = 1 << 15
 
 
-@dataclass(frozen=True)
-class _Split:
-    """The interference split of one channel draw (_source_split): the
-    weights every chunk of symbols meets, and the working buffer it meets
-    them in, reused chunk to chunk."""
-
-    own: np.ndarray       # (1, windows, slots, 4): user 1's, one column per source
-    others: np.ndarray    # (users - 1, windows, slots, 1): every other user's
-    factor: complex       # sqrt(2) e^{-j phi}, phi user 1's reference-path phase
-    work: dict = field(default_factory=dict)
-
-
-def _source_split(runtime: _Runtime, channel) -> _Split:
+def _source_split(runtime: _Runtime, channel) -> tuple:
     """The weights of _source_outputs on one channel draw, formed once for
-    all the symbols that meet it.
+    all the symbols that meet it: (own, others, factor), user 1's column
+    times a 0/1 mask per source, shape (1, windows, slots, 4), every other
+    user's column, (users - 1, windows, slots, 1), each with the path gains
+    contracted into it, and sqrt(2) e^{-j phi}, phi user 1's reference-path
+    phase.
 
     desired is user 1's slot (1, 1) on path 0 and multipath the same symbols
     on the later paths; inter_substream is user 1's other substreams on
     carrier 1 and inter_carrier its other carriers, both on every path;
     multi_user is every other user.  The five partition the (user, slot,
-    path) terms of the tables' slot-0 column (receiver.slot_tables): user
-    1's column times a 0/1 mask per source, one output column each, and the
-    other users' column, each with the path gains contracted into it."""
+    path) terms of the tables' slot-0 column (receiver.slot_tables)."""
     cfg = runtime.scenario.config
     column = slot_tables(runtime.correlation[..., :1], runtime.walsh, runtime.walsh[:1])
     gains = _path_gains(channel)
@@ -387,22 +385,24 @@ def _source_split(runtime: _Runtime, channel) -> _Split:
     mask[:, 1:, :, 3] = 1.0
     own = column[:1] * mask.reshape(1, 1, -1, paths, 4)
     # sum_l gains[k, l] column[k, w, s, l, c]
-    return _Split(own=np.einsum("kwslc,kl->kwsc", own, gains[:1]),
-                  others=np.einsum("kwslc,kl->kwsc", column[1:], gains[1:]),
-                  factor=np.sqrt(2.0) * np.exp(-1j * channel.phases[0, 0]))
+    return (np.einsum("kwslc,kl->kwsc", own, gains[:1]),
+            np.einsum("kwslc,kl->kwsc", column[1:], gains[1:]),
+            np.sqrt(2.0) * np.exp(-1j * channel.phases[0, 0]))
 
 
-def _source_outputs(split: _Split, symbols: np.ndarray) -> dict:
+def _source_outputs(split: tuple, symbols: np.ndarray, work: dict) -> np.ndarray:
     """User 1's noiseless slot (1, 1) correlator output of
-    _correlation_outputs, split by origin (_source_split): one (symbols,)
-    array per receiver.SOURCE_NAMES entry but the noise, each a subset of
-    the terms of the same sum at target slot 0.  User 1's symbols meet its
-    masked column in one product, and the other users' theirs
-    (_column_outputs).  The five sum to the slot-0 output."""
-    z = np.concatenate((_column_outputs(split.own, symbols[:1], split.work),
-                        _column_outputs(split.others, symbols[1:], split.work)), axis=1)
-    z *= split.factor
-    return dict(zip(SOURCE_NAMES, z.T))
+    _correlation_outputs, split by origin (_source_split): one row per
+    receiver.SOURCE_NAMES entry but the noise, shape (5, symbols), each a
+    subset of the terms of the same sum at target slot 0.  User 1's symbols
+    meet its masked column in one product, and the other users' theirs
+    (_column_outputs, in work's array).  The five sum to the slot-0
+    output."""
+    own, others, factor = split
+    z = np.concatenate((_column_outputs(own, symbols[:1], work),
+                        _column_outputs(others, symbols[1:], work)), axis=1)
+    z *= factor
+    return z.T
 
 
 def _column_outputs(weighted: np.ndarray, symbols: np.ndarray, work: dict) -> np.ndarray:
@@ -412,15 +412,13 @@ def _column_outputs(weighted: np.ndarray, symbols: np.ndarray, work: dict) -> np
     d_k[-1] = 0.  Shape (n, columns).
 
     The symbols are converted to float64 as many users at a time as fit
-    one buffer, which work holds from call to call: _SPLIT_VALUES values,
-    or one user's n * slots when more, so that no array grows with users x
+    work's array "split" (txchain._work_array) of _SPLIT_VALUES values, or
+    of one user's n * slots when more, so that no array grows with users x
     symbols x slots.  Each user's symbols meet its weights in one real
     product, and the users' outputs are summed in user order at the end."""
     users, windows, slots, columns = weighted.shape
     n = symbols.shape[1]
-    buffer = work.get("split")
-    if buffer is None or buffer.size < n * slots:
-        buffer = work["split"] = np.empty(max(_SPLIT_VALUES, n * slots))
+    buffer = _work_array(work, "split", (max(_SPLIT_VALUES, n * slots),))
     group = buffer.size // (n * slots)
     per_user = np.empty((users, n, 2 * columns))
     for first in range(0, users, group):
@@ -474,6 +472,10 @@ def _openblas_thread_calls() -> list:
     return calls
 
 
+# True while a _single_threaded_blas body runs in this process.
+_BLAS_HELD = False
+
+
 @contextmanager
 def _single_threaded_blas():
     """Run the body with every loaded OpenBLAS at one thread, then restore
@@ -486,15 +488,19 @@ def _single_threaded_blas():
     the library reads it only when it is loaded.  Finding the libraries
     reads /proc/self/maps and loads each one (about 1 ms), so each public
     call (run_scenario, measure_variances) enters it once, around its setup
-    and its blocks.
+    and its blocks, and an entry inside another (the setup's, _prepare)
+    does nothing: the outer one has set the counts and restores them.
     """
-    calls = _openblas_thread_calls()
+    global _BLAS_HELD
+    calls = [] if _BLAS_HELD else _openblas_thread_calls()
     saved = [get() for get, _ in calls]
     for _, set_ in calls:
         set_(1)
+    held, _BLAS_HELD = _BLAS_HELD, True
     try:
         yield
     finally:
+        _BLAS_HELD = held
         for (_, set_), count in zip(calls, saved):
             set_(count)
 
@@ -633,36 +639,37 @@ def estimate_interference_variances(runtime: _Runtime, channel, ebn0_db: float,
     weights (_source_outputs) and then draws the noise of slot (1, 1), with
     that slot's variance (user 1's Gram entry), at the one noise scale
     formed before the chunks (channel.noise_scale); with the noise off it
-    is zero and ebn0_db is not read.  With several paths each chunk is
-    preceded by one uncounted warmup symbol, so that the missing previous
-    symbol at its start does not bias the estimates.  chunk must be at
-    least 1.
+    is zero and ebn0_db is not read.  The chunk's outputs fill its columns
+    of one array, a row per SOURCE_NAMES entry.  With several paths each
+    chunk is preceded by one uncounted warmup symbol, so that the missing
+    previous symbol at its start does not bias the estimates.  chunk must
+    be at least 1.
     """
     if n_symbols < 2:
         raise ValueError(f"need at least 2 symbols for a sample variance, got {n_symbols}")
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1 symbol, got {chunk}")
-    cfg = runtime.scenario.config
-    split = _source_split(runtime, channel)
-    scale = noise_scale(ebn0_db, runtime.eb) if runtime.scenario.noise_enabled else None
-    collected = {name: [] for name in SOURCE_NAMES}
-    for start in range(0, n_symbols, chunk):
-        n_total = min(chunk, n_symbols - start) + runtime.warmup
-        shape = (cfg.users, n_total, cfg.substreams, cfg.carriers)
-        words = rng.bit_generator.random_raw(_symbol_words(shape))
-        sources = _source_outputs(split, _symbols_from_words(words, shape))
-        sources["noise"] = (np.zeros(n_total, dtype=np.complex128) if scale is None
-                            else correlator_noise(scale, runtime.noise_factor[:1, :1],
-                                                  rng.standard_normal((n_total, 1, 2)))[:, 0])
-        for name, z in sources.items():
-            collected[name].append(z[runtime.warmup:])
-
-    z_by_name = {name: np.concatenate(parts) for name, parts in collected.items()}
-    variances = {name: float(np.var(z_by_name[name], ddof=1)) for name in SOURCE_NAMES[1:]}
     scenario = runtime.scenario
+    cfg = scenario.config
+    split = _source_split(runtime, channel)
+    scale = noise_scale(ebn0_db, runtime.eb) if scenario.noise_enabled else None
+    # the noise's row stays zero while the noise is off
+    z = np.zeros((len(SOURCE_NAMES), n_symbols), dtype=np.complex128)
+    for start in range(0, n_symbols, chunk):
+        stop = min(start + chunk, n_symbols)
+        shape = (cfg.users, stop - start + runtime.warmup, cfg.substreams, cfg.carriers)
+        words = rng.bit_generator.random_raw(_symbol_words(shape))
+        z[:-1, start:stop] = _source_outputs(split, _symbols_from_words(words, shape),
+                                             runtime.work)[:, runtime.warmup:]
+        if scale is not None:
+            normals = rng.standard_normal((shape[1], 1, 2))
+            z[-1, start:stop] = correlator_noise(scale, runtime.noise_factor[:1, :1],
+                                                 normals)[runtime.warmup:, 0]
+
+    variances = {name: float(np.var(row, ddof=1)) for name, row in zip(SOURCE_NAMES[1:], z[1:])}
     mean_gain = path_power_profile(scenario.paths, scenario.decay_db)[0]
     return InterferenceVariances(
-        desired_power=float(np.mean(np.abs(z_by_name["desired"]) ** 2)),
+        desired_power=float(np.mean(np.abs(z[0]) ** 2)),
         n_symbols=n_symbols, reference_gain=float(channel.gains[0, 0] ** 2 / mean_gain),
         **variances)
 

@@ -246,10 +246,10 @@ def test_decomposition_identity():
     rng = np.random.default_rng(424242)
     channel = drawn_channel(rng, users=3, paths=2, decay_db=3.0, fading=True)
     symbols = (2 * rng.integers(0, 2, size=(3, 1000, 2, 2)) - 1).astype(np.int8)
-    sources = harness._source_outputs(harness._source_split(runtime, channel), symbols)
+    sources = harness._source_outputs(harness._source_split(runtime, channel), symbols, {})
     # The BER engine's noiseless slot (1, 1) output.
     z_total = harness._correlation_outputs(runtime, channel, symbols)[:, 0, 0]
-    residual = np.abs(z_total - sum(sources.values()))
+    residual = np.abs(z_total - sum(sources))
     worst = float(np.max(residual / np.maximum(np.abs(z_total), 1e-6)))
     assert worst <= 1e-10, f"split misses the total by {worst:.2e} relative"
 
@@ -257,9 +257,9 @@ def test_decomposition_identity():
                                         paths=1, decay_db=0.0, fading=False)
     lone = drawn_channel(rng, users=1, paths=1, decay_db=0.0, fading=False)
     symbols1 = (2 * rng.integers(0, 2, size=(1, 200, 2, 2)) - 1).astype(np.int8)
-    sources1 = harness._source_outputs(
-        harness._source_split(harness._prepare(lone_scenario), lone), symbols1)
-    lone_ok = bool(np.all(sources1["multipath"] == 0j) and np.all(sources1["multi_user"] == 0j))
+    _, multipath, _, _, multi_user = harness._source_outputs(
+        harness._source_split(harness._prepare(lone_scenario), lone), symbols1, {})
+    lone_ok = bool(np.all(multipath == 0j) and np.all(multi_user == 0j))
     _report("decomposition identity", lone_ok,
             f"five-way noiseless split matches the correlator total within {worst:.1e} "
             f"relative over 1000 symbols; single-user single-path run has "

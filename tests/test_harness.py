@@ -344,7 +344,7 @@ class TestCorrelationEngine:
     ], ids=lambda sc: sc.name)
     def test_sources_match_sample_chain(self, scenario):
         runtime, channel, symbols, z = _recorded_block(scenario)
-        sources = harness._source_outputs(harness._source_split(runtime, channel), symbols)
+        sources = harness._source_outputs(harness._source_split(runtime, channel), symbols, {})
         # Each source through the sample chain, on its own symbols and path
         # gains, zero where the source drops a path or a user.
         gains = harness._path_gains(channel)
@@ -366,14 +366,15 @@ class TestCorrelationEngine:
             "inter_carrier": (carriers, user1),
             "multi_user": (others, other_users),
         }
-        for name, (masked, kept) in oracle.items():
+        # the split draws no noise: a row per SOURCE_NAMES entry but the last
+        assert tuple(oracle) == SOURCE_NAMES[:-1]
+        assert len(sources) == len(oracle)
+        for source, (name, (masked, kept)) in zip(sources, oracle.items()):
             reference = _sample_chain(runtime, masked, kept, channel.phases[0, 0])[:, 0, 0]
-            assert sources[name].shape == reference.shape
-            assert np.abs(sources[name] - reference).max() <= 1e-12 * np.abs(reference).max(), name
-        # the split draws no noise, and the five sum to the BER engine's
-        # noiseless slot (1, 1) output
-        assert tuple(sources) == SOURCE_NAMES[:-1]
-        total = sum(sources.values())
+            assert source.shape == reference.shape
+            assert np.abs(source - reference).max() <= 1e-12 * np.abs(reference).max(), name
+        # the five sum to the BER engine's noiseless slot (1, 1) output
+        total = sum(sources)
         assert np.abs(total - z[:, 0, 0]).max() <= 1e-12 * np.abs(z[:, 0, 0]).max()
 
     @pytest.mark.parametrize("config", [
@@ -479,10 +480,13 @@ def _limiter_runtime(config, ibo_db):
                          ids=["1x2-slots", "pn-127"])
 @pytest.mark.parametrize("ibo_db", [7.0, 0.0, -20.0, -60.0, -100.0, -200.0])
 def test_limiter_eb_is_the_direct_sum(config, ibo_db):
-    """The limiter's calibrated Eb is its output frame's energy, to 1e-12
-    of the direct sum (_direct_limiter_eb) from no clipping down to -200 dB,
-    where nearly every sample clips and the linear frame carries 1e20 times
-    the output's energy."""
+    """On these two links, one user's 1 x 2 slots and 3 users' 2 x 2 slots
+    at pn 127, the limiter's calibrated Eb is its output frame's energy, to
+    1e-12 of the direct sum (_direct_limiter_eb) from no clipping down to
+    -200 dB, where nearly every sample clips and the linear frame carries
+    1e20 times the output's energy.  The bound is these links': the
+    round-off at the frame's exact zeros grows with the drive and the
+    slots, and _TINY_UNALIGNED's 2 x 3 slots are 3.1e-12 off at -200 dB."""
     runtime = _limiter_runtime(config, ibo_db)
     direct = _direct_limiter_eb(runtime)
     assert abs(runtime.eb - direct) <= 1e-12 * direct
@@ -1313,6 +1317,27 @@ class TestBlasThreads:
         assert blas_threads() == before
         assert forced_fork == (["fork"] if workers > 1 else [])
 
+
+    @pytest.mark.parametrize("scenario", [
+        _preset_scenario("user-sweep", "users-1"),
+        dataclasses.replace(TINY, name="small-saleh", hpa_mode="saleh",
+                            config=LinkConfig(users=2, substreams=4, carriers=4, walsh_order=4,
+                                              pn_length=63)),
+    ], ids=lambda sc: sc.name)
+    def test_setup_is_pinned_whoever_calls(self, blas_threads, scenario):
+        """_prepare called outside any pin, at 2 OpenBLAS threads, gives the
+        noise factor and calibration of one called inside a pin, bit for
+        bit, and leaves the caller's counts as they were.  Unpinned at 2
+        threads, users-1's Cholesky factor moves by up to 1.1e-16 and this tube's
+        eb and phase_offset by 1-2 ulp."""
+        before = blas_threads()
+        unpinned = harness._prepare(scenario)
+        assert blas_threads() == before
+        with harness._single_threaded_blas():
+            pinned = harness._prepare(scenario)
+        assert float(unpinned.eb).hex() == float(pinned.eb).hex()
+        assert float(unpinned.phase_offset).hex() == float(pinned.phase_offset).hex()
+        assert np.array_equal(unpinned.noise_factor, pinned.noise_factor)
 
     def test_one_scan_per_public_call(self, blas_threads, monkeypatch):
         """An entry scans for OpenBLAS once and restores the counts, also

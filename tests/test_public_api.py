@@ -26,6 +26,12 @@ from mcmccdma import analysis, channel, codes, config, harness, hpa, receiver, t
 # estimate_interference_variances, and in tests by _reference_calibration,
 # _direct_limiter_eb, the test_symbol_draw_* tests, test_seeded_block_draws,
 # the limiter's bound and cell-array tests and the unclipped-limiter test.
+# _BLAS_PINNED stays retired as a name: since the setup pins BLAS itself,
+# a pin inside another reads _BLAS_HELD, its successor.
+# _Split, the decomposition's weights and buffer, which _source_split now
+# returns as a tuple of arrays, was read by _source_outputs, and in tests by
+# test_decomposition_identity, test_sources_match_sample_chain and
+# tests/test_receiver.py's _source_setup.
 _RETIRED = {
     analysis: ("erfc",),
     channel: ("PathTap", "NoiseSpec", "add_awgn", "propagate_samples", "_noise_density"),
@@ -44,7 +50,7 @@ _RETIRED = {
               "_excess_correlations", "_add_cell_correlations", "_SLAB_SAMPLES",
               "_CELL_SAMPLES", "_CELL_CHUNK", "_linear_eb", "limiter_factor", "_calibrate",
               "_correlator_noise", "_BLAS_PINNED", "_simulate_block", "_block_draws",
-              "_worker_block", "_draw_symbols"),
+              "_worker_block", "_draw_symbols", "_Split"),
     harness._Runtime: ("pn_chips", "slot_column"),
     txchain.LinkConfig: ("walsh_aligned", "symbol_duration", "sample_rate", "power"),
     config.Scenario: ("min_bits",),
@@ -56,7 +62,8 @@ _RETIRED = {
 # point, which takes a range of blocks, of the one loop that draws a batch's
 # variates, and of the channel, symbol and noise producers it feeds, which
 # take the variates it drew, with any leading axes, not a generator, and the
-# noise scale the setup formed, not an Eb/N0.
+# noise scale the setup formed, not an Eb/N0, and of the decomposition's two
+# entry points.
 _SIGNATURES = {
     analysis.theoretical_curve: ("variances", "scenario", "reference_ebn0_db"),
     codes.generate_msequence: ("degree",),
@@ -66,6 +73,10 @@ _SIGNATURES = {
     channel.draw_channel: ("exponentials", "uniforms", "decay_db"),
     harness._batch_draws: ("runtime", "point_index", "block_ids"),
     harness._symbols_from_words: ("words", "shape"),
+    # perfbench/call.py reads their n_symbols and chunk defaults through inspect
+    harness.measure_variances: ("scenario", "ebn0_db", "n_symbols"),
+    harness.estimate_interference_variances: ("runtime", "channel", "ebn0_db", "rng",
+                                              "n_symbols", "chunk"),
 }
 
 # The scenario layer and the amplifiers, by the module that defines them:
